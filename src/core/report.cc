@@ -93,110 +93,55 @@ Report::fairness() const
     return hi > 0 ? lo / hi : 1.0;
 }
 
+double
+MetricRow::value(const Report &r) const
+{
+    if (const auto *f = std::get_if<double Report::*>(&field))
+        return r.**f;
+    if (const auto *f = std::get_if<std::uint64_t Report::*>(&field))
+        return static_cast<double>(r.**f);
+    if (const auto *f = std::get_if<double (Report::*)() const>(&field))
+        return (r.**f)();
+    return 0.0; // a per-guest array
+}
+
 std::string
 reportToJson(const Report &r)
 {
     char buf[512];
     std::string out = "{\n";
-    auto add = [&](const char *key, double value, bool last = false) {
-        std::snprintf(buf, sizeof(buf), "  \"%s\": %.4f%s\n", key, value,
-                      last ? "" : ",");
-        out += buf;
-    };
-    auto addU = [&](const char *key, std::uint64_t value) {
-        std::snprintf(buf, sizeof(buf), "  \"%s\": %llu,\n", key,
-                      static_cast<unsigned long long>(value));
-        out += buf;
-    };
     std::snprintf(buf, sizeof(buf), "  \"schema_version\": %d,\n",
                   kReportSchemaVersion);
     out += buf;
     std::snprintf(buf, sizeof(buf), "  \"label\": \"%s\",\n",
                   r.label.c_str());
     out += buf;
-    add("mbps", r.mbps);
-    add("hyp_pct", r.hypPct);
-    add("drv_os_pct", r.drvOsPct);
-    add("drv_user_pct", r.drvUserPct);
-    add("guest_os_pct", r.guestOsPct);
-    add("guest_user_pct", r.guestUserPct);
-    add("idle_pct", r.idlePct);
-    add("drv_intr_per_sec", r.drvIntrPerSec);
-    add("guest_intr_per_sec", r.guestIntrPerSec);
-    add("phys_irq_per_sec", r.physIrqPerSec);
-    add("hypercall_per_sec", r.hypercallPerSec);
-    add("domain_switch_per_sec", r.domainSwitchPerSec);
-    add("latency_mean_us", r.latencyMeanUs);
-    add("latency_p50_us", r.latencyP50Us);
-    add("latency_p99_us", r.latencyP99Us);
-    add("fairness", r.fairness());
-    add("wire_mbps", r.wireMbps);
-    add("rpc_lat_mean_us", r.rpcLatMeanUs);
-    add("rpc_lat_p50_us", r.rpcLatP50Us);
-    add("rpc_lat_p99_us", r.rpcLatP99Us);
-    add("rpc_lat_p999_us", r.rpcLatP999Us);
-    add("rpc_offered_rps", r.rpcOfferedRps);
-    add("rpc_achieved_rps", r.rpcAchievedRps);
-    add("swpt_validation_us", r.swptValidationUs);
-    addU("protection_faults", r.protectionFaults);
-    addU("dma_violations", r.dmaViolations);
-    addU("rx_drops_no_desc", r.rxDropsNoDesc);
-    addU("rx_drops_no_buf", r.rxDropsNoBuf);
-    addU("rx_drops_filter", r.rxDropsFilter);
-    addU("frames_dropped", r.faultFramesDropped);
-    addU("frames_corrupted", r.faultFramesCorrupted);
-    addU("frames_duplicated", r.faultFramesDuplicated);
-    addU("dma_delays", r.faultDmaDelays);
-    addU("firmware_stalls", r.firmwareStalls);
-    addU("guest_kills", r.guestKills);
-    addU("mailbox_timeouts", r.mailboxTimeouts);
-    addU("ring_resyncs", r.ringResyncs);
-    addU("rx_drops_bad_csum", r.rxDropsBadCsum);
-    addU("tx_backlog_peak", r.txBacklogPeak);
-    addU("tx_backlog_now", r.txBacklogNow);
-    addU("tcp_retrans_segs", r.tcpRetransSegs);
-    addU("tcp_fast_retransmits", r.tcpFastRetransmits);
-    addU("tcp_rto_events", r.tcpRtoEvents);
-    addU("tcp_dup_acks", r.tcpDupAcks);
-    addU("driver_domain_kills", r.driverDomainKills);
-    addU("firmware_reboots", r.firmwareReboots);
-    addU("fe_reconnects", r.feReconnects);
-    addU("grants_revoked", r.grantsRevoked);
-    addU("pages_quarantined", r.pagesQuarantined);
-    addU("quarantine_released", r.quarantineReleased);
-    addU("mailbox_throttled", r.mailboxThrottled);
-    addU("outage_packets_lost", r.outagePacketsLost);
-    addU("cxt_page_traps", r.cxtPageTraps);
-    addU("cxt_evictions", r.cxtEvictions);
-    addU("cxt_page_ins", r.cxtPageIns);
-    addU("cxt_resident_peak", r.cxtResidentPeak);
-    addU("switch_drops", r.switchDrops);
-    addU("switch_drop_bytes", r.switchDropBytes);
-    addU("switch_queue_peak_bytes", r.switchQueuePeakBytes);
-    addU("rpc_requests", r.rpcRequests);
-    addU("rpc_responses", r.rpcResponses);
-    addU("rpc_timeouts", r.rpcTimeouts);
-    addU("flows_started", r.flowsStarted);
-    addU("flows_completed", r.flowsCompleted);
-    addU("swpt_doorbell_traps", r.swptDoorbellTraps);
-    addU("swpt_desc_validated", r.swptDescValidated);
-    addU("swpt_desc_rejected", r.swptDescRejected);
-    auto addArr = [&](const char *key, const std::vector<double> &v,
-                      const char *fmt, bool last = false) {
+    const std::vector<MetricRow> &rows = reportMetrics();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const MetricRow &m = rows[i];
         out += "  \"";
-        out += key;
-        out += "\": [";
-        for (std::size_t i = 0; i < v.size(); ++i) {
-            if (i)
-                out += ", ";
-            std::snprintf(buf, sizeof(buf), fmt, v[i]);
+        out += m.key;
+        out += "\": ";
+        if (const auto *f = std::get_if<std::uint64_t Report::*>(&m.field)) {
+            std::snprintf(buf, sizeof(buf), "%llu",
+                          static_cast<unsigned long long>(r.**f));
+            out += buf;
+        } else if (const auto *f =
+                       std::get_if<std::vector<double> Report::*>(&m.field)) {
+            out += "[";
+            const std::vector<double> &v = r.**f;
+            for (std::size_t k = 0; k < v.size(); ++k) {
+                std::snprintf(buf, sizeof(buf), "%s%.*f", k ? ", " : "",
+                              m.decimals, v[k]);
+                out += buf;
+            }
+            out += "]";
+        } else {
+            std::snprintf(buf, sizeof(buf), "%.*f", m.decimals, m.value(r));
             out += buf;
         }
-        out += last ? "]\n" : "],\n";
-    };
-    addArr("per_guest_mbps", r.perGuestMbps, "%.2f");
-    addArr("per_guest_downtime_us", r.perGuestDowntimeUs, "%.1f");
-    addArr("per_guest_ttfp_us", r.perGuestTtfpUs, "%.1f", /*last=*/true);
+        out += i + 1 < rows.size() ? ",\n" : "\n";
+    }
     out += "}\n";
     return out;
 }

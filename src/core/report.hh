@@ -10,13 +10,18 @@
 #ifndef CDNA_CORE_REPORT_HH
 #define CDNA_CORE_REPORT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "sim/stats.hh"
 #include "sim/time.hh"
 
 namespace cdna::core {
+
+class System;
 
 /**
  * Version of the JSON report schema (single-run reports and the sweep
@@ -225,29 +230,81 @@ struct Report
 };
 
 /**
- * Render a report as a JSON object.
- *
- * Key-order contract (stable across runs, platforms, and thread
- * counts; relied on by the sweep determinism tests, which compare
- * whole documents byte-for-byte):
- *
- *   schema_version, label, then the double-valued metrics (mbps, the
- *   six profile percentages, the five rate counters, the three latency
- *   quantiles, fairness, wire_mbps, then the schema-6 RPC latency
- *   quantiles and offered/achieved rates, then schema 7's
- *   swpt_validation_us), then the integer counters (protection/drop
- *   counters, the fault/recovery counters, then the
- *   checksum/backlog/TCP counters added in schema 2, then the outage
- *   counters added in schema 3, the context-paging counters added in
- *   schema 4, the switch counters added in schema 5, the RPC/flow
- *   counters added in schema 6, and the swpt counters added in schema
- *   7), then per_guest_mbps followed by the schema-3
- *   per_guest_downtime_us and per_guest_ttfp_us arrays.  New keys are
- *   only ever appended at the end of their block so older goldens
- *   remain a line-subset of newer reports.
- *
- * Doubles are printed with "%.4f", integers as decimal, arrays in
- * index order; no locale-dependent formatting is used anywhere.
+ * How a row turns what its collector reads into a report value.  Counter
+ * kinds are sampled at both window edges; the others once, at its end.
+ */
+enum class MetricKind
+{
+    kDelta,        //!< counter: window end minus window begin
+    kEnd,          //!< counter: value at window end (peaks, depths)
+    kRate,         //!< counter: window delta per simulated second
+    kMbps,         //!< byte counter: window delta in Mb/s
+    kScaled,       //!< counter: window delta divided by MetricRow::param
+    kPct,          //!< percent of the window, from the CPU profile
+    kMean,         //!< latency samples: mean
+    kQuantile,     //!< latency samples: quantile MetricRow::param
+    kPerGuestMbps, //!< per-guest byte counters: window deltas in Mb/s
+    kPerGuest,     //!< per-guest values at window end
+    kDerived,      //!< computed from the report itself (fairness)
+};
+
+/** One latency family, merged over the components that record it. */
+struct LatencySamples
+{
+    sim::Histogram hist;
+    double sum = 0.0;
+    std::uint64_t count = 0;
+
+    void
+    add(const sim::Histogram &h, const sim::SampleStats &st)
+    {
+        hist.merge(h);
+        sum += st.sum();
+        count += st.count();
+    }
+};
+
+/**
+ * One report key: the Report member it fills, its kind, and the
+ * collector that reads it from one System's own components.
+ */
+struct MetricRow
+{
+    using Field = std::variant<double Report::*, std::uint64_t Report::*,
+                               std::vector<double> Report::*,
+                               double (Report::*)() const>;
+    using Counter = std::uint64_t (*)(const System &);
+    using GuestCounter = std::uint64_t (*)(const System &, std::uint32_t);
+    using Share = double (*)(const System &, sim::Time window);
+    using Latency = LatencySamples (*)(const System &);
+    using GuestValue = double (*)(const System &, std::uint32_t);
+    using Collector = std::variant<std::monostate, Counter, GuestCounter,
+                                   Share, Latency, GuestValue>;
+
+    const char *key;
+    Field field;
+    MetricKind kind;
+    Collector collect = {};
+    /** kScaled divisor, or kQuantile quantile. */
+    double param = 0.0;
+    /** Decimals printed for double values (and array elements). */
+    int decimals = 4;
+    /** Aggregated per sweep cell (mean / stddev / ci95 over seeds). */
+    bool cell = false;
+
+    /** This row's scalar value in @p r (0 for per-guest arrays). */
+    double value(const Report &r) const;
+};
+
+/**
+ * The report's metric table, one row per key.  JSON order is table
+ * order; append only at block ends.
+ */
+const std::vector<MetricRow> &reportMetrics();
+
+/**
+ * Render a report as JSON: schema_version, label, then one line per
+ * reportMetrics() row, doubles with the row's decimals (no locale).
  */
 std::string reportToJson(const Report &r);
 

@@ -316,22 +316,40 @@ System::buildNative()
             ctx_, nm("natdrv" + std::to_string(i)), native, *intelNics_[i],
             cfg_.costs, os::NativeDriver::IrqRoute::kDirect, mac));
         nativeDrivers_.back()->attach();
-        guestDevs_.push_back(nativeDrivers_.back().get());
-        stacks_.push_back(std::make_unique<os::NetStack>(
-            ctx_, nm("stack0." + std::to_string(i)), native,
-            *nativeDrivers_.back(), cfg_.costs));
-        if (peers_[i])
-            stacks_.back()->setDefaultDst(peers_[i]->mac());
-        if (cfg_.transportKind == TransportKind::kTcp)
-            stacks_.back()->enableTcp(cfg_.tcpParams);
-        workload::TrafficApp::Params ap;
-        ap.connections = cfg_.connectionsPerVif;
-        ap.transmit = cfg_.transmitDir;
-        ap.rpcServer = cfg_.workload.hasRpc();
-        apps_.push_back(std::make_unique<workload::TrafficApp>(
-            ctx_, nm("app0." + std::to_string(i)), *stacks_.back(),
-            cfg_.costs, ap));
+        addGuestPort(native, *nativeDrivers_.back(), 0, i);
     }
+}
+
+void
+System::setupContextRings(CdnaNic &nic, CdnaNic::ContextId cxt,
+                          mem::DomainId owner)
+{
+    mem::PageNum txp = mem_->allocOne(owner);
+    mem::PageNum rxp = mem_->allocOne(owner);
+    mem::PageNum stp = mem_->allocOne(owner);
+    nic.configureContextRings(cxt, 256, mem::addrOf(txp), 256,
+                              mem::addrOf(rxp));
+    nic.setStatusPage(cxt, mem::addrOf(stp));
+}
+
+void
+System::addGuestPort(vmm::Domain &guest, os::NetDevice &dev,
+                     std::uint32_t g, std::uint32_t nic)
+{
+    std::string id = std::to_string(g) + "." + std::to_string(nic);
+    guestDevs_.push_back(&dev);
+    stacks_.push_back(std::make_unique<os::NetStack>(
+        ctx_, nm("stack" + id), guest, dev, cfg_.costs));
+    if (peers_[nic])
+        stacks_.back()->setDefaultDst(peers_[nic]->mac());
+    if (cfg_.transportKind == TransportKind::kTcp)
+        stacks_.back()->enableTcp(cfg_.tcpParams);
+    workload::TrafficApp::Params ap;
+    ap.connections = cfg_.connectionsPerVif;
+    ap.transmit = cfg_.transmitDir;
+    ap.rpcServer = cfg_.workload.hasRpc();
+    apps_.push_back(std::make_unique<workload::TrafficApp>(
+        ctx_, nm("app" + id), *stacks_.back(), cfg_.costs, ap));
 }
 
 void
@@ -365,12 +383,7 @@ System::buildXen()
             wireCdnaIsr(i);
             auto cxt = nic.allocContext(driverDom_->id(), drv_mac);
             SIM_ASSERT(cxt.has_value(), "no context for driver domain");
-            mem::PageNum txp = mem_->allocOne(driverDom_->id());
-            mem::PageNum rxp = mem_->allocOne(driverDom_->id());
-            mem::PageNum stp = mem_->allocOne(driverDom_->id());
-            nic.configureContextRings(*cxt, 256, mem::addrOf(txp), 256,
-                                      mem::addrOf(rxp));
-            nic.setStatusPage(*cxt, mem::addrOf(stp));
+            setupContextRings(nic, *cxt, driverDom_->id());
             drvDomCdnaDrivers_.push_back(std::make_unique<CdnaGuestDriver>(
                 ctx_, nm("dom0cdna" + std::to_string(i)), *driverDom_, nic,
                 *cxt, *prot_, cfg_.costs, drv_mac));
@@ -395,23 +408,7 @@ System::buildXen()
         for (std::uint32_t g = 0; g < cfg_.numGuests; ++g) {
             os::XenVif &vif = ddns_.back()->createVif(*guests_[g],
                                                       guestMac(g, i));
-            guestDevs_.push_back(&vif);
-            stacks_.push_back(std::make_unique<os::NetStack>(
-                ctx_,
-                nm("stack" + std::to_string(g) + "." + std::to_string(i)),
-                *guests_[g], vif, cfg_.costs));
-            if (peers_[i])
-                stacks_.back()->setDefaultDst(peers_[i]->mac());
-            if (cfg_.transportKind == TransportKind::kTcp)
-                stacks_.back()->enableTcp(cfg_.tcpParams);
-            workload::TrafficApp::Params ap;
-            ap.connections = cfg_.connectionsPerVif;
-            ap.transmit = cfg_.transmitDir;
-            ap.rpcServer = cfg_.workload.hasRpc();
-            apps_.push_back(std::make_unique<workload::TrafficApp>(
-                ctx_,
-                nm("app" + std::to_string(g) + "." + std::to_string(i)),
-                *stacks_.back(), cfg_.costs, ap));
+            addGuestPort(*guests_[g], vif, g, i);
         }
     }
 }
@@ -463,12 +460,7 @@ System::buildCdna()
                     "(SystemConfig::oversubscribed) to run more guests "
                     "than physical contexts");
             }
-            mem::PageNum txp = mem_->allocOne(guest.id());
-            mem::PageNum rxp = mem_->allocOne(guest.id());
-            mem::PageNum stp = mem_->allocOne(guest.id());
-            nic.configureContextRings(*cxt, 256, mem::addrOf(txp), 256,
-                                      mem::addrOf(rxp));
-            nic.setStatusPage(*cxt, mem::addrOf(stp));
+            setupContextRings(nic, *cxt, guest.id());
 
             guestCdnaDrivers_.push_back(std::make_unique<CdnaGuestDriver>(
                 ctx_,
@@ -482,24 +474,7 @@ System::buildCdna()
             if (iommu_ &&
                 cfg_.iommuMode == mem::Iommu::Mode::kPerContext)
                 iommu_->bindContext(i, *cxt, guest.id());
-
-            guestDevs_.push_back(drv);
-            stacks_.push_back(std::make_unique<os::NetStack>(
-                ctx_,
-                nm("stack" + std::to_string(g) + "." + std::to_string(i)),
-                guest, *drv, cfg_.costs));
-            if (peers_[i])
-                stacks_.back()->setDefaultDst(peers_[i]->mac());
-            if (cfg_.transportKind == TransportKind::kTcp)
-                stacks_.back()->enableTcp(cfg_.tcpParams);
-            workload::TrafficApp::Params ap;
-            ap.connections = cfg_.connectionsPerVif;
-            ap.transmit = cfg_.transmitDir;
-            ap.rpcServer = cfg_.workload.hasRpc();
-            apps_.push_back(std::make_unique<workload::TrafficApp>(
-                ctx_,
-                nm("app" + std::to_string(g) + "." + std::to_string(i)),
-                *stacks_.back(), cfg_.costs, ap));
+            addGuestPort(guest, *drv, g, i);
         }
     }
 }
@@ -538,24 +513,7 @@ System::buildSwpt()
                 guest, val, cfg_.costs, mac));
             os::SwptDriver *drv = swptDrivers_.back().get();
             drv->attach();
-
-            guestDevs_.push_back(drv);
-            stacks_.push_back(std::make_unique<os::NetStack>(
-                ctx_,
-                nm("stack" + std::to_string(g) + "." + std::to_string(i)),
-                guest, *drv, cfg_.costs));
-            if (peers_[i])
-                stacks_.back()->setDefaultDst(peers_[i]->mac());
-            if (cfg_.transportKind == TransportKind::kTcp)
-                stacks_.back()->enableTcp(cfg_.tcpParams);
-            workload::TrafficApp::Params ap;
-            ap.connections = cfg_.connectionsPerVif;
-            ap.transmit = cfg_.transmitDir;
-            ap.rpcServer = cfg_.workload.hasRpc();
-            apps_.push_back(std::make_unique<workload::TrafficApp>(
-                ctx_,
-                nm("app" + std::to_string(g) + "." + std::to_string(i)),
-                *stacks_.back(), cfg_.costs, ap));
+            addGuestPort(guest, *drv, g, i);
         }
     }
 }
@@ -596,191 +554,51 @@ System::start()
     started_ = true;
     for (auto &app : apps_)
         app->start();
-    if (!cfg_.workload.empty()) {
-        // Declarative workload: each local peer runs the spec against
-        // the guests' MACs (or the spec's explicit targets), started
-        // once the guests have had a moment to post RX buffers.  The
-        // system seed replaces the spec seed so sweeps that vary only
-        // the seed stay deterministic without touching the spec.
-        for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
-            net::TrafficPeer *p = peers_[i].get();
-            if (!p)
-                continue; // external fabric: the topology drives sources
-            net::workload::WorkloadSpec spec = cfg_.workload;
+    if (cfg_.workload.empty() && cfg_.transmitDir)
+        return; // open-loop transmit: the guests' apps are the sources
+    // A declarative workload -- or, for receive experiments without one,
+    // a line-rate flood -- starts on each local peer once the guests
+    // have had a moment to post RX buffers.  Targets default to the
+    // guests' MACs.  The system seed replaces a declared spec's seed, so
+    // sweeps that vary only the seed stay deterministic.
+    for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
+        net::TrafficPeer *p = peers_[i].get();
+        if (!p)
+            continue; // external fabric: the topology drives sources
+        net::workload::WorkloadSpec spec = cfg_.workload;
+        if (spec.empty())
+            spec = net::workload::WorkloadSpec{}.withClass(
+                net::workload::FlowClass::saturating());
+        else
             spec.seed = cfg_.seed;
-            if (spec.targets.empty()) {
-                if (cfg_.mode == IoMode::kNative) {
-                    spec.targets.push_back(guestMac(0, i));
-                } else {
-                    for (std::uint32_t g = 0; g < cfg_.numGuests; ++g)
-                        spec.targets.push_back(guestMac(g, i));
-                }
-            }
-            ctx_.events().schedule(sim::milliseconds(1.0),
-                                   [p, spec = std::move(spec)] {
-                                       p->applyWorkload(spec);
-                                   });
-        }
-    } else if (!cfg_.transmitDir) {
-        // Receive experiments: the peer floods the guests' MACs at line
-        // rate once the guests have had a moment to post RX buffers.
-        for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
-            std::vector<net::MacAddr> dsts;
-            if (cfg_.mode == IoMode::kNative) {
-                dsts.push_back(guestMac(0, i));
-            } else {
-                for (std::uint32_t g = 0; g < cfg_.numGuests; ++g)
-                    dsts.push_back(guestMac(g, i));
-            }
-            net::TrafficPeer *p = peers_[i].get();
-            if (!p)
-                continue; // external fabric: the topology drives sources
-            net::workload::WorkloadSpec flood;
-            flood.toward(std::move(dsts))
-                .withClass(net::workload::FlowClass::saturating());
-            ctx_.events().schedule(sim::milliseconds(1.0),
-                                   [p, flood = std::move(flood)] {
-                                       p->applyWorkload(flood);
-                                   });
-        }
+        if (spec.targets.empty())
+            spec.targets = guestMacs(i);
+        ctx_.events().schedule(sim::milliseconds(1.0),
+                               [p, spec = std::move(spec)] {
+                                   p->applyWorkload(spec);
+                               });
     }
 }
 
-System::Snapshot
+std::vector<net::MacAddr>
+System::guestMacs(std::uint32_t nic) const
+{
+    std::vector<net::MacAddr> macs;
+    for (std::uint32_t g = 0; g < guestsPerNic(); ++g)
+        macs.push_back(guestMac(g, nic));
+    return macs;
+}
+
+std::vector<std::uint64_t>
 System::snapshot() const
 {
-    Snapshot s;
-    for (const auto &p : peers_) {
-        if (!p)
-            continue;
-        s.peerRxPayload += p->payloadDelivered();
-        s.rxDropsBadCsum += p->rxDropsBadCsum();
-        if (const auto *e = p->engine()) {
-            s.rpcRequests += e->rpcRequests();
-            s.rpcResponses += e->rpcResponses();
-            s.rpcTimeouts += e->rpcTimeouts();
-            s.flowsStarted += e->flowsStarted();
-            s.flowsCompleted += e->flowsCompleted();
-        }
-        if (auto *t = p->tcp()) {
-            s.tcpRetrans += t->retransSegs();
-            s.tcpFastRtx += t->fastRetransmits();
-            s.tcpRtos += t->rtoEvents();
-            s.tcpDupAcks += t->dupAcksRx();
-        }
-    }
-    for (const auto &st : stacks_) {
-        s.stackRxBytes += st->rxBytes();
-        s.rxDropsBadCsum += st->rxDropsBadCsum();
-        s.txBacklogPeak = std::max(s.txBacklogPeak, st->txBacklogPeak());
-        s.txBacklogNow += st->txBacklogDepth();
-        if (auto *t = st->tcp()) {
-            s.tcpRetrans += t->retransSegs();
-            s.tcpFastRtx += t->fastRetransmits();
-            s.tcpRtos += t->rtoEvents();
-            s.tcpDupAcks += t->dupAcksRx();
-        }
-    }
-    // Raw payload carried on the wire in the goodput direction: what
-    // the NIC ports injected (tx), or what the far peers injected /
-    // the NIC ports were delivered (rx).
-    for (std::size_t i = 0; i < nicPorts_.size(); ++i) {
-        if (cfg_.transmitDir)
-            s.wirePayload += nicPorts_[i]->payloadCarried();
-        else
-            s.wirePayload += peers_[i]
-                                 ? peers_[i]->port().payloadCarried()
-                                 : nicPorts_[i]->payloadDelivered();
-    }
-
-    s.perGuestBytes.assign(guests_.size(), 0);
-    for (std::size_t g = 0; g < guests_.size(); ++g) {
-        for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
-            // Plumbing is laid out NIC-major: index = nic*guests + guest.
-            std::size_t idx = static_cast<std::size_t>(i) * guests_.size() + g;
-            if (idx >= stacks_.size())
-                continue;
-            if (cfg_.transmitDir) {
-                if (!peers_[i])
-                    continue; // cross-host tx is measured at the receiver
-                auto mac = cfg_.mode == IoMode::kNative
-                               ? guestMac(0, i)
-                               : guestMac(static_cast<std::uint32_t>(g), i);
-                auto it = peers_[i]->receivedBySrc().find(mac);
-                if (it != peers_[i]->receivedBySrc().end())
-                    s.perGuestBytes[g] += it->second;
-            } else {
-                s.perGuestBytes[g] += stacks_[idx]->rxBytes();
-            }
-        }
-    }
-
-    if (driverDom_)
-        s.drvVirtIrqs = driverDom_->virtIrqCount();
-    for (const auto *g : guests_)
-        s.guestVirtIrqs += g->virtIrqCount();
-
-    std::uint64_t phys = 0;
-    for (const auto &n : intelNics_)
-        phys += n->irqCount();
-    for (const auto &n : cdnaNics_)
-        phys += n->irqCount();
-    s.physIrqs = phys;
-    s.hypercalls = hv_->hypercallCount();
-    s.switches = cpu_->domainSwitches();
-    s.faults = hv_->faultCount();
-    s.violations = mem_->violationCount();
-    for (const auto &n : intelNics_) {
-        s.rxDropsNoDesc += n->rxDropNoDesc();
-        s.rxDropsNoBuf += n->rxDropNoBuf();
-        s.rxDropsFilter += n->rxDropFilter();
-    }
-    for (const auto &n : cdnaNics_) {
-        s.rxDropsNoDesc += n->rxDropNoDesc();
-        s.rxDropsNoBuf += n->rxDropNoBuf();
-        s.rxDropsFilter += n->rxDropFilter();
-    }
-    if (faults_) {
-        s.faultFramesDropped = faults_->framesDropped();
-        s.faultFramesCorrupted = faults_->framesCorrupted();
-        s.faultFramesDuplicated = faults_->framesDuplicated();
-        s.faultDmaDelays = faults_->dmaDelays();
-        s.firmwareStalls = faults_->firmwareStalls();
-        s.guestKills = faults_->guestKills();
-        s.mailboxTimeouts = faults_->mailboxTimeouts();
-        s.ringResyncs = faults_->ringResyncs();
-        s.domKills = faults_->driverDomainKills();
-        s.fwReboots = faults_->firmwareReboots();
-        s.feReconnects = faults_->frontendReconnects();
-    }
-    const auto &grants = hv_->grants();
-    s.grantsRevoked = grants.revokedGrants();
-    s.pagesQuarantined = grants.quarantineAdmissions();
-    s.quarantineReleases = grants.quarantineReleases();
-    for (const auto &n : cdnaNics_) {
-        s.mailboxThrottled += n->mailboxThrottled();
-        s.cxtPageTraps += n->pageTraps();
-        s.cxtEvictions += n->pageEvictions();
-        s.cxtPageIns += n->pageIns();
-        s.cxtResidentPeak += n->residentPeak();
-    }
-    for (const auto &v : swptValidators_) {
-        s.swptDoorbellTraps += v->doorbellTraps();
-        s.swptDescValidated += v->descValidated();
-        s.swptDescRejected += v->descRejected();
-        s.swptValidationPs +=
-            static_cast<std::uint64_t>(v->validationTime());
-    }
-    for (const auto &d : ddns_) {
-        s.outagePacketsLost += d->outageRxDrops();
-        for (const auto &vif : d->vifs())
-            s.outagePacketsLost += vif->txLostCrash();
-    }
-    for (net::Port *np : nicPorts_) {
-        s.switchDrops += np->egressDrops();
-        s.switchDropBytes += np->egressDropBytes();
-        s.switchQueuePeak = std::max(s.switchQueuePeak,
-                                     np->queuePeakBytes());
+    std::vector<std::uint64_t> s;
+    for (const MetricRow &m : reportMetrics()) {
+        if (auto *count = std::get_if<MetricRow::Counter>(&m.collect))
+            s.push_back((*count)(*this));
+        else if (auto *per = std::get_if<MetricRow::GuestCounter>(&m.collect))
+            for (std::uint32_t g = 0; g < guests_.size(); ++g)
+                s.push_back((*per)(*this, g));
     }
     return s;
 }
@@ -811,168 +629,69 @@ System::endMeasurement(sim::Time window)
 }
 
 Report
-System::buildReport(const Snapshot &a, const Snapshot &b, sim::Time window)
+System::buildReport(const std::vector<std::uint64_t> &a,
+                    const std::vector<std::uint64_t> &b,
+                    sim::Time window) const
 {
+    using enum MetricKind;
     Report r;
     r.label = cfg_.effectiveLabel();
     r.window = window;
     double secs = sim::toSeconds(window);
-
-    std::uint64_t goodput_bytes = cfg_.transmitDir
-        ? b.peerRxPayload - a.peerRxPayload
-        : b.stackRxBytes - a.stackRxBytes;
-    r.mbps = static_cast<double>(goodput_bytes) * 8.0 / secs / 1.0e6;
-    r.wireMbps = static_cast<double>(b.wirePayload - a.wirePayload) * 8.0 /
-                 secs / 1.0e6;
-
-    const auto &prof = cpu_->profile();
-    auto pct = [&](sim::Time t) {
-        return 100.0 * static_cast<double>(t) /
-               static_cast<double>(window);
+    auto mbps = [secs](std::uint64_t bytes) {
+        return static_cast<double>(bytes) * 8.0 / secs / 1.0e6;
     };
-    r.hypPct = pct(prof.hypervisor());
-    r.idlePct = pct(prof.idle());
-    if (driverDom_) {
-        r.drvOsPct = pct(prof.domainTime(driverDom_->id(),
-                                         cpu::Bucket::kOs));
-        r.drvUserPct = pct(prof.domainTime(driverDom_->id(),
-                                           cpu::Bucket::kUser));
-    }
-    for (const auto *g : guests_) {
-        r.guestOsPct += pct(prof.domainTime(g->id(), cpu::Bucket::kOs));
-        r.guestUserPct += pct(prof.domainTime(g->id(),
-                                              cpu::Bucket::kUser));
-    }
-
-    r.drvIntrPerSec =
-        static_cast<double>(b.drvVirtIrqs - a.drvVirtIrqs) / secs;
-    r.guestIntrPerSec =
-        static_cast<double>(b.guestVirtIrqs - a.guestVirtIrqs) / secs;
-    r.physIrqPerSec = static_cast<double>(b.physIrqs - a.physIrqs) / secs;
-    r.hypercallPerSec =
-        static_cast<double>(b.hypercalls - a.hypercalls) / secs;
-    r.domainSwitchPerSec =
-        static_cast<double>(b.switches - a.switches) / secs;
-    r.protectionFaults = b.faults - a.faults;
-    r.dmaViolations = b.violations - a.violations;
-    r.rxDropsNoDesc = b.rxDropsNoDesc - a.rxDropsNoDesc;
-    r.rxDropsNoBuf = b.rxDropsNoBuf - a.rxDropsNoBuf;
-    r.rxDropsFilter = b.rxDropsFilter - a.rxDropsFilter;
-    r.faultFramesDropped = b.faultFramesDropped - a.faultFramesDropped;
-    r.faultFramesCorrupted =
-        b.faultFramesCorrupted - a.faultFramesCorrupted;
-    r.faultFramesDuplicated =
-        b.faultFramesDuplicated - a.faultFramesDuplicated;
-    r.faultDmaDelays = b.faultDmaDelays - a.faultDmaDelays;
-    r.firmwareStalls = b.firmwareStalls - a.firmwareStalls;
-    r.guestKills = b.guestKills - a.guestKills;
-    r.mailboxTimeouts = b.mailboxTimeouts - a.mailboxTimeouts;
-    r.ringResyncs = b.ringResyncs - a.ringResyncs;
-    r.rxDropsBadCsum = b.rxDropsBadCsum - a.rxDropsBadCsum;
-    // The peak is a lifetime high-watermark, not a windowed delta.
-    r.txBacklogPeak = b.txBacklogPeak;
-    r.txBacklogNow = b.txBacklogNow;
-    r.tcpRetransSegs = b.tcpRetrans - a.tcpRetrans;
-    r.tcpFastRetransmits = b.tcpFastRtx - a.tcpFastRtx;
-    r.tcpRtoEvents = b.tcpRtos - a.tcpRtos;
-    r.tcpDupAcks = b.tcpDupAcks - a.tcpDupAcks;
-    r.driverDomainKills = b.domKills - a.domKills;
-    r.firmwareReboots = b.fwReboots - a.fwReboots;
-    r.feReconnects = b.feReconnects - a.feReconnects;
-    r.grantsRevoked = b.grantsRevoked - a.grantsRevoked;
-    r.pagesQuarantined = b.pagesQuarantined - a.pagesQuarantined;
-    r.quarantineReleased = b.quarantineReleases - a.quarantineReleases;
-    r.mailboxThrottled = b.mailboxThrottled - a.mailboxThrottled;
-    r.outagePacketsLost = b.outagePacketsLost - a.outagePacketsLost;
-    r.cxtPageTraps = b.cxtPageTraps - a.cxtPageTraps;
-    r.cxtEvictions = b.cxtEvictions - a.cxtEvictions;
-    r.cxtPageIns = b.cxtPageIns - a.cxtPageIns;
-    // Residency peak is a high-water mark over the whole run, not a
-    // windowed delta (like tx_backlog_peak).
-    r.cxtResidentPeak = b.cxtResidentPeak;
-    r.switchDrops = b.switchDrops - a.switchDrops;
-    r.switchDropBytes = b.switchDropBytes - a.switchDropBytes;
-    // Like the other peaks, a lifetime high-watermark.
-    r.switchQueuePeakBytes = b.switchQueuePeak;
-    r.swptDoorbellTraps = b.swptDoorbellTraps - a.swptDoorbellTraps;
-    r.swptDescValidated = b.swptDescValidated - a.swptDescValidated;
-    r.swptDescRejected = b.swptDescRejected - a.swptDescRejected;
-    r.swptValidationUs =
-        static_cast<double>(b.swptValidationPs - a.swptValidationPs) /
-        1.0e6;
-
-    r.perGuestMbps.resize(guests_.size());
-    for (std::size_t g = 0; g < guests_.size(); ++g) {
-        r.perGuestMbps[g] =
-            static_cast<double>(b.perGuestBytes[g] - a.perGuestBytes[g]) *
-            8.0 / secs / 1.0e6;
-    }
-
-    // Availability (absolute, not windowed: an outage is a property of
-    // the whole run).  Zero-filled without an outage fault plan.
-    r.perGuestDowntimeUs.assign(guests_.size(), 0.0);
-    r.perGuestTtfpUs.assign(guests_.size(), 0.0);
-    if (avail_) {
-        for (std::uint32_t g = 0; g < avail_->guests(); ++g) {
-            r.perGuestDowntimeUs[g] = avail_->downtimeUs(g);
-            r.perGuestTtfpUs[g] = avail_->ttfpUs(g);
+    std::size_t at = 0; // next counter slot in the snapshots
+    auto delta = [&] {
+        std::uint64_t d = b[at] - a[at];
+        ++at;
+        return d;
+    };
+    for (const MetricRow &m : reportMetrics()) {
+        auto *dbl = std::get_if<double Report::*>(&m.field);
+        auto *u64 = std::get_if<std::uint64_t Report::*>(&m.field);
+        auto *arr = std::get_if<std::vector<double> Report::*>(&m.field);
+        switch (m.kind) {
+          case kDelta:
+            r.**u64 = delta();
+            break;
+          case kEnd:
+            r.**u64 = b[at++];
+            break;
+          case kRate:
+            r.**dbl = static_cast<double>(delta()) / secs;
+            break;
+          case kMbps:
+            r.**dbl = mbps(delta());
+            break;
+          case kScaled:
+            r.**dbl = static_cast<double>(delta()) / m.param;
+            break;
+          case kPct:
+            r.**dbl = std::get<MetricRow::Share>(m.collect)(*this, window);
+            break;
+          case kMean:
+          case kQuantile: {
+            LatencySamples l = std::get<MetricRow::Latency>(m.collect)(*this);
+            if (l.count == 0)
+                break;
+            r.**dbl = m.kind == kMean
+                          ? l.sum / static_cast<double>(l.count)
+                          : static_cast<double>(l.hist.quantile(m.param));
+            break;
+          }
+          case kPerGuestMbps:
+            for (std::size_t g = 0; g < guests_.size(); ++g)
+                (r.**arr).push_back(mbps(delta()));
+            break;
+          case kPerGuest:
+            for (std::uint32_t g = 0; g < guests_.size(); ++g)
+                (r.**arr).push_back(
+                    std::get<MetricRow::GuestValue>(m.collect)(*this, g));
+            break;
+          case kDerived:
+            break;
         }
-    }
-
-    // End-to-end latency: peers measure transmitted data, guest stacks
-    // measure received data.
-    sim::Histogram merged;
-    double lat_sum = 0.0;
-    std::uint64_t lat_n = 0;
-    if (cfg_.transmitDir) {
-        for (const auto &p : peers_) {
-            if (!p)
-                continue;
-            merged.merge(p->latencyHist());
-            lat_sum += p->latency().sum();
-            lat_n += p->latency().count();
-        }
-    } else {
-        for (const auto &st : stacks_) {
-            merged.merge(st->rxLatencyHist());
-            lat_sum += st->rxLatency().sum();
-            lat_n += st->rxLatency().count();
-        }
-    }
-    if (lat_n > 0) {
-        r.latencyMeanUs = lat_sum / static_cast<double>(lat_n);
-        r.latencyP50Us = static_cast<double>(merged.quantile(0.5));
-        r.latencyP99Us = static_cast<double>(merged.quantile(0.99));
-    }
-
-    // RPC activity: rates are windowed deltas; tail quantiles come
-    // from the engines' fine-grained cumulative histograms (like the
-    // data-frame latency above, they include warmup).
-    r.rpcRequests = b.rpcRequests - a.rpcRequests;
-    r.rpcResponses = b.rpcResponses - a.rpcResponses;
-    r.rpcTimeouts = b.rpcTimeouts - a.rpcTimeouts;
-    r.flowsStarted = b.flowsStarted - a.flowsStarted;
-    r.flowsCompleted = b.flowsCompleted - a.flowsCompleted;
-    r.rpcOfferedRps = static_cast<double>(r.rpcRequests) / secs;
-    r.rpcAchievedRps = static_cast<double>(r.rpcResponses) / secs;
-    sim::Histogram rpc_hist(net::workload::kRpcHistBuckets,
-                            net::workload::kRpcHistSubBits);
-    double rpc_sum = 0.0;
-    std::uint64_t rpc_n = 0;
-    for (const auto &p : peers_) {
-        if (!p)
-            continue;
-        if (const auto *e = p->engine()) {
-            rpc_hist.merge(e->rpcLatencyHist());
-            rpc_sum += e->rpcLatency().sum();
-            rpc_n += e->rpcLatency().count();
-        }
-    }
-    if (rpc_n > 0) {
-        r.rpcLatMeanUs = rpc_sum / static_cast<double>(rpc_n);
-        r.rpcLatP50Us = static_cast<double>(rpc_hist.quantile(0.5));
-        r.rpcLatP99Us = static_cast<double>(rpc_hist.quantile(0.99));
-        r.rpcLatP999Us = static_cast<double>(rpc_hist.quantile(0.999));
     }
     return r;
 }
@@ -1036,9 +755,8 @@ System::setupAvailability()
     // Per-guest progress: any stack of guest g (on any NIC) moving
     // data end-to-end counts, which is what makes a CDNA guest with a
     // surviving path score zero downtime.
-    std::size_t per_nic = cfg_.mode == IoMode::kNative ? 1 : guests;
     for (std::size_t idx = 0; idx < stacks_.size(); ++idx) {
-        auto g = static_cast<std::uint32_t>(idx % per_nic);
+        auto g = static_cast<std::uint32_t>(idx % guestsPerNic());
         stacks_[idx]->setProgressHook(
             [this, g] { avail_->noteProgress(g); });
     }
@@ -1136,12 +854,7 @@ System::restartDriverDomain()
             auto cxt = nic.allocContext(driverDom_->id(), drv->mac());
             SIM_ASSERT(cxt.has_value(),
                        "no context for restarted driver domain");
-            mem::PageNum txp = mem_->allocOne(driverDom_->id());
-            mem::PageNum rxp = mem_->allocOne(driverDom_->id());
-            mem::PageNum stp = mem_->allocOne(driverDom_->id());
-            nic.configureContextRings(*cxt, 256, mem::addrOf(txp), 256,
-                                      mem::addrOf(rxp));
-            nic.setStatusPage(*cxt, mem::addrOf(stp));
+            setupContextRings(nic, *cxt, driverDom_->id());
             cxtChannels_[i][*cxt] = &hv_->createChannel(
                 *driverDom_, cfg_.costs.irqEntry,
                 [drv] { drv->handleIrq(); });
@@ -1272,18 +985,14 @@ System::swptValidator(std::uint32_t i)
 os::SwptDriver *
 System::swptDriver(std::uint32_t guest, std::uint32_t nic)
 {
-    // NIC-major layout: index = nic * numGuests + guest.
-    std::size_t idx =
-        static_cast<std::size_t>(nic) * cfg_.numGuests + guest;
+    std::size_t idx = portIndex(guest, nic);
     return idx < swptDrivers_.size() ? swptDrivers_[idx].get() : nullptr;
 }
 
 CdnaGuestDriver *
 System::cdnaDriver(std::uint32_t guest, std::uint32_t nic)
 {
-    // NIC-major layout: index = nic * numGuests + guest.
-    std::size_t idx =
-        static_cast<std::size_t>(nic) * cfg_.numGuests + guest;
+    std::size_t idx = portIndex(guest, nic);
     return idx < guestCdnaDrivers_.size() ? guestCdnaDrivers_[idx].get()
                                           : nullptr;
 }
@@ -1291,15 +1000,13 @@ System::cdnaDriver(std::uint32_t guest, std::uint32_t nic)
 os::NetStack &
 System::stack(std::uint32_t guest, std::uint32_t nic)
 {
-    std::size_t per_nic = cfg_.mode == IoMode::kNative ? 1 : cfg_.numGuests;
-    return *stacks_.at(static_cast<std::size_t>(nic) * per_nic + guest);
+    return *stacks_.at(portIndex(guest, nic));
 }
 
 workload::TrafficApp &
 System::app(std::uint32_t guest, std::uint32_t nic)
 {
-    std::size_t per_nic = cfg_.mode == IoMode::kNative ? 1 : cfg_.numGuests;
-    return *apps_.at(static_cast<std::size_t>(nic) * per_nic + guest);
+    return *apps_.at(portIndex(guest, nic));
 }
 
 SystemConfig

@@ -474,62 +474,8 @@ class System
     workload::TrafficApp &app(std::uint32_t guest, std::uint32_t nic);
 
   private:
-    struct Snapshot
-    {
-        std::uint64_t peerRxPayload = 0;
-        std::uint64_t stackRxBytes = 0;
-        std::uint64_t wirePayload = 0; //!< raw link payload, goodput dir
-        std::uint64_t rxDropsBadCsum = 0;
-        std::uint64_t txBacklogPeak = 0;
-        std::uint64_t txBacklogNow = 0;
-        std::uint64_t tcpRetrans = 0;
-        std::uint64_t tcpFastRtx = 0;
-        std::uint64_t tcpRtos = 0;
-        std::uint64_t tcpDupAcks = 0;
-        std::vector<std::uint64_t> perGuestBytes;
-        std::uint64_t drvVirtIrqs = 0;
-        std::uint64_t guestVirtIrqs = 0;
-        std::uint64_t physIrqs = 0;
-        std::uint64_t hypercalls = 0;
-        std::uint64_t switches = 0;
-        std::uint64_t faults = 0;
-        std::uint64_t violations = 0;
-        std::uint64_t rxDropsNoDesc = 0;
-        std::uint64_t rxDropsNoBuf = 0;
-        std::uint64_t rxDropsFilter = 0;
-        std::uint64_t faultFramesDropped = 0;
-        std::uint64_t faultFramesCorrupted = 0;
-        std::uint64_t faultFramesDuplicated = 0;
-        std::uint64_t faultDmaDelays = 0;
-        std::uint64_t firmwareStalls = 0;
-        std::uint64_t guestKills = 0;
-        std::uint64_t mailboxTimeouts = 0;
-        std::uint64_t ringResyncs = 0;
-        std::uint64_t domKills = 0;
-        std::uint64_t fwReboots = 0;
-        std::uint64_t feReconnects = 0;
-        std::uint64_t grantsRevoked = 0;
-        std::uint64_t pagesQuarantined = 0;
-        std::uint64_t quarantineReleases = 0;
-        std::uint64_t mailboxThrottled = 0;
-        std::uint64_t outagePacketsLost = 0;
-        std::uint64_t cxtPageTraps = 0;
-        std::uint64_t cxtEvictions = 0;
-        std::uint64_t cxtPageIns = 0;
-        std::uint64_t cxtResidentPeak = 0;
-        std::uint64_t switchDrops = 0;
-        std::uint64_t switchDropBytes = 0;
-        std::uint64_t switchQueuePeak = 0;
-        std::uint64_t rpcRequests = 0;
-        std::uint64_t rpcResponses = 0;
-        std::uint64_t rpcTimeouts = 0;
-        std::uint64_t flowsStarted = 0;
-        std::uint64_t flowsCompleted = 0;
-        std::uint64_t swptDoorbellTraps = 0;
-        std::uint64_t swptDescValidated = 0;
-        std::uint64_t swptDescRejected = 0;
-        std::uint64_t swptValidationPs = 0;
-    };
+    // The report's collectors read this System's own components.
+    friend const std::vector<MetricRow> &reportMetrics();
 
     System(SystemConfig cfg, sim::SimContext *shared,
            std::vector<net::Fabric *> nic_fabrics);
@@ -543,6 +489,12 @@ class System
     void buildXen();
     void buildCdna();
     void buildSwpt();
+    /** Stack + app over guest @p g's device on NIC @p nic. */
+    void addGuestPort(vmm::Domain &guest, os::NetDevice &dev,
+                      std::uint32_t g, std::uint32_t nic);
+    /** 256-entry rings and a status page for @p cxt, in @p owner's memory. */
+    void setupContextRings(CdnaNic &nic, CdnaNic::ContextId cxt,
+                           mem::DomainId owner);
     void wireCdnaIsr(std::uint32_t nic_index);
     void startTimers();
     /** @p base prefixed with cfg_.namePrefix (shared-context naming). */
@@ -550,9 +502,25 @@ class System
     {
         return cfg_.namePrefix + base;
     }
-    Snapshot snapshot() const;
-    Report buildReport(const Snapshot &a, const Snapshot &b,
-                       sim::Time window);
+    /** Guests with their own stack on each NIC (native: the one OS). */
+    std::uint32_t
+    guestsPerNic() const
+    {
+        return cfg_.mode == IoMode::kNative ? 1 : cfg_.numGuests;
+    }
+    /** Index of (guest, nic) in the NIC-major per-port vectors. */
+    std::size_t
+    portIndex(std::uint32_t guest, std::uint32_t nic) const
+    {
+        return static_cast<std::size_t>(nic) * guestsPerNic() + guest;
+    }
+    /** MACs of the guests behind NIC @p nic, in guest order. */
+    std::vector<net::MacAddr> guestMacs(std::uint32_t nic) const;
+    /** Every counter row of reportMetrics(), in table order. */
+    std::vector<std::uint64_t> snapshot() const;
+    Report buildReport(const std::vector<std::uint64_t> &a,
+                       const std::vector<std::uint64_t> &b,
+                       sim::Time window) const;
 
     SystemConfig cfg_;
     /** Owned in single-host mode; null when sharing a topology context. */
@@ -611,7 +579,7 @@ class System
     bool driverDomainDown_ = false;
 
     bool started_ = false;
-    Snapshot measureBegin_;
+    std::vector<std::uint64_t> measureBegin_;
 };
 
 } // namespace cdna::core

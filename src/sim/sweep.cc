@@ -115,37 +115,6 @@ executeRun(const RunPoint &point, const ExperimentSpec::Setup &setup,
     return result;
 }
 
-/** The per-run metrics every cell aggregates, in report key order. */
-const std::vector<std::pair<const char *, double (*)(const core::Report &)>> &
-cellMetricTable()
-{
-    using R = core::Report;
-    static const std::vector<std::pair<const char *, double (*)(const R &)>>
-        table = {
-            {"mbps", [](const R &r) { return r.mbps; }},
-            {"hyp_pct", [](const R &r) { return r.hypPct; }},
-            {"drv_os_pct", [](const R &r) { return r.drvOsPct; }},
-            {"drv_user_pct", [](const R &r) { return r.drvUserPct; }},
-            {"guest_os_pct", [](const R &r) { return r.guestOsPct; }},
-            {"guest_user_pct", [](const R &r) { return r.guestUserPct; }},
-            {"idle_pct", [](const R &r) { return r.idlePct; }},
-            {"drv_intr_per_sec",
-             [](const R &r) { return r.drvIntrPerSec; }},
-            {"guest_intr_per_sec",
-             [](const R &r) { return r.guestIntrPerSec; }},
-            {"phys_irq_per_sec", [](const R &r) { return r.physIrqPerSec; }},
-            {"hypercall_per_sec",
-             [](const R &r) { return r.hypercallPerSec; }},
-            {"domain_switch_per_sec",
-             [](const R &r) { return r.domainSwitchPerSec; }},
-            {"latency_mean_us", [](const R &r) { return r.latencyMeanUs; }},
-            {"latency_p50_us", [](const R &r) { return r.latencyP50Us; }},
-            {"latency_p99_us", [](const R &r) { return r.latencyP99Us; }},
-            {"fairness", [](const R &r) { return r.fairness(); }},
-        };
-    return table;
-}
-
 std::vector<CellStats>
 aggregate(const std::vector<RunResult> &runs)
 {
@@ -168,10 +137,12 @@ aggregate(const std::vector<RunResult> &runs)
         cs.runs = idx.size();
         cs.firstRun = idx.front();
         std::vector<double> xs(idx.size());
-        for (const auto &[name, get] : cellMetricTable()) {
+        for (const core::MetricRow &m : core::reportMetrics()) {
+            if (!m.cell)
+                continue;
             for (std::size_t k = 0; k < idx.size(); ++k)
-                xs[k] = get(runs[idx[k]].report);
-            cs.metrics.emplace_back(name, MetricStats::of(xs));
+                xs[k] = m.value(runs[idx[k]].report);
+            cs.metrics.emplace_back(m.key, MetricStats::of(xs));
         }
         // Probe metrics: keyed off the first run (every run of a cell
         // shares the spec's probe, hence the same keys).

@@ -10,8 +10,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <functional>
+#include <map>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -371,6 +374,69 @@ TEST(SweepPresets, RegistryResolvesEveryPreset)
         EXPECT_FALSE(spec->expand().empty()) << name;
     }
     EXPECT_FALSE(sim::presets::byName("nope").has_value());
+}
+
+// --- full-document report goldens ----------------------------------------
+
+std::string
+readGolden(const std::string &file)
+{
+    std::ifstream in(std::string(CDNA_GOLDEN_DIR) + "/" + file);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** Run one preset cell at seed 1 the way the sweep runner executes it. */
+std::string
+presetCellJson(const std::string &preset, const std::string &cell)
+{
+    auto spec = sim::presets::byName(preset);
+    if (!spec)
+        return "no preset " + preset;
+    for (const sim::RunPoint &point : spec->expand()) {
+        if (point.cell != cell || point.seed != 1)
+            continue;
+        if (spec->runnerFn()) {
+            std::map<std::string, double> extra;
+            return core::reportToJson(spec->runnerFn()(point, extra));
+        }
+        core::System sys(point.config);
+        if (spec->setupFn())
+            spec->setupFn()(sys, point);
+        return core::reportToJson(sys.run(point.warmup, point.measure));
+    }
+    return "no cell " + cell;
+}
+
+/**
+ * Cells whose schema 2-7 blocks are non-zero (TCP recovery, context
+ * paging, swpt validation, RPC tails, outages, switch drops), so a
+ * report key collected with the wrong kind -- a windowed delta read as
+ * an end value, a sum read as a max -- changes a golden byte.
+ */
+TEST(ReportGolden, PresetCellsMatchFullDocuments)
+{
+    struct Case
+    {
+        const char *preset;
+        const char *cell;
+        const char *file;
+    };
+    const Case cases[] = {
+        {"tcp-loss", "cdna/drop0.01", "tcp-loss-cdna-drop0.01.json"},
+        {"oversub", "cdna/g64", "oversub-cdna-g64.json"},
+        {"swpt", "swpt/g8/rx", "swpt-swpt-g8-rx.json"},
+        {"latency", "cdna/load10k/healthy",
+         "latency-cdna-load10k-healthy.json"},
+        {"availability", "xen/domkill", "availability-xen-domkill.json"},
+        {"incast", "cdna/f8/buf32k", "incast-cdna-f8-buf32k.json"},
+    };
+    for (const Case &c : cases) {
+        std::string golden = readGolden(c.file);
+        ASSERT_FALSE(golden.empty()) << c.file;
+        EXPECT_EQ(presetCellJson(c.preset, c.cell), golden) << c.file;
+    }
 }
 
 } // namespace

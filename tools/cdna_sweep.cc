@@ -16,7 +16,9 @@
  * sim/sweep.hh for the determinism contract).
  */
 
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,7 +43,7 @@ constexpr const char *kUsage =
     "  --list              print the available presets and exit\n"
     "\n"
     "execution (never affects results):\n"
-    "  -j, --jobs N        worker threads (default: hardware threads)\n"
+    "  -j N, -jN, --jobs N worker threads (default: hardware threads)\n"
     "  --seeds N           run each cell with seeds 1..N (default 1)\n"
     "  --out FILE          write the sweep JSON document to FILE\n"
     "                      ('paper' appends the preset name per file)\n"
@@ -66,6 +68,27 @@ needValue(int argc, char **argv, int *i, const char *flag,
         return false;
     }
     *value = argv[++*i];
+    return true;
+}
+
+/**
+ * Parse @p v as a complete positive decimal integer that fits in 32
+ * bits; anything else ("2x", "-1", "0", "") is an error for @p flag.
+ */
+bool
+positive(const char *flag, const std::string &v, std::uint32_t *out)
+{
+    bool digits = !v.empty() &&
+                  v.find_first_not_of("0123456789") == std::string::npos;
+    errno = 0;
+    unsigned long long n = digits ? std::strtoull(v.c_str(), nullptr, 10) : 0;
+    if (n == 0 || errno == ERANGE || n > UINT32_MAX) {
+        std::fprintf(stderr,
+                     "cdna_sweep: %s needs a positive integer, got '%s'\n",
+                     flag, v.c_str());
+        return false;
+    }
+    *out = static_cast<std::uint32_t>(n);
     return true;
 }
 
@@ -164,17 +187,24 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         std::string v;
-        // Accept --opt=value as well as --opt value.
+        // Accept --opt=value and -jN as well as --opt value.
         std::size_t eq = a.find('=');
         bool inlineValue = a.size() > 2 && a.compare(0, 2, "--") == 0 &&
                            eq != std::string::npos;
         if (inlineValue) {
             v = a.substr(eq + 1);
             a = a.substr(0, eq);
+        } else if (a.size() > 2 && a.compare(0, 2, "-j") == 0) {
+            inlineValue = true;
+            v = a.substr(2);
+            a = "-j";
         }
         auto value = [&](const char *flag) {
-            return inlineValue ? !v.empty()
-                               : needValue(argc, argv, &i, flag, &v);
+            if (!inlineValue)
+                return needValue(argc, argv, &i, flag, &v);
+            if (v.empty())
+                std::fprintf(stderr, "cdna_sweep: %s needs a value\n", flag);
+            return !v.empty();
         };
 
         if (a == "--help" || a == "-h") {
@@ -196,27 +226,13 @@ main(int argc, char **argv)
             else
                 args.presets.push_back(v);
         } else if (a == "-j" || a == "--jobs") {
-            if (!value("--jobs"))
+            std::uint32_t jobs = 0;
+            if (!value("--jobs") || !positive("--jobs", v, &jobs))
                 return 1;
-            args.jobs = static_cast<unsigned>(std::strtoul(
-                v.c_str(), nullptr, 10));
-            if (args.jobs == 0) {
-                std::fprintf(stderr,
-                             "cdna_sweep: --jobs needs a positive "
-                             "integer\n");
-                return 1;
-            }
+            args.jobs = jobs;
         } else if (a == "--seeds") {
-            if (!value("--seeds"))
+            if (!value("--seeds") || !positive("--seeds", v, &args.seeds))
                 return 1;
-            args.seeds = static_cast<std::uint32_t>(std::strtoul(
-                v.c_str(), nullptr, 10));
-            if (args.seeds == 0) {
-                std::fprintf(stderr,
-                             "cdna_sweep: --seeds needs a positive "
-                             "integer\n");
-                return 1;
-            }
         } else if (a == "--out") {
             if (!value("--out"))
                 return 1;
