@@ -1,28 +1,110 @@
 #include "core/report.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <utility>
 
 namespace cdna::core {
+
+namespace {
+
+/** The paper's profile columns: report key and table title. */
+constexpr std::pair<const char *, const char *> kProfile[] = {
+    {"mbps", "Mb/s"},
+    {"hyp_pct", "Hyp"},
+    {"drv_os_pct", "DrvOS"},
+    {"drv_user_pct", "DrvUsr"},
+    {"guest_os_pct", "GstOS"},
+    {"guest_user_pct", "GstUsr"},
+    {"idle_pct", "Idle"},
+    {"drv_intr_per_sec", "drvIrq/s"},
+    {"guest_intr_per_sec", "gstIrq/s"},
+};
+
+/** A header()/row() line: fixed widths, each title at least six wide. */
+std::string
+profileLine(const std::string &label, const std::vector<std::string> &cells)
+{
+    std::vector<std::size_t> widths;
+    for (const auto &[key, title] : kProfile)
+        widths.push_back(std::max<std::size_t>(std::strlen(title), 6));
+    return textRow(label, 22, cells, widths);
+}
+
+} // namespace
+
+const std::vector<std::string> &
+profileKeys()
+{
+    static const std::vector<std::string> keys = [] {
+        std::vector<std::string> k;
+        for (const auto &[key, title] : kProfile)
+            k.push_back(key);
+        return k;
+    }();
+    return keys;
+}
+
+std::string
+columnTitle(const std::string &key)
+{
+    for (const auto &[k, title] : kProfile)
+        if (key == k)
+            return title;
+    return key;
+}
+
+std::string
+formatColumn(const std::string &key, double v)
+{
+    const MetricRow *m = findMetric(key);
+    int decimals = 2;
+    if (key.ends_with("_pct"))
+        decimals = 1;
+    else if ((m && m->kind != MetricKind::kDerived) || v == std::floor(v))
+        decimals = 0;
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+    return buf;
+}
+
+std::string
+textRow(const std::string &label, std::size_t labelWidth,
+        const std::vector<std::string> &cells,
+        const std::vector<std::size_t> &widths)
+{
+    std::string out = label;
+    if (out.size() < labelWidth)
+        out.resize(labelWidth, ' ');
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        out += ' ';
+        if (cells[i].size() < widths[i])
+            out.append(widths[i] - cells[i].size(), ' ');
+        out += cells[i];
+    }
+    while (!out.empty() && out.back() == ' ')
+        out.pop_back(); // an empty last cell
+    return out;
+}
 
 std::string
 Report::header()
 {
-    return "config                    Mb/s    Hyp  DrvOS DrvUsr  GstOS "
-           "GstUsr   Idle   drvIrq/s gstIrq/s";
+    std::vector<std::string> titles;
+    for (const auto &[key, title] : kProfile)
+        titles.push_back(title);
+    return profileLine("config", titles);
 }
 
 std::string
 Report::row() const
 {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%-22s %7.0f  %5.1f  %5.1f  %5.1f  %5.1f  %5.1f  %5.1f "
-                  "  %8.0f %8.0f",
-                  label.c_str(), mbps, hypPct, drvOsPct, drvUserPct,
-                  guestOsPct, guestUserPct, idlePct, drvIntrPerSec,
-                  guestIntrPerSec);
-    return buf;
+    std::vector<std::string> cells;
+    for (const std::string &key : profileKeys())
+        cells.push_back(formatColumn(key, findMetric(key)->value(*this)));
+    return profileLine(label, cells);
 }
 
 bool
@@ -103,6 +185,15 @@ MetricRow::value(const Report &r) const
     if (const auto *f = std::get_if<double (Report::*)() const>(&field))
         return (r.**f)();
     return 0.0; // a per-guest array
+}
+
+const MetricRow *
+findMetric(const std::string &key)
+{
+    for (const MetricRow &m : reportMetrics())
+        if (key == m.key)
+            return &m;
+    return nullptr;
 }
 
 std::string

@@ -210,7 +210,7 @@ struct Report
 
     sim::Time window = 0;
 
-    /** Paper-style table row. */
+    /** Paper-style table row: the label, then the profileKeys() columns. */
     std::string row() const;
 
     /** Header matching row(). */
@@ -301,6 +301,31 @@ struct MetricRow
  * order; append only at block ends.
  */
 const std::vector<MetricRow> &reportMetrics();
+
+/** The reportMetrics() row for @p key, or nullptr. */
+const MetricRow *findMetric(const std::string &key);
+
+// Text tables (Report::header()/row() and the sweep's preset table) share
+// one layout: a left-aligned label, then one right-aligned cell per
+// column, each titled and formatted by its key.
+
+/** The paper's profile columns (Tables 2-4), in table order. */
+const std::vector<std::string> &profileKeys();
+
+/** Column title: the paper's short name for a profile key, else the key. */
+std::string columnTitle(const std::string &key);
+
+/**
+ * @p v as printed in @p key's column: one decimal for *_pct, none for
+ * other report keys, two for fairness and probe extras (none when the
+ * value is integral).
+ */
+std::string formatColumn(const std::string &key, double v);
+
+/** @p label padded to @p labelWidth, then cells[i] right-aligned in widths[i]. */
+std::string textRow(const std::string &label, std::size_t labelWidth,
+                    const std::vector<std::string> &cells,
+                    const std::vector<std::size_t> &widths);
 
 /**
  * Render a report as JSON: schema_version, label, then one line per

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <set>
 
 #include "sim/assert.hh"
 #include "sim/thread_pool.hh"
@@ -294,6 +295,149 @@ sweepToJson(const SweepResult &result)
     }
     out += "  ]\n}\n";
     return out;
+}
+
+namespace {
+
+/** The default band of @p key's family (see PaperValue::band). */
+std::optional<Band>
+defaultBand(const std::string &key, double paper)
+{
+    if (key.ends_with("_pct"))
+        return Band::absolute(5.0);
+    if (key.ends_with("mbps"))
+        return paper != 0.0 ? Band::percent(10.0) : Band::absolute(10.0);
+    if (key.ends_with("_per_sec"))
+        return paper != 0.0 ? Band::percent(25.0) : Band::absolute(100.0);
+    return std::nullopt;
+}
+
+/**
+ * Mean over @p cell's seeds of @p key: a report key (per-guest arrays
+ * element by element) or a probe extra.  Empty when the sweep produced
+ * no such cell, or the cell no such key.
+ */
+std::optional<std::vector<double>>
+cellMean(const SweepResult &result, const std::string &cell,
+         const std::string &key)
+{
+    const core::MetricRow *m = core::findMetric(key);
+    std::vector<double> sum;
+    std::size_t n = 0;
+    for (const RunResult &run : result.runs) {
+        if (run.point.cell != cell)
+            continue;
+        std::vector<double> v;
+        if (!m) {
+            auto it = run.extra.find(key);
+            if (it == run.extra.end())
+                return std::nullopt;
+            v = {it->second};
+        } else if (const auto *f =
+                       std::get_if<std::vector<double> core::Report::*>(
+                           &m->field)) {
+            v = run.report.**f;
+        } else {
+            v = {m->value(run.report)};
+        }
+        sum.resize(std::max(sum.size(), v.size()), 0.0);
+        for (std::size_t i = 0; i < v.size(); ++i)
+            sum[i] += v[i];
+        ++n;
+    }
+    if (n == 0)
+        return std::nullopt;
+    for (double &x : sum)
+        x /= static_cast<double>(n);
+    return sum;
+}
+
+/** Labelled rows of cells; the first row holds the column titles. */
+using Rows = std::vector<std::pair<std::string, std::vector<std::string>>>;
+
+/** @p rows as text lines, each column right-aligned to its widest cell. */
+std::string
+alignRows(const Rows &rows)
+{
+    std::size_t labelWidth = 0;
+    std::vector<std::size_t> widths(rows.front().second.size(), 0);
+    for (const auto &[label, cells] : rows) {
+        labelWidth = std::max(labelWidth, label.size());
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            widths[i] = std::max(widths[i], cells[i].size());
+    }
+    std::string out;
+    for (const auto &[label, cells] : rows)
+        out += core::textRow(label, labelWidth, cells, widths) + "\n";
+    return out;
+}
+
+} // namespace
+
+SweepTable
+renderTable(const ExperimentSpec &spec, const SweepResult &result)
+{
+    SweepTable table;
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "=== %s (mean of %zu seed(s)) ===\n",
+                  result.name.c_str(), spec.seedEnsemble().size());
+    table.text = buf;
+
+    // One row per cell: each column's mean over the cell's seeds.
+    const std::vector<std::string> &keys = spec.tableColumns();
+    Rows rows = {{"cell", {}}};
+    for (const std::string &key : keys)
+        rows[0].second.push_back(core::columnTitle(key));
+    std::set<std::string> unresolved;
+    for (const CellStats &cs : result.cells) {
+        std::vector<std::string> cells;
+        for (const std::string &key : keys) {
+            auto v = cellMean(result, cs.cell, key);
+            if (!v && unresolved.insert(key).second)
+                table.errors.push_back("column '" + key +
+                                       "' is neither a report key nor a "
+                                       "probe extra of cell '" +
+                                       cs.cell + "'");
+            std::string text = v ? "" : "?";
+            for (std::size_t i = 0; v && i < v->size(); ++i)
+                text += (i ? "/" : "") + core::formatColumn(key, (*v)[i]);
+            cells.push_back(text.empty() ? "-" : text);
+        }
+        rows.emplace_back(cs.cell, std::move(cells));
+    }
+    table.text += alignRows(rows);
+
+    // Then one line per paper value: measured, published, error, band.
+    Rows lines = {{"paper value", {"measured", "paper", "error", "band", ""}}};
+    for (const PaperValue &pv : spec.paperValues()) {
+        std::string name = pv.cell + " " + pv.key;
+        auto v = cellMean(result, pv.cell, pv.key);
+        std::optional<Band> band =
+            pv.band ? pv.band : defaultBand(pv.key, pv.value);
+        const char *problem = !v || v->size() != 1
+                                  ? "the sweep has no such cell and key"
+                              : !band ? "no default band for this key"
+                                      : nullptr;
+        if (problem) {
+            table.errors.push_back("paper value " + name + ": " + problem);
+            continue;
+        }
+        const PaperCheck &c = table.checks.emplace_back(
+            PaperCheck{pv, v->front(), *band});
+        double err = c.measured - pv.value;
+        std::snprintf(buf, sizeof(buf), band->relative ? "%+.1f%%" : "%+.1f",
+                      band->relative ? 100.0 * err / pv.value : err);
+        std::string error = buf;
+        std::snprintf(buf, sizeof(buf), band->relative ? "+-%g%%" : "+-%g",
+                      band->relative ? 100.0 * band->width : band->width);
+        lines.push_back({name,
+                         {core::formatColumn(pv.key, c.measured),
+                          core::formatColumn(pv.key, pv.value), error, buf,
+                          c.inBand() ? "ok" : "OUT"}});
+    }
+    if (lines.size() > 1)
+        table.text += "\n" + alignRows(lines);
+    return table;
 }
 
 } // namespace cdna::sim

@@ -24,9 +24,11 @@
 #ifndef CDNA_SIM_SWEEP_HH
 #define CDNA_SIM_SWEEP_HH
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -78,6 +80,32 @@ struct CellStats
     std::vector<std::pair<std::string, MetricStats>> metrics;
     /** Index of the cell's first run (lowest seed) in the result list. */
     std::size_t firstRun = 0;
+};
+
+/** Tolerance around a published value. */
+struct Band
+{
+    double width = 0.0;    //!< half-width of the band
+    bool relative = false; //!< width is a fraction of the published value
+
+    static Band percent(double p) { return {p / 100.0, true}; }
+    static Band absolute(double w) { return {w, false}; }
+};
+
+/** A number the paper publishes for one metric of one preset cell. */
+struct PaperValue
+{
+    std::string cell;
+    /** A table column: report key or probe extra. */
+    std::string key;
+    double value = 0.0;
+    /**
+     * Unset: the key family's default -- +-10% for Mb/s, +-5 points for
+     * *_pct, +-25% for *_per_sec, absolute (10 Mb/s, 100 /s) where the
+     * published value is 0.  Wider bands only for a deviation that
+     * EXPERIMENTS.md documents.
+     */
+    std::optional<Band> band;
 };
 
 /**
@@ -189,14 +217,6 @@ class ExperimentSpec
         return *this;
     }
 
-    /** Explicit seed ensemble. */
-    ExperimentSpec &
-    seedList(std::vector<std::uint64_t> s)
-    {
-        seeds_ = std::move(s);
-        return *this;
-    }
-
     ExperimentSpec &
     warmup(sim::Time t)
     {
@@ -235,10 +255,29 @@ class ExperimentSpec
         return *this;
     }
 
+    /** The columns of the preset's table: report keys or probe extras. */
+    ExperimentSpec &
+    columns(std::vector<std::string> keys)
+    {
+        columns_ = std::move(keys);
+        return *this;
+    }
+
+    /** A published value for @p cell's @p key (see PaperValue). */
+    ExperimentSpec &
+    paper(std::string cell, std::string key, double value,
+          std::optional<Band> band = std::nullopt)
+    {
+        paper_.push_back({std::move(cell), std::move(key), value, band});
+        return *this;
+    }
+
     const Probe &probeFn() const { return probe_; }
     const Setup &setupFn() const { return setup_; }
     const Runner &runnerFn() const { return runner_; }
     const std::vector<std::uint64_t> &seedEnsemble() const { return seeds_; }
+    const std::vector<std::string> &tableColumns() const { return columns_; }
+    const std::vector<PaperValue> &paperValues() const { return paper_; }
 
     /**
      * Expand the grid into its flat, deterministically ordered run
@@ -273,6 +312,8 @@ class ExperimentSpec
     Probe probe_;
     Setup setup_;
     Runner runner_;
+    std::vector<std::string> columns_;
+    std::vector<PaperValue> paper_;
 };
 
 /** Execution knobs for a sweep (none of these affect results). */
@@ -323,6 +364,44 @@ SweepResult runSweep(const ExperimentSpec &spec, const SweepOptions &opt);
  * sweep cell can be diffed byte-for-byte against a single run.
  */
 std::string sweepToJson(const SweepResult &result);
+
+/** One published value against what the sweep measured. */
+struct PaperCheck
+{
+    PaperValue paper;
+    double measured = 0.0;
+    /** The band applied: the value's own, else its family's default. */
+    Band band;
+
+    double
+    halfWidth() const
+    {
+        return band.relative ? band.width * std::fabs(paper.value)
+                             : band.width;
+    }
+    double lo() const { return paper.value - halfWidth(); }
+    double hi() const { return paper.value + halfWidth(); }
+    bool inBand() const { return measured >= lo() && measured <= hi(); }
+};
+
+/** A preset's text table and its paper checks. */
+struct SweepTable
+{
+    /** One row per cell, then one line per paper value. */
+    std::string text;
+    std::vector<PaperCheck> checks;
+    /**
+     * Columns and paper values the table cannot resolve: a cell or key
+     * the sweep did not produce, or a key with no default band.
+     */
+    std::vector<std::string> errors;
+};
+
+/**
+ * Render @p result with @p spec's columns.  Each value is the mean over
+ * the cell's seeds, in report units; per-guest arrays are joined by '/'.
+ */
+SweepTable renderTable(const ExperimentSpec &spec, const SweepResult &result);
 
 } // namespace cdna::sim
 

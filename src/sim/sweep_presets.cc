@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <optional>
 
 #include "net/eth_switch.hh"
 #include "sim/topology.hh"
@@ -22,7 +24,37 @@ cdnaG(std::uint32_t g)
     return core::SystemConfig::cdna(g);
 }
 
+/**
+ * A Tables 2-4 row: the paper's values for @p cell's profileKeys(), in
+ * that order, each in its family's default band unless @p wider names
+ * the key.
+ */
+void
+profileRow(ExperimentSpec &spec, const std::string &cell,
+           const std::vector<double> &values,
+           const std::map<std::string, Band> &wider = {})
+{
+    const std::vector<std::string> &keys = core::profileKeys();
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        auto it = wider.find(keys[i]);
+        spec.paper(cell, keys[i], values.at(i),
+                   it == wider.end() ? std::nullopt
+                                     : std::optional<Band>(it->second));
+    }
+}
+
+// The paper's CDNA rows of Tables 2 and 3; Table 4 repeats them as its
+// protection-on rows.
+const std::vector<double> kCdnaTx = {1867, 10.2, 0.3, 0.2, 37.8, 0.7, 50.8,
+                                     0, 13659};
+const std::vector<double> kCdnaRx = {1874, 9.9, 0.3, 0.2, 48.0, 0.7, 40.9,
+                                     0, 7402};
+
 } // namespace
+
+// Paper values come from the paper's tables and the figure captions.
+// Bands wider than the default cite their entry under "Known deviations"
+// in EXPERIMENTS.md by number.
 
 ExperimentSpec
 table1()
@@ -32,39 +64,78 @@ table1()
     return ExperimentSpec("table1")
         .config("native", core::SystemConfig::native(6))
         .config("xen", xen)
-        .directions(true, true);
+        .directions(true, true)
+        .columns({"mbps", "idle_pct"})
+        .paper("native/tx", "mbps", 5126, Band::percent(15)) // 4
+        .paper("native/rx", "mbps", 3629, Band::percent(25)) // 3
+        .paper("xen/tx", "mbps", 1602)
+        .paper("xen/rx", "mbps", 1112);
 }
 
 ExperimentSpec
 table2()
 {
-    return ExperimentSpec("table2")
-        .config("xen-intel", core::SystemConfig::xenIntel(1))
+    ExperimentSpec spec("table2");
+    spec.config("xen-intel", core::SystemConfig::xenIntel(1))
         .config("xen-ricenic", core::SystemConfig::xenRice(1))
-        .config("cdna", core::SystemConfig::cdna(1));
+        .config("cdna", core::SystemConfig::cdna(1))
+        .columns(core::profileKeys());
+    profileRow(spec, "xen-intel",
+               {1602, 19.8, 35.7, 0.8, 39.7, 1.0, 3.0, 7438, 7853},
+               {{"guest_intr_per_sec", Band::percent(60)}}); // 5
+    profileRow(spec, "xen-ricenic",
+               {1674, 13.7, 41.5, 0.5, 39.5, 1.0, 3.8, 8839, 5661},
+               {{"mbps", Band::percent(35)},                  // 1
+                {"hyp_pct", Band::absolute(10)},              // 1
+                {"guest_intr_per_sec", Band::percent(35)}});  // 5
+    profileRow(spec, "cdna", kCdnaTx);
+    return spec;
 }
 
 ExperimentSpec
 table3()
 {
-    return ExperimentSpec("table3")
-        .config("xen-intel", core::SystemConfig::xenIntel(1))
+    ExperimentSpec spec("table3");
+    spec.config("xen-intel", core::SystemConfig::xenIntel(1))
         .config("xen-ricenic", core::SystemConfig::xenRice(1))
         .config("cdna", core::SystemConfig::cdna(1))
-        .directions(false, true);
+        .directions(false, true)
+        .columns(core::profileKeys());
+    profileRow(spec, "xen-intel/rx",
+               {1112, 25.7, 36.8, 0.5, 31.0, 1.0, 5.0, 11138, 5193},
+               {{"mbps", Band::percent(15)},                 // 6
+                {"hyp_pct", Band::absolute(10)},             // 6
+                {"drv_os_pct", Band::absolute(10)},          // 6
+                {"guest_os_pct", Band::absolute(10)},        // 6
+                {"drv_intr_per_sec", Band::percent(55)},     // 5
+                {"guest_intr_per_sec", Band::percent(80)}}); // 5
+    profileRow(spec, "xen-ricenic/rx",
+               {1075, 30.6, 39.4, 0.6, 28.8, 0.6, 0.0, 10946, 5163},
+               {{"drv_intr_per_sec", Band::percent(80)},     // 5
+                {"guest_intr_per_sec", Band::percent(80)}}); // 5
+    profileRow(spec, "cdna/rx", kCdnaRx);
+    return spec;
 }
 
 ExperimentSpec
 table4()
 {
-    return ExperimentSpec("table4")
-        .config("cdna", core::SystemConfig::cdna(1))
+    ExperimentSpec spec("table4");
+    spec.config("cdna", core::SystemConfig::cdna(1))
         .directions(true, true)
         .vary("protection",
               {{"prot",
                 [](core::SystemConfig &c) { c.withProtection(true); }},
                {"noprot",
-                [](core::SystemConfig &c) { c.withProtection(false); }}});
+                [](core::SystemConfig &c) { c.withProtection(false); }}})
+        .columns(core::profileKeys());
+    profileRow(spec, "cdna/tx/prot", kCdnaTx);
+    profileRow(spec, "cdna/tx/noprot",
+               {1867, 1.9, 0.2, 0.2, 37.0, 0.3, 60.4, 0, 13680});
+    profileRow(spec, "cdna/rx/prot", kCdnaRx);
+    profileRow(spec, "cdna/rx/noprot",
+               {1874, 1.9, 0.2, 0.2, 47.2, 0.3, 50.2, 0, 7243});
+    return spec;
 }
 
 ExperimentSpec
@@ -73,7 +144,15 @@ fig3()
     return ExperimentSpec("fig3")
         .config("xen", xenIntelG)
         .config("cdna", cdnaG)
-        .guests({1, 2, 4, 8, 12, 16, 20, 24});
+        .guests({1, 2, 4, 8, 12, 16, 20, 24})
+        .columns({"mbps", "idle_pct"})
+        .paper("xen/g1", "mbps", 1602)
+        .paper("xen/g24", "mbps", 891)
+        .paper("cdna/g1", "mbps", 1867)
+        .paper("cdna/g1", "idle_pct", 50.8)
+        .paper("cdna/g2", "idle_pct", 25.4)
+        .paper("cdna/g4", "idle_pct", 5.9, Band::absolute(15)) // 7
+        .paper("cdna/g8", "idle_pct", 0.0, Band::absolute(15)); // 7
 }
 
 ExperimentSpec
@@ -83,7 +162,15 @@ fig4()
         .config("xen", xenIntelG)
         .config("cdna", cdnaG)
         .guests({1, 2, 4, 8, 12, 16, 20, 24})
-        .directions(false, true);
+        .directions(false, true)
+        .columns({"mbps", "idle_pct"})
+        .paper("xen/g1/rx", "mbps", 1112, Band::percent(15))  // 6
+        .paper("xen/g24/rx", "mbps", 558, Band::percent(60)) // 2
+        .paper("cdna/g1/rx", "mbps", 1874)
+        .paper("cdna/g1/rx", "idle_pct", 40.9)
+        .paper("cdna/g2/rx", "idle_pct", 29.1, Band::absolute(15)) // 7
+        .paper("cdna/g4/rx", "idle_pct", 12.6, Band::absolute(15)) // 7
+        .paper("cdna/g8/rx", "idle_pct", 0.0);
 }
 
 ExperimentSpec
@@ -124,7 +211,9 @@ latency()
                 }},
                {"fwreboot", [](Cfg &c) {
                     c.withFaults(core::FaultPlan{}.rebootingFirmware(0, 150));
-                }}});
+                }}})
+        .columns({"rpc_offered_rps", "rpc_achieved_rps", "rpc_lat_p50_us",
+                  "rpc_lat_p99_us", "rpc_lat_p999_us", "rpc_timeouts"});
 }
 
 ExperimentSpec
@@ -140,7 +229,8 @@ coalesce()
     }
     return ExperimentSpec("coalesce")
         .config("cdna", core::SystemConfig::cdna(1))
-        .vary("window", std::move(windows));
+        .vary("window", std::move(windows))
+        .columns({"mbps", "guest_intr_per_sec", "idle_pct", "hyp_pct"});
 }
 
 ExperimentSpec
@@ -162,7 +252,8 @@ protectionAblation()
                 [](Cfg &c) { c.costs.protEnqueuePerDesc = 0; }},
                {"free-hypercall",
                 [](Cfg &c) { c.costs.hv.hypercallOverhead = 0; }},
-               {"disabled", [](Cfg &c) { c.withProtection(false); }}});
+               {"disabled", [](Cfg &c) { c.withProtection(false); }}})
+        .columns({"mbps", "hyp_pct", "idle_pct"});
 }
 
 ExperimentSpec
@@ -174,6 +265,7 @@ contexts()
                     return core::SystemConfig::cdna(g).withNics(1);
                 })
         .guests({1, 2, 4, 8, 16, 24, 30})
+        .columns({"mbps", "fw_util", "fairness", "idle_pct"})
         .probe([](core::System &sys, const RunPoint &,
                   std::map<std::string, double> &extra) {
             extra["fw_util"] =
@@ -211,7 +303,8 @@ iommu()
                 sys.iommu()
                     ? static_cast<double>(sys.iommu()->blockedCount())
                     : 0.0;
-        });
+        })
+        .columns({"mbps", "hyp_pct", "iommu_blocked", "dma_violations"});
 }
 
 ExperimentSpec
@@ -231,7 +324,8 @@ flipcopy()
                 [](std::uint32_t g) {
                     return core::SystemConfig::cdna(g).receive();
                 })
-        .guests({1, 8});
+        .guests({1, 8})
+        .columns(core::profileKeys());
 }
 
 ExperimentSpec
@@ -255,7 +349,10 @@ tcpLoss()
         .config("cdna", core::SystemConfig::cdna(1).transport(core::kTcp))
         .config("swpt",
                 core::SystemConfig::swPassthrough(1).transport(core::kTcp))
-        .vary("loss", std::move(loss));
+        .vary("loss", std::move(loss))
+        .columns({"mbps", "wire_mbps", "tcp_retrans_segs",
+                  "tcp_fast_retransmits", "tcp_rto_events",
+                  "rx_drops_bad_csum"});
 }
 
 ExperimentSpec
@@ -283,7 +380,10 @@ availability()
                 }},
                {"fwreboot", [](Cfg &c) {
                     c.withFaults(core::FaultPlan{}.rebootingFirmware(0, 150));
-                }}});
+                }}})
+        .columns({"mbps", "fe_reconnects", "per_guest_downtime_us",
+                  "per_guest_ttfp_us", "pages_quarantined",
+                  "quarantine_released", "outage_packets_lost"});
 }
 
 ExperimentSpec
@@ -316,6 +416,8 @@ oversub()
         .guests({8, 16, 32, 64, 128, 256})
         .warmup(sim::milliseconds(5))
         .measure(sim::milliseconds(20))
+        .columns({"mbps", "cxt_page_traps", "cxt_evictions", "cxt_page_ins",
+                  "cxt_resident_peak", "protection_faults"})
         .probe([](core::System &sys, const RunPoint &,
                   std::map<std::string, double> &extra) {
             const core::CdnaNic *nic = sys.cdnaNic(0);
@@ -383,6 +485,9 @@ incast()
                 }}})
         .warmup(sim::milliseconds(10))
         .measure(sim::milliseconds(40))
+        .columns({"mbps", "switch_drops", "sender_retrans", "flow_mbps_min",
+                  "flow_mbps_mean", "flow_mbps_max",
+                  "switch_queue_peak_bytes"})
         .runner([](const RunPoint &point,
                    std::map<std::string, double> &extra) {
             const Cfg &cfg = point.config;
@@ -461,6 +566,7 @@ noisyNeighbor()
                 [](Cfg &c) { c.withScenario("noisy", 1.0); }}})
         .warmup(sim::milliseconds(10))
         .measure(sim::milliseconds(40))
+        .columns({"mbps", "victim_flow_mbps", "victim_retrans", "trunk_drops"})
         .runner([](const RunPoint &point,
                    std::map<std::string, double> &extra) {
             const Cfg &cfg = point.config;
@@ -543,6 +649,8 @@ swpt()
                 })
         .guests({1, 2, 4, 8, 16})
         .directions(true, true)
+        .columns({"mbps", "hyp_pct", "swpt_doorbell_traps",
+                  "swpt_validation_us"})
         .probe([](core::System &sys, const RunPoint &,
                   std::map<std::string, double> &extra) {
             const vmm::SwptValidator *v = sys.swptValidator(0);

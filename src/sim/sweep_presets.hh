@@ -5,9 +5,11 @@
  * ExperimentSpecs.
  *
  * These are the single source of truth for what each artifact runs:
- * the `cdna_sweep` CLI, the bench_* binaries, and the determinism
- * tests all expand the same specs, so "the Table 2 configuration"
- * cannot drift between entry points.
+ * the `cdna_sweep` CLI and the tests expand the same specs, so "the
+ * Table 2 configuration" cannot drift between entry points.  Each
+ * preset also names the columns of its text table, and the paper
+ * artifacts carry the paper's published values, which the
+ * `PaperFidelity` tests check against their bands.
  */
 
 #ifndef CDNA_SIM_SWEEP_PRESETS_HH

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <iomanip>
 #include <map>
 #include <set>
 #include <sstream>
@@ -375,6 +376,122 @@ TEST(SweepPresets, RegistryResolvesEveryPreset)
     }
     EXPECT_FALSE(sim::presets::byName("nope").has_value());
 }
+
+// --- preset tables and paper values ---------------------------------------
+
+TEST(SweepTable, ColumnsResolveForEveryPreset)
+{
+    for (const auto &[name, make] : sim::presets::all()) {
+        // Every column and paper value must name a cell and key the
+        // sweep produces; a short window suffices to produce them.
+        sim::ExperimentSpec spec = make();
+        EXPECT_FALSE(spec.tableColumns().empty()) << name;
+        spec.warmup(sim::milliseconds(1)).measure(sim::milliseconds(2));
+        sim::SweepOptions opt;
+        opt.jobs = 2;
+        sim::SweepTable table =
+            sim::renderTable(spec, sim::runSweep(spec, opt));
+        for (const std::string &e : table.errors)
+            ADD_FAILURE() << name << ": " << e;
+    }
+}
+
+/** A two-guest CDNA cell over two seeds, with the given table data. */
+sim::ExperimentSpec
+tableSpec()
+{
+    return sim::ExperimentSpec("t")
+        .config("cdna", core::SystemConfig::cdna(2))
+        .seeds(2)
+        .warmup(sim::milliseconds(2))
+        .measure(sim::milliseconds(10));
+}
+
+TEST(SweepTable, RowsAverageSeedsJoinArraysAndFlagUnknownNames)
+{
+    auto spec = tableSpec()
+                    .columns({"mbps", "per_guest_mbps", "no_such_key"})
+                    .paper("cdna", "mbps", 1868)
+                    .paper("cdna", "no_such_key", 1)
+                    .paper("nope", "mbps", 1);
+    sim::SweepOptions opt;
+    auto result = sim::runSweep(spec, opt);
+    sim::SweepTable table = sim::renderTable(spec, result);
+
+    EXPECT_EQ(table.errors.size(), 3u); // one column, two paper values
+    ASSERT_EQ(table.checks.size(), 1u);
+    ASSERT_EQ(result.runs.size(), 2u);
+    EXPECT_DOUBLE_EQ(table.checks[0].measured,
+                     (result.runs[0].report.mbps + result.runs[1].report.mbps) /
+                         2.0);
+    std::string row = table.text.substr(table.text.find("\ncdna ") + 1);
+    row = row.substr(0, row.find('\n'));
+    EXPECT_NE(row.find('/'), std::string::npos) << row; // two guests
+    EXPECT_NE(row.find('?'), std::string::npos) << row; // unknown column
+}
+
+TEST(SweepTable, DefaultBandsFollowTheMetricFamily)
+{
+    auto spec = tableSpec()
+                    .paper("cdna", "mbps", 1000)
+                    .paper("cdna", "idle_pct", 50)
+                    .paper("cdna", "guest_intr_per_sec", 1000)
+                    .paper("cdna", "drv_intr_per_sec", 0)
+                    .paper("cdna", "mbps", 1000, sim::Band::absolute(1))
+                    .paper("cdna", "fairness", 1); // no family
+    sim::SweepOptions opt;
+    sim::SweepTable table = sim::renderTable(spec, sim::runSweep(spec, opt));
+    ASSERT_EQ(table.errors.size(), 1u);
+    EXPECT_NE(table.errors[0].find("fairness"), std::string::npos);
+    ASSERT_EQ(table.checks.size(), 5u);
+    const double lo[] = {900, 45, 750, -100, 999};
+    const double hi[] = {1100, 55, 1250, 100, 1001};
+    for (std::size_t i = 0; i < 5; ++i) {
+        EXPECT_DOUBLE_EQ(table.checks[i].lo(), lo[i]) << i;
+        EXPECT_DOUBLE_EQ(table.checks[i].hi(), hi[i]) << i;
+    }
+}
+
+const char *const kPaperPresets[] = {"table1", "table2", "table3",
+                                     "table4", "fig3",   "fig4"};
+
+TEST(PaperFidelity, EveryPublishedNumberIsChecked)
+{
+    // Table 1: four Mb/s.  Tables 2-4: the nine profile columns of
+    // 3 + 3 + 4 rows.  Figures 3-4: Xen Mb/s at 1 and 24 guests, CDNA
+    // Mb/s at 1 guest, CDNA idle at 1, 2, 4 and 8 guests.
+    std::size_t n = 0;
+    for (const char *preset : kPaperPresets)
+        n += sim::presets::byName(preset)->paperValues().size();
+    EXPECT_EQ(n, 4u + 9u * (3 + 3 + 4) + 2u * 7u);
+}
+
+/** Run @p preset at seed 1; every paper value must sit in its band. */
+void
+expectPaperFidelity(const std::string &preset)
+{
+    auto spec = sim::presets::byName(preset);
+    ASSERT_TRUE(spec.has_value()) << preset;
+    sim::SweepOptions opt;
+    opt.jobs = 2;
+    sim::SweepTable table = sim::renderTable(*spec, sim::runSweep(*spec, opt));
+    for (const std::string &e : table.errors)
+        ADD_FAILURE() << preset << ": " << e;
+    EXPECT_EQ(table.checks.size(), spec->paperValues().size());
+    for (const sim::PaperCheck &c : table.checks)
+        EXPECT_TRUE(c.inBand())
+            << std::fixed << std::setprecision(2) << preset << " "
+            << c.paper.cell << " " << c.paper.key << ": measured "
+            << c.measured << ", paper " << c.paper.value << ", band ["
+            << c.lo() << ", " << c.hi() << "]";
+}
+
+TEST(PaperFidelity, Table1) { expectPaperFidelity("table1"); }
+TEST(PaperFidelity, Table2) { expectPaperFidelity("table2"); }
+TEST(PaperFidelity, Table3) { expectPaperFidelity("table3"); }
+TEST(PaperFidelity, Table4) { expectPaperFidelity("table4"); }
+TEST(PaperFidelity, Fig3) { expectPaperFidelity("fig3"); }
+TEST(PaperFidelity, Fig4) { expectPaperFidelity("fig4"); }
 
 // --- full-document report goldens ----------------------------------------
 

@@ -251,6 +251,19 @@ TEST(SystemIntegration, ReportRowContainsLabelAndRate)
     EXPECT_FALSE(Report::header().empty());
 }
 
+TEST(SystemIntegration, ReportRowLinesUpWithHeader)
+{
+    Report r;
+    r.label = "cdna/tx";
+    r.mbps = 1867.9;
+    r.idlePct = 51.03;
+    r.guestIntrPerSec = 13360;
+    std::string row = r.row();
+    EXPECT_EQ(row.size(), Report::header().size()) << row;
+    EXPECT_NE(row.find(" 1868 "), std::string::npos) << row;
+    EXPECT_NE(row.find(" 51.0 "), std::string::npos) << row;
+}
+
 TEST(SystemIntegration, CopyModeNetbackCarriesTraffic)
 {
     // Copy-mode replaces the flip hypercall with a driver-domain memcpy

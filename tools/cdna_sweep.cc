@@ -10,22 +10,28 @@
  *   cdna_sweep --preset fig3 -j 8 --seeds 5 --out fig3.json
  *   cdna_sweep --preset paper -j 8 --out paper.json # tables 1-4 + figs
  *   cdna_sweep --list                               # available presets
+ *   cdna_sweep --preset fig3 --observe cdna/g1 --trace t.json
  *
- * Per-run JSON inside --out is byte-identical for any -j and matches a
- * standalone run of the same configuration at the same seed (see
- * sim/sweep.hh for the determinism contract).
+ * Each preset prints its table (sim::renderTable): one row per cell in
+ * the preset's columns, then the paper's published values against their
+ * bands.  Per-run JSON inside --out is byte-identical for any -j, with
+ * or without observability, and matches a standalone run of the same
+ * configuration at the same seed (see sim/sweep.hh for the determinism
+ * contract).
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/cli.hh"
 #include "sim/sweep.hh"
 #include "sim/sweep_presets.hh"
 #include "sim/thread_pool.hh"
@@ -48,7 +54,19 @@ constexpr const char *kUsage =
     "  --out FILE          write the sweep JSON document to FILE\n"
     "                      ('paper' appends the preset name per file)\n"
     "  --quiet             suppress per-run progress lines\n"
-    "  --help              this text\n";
+    "  --help              this text\n"
+    "\n"
+    "observability (one run of one preset; its JSON is unchanged):\n"
+    "  --trace FILE        write a Chrome trace-event JSON file\n"
+    "  --trace-filter S    only trace lanes containing one of the\n"
+    "                      comma-separated substrings\n"
+    "  --stats-json FILE   dump every component's stats as JSON\n"
+    "  --sample-period US  sample gauges every US microseconds\n"
+    "  --observe CELL      observe the first run whose cell contains\n"
+    "                      CELL (default: the preset's first cell)\n"
+    "\n"
+    "stdout gets each preset's table: one row per cell, then the\n"
+    "paper's published values against their bands.\n";
 
 struct Args
 {
@@ -57,19 +75,15 @@ struct Args
     std::uint32_t seeds = 1;
     std::string out;
     bool quiet = false;
-};
+    core::CliOptions obs;
+    std::optional<std::string> observe;
 
-bool
-needValue(int argc, char **argv, int *i, const char *flag,
-          std::string *value)
-{
-    if (*i + 1 >= argc) {
-        std::fprintf(stderr, "cdna_sweep: %s needs a value\n", flag);
-        return false;
+    bool
+    observing() const
+    {
+        return !obs.traceFile.empty() || !obs.statsJsonFile.empty();
     }
-    *value = argv[++*i];
-    return true;
-}
+};
 
 /**
  * Parse @p v as a complete positive decimal integer that fits in 32
@@ -92,28 +106,14 @@ positive(const char *flag, const std::string &v, std::uint32_t *out)
     return true;
 }
 
-/** Print a compact per-cell summary table for one finished sweep. */
-void
-printSummary(const sim::SweepResult &result)
+/** The core CLI's observability option named @p name, or nullptr. */
+const core::CliOptionSpec *
+observabilityOption(const std::string &name)
 {
-    std::printf("%-28s %5s %10s %9s %8s %8s\n", "cell", "n", "Mb/s",
-                "+-ci95", "idle%", "gstIrq/s");
-    for (const auto &cell : result.cells) {
-        double mbps = 0, ci = 0, idle = 0, irq = 0;
-        for (const auto &[name, st] : cell.metrics) {
-            if (!std::strcmp(name.c_str(), "mbps")) {
-                mbps = st.mean;
-                ci = st.ci95;
-            } else if (!std::strcmp(name.c_str(), "idle_pct")) {
-                idle = st.mean;
-            } else if (!std::strcmp(name.c_str(),
-                                    "guest_intr_per_sec")) {
-                irq = st.mean;
-            }
-        }
-        std::printf("%-28s %5zu %10.0f %9.1f %8.1f %8.0f\n",
-                    cell.cell.c_str(), cell.runs, mbps, ci, idle, irq);
-    }
+    for (const core::CliOptionSpec &s : core::cliOptionTable())
+        if (s.group == "observability" && s.name == name)
+            return &s;
+    return nullptr;
 }
 
 int
@@ -127,9 +127,31 @@ runOne(const std::string &name, const Args &args)
         return 1;
     }
     spec->seeds(args.seeds);
+    std::vector<sim::RunPoint> points = spec->expand();
 
     sim::SweepOptions opt;
     opt.jobs = args.jobs;
+    if (args.observing()) {
+        if (spec->runnerFn()) {
+            std::fprintf(stderr,
+                         "cdna_sweep: preset '%s' builds its own topology "
+                         "per run; --trace and --stats-json cannot observe "
+                         "it\n",
+                         name.c_str());
+            return 1;
+        }
+        opt.observeCell = args.observe.value_or(points.front().cell);
+        if (std::none_of(points.begin(), points.end(), [&](const auto &p) {
+                return p.cell.find(opt.observeCell) != std::string::npos;
+            })) {
+            std::fprintf(stderr,
+                         "cdna_sweep: --observe '%s' matches no cell of "
+                         "preset '%s'\n",
+                         opt.observeCell.c_str(), name.c_str());
+            return 1;
+        }
+        opt.obs = args.obs;
+    }
     if (!args.quiet) {
         opt.onResult = [](const sim::RunResult &r, std::size_t done,
                           std::size_t total) {
@@ -140,10 +162,9 @@ runOne(const std::string &name, const Args &args)
         };
     }
 
-    std::size_t totalRuns = spec->expand().size();
     unsigned jobs = args.jobs ? args.jobs : sim::defaultThreadCount();
     std::fprintf(stderr, "=== %s: %zu runs on %u worker(s) ===\n",
-                 name.c_str(), totalRuns, jobs);
+                 name.c_str(), points.size(), jobs);
 
     auto t0 = std::chrono::steady_clock::now();
     sim::SweepResult result = sim::runSweep(*spec, opt);
@@ -153,7 +174,8 @@ runOne(const std::string &name, const Args &args)
     std::fprintf(stderr, "=== %s: done in %.2f s ===\n", name.c_str(),
                  wall);
 
-    printSummary(result);
+    sim::SweepTable table = sim::renderTable(*spec, result);
+    std::printf("%s\n", table.text.c_str());
 
     if (!args.out.empty()) {
         std::string path = args.out;
@@ -175,7 +197,9 @@ runOne(const std::string &name, const Args &args)
         f << sim::sweepToJson(result);
         std::fprintf(stderr, "wrote %s\n", path.c_str());
     }
-    return 0;
+    for (const std::string &e : table.errors)
+        std::fprintf(stderr, "cdna_sweep: %s: %s\n", name.c_str(), e.c_str());
+    return table.errors.empty() ? 0 : 1;
 }
 
 } // namespace
@@ -184,6 +208,7 @@ int
 main(int argc, char **argv)
 {
     Args args;
+    std::vector<std::string> obsArgs; // parsed by the core CLI's table
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         std::string v;
@@ -200,8 +225,8 @@ main(int argc, char **argv)
             a = "-j";
         }
         auto value = [&](const char *flag) {
-            if (!inlineValue)
-                return needValue(argc, argv, &i, flag, &v);
+            if (!inlineValue && i + 1 < argc)
+                v = argv[++i];
             if (v.empty())
                 std::fprintf(stderr, "cdna_sweep: %s needs a value\n", flag);
             return !v.empty();
@@ -239,6 +264,17 @@ main(int argc, char **argv)
             args.out = v;
         } else if (a == "--quiet") {
             args.quiet = true;
+        } else if (a == "--observe") {
+            if (!value("--observe"))
+                return 1;
+            args.observe = v;
+        } else if (const core::CliOptionSpec *o = observabilityOption(a)) {
+            obsArgs.push_back(a);
+            if (o->takesValue()) {
+                if (!value(o->name.c_str()))
+                    return 1;
+                obsArgs.push_back(v);
+            }
         } else {
             std::fprintf(stderr, "cdna_sweep: unknown option %s\n%s",
                          a.c_str(), kUsage);
@@ -250,6 +286,27 @@ main(int argc, char **argv)
         std::fprintf(stderr, "cdna_sweep: --preset is required\n%s",
                      kUsage);
         return 1;
+    }
+    if (!obsArgs.empty() || args.observe) {
+        std::string error;
+        auto parsed = core::parseCli(obsArgs, &error);
+        if (!parsed) {
+            std::fprintf(stderr, "cdna_sweep: %s\n", error.c_str());
+            return 1;
+        }
+        args.obs = *parsed;
+        if (!args.observing()) {
+            std::fprintf(stderr,
+                         "cdna_sweep: --observe, --trace-filter and "
+                         "--sample-period write nothing without --trace "
+                         "or --stats-json\n");
+            return 1;
+        }
+        if (args.presets.size() > 1) {
+            std::fprintf(stderr, "cdna_sweep: --trace and --stats-json "
+                                 "observe one run of one preset\n");
+            return 1;
+        }
     }
 
     for (const std::string &name : args.presets) {
