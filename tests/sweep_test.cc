@@ -556,5 +556,50 @@ TEST(ReportGolden, PresetCellsMatchFullDocuments)
     }
 }
 
+/**
+ * Every architecture under both outage classes: each cell drives a
+ * different fault hook (netback crash, dom0 CDNA context teardown and
+ * re-attach, swpt validator stall, CDNA firmware reconcile, shared
+ * Intel NIC reset), so moving any statement in them changes a byte.
+ */
+TEST(ReportGolden, AvailabilityCellsMatchFullDocuments)
+{
+    for (const char *cell :
+         {"xen-rice/domkill", "xen-rice/fwreboot", "cdna/domkill",
+          "cdna/fwreboot", "swpt/domkill", "swpt/fwreboot"}) {
+        std::string file = "availability-" + std::string(cell) + ".json";
+        file[file.find('/')] = '-';
+        std::string golden = readGolden(file);
+        ASSERT_FALSE(golden.empty()) << file;
+        EXPECT_EQ(presetCellJson("availability", cell), golden) << file;
+    }
+}
+
+/** Guest kill under TCP: CDNA context revocation and swpt port detach. */
+TEST(ReportGolden, KillGuestMatchesFullDocuments)
+{
+    struct Case
+    {
+        const char *file;
+        core::SystemConfig cfg;
+    };
+    const Case cases[] = {
+        {"killguest-cdna-tcp.json", core::SystemConfig::cdna(2)},
+        {"killguest-swpt-tcp.json", core::SystemConfig::swPassthrough(2)},
+    };
+    for (const Case &c : cases) {
+        std::string golden = readGolden(c.file);
+        ASSERT_FALSE(golden.empty()) << c.file;
+        core::SystemConfig cfg = c.cfg;
+        cfg.transport(core::kTcp).withFaults(
+            core::FaultPlan{}.killingGuest(1, 150));
+        core::System sys(cfg);
+        EXPECT_EQ(core::reportToJson(
+                      sys.run(sim::milliseconds(100), sim::milliseconds(300))),
+                  golden)
+            << c.file;
+    }
+}
+
 } // namespace
 } // namespace cdna
