@@ -16,11 +16,12 @@
  *    dom0 crash) scores exactly zero;
  *  - time-to-first-packet: the lag between the recovery completing
  *    (backend restarted, firmware reconciled) and the guest actually
- *    moving data again -- the reconnect/resync tail the outage hides;
- *  - packets lost while the outage was in progress.
+ *    moving data again -- the reconnect/resync tail the outage hides.
  *
- * The tracker is only instantiated under a fault plan that schedules
- * an outage, so fault-free runs carry no availability state at all.
+ * Packets lost to an outage are counted by the netbacks that drop them
+ * (the report's outage_packets_lost), not here.  The tracker is only
+ * instantiated under a fault plan that schedules an outage, so
+ * fault-free runs carry no availability state at all.
  */
 
 #ifndef CDNA_CORE_AVAILABILITY_HH
@@ -100,14 +101,6 @@ class AvailabilityTracker : public sim::SimObject
         g.inOutage = false;
     }
 
-    /** A packet addressed to/from @p guest was dropped by the outage. */
-    void
-    noteLost(std::uint32_t guest, std::uint64_t n = 1)
-    {
-        if (guest < per_.size())
-            per_[guest].lost += n;
-    }
-
     /**
      * Accumulated downtime as of now; an outage still open (no
      * progress yet) counts its elapsed span once past the grace window.
@@ -129,11 +122,6 @@ class AvailabilityTracker : public sim::SimObject
         return sim::toMicroseconds(per_.at(guest).ttfp);
     }
 
-    std::uint64_t lost(std::uint32_t guest) const
-    {
-        return per_.at(guest).lost;
-    }
-
     bool
     anyDowntime() const
     {
@@ -152,7 +140,6 @@ class AvailabilityTracker : public sim::SimObject
         sim::Time recoveryAt = 0;
         sim::Time downtime = 0;
         sim::Time ttfp = 0;
-        std::uint64_t lost = 0;
     };
 
     std::vector<PerGuest> per_;

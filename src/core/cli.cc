@@ -36,7 +36,7 @@ struct ParseState
 {
     CliOptions opt;
     std::string mode = "cdna";
-    std::string nic = "intel";
+    std::optional<std::string> nic; // --nic, xen only (default intel)
     std::string iommu = "none";
     std::string direction = "tx";
     bool protection = true;
@@ -383,13 +383,14 @@ finalize(ParseState st, std::string *error)
     else
         return fail("--direction must be tx or rx");
 
+    // --mode and --nic together name one core::Arch.
     SystemConfig cfg;
     if (st.mode == "native") {
         cfg = SystemConfig::native(st.nics);
     } else if (st.mode == "xen") {
-        if (st.nic == "intel")
+        if (!st.nic || *st.nic == "intel")
             cfg = SystemConfig::xenIntel(st.guests);
-        else if (st.nic == "rice")
+        else if (*st.nic == "rice")
             cfg = SystemConfig::xenRice(st.guests);
         else
             return fail("--nic must be intel or rice");
@@ -411,6 +412,8 @@ finalize(ParseState st, std::string *error)
     } else {
         return fail("--mode must be native, xen, cdna, or swpt");
     }
+    if (st.nic && st.mode != "xen")
+        return fail("--nic requires --mode xen");
     if (st.oversub && st.mode != "cdna")
         return fail("--oversub requires --mode cdna");
     cfg.transmit(transmit);

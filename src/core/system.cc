@@ -44,17 +44,36 @@ System::System(SystemConfig cfg, sim::SimContext *shared,
         ctx_.setFaultInjector(faults_.get());
     }
     buildCommon();
-    switch (cfg_.mode) {
-      case IoMode::kNative:
+    // The architecture's wiring: the one place besides the NIC choice
+    // that reads it.  Native runs one OS on the NICs; every
+    // virtualized architecture has a control domain (dom0) and guests.
+    if (cfg_.arch == Arch::kNative) {
+        guests_.push_back(&hv_->createDomain(vmm::Domain::Kind::kGuest,
+                                             nm("native")));
+    } else {
+        driverDom_ = &hv_->createDomain(vmm::Domain::Kind::kDriver,
+                                        nm("dom0"));
+        for (std::uint32_t g = 0; g < cfg_.numGuests; ++g)
+            guests_.push_back(&hv_->createDomain(
+                vmm::Domain::Kind::kGuest, nm("guest" + std::to_string(g))));
+    }
+    switch (cfg_.arch) {
+      case Arch::kNative:
         buildNative();
         break;
-      case IoMode::kXen:
+      case Arch::kXenRice:
+        prot_ = std::make_unique<DmaProtection>(ctx_, *hv_, cfg_.costs,
+                                                /*enabled=*/true);
+        [[fallthrough]];
+      case Arch::kXenIntel:
         buildXen();
         break;
-      case IoMode::kCdna:
+      case Arch::kCdna:
+        prot_ = std::make_unique<DmaProtection>(ctx_, *hv_, cfg_.costs,
+                                                cfg_.dmaProtection);
         buildCdna();
         break;
-      case IoMode::kSwPassthrough:
+      case Arch::kSwpt:
         buildSwpt();
         break;
     }
@@ -81,6 +100,13 @@ System::guestMac(std::uint32_t guest, std::uint32_t nic) const
                                 guest * 256u + nic);
 }
 
+net::MacAddr
+System::driverMac(std::uint32_t nic) const
+{
+    return net::MacAddr::fromId(cfg_.hostId * 0x00100000u + 0x020000u +
+                                nic);
+}
+
 net::Port &
 System::nicPort(std::uint32_t i)
 {
@@ -98,10 +124,8 @@ System::buildCommon()
     if (cfg_.iommuMode != mem::Iommu::Mode::kNone)
         iommu_ = std::make_unique<mem::Iommu>(ctx_, *mem_, cfg_.iommuMode);
 
-    NicKind kind = (cfg_.mode == IoMode::kNative ||
-                    cfg_.mode == IoMode::kSwPassthrough)
-                       ? NicKind::kIntel
-                       : cfg_.nicKind;
+    bool intel = cfg_.arch == Arch::kNative ||
+                 cfg_.arch == Arch::kXenIntel || cfg_.arch == Arch::kSwpt;
     for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
         std::string suffix = std::to_string(i);
         buses_.push_back(
@@ -125,7 +149,7 @@ System::buildCommon()
             peers_.back()->applyWorkload(knobs);
             fab = links_.back().get();
         }
-        if (kind == NicKind::kIntel) {
+        if (intel) {
             auto params = cfg_.intelParams;
             params.coalesce = cfg_.costs.intelCoalesce;
             intelNics_.push_back(std::make_unique<nic::IntelNic>(
@@ -139,7 +163,7 @@ System::buildCommon()
             params.coalesce = cfg_.transmitDir ? cfg_.costs.cdnaCoalesce
                                                : cfg_.costs.cdnaCoalesceRx;
             params.seqnoCheck = cfg_.dmaProtection;
-            if (cfg_.mode == IoMode::kCdna && cfg_.ctxOversub) {
+            if (cfg_.arch == Arch::kCdna && cfg_.ctxOversub) {
                 // One virtual context per guest, paged over the
                 // physical slots on demand.
                 params.virtualContexts =
@@ -306,30 +330,70 @@ System::wireCdnaIsr(std::uint32_t i)
 void
 System::buildNative()
 {
-    vmm::Domain &native = hv_->createDomain(vmm::Domain::Kind::kGuest,
-                                            nm("native"));
-    guests_.push_back(&native);
-
+    vmm::Domain &native = *guests_[0];
     for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
-        auto mac = guestMac(0, i);
         nativeDrivers_.push_back(std::make_unique<os::NativeDriver>(
             ctx_, nm("natdrv" + std::to_string(i)), native, *intelNics_[i],
-            cfg_.costs, os::NativeDriver::IrqRoute::kDirect, mac));
+            cfg_.costs, os::NativeDriver::IrqRoute::kDirect,
+            guestMac(0, i)));
         nativeDrivers_.back()->attach();
         addGuestPort(native, *nativeDrivers_.back(), 0, i);
     }
 }
 
-void
-System::setupContextRings(CdnaNic &nic, CdnaNic::ContextId cxt,
-                          mem::DomainId owner)
+CdnaGuestDriver &
+System::attachCdnaContext(std::uint32_t i, vmm::Domain &dom,
+                          net::MacAddr mac, const std::string &name,
+                          std::unique_ptr<CdnaGuestDriver> &drv)
 {
-    mem::PageNum txp = mem_->allocOne(owner);
-    mem::PageNum rxp = mem_->allocOne(owner);
-    mem::PageNum stp = mem_->allocOne(owner);
-    nic.configureContextRings(cxt, 256, mem::addrOf(txp), 256,
+    CdnaNic &nic = *cdnaNics_[i];
+    auto cxt = nic.allocContext(dom.id(), mac);
+    if (!cxt.has_value()) {
+        // Clear diagnostic instead of an assert: the 33rd CDNA guest is
+        // a configuration error unless the virtual context layer is
+        // enabled.
+        throw std::runtime_error(
+            "CDNA NIC '" + nic.name() + "': out of hardware contexts (" +
+            std::to_string(nic.params().numContexts) +
+            ") allocating guest '" + dom.name() +
+            "'; enable virtual-context oversubscription "
+            "(SystemConfig::oversubscribed) to run more guests than "
+            "physical contexts");
+    }
+    mem::PageNum txp = mem_->allocOne(dom.id());
+    mem::PageNum rxp = mem_->allocOne(dom.id());
+    mem::PageNum stp = mem_->allocOne(dom.id());
+    nic.configureContextRings(*cxt, 256, mem::addrOf(txp), 256,
                               mem::addrOf(rxp));
-    nic.setStatusPage(cxt, mem::addrOf(stp));
+    nic.setStatusPage(*cxt, mem::addrOf(stp));
+    if (drv)
+        drv->rebind(*cxt);
+    else
+        drv = std::make_unique<CdnaGuestDriver>(ctx_, name, dom, nic, *cxt,
+                                                *prot_, cfg_.costs, mac);
+    CdnaGuestDriver *d = drv.get();
+    cxtChannels_[i][*cxt] = &hv_->createChannel(dom, cfg_.costs.irqEntry,
+                                                [d] { d->handleIrq(); });
+    d->attach();
+    // Only a per-context IOMMU consults the binding.
+    if (iommu_)
+        iommu_->bindContext(i, *cxt, dom.id());
+    // dom0's context carries the bridge's traffic, so it must accept
+    // frames for every guest MAC.
+    if (&dom == driverDom_)
+        nic.setPromiscuousContext(*cxt);
+    return *d;
+}
+
+void
+System::detachCdnaContext(std::uint32_t i, CdnaGuestDriver &drv)
+{
+    CdnaNic::ContextId cxt = drv.context();
+    drv.detach();
+    cxtChannels_[i][cxt] = nullptr;
+    cdnaNics_[i]->revokeContext(cxt);
+    if (iommu_)
+        iommu_->unbindContext(i, cxt);
 }
 
 void
@@ -355,54 +419,26 @@ System::addGuestPort(vmm::Domain &guest, os::NetDevice &dev,
 void
 System::buildXen()
 {
-    driverDom_ = &hv_->createDomain(vmm::Domain::Kind::kDriver,
-                                    nm("dom0"));
-    for (std::uint32_t g = 0; g < cfg_.numGuests; ++g)
-        guests_.push_back(&hv_->createDomain(
-            vmm::Domain::Kind::kGuest, nm("guest" + std::to_string(g))));
-
-    if (cfg_.nicKind == NicKind::kRice)
-        prot_ = std::make_unique<DmaProtection>(ctx_, *hv_, cfg_.costs,
-                                                /*enabled=*/true);
-
     for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
+        std::string suffix = std::to_string(i);
         os::NetDevice *phys = nullptr;
-        auto drv_mac = net::MacAddr::fromId(cfg_.hostId * 0x00100000u +
-                                            0x020000u + i);
-        if (cfg_.nicKind == NicKind::kIntel) {
+        if (nic::IntelNic *inic = intelNic(i)) {
             nativeDrivers_.push_back(std::make_unique<os::NativeDriver>(
-                ctx_, nm("dom0drv" + std::to_string(i)), *driverDom_,
-                *intelNics_[i], cfg_.costs,
-                os::NativeDriver::IrqRoute::kViaHypervisor, drv_mac));
+                ctx_, nm("dom0drv" + suffix), *driverDom_, *inic,
+                cfg_.costs, os::NativeDriver::IrqRoute::kViaHypervisor,
+                driverMac(i)));
             nativeDrivers_.back()->attach();
             // The bridge needs frames destined to guest MACs.
-            intelNics_[i]->setPromiscuous(true);
+            inic->setPromiscuous(true);
             phys = nativeDrivers_.back().get();
         } else {
-            CdnaNic &nic = *cdnaNics_[i];
             wireCdnaIsr(i);
-            auto cxt = nic.allocContext(driverDom_->id(), drv_mac);
-            SIM_ASSERT(cxt.has_value(), "no context for driver domain");
-            setupContextRings(nic, *cxt, driverDom_->id());
-            drvDomCdnaDrivers_.push_back(std::make_unique<CdnaGuestDriver>(
-                ctx_, nm("dom0cdna" + std::to_string(i)), *driverDom_, nic,
-                *cxt, *prot_, cfg_.costs, drv_mac));
-            CdnaGuestDriver *drv = drvDomCdnaDrivers_.back().get();
-            cxtChannels_[i][*cxt] = &hv_->createChannel(
-                *driverDom_, cfg_.costs.irqEntry,
-                [drv] { drv->handleIrq(); });
-            drv->attach();
-            if (iommu_)
-                iommu_->bindContext(i, *cxt, driverDom_->id());
-            // Software virtualization: the driver domain's context must
-            // accept frames for every guest MAC, since all traffic is
-            // routed through the bridge.
-            nic.setPromiscuousContext(*cxt);
-            phys = drv;
+            phys = &attachCdnaContext(i, *driverDom_, driverMac(i),
+                                      nm("dom0cdna" + suffix),
+                                      drvDomCdnaDrivers_.emplace_back());
         }
         ddns_.push_back(std::make_unique<os::DriverDomainNet>(
-            ctx_, nm("ddn" + std::to_string(i)), *driverDom_, *phys,
-            cfg_.costs));
+            ctx_, nm("ddn" + suffix), *driverDom_, *phys, cfg_.costs));
         ddns_.back()->setRxCopyMode(cfg_.xenRxCopyMode);
 
         for (std::uint32_t g = 0; g < cfg_.numGuests; ++g) {
@@ -416,15 +452,6 @@ System::buildXen()
 void
 System::buildCdna()
 {
-    driverDom_ = &hv_->createDomain(vmm::Domain::Kind::kDriver,
-                                    nm("dom0"));
-    for (std::uint32_t g = 0; g < cfg_.numGuests; ++g)
-        guests_.push_back(&hv_->createDomain(
-            vmm::Domain::Kind::kGuest, nm("guest" + std::to_string(g))));
-
-    prot_ = std::make_unique<DmaProtection>(ctx_, *hv_, cfg_.costs,
-                                            cfg_.dmaProtection);
-
     for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
         wireCdnaIsr(i);
         CdnaNic &nic = *cdnaNics_[i];
@@ -445,36 +472,11 @@ System::buildCdna()
         }
         for (std::uint32_t g = 0; g < cfg_.numGuests; ++g) {
             vmm::Domain &guest = *guests_[g];
-            auto mac = guestMac(g, i);
-            auto cxt = nic.allocContext(guest.id(), mac);
-            if (!cxt.has_value()) {
-                // Clear diagnostic instead of an assert: the 33rd CDNA
-                // guest is a configuration error unless the virtual
-                // context layer is enabled.
-                throw std::runtime_error(
-                    "CDNA NIC '" + nic.name() + "': out of hardware "
-                    "contexts (" +
-                    std::to_string(nic.params().numContexts) +
-                    ") allocating guest '" + guest.name() +
-                    "'; enable virtual-context oversubscription "
-                    "(SystemConfig::oversubscribed) to run more guests "
-                    "than physical contexts");
-            }
-            setupContextRings(nic, *cxt, guest.id());
-
-            guestCdnaDrivers_.push_back(std::make_unique<CdnaGuestDriver>(
-                ctx_,
-                nm("cdnadrv" + std::to_string(g) + "." +
-                   std::to_string(i)),
-                guest, nic, *cxt, *prot_, cfg_.costs, mac));
-            CdnaGuestDriver *drv = guestCdnaDrivers_.back().get();
-            cxtChannels_[i][*cxt] = &hv_->createChannel(
-                guest, cfg_.costs.irqEntry, [drv] { drv->handleIrq(); });
-            drv->attach();
-            if (iommu_ &&
-                cfg_.iommuMode == mem::Iommu::Mode::kPerContext)
-                iommu_->bindContext(i, *cxt, guest.id());
-            addGuestPort(guest, *drv, g, i);
+            CdnaGuestDriver &drv = attachCdnaContext(
+                i, guest, guestMac(g, i),
+                nm("cdnadrv" + std::to_string(g) + "." + std::to_string(i)),
+                guestCdnaDrivers_.emplace_back());
+            addGuestPort(guest, drv, g, i);
         }
     }
 }
@@ -485,12 +487,6 @@ System::buildSwpt()
     // dom0 exists as the control domain only (so driver-domain fault
     // plans compose); the datapath never touches it -- descriptor
     // validation runs in the hypervisor itself.
-    driverDom_ = &hv_->createDomain(vmm::Domain::Kind::kDriver,
-                                    nm("dom0"));
-    for (std::uint32_t g = 0; g < cfg_.numGuests; ++g)
-        guests_.push_back(&hv_->createDomain(
-            vmm::Domain::Kind::kGuest, nm("guest" + std::to_string(g))));
-
     for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
         swptValidators_.push_back(std::make_unique<vmm::SwptValidator>(
             ctx_, nm("swptval" + std::to_string(i)), *hv_,
@@ -719,7 +715,7 @@ System::scheduleFaultEvents()
 {
     for (const auto &fs : cfg_.faults.firmwareStalls) {
         if (fs.nic >= cdnaNics_.size())
-            continue; // no CDNA NIC with that index in this mode
+            continue; // no CDNA NIC with that index
         CdnaNic *nic = cdnaNics_[fs.nic].get();
         ctx_.events().schedule(
             sim::milliseconds(fs.atMs), [this, nic, fs] {
@@ -761,17 +757,16 @@ System::setupAvailability()
             [this, g] { avail_->noteProgress(g); });
     }
 
-    if (cfg_.mode == IoMode::kXen &&
-        !cfg_.faults.driverDomainKills.empty()) {
-        for (auto &ddn : ddns_) {
-            const auto &vifs = ddn->vifs();
-            for (std::size_t g = 0; g < vifs.size(); ++g) {
-                os::XenVif *vif = vifs[g].get();
-                vif->enableReconnect();
-                vif->setReconnectedHook(
-                    [this, g = static_cast<std::uint32_t>(g)]
-                    { avail_->noteRecovery(g); });
-            }
+    if (cfg_.faults.driverDomainKills.empty())
+        return;
+    for (auto &ddn : ddns_) {
+        const auto &vifs = ddn->vifs();
+        for (std::size_t g = 0; g < vifs.size(); ++g) {
+            os::XenVif *vif = vifs[g].get();
+            vif->enableReconnect();
+            vif->setReconnectedHook(
+                [this, g = static_cast<std::uint32_t>(g)]
+                { avail_->noteRecovery(g); });
         }
     }
 }
@@ -779,7 +774,7 @@ System::setupAvailability()
 bool
 System::killDriverDomain()
 {
-    if (!driverDom_ || driverDomainDown_ || cfg_.mode == IoMode::kNative)
+    if (!driverDom_ || driverDomainDown_)
         return false;
     driverDomainDown_ = true;
     if (faults_)
@@ -788,45 +783,35 @@ System::killDriverDomain()
         for (std::uint32_t g = 0; g < avail_->guests(); ++g)
             avail_->noteOutageStart(g);
 
-    if (cfg_.mode == IoMode::kXen) {
-        // The backends die with the domain; frontends detect it via
-        // their watchdogs and reconnect after the restart below.
-        for (auto &ddn : ddns_)
-            ddn->crash();
-        // dom0's qdisc (packets bridged but not yet posted) lived in
-        // the dead domain's memory, and the hypervisor quiesces the
-        // Intel TX engine -- a crashed domain's device must stop
-        // referencing pages it had grant-mapped.  RX keeps landing in
-        // device-owned buffers; the dead bridge discards it.
-        for (auto &nd : nativeDrivers_)
-            nd->dropQdisc();
-        for (auto &inic : intelNics_)
-            inic->quiesceTx();
-        // dom0's physical CDNA driver (the Xen/RiceNIC rows) dies too:
-        // its context is revoked and a fresh one is negotiated at
-        // restart.  The Intel native driver itself is modeled as
-        // surviving (its ring state lives in the NIC, not in dom0
-        // memory), so no ring renegotiation happens at restart.
-        for (std::size_t i = 0; i < drvDomCdnaDrivers_.size(); ++i) {
-            CdnaGuestDriver *drv = drvDomCdnaDrivers_[i].get();
-            CdnaNic::ContextId cxt = drv->context();
-            drv->detach();
-            cxtChannels_[i][cxt] = nullptr;
-            cdnaNics_[i]->revokeContext(cxt);
-            if (iommu_)
-                iommu_->unbindContext(static_cast<std::uint32_t>(i), cxt);
-        }
-    }
-    if (cfg_.mode == IoMode::kSwPassthrough) {
-        // The validator is the dom0-equivalent: descriptor auditing
-        // stops, so doorbells latch unprocessed, completions sit in the
-        // NIC, and the shared RX ring runs dry.  Everything drains at
-        // restart.
-        for (auto &v : swptValidators_)
-            v->stall();
-    }
-    // CDNA mode: guests drive their own contexts, so the kill has no
-    // datapath effect at all -- exactly the paper's failure-domain
+    // The netbacks die with the domain; frontends detect it via their
+    // watchdogs and reconnect after the restart below.
+    for (auto &ddn : ddns_)
+        ddn->crash();
+    // dom0's qdisc (packets bridged but not yet posted) lived in the
+    // dead domain's memory, and the hypervisor quiesces the Intel TX
+    // engine -- a crashed domain's device must stop referencing pages
+    // it had grant-mapped.  RX keeps landing in device-owned buffers;
+    // the dead bridge discards it.
+    for (auto &nd : nativeDrivers_)
+        nd->dropQdisc();
+    for (auto &nd : nativeDrivers_)
+        nd->nic().quiesceTx();
+    // dom0's physical CDNA driver (the Xen/RiceNIC rows) dies too: its
+    // context is revoked and a fresh one is negotiated at restart.  The
+    // Intel native driver itself is modeled as surviving (its ring
+    // state lives in the NIC, not in dom0 memory), so no ring
+    // renegotiation happens at restart.
+    for (std::size_t i = 0; i < drvDomCdnaDrivers_.size(); ++i)
+        detachCdnaContext(static_cast<std::uint32_t>(i),
+                          *drvDomCdnaDrivers_[i]);
+    // A swpt validator is the dom0-equivalent: descriptor auditing
+    // stops, so doorbells latch unprocessed, completions sit in the
+    // NIC, and the shared RX ring runs dry.  Everything drains at
+    // restart.
+    for (auto &v : swptValidators_)
+        v->stall();
+    // CDNA guests drive their own contexts, so the kill has no datapath
+    // effect on them at all -- exactly the paper's failure-domain
     // argument.
 
     // Revoke every grant mapping the dead domain held.  Pages with DMA
@@ -845,36 +830,21 @@ void
 System::restartDriverDomain()
 {
     driverDomainDown_ = false;
-    if (cfg_.mode == IoMode::kXen) {
-        for (std::size_t i = 0; i < drvDomCdnaDrivers_.size(); ++i) {
-            // Fresh context for the rebooted domain, then the driver
-            // re-attaches from scratch (mirrors buildXen).
-            CdnaNic &nic = *cdnaNics_[i];
-            CdnaGuestDriver *drv = drvDomCdnaDrivers_[i].get();
-            auto cxt = nic.allocContext(driverDom_->id(), drv->mac());
-            SIM_ASSERT(cxt.has_value(),
-                       "no context for restarted driver domain");
-            setupContextRings(nic, *cxt, driverDom_->id());
-            cxtChannels_[i][*cxt] = &hv_->createChannel(
-                *driverDom_, cfg_.costs.irqEntry,
-                [drv] { drv->handleIrq(); });
-            drv->rebind(*cxt);
-            drv->attach();
-            if (iommu_)
-                iommu_->bindContext(static_cast<std::uint32_t>(i), *cxt,
-                                    driverDom_->id());
-            nic.setPromiscuousContext(*cxt);
-        }
-        for (auto &ddn : ddns_)
-            ddn->restart();
+    // Fresh contexts for the rebooted domain's CDNA drivers, which
+    // re-attach from scratch.
+    for (std::size_t i = 0; i < drvDomCdnaDrivers_.size(); ++i) {
+        std::unique_ptr<CdnaGuestDriver> &drv = drvDomCdnaDrivers_[i];
+        attachCdnaContext(static_cast<std::uint32_t>(i), *driverDom_,
+                          drv->mac(), drv->name(), drv);
     }
-    if (cfg_.mode == IoMode::kSwPassthrough)
-        for (auto &v : swptValidators_)
-            v->restart();
-    if (avail_ && (cfg_.mode == IoMode::kCdna ||
-                   cfg_.mode == IoMode::kSwPassthrough)) {
-        // No reconnection protocol to wait for: the control plane is
-        // simply back.  (Xen guests note recovery at vif reconnect.)
+    for (auto &ddn : ddns_)
+        ddn->restart();
+    for (auto &v : swptValidators_)
+        v->restart();
+    if (avail_ && ddns_.empty()) {
+        // Without netbacks there is no reconnection protocol to wait
+        // for: the control plane is simply back.  (Xen guests note
+        // recovery at vif reconnect.)
         for (std::uint32_t g = 0; g < avail_->guests(); ++g)
             avail_->noteRecovery(g);
     }
@@ -885,9 +855,7 @@ System::restartDriverDomain()
 bool
 System::rebootNicFirmware(std::uint32_t nic)
 {
-    if (cfg_.mode == IoMode::kSwPassthrough) {
-        if (nic >= swptValidators_.size())
-            return false;
+    if (vmm::SwptValidator *val = swptValidator(nic)) {
         // Full device reset of the shared IntelNic: in-flight TX is
         // dropped (attributed as zero-byte completions so guest TX
         // windows recover) and the validator re-rings its shadow queue
@@ -897,9 +865,9 @@ System::rebootNicFirmware(std::uint32_t nic)
         if (avail_)
             for (std::uint32_t g = 0; g < avail_->guests(); ++g)
                 avail_->noteOutageStart(g);
-        swptValidators_[nic]->resetNic();
-        ctx_.events().schedule(cfg_.costs.firmwareReboot, [this, nic] {
-            swptValidators_[nic]->reconcileAfterReset();
+        val->resetNic();
+        ctx_.events().schedule(cfg_.costs.firmwareReboot, [this, val] {
+            val->reconcileAfterReset();
             if (avail_)
                 for (std::uint32_t g = 0; g < avail_->guests(); ++g)
                     avail_->noteRecovery(g);
@@ -907,7 +875,7 @@ System::rebootNicFirmware(std::uint32_t nic)
         return true;
     }
     if (nic >= cdnaNics_.size())
-        return false; // no CDNA NIC with that index in this mode
+        return false; // no firmware NIC with that index
     if (avail_)
         for (std::uint32_t g = 0; g < avail_->guests(); ++g)
             avail_->noteOutageStart(g);
@@ -927,18 +895,16 @@ System::rebootNicFirmware(std::uint32_t nic)
 bool
 System::killGuest(std::uint32_t guest)
 {
+    // Cut the guest off every NIC: revoke its CDNA contexts and detach
+    // its swpt validator ports.  Xen and native guests own neither.
     bool any = false;
-    if (cfg_.mode == IoMode::kSwPassthrough) {
-        for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
-            os::SwptDriver *drv = swptDriver(guest, i);
-            if (drv && !drv->detached()) {
-                drv->detach();
-                any = true;
-            }
+    for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
+        any = revokeGuestContext(guest, i) || any;
+        os::SwptDriver *drv = swptDriver(guest, i);
+        if (drv && !drv->detached()) {
+            drv->detach();
+            any = true;
         }
-    } else {
-        for (std::uint32_t i = 0; i < cfg_.numNics; ++i)
-            any = revokeGuestContext(guest, i) || any;
     }
     if (!any)
         return false;
@@ -966,12 +932,7 @@ System::revokeGuestContext(std::uint32_t guest, std::uint32_t nic)
     CdnaGuestDriver *drv = cdnaDriver(guest, nic);
     if (!drv || drv->detached() || nic >= cdnaNics_.size())
         return false;
-    CdnaNic::ContextId cxt = drv->context();
-    drv->detach();
-    cxtChannels_[nic][cxt] = nullptr;
-    cdnaNics_[nic]->revokeContext(cxt);
-    if (iommu_ && cfg_.iommuMode == mem::Iommu::Mode::kPerContext)
-        iommu_->unbindContext(nic, cxt);
+    detachCdnaContext(nic, *drv);
     return true;
 }
 
@@ -1009,55 +970,47 @@ System::app(std::uint32_t guest, std::uint32_t nic)
     return *apps_.at(portIndex(guest, nic));
 }
 
+namespace {
+
+SystemConfig
+archConfig(Arch arch, std::uint32_t guests)
+{
+    SystemConfig cfg;
+    cfg.arch = arch;
+    cfg.numGuests = guests;
+    return cfg;
+}
+
+} // namespace
+
 SystemConfig
 SystemConfig::native(std::uint32_t nics)
 {
-    SystemConfig cfg;
-    cfg.mode = IoMode::kNative;
-    cfg.nicKind = NicKind::kIntel;
-    cfg.numGuests = 1;
-    cfg.numNics = nics;
-    return cfg;
+    return archConfig(Arch::kNative, 1).withNics(nics);
 }
 
 SystemConfig
 SystemConfig::xenIntel(std::uint32_t guests)
 {
-    SystemConfig cfg;
-    cfg.mode = IoMode::kXen;
-    cfg.nicKind = NicKind::kIntel;
-    cfg.numGuests = guests;
-    return cfg;
+    return archConfig(Arch::kXenIntel, guests);
 }
 
 SystemConfig
 SystemConfig::xenRice(std::uint32_t guests)
 {
-    SystemConfig cfg;
-    cfg.mode = IoMode::kXen;
-    cfg.nicKind = NicKind::kRice;
-    cfg.numGuests = guests;
-    return cfg;
+    return archConfig(Arch::kXenRice, guests);
 }
 
 SystemConfig
 SystemConfig::cdna(std::uint32_t guests)
 {
-    SystemConfig cfg;
-    cfg.mode = IoMode::kCdna;
-    cfg.nicKind = NicKind::kRice;
-    cfg.numGuests = guests;
-    return cfg;
+    return archConfig(Arch::kCdna, guests);
 }
 
 SystemConfig
 SystemConfig::swPassthrough(std::uint32_t guests)
 {
-    SystemConfig cfg;
-    cfg.mode = IoMode::kSwPassthrough;
-    cfg.nicKind = NicKind::kIntel;
-    cfg.numGuests = guests;
-    return cfg;
+    return archConfig(Arch::kSwpt, guests);
 }
 
 std::string
@@ -1066,26 +1019,29 @@ SystemConfig::effectiveLabel() const
     if (!label.empty())
         return label;
     std::string base;
-    switch (mode) {
-      case IoMode::kNative:
+    switch (arch) {
+      case Arch::kNative:
         base = "native";
         break;
-      case IoMode::kXen:
-        base = nicKind == NicKind::kIntel ? "xen-intel" : "xen-ricenic";
+      case Arch::kXenIntel:
+        base = "xen-intel";
         break;
-      case IoMode::kCdna:
+      case Arch::kXenRice:
+        base = "xen-ricenic";
+        break;
+      case Arch::kCdna:
         base = "cdna";
         break;
-      case IoMode::kSwPassthrough:
+      case Arch::kSwpt:
         base = "swpt";
         break;
     }
     base += transmitDir ? "/tx" : "/rx";
     if (transportKind == TransportKind::kTcp)
         base += "/tcp";
-    if (mode == IoMode::kCdna && !dmaProtection)
+    if (arch == Arch::kCdna && !dmaProtection)
         base += "/noprot";
-    if (mode == IoMode::kCdna && ctxOversub)
+    if (arch == Arch::kCdna && ctxOversub)
         base += "/oversub";
     return base;
 }

@@ -2,30 +2,33 @@
  * @file
  * Whole-system assembly: the public entry point of the library.
  *
- * A System instantiates the paper's testbed in one of four I/O
- * architectures:
+ * A System instantiates the paper's testbed in one of five I/O
+ * architectures (core::Arch):
  *
- *  - kNative: one OS owning the NICs directly (Table 1 baseline);
- *  - kXen:    driver domain + software multiplexing through the bridge
- *             and paravirtual split drivers (sections 2.1-2.2), over
- *             either the Intel NIC (TSO) or a CDNA NIC with a single
- *             context assigned to the driver domain (the Xen/RiceNIC
- *             rows of Tables 2-3);
- *  - kCdna:   each guest owns a private hardware context on every NIC
- *             (section 3), with DMA protection on or off (Table 4) and
- *             optional IOMMU modes (section 5.3);
- *  - kSwPassthrough: software-only passthrough (Kedia & Bansal's
- *             competing design point): guests program real Intel-style
- *             descriptor rings, every doorbell traps into a hypervisor
- *             validator (vmm/swpt_validator.hh) that audits and
- *             shadow-copies descriptors onto ONE shared single-context
- *             IntelNic, with software RX demux by destination MAC.
+ *  - kNative:   one OS owning the NICs directly (Table 1 baseline);
+ *  - kXenIntel, kXenRice: driver domain + software multiplexing through
+ *               the bridge and paravirtual split drivers (sections
+ *               2.1-2.2), over either the Intel NIC (TSO) or a CDNA NIC
+ *               with a single context assigned to the driver domain
+ *               (the Xen/RiceNIC rows of Tables 2-3);
+ *  - kCdna:     each guest owns a private hardware context on every NIC
+ *               (section 3), with DMA protection on or off (Table 4)
+ *               and optional IOMMU modes (section 5.3);
+ *  - kSwpt:     software-only passthrough (Kedia & Bansal's competing
+ *               design point): guests program real Intel-style
+ *               descriptor rings, every doorbell traps into a hypervisor
+ *               validator (vmm/swpt_validator.hh) that audits and
+ *               shadow-copies descriptors onto ONE shared
+ *               single-context IntelNic, with software RX demux by
+ *               destination MAC.
+ *
+ * The architecture is read once, while the System is constructed: it
+ * picks the NIC model and wires the components between the guests and
+ * the NICs.  Everything after that -- the fault hooks, availability
+ * accounting, the report -- acts on whichever components exist.
  *
  * Usage:
- *   core::SystemConfig cfg;
- *   cfg.mode = core::IoMode::kCdna;
- *   cfg.numGuests = 4;
- *   core::System sys(cfg);
+ *   core::System sys(core::SystemConfig::cdna(4));
  *   core::Report r = sys.run(sim::milliseconds(50), sim::seconds(1));
  */
 
@@ -63,16 +66,17 @@
 
 namespace cdna::core {
 
-/** I/O virtualization architecture under test. */
-enum class IoMode { kNative, kXen, kCdna, kSwPassthrough };
+/**
+ * I/O virtualization architecture under test: who multiplexes the NIC,
+ * delivers its interrupts and protects its DMA.  Native, Xen/Intel and
+ * swpt drive Intel NICs; Xen/RiceNIC and CDNA drive CDNA NICs.
+ */
+enum class Arch { kNative, kXenIntel, kXenRice, kCdna, kSwpt };
 
 /** Transport model aliases, so configs read as `.transport(kTcp)`. */
 using net::transport::TransportKind;
 inline constexpr TransportKind kOpenLoop = TransportKind::kOpenLoop;
 inline constexpr TransportKind kTcp = TransportKind::kTcp;
-
-/** Physical NIC model. */
-enum class NicKind { kIntel, kRice };
 
 /**
  * System configuration.
@@ -89,8 +93,8 @@ enum class NicKind { kIntel, kRice };
  */
 struct SystemConfig
 {
-    IoMode mode = IoMode::kCdna;
-    NicKind nicKind = NicKind::kRice;
+    /** Set by the named constructors below. */
+    Arch arch = Arch::kCdna;
     std::uint32_t numGuests = 1;
     std::uint32_t numNics = 2;
     /** Hypervisor DMA protection + NIC seqno checks (CDNA). */
@@ -316,7 +320,7 @@ struct SystemConfig
 
     /**
      * The report label: the explicit label if set, otherwise derived
-     * from mode/direction/protection ("cdna/tx", "xen-intel/rx",
+     * from architecture/direction/protection ("cdna/tx", "xen-intel/rx",
      * "cdna/tx/noprot", ...) so it always matches the configuration.
      */
     std::string effectiveLabel() const;
@@ -401,14 +405,16 @@ class System
     net::Fabric &nicFabric(std::uint32_t i) { return *extFabrics_[i]; }
     /** MAC address of (guest, nic), offset into this host's MAC block. */
     net::MacAddr guestMac(std::uint32_t guest, std::uint32_t nic) const;
+    /** MAC address the driver domain sources from on NIC @p nic. */
+    net::MacAddr driverMac(std::uint32_t nic) const;
 
     vmm::Domain *driverDomain() { return driverDom_; }
     vmm::Domain *guestDomain(std::uint32_t g);
     CdnaGuestDriver *cdnaDriver(std::uint32_t guest, std::uint32_t nic);
 
-    /** Software-passthrough validator of NIC @p i (swPassthrough only). */
+    /** Software-passthrough validator of NIC @p i (swpt only). */
     vmm::SwptValidator *swptValidator(std::uint32_t i);
-    /** Software-passthrough guest driver (swPassthrough mode only). */
+    /** Software-passthrough guest driver (swpt only). */
     os::SwptDriver *swptDriver(std::uint32_t guest, std::uint32_t nic);
 
     /**
@@ -416,51 +422,52 @@ class System
      * 3.1): the driver is detached (its DMA pins dropped, making the
      * guest's pages reclaimable), pending NIC operations for the
      * context are shut down, and the context slot becomes reusable.
-     * CDNA mode only.
-     * @retval true the context existed and was revoked
+     * @retval true the guest had a CDNA context there and it was revoked
      */
     bool revokeGuestContext(std::uint32_t guest, std::uint32_t nic);
 
     /**
-     * Simulate a guest crash: revoke its context on every NIC (fault
-     * plans schedule this via FaultPlan::killingGuest), then silence
-     * the dead guest's software -- its apps stop, its stacks cancel
-     * every pending transport timer (RTO, delayed ACK), and its timer
-     * tick stops -- so no scheduled event can fire into the dead
-     * domain.  In swPassthrough mode the validator port is detached
-     * instead: queued descriptors are flushed and RX demux to the dead
-     * guest stops, while pages referenced by descriptors already on
-     * the NIC stay pinned until the device consumes them.  CDNA and
-     * swPassthrough modes.
+     * Simulate a guest crash (FaultPlan::killingGuest): cut the guest
+     * off every NIC, then silence the dead guest's software -- its apps
+     * stop, its stacks cancel every pending transport timer (RTO,
+     * delayed ACK), and its timer tick stops -- so no scheduled event
+     * can fire into the dead domain.  A guest's CDNA contexts are
+     * revoked; its swpt validator ports are detached instead: queued
+     * descriptors are flushed and RX demux to the dead guest stops,
+     * while pages referenced by descriptors already on the NIC stay
+     * pinned until the device consumes them.  A Xen or native guest
+     * owns neither, so the kill is a no-op there.
      * @retval true at least one context/port was revoked
      */
     bool killGuest(std::uint32_t guest);
 
     /**
-     * Crash the driver domain (FaultPlan::killingDriverDomain).  Under
-     * Xen the backends die -- every guest loses connectivity until the
+     * Crash the driver domain (FaultPlan::killingDriverDomain).  Its
+     * netbacks die -- every Xen guest loses connectivity until the
      * domain reboots (costs.driverDomainReboot) and the frontends
-     * reconnect; grant mappings held by the dead domain are revoked,
-     * with in-flight DMA targets quarantined until the drain delay
-     * passes.  Under CDNA the kill is control-plane only: guest
-     * datapaths never touch dom0, so traffic continues unaffected.
-     * Under swPassthrough the dom0-equivalent is the validator itself:
-     * it stalls (doorbells latch unprocessed, the shared NIC's RX ring
-     * runs dry) until the reboot delay passes and it restarts.
-     * @retval true the fault applied (false in native mode / already down)
+     * reconnect -- along with dom0's physical driver, and grant
+     * mappings held by the dead domain are revoked, with in-flight DMA
+     * targets quarantined until the drain delay passes.  CDNA guests
+     * never touch dom0, so for them the kill is control-plane only.
+     * swpt validators are the dom0-equivalent: they stall (doorbells
+     * latch unprocessed, the shared NIC's RX ring runs dry) until the
+     * reboot delay passes and they restart.
+     * @retval true the fault applied (false without a driver domain,
+     *         i.e. native, or when it is already down)
      */
     bool killDriverDomain();
     bool driverDomainDown() const { return driverDomainDown_; }
 
     /**
-     * Reboot NIC @p nic's firmware (FaultPlan::rebootingFirmware): all
-     * volatile firmware state is lost and per-context descriptor
-     * positions are reconciled against hypervisor-validated ring
-     * state; guest watchdogs re-ring lost doorbells without any other
-     * domain's involvement.  In swPassthrough mode this is a full
-     * device reset of the shared IntelNic: in-flight TX is dropped and
-     * the validator re-rings its shadow queue once the reboot delay
-     * passes.  CDNA NICs and swPassthrough Intel NICs.
+     * Reboot NIC @p nic's firmware (FaultPlan::rebootingFirmware).  A
+     * CDNA NIC loses all volatile firmware state and reconciles
+     * per-context descriptor positions against hypervisor-validated
+     * ring state; guest watchdogs re-ring lost doorbells without any
+     * other domain's involvement.  The Intel NIC behind a swpt
+     * validator gets a full device reset instead: in-flight TX is
+     * dropped and the validator re-rings its shadow queue once the
+     * reboot delay passes.
+     * @retval true NIC @p nic is a CDNA NIC or a swpt validator's NIC
      */
     bool rebootNicFirmware(std::uint32_t nic);
 
@@ -485,6 +492,7 @@ class System
     void setupAvailability();
     void restartDriverDomain();
     void registerGauges();
+    // One per architecture: the components between guests and NICs.
     void buildNative();
     void buildXen();
     void buildCdna();
@@ -492,9 +500,18 @@ class System
     /** Stack + app over guest @p g's device on NIC @p nic. */
     void addGuestPort(vmm::Domain &guest, os::NetDevice &dev,
                       std::uint32_t g, std::uint32_t nic);
-    /** 256-entry rings and a status page for @p cxt, in @p owner's memory. */
-    void setupContextRings(CdnaNic &nic, CdnaNic::ContextId cxt,
-                           mem::DomainId owner);
+    /**
+     * Give @p dom a fresh context on CDNA NIC @p nic (256-entry rings,
+     * a status page, an event channel, an IOMMU binding) and attach
+     * @p drv to it, first creating the driver as @p name if @p drv is
+     * empty.
+     */
+    CdnaGuestDriver &attachCdnaContext(std::uint32_t nic, vmm::Domain &dom,
+                                       net::MacAddr mac,
+                                       const std::string &name,
+                                       std::unique_ptr<CdnaGuestDriver> &drv);
+    /** Detach @p drv and revoke its context on CDNA NIC @p nic. */
+    void detachCdnaContext(std::uint32_t nic, CdnaGuestDriver &drv);
     void wireCdnaIsr(std::uint32_t nic_index);
     void startTimers();
     /** @p base prefixed with cfg_.namePrefix (shared-context naming). */
@@ -506,7 +523,7 @@ class System
     std::uint32_t
     guestsPerNic() const
     {
-        return cfg_.mode == IoMode::kNative ? 1 : cfg_.numGuests;
+        return static_cast<std::uint32_t>(guests_.size());
     }
     /** Index of (guest, nic) in the NIC-major per-port vectors. */
     std::size_t
@@ -545,22 +562,27 @@ class System
     std::vector<std::unique_ptr<nic::IntelNic>> intelNics_;
     std::vector<std::unique_ptr<CdnaNic>> cdnaNics_;
 
-    vmm::Domain *driverDom_ = nullptr;
+    vmm::Domain *driverDom_ = nullptr; // null under native
     std::vector<vmm::Domain *> guests_;
 
-    // Xen path
+    // Architecture-specific components: an architecture without one
+    // leaves its vector empty, and the fault hooks act on whichever
+    // exist.
+
+    // The native OS's or dom0's Intel drivers; dom0's CDNA drivers
+    // (Xen/RiceNIC) and netbacks (Xen).
     std::vector<std::unique_ptr<os::NativeDriver>> nativeDrivers_;
     std::vector<std::unique_ptr<CdnaGuestDriver>> drvDomCdnaDrivers_;
     std::vector<std::unique_ptr<os::DriverDomainNet>> ddns_;
 
-    // CDNA path: per-NIC channel table indexed by (virtual) context id
+    // CDNA NICs: per-NIC channel table indexed by (virtual) context id
     std::vector<std::vector<vmm::EventChannel *>> cxtChannels_;
     // Per-NIC context pagers (oversubscription only; else empty).
     std::vector<std::unique_ptr<ContextPager>> pagers_;
     std::vector<std::unique_ptr<CdnaGuestDriver>> guestCdnaDrivers_;
 
-    // swPassthrough path: one validator per NIC, one driver per
-    // (guest, nic) in the same NIC-major order as guestDevs_.
+    // swpt: one validator per NIC, one driver per (guest, nic) in the
+    // same NIC-major order as guestDevs_.
     std::vector<std::unique_ptr<vmm::SwptValidator>> swptValidators_;
     std::vector<std::unique_ptr<os::SwptDriver>> swptDrivers_;
 

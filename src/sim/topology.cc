@@ -61,10 +61,7 @@ Topology::addHost(core::SystemConfig cfg, std::vector<net::Fabric *> fabrics)
         std::uint32_t port = sys.nicPort(i).index();
         for (std::uint32_t g = 0; g < cfg.numGuests; ++g)
             routeOnSwitch(fab, sys.guestMac(g, i), port);
-        routeOnSwitch(fab,
-                      net::MacAddr::fromId(cfg.hostId * 0x00100000u +
-                                           0x020000u + i),
-                      port);
+        routeOnSwitch(fab, sys.driverMac(i), port);
     }
     return sys;
 }

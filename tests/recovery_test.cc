@@ -350,16 +350,6 @@ TEST_F(AvailabilityUnit, OpenOutageCountsElapsedSpan)
     EXPECT_TRUE(avail.anyDowntime());
 }
 
-TEST_F(AvailabilityUnit, LostPacketsAccumulatePerGuest)
-{
-    avail.noteLost(0);
-    avail.noteLost(0, 3);
-    avail.noteLost(1);
-    avail.noteLost(99); // out of range: ignored, not fatal
-    EXPECT_EQ(avail.lost(0), 4u);
-    EXPECT_EQ(avail.lost(1), 1u);
-}
-
 // ------------------------------------------- CLI / fault plan -------
 
 namespace {
