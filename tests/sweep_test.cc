@@ -504,16 +504,22 @@ readGolden(const std::string &file)
     return ss.str();
 }
 
-/** Run one preset cell at seed 1 the way the sweep runner executes it. */
+/**
+ * Run one preset cell at seed 1 the way the sweep runner executes it,
+ * with @p faults (when not empty) added to the cell's config.
+ */
 std::string
-presetCellJson(const std::string &preset, const std::string &cell)
+presetCellJson(const std::string &preset, const std::string &cell,
+               const core::FaultPlan &faults = {})
 {
     auto spec = sim::presets::byName(preset);
     if (!spec)
         return "no preset " + preset;
-    for (const sim::RunPoint &point : spec->expand()) {
+    for (sim::RunPoint point : spec->expand()) {
         if (point.cell != cell || point.seed != 1)
             continue;
+        if (!faults.empty())
+            point.config.withFaults(faults);
         if (spec->runnerFn()) {
             std::map<std::string, double> extra;
             return core::reportToJson(spec->runnerFn()(point, extra));
@@ -548,6 +554,7 @@ TEST(ReportGolden, PresetCellsMatchFullDocuments)
          "latency-cdna-load10k-healthy.json"},
         {"availability", "xen/domkill", "availability-xen-domkill.json"},
         {"incast", "cdna/f8/buf32k", "incast-cdna-f8-buf32k.json"},
+        {"iommu", "perdevice", "iommu-perdevice.json"},
     };
     for (const Case &c : cases) {
         std::string golden = readGolden(c.file);
@@ -573,6 +580,52 @@ TEST(ReportGolden, AvailabilityCellsMatchFullDocuments)
         ASSERT_FALSE(golden.empty()) << file;
         EXPECT_EQ(presetCellJson("availability", cell), golden) << file;
     }
+}
+
+/**
+ * Device and wire branches no other golden reaches: IOMMU-refused RX
+ * completions, a firmware watchdog reset with mailbox timeouts and ring
+ * resyncs, and the duplicate and corrupt branches of a link and of a
+ * switch ingress port.
+ */
+TEST(ReportGolden, DeviceAndWireFaultPathsMatchFullDocuments)
+{
+    const core::FaultPlan dup_corrupt =
+        core::FaultPlan{}.duplicating(0.01).corrupting(0.01);
+    struct Case
+    {
+        const char *file;
+        core::SystemConfig cfg;
+        sim::Time measure;
+    };
+    const Case cases[] = {
+        {"iommu-perdevice-rx.json",
+         core::SystemConfig::cdna(2).receive().withProtection(false).withIommu(
+             mem::Iommu::Mode::kPerDevice),
+         sim::milliseconds(400)},
+        {"fwstall-cdna-rx.json",
+         core::SystemConfig::cdna(2).receive().withFaults(
+             core::FaultPlan{}.stallingFirmware(0, 150, 5)),
+         sim::milliseconds(300)},
+        {"tcp-dupcorrupt-cdna.json",
+         core::SystemConfig::cdna(1).transport(core::kTcp).withFaults(
+             dup_corrupt),
+         sim::milliseconds(300)},
+    };
+    for (const Case &c : cases) {
+        std::string golden = readGolden(c.file);
+        ASSERT_FALSE(golden.empty()) << c.file;
+        core::System sys(c.cfg);
+        // Every NIC bound to guest 0, as the iommu preset's setup does.
+        for (std::uint32_t i = 0; sys.iommu() && i < sys.nicCount(); ++i)
+            sys.iommu()->bindDevice(i, sys.guestDomain(0)->id());
+        EXPECT_EQ(core::reportToJson(sys.run(sim::milliseconds(100), c.measure)),
+                  golden)
+            << c.file;
+    }
+    std::string golden = readGolden("incast-cdna-f8-buf32k-dupcorrupt.json");
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(presetCellJson("incast", "cdna/f8/buf32k", dup_corrupt), golden);
 }
 
 /** Guest kill under TCP: CDNA context revocation and swpt port detach. */
