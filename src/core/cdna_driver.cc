@@ -28,16 +28,6 @@ CdnaGuestDriver::CdnaGuestDriver(sim::SimContext &ctx, std::string name,
 {
 }
 
-std::uint64_t
-CdnaGuestDriver::sgPages(const mem::SgList &sg) const
-{
-    std::uint64_t n = 0;
-    for (const auto &e : sg)
-        n += mem::pageOf(e.addr + (e.len ? e.len - 1 : 0)) -
-             mem::pageOf(e.addr) + 1;
-    return n;
-}
-
 void
 CdnaGuestDriver::rebind(CdnaNic::ContextId cxt)
 {
@@ -169,7 +159,7 @@ CdnaGuestDriver::flush()
 
     std::uint64_t pages = 0;
     for (const auto &p : txBacklog_)
-        pages += sgPages(p.hostSg);
+        pages += mem::sgPages(p.hostSg);
     sim::Time cost =
         static_cast<sim::Time>(txBacklog_.size()) * costs_.cdnaDrvTxPerPacket +
         static_cast<sim::Time>(pages) * costs_.cdnaTranslatePerPage +

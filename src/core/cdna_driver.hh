@@ -95,7 +95,6 @@ class CdnaGuestDriver : public sim::SimObject, public os::NetDevice
     void flushRxRefills();
     void armWatchdog();
     void fireWatchdog();
-    std::uint64_t sgPages(const mem::SgList &sg) const;
 
     vmm::Domain &dom_;
     CdnaNic &nic_;

@@ -8,26 +8,6 @@
 
 namespace cdna::core {
 
-namespace {
-
-/** Prefix of a scatter/gather list covering @p bytes. */
-mem::SgList
-sgPrefix(const mem::SgList &sg, std::uint64_t bytes)
-{
-    mem::SgList out;
-    for (const auto &e : sg) {
-        if (bytes == 0)
-            break;
-        auto take = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(e.len, bytes));
-        out.push_back({e.addr, take});
-        bytes -= take;
-    }
-    return out;
-}
-
-} // namespace
-
 CdnaNic::CdnaNic(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
                  mem::PhysMemory &mem, mem::DeviceId dev, net::Fabric &fabric,
                  CdnaNicParams params)
@@ -214,38 +194,7 @@ CdnaNic::rebootFirmware(sim::Time down_time, sim::Time reconcile_per_cxt)
         if (!c.resident)
             continue; // paged out: state lives in host memory, untouched
         ++live;
-        c.txReady.clear();
-        c.rxReady.clear();
-        c.inTxArb = false;
-        c.txFetchBusy = false;
-        c.rxFetchBusy = false;
-        // Reconcile against the hypervisor-validated descriptor state.
-        // Descriptors the dead image had detached for transmission but
-        // whose completions were lost form a contiguous prefix above
-        // the consumed boundary (the arbiter drains in order); the new
-        // image reads back the DMA engine's completion records and
-        // retires them rather than re-transmitting payload it no
-        // longer has.
-        if (c.txRing) {
-            while (c.txConsumer != c.txFetched &&
-                   !c.txRing->hasPacket(c.txConsumer)) {
-                ++c.txConsumer;
-                ++c.txDone64;
-            }
-        }
-        // Roll the fetch horizon back to the consumed boundary and
-        // realign the expected sequence numbers with the hypervisor's
-        // stamping (descriptor i carries seqno i+1).  The counts are
-        // free-running 32-bit indices while the hypervisor stamps from
-        // a 64-bit stream, so realignment must use the 64-bit
-        // completion shadows -- truncating through the 32-bit consumer
-        // desynchronizes the seqno check after 2^32 descriptors.  The
-        // producer doorbells were volatile: guests' watchdogs re-ring.
-        c.txProducer = c.txFetched = c.txConsumer;
-        c.txNextSeqno = c.txDone64 + 1;
-        c.rxProducer = c.rxFetched = c.rxConsumer;
-        c.rxNextSeqno = c.rxDone64 + 1;
-        scheduleWriteback(id);
+        reconcileContext(id);
     }
 
     // The new image's first job walks the context table.
@@ -256,6 +205,43 @@ CdnaNic::rebootFirmware(sim::Time down_time, sim::Time reconcile_per_cxt)
 }
 
 void
+CdnaNic::reconcileContext(ContextId id)
+{
+    // Reconcile against the hypervisor-validated descriptor state, after
+    // a firmware reboot lost the context's volatile state or a page-in
+    // restored it.  Descriptors whose payload was detached for
+    // transmission but whose completions were lost form a contiguous
+    // prefix above the consumed boundary (the arbiter drains in order);
+    // the firmware reads back the DMA engine's completion records and
+    // retires them rather than re-transmitting payload it no longer has.
+    Context &c = cxt(id);
+    if (c.tx.ring) {
+        while (c.tx.consumer != c.tx.fetched &&
+               !c.tx.ring->hasPacket(c.tx.consumer)) {
+            ++c.tx.consumer;
+            ++c.tx.done64;
+        }
+    }
+    // Roll the fetch horizon back to the consumed boundary and realign
+    // the expected sequence numbers with the hypervisor's stamping
+    // (descriptor i carries seqno i+1).  The counts are free-running
+    // 32-bit indices while the hypervisor stamps from a 64-bit stream,
+    // so realignment must use the 64-bit completion shadows --
+    // truncating through the 32-bit consumer desynchronizes the seqno
+    // check after 2^32 descriptors.  Producer doorbells are not part of
+    // the reconciled state: the guests' watchdogs (after a reboot) or
+    // the pager's doorbell replay (after a page-in) re-ring them.
+    for (Queue *q : {&c.tx, &c.rx}) {
+        q->ready.clear();
+        q->fetchBusy = false;
+        q->producer = q->fetched = q->consumer;
+        q->nextSeqno = q->done64 + 1;
+    }
+    c.inTxArb = false;
+    scheduleWriteback(id);
+}
+
+void
 CdnaNic::configureContextRings(ContextId id, std::uint32_t tx_entries,
                                mem::PhysAddr tx_base,
                                std::uint32_t rx_entries,
@@ -263,8 +249,8 @@ CdnaNic::configureContextRings(ContextId id, std::uint32_t tx_entries,
 {
     Context &c = cxt(id);
     SIM_ASSERT(c.allocated, "configuring unallocated context");
-    c.txRing.emplace(tx_entries, tx_base);
-    c.rxRing.emplace(rx_entries, rx_base);
+    c.tx.ring.emplace(tx_entries, tx_base);
+    c.rx.ring.emplace(rx_entries, rx_base);
 }
 
 void
@@ -388,10 +374,10 @@ CdnaNic::pageOutContext(ContextId id, std::function<void()> done)
     // back to the consumed boundary at page-in, so nothing is lost --
     // while in-flight datapath operations drain to their completion
     // records before the slot is surrendered.
-    c.txReady.clear();
-    c.rxReady.clear();
-    c.txFetchBusy = false;
-    c.rxFetchBusy = false;
+    for (Queue *q : {&c.tx, &c.rx}) {
+        q->ready.clear();
+        q->fetchBusy = false;
+    }
     auto it = std::find(txArb_.begin(), txArb_.end(), id);
     if (it != txArb_.end())
         txArb_.erase(it);
@@ -412,28 +398,9 @@ CdnaNic::pageInContext(ContextId id)
     SIM_ASSERT(slot >= 0, "page-in with no free slot");
     claimSlot(id, static_cast<std::uint32_t>(slot));
     nCxtPageIns_.inc();
-    // Reconcile the restored slot against the hypervisor-validated ring
-    // state, exactly as firmware-reboot reconciliation does: retire
-    // completion records, roll the fetch horizon back to the consumed
-    // boundary, and realign the expected sequence numbers from the
-    // 64-bit completion counts (descriptor i carries seqno i+1).
-    if (c.txRing) {
-        while (c.txConsumer != c.txFetched &&
-               !c.txRing->hasPacket(c.txConsumer)) {
-            ++c.txConsumer;
-            ++c.txDone64;
-        }
-    }
-    c.txProducer = c.txFetched = c.txConsumer;
-    c.txNextSeqno = c.txDone64 + 1;
-    c.rxProducer = c.rxFetched = c.rxConsumer;
-    c.rxNextSeqno = c.rxDone64 + 1;
-    c.txFetchBusy = false;
-    c.rxFetchBusy = false;
-    c.inTxArb = false;
     c.trafficScore = 0;
     touchActivity(c);
-    scheduleWriteback(id);
+    reconcileContext(id);
 }
 
 void
@@ -461,14 +428,13 @@ CdnaNic::seedContextCounters(ContextId id, std::uint32_t tx_base,
     SIM_ASSERT(static_cast<std::uint32_t>(tx_done64) == tx_base &&
                    static_cast<std::uint32_t>(rx_done64) == rx_base,
                "done64 low bits must match the 32-bit base");
-    c.txProducer = c.txFetched = c.txConsumer = c.txConsumerHost =
-        tx_base;
-    c.txDone64 = tx_done64;
-    c.txNextSeqno = tx_done64 + 1;
-    c.rxProducer = c.rxFetched = c.rxUsed = c.rxConsumer =
-        c.rxConsumerHost = rx_base;
-    c.rxDone64 = rx_done64;
-    c.rxNextSeqno = rx_done64 + 1;
+    auto seed = [](Queue &q, std::uint32_t base, std::uint64_t done64) {
+        q.producer = q.fetched = q.consumer = q.consumerHost = base;
+        q.done64 = done64;
+        q.nextSeqno = done64 + 1;
+    };
+    seed(c.tx, tx_base, tx_done64);
+    seed(c.rx, rx_base, rx_done64);
 }
 
 void
@@ -560,114 +526,50 @@ CdnaNic::handleMailbox(ContextId id, std::uint32_t mbox)
     Context &c = cxt(id);
     if (!c.allocated || c.faulted || !c.resident || c.pagingOut)
         return;
-    switch (mbox) {
-      case nic::kMboxTxProducer:
-        c.txProducer = c.mailboxes.read(mbox);
-        startTxFetch(id);
-        break;
-      case nic::kMboxRxProducer:
-        c.rxProducer = c.mailboxes.read(mbox);
-        startRxFetch(id);
-        break;
-      default:
-        break; // control mailboxes: nothing to do in this model
-    }
+    // Only the producer mailboxes do anything in this model.
+    if (mbox != nic::kMboxTxProducer && mbox != nic::kMboxRxProducer)
+        return;
+    bool is_tx = mbox == nic::kMboxTxProducer;
+    c.queue(is_tx).producer = c.mailboxes.read(mbox);
+    startFetch(id, is_tx);
 }
 
 void
-CdnaNic::startTxFetch(ContextId id)
+CdnaNic::startFetch(ContextId id, bool is_tx)
 {
     Context &c = cxt(id);
-    if (c.txFetchBusy || c.faulted || !c.txRing || !c.resident ||
-        c.pagingOut)
+    if (c.faulted || !c.resident || c.pagingOut)
         return;
-    std::uint32_t avail = c.txProducer - c.txFetched;
-    if (avail == 0)
+    std::optional<nic::DescFetch> f =
+        c.queue(is_tx).beginFetch(params_.fetchBatch);
+    if (!f)
         return;
-    std::uint32_t n = std::min({avail, params_.fetchBatch,
-                                c.txRing->size()});
-    c.txFetchBusy = true;
-
-    mem::SgList sg;
-    std::uint32_t first_slot = c.txRing->slotOf(c.txFetched);
-    std::uint32_t till_wrap = std::min(n, c.txRing->size() - first_slot);
-    sg.push_back({c.txRing->slotAddr(c.txFetched),
-                  till_wrap * nic::kDescBytes});
-    if (till_wrap < n)
-        sg.push_back({c.txRing->slotAddr(c.txFetched + till_wrap),
-                      (n - till_wrap) * nic::kDescBytes});
-
-    std::uint32_t first = c.txFetched;
     std::uint64_t ep = fw_.epoch();
     std::uint64_t cep = c.cxtEpoch;
-    dma_.read(sg, c.dom, id, [this, id, first, n, ep,
-                              cep](mem::DmaResult) {
+    dma_.read(f->sg, c.dom, id,
+              [this, id, is_tx, first = f->first, n = f->count, ep,
+               cep](mem::DmaResult) {
         if (ep != fw_.epoch())
             return; // firmware rebooted mid-fetch; the new image refetches
         Context &cc = cxt(id);
         if (!cc.allocated || cc.cxtEpoch != cep)
             return; // revoked or paged out mid-fetch
-        cc.txFetchBusy = false;
-        cc.txFetched = first + n;
-        fw_.exec(n * params_.fwPerDescriptor, [this, id, first, n, ep,
-                                               cep] {
+        Queue &q = cc.queue(is_tx);
+        q.fetchBusy = false;
+        q.fetched = first + n;
+        fw_.exec(n * params_.fwPerDescriptor,
+                 [this, id, is_tx, first, n, ep, cep] {
             if (ep != fw_.epoch() || cxt(id).cxtEpoch != cep)
                 return;
-            validateFetched(id, true, first, n);
+            validateFetched(id, is_tx, first, n);
         });
-        startTxFetch(id);
-    });
-}
-
-void
-CdnaNic::startRxFetch(ContextId id)
-{
-    Context &c = cxt(id);
-    if (c.rxFetchBusy || c.faulted || !c.rxRing || !c.resident ||
-        c.pagingOut)
-        return;
-    std::uint32_t avail = c.rxProducer - c.rxFetched;
-    if (avail == 0)
-        return;
-    std::uint32_t n = std::min({avail, params_.fetchBatch,
-                                c.rxRing->size()});
-    c.rxFetchBusy = true;
-
-    mem::SgList sg;
-    std::uint32_t first_slot = c.rxRing->slotOf(c.rxFetched);
-    std::uint32_t till_wrap = std::min(n, c.rxRing->size() - first_slot);
-    sg.push_back({c.rxRing->slotAddr(c.rxFetched),
-                  till_wrap * nic::kDescBytes});
-    if (till_wrap < n)
-        sg.push_back({c.rxRing->slotAddr(c.rxFetched + till_wrap),
-                      (n - till_wrap) * nic::kDescBytes});
-
-    std::uint32_t first = c.rxFetched;
-    std::uint64_t ep = fw_.epoch();
-    std::uint64_t cep = c.cxtEpoch;
-    dma_.read(sg, c.dom, id, [this, id, first, n, ep,
-                              cep](mem::DmaResult) {
-        if (ep != fw_.epoch())
-            return;
-        Context &cc = cxt(id);
-        if (!cc.allocated || cc.cxtEpoch != cep)
-            return;
-        cc.rxFetchBusy = false;
-        cc.rxFetched = first + n;
-        fw_.exec(n * params_.fwPerDescriptor, [this, id, first, n, ep,
-                                               cep] {
-            if (ep != fw_.epoch() || cxt(id).cxtEpoch != cep)
-                return;
-            validateFetched(id, false, first, n);
-        });
-        startRxFetch(id);
+        startFetch(id, is_tx);
     });
 }
 
 bool
-CdnaNic::checkSeqno(Context &c, std::uint64_t seqno, std::uint64_t *next)
+CdnaNic::checkSeqno(std::uint64_t seqno, std::uint64_t *next)
 {
-    (void)c;
     std::uint64_t expected = *next;
     if (params_.seqnoModulus != 0)
         expected %= params_.seqnoModulus;
@@ -684,17 +586,16 @@ CdnaNic::validateFetched(ContextId id, bool is_tx, std::uint32_t first,
     Context &c = cxt(id);
     if (!c.allocated || c.faulted || !c.resident || c.pagingOut)
         return;
-    nic::DescRing &ring = is_tx ? *c.txRing : *c.rxRing;
-    std::uint64_t *next = is_tx ? &c.txNextSeqno : &c.rxNextSeqno;
+    Queue &q = c.queue(is_tx);
     for (std::uint32_t i = 0; i < count; ++i) {
         std::uint32_t pos = first + i;
-        const nic::DmaDescriptor &desc = ring.at(pos);
+        const nic::DmaDescriptor &desc = q.ring->at(pos);
         if (params_.seqnoCheck &&
-            (!desc.valid() || !checkSeqno(c, desc.seqno, next))) {
+            (!desc.valid() || !checkSeqno(desc.seqno, &q.nextSeqno))) {
             enterFault(id, vmm::Fault::kBadSeqno);
             return;
         }
-        (is_tx ? c.txReady : c.rxReady).push_back(pos);
+        q.ready.push_back(pos);
     }
     if (is_tx)
         enqueueTxArb(id);
@@ -705,8 +606,8 @@ CdnaNic::enterFault(ContextId id, vmm::Fault f)
 {
     Context &c = cxt(id);
     c.faulted = true;
-    c.txReady.clear();
-    c.rxReady.clear();
+    c.tx.ready.clear();
+    c.rx.ready.clear();
     if (f == vmm::Fault::kBadSeqno)
         nSeqnoFaults_.inc();
     log_.warn("context %u fault: %s", id, vmm::faultName(f));
@@ -718,7 +619,7 @@ void
 CdnaNic::enqueueTxArb(ContextId id)
 {
     Context &c = cxt(id);
-    if (c.inTxArb || c.txReady.empty() || c.faulted || !c.resident ||
+    if (c.inTxArb || c.tx.ready.empty() || c.faulted || !c.resident ||
         c.pagingOut)
         return;
     c.inTxArb = true;
@@ -733,25 +634,25 @@ CdnaNic::pumpTx()
         return;
     ContextId id = txArb_.front();
     Context &c = cxt(id);
-    if (!c.allocated || c.faulted || c.txReady.empty()) {
+    if (!c.allocated || c.faulted || c.tx.ready.empty()) {
         txArb_.pop_front();
         c.inTxArb = false;
         pumpTx();
         return;
     }
-    std::uint32_t pos = c.txReady.front();
-    const nic::DmaDescriptor desc = c.txRing->at(pos);
-    auto pkt_opt = c.txRing->detachPacket(pos);
+    std::uint32_t pos = c.tx.ready.front();
+    const nic::DmaDescriptor desc = c.tx.ring->at(pos);
+    auto pkt_opt = c.tx.ring->detachPacket(pos);
     std::uint64_t bytes = pkt_opt ? pkt_opt->payloadBytes : desc.len();
     if (bytes == 0)
         bytes = 64; // minimum frame from a degenerate descriptor
     if (!txBuf_.tryReserve(bytes)) {
         if (pkt_opt)
-            c.txRing->attachPacket(pos, std::move(*pkt_opt));
+            c.tx.ring->attachPacket(pos, std::move(*pkt_opt));
         txWaitingBuffer_ = true;
         return;
     }
-    c.txReady.pop_front();
+    c.tx.ready.pop_front();
     txArb_.pop_front();
     txDataBusy_ = true;
     ++c.inflight; // page-out quiesce waits for this op to settle
@@ -760,12 +661,12 @@ CdnaNic::pumpTx()
 
     // Fair interleave: rotate the context to the arbiter tail while this
     // packet streams in, so other contexts transmit between its packets.
-    if (!c.txReady.empty())
+    if (!c.tx.ready.empty())
         txArb_.push_back(id);
     else
         c.inTxArb = false;
-    if (c.txFetched - c.txConsumer < params_.fetchBatch)
-        startTxFetch(id);
+    if (c.tx.fetched - c.tx.consumer < params_.fetchBatch)
+        startFetch(id, /*is_tx=*/true);
 
     net::Packet pkt;
     if (pkt_opt) {
@@ -799,14 +700,7 @@ CdnaNic::pumpTx()
                 // transmit.  Complete the descriptor without a frame.
                 nIommuDrops_.inc();
                 txBuf_.release(bytes);
-                Context &cc = cxt(id);
-                if (cc.allocated) {
-                    ++cc.txConsumer;
-                    ++cc.txDone64;
-                    scheduleWriteback(id);
-                    noteContextUpdate(id);
-                }
-                noteInflightDone(id);
+                completeDescriptor(id, /*is_tx=*/true);
                 if (std::exchange(txWaitingBuffer_, false))
                     pumpTx();
                 pumpTx();
@@ -818,14 +712,7 @@ CdnaNic::pumpTx()
                 if (ep != fw_.epoch())
                     return; // completion record reconciled at reboot
                 txBuf_.release(bytes);
-                Context &cc = cxt(id);
-                if (cc.allocated) {
-                    ++cc.txConsumer;
-                    ++cc.txDone64;
-                    scheduleWriteback(id);
-                    noteContextUpdate(id);
-                }
-                noteInflightDone(id);
+                completeDescriptor(id, /*is_tx=*/true);
                 if (std::exchange(txWaitingBuffer_, false))
                     pumpTx();
             });
@@ -858,9 +745,9 @@ CdnaNic::receiveFrame(net::Packet pkt)
         nRxDropFilter_.inc();
         return;
     }
-    if (c.rxReady.empty()) {
+    if (c.rx.ready.empty()) {
         nRxDropNoDesc_.inc();
-        startRxFetch(id);
+        startFetch(id, /*is_tx=*/false);
         return;
     }
     std::uint64_t bytes = pkt.payloadBytes;
@@ -868,14 +755,14 @@ CdnaNic::receiveFrame(net::Packet pkt)
         nRxDropNoBuf_.inc();
         return;
     }
-    std::uint32_t pos = c.rxReady.front();
-    c.rxReady.pop_front();
+    std::uint32_t pos = c.rx.ready.front();
+    c.rx.ready.pop_front();
     ++c.inflight;
     ++c.trafficScore;
     touchActivity(c);
-    if (c.rxReady.size() < params_.fetchBatch / 2)
-        startRxFetch(id);
-    const nic::DmaDescriptor desc = c.rxRing->at(pos);
+    if (c.rx.ready.size() < params_.fetchBatch / 2)
+        startFetch(id, /*is_tx=*/false);
+    const nic::DmaDescriptor desc = c.rx.ring->at(pos);
 
     std::uint64_t ep = fw_.epoch();
     fw_.exec(params_.fwPerPacket,
@@ -883,7 +770,7 @@ CdnaNic::receiveFrame(net::Packet pkt)
               pkt = std::move(pkt)]() mutable {
         if (ep != fw_.epoch())
             return; // firmware rebooted: frame lost with the old image
-        mem::SgList sg = sgPrefix(desc.sg, bytes + net::kTcpIpHeader);
+        mem::SgList sg = mem::sgPrefix(desc.sg, bytes + net::kTcpIpHeader);
         Context &cc = cxt(id);
         dma_.write(sg, cc.dom, id,
                    [this, id, pos, bytes, ep,
@@ -892,42 +779,41 @@ CdnaNic::receiveFrame(net::Packet pkt)
                 return;
             rxBuf_.release(bytes);
             Context &ccc = cxt(id);
-            if (!ccc.allocated) {
-                noteInflightDone(id);
-                return;
-            }
-            if (dr.blockedPages > 0) {
+            if (ccc.allocated && dr.blockedPages > 0) {
                 // IOMMU refused the buffer write: the frame is lost,
                 // but the descriptor is consumed.
                 nIommuDrops_.inc();
-                ++ccc.rxConsumer;
-                ++ccc.rxDone64;
-                scheduleWriteback(id);
-                noteContextUpdate(id);
-                noteInflightDone(id);
-                return;
+            } else if (ccc.allocated) {
+                nRxPackets_.inc();
+                ccc.rxDeliveries.push_back(RxDelivery{pos, std::move(pkt)});
             }
-            nRxPackets_.inc();
-            ccc.rxDeliveries.push_back(RxDelivery{pos, std::move(pkt)});
-            ++ccc.rxConsumer;
-            ++ccc.rxDone64;
-            scheduleWriteback(id);
-            noteContextUpdate(id);
-            noteInflightDone(id);
+            completeDescriptor(id, /*is_tx=*/false);
         });
     });
 }
 
-std::uint32_t
-CdnaNic::txConsumer(ContextId id) const
+void
+CdnaNic::completeDescriptor(ContextId id, bool is_tx)
 {
-    return cxt(id).txConsumerHost;
+    // The descriptor's datapath op is done: retire it and publish the
+    // completion (status write-back plus an interrupt bit-vector
+    // update) unless the context was revoked meanwhile.
+    Context &c = cxt(id);
+    if (c.allocated) {
+        Queue &q = c.queue(is_tx);
+        ++q.consumer;
+        ++q.done64;
+        scheduleWriteback(id);
+        noteContextUpdate(id);
+    }
+    noteInflightDone(id);
 }
 
 std::uint32_t
-CdnaNic::rxConsumer(ContextId id) const
+CdnaNic::consumer(ContextId id, bool is_tx) const
 {
-    return cxt(id).rxConsumerHost;
+    const Context &c = cxt(id);
+    return (is_tx ? c.tx : c.rx).consumerHost;
 }
 
 std::vector<CdnaNic::RxDelivery>
@@ -937,19 +823,11 @@ CdnaNic::drainRx(ContextId id)
 }
 
 nic::DescRing &
-CdnaNic::txRing(ContextId id)
+CdnaNic::ring(ContextId id, bool is_tx)
 {
-    Context &c = cxt(id);
-    SIM_ASSERT(c.txRing.has_value(), "TX ring not configured");
-    return *c.txRing;
-}
-
-nic::DescRing &
-CdnaNic::rxRing(ContextId id)
-{
-    Context &c = cxt(id);
-    SIM_ASSERT(c.rxRing.has_value(), "RX ring not configured");
-    return *c.rxRing;
+    Queue &q = cxt(id).queue(is_tx);
+    SIM_ASSERT(q.ring.has_value(), "descriptor ring not configured");
+    return *q.ring;
 }
 
 void
@@ -958,8 +836,8 @@ CdnaNic::scheduleWriteback(ContextId id)
     Context &c = cxt(id);
     if (c.statusAddr == 0) {
         // No status page configured (unit tests): publish immediately.
-        c.txConsumerHost = c.txConsumer;
-        c.rxConsumerHost = c.rxConsumer;
+        c.tx.consumerHost = c.tx.consumer;
+        c.rx.consumerHost = c.rx.consumer;
         return;
     }
     if (c.wbBusy) {
@@ -973,8 +851,8 @@ CdnaNic::scheduleWriteback(ContextId id)
         cc.wbBusy = false;
         if (!cc.allocated)
             return;
-        cc.txConsumerHost = cc.txConsumer;
-        cc.rxConsumerHost = cc.rxConsumer;
+        cc.tx.consumerHost = cc.tx.consumer;
+        cc.rx.consumerHost = cc.rx.consumer;
         if (std::exchange(cc.wbAgain, false))
             scheduleWriteback(id);
     });

@@ -14,6 +14,12 @@
  *  - interrupt bit vectors DMA'd into a hypervisor circular buffer
  *    before each physical interrupt (§3.2).
  *
+ * Each context's TX and RX rings are two instances of one queue (the
+ * nic::DescQueue cursor plus the sequence-number and completion state
+ * CDNA adds), driven by one path in both directions: startFetch(),
+ * validateFetched() and completeDescriptor().  A firmware reboot and a
+ * context page-in both end in the one reconcileContext().
+ *
  * With a single context assigned to the driver domain this device also
  * serves as the paper's "Xen / RiceNIC" software-virtualization
  * baseline.
@@ -193,10 +199,10 @@ class CdnaNic : public nic::NicBase
 
     /**
      * Restore @p cxt into a free physical slot and reconcile its ring
-     * state against the hypervisor-validated view, exactly as
-     * firmware-reboot reconciliation does: the fetch horizon rolls back
-     * to the consumed boundary and the expected sequence numbers are
-     * realigned from the 64-bit completion counts.
+     * state against the hypervisor-validated view with the routine a
+     * firmware reboot uses: the fetch horizon rolls back to the consumed
+     * boundary and the expected sequence numbers are realigned from the
+     * 64-bit completion counts.
      */
     void pageInContext(ContextId cxt);
 
@@ -257,16 +263,29 @@ class CdnaNic : public nic::NicBase
     void pioWriteMailbox(ContextId cxt, std::uint32_t mbox,
                          std::uint32_t value);
 
-    /** Host-visible TX consumer count (as last DMA'd to the guest). */
-    std::uint32_t txConsumer(ContextId cxt) const;
-    /** Host-visible RX consumer count. */
-    std::uint32_t rxConsumer(ContextId cxt) const;
+    /**
+     * Host-visible consumer count of @p cxt's TX (@p is_tx) or RX ring,
+     * as last DMA'd to the guest.
+     */
+    std::uint32_t consumer(ContextId cxt, bool is_tx) const;
+    std::uint32_t
+    txConsumer(ContextId cxt) const
+    {
+        return consumer(cxt, true);
+    }
+    std::uint32_t
+    rxConsumer(ContextId cxt) const
+    {
+        return consumer(cxt, false);
+    }
 
     /** Guest driver pulls delivered frames for @p cxt. */
     std::vector<RxDelivery> drainRx(ContextId cxt);
 
-    nic::DescRing &txRing(ContextId cxt);
-    nic::DescRing &rxRing(ContextId cxt);
+    /** @p cxt's TX (@p is_tx) or RX descriptor ring. */
+    nic::DescRing &ring(ContextId cxt, bool is_tx);
+    nic::DescRing &txRing(ContextId cxt) { return ring(cxt, true); }
+    nic::DescRing &rxRing(ContextId cxt) { return ring(cxt, false); }
 
     const CdnaNicParams &params() const { return params_; }
 
@@ -292,6 +311,15 @@ class CdnaNic : public nic::NicBase
     void receiveFrame(net::Packet pkt) override;
 
   private:
+    /** One direction of a context: the ring cursor plus what CDNA adds. */
+    struct Queue : nic::DescQueue
+    {
+        std::uint32_t consumerHost = 0; //!< consumer as the host sees it
+        std::uint64_t done64 = 0;       //!< 64-bit shadow of consumer
+        std::uint64_t nextSeqno = 1;    //!< expected of the next fetched
+        std::deque<std::uint32_t> ready; //!< validated, not yet used
+    };
+
     struct Context
     {
         bool allocated = false;
@@ -299,8 +327,6 @@ class CdnaNic : public nic::NicBase
         mem::DomainId dom = mem::kDomInvalid;
         net::MacAddr mac;
         nic::MailboxPage mailboxes;
-        std::optional<nic::DescRing> txRing;
-        std::optional<nic::DescRing> rxRing;
         mem::PhysAddr statusAddr = 0;
 
         // Virtual-context residency.  With oversubscription disabled
@@ -312,31 +338,15 @@ class CdnaNic : public nic::NicBase
         std::uint64_t cxtEpoch = 0;  //!< bumped at page-out: cancels
                                      //!< the old slot's fetch chains
         std::uint32_t inflight = 0;  //!< datapath ops claimed, not done
-        std::uint64_t txDone64 = 0;  //!< 64-bit shadow of txConsumer
-        std::uint64_t rxDone64 = 0;  //!< 64-bit shadow of rxConsumer
         sim::Time lastActive = 0;
         std::uint64_t trafficScore = 0; //!< packets since last page-in
         std::function<void()> pageOutDone;
 
-        // TX (free-running indices)
-        std::uint32_t txProducer = 0;
-        std::uint32_t txFetched = 0;
-        std::uint32_t txConsumer = 0;     //!< transmitted
-        std::uint32_t txConsumerHost = 0; //!< value visible to the host
-        std::uint64_t txNextSeqno = 1;
-        std::deque<std::uint32_t> txReady;
-        bool txFetchBusy = false;
+        Queue tx; //!< consumer counts transmitted descriptors
+        Queue rx; //!< consumer counts frames delivered to the guest
         bool inTxArb = false;
 
-        // RX
-        std::uint32_t rxProducer = 0;
-        std::uint32_t rxFetched = 0;
-        std::uint32_t rxUsed = 0;
-        std::uint32_t rxConsumer = 0;
-        std::uint32_t rxConsumerHost = 0;
-        std::uint64_t rxNextSeqno = 1;
-        std::deque<std::uint32_t> rxReady;
-        bool rxFetchBusy = false;
+        Queue &queue(bool is_tx) { return is_tx ? tx : rx; }
 
         std::vector<RxDelivery> rxDeliveries;
         bool wbBusy = false;
@@ -362,11 +372,12 @@ class CdnaNic : public nic::NicBase
     void handleMailbox(ContextId id, std::uint32_t mbox);
     void postDoorbell(ContextId id, std::uint32_t mbox);
     void flushDeferredDoorbells(ContextId id);
-    void startTxFetch(ContextId id);
-    void startRxFetch(ContextId id);
+    void startFetch(ContextId id, bool is_tx);
     void validateFetched(ContextId id, bool is_tx, std::uint32_t first,
                          std::uint32_t count);
-    bool checkSeqno(Context &c, std::uint64_t seqno, std::uint64_t *next);
+    bool checkSeqno(std::uint64_t seqno, std::uint64_t *next);
+    void reconcileContext(ContextId id);
+    void completeDescriptor(ContextId id, bool is_tx);
     void enterFault(ContextId id, vmm::Fault f);
     void enqueueTxArb(ContextId id);
     void pumpTx();

@@ -58,22 +58,25 @@ DmaProtection::stamp(RingState &rs)
 std::uint64_t
 DmaProtection::lazyUnpin(RingState &rs)
 {
-    std::uint32_t consumer = rs.isTx ? rs.nic->txConsumer(rs.cxt)
-                                     : rs.nic->rxConsumer(rs.cxt);
+    std::uint32_t consumer = rs.nic->consumer(rs.cxt, rs.isTx);
     std::uint64_t pages = 0;
-    while (rs.unpinnedUpTo != consumer && !rs.pinned.empty()) {
-        for (const auto &e : rs.pinned.front()) {
-            mem::PageNum first = mem::pageOf(e.addr);
-            mem::PageNum last = mem::pageOf(e.addr + e.len - 1);
-            for (mem::PageNum p = first; p <= last; ++p) {
-                hv_.mem().putRef(p);
-                ++pages;
-            }
-        }
-        rs.pinned.pop_front();
-        ++rs.unpinnedUpTo;
-    }
+    while (rs.unpinnedUpTo != consumer && !rs.pinned.empty())
+        pages += unpinFront(rs);
     nUnpins_.inc(pages);
+    return pages;
+}
+
+std::uint64_t
+DmaProtection::unpinFront(RingState &rs)
+{
+    std::uint64_t pages = 0;
+    mem::forEachSgPage(rs.pinned.front(), [&](mem::PageNum p) {
+        hv_.mem().putRef(p);
+        ++pages;
+        return true;
+    });
+    rs.pinned.pop_front();
+    ++rs.unpinnedUpTo;
     return pages;
 }
 
@@ -90,35 +93,22 @@ DmaProtection::doEnqueue(RingState &rs, std::vector<Request> &reqs,
         res.producer = rs.producer;
         return res;
     }
-    nic::DescRing &ring = rs.isTx ? rs.nic->txRing(rs.cxt)
-                                  : rs.nic->rxRing(rs.cxt);
+    nic::DescRing &ring = rs.nic->ring(rs.cxt, rs.isTx);
     auto &memory = hv_.mem();
 
     for (auto &req : reqs) {
         // Ring-full check against descriptors not yet consumed.
-        std::uint32_t consumer = rs.isTx ? rs.nic->txConsumer(rs.cxt)
-                                         : rs.nic->rxConsumer(rs.cxt);
-        if (rs.producer - consumer >= ring.size()) {
+        if (rs.producer - rs.nic->consumer(rs.cxt, rs.isTx) >= ring.size()) {
             res.fault = vmm::Fault::kRingFull;
             break;
         }
 
         if (validate) {
-            bool owned = true;
-            for (const auto &e : req.sg) {
-                mem::PageNum first = mem::pageOf(e.addr);
-                mem::PageNum last = mem::pageOf(e.addr + e.len - 1);
-                for (mem::PageNum p = first; p <= last; ++p) {
-                    // Owned or grant-mapped (driver domain enqueueing
-                    // guests' granted packet pages).
-                    if (!memory.dmaAccessibleBy(p, rs.dom)) {
-                        owned = false;
-                        break;
-                    }
-                }
-                if (!owned)
-                    break;
-            }
+            // Owned or grant-mapped (driver domain enqueueing guests'
+            // granted packet pages).
+            bool owned = mem::forEachSgPage(req.sg, [&](mem::PageNum p) {
+                return memory.dmaAccessibleBy(p, rs.dom);
+            });
             if (!owned) {
                 nRejects_.inc();
                 hv_.recordFault(rs.dom, vmm::Fault::kNotOwner);
@@ -126,14 +116,11 @@ DmaProtection::doEnqueue(RingState &rs, std::vector<Request> &reqs,
                 break;
             }
             // Pin every page for the lifetime of the DMA.
-            for (const auto &e : req.sg) {
-                mem::PageNum first = mem::pageOf(e.addr);
-                mem::PageNum last = mem::pageOf(e.addr + e.len - 1);
-                for (mem::PageNum p = first; p <= last; ++p) {
-                    memory.getRef(p);
-                    nPins_.inc();
-                }
-            }
+            mem::forEachSgPage(req.sg, [&](mem::PageNum p) {
+                memory.getRef(p);
+                nPins_.inc();
+                return true;
+            });
             rs.pinned.push_back(req.sg);
         } else {
             // Track positions so unpin accounting stays aligned even
@@ -169,14 +156,11 @@ DmaProtection::enqueue(Handle h, std::vector<Request> reqs,
     // descriptor, and the lazy unpin of completed descriptors.
     std::uint64_t pages = 0;
     for (const auto &r : reqs)
-        for (const auto &e : r.sg)
-            pages += mem::pageOf(e.addr + (e.len ? e.len - 1 : 0)) -
-                     mem::pageOf(e.addr) + 1;
+        pages += mem::sgPages(r.sg);
 
     // Estimate unpin volume for costing (actual unpin happens in body).
-    std::uint32_t consumer = rs.isTx ? rs.nic->txConsumer(rs.cxt)
-                                     : rs.nic->rxConsumer(rs.cxt);
-    std::uint64_t to_unpin = consumer - rs.unpinnedUpTo;
+    std::uint64_t to_unpin =
+        rs.nic->consumer(rs.cxt, rs.isTx) - rs.unpinnedUpTo;
 
     sim::Time cost =
         static_cast<sim::Time>(pages) *
@@ -221,18 +205,8 @@ DmaProtection::unpinAll(Handle h)
 {
     RingState &rs = state(h);
     std::uint64_t pages = 0;
-    while (!rs.pinned.empty()) {
-        for (const auto &e : rs.pinned.front()) {
-            mem::PageNum first = mem::pageOf(e.addr);
-            mem::PageNum last = mem::pageOf(e.addr + e.len - 1);
-            for (mem::PageNum p = first; p <= last; ++p) {
-                hv_.mem().putRef(p);
-                ++pages;
-            }
-        }
-        rs.pinned.pop_front();
-        ++rs.unpinnedUpTo;
-    }
+    while (!rs.pinned.empty())
+        pages += unpinFront(rs);
     nUnpins_.inc(pages);
 }
 

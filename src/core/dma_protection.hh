@@ -129,6 +129,9 @@ class DmaProtection : public sim::SimObject
     /** Lazily unpin completed descriptors; returns pages unpinned. */
     std::uint64_t lazyUnpin(RingState &rs);
 
+    /** Unpin the oldest pinned descriptor; returns its page count. */
+    std::uint64_t unpinFront(RingState &rs);
+
     Result doEnqueue(RingState &rs, std::vector<Request> &reqs,
                      bool validate);
 

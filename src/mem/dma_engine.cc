@@ -1,5 +1,6 @@
 #include "mem/dma_engine.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/fault_injector.hh"
@@ -12,6 +13,32 @@ sgBytes(const SgList &sg)
     std::uint64_t n = 0;
     for (const auto &e : sg)
         n += e.len;
+    return n;
+}
+
+SgList
+sgPrefix(const SgList &sg, std::uint64_t bytes)
+{
+    SgList out;
+    for (const auto &e : sg) {
+        if (bytes == 0)
+            break;
+        auto take = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(e.len, bytes));
+        out.push_back({e.addr, take});
+        bytes -= take;
+    }
+    return out;
+}
+
+std::uint64_t
+sgPages(const SgList &sg)
+{
+    std::uint64_t n = 0;
+    forEachSgPage(sg, [&n](PageNum) {
+        ++n;
+        return true;
+    });
     return n;
 }
 
@@ -50,25 +77,14 @@ DmaEngine::doTransfer(const SgList &sg, DomainId behalf, ContextId cxt,
                       bool write, Callback cb)
 {
     DmaResult result;
-    std::uint64_t carried = 0;
-    for (const auto &e : sg) {
-        if (e.len == 0)
-            continue;
-        PageNum first = pageOf(e.addr);
-        PageNum last = pageOf(e.addr + e.len - 1);
-        for (PageNum p = first; p <= last; ++p) {
-            if (iommu_) {
-                auto verdict = iommu_->check(dev_, cxt, p);
-                if (verdict != IommuVerdict::kAllowed) {
-                    ++result.blockedPages;
-                    continue; // access suppressed by the IOMMU
-                }
-            }
-            if (!mem_.noteDmaAccess(p, behalf, write))
-                result.safe = false;
-        }
-        carried += e.len;
-    }
+    forEachSgPage(sg, [&](PageNum p) {
+        if (iommu_ && iommu_->check(dev_, cxt, p) != IommuVerdict::kAllowed)
+            ++result.blockedPages; // access suppressed by the IOMMU
+        else if (!mem_.noteDmaAccess(p, behalf, write))
+            result.safe = false;
+        return true;
+    });
+    std::uint64_t carried = sgBytes(sg);
     // Fault injection: a delayed completion widens the window between a
     // descriptor being consumed and its pages being released, stressing
     // the protection layer's deferred-reallocation rule.

@@ -36,6 +36,32 @@ using SgList = std::vector<SgEntry>;
 /** Total byte count of a scatter/gather list. */
 std::uint64_t sgBytes(const SgList &sg);
 
+/** Prefix of @p sg covering its first @p bytes. */
+SgList sgPrefix(const SgList &sg, std::uint64_t bytes);
+
+/**
+ * Call @p fn(page) for every page the entries of @p sg span, in order,
+ * until it returns false.  A zero-length entry spans no pages.
+ * @return false when @p fn stopped the walk
+ */
+template <typename Fn>
+bool
+forEachSgPage(const SgList &sg, Fn &&fn)
+{
+    for (const SgEntry &e : sg) {
+        if (e.len == 0)
+            continue;
+        PageNum last = pageOf(e.addr + e.len - 1);
+        for (PageNum p = pageOf(e.addr); p <= last; ++p)
+            if (!fn(p))
+                return false;
+    }
+    return true;
+}
+
+/** Number of pages the entries of @p sg span. */
+std::uint64_t sgPages(const SgList &sg);
+
 /** Outcome of a DMA operation. */
 struct DmaResult
 {

@@ -1,6 +1,7 @@
 #include "net/eth_link.hh"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "sim/assert.hh"
@@ -8,24 +9,125 @@
 
 namespace cdna::net {
 
+Wire::Wire(double bits_per_sec, sim::Time propagation)
+    : psPerByte(static_cast<double>(sim::kSecond) * 8.0 / bits_per_sec),
+      propagation(propagation)
+{
+}
+
+void
+Wire::addFaultCounters(sim::StatGroup &stats)
+{
+    faultDrops = &stats.addCounter("fault_drops");
+    faultCorrupts = &stats.addCounter("fault_corrupts");
+    faultDups = &stats.addCounter("fault_dups");
+}
+
+void
+WirePort::attach(sim::SimObject &owner, const Wire &wire,
+                 std::uint32_t index)
+{
+    owner_ = &owner;
+    wire_ = &wire;
+    index_ = index;
+    std::string p = "p" + std::to_string(index);
+    txFrames_ = &owner.stats().addCounter(p + "_tx_frames");
+    txPayload_ = &owner.stats().addCounter(p + "_tx_payload_bytes");
+    rxPayload_ = &owner.stats().addCounter(p + "_rx_payload_bytes");
+}
+
+void
+WirePort::deliver(Packet pkt)
+{
+    rxPayload_->inc(pkt.payloadBytes);
+    if (ep_)
+        ep_->receiveFrame(std::move(pkt));
+}
+
+sim::Time
+WirePort::estimate(const Packet &pkt) const
+{
+    sim::Time start = std::max(owner_->now(), busyUntil_);
+    return start + wire_->serialize(pkt.wireBytes());
+}
+
+bool
+WirePort::busy() const
+{
+    return busyUntil_ > owner_->now();
+}
+
+sim::Time
+WirePort::send(Packet pkt, sim::Time extra_gap,
+               std::function<void()> serialized)
+{
+    txFrames_->inc(pkt.wireFrames());
+    txPayload_->inc(pkt.payloadBytes);
+
+    sim::Time start = std::max(owner_->now(), busyUntil_);
+    sim::Time end = start + wire_->serialize(pkt.wireBytes());
+    busyUntil_ = end + extra_gap;
+
+    sim::EventQueue &events = owner_->events();
+    if (serialized)
+        events.scheduleAt(end, std::move(serialized));
+    if (drainHook_)
+        events.scheduleAt(busyUntil_, [this] {
+            // A later send pushed busyUntil_ forward: that send's own
+            // hook event covers the eventual drain.
+            if (drainHook_ && busyUntil_ <= owner_->now())
+                drainHook_();
+        });
+
+    // Fault injection: the frame still occupied the wire, but it may
+    // never reach the far side (drop), arrive with its payload mangled
+    // (corrupt: the receiver's checksum check discards it, so it still
+    // consumes switch, NIC and stack resources), or arrive twice
+    // (duplicate).
+    auto fate = sim::FaultInjector::FrameFault::kNone;
+    if (sim::FaultInjector *fi = owner_->ctx().faultInjector();
+        fi && fi->framesArmed())
+        fate = fi->frameFault();
+    if (fate == sim::FaultInjector::FrameFault::kDrop) {
+        wire_->faultDrops->inc();
+        return end;
+    }
+    if (fate == sim::FaultInjector::FrameFault::kCorrupt) {
+        wire_->faultCorrupts->inc();
+        pkt.intact = false;
+    }
+
+    // Packets leave host memory when they hit the wire.
+    pkt.hostSg.clear();
+    Packet dup;
+    if (fate == sim::FaultInjector::FrameFault::kDuplicate) {
+        wire_->faultDups->inc();
+        dup = pkt;
+        dup.duplicated = true;
+    }
+    sim::Time arrival = end + wire_->propagation;
+    events.scheduleAt(arrival, [this, p = std::move(pkt)]() mutable {
+        arrive(std::move(p));
+    });
+    if (fate == sim::FaultInjector::FrameFault::kDuplicate)
+        // FIFO ties: arrives right behind the original.
+        events.scheduleAt(arrival, [this, p = std::move(dup)]() mutable {
+            arrive(std::move(p));
+        });
+    return end;
+}
+
 EthLink::EthLink(sim::SimContext &ctx, std::string name, double bits_per_sec,
                  sim::Time propagation)
     : sim::SimObject(ctx, std::move(name)),
       bps_(bits_per_sec),
-      psPerByte_(static_cast<double>(sim::kSecond) * 8.0 / bits_per_sec),
-      propagation_(propagation)
+      wire_(bits_per_sec, propagation)
 {
     for (std::uint32_t i = 0; i < 2; ++i) {
-        std::string p = "p" + std::to_string(i);
-        ports_[i].link = this;
-        ports_[i].setIndex(i);
-        ports_[i].txFrames = &stats().addCounter(p + "_tx_frames");
-        ports_[i].txPayload = &stats().addCounter(p + "_tx_payload_bytes");
-        ports_[i].rxPayload = &stats().addCounter(p + "_rx_payload_bytes");
+        ports_[i].attach(*this, wire_, i);
+        ports_[i].far = &ports_[1 - i];
     }
-    faultDrops_ = &stats().addCounter("fault_drops");
-    faultCorrupts_ = &stats().addCounter("fault_corrupts");
-    faultDups_ = &stats().addCounter("fault_dups");
+    wire_.addFaultCounters(stats());
 }
 
 Port &
@@ -33,7 +135,7 @@ EthLink::bind(LinkEndpoint &ep)
 {
     SIM_ASSERT(bound_ < 2, "EthLink has only two ports");
     LinkPort &p = ports_[bound_++];
-    p.ep = &ep;
+    p.connect(ep);
     return p;
 }
 
@@ -44,83 +146,11 @@ EthLink::port(std::uint32_t i)
     return ports_[i];
 }
 
-sim::Time
-EthLink::LinkPort::estimate(const Packet &pkt) const
+void
+EthLink::LinkPort::arrive(Packet pkt)
 {
-    sim::Time start = std::max(link->now(), busyUntil);
-    return start + static_cast<sim::Time>(
-        link->psPerByte_ * static_cast<double>(pkt.wireBytes()));
-}
-
-bool
-EthLink::LinkPort::busy() const
-{
-    return busyUntil > link->now();
-}
-
-sim::Time
-EthLink::doSend(LinkPort &from, Packet pkt, sim::Time extra_gap,
-                std::function<void()> serialized)
-{
-    LinkPort *to = &ports_[1 - from.index()];
-    SIM_ASSERT(to->ep != nullptr, "link far endpoint not bound");
-    from.txFrames->inc(pkt.wireFrames());
-    from.txPayload->inc(pkt.payloadBytes);
-
-    sim::Time start = std::max(now(), from.busyUntil);
-    auto wire = static_cast<sim::Time>(
-        psPerByte_ * static_cast<double>(pkt.wireBytes()));
-    sim::Time end = start + wire;
-    from.busyUntil = end + extra_gap;
-
-    if (serialized)
-        events().scheduleAt(end, std::move(serialized));
-    if (from.hook())
-        events().scheduleAt(from.busyUntil, [this, &from] {
-            // A later send pushed busyUntil forward: that send's own
-            // hook event covers the eventual drain.
-            if (from.hook() && from.busyUntil <= now())
-                from.hook()();
-        });
-
-    // Fault injection: the frame still occupied the wire, but it may
-    // never reach the far side (drop), arrive with its payload mangled
-    // (corrupt: the receiver's checksum check discards it, so it still
-    // consumes NIC and stack resources), or arrive twice (duplicate).
-    auto fate = sim::FaultInjector::FrameFault::kNone;
-    if (sim::FaultInjector *fi = ctx().faultInjector();
-        fi && fi->framesArmed())
-        fate = fi->frameFault();
-    if (fate == sim::FaultInjector::FrameFault::kDrop) {
-        faultDrops_->inc();
-        return end;
-    }
-    if (fate == sim::FaultInjector::FrameFault::kCorrupt) {
-        faultCorrupts_->inc();
-        pkt.intact = false;
-    }
-
-    // Packets leave host memory when they hit the wire.
-    pkt.hostSg.clear();
-    Packet dup;
-    if (fate == sim::FaultInjector::FrameFault::kDuplicate) {
-        faultDups_->inc();
-        dup = pkt;
-        dup.duplicated = true;
-    }
-    events().scheduleAt(end + propagation_,
-                        [to, p = std::move(pkt)]() mutable {
-                            to->rxPayload->inc(p.payloadBytes);
-                            to->ep->receiveFrame(std::move(p));
-                        });
-    if (fate == sim::FaultInjector::FrameFault::kDuplicate)
-        // FIFO ties: arrives right behind the original.
-        events().scheduleAt(end + propagation_,
-                            [to, p = std::move(dup)]() mutable {
-                                to->rxPayload->inc(p.payloadBytes);
-                                to->ep->receiveFrame(std::move(p));
-                            });
-    return end;
+    SIM_ASSERT(far->connected(), "link far endpoint not bound");
+    far->deliver(std::move(pkt));
 }
 
 } // namespace cdna::net

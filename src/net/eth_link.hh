@@ -1,6 +1,7 @@
 /**
  * @file
- * Full-duplex point-to-point Ethernet link: the trivial 2-port Fabric.
+ * Full-duplex point-to-point Ethernet link: the trivial 2-port Fabric,
+ * and the wire model every fabric port transmits on.
  *
  * Each direction is an independent serially-reused channel: a frame (or
  * TSO burst) occupies the wire for wireBytes() at the link rate, then is
@@ -8,6 +9,10 @@
  * paper's testbed used dedicated Gigabit links between the Xen host and
  * a tuned peer; this model reproduces the 949 Mb/s per-link TCP-goodput
  * ceiling that bounds the CDNA saturation plateau.
+ *
+ * That serializer is WirePort.  A link's two directions are WirePorts
+ * delivering to each other's endpoint; an EthSwitch's ingress ports are
+ * WirePorts delivering to the switch's forwarding logic.
  *
  * Endpoints bind() in any order; the first binder gets port 0, the
  * second port 1, and each port transmits toward the other's endpoint.
@@ -24,6 +29,79 @@
 #include "sim/sim_object.hh"
 
 namespace cdna::net {
+
+/** A fabric's cable: line rate, propagation and its fault counters. */
+struct Wire
+{
+    Wire(double bits_per_sec, sim::Time propagation);
+
+    /** Time @p wire_bytes occupy the wire at line rate. */
+    sim::Time
+    serialize(std::uint64_t wire_bytes) const
+    {
+        return static_cast<sim::Time>(psPerByte *
+                                      static_cast<double>(wire_bytes));
+    }
+
+    /** Register fault_drops, fault_corrupts and fault_dups on @p stats. */
+    void addFaultCounters(sim::StatGroup &stats);
+
+    double psPerByte;
+    sim::Time propagation;
+    sim::Counter *faultDrops = nullptr;
+    sim::Counter *faultCorrupts = nullptr;
+    sim::Counter *faultDups = nullptr;
+};
+
+/**
+ * One endpoint's wire into a fabric.  A send occupies the wire for
+ * wireBytes() at line rate plus the caller's extra gap; the fault
+ * injector may then drop, corrupt or duplicate the frame, and whatever
+ * survives reaches arrive() after the propagation delay.
+ */
+class WirePort : public Port
+{
+  public:
+    /**
+     * Become port @p index of @p owner, transmitting on @p wire.
+     * Registers p<index>_tx_frames, _tx_payload_bytes and
+     * _rx_payload_bytes on @p owner.
+     */
+    void attach(sim::SimObject &owner, const Wire &wire,
+                std::uint32_t index);
+
+    /** Terminate this port at @p ep. */
+    void connect(LinkEndpoint &ep) { ep_ = &ep; }
+    bool connected() const { return ep_ != nullptr; }
+
+    /** Hand @p pkt to this port's endpoint (if any), counting it. */
+    void deliver(Packet pkt);
+
+    sim::Time send(Packet pkt, sim::Time extra_gap,
+                   std::function<void()> serialized) override;
+    sim::Time estimate(const Packet &pkt) const override;
+    bool busy() const override;
+    std::uint64_t payloadCarried() const override
+    {
+        return txPayload_->value();
+    }
+    std::uint64_t payloadDelivered() const override
+    {
+        return rxPayload_->value();
+    }
+
+  private:
+    /** A frame has crossed the wire: hand it to the far end. */
+    virtual void arrive(Packet pkt) = 0;
+
+    sim::SimObject *owner_ = nullptr;
+    const Wire *wire_ = nullptr;
+    LinkEndpoint *ep_ = nullptr;
+    sim::Time busyUntil_ = 0;
+    sim::Counter *txFrames_ = nullptr;
+    sim::Counter *txPayload_ = nullptr;
+    sim::Counter *rxPayload_ = nullptr;
+};
 
 class EthLink : public sim::SimObject, public Fabric
 {
@@ -47,47 +125,18 @@ class EthLink : public sim::SimObject, public Fabric
     Port &port(std::uint32_t i);
 
   private:
-    struct LinkPort final : Port
+    /** One direction: delivers to the other port's endpoint. */
+    struct LinkPort final : WirePort
     {
-        EthLink *link = nullptr;
-        LinkEndpoint *ep = nullptr;
-        sim::Time busyUntil = 0;
-        sim::Counter *txFrames = nullptr;
-        sim::Counter *txPayload = nullptr;
-        sim::Counter *rxPayload = nullptr;
+        LinkPort *far = nullptr;
 
-        void setIndex(std::uint32_t i) { index_ = i; }
-        const std::function<void()> &hook() const { return drainHook_; }
-
-        sim::Time send(Packet pkt, sim::Time extra_gap,
-                       std::function<void()> serialized) override
-        {
-            return link->doSend(*this, std::move(pkt), extra_gap,
-                                std::move(serialized));
-        }
-        sim::Time estimate(const Packet &pkt) const override;
-        bool busy() const override;
-        std::uint64_t payloadCarried() const override
-        {
-            return txPayload->value();
-        }
-        std::uint64_t payloadDelivered() const override
-        {
-            return rxPayload->value();
-        }
+        void arrive(Packet pkt) override;
     };
 
-    sim::Time doSend(LinkPort &from, Packet pkt, sim::Time extra_gap,
-                     std::function<void()> serialized);
-
     double bps_;
-    double psPerByte_;
-    sim::Time propagation_;
+    Wire wire_;
     LinkPort ports_[2];
     std::uint32_t bound_ = 0;
-    sim::Counter *faultDrops_ = nullptr;
-    sim::Counter *faultCorrupts_ = nullptr;
-    sim::Counter *faultDups_ = nullptr;
 };
 
 } // namespace cdna::net

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "sim/assert.hh"
-#include "sim/fault_injector.hh"
 
 namespace cdna::net {
 
@@ -13,24 +12,18 @@ EthSwitch::EthSwitch(sim::SimContext &ctx, std::string name,
                      std::uint32_t num_ports, EthSwitchParams params)
     : sim::SimObject(ctx, std::move(name)),
       params_(params),
-      psPerByte_(static_cast<double>(sim::kSecond) * 8.0 /
-                 params.bitsPerSec),
+      wire_(params.bitsPerSec, params.propagation),
       ports_(num_ports)
 {
     SIM_ASSERT(num_ports >= 2, "a switch needs at least two ports");
     for (std::uint32_t i = 0; i < num_ports; ++i) {
         std::string p = "p" + std::to_string(i);
         ports_[i].sw = this;
-        ports_[i].setIndex(i);
-        ports_[i].txFrames = &stats().addCounter(p + "_tx_frames");
-        ports_[i].txPayload = &stats().addCounter(p + "_tx_payload_bytes");
-        ports_[i].rxPayload = &stats().addCounter(p + "_rx_payload_bytes");
+        ports_[i].attach(*this, wire_, i);
         ports_[i].drops = &stats().addCounter(p + "_egress_drops");
         ports_[i].dropBytes = &stats().addCounter(p + "_egress_drop_bytes");
     }
-    faultDrops_ = &stats().addCounter("fault_drops");
-    faultCorrupts_ = &stats().addCounter("fault_corrupts");
-    faultDups_ = &stats().addCounter("fault_dups");
+    wire_.addFaultCounters(stats());
     nUnrouted_ = &stats().addCounter("unrouted_drops");
     nFlooded_ = &stats().addCounter("flooded_frames");
 }
@@ -40,7 +33,7 @@ EthSwitch::bind(LinkEndpoint &ep)
 {
     SIM_ASSERT(bound_ < ports_.size(), "switch ports exhausted");
     SwitchPort &p = ports_[bound_++];
-    p.ep = &ep;
+    p.connect(ep);
     return p;
 }
 
@@ -92,79 +85,6 @@ EthSwitch::maxQueuePeakBytes() const
     return n;
 }
 
-sim::Time
-EthSwitch::SwitchPort::estimate(const Packet &pkt) const
-{
-    sim::Time start = std::max(sw->now(), inBusyUntil);
-    return start + static_cast<sim::Time>(
-        sw->psPerByte_ * static_cast<double>(pkt.wireBytes()));
-}
-
-bool
-EthSwitch::SwitchPort::busy() const
-{
-    return inBusyUntil > sw->now();
-}
-
-sim::Time
-EthSwitch::doSend(SwitchPort &from, Packet pkt, sim::Time extra_gap,
-                  std::function<void()> serialized)
-{
-    from.txFrames->inc(pkt.wireFrames());
-    from.txPayload->inc(pkt.payloadBytes);
-
-    sim::Time start = std::max(now(), from.inBusyUntil);
-    auto wire = static_cast<sim::Time>(
-        psPerByte_ * static_cast<double>(pkt.wireBytes()));
-    sim::Time end = start + wire;
-    from.inBusyUntil = end + extra_gap;
-
-    if (serialized)
-        events().scheduleAt(end, std::move(serialized));
-    if (from.hook())
-        events().scheduleAt(from.inBusyUntil, [this, &from] {
-            // A later send pushed inBusyUntil forward: that send's own
-            // hook event covers the eventual drain.
-            if (from.hook() && from.inBusyUntil <= now())
-                from.hook()();
-        });
-
-    // Same per-wire fault model as EthLink: the endpoint-to-switch
-    // cable can drop, corrupt, or duplicate.  A corrupted frame is
-    // still switched -- it consumes egress buffer and wire time all the
-    // way to the receiver, whose checksum check finally discards it.
-    auto fate = sim::FaultInjector::FrameFault::kNone;
-    if (sim::FaultInjector *fi = ctx().faultInjector();
-        fi && fi->framesArmed())
-        fate = fi->frameFault();
-    if (fate == sim::FaultInjector::FrameFault::kDrop) {
-        faultDrops_->inc();
-        return end;
-    }
-    if (fate == sim::FaultInjector::FrameFault::kCorrupt) {
-        faultCorrupts_->inc();
-        pkt.intact = false;
-    }
-
-    pkt.hostSg.clear();
-    Packet dup;
-    if (fate == sim::FaultInjector::FrameFault::kDuplicate) {
-        faultDups_->inc();
-        dup = pkt;
-        dup.duplicated = true;
-    }
-    events().scheduleAt(end + params_.propagation,
-                        [this, &from, p = std::move(pkt)]() mutable {
-                            forward(from, std::move(p));
-                        });
-    if (fate == sim::FaultInjector::FrameFault::kDuplicate)
-        events().scheduleAt(end + params_.propagation,
-                            [this, &from, p = std::move(dup)]() mutable {
-                                forward(from, std::move(p));
-                            });
-    return end;
-}
-
 void
 EthSwitch::forward(SwitchPort &ingress, Packet pkt)
 {
@@ -187,7 +107,7 @@ EthSwitch::forward(SwitchPort &ingress, Packet pkt)
         // Unknown unicast: flood to every other bound port.
         nFlooded_->inc();
         for (auto &out : ports_) {
-            if (out.index() == ingress.index() || !out.ep)
+            if (out.index() == ingress.index() || !out.connected())
                 continue;
             enqueue(out, pkt);
         }
@@ -200,17 +120,12 @@ void
 EthSwitch::enqueue(SwitchPort &out, Packet pkt)
 {
     std::uint64_t wb = pkt.wireBytes();
-    bool over_bytes =
-        params_.bufBytesPerPort && out.qBytes + wb > params_.bufBytesPerPort;
-    bool over_frames =
-        params_.bufFramesPerPort && out.qFrames >= params_.bufFramesPerPort;
-    if (over_bytes || over_frames) {
+    if (params_.bufBytesPerPort && out.qBytes + wb > params_.bufBytesPerPort) {
         out.drops->inc();
         out.dropBytes->inc(wb);
         return;
     }
     out.qBytes += wb;
-    out.qFrames += 1;
     out.qPeakBytes = std::max(out.qPeakBytes, out.qBytes);
     out.q.push_back({std::move(pkt), wb, now() + params_.forwardLatency});
     pumpEgress(out);
@@ -224,9 +139,8 @@ EthSwitch::pumpEgress(SwitchPort &out)
     QEntry &head = out.q.front();
     out.egressBusy = true;
 
-    sim::Time start = std::max(now(), head.readyAt);
-    sim::Time end = start + static_cast<sim::Time>(
-        psPerByte_ * static_cast<double>(head.wireBytes));
+    sim::Time end = std::max(now(), head.readyAt) +
+                    wire_.serialize(head.wireBytes);
     Packet pkt = std::move(head.pkt);
     std::uint64_t wb = head.wireBytes;
     out.q.pop_front();
@@ -235,13 +149,10 @@ EthSwitch::pumpEgress(SwitchPort &out)
     // resident until its last byte has left on the egress wire.
     events().scheduleAt(end, [this, &out, wb, p = std::move(pkt)]() mutable {
         out.qBytes -= wb;
-        out.qFrames -= 1;
         out.egressBusy = false;
-        events().scheduleAt(now() + params_.propagation,
+        events().scheduleAt(now() + wire_.propagation,
                             [&out, q = std::move(p)]() mutable {
-                                out.rxPayload->inc(q.payloadBytes);
-                                if (out.ep)
-                                    out.ep->receiveFrame(std::move(q));
+                                out.deliver(std::move(q));
                             });
         pumpEgress(out);
     });

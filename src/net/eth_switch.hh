@@ -2,11 +2,13 @@
  * @file
  * Output-queued Ethernet switch: the N-port Fabric.
  *
- * Each bound endpoint gets a Port whose ingress serializer behaves
- * exactly like one EthLink direction (line-rate serialization, fault
- * injection, propagation).  Fully-received frames are looked up --
- * static route first, then the learned MAC table, else flooded -- and
- * enqueued on the destination port's finite egress queue.  The queue is
+ * Each bound endpoint's ingress is a WirePort, the serializer EthLink
+ * directions use (line-rate serialization, fault injection,
+ * propagation), delivering to the switch instead of a far endpoint; the
+ * switch itself adds only forwarding and the egress queues.
+ * Fully-received frames are looked up -- static route first, then the
+ * learned MAC table, else flooded -- and enqueued on the destination
+ * port's finite egress queue.  The queue is
  * tail-drop with per-port drop counters, models store-and-forward (a
  * frame occupies buffer from enqueue until its last byte has been
  * retransmitted), and charges a fixed forwarding latency before a frame
@@ -22,10 +24,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <vector>
 
+#include "net/eth_link.hh"
 #include "net/fabric.hh"
 #include "net/packet.hh"
 #include "sim/sim_object.hh"
@@ -42,8 +44,6 @@ struct EthSwitchParams
     sim::Time forwardLatency = sim::microseconds(4);
     /** Per-port egress buffer in wire bytes (0 = unlimited). */
     std::uint64_t bufBytesPerPort = 128 * 1024;
-    /** Per-port egress buffer in frames (0 = byte-limited only). */
-    std::uint32_t bufFramesPerPort = 0;
     /** Learn source MACs; unknown unicast floods.  When false, only
      *  setRoute() entries forward and unrouted frames are dropped. */
     bool learning = true;
@@ -89,44 +89,23 @@ class EthSwitch : public sim::SimObject, public Fabric
         sim::Time readyAt = 0;
     };
 
-    struct SwitchPort final : Port
+    /** Ingress: the endpoint's wire into the switch.  Egress: the
+     *  finite output queue and its wire out to the endpoint. */
+    struct SwitchPort final : WirePort
     {
         EthSwitch *sw = nullptr;
-        LinkEndpoint *ep = nullptr;
 
-        // Ingress: the endpoint's wire into the switch.
-        sim::Time inBusyUntil = 0;
-        sim::Counter *txFrames = nullptr;
-        sim::Counter *txPayload = nullptr;
-
-        // Egress: the finite output queue and its wire out.
         std::deque<QEntry> q;
         std::uint64_t qBytes = 0;
-        std::uint32_t qFrames = 0;
         std::uint64_t qPeakBytes = 0;
         bool egressBusy = false;
-        sim::Counter *rxPayload = nullptr;
         sim::Counter *drops = nullptr;
         sim::Counter *dropBytes = nullptr;
 
-        void setIndex(std::uint32_t i) { index_ = i; }
-        const std::function<void()> &hook() const { return drainHook_; }
-
-        sim::Time send(Packet pkt, sim::Time extra_gap,
-                       std::function<void()> serialized) override
+        void
+        arrive(Packet pkt) override
         {
-            return sw->doSend(*this, std::move(pkt), extra_gap,
-                              std::move(serialized));
-        }
-        sim::Time estimate(const Packet &pkt) const override;
-        bool busy() const override;
-        std::uint64_t payloadCarried() const override
-        {
-            return txPayload->value();
-        }
-        std::uint64_t payloadDelivered() const override
-        {
-            return rxPayload->value();
+            sw->forward(*this, std::move(pkt));
         }
         std::uint64_t egressDrops() const override
         {
@@ -139,8 +118,6 @@ class EthSwitch : public sim::SimObject, public Fabric
         std::uint64_t queuePeakBytes() const override { return qPeakBytes; }
     };
 
-    sim::Time doSend(SwitchPort &from, Packet pkt, sim::Time extra_gap,
-                     std::function<void()> serialized);
     /** A frame has fully arrived on @p ingress: look up and enqueue. */
     void forward(SwitchPort &ingress, Packet pkt);
     /** Enqueue one copy on @p out (tail-drop on overflow). */
@@ -149,14 +126,11 @@ class EthSwitch : public sim::SimObject, public Fabric
     void pumpEgress(SwitchPort &out);
 
     EthSwitchParams params_;
-    double psPerByte_;
+    Wire wire_;
     std::vector<SwitchPort> ports_;
     std::uint32_t bound_ = 0;
     std::map<MacAddr, std::uint32_t> routes_;
     std::map<MacAddr, std::uint32_t> fdb_;
-    sim::Counter *faultDrops_ = nullptr;
-    sim::Counter *faultCorrupts_ = nullptr;
-    sim::Counter *faultDups_ = nullptr;
     sim::Counter *nUnrouted_ = nullptr;
     sim::Counter *nFlooded_ = nullptr;
 };

@@ -67,28 +67,6 @@ TrafficPeer::applyWorkload(const workload::WorkloadSpec &spec)
     }
 }
 
-FlowStats
-TrafficPeer::flowStats() const
-{
-    FlowStats fs;
-    fs.payloadDelivered = payloadDelivered();
-    fs.framesReceived = nRxFrames_.value();
-    fs.framesSent = nTxFrames_.value();
-    fs.rxDuplicates = nRxDups_.value();
-    fs.rxDropsBadCsum = nRxBadCsum_.value();
-    fs.rxFiltered = nRxFiltered_.value();
-    if (tcp_) {
-        fs.ackedBytes = tcp_->sndUnaTotal();
-        fs.retransSegs = tcp_->retransSegs();
-        fs.fastRetransmits = tcp_->fastRetransmits();
-        fs.rtoEvents = tcp_->rtoEvents();
-    }
-    fs.receivedBySrc = rxBySrc_;
-    fs.latency = latency_;
-    fs.latencyHist = latencyHist_;
-    return fs;
-}
-
 void
 TrafficPeer::enableTcpImpl(const transport::TcpParams &params)
 {

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "net/fabric.hh"
-#include "net/flow_stats.hh"
 #include "net/packet.hh"
 #include "net/transport/tcp.hh"
 #include "net/workload/workload_spec.hh"
@@ -58,30 +57,12 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
     workload::WorkloadEngine *engine() { return engine_.get(); }
     const workload::WorkloadEngine *engine() const { return engine_.get(); }
 
-    /** Snapshot every per-flow measurement in one value (the scattered
-     *  accessors below remain as views over the same sources). */
-    FlowStats flowStats() const;
-
     /** MAC address the peer sources traffic from. */
     MacAddr mac() const { return mac_; }
 
     /** The fabric port this peer is bound to. */
     Port &port() { return *port_; }
     const Port &port() const { return *port_; }
-
-    /**
-     * Accept only frames addressed to this peer's MAC (plus unaddressed
-     * test frames).  Off by default -- on a point-to-point link every
-     * frame is for the peer -- but required on a switch, where learning
-     * floods unknown-unicast frames to every port.
-     *
-     * Legacy shim over applyWorkload(spec.filteringMac(on)).
-     */
-    void
-    setMacFilter(bool on)
-    {
-        applyWorkload(workload::WorkloadSpec{}.filteringMac(on));
-    }
 
     /** Frames discarded by the MAC filter. */
     std::uint64_t rxFiltered() const { return nRxFiltered_.value(); }

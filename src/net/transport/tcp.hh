@@ -305,7 +305,7 @@ class TcpEndpoint : public sim::SimObject
     std::uint64_t acksReceived() const { return nAcksRx_.value(); }
 
     /** Sum of cumulatively ACKed bytes across sender flows (the
-     *  closed-loop progress basis FlowStats::ackedBytes reports). */
+     *  closed-loop progress basis). */
     std::uint64_t sndUnaTotal() const;
 
     /** Sum of sender-flow congestion windows (cwnd-trajectory gauge). */

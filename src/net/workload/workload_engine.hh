@@ -72,10 +72,6 @@ class WorkloadEngine : public sim::SimObject
     const sim::SampleStats &rpcLatency() const { return rpcLatency_; }
     const sim::Histogram &rpcLatencyHist() const { return rpcLatencyHist_; }
 
-    /** Mean offered arrival rate summed over rate-driven classes
-     *  (requests+flows per second; closed-loop classes excluded). */
-    double offeredRatePerSec() const;
-
   private:
     /** One request in flight, keyed by rpcId. */
     struct Outstanding

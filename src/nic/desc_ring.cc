@@ -1,5 +1,6 @@
 #include "nic/desc_ring.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/assert.hh"
@@ -16,6 +17,20 @@ DescRing::DescRing(std::uint32_t entries, mem::PhysAddr base)
     // the slot for position 0 and position 2^32 would differ.
     SIM_ASSERT((entries & (entries - 1)) == 0,
                "descriptor ring size must be a power of two");
+}
+
+mem::SgList
+DescRing::fetchSg(std::uint32_t first, std::uint32_t count) const
+{
+    std::uint32_t till_wrap = std::min(count, size() - slotOf(first));
+    auto slot_addr = [this](std::uint32_t pos) {
+        return base_ + static_cast<mem::PhysAddr>(slotOf(pos)) * kDescBytes;
+    };
+    mem::SgList sg{{slot_addr(first), till_wrap * kDescBytes}};
+    if (till_wrap < count)
+        sg.push_back(
+            {slot_addr(first + till_wrap), (count - till_wrap) * kDescBytes});
+    return sg;
 }
 
 void
@@ -49,6 +64,16 @@ bool
 DescRing::hasPacket(std::uint32_t pos) const
 {
     return packets_[pos % size()].has_value();
+}
+
+std::optional<DescFetch>
+DescQueue::beginFetch(std::uint32_t batch)
+{
+    if (fetchBusy || !ring || producer == fetched)
+        return std::nullopt;
+    fetchBusy = true;
+    std::uint32_t n = std::min({producer - fetched, batch, ring->size()});
+    return DescFetch{fetched, n, ring->fetchSg(fetched, n)};
 }
 
 } // namespace cdna::nic

@@ -14,6 +14,10 @@
  *
  * Each slot can carry an attached Packet: the simulation's stand-in for
  * the payload bytes a real buffer would hold.
+ *
+ * DescQueue is the device's side of one ring -- its free-running
+ * producer, fetched and consumer indices and the descriptor-fetch DMA
+ * -- shared by both directions of both NIC models.
  */
 
 #ifndef CDNA_NIC_DESC_RING_HH
@@ -46,12 +50,11 @@ class DescRing
     /** Slot index for a free-running position. */
     std::uint32_t slotOf(std::uint32_t pos) const { return pos % size(); }
 
-    /** Host physical address of a slot (descriptor-fetch DMA). */
-    mem::PhysAddr
-    slotAddr(std::uint32_t pos) const
-    {
-        return base_ + static_cast<mem::PhysAddr>(slotOf(pos)) * kDescBytes;
-    }
+    /**
+     * The descriptor-fetch DMA of the @p count slots from position
+     * @p first (at most one lap), split where the ring wraps.
+     */
+    mem::SgList fetchSg(std::uint32_t first, std::uint32_t count) const;
 
     /** Write a descriptor into the slot for @p pos (host side). */
     void write(std::uint32_t pos, DmaDescriptor d);
@@ -72,6 +75,33 @@ class DescRing
     mem::PhysAddr base_;
     std::vector<DmaDescriptor> slots_;
     std::vector<std::optional<net::Packet>> packets_;
+};
+
+/** One descriptor-fetch DMA: ring positions [first, first + count). */
+struct DescFetch
+{
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+    mem::SgList sg;
+};
+
+/** The device's cursor over one descriptor ring. */
+struct DescQueue
+{
+    std::optional<DescRing> ring; //!< installed by the driver
+    std::uint32_t producer = 0;   //!< advertised by the driver
+    std::uint32_t fetched = 0;    //!< fetched from host memory
+    std::uint32_t consumer = 0;   //!< completed
+    bool fetchBusy = false;       //!< a descriptor fetch is in flight
+
+    /**
+     * Claim the next descriptor fetch: up to @p batch advertised
+     * descriptors, never more than one ring lap.  Sets fetchBusy; the
+     * caller advances fetched and clears it when the DMA lands.  No
+     * value when there is no ring, a fetch is in flight, or nothing new
+     * is advertised.
+     */
+    std::optional<DescFetch> beginFetch(std::uint32_t batch);
 };
 
 } // namespace cdna::nic

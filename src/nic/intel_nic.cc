@@ -1,6 +1,5 @@
 #include "nic/intel_nic.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "sim/assert.hh"
@@ -27,73 +26,57 @@ IntelNic::IntelNic(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
 void
 IntelNic::configureTxRing(std::uint32_t entries, mem::PhysAddr base)
 {
-    txRing_.emplace(entries, base);
+    tx_.ring.emplace(entries, base);
 }
 
 void
 IntelNic::configureRxRing(std::uint32_t entries, mem::PhysAddr base)
 {
-    rxRing_.emplace(entries, base);
+    rx_.ring.emplace(entries, base);
 }
 
 DescRing &
 IntelNic::txRing()
 {
-    SIM_ASSERT(txRing_.has_value(), "TX ring not configured");
-    return *txRing_;
+    SIM_ASSERT(tx_.ring.has_value(), "TX ring not configured");
+    return *tx_.ring;
 }
 
 DescRing &
 IntelNic::rxRing()
 {
-    SIM_ASSERT(rxRing_.has_value(), "RX ring not configured");
-    return *rxRing_;
+    SIM_ASSERT(rx_.ring.has_value(), "RX ring not configured");
+    return *rx_.ring;
 }
 
 void
 IntelNic::pioWriteTxProducer(std::uint32_t producer)
 {
-    txProducer_ = producer;
+    tx_.producer = producer;
     startTxFetch();
 }
 
 void
 IntelNic::pioWriteRxProducer(std::uint32_t producer)
 {
-    rxProducer_ = producer;
+    rx_.producer = producer;
     startRxFetch();
 }
 
 void
 IntelNic::startTxFetch()
 {
-    if (txFetchBusy_ || !txRing_)
+    std::optional<DescFetch> f = tx_.beginFetch(params_.fetchBatch);
+    if (!f)
         return;
-    std::uint32_t avail = txProducer_ - txFetched_;
-    if (avail == 0)
-        return;
-    std::uint32_t n = std::min(avail, params_.fetchBatch);
-    // Never fetch beyond one ring lap in a single batch.
-    n = std::min(n, txRing_->size());
-    txFetchBusy_ = true;
-
-    // Descriptor-fetch DMA; split at the ring wrap point.
-    mem::SgList sg;
-    std::uint32_t first_slot = txRing_->slotOf(txFetched_);
-    std::uint32_t till_wrap = std::min(n, txRing_->size() - first_slot);
-    sg.push_back({txRing_->slotAddr(txFetched_), till_wrap * kDescBytes});
-    if (till_wrap < n)
-        sg.push_back({txRing_->slotAddr(txFetched_ + till_wrap),
-                      (n - till_wrap) * kDescBytes});
-
-    dma_.read(sg, dmaDomain_, mem::kWholeDevice,
-              [this, n, ep = txEpoch_](mem::DmaResult) {
+    dma_.read(f->sg, dmaDomain_, mem::kWholeDevice,
+              [this, n = f->count, ep = txEpoch_](mem::DmaResult) {
         if (ep != txEpoch_)
             return; // TX engine was quiesced while the fetch was in flight
         for (std::uint32_t i = 0; i < n; ++i)
-            txPending_.push_back(txFetched_ + i);
-        txFetched_ += n;
-        txFetchBusy_ = false;
+            txPending_.push_back(tx_.fetched + i);
+        tx_.fetched += n;
+        tx_.fetchBusy = false;
         startTxFetch();
         pumpTx();
     });
@@ -105,15 +88,15 @@ IntelNic::pumpTx()
     if (txDataBusy_ || txPending_.empty())
         return;
     std::uint32_t pos = txPending_.front();
-    const DmaDescriptor &desc = txRing_->at(pos);
-    auto pkt_opt = txRing_->detachPacket(pos);
+    const DmaDescriptor &desc = tx_.ring->at(pos);
+    auto pkt_opt = tx_.ring->detachPacket(pos);
     if (!desc.valid() || !pkt_opt.has_value()) {
         // A descriptor with no packet behind it: the device would
         // transmit garbage from whatever the buffer holds.  Count it and
         // move on; the conventional NIC has no way to detect this.
         nTxGhost_.inc();
         txPending_.pop_front();
-        ++txConsumer_;
+        ++tx_.consumer;
         scheduleConsumerWriteback();
         notePendingEvent();
         pumpTx();
@@ -126,7 +109,7 @@ IntelNic::pumpTx()
     std::uint64_t bytes = pkt.payloadBytes;
     if (!txBuf_.tryReserve(bytes)) {
         // Out of NIC buffering; re-attach and retry when space frees.
-        txRing_->attachPacket(pos, std::move(pkt));
+        tx_.ring->attachPacket(pos, std::move(pkt));
         return;
     }
     txDataBusy_ = true;
@@ -146,7 +129,7 @@ IntelNic::pumpTx()
             if (ep != txEpoch_)
                 return; // quiesced while on the wire; state already reset
             txBuf_.release(bytes);
-            ++txConsumer_;
+            ++tx_.consumer;
             scheduleConsumerWriteback();
             notePendingEvent();
             pumpTx();
@@ -158,26 +141,13 @@ IntelNic::pumpTx()
 void
 IntelNic::startRxFetch()
 {
-    if (rxFetchBusy_ || !rxRing_)
+    std::optional<DescFetch> f = rx_.beginFetch(params_.fetchBatch);
+    if (!f)
         return;
-    std::uint32_t avail = rxProducer_ - rxFetched_;
-    if (avail == 0)
-        return;
-    std::uint32_t n = std::min({avail, params_.fetchBatch,
-                                rxRing_->size()});
-    rxFetchBusy_ = true;
-
-    mem::SgList sg;
-    std::uint32_t first_slot = rxRing_->slotOf(rxFetched_);
-    std::uint32_t till_wrap = std::min(n, rxRing_->size() - first_slot);
-    sg.push_back({rxRing_->slotAddr(rxFetched_), till_wrap * kDescBytes});
-    if (till_wrap < n)
-        sg.push_back({rxRing_->slotAddr(rxFetched_ + till_wrap),
-                      (n - till_wrap) * kDescBytes});
-
-    dma_.read(sg, dmaDomain_, mem::kWholeDevice, [this, n](mem::DmaResult) {
-        rxFetched_ += n;
-        rxFetchBusy_ = false;
+    dma_.read(f->sg, dmaDomain_, mem::kWholeDevice,
+              [this, n = f->count](mem::DmaResult) {
+        rx_.fetched += n;
+        rx_.fetchBusy = false;
         startRxFetch();
     });
 }
@@ -189,7 +159,7 @@ IntelNic::receiveFrame(net::Packet pkt)
         nRxDropFilter_.inc();
         return;
     }
-    if (rxFetched_ == rxUsed_) {
+    if (rx_.fetched == rxUsed_) {
         nRxDropNoDesc_.inc();
         startRxFetch();
         return;
@@ -200,24 +170,14 @@ IntelNic::receiveFrame(net::Packet pkt)
         return;
     }
     std::uint32_t pos = rxUsed_++;
-    const DmaDescriptor &desc = rxRing_->at(pos);
+    const DmaDescriptor &desc = rx_.ring->at(pos);
     // Prefetch more descriptors as the supply drains.
-    if (rxFetched_ - rxUsed_ < params_.fetchBatch / 2)
+    if (rx_.fetched - rxUsed_ < params_.fetchBatch / 2)
         startRxFetch();
 
     // Only the frame's bytes cross the bus, not the whole buffer.
-    std::uint64_t wire = pkt.payloadBytes + net::kTcpIpHeader;
-    mem::SgList wsg;
-    std::uint64_t left = wire;
-    for (const auto &e : desc.sg) {
-        if (left == 0)
-            break;
-        auto take = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(e.len, left));
-        wsg.push_back({e.addr, take});
-        left -= take;
-    }
-
+    mem::SgList wsg =
+        mem::sgPrefix(desc.sg, pkt.payloadBytes + net::kTcpIpHeader);
     dma_.write(wsg, dmaDomain_, mem::kWholeDevice,
                [this, pos, bytes, pkt = std::move(pkt)]
                (mem::DmaResult) mutable {
@@ -225,7 +185,7 @@ IntelNic::receiveFrame(net::Packet pkt)
         nRxPackets_.inc();
         nRxPayload_.inc(pkt.payloadBytes);
         rxReady_.push_back(RxDelivery{pos, std::move(pkt)});
-        ++rxConsumer_;
+        ++rx_.consumer;
         scheduleConsumerWriteback();
         notePendingEvent();
     });
@@ -242,22 +202,22 @@ IntelNic::quiesceTx()
 {
     ++txEpoch_;
     std::uint64_t dropped = 0;
-    if (txRing_) {
+    if (tx_.ring) {
         for (std::uint32_t pos : txPending_)
-            if (txRing_->detachPacket(pos).has_value())
+            if (tx_.ring->detachPacket(pos).has_value())
                 ++dropped;
     }
     // Descriptors advertised but never fetched die with the engine too.
-    dropped += txProducer_ - txFetched_;
+    dropped += tx_.producer - tx_.fetched;
     txPending_.clear();
     txBuf_.reset();
-    txFetchBusy_ = false;
+    tx_.fetchBusy = false;
     txDataBusy_ = false;
-    txFetched_ = txProducer_;
-    if (txConsumer_ != txProducer_) {
+    tx_.fetched = tx_.producer;
+    if (tx_.consumer != tx_.producer) {
         // Publish the skip so the driver's completion accounting
         // (in-flight byte queue) drains instead of wedging.
-        txConsumer_ = txProducer_;
+        tx_.consumer = tx_.producer;
         scheduleConsumerWriteback();
         notePendingEvent();
     }

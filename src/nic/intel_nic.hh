@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <vector>
 
 #include "nic/desc_ring.hh"
@@ -80,9 +79,9 @@ class IntelNic : public NicBase
 
     // --- host-visible completion state (DMA'd back to host memory) ------
     /** Free-running count of fully transmitted TX descriptors. */
-    std::uint32_t txConsumer() const { return txConsumer_; }
+    std::uint32_t txConsumer() const { return tx_.consumer; }
     /** Free-running count of received frames delivered to host memory. */
-    std::uint32_t rxConsumer() const { return rxConsumer_; }
+    std::uint32_t rxConsumer() const { return rx_.consumer; }
 
     /** Driver pulls delivered frames (called from its IRQ handler). */
     std::vector<RxDelivery> drainRx();
@@ -122,27 +121,19 @@ class IntelNic : public NicBase
     mem::DomainId dmaDomain_ = mem::kDomInvalid;
     mem::PhysAddr statusAddr_ = 0;
 
-    std::optional<DescRing> txRing_;
-    std::optional<DescRing> rxRing_;
     PacketBufferPool txBuf_;
     PacketBufferPool rxBuf_;
 
-    // TX state (free-running indices)
-    std::uint32_t txProducer_ = 0;  //!< driver-advertised
-    std::uint32_t txFetched_ = 0;   //!< descriptors fetched from host
-    std::uint32_t txConsumer_ = 0;  //!< transmitted
-    bool txFetchBusy_ = false;
+    // TX: consumer counts transmitted descriptors.
+    DescQueue tx_;
     bool txDataBusy_ = false;
     std::deque<std::uint32_t> txPending_;
     /** Bumped by quiesceTx(); stale TX continuations early-return. */
     std::uint64_t txEpoch_ = 0;
 
-    // RX state
-    std::uint32_t rxProducer_ = 0;
-    std::uint32_t rxFetched_ = 0;
+    // RX: consumer counts deliveries completed to host memory.
+    DescQueue rx_;
     std::uint32_t rxUsed_ = 0;      //!< descriptors consumed by frames
-    std::uint32_t rxConsumer_ = 0;  //!< deliveries completed to host
-    bool rxFetchBusy_ = false;
     std::vector<RxDelivery> rxReady_;
 
     bool writebackBusy_ = false;

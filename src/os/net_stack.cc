@@ -475,23 +475,4 @@ NetStack::sendRpcResponse(const net::Packet &req)
     });
 }
 
-net::FlowStats
-NetStack::flowStats() const
-{
-    net::FlowStats fs;
-    fs.payloadDelivered = nRxBytes_.value();
-    fs.framesReceived = nRxPkts_.value();
-    fs.rxDuplicates = nRxDups_.value();
-    fs.rxDropsBadCsum = nRxBadCsum_.value();
-    if (tcp_) {
-        fs.ackedBytes = tcp_->sndUnaTotal();
-        fs.retransSegs = tcp_->retransSegs();
-        fs.fastRetransmits = tcp_->fastRetransmits();
-        fs.rtoEvents = tcp_->rtoEvents();
-    }
-    fs.latency = rxLatency_;
-    fs.latencyHist = rxLatencyHist_;
-    return fs;
-}
-
 } // namespace cdna::os

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/cost_model.hh"
-#include "net/flow_stats.hh"
 #include "net/transport/tcp.hh"
 #include "os/net_device.hh"
 #include "vmm/domain.hh"
@@ -124,10 +123,6 @@ class NetStack : public sim::SimObject
     /** Wire-to-app latency of received data frames, in microseconds. */
     const sim::SampleStats &rxLatency() const { return rxLatency_; }
     const sim::Histogram &rxLatencyHist() const { return rxLatencyHist_; }
-
-    /** Snapshot every per-flow measurement in one value (the scattered
-     *  accessors above remain as views over the same sources). */
-    net::FlowStats flowStats() const;
 
     NetDevice &device() { return dev_; }
     vmm::Domain &domain() { return dom_; }

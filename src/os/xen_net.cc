@@ -81,16 +81,13 @@ XenVif::flush()
             TxRequest req;
             req.pkt = std::move(feBacklog_.front());
             feBacklog_.pop_front();
-            for (const auto &e : req.pkt.hostSg) {
-                mem::PageNum first = mem::pageOf(e.addr);
-                mem::PageNum last = mem::pageOf(e.addr + e.len - 1);
-                for (mem::PageNum p = first; p <= last; ++p) {
-                    mem::GrantRef ref = grants.grantAccess(
-                        guest_.id(), ddn_.driverDomain().id(), p);
-                    if (ref != mem::kInvalidGrant)
-                        req.grants.push_back(ref);
-                }
-            }
+            mem::forEachSgPage(req.pkt.hostSg, [&](mem::PageNum p) {
+                mem::GrantRef ref = grants.grantAccess(
+                    guest_.id(), ddn_.driverDomain().id(), p);
+                if (ref != mem::kInvalidGrant)
+                    req.grants.push_back(ref);
+                return true;
+            });
             ++txOutstanding_;
             nTxPkts_.inc();
             txReq_.push_back(std::move(req));

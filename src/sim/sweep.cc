@@ -388,6 +388,15 @@ renderTable(const ExperimentSpec &spec, const SweepResult &result)
     Rows rows = {{"cell", {}}};
     for (const std::string &key : keys)
         rows[0].second.push_back(core::columnTitle(key));
+    // A probe extra named like a report key would be written to --out
+    // cells under the name the table uses for the report key.
+    std::set<std::string> shadowing;
+    for (const RunResult &run : result.runs)
+        for (const auto &[key, value] : run.extra)
+            if (core::findMetric(key) && shadowing.insert(key).second)
+                table.errors.push_back("probe extra '" + key +
+                                       "' of cell '" + run.point.cell +
+                                       "' is named like a report key");
     std::set<std::string> unresolved;
     for (const CellStats &cs : result.cells) {
         std::vector<std::string> cells;

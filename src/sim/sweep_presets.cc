@@ -417,17 +417,7 @@ oversub()
         .warmup(sim::milliseconds(5))
         .measure(sim::milliseconds(20))
         .columns({"mbps", "cxt_page_traps", "cxt_evictions", "cxt_page_ins",
-                  "cxt_resident_peak", "protection_faults"})
-        .probe([](core::System &sys, const RunPoint &,
-                  std::map<std::string, double> &extra) {
-            const core::CdnaNic *nic = sys.cdnaNic(0);
-            extra["cxt_traps"] =
-                nic ? static_cast<double>(nic->pageTraps()) : 0.0;
-            extra["cxt_evictions"] =
-                nic ? static_cast<double>(nic->pageEvictions()) : 0.0;
-            extra["cxt_resident_peak"] =
-                nic ? static_cast<double>(nic->residentPeak()) : 0.0;
-        });
+                  "cxt_resident_peak", "protection_faults"});
 }
 
 namespace {
@@ -442,8 +432,10 @@ struct FlowBase
 FlowBase
 flowNow(net::TrafficPeer &peer)
 {
-    net::FlowStats fs = peer.flowStats();
-    return {fs.ackedBytes, fs.retransSegs};
+    // The TCP endpoint exists once the sender's workload is applied.
+    const net::transport::TcpEndpoint *tcp = peer.tcp();
+    return tcp ? FlowBase{tcp->sndUnaTotal(), tcp->retransSegs()}
+               : FlowBase{};
 }
 
 } // namespace
@@ -650,15 +642,7 @@ swpt()
         .guests({1, 2, 4, 8, 16})
         .directions(true, true)
         .columns({"mbps", "hyp_pct", "swpt_doorbell_traps",
-                  "swpt_validation_us"})
-        .probe([](core::System &sys, const RunPoint &,
-                  std::map<std::string, double> &extra) {
-            const vmm::SwptValidator *v = sys.swptValidator(0);
-            extra["swpt_traps"] =
-                v ? static_cast<double>(v->doorbellTraps()) : 0.0;
-            extra["swpt_validated"] =
-                v ? static_cast<double>(v->descValidated()) : 0.0;
-        });
+                  "swpt_validation_us"});
 }
 
 const std::vector<std::pair<std::string, ExperimentSpec (*)()>> &

@@ -75,42 +75,26 @@ SwptValidator::guestActive(GuestId g) const
     return g < guests_.size() && guests_[g]->active;
 }
 
-std::uint64_t
-SwptValidator::pagesSpanned(const mem::SgList &sg)
-{
-    std::uint64_t pages = 0;
-    for (const auto &e : sg)
-        pages += mem::pageOf(e.addr + (e.len ? e.len - 1 : 0)) -
-                 mem::pageOf(e.addr) + 1;
-    return pages;
-}
-
 void
 SwptValidator::pinForDma(const mem::SgList &sg)
 {
     auto &mem = hv_.mem();
-    for (const auto &e : sg) {
-        mem::PageNum first = mem::pageOf(e.addr);
-        mem::PageNum last = mem::pageOf(e.addr + e.len - 1);
-        for (mem::PageNum p = first; p <= last; ++p) {
-            mem.getRef(p);
-            mem.noteGrantMapped(p, mem::kDomHypervisor);
-        }
-    }
+    mem::forEachSgPage(sg, [&mem](mem::PageNum p) {
+        mem.getRef(p);
+        mem.noteGrantMapped(p, mem::kDomHypervisor);
+        return true;
+    });
 }
 
 void
 SwptValidator::unpinAfterDma(const mem::SgList &sg)
 {
     auto &mem = hv_.mem();
-    for (const auto &e : sg) {
-        mem::PageNum first = mem::pageOf(e.addr);
-        mem::PageNum last = mem::pageOf(e.addr + e.len - 1);
-        for (mem::PageNum p = first; p <= last; ++p) {
-            mem.clearGrantMapped(p);
-            mem.putRef(p);
-        }
-    }
+    mem::forEachSgPage(sg, [&mem](mem::PageNum p) {
+        mem.clearGrantMapped(p);
+        mem.putRef(p);
+        return true;
+    });
 }
 
 // --------------------------------------------------------------- doorbells
@@ -192,19 +176,9 @@ SwptValidator::validateTxBatch(GuestId g, std::deque<TxReq> batch)
             break;
         // An empty sg list is a header-only frame (e.g. a bare ACK): it
         // references no payload memory, so there is nothing to audit.
-        bool ok = true;
-        for (const auto &e : req.sg) {
-            mem::PageNum first = mem::pageOf(e.addr);
-            mem::PageNum last = mem::pageOf(e.addr + e.len - 1);
-            for (mem::PageNum p = first; p <= last; ++p) {
-                if (!mem.dmaAccessibleBy(p, gs.dom->id())) {
-                    ok = false;
-                    break;
-                }
-            }
-            if (!ok)
-                break;
-        }
+        bool ok = mem::forEachSgPage(req.sg, [&](mem::PageNum p) {
+            return mem.dmaAccessibleBy(p, gs.dom->id());
+        });
         if (!ok) {
             // The forged descriptor dies here: it is never shadow-copied
             // to the device, so no DMA with a bad address ever starts.
@@ -296,7 +270,7 @@ SwptValidator::handleIrq()
     // descriptors, demux decision + copy for each received frame.
     std::uint64_t unpin_pages = 0;
     for (std::uint32_t i = 0; i < completed && i < inflight_.size(); ++i)
-        unpin_pages += pagesSpanned(inflight_[i].sg);
+        unpin_pages += mem::sgPages(inflight_[i].sg);
     sim::Time cost =
         static_cast<sim::Time>(unpin_pages) * costs_.protUnpinPerPage;
     for (const auto &d : deliveries)

@@ -158,7 +158,6 @@ class SwptValidator : public sim::SimObject
     void postOwnRxBuffer(mem::PageNum page);
     void pinForDma(const mem::SgList &sg);
     void unpinAfterDma(const mem::SgList &sg);
-    static std::uint64_t pagesSpanned(const mem::SgList &sg);
 
     Hypervisor &hv_;
     nic::IntelNic &nic_;

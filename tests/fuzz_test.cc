@@ -123,9 +123,9 @@ class ProtectionFuzz : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(ProtectionFuzz, MaliciousEnqueuesNeverCorrupt)
 {
     // A guest throws random enqueue requests -- its own pages, the
-    // victim's pages, the hypervisor's, unmapped addresses -- at the
-    // protected interface while traffic flows.  Whatever it does, no
-    // DMA may ever touch memory it does not own.
+    // victim's pages, the hypervisor's, unmapped addresses, zero-length
+    // entries -- at the protected interface while traffic flows.
+    // Whatever it does, no DMA may ever touch memory it does not own.
     SystemConfig cfg = SystemConfig::cdna(2);
     cfg.numNics = 1;
     cfg.seed = GetParam();
@@ -160,7 +160,8 @@ TEST_P(ProtectionFuzz, MaliciousEnqueuesNeverCorrupt)
         for (std::uint64_t i = 0; i < n; ++i) {
             DmaProtection::Request req;
             mem::PhysAddr addr;
-            switch (rng.below(4)) {
+            std::uint32_t len = 1000;
+            switch (rng.below(5)) {
               case 0:
                 addr = mem::addrOf(own[rng.below(own.size())]);
                 break;
@@ -172,7 +173,7 @@ TEST_P(ProtectionFuzz, MaliciousEnqueuesNeverCorrupt)
                 addr = mem::addrOf(1u << 30); // far out of range
                 all_mine = false;
                 break;
-              default:
+              case 3:
                 addr = mem::addrOf(own[rng.below(own.size())]) +
                        rng.below(4000);
                 // may spill into the next page, which we may not own
@@ -181,8 +182,14 @@ TEST_P(ProtectionFuzz, MaliciousEnqueuesNeverCorrupt)
                                        attacker->id()))
                     all_mine = false;
                 break;
+              default:
+                // zero-length: spans no pages, even at address 0
+                addr = rng.below(2) ? 0
+                                    : mem::addrOf(own[rng.below(own.size())]);
+                len = 0;
+                break;
             }
-            req.sg = {{addr, 1000}};
+            req.sg = {{addr, len}};
             reqs.push_back(std::move(req));
         }
         (void)all_mine;

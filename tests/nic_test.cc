@@ -28,9 +28,16 @@ TEST(DescRing, SlotWrapAndAddresses)
     EXPECT_EQ(ring.size(), 8u);
     EXPECT_EQ(ring.slotOf(0), 0u);
     EXPECT_EQ(ring.slotOf(9), 1u);
-    EXPECT_EQ(ring.slotAddr(0), 0x10000u);
-    EXPECT_EQ(ring.slotAddr(8), 0x10000u); // wrapped
-    EXPECT_EQ(ring.slotAddr(3), 0x10000u + 3 * kDescBytes);
+    EXPECT_EQ(ring.fetchSg(0, 1).front().addr, 0x10000u);
+    EXPECT_EQ(ring.fetchSg(8, 1).front().addr, 0x10000u); // wrapped
+    EXPECT_EQ(ring.fetchSg(3, 1).front().addr, 0x10000u + 3 * kDescBytes);
+    // A fetch across the wrap reads the tail slots, then the head ones.
+    mem::SgList sg = ring.fetchSg(6, 4);
+    ASSERT_EQ(sg.size(), 2u);
+    EXPECT_EQ(sg[0].addr, 0x10000u + 6 * kDescBytes);
+    EXPECT_EQ(sg[0].len, 2 * kDescBytes);
+    EXPECT_EQ(sg[1].addr, 0x10000u);
+    EXPECT_EQ(sg[1].len, 2 * kDescBytes);
 }
 
 TEST(DescRing, SlotsPersistAcrossLaps)

@@ -282,6 +282,33 @@ TEST_F(ProtFixture, MultiPageScatterGatherValidatedPerPage)
     EXPECT_EQ(mem.refCount(mine), 0u); // no partial pins leaked
 }
 
+TEST_F(ProtFixture, ZeroLengthEntriesSpanNoPages)
+{
+    // A zero-length entry spans no pages wherever it points: at a page
+    // the guest owns, and at address 0, where its last byte would wrap
+    // to the top of the address space.  Both get the same verdict, are
+    // charged and pinned for no page, and their DMA touches nothing.
+    DmaProtection prot(ctx, hv, costs, true);
+    auto h = prot.registerRing(nic, cxt, guest->id(), true);
+    std::vector<DmaProtection::Request> reqs(2);
+    reqs[0].sg = {{mem::addrOf(mem.allocOne(guest->id())), 0}};
+    reqs[1].sg = {{0, 0}};
+    DmaProtection::Result res;
+    prot.enqueue(h, std::move(reqs),
+                 [&](DmaProtection::Result out) { res = out; });
+    ctx.events().run();
+    EXPECT_EQ(res.fault, vmm::Fault::kNone);
+    EXPECT_EQ(res.accepted, 2u);
+    EXPECT_EQ(prot.pagesPinned(), 0u);
+    EXPECT_EQ(cpu.profile().hypervisor(),
+              costs.hv.hypercallOverhead + 2 * costs.protEnqueuePerDesc);
+
+    nic.pioWriteMailbox(cxt, nic::kMboxTxProducer, res.producer);
+    ctx.events().run();
+    EXPECT_EQ(nic.txConsumer(cxt), 2u);
+    EXPECT_EQ(mem.violationCount(), 0u);
+}
+
 TEST_F(ProtFixture, EnqueueChargesHypervisorTime)
 {
     DmaProtection prot(ctx, hv, costs, true);

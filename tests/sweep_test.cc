@@ -413,12 +413,18 @@ TEST(SweepTable, RowsAverageSeedsJoinArraysAndFlagUnknownNames)
                     .columns({"mbps", "per_guest_mbps", "no_such_key"})
                     .paper("cdna", "mbps", 1868)
                     .paper("cdna", "no_such_key", 1)
-                    .paper("nope", "mbps", 1);
+                    .paper("nope", "mbps", 1)
+                    .probe([](core::System &, const sim::RunPoint &,
+                              std::map<std::string, double> &extra) {
+                        extra["idle_pct"] = 0.0; // named like a report key
+                    });
     sim::SweepOptions opt;
     auto result = sim::runSweep(spec, opt);
     sim::SweepTable table = sim::renderTable(spec, result);
 
-    EXPECT_EQ(table.errors.size(), 3u); // one column, two paper values
+    // One column, two paper values and one probe extra.
+    ASSERT_EQ(table.errors.size(), 4u);
+    EXPECT_NE(table.errors[0].find("idle_pct"), std::string::npos);
     ASSERT_EQ(table.checks.size(), 1u);
     ASSERT_EQ(result.runs.size(), 2u);
     EXPECT_DOUBLE_EQ(table.checks[0].measured,

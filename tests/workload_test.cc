@@ -284,22 +284,3 @@ TEST(Workload, OnOffBurstsPreserveMeanRate)
     }
 }
 
-TEST(Workload, FlowStatsAggregatesPeerCounters)
-{
-    namespace wl = net::workload;
-    sim::SimContext ctx;
-    net::EthLink link(ctx, "eth");
-    net::TrafficPeer peer(ctx, "peer", link);
-    net::Packet p;
-    p.src = net::MacAddr::fromId(5);
-    p.payloadBytes = 1000;
-    link.port(1).send(p);
-    link.port(1).send(p);
-    ctx.events().run();
-    net::FlowStats fs = peer.flowStats();
-    EXPECT_EQ(fs.payloadDelivered, 2000u);
-    EXPECT_EQ(fs.framesReceived, 2u);
-    EXPECT_EQ(fs.receivedBySrc.at(net::MacAddr::fromId(5)), 2000u);
-    EXPECT_EQ(fs.rxDuplicates, 0u);
-    EXPECT_EQ(fs.ackedBytes, 0u); // no TCP endpoint
-}
