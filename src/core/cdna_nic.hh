@@ -316,7 +316,7 @@ class CdnaNic : public nic::NicBase
     {
         std::uint32_t consumerHost = 0; //!< consumer as the host sees it
         std::uint64_t done64 = 0;       //!< 64-bit shadow of consumer
-        std::uint64_t nextSeqno = 1;    //!< expected of the next fetched
+        std::uint64_t nextSeqno = 1;    //!< the next descriptor's seqno
         std::deque<std::uint32_t> ready; //!< validated, not yet used
     };
 
@@ -342,8 +342,8 @@ class CdnaNic : public nic::NicBase
         std::uint64_t trafficScore = 0; //!< packets since last page-in
         std::function<void()> pageOutDone;
 
-        Queue tx; //!< consumer counts transmitted descriptors
-        Queue rx; //!< consumer counts frames delivered to the guest
+        Queue tx;
+        Queue rx;
         bool inTxArb = false;
 
         Queue &queue(bool is_tx) { return is_tx ? tx : rx; }
