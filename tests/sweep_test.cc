@@ -542,7 +542,11 @@ presetCellJson(const std::string &preset, const std::string &cell,
  * Cells whose schema 2-7 blocks are non-zero (TCP recovery, context
  * paging, swpt validation, RPC tails, outages, switch drops), so a
  * report key collected with the wrong kind -- a windowed delta read as
- * an end value, a sum read as a max -- changes a golden byte.
+ * an end value, a sum read as a max -- changes a golden byte.  The
+ * table1 native cells pin the native driver with direct interrupts and
+ * RX auto-refill, flipcopy's copy cell the netback's copy-mode length,
+ * and the Xen dom0-kill latency cell the netback's crash orphaning and
+ * its drops while a frontend reconnects.
  */
 TEST(ReportGolden, PresetCellsMatchFullDocuments)
 {
@@ -561,6 +565,11 @@ TEST(ReportGolden, PresetCellsMatchFullDocuments)
         {"availability", "xen/domkill", "availability-xen-domkill.json"},
         {"incast", "cdna/f8/buf32k", "incast-cdna-f8-buf32k.json"},
         {"iommu", "perdevice", "iommu-perdevice.json"},
+        {"table1", "native/tx", "table1-native-tx.json"},
+        {"table1", "native/rx", "table1-native-rx.json"},
+        {"flipcopy", "xen-copy/g8", "flipcopy-xen-copy-g8.json"},
+        {"latency", "xen/load10k/domkill",
+         "latency-xen-load10k-domkill.json"},
     };
     for (const Case &c : cases) {
         std::string golden = readGolden(c.file);
