@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "sim/assert.hh"
 #include "sim/fault_injector.hh"
@@ -46,19 +47,12 @@ CdnaGuestDriver::attach()
     txInflightBytes_.clear();
     txFlushPending_ = false;
     rxFlushPending_ = false;
-    txWasFull_ = false;
     watchdogDelay_ = kWatchdogBase;
 
     txHandle_ = prot_.registerRing(nic_, cxt_, dom_.id(), /*is_tx=*/true);
     rxHandle_ = prot_.registerRing(nic_, cxt_, dom_.id(), /*is_tx=*/false);
 
     std::uint32_t entries = nic_.rxRing(cxt_).size();
-    // The rxSlotPage_ map is indexed pos % entries with free-running
-    // uint32 positions; like DescRing, that is only wrap-consistent
-    // for power-of-two sizes.
-    SIM_ASSERT((entries & (entries - 1)) == 0,
-               "CDNA RX ring size must be a power of two");
-    rxSlotPage_.assign(entries, 0);
     auto pages = dom_.hypervisor().mem().alloc(dom_.id(), entries);
     SIM_ASSERT(!pages.empty(), "out of memory for CDNA RX buffers");
     for (auto p : pages)
@@ -126,7 +120,7 @@ CdnaGuestDriver::detach()
     if (detached_)
         return;
     detached_ = true;
-    txBacklog_.clear();
+    dropStaged();
     rxRefillStage_.clear();
     prot_.unpinAll(txHandle_);
     prot_.unpinAll(rxHandle_);
@@ -138,35 +132,26 @@ CdnaGuestDriver::canTransmit() const
     if (detached_)
         return false;
     std::uint32_t inflight = txEnqueued_ - txDrained_;
-    return inflight + txBacklog_.size() + 1 < nic_.txRing(cxt_).size();
-}
-
-void
-CdnaGuestDriver::transmit(net::Packet pkt)
-{
-    SIM_ASSERT(canTransmit(), "CDNA transmit past ring capacity");
-    txBacklog_.push_back(std::move(pkt));
-    if (!canTransmit())
-        txWasFull_ = true;
+    return inflight + staged().size() + 1 < nic_.txRing(cxt_).size();
 }
 
 void
 CdnaGuestDriver::flush()
 {
-    if (txFlushPending_ || txBacklog_.empty() || detached_)
+    if (txFlushPending_ || staged().empty() || detached_)
         return;
     txFlushPending_ = true;
 
     std::uint64_t pages = 0;
-    for (const auto &p : txBacklog_)
+    for (const auto &p : staged())
         pages += mem::sgPages(p.hostSg);
     sim::Time cost =
-        static_cast<sim::Time>(txBacklog_.size()) * costs_.cdnaDrvTxPerPacket +
+        static_cast<sim::Time>(staged().size()) * costs_.cdnaDrvTxPerPacket +
         static_cast<sim::Time>(pages) * costs_.cdnaTranslatePerPage +
         costs_.drvPioWrite;
     if (!prot_.enabled()) {
         // Direct ring writes replace the enqueue hypercall.
-        cost += static_cast<sim::Time>(txBacklog_.size()) *
+        cost += static_cast<sim::Time>(staged().size()) *
                 (costs_.protEnqueuePerDesc / 3);
     }
 
@@ -175,10 +160,9 @@ CdnaGuestDriver::flush()
         if (detached_)
             return; // revoked while this task was queued; rings are gone
         std::vector<DmaProtection::Request> reqs;
-        reqs.reserve(txBacklog_.size());
-        while (!txBacklog_.empty()) {
-            net::Packet pkt = std::move(txBacklog_.front());
-            txBacklog_.pop_front();
+        reqs.reserve(staged().size());
+        while (!staged().empty()) {
+            net::Packet pkt = takeStaged();
             txInflightBytes_.push_back(pkt.payloadBytes);
             nTxPkts_.inc();
             DmaProtection::Request req;
@@ -215,17 +199,16 @@ CdnaGuestDriver::handleIrq()
     // Claim the completions now so an overlapping IRQ cannot
     // double-count them; the task below surfaces them in order.
     txDrained_ += completed;
-    auto deliveries = nic_.drainRx(cxt_);
-    if (completed == 0 && deliveries.empty())
+    auto frames = nic_.drainRx(cxt_);
+    if (completed == 0 && frames.empty())
         return;
 
     sim::Time cost = costs_.drvIrqHandler +
         completed * costs_.cdnaDrvCompletion +
-        static_cast<sim::Time>(deliveries.size()) * costs_.cdnaDrvRxPerPacket;
+        static_cast<sim::Time>(frames.size()) * costs_.cdnaDrvRxPerPacket;
 
     dom_.vcpu().post(cpu::Bucket::kOs, cost,
-                     [this, completed,
-                      deliveries = std::move(deliveries)]() mutable {
+                     [this, completed, frames = std::move(frames)]() mutable {
         for (std::uint32_t i = 0; i < completed; ++i) {
             SIM_ASSERT(!txInflightBytes_.empty(), "completion underflow");
             std::uint64_t bytes = txInflightBytes_.front();
@@ -236,25 +219,17 @@ CdnaGuestDriver::handleIrq()
         // Backend mode: delivered pages are about to be page-flipped to
         // guests, which requires their DMA pins dropped now rather than
         // at the next enqueue.
-        if (!autoRefill_ && prot_.enabled() && !deliveries.empty())
+        if (!autoRefill_ && prot_.enabled() && !frames.empty())
             prot_.syncUnpin(rxHandle_);
 
-        for (auto &d : deliveries) {
+        for (auto &pkt : frames) {
             nRxPkts_.inc();
-            std::uint32_t slot = d.pos % rxSlotPage_.size();
-            mem::PageNum page = rxSlotPage_[slot];
-            d.pkt.hostSg = {{mem::addrOf(page),
-                             d.pkt.payloadBytes + net::kTcpIpHeader}};
             if (autoRefill_)
-                rxRefillStage_.push_back(page);
-            deliverRx(std::move(d.pkt));
+                rxRefillStage_.push_back(mem::pageOf(pkt.hostSg[0].addr));
+            deliverRx(std::move(pkt));
         }
         flushRxRefills();
-
-        if (txWasFull_ && canTransmit()) {
-            txWasFull_ = false;
-            deliverTxSpace();
-        }
+        wakeIfRoom();
     });
 }
 
@@ -280,27 +255,17 @@ CdnaGuestDriver::flushRxRefills()
         rxFlushPending_ = false;
         if (detached_)
             return; // revoked while this task was queued; rings are gone
-        std::vector<mem::PageNum> pages(rxRefillStage_.begin(),
-                                        rxRefillStage_.end());
-        rxRefillStage_.clear();
         std::vector<DmaProtection::Request> reqs;
-        reqs.reserve(pages.size());
-        for (auto p : pages) {
+        reqs.reserve(rxRefillStage_.size());
+        for (auto p : rxRefillStage_) {
             DmaProtection::Request req;
             req.sg = {{mem::addrOf(p), net::kMtu}};
             reqs.push_back(std::move(req));
         }
-        auto finish = [this, pages = std::move(pages)]
-                      (DmaProtection::Result res) {
+        rxRefillStage_.clear();
+        auto finish = [this](DmaProtection::Result res) {
             if (detached_)
                 return; // revoked while the hypercall was in flight
-            // Record which ring slot each accepted page landed in.
-            std::uint32_t first = res.producer -
-                                  static_cast<std::uint32_t>(res.accepted);
-            for (std::uint32_t i = 0; i < res.accepted; ++i) {
-                std::uint32_t slot = (first + i) % rxSlotPage_.size();
-                rxSlotPage_[slot] = pages[i];
-            }
             if (res.fault != vmm::Fault::kNone)
                 nFaultsSeen_.inc();
             rxEnqueued_ = res.producer;

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <vector>
 
 #include "core/cdna_nic.hh"
 #include "core/cost_model.hh"
@@ -73,7 +72,6 @@ class CdnaGuestDriver : public sim::SimObject, public os::NetDevice
 
     // --- NetDevice ------------------------------------------------------
     bool canTransmit() const override;
-    void transmit(net::Packet pkt) override;
     void flush() override;
     net::MacAddr mac() const override { return mac_; }
     bool tsoCapable() const override { return nic_.params().tso; }
@@ -107,16 +105,12 @@ class CdnaGuestDriver : public sim::SimObject, public os::NetDevice
     DmaProtection::Handle rxHandle_ = 0;
 
     // TX
-    std::deque<net::Packet> txBacklog_;
     std::deque<std::uint64_t> txInflightBytes_;
     std::uint32_t txEnqueued_ = 0;
     std::uint32_t txDrained_ = 0;
     bool txFlushPending_ = false;
-    bool txHypercallBusy_ = false;
-    bool txWasFull_ = false;
 
     // RX
-    std::vector<mem::PageNum> rxSlotPage_;
     std::deque<mem::PageNum> rxRefillStage_;
     std::uint32_t rxEnqueued_ = 0;
     bool rxFlushPending_ = false;

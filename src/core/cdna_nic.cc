@@ -1,6 +1,7 @@
 #include "core/cdna_nic.hh"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "sim/assert.hh"
@@ -762,18 +763,20 @@ CdnaNic::receiveFrame(net::Packet pkt)
     touchActivity(c);
     if (c.rx.ready.size() < params_.fetchBatch / 2)
         startFetch(id, /*is_tx=*/false);
-    const nic::DmaDescriptor desc = c.rx.ring->at(pos);
+    // The frame names the prefix of its buffer that the DMA writes.
+    pkt.hostSg = mem::sgPrefix(c.rx.ring->at(pos).sg,
+                               bytes + net::kTcpIpHeader);
 
     std::uint64_t ep = fw_.epoch();
     fw_.exec(params_.fwPerPacket,
-             [this, id, pos, bytes, desc, ep,
-              pkt = std::move(pkt)]() mutable {
+             [this, id, bytes, ep, pkt = std::move(pkt)]() mutable {
         if (ep != fw_.epoch())
             return; // firmware rebooted: frame lost with the old image
-        mem::SgList sg = mem::sgPrefix(desc.sg, bytes + net::kTcpIpHeader);
-        Context &cc = cxt(id);
-        dma_.write(sg, cc.dom, id,
-                   [this, id, pos, bytes, ep,
+        // sg views the list the frame carries into the callback; the
+        // DMA reads it only during the call.
+        std::span<const mem::SgEntry> sg = pkt.hostSg;
+        dma_.write(sg, cxt(id).dom, id,
+                   [this, id, bytes, ep,
                     pkt = std::move(pkt)](mem::DmaResult dr) mutable {
             if (ep != fw_.epoch())
                 return;
@@ -785,7 +788,7 @@ CdnaNic::receiveFrame(net::Packet pkt)
                 nIommuDrops_.inc();
             } else if (ccc.allocated) {
                 nRxPackets_.inc();
-                ccc.rxDeliveries.push_back(RxDelivery{pos, std::move(pkt)});
+                ccc.rxDeliveries.push_back(std::move(pkt));
             }
             completeDescriptor(id, /*is_tx=*/false);
         });
@@ -816,7 +819,7 @@ CdnaNic::consumer(ContextId id, bool is_tx) const
     return (is_tx ? c.tx : c.rx).consumerHost;
 }
 
-std::vector<CdnaNic::RxDelivery>
+std::vector<net::Packet>
 CdnaNic::drainRx(ContextId id)
 {
     return std::exchange(cxt(id).rxDeliveries, {});

@@ -100,13 +100,6 @@ class CdnaNic : public nic::NicBase
   public:
     using ContextId = mem::ContextId;
 
-    /** A received frame pending pickup by the guest driver. */
-    struct RxDelivery
-    {
-        std::uint32_t pos;
-        net::Packet pkt;
-    };
-
     /** Fault callback: (context, owning domain, fault kind). */
     using FaultHandler =
         std::function<void(ContextId, mem::DomainId, vmm::Fault)>;
@@ -279,8 +272,12 @@ class CdnaNic : public nic::NicBase
         return consumer(cxt, false);
     }
 
-    /** Guest driver pulls delivered frames for @p cxt. */
-    std::vector<RxDelivery> drainRx(ContextId cxt);
+    /**
+     * Guest driver pulls delivered frames for @p cxt.  Each frame's
+     * hostSg is the prefix of the posted RX buffer the NIC wrote it
+     * into.
+     */
+    std::vector<net::Packet> drainRx(ContextId cxt);
 
     /** @p cxt's TX (@p is_tx) or RX descriptor ring. */
     nic::DescRing &ring(ContextId cxt, bool is_tx);
@@ -348,7 +345,7 @@ class CdnaNic : public nic::NicBase
 
         Queue &queue(bool is_tx) { return is_tx ? tx : rx; }
 
-        std::vector<RxDelivery> rxDeliveries;
+        std::vector<net::Packet> rxDeliveries;
         bool wbBusy = false;
         bool wbAgain = false;
 

@@ -793,7 +793,7 @@ System::killDriverDomain()
     // it had grant-mapped.  RX keeps landing in device-owned buffers;
     // the dead bridge discards it.
     for (auto &nd : nativeDrivers_)
-        nd->dropQdisc();
+        nd->dropStaged();
     for (auto &nd : nativeDrivers_)
         nd->nic().quiesceTx();
     // dom0's physical CDNA driver (the Xen/RiceNIC rows) dies too: its

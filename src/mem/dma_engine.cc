@@ -8,7 +8,7 @@
 namespace cdna::mem {
 
 std::uint64_t
-sgBytes(const SgList &sg)
+sgBytes(std::span<const SgEntry> sg)
 {
     std::uint64_t n = 0;
     for (const auto &e : sg)
@@ -57,7 +57,8 @@ DmaEngine::DmaEngine(sim::SimContext &ctx, std::string name, PciBus &bus,
 }
 
 void
-DmaEngine::read(const SgList &sg, DomainId behalf, ContextId cxt, Callback cb)
+DmaEngine::read(std::span<const SgEntry> sg, DomainId behalf, ContextId cxt,
+                Callback cb)
 {
     nReads_.inc();
     nReadBytes_.inc(sgBytes(sg));
@@ -65,7 +66,8 @@ DmaEngine::read(const SgList &sg, DomainId behalf, ContextId cxt, Callback cb)
 }
 
 void
-DmaEngine::write(const SgList &sg, DomainId behalf, ContextId cxt, Callback cb)
+DmaEngine::write(std::span<const SgEntry> sg, DomainId behalf, ContextId cxt,
+                 Callback cb)
 {
     nWrites_.inc();
     nWriteBytes_.inc(sgBytes(sg));
@@ -73,8 +75,8 @@ DmaEngine::write(const SgList &sg, DomainId behalf, ContextId cxt, Callback cb)
 }
 
 void
-DmaEngine::doTransfer(const SgList &sg, DomainId behalf, ContextId cxt,
-                      bool write, Callback cb)
+DmaEngine::doTransfer(std::span<const SgEntry> sg, DomainId behalf,
+                      ContextId cxt, bool write, Callback cb)
 {
     DmaResult result;
     forEachSgPage(sg, [&](PageNum p) {
@@ -85,19 +87,32 @@ DmaEngine::doTransfer(const SgList &sg, DomainId behalf, ContextId cxt,
         return true;
     });
     std::uint64_t carried = sgBytes(sg);
-    // Fault injection: a delayed completion widens the window between a
-    // descriptor being consumed and its pages being released, stressing
-    // the protection layer's deferred-reallocation rule.
-    sim::Time extra = 0;
-    if (sim::FaultInjector *fi = ctx().faultInjector(); fi && fi->dmaArmed())
-        extra = fi->dmaDelay();
-    if (extra > 0) {
-        bus_.transfer(carried, [this, cb = std::move(cb), result, extra] {
-            events().schedule(extra, [cb, result] { cb(result); });
-        });
+    sim::FaultInjector *fi = ctx().faultInjector();
+    if (!fi || !fi->dmaArmed()) {
+        bus_.transfer(carried, [cb = std::move(cb), result] { cb(result); });
         return;
     }
-    bus_.transfer(carried, [cb = std::move(cb), result] { cb(result); });
+    // Fault injection: a delayed completion widens the window between a
+    // descriptor being consumed and its pages being released, stressing
+    // the protection layer's deferred-reallocation rule.  PCIe keeps one
+    // device's writes in order, so a delayed completion also holds back
+    // every later completion of this engine (the bus is FIFO, so
+    // completions arrive here in issue order).
+    sim::Time extra = fi->dmaDelay();
+    bus_.transfer(carried, [this, cb = std::move(cb), result,
+                            extra]() mutable {
+        sim::Time at = std::max(now() + extra, orderedUntil_);
+        if (at == now() && heldBack_ == 0) {
+            cb(result);
+            return;
+        }
+        orderedUntil_ = at;
+        ++heldBack_;
+        events().scheduleAt(at, [this, cb = std::move(cb), result] {
+            --heldBack_;
+            cb(result);
+        });
+    });
 }
 
 } // namespace cdna::mem

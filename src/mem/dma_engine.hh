@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "mem/iommu.hh"
@@ -34,7 +35,7 @@ struct SgEntry
 using SgList = std::vector<SgEntry>;
 
 /** Total byte count of a scatter/gather list. */
-std::uint64_t sgBytes(const SgList &sg);
+std::uint64_t sgBytes(std::span<const SgEntry> sg);
 
 /** Prefix of @p sg covering its first @p bytes. */
 SgList sgPrefix(const SgList &sg, std::uint64_t bytes);
@@ -46,7 +47,7 @@ SgList sgPrefix(const SgList &sg, std::uint64_t bytes);
  */
 template <typename Fn>
 bool
-forEachSgPage(const SgList &sg, Fn &&fn)
+forEachSgPage(std::span<const SgEntry> sg, Fn &&fn)
 {
     for (const SgEntry &e : sg) {
         if (e.len == 0)
@@ -85,11 +86,19 @@ class DmaEngine : public sim::SimObject
     DmaEngine(sim::SimContext &ctx, std::string name, PciBus &bus,
               PhysMemory &mem, DeviceId dev, Iommu *iommu = nullptr);
 
-    /** Device reads host memory (descriptor fetch, TX payload). */
-    void read(const SgList &sg, DomainId behalf, ContextId cxt, Callback cb);
+    /**
+     * Device reads host memory (descriptor fetch, TX payload).  @p sg
+     * is read only during the call, so it may view a list @p cb owns.
+     */
+    void read(std::span<const SgEntry> sg, DomainId behalf, ContextId cxt,
+              Callback cb);
 
-    /** Device writes host memory (RX payload, completion records). */
-    void write(const SgList &sg, DomainId behalf, ContextId cxt, Callback cb);
+    /**
+     * Device writes host memory (RX payload, completion records); @p sg
+     * as for read().
+     */
+    void write(std::span<const SgEntry> sg, DomainId behalf, ContextId cxt,
+               Callback cb);
 
     DeviceId deviceId() const { return dev_; }
     void setIommu(Iommu *iommu) { iommu_ = iommu; }
@@ -98,13 +107,17 @@ class DmaEngine : public sim::SimObject
     std::uint64_t bytesWritten() const { return nWriteBytes_.value(); }
 
   private:
-    void doTransfer(const SgList &sg, DomainId behalf, ContextId cxt,
-                    bool write, Callback cb);
+    void doTransfer(std::span<const SgEntry> sg, DomainId behalf,
+                    ContextId cxt, bool write, Callback cb);
 
     PciBus &bus_;
     PhysMemory &mem_;
     DeviceId dev_;
     Iommu *iommu_;
+    /** Latest completion time handed out while a DMA delay is armed. */
+    sim::Time orderedUntil_ = 0;
+    /** Completions held back by a delayed one, not yet delivered. */
+    std::uint32_t heldBack_ = 0;
 
     sim::Counter &nReads_;
     sim::Counter &nWrites_;

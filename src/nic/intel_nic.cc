@@ -1,5 +1,6 @@
 #include "nic/intel_nic.hh"
 
+#include <span>
 #include <utility>
 
 #include "sim/assert.hh"
@@ -170,28 +171,30 @@ IntelNic::receiveFrame(net::Packet pkt)
         return;
     }
     std::uint32_t pos = rxUsed_++;
-    const DmaDescriptor &desc = rx_.ring->at(pos);
     // Prefetch more descriptors as the supply drains.
     if (rx_.fetched - rxUsed_ < params_.fetchBatch / 2)
         startRxFetch();
 
-    // Only the frame's bytes cross the bus, not the whole buffer.
-    mem::SgList wsg =
-        mem::sgPrefix(desc.sg, pkt.payloadBytes + net::kTcpIpHeader);
+    // Only the frame's bytes cross the bus, not the whole buffer; the
+    // frame names that prefix of its buffer to the driver.  wsg views
+    // the prefix's storage, which moves with the frame into the
+    // callback, and the DMA reads it only during the call.
+    pkt.hostSg = mem::sgPrefix(rx_.ring->at(pos).sg,
+                               pkt.payloadBytes + net::kTcpIpHeader);
+    std::span<const mem::SgEntry> wsg = pkt.hostSg;
     dma_.write(wsg, dmaDomain_, mem::kWholeDevice,
-               [this, pos, bytes, pkt = std::move(pkt)]
-               (mem::DmaResult) mutable {
+               [this, bytes, pkt = std::move(pkt)](mem::DmaResult) mutable {
         rxBuf_.release(bytes);
         nRxPackets_.inc();
         nRxPayload_.inc(pkt.payloadBytes);
-        rxReady_.push_back(RxDelivery{pos, std::move(pkt)});
+        rxReady_.push_back(std::move(pkt));
         ++rx_.consumer;
         scheduleConsumerWriteback();
         notePendingEvent();
     });
 }
 
-std::vector<IntelNic::RxDelivery>
+std::vector<net::Packet>
 IntelNic::drainRx()
 {
     return std::exchange(rxReady_, {});

@@ -42,13 +42,6 @@ struct IntelNicParams
 class IntelNic : public NicBase
 {
   public:
-    /** A received frame handed to the host driver. */
-    struct RxDelivery
-    {
-        std::uint32_t pos;  //!< RX ring position the frame consumed
-        net::Packet pkt;
-    };
-
     IntelNic(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
              mem::PhysMemory &mem, mem::DeviceId dev, net::Fabric &fabric,
              IntelNicParams params = {});
@@ -83,8 +76,12 @@ class IntelNic : public NicBase
     /** Free-running count of received frames delivered to host memory. */
     std::uint32_t rxConsumer() const { return rx_.consumer; }
 
-    /** Driver pulls delivered frames (called from its IRQ handler). */
-    std::vector<RxDelivery> drainRx();
+    /**
+     * Driver pulls delivered frames (called from its IRQ handler), in
+     * ring order.  Each frame's hostSg is the prefix of the posted RX
+     * buffer the NIC wrote it into.
+     */
+    std::vector<net::Packet> drainRx();
 
     /**
      * Quiesce the TX DMA engine (hypervisor killing the owning
@@ -134,7 +131,7 @@ class IntelNic : public NicBase
     // RX: consumer counts deliveries completed to host memory.
     DescQueue rx_;
     std::uint32_t rxUsed_ = 0;      //!< descriptors consumed by frames
-    std::vector<RxDelivery> rxReady_;
+    std::vector<net::Packet> rxReady_;
 
     bool writebackBusy_ = false;
     bool writebackAgain_ = false;

@@ -17,7 +17,6 @@ NativeDriver::NativeDriver(sim::SimContext &ctx, std::string name,
       costs_(costs),
       route_(route),
       mac_(mac),
-      nQdiscDrop_(stats().addCounter("qdisc_drops")),
       nTxPkts_(stats().addCounter("tx_packets")),
       nRxPkts_(stats().addCounter("rx_packets")),
       nIrqsHandled_(stats().addCounter("irqs_handled"))
@@ -40,7 +39,6 @@ NativeDriver::attach()
 
     // Post one page-sized buffer per RX descriptor.
     std::uint32_t entries = nic_.rxRing().size();
-    rxSlotPage_.assign(entries, 0);
     for (std::uint32_t i = 0; i < entries; ++i)
         postRxBuffer(mem.allocOne(dom_.id()));
     nic_.pioWriteRxProducer(rxProducer_);
@@ -82,15 +80,14 @@ NativeDriver::handleIrq()
     // claim it immediately so an overlapping IRQ cannot double-count.
     std::uint32_t completed = nic_.txConsumer() - txDrained_;
     txDrained_ += completed;
-    auto deliveries = nic_.drainRx();
+    auto frames = nic_.drainRx();
 
     sim::Time cost = costs_.drvIrqHandler +
         completed * costs_.drvTxCompletion +
-        static_cast<sim::Time>(deliveries.size()) * costs_.drvRxPerPacket;
+        static_cast<sim::Time>(frames.size()) * costs_.drvRxPerPacket;
 
     dom_.vcpu().post(cpu::Bucket::kOs, cost,
-                     [this, completed,
-                      deliveries = std::move(deliveries)]() mutable {
+                     [this, completed, frames = std::move(frames)]() mutable {
         for (std::uint32_t i = 0; i < completed; ++i) {
             SIM_ASSERT(!txInflightBytes_.empty(), "completion underflow");
             std::uint64_t bytes = txInflightBytes_.front();
@@ -98,69 +95,38 @@ NativeDriver::handleIrq()
             deliverTxComplete(bytes);
         }
 
-        for (auto &d : deliveries) {
+        for (auto &pkt : frames) {
             nRxPkts_.inc();
-            std::uint32_t slot = d.pos % rxSlotPage_.size();
-            mem::PageNum page = rxSlotPage_[slot];
-            d.pkt.hostSg = {{mem::addrOf(page),
-                             d.pkt.payloadBytes + net::kTcpIpHeader}};
-            if (autoRefill_) {
-                // Recycle the same page once the stack copies out.
-                postRxBuffer(page);
-            } else {
-                // Owner (backend) flips this page away and must refill.
-            }
-            deliverRx(std::move(d.pkt));
+            // Recycle the buffer once the stack copies out; a backend
+            // owner flips it away instead and must refill.
+            if (autoRefill_)
+                postRxBuffer(mem::pageOf(pkt.hostSg[0].addr));
+            deliverRx(std::move(pkt));
         }
         flushRxProducer();
 
         // Pump any transmits that were waiting for ring space.
-        if (!qdisc_.empty())
+        if (!staged().empty())
             flush();
-        if (txWasFull_ && canTransmit()) {
-            txWasFull_ = false;
-            deliverTxSpace();
-        }
+        wakeIfRoom();
     });
-}
-
-std::uint64_t
-NativeDriver::dropQdisc()
-{
-    std::uint64_t n = qdisc_.size();
-    qdisc_.clear();
-    txWasFull_ = false;
-    return n;
 }
 
 bool
 NativeDriver::canTransmit() const
 {
-    return qdisc_.size() < qdiscLimit_;
-}
-
-void
-NativeDriver::transmit(net::Packet pkt)
-{
-    if (!canTransmit()) {
-        nQdiscDrop_.inc();
-        txWasFull_ = true;
-        return;
-    }
-    qdisc_.push_back(std::move(pkt));
-    if (!canTransmit())
-        txWasFull_ = true;
+    return staged().size() < kQdiscLimit;
 }
 
 void
 NativeDriver::flush()
 {
-    if (flushPending_ || qdisc_.empty())
+    if (flushPending_ || staged().empty())
         return;
     std::uint32_t ring_space =
         nic_.txRing().size() - (txProducer_ - nic_.txConsumer());
     std::uint32_t n = std::min<std::uint32_t>(
-        static_cast<std::uint32_t>(qdisc_.size()), ring_space);
+        static_cast<std::uint32_t>(staged().size()), ring_space);
     if (n == 0)
         return; // retried from the completion handler
     flushPending_ = true;
@@ -177,10 +143,9 @@ NativeDriver::doFlush(std::uint32_t n)
     std::uint32_t ring_space =
         nic_.txRing().size() - (txProducer_ - nic_.txConsumer());
     n = std::min({n, ring_space,
-                  static_cast<std::uint32_t>(qdisc_.size())});
+                  static_cast<std::uint32_t>(staged().size())});
     for (std::uint32_t i = 0; i < n; ++i) {
-        net::Packet pkt = std::move(qdisc_.front());
-        qdisc_.pop_front();
+        net::Packet pkt = takeStaged();
         nic::DmaDescriptor desc;
         desc.sg = pkt.hostSg;
         desc.flags = nic::kDescValid | nic::kDescEop;
@@ -193,17 +158,12 @@ NativeDriver::doFlush(std::uint32_t n)
         nTxPkts_.inc();
     }
     nic_.pioWriteTxProducer(txProducer_);
-    if (txWasFull_ && canTransmit()) {
-        txWasFull_ = false;
-        deliverTxSpace();
-    }
+    wakeIfRoom();
 }
 
 void
 NativeDriver::postRxBuffer(mem::PageNum page)
 {
-    std::uint32_t slot = rxProducer_ % nic_.rxRing().size();
-    rxSlotPage_[slot] = page;
     nic::DmaDescriptor desc;
     desc.sg = {{mem::addrOf(page), net::kMtu}};
     desc.flags = nic::kDescValid;

@@ -14,8 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <vector>
 
 #include "core/cost_model.hh"
 #include "nic/intel_nic.hh"
@@ -41,16 +39,8 @@ class NativeDriver : public sim::SimObject, public NetDevice
     /** Allocate rings/buffers and bring the device up. */
     void attach();
 
-    /**
-     * Discard every packet queued but not yet posted to the NIC (the
-     * owning domain just crashed; the queue lived in its memory).
-     * Returns the number of packets dropped.
-     */
-    std::uint64_t dropQdisc();
-
     // --- NetDevice ------------------------------------------------------
     bool canTransmit() const override;
-    void transmit(net::Packet pkt) override;
     net::MacAddr mac() const override { return mac_; }
     bool tsoCapable() const override { return nic_.params().tso; }
 
@@ -62,8 +52,6 @@ class NativeDriver : public sim::SimObject, public NetDevice
 
     vmm::Domain &domain() { return dom_; }
     nic::IntelNic &nic() { return nic_; }
-
-    std::uint64_t txQueueDrops() const { return nQdiscDrop_.value(); }
 
   private:
     void onIrq();
@@ -79,25 +67,20 @@ class NativeDriver : public sim::SimObject, public NetDevice
     net::MacAddr mac_;
     vmm::EventChannel *irqChannel_ = nullptr;
 
-    // TX
-    std::deque<net::Packet> qdisc_;
-    std::uint32_t qdiscLimit_ = 512;
+    // TX: the qdisc is the NetDevice stage, up to kQdiscLimit packets.
+    static constexpr std::size_t kQdiscLimit = 512;
     bool flushPending_ = false;
     std::uint32_t txProducer_ = 0;
     std::uint32_t txDrained_ = 0; //!< completions already surfaced
     std::deque<std::uint64_t> txInflightBytes_;
-    bool txWasFull_ = false;
 
     // RX
     std::uint32_t rxProducer_ = 0;
-    std::vector<mem::PageNum> rxSlotPage_;
-    std::deque<mem::PageNum> rxFreePages_;
     bool autoRefill_ = true;
     bool rxPioPending_ = false;
 
     bool irqTaskPending_ = false;
 
-    sim::Counter &nQdiscDrop_;
     sim::Counter &nTxPkts_;
     sim::Counter &nRxPkts_;
     sim::Counter &nIrqsHandled_;

@@ -3,19 +3,28 @@
  * The OS-internal network-device interface.
  *
  * A NetDevice is what the simulated kernel's stack sees: the native
- * Intel driver, the Xen paravirtual frontend, and the CDNA guest driver
- * all implement it, so the stack and workloads are oblivious to which
- * I/O virtualization architecture is underneath -- exactly the
- * transparency the paper's designs preserve.
+ * Intel driver, the Xen paravirtual frontend, the swpt driver and the
+ * CDNA guest driver all implement it, so the stack and workloads are
+ * oblivious to which I/O virtualization architecture is underneath --
+ * exactly the transparency the paper's designs preserve.
+ *
+ * The transmit contract is the same under every architecture, so it
+ * lives here once: transmit() stages a packet, the driver's flush()
+ * posts the staged burst to its ring, and the driver wakes the stack
+ * once a full device has room again.  A driver supplies only what
+ * differs: its room rule (canTransmit()), its flush and its interrupt
+ * bottom half.
  */
 
 #ifndef CDNA_OS_NET_DEVICE_HH
 #define CDNA_OS_NET_DEVICE_HH
 
+#include <deque>
 #include <functional>
 
 #include "mem/phys_memory.hh"
 #include "net/packet.hh"
+#include "sim/assert.hh"
 
 namespace cdna::os {
 
@@ -28,13 +37,32 @@ class NetDevice
     virtual bool canTransmit() const = 0;
 
     /**
-     * Queue a packet for transmission.  Callers must check
-     * canTransmit() first; drivers drop (and count) otherwise.
+     * Stage a packet for transmission; flush() posts it.  Callers must
+     * check canTransmit() first (asserted).  Marks the device full when
+     * this packet took its last room.
      */
-    virtual void transmit(net::Packet pkt) = 0;
+    virtual void
+    transmit(net::Packet pkt)
+    {
+        SIM_ASSERT(canTransmit(), "transmit past device capacity");
+        staged_.push_back(std::move(pkt));
+        if (!canTransmit())
+            txFull_ = true;
+    }
 
-    /** Push any queued transmits to the hardware (end of a burst). */
+    /** Push the staged transmits to the hardware (end of a burst). */
     virtual void flush() {}
+
+    /**
+     * Discard every staged packet: the domain whose memory held them
+     * died before they were posted.
+     */
+    void
+    dropStaged()
+    {
+        staged_.clear();
+        txFull_ = false;
+    }
 
     /** Device MAC address. */
     virtual net::MacAddr mac() const = 0;
@@ -72,6 +100,34 @@ class NetDevice
     }
 
   protected:
+    /** Packets staged by transmit() and not yet posted, oldest first. */
+    const std::deque<net::Packet> &staged() const { return staged_; }
+
+    /** Take the oldest staged packet to post it to the hardware. */
+    net::Packet
+    takeStaged()
+    {
+        net::Packet pkt = std::move(staged_.front());
+        staged_.pop_front();
+        return pkt;
+    }
+
+    /** Wake the stack if transmit() filled the device and it has room. */
+    void
+    wakeIfRoom()
+    {
+        if (txFull_ && canTransmit())
+            wake();
+    }
+
+    /** Wake the stack unconditionally (ring space renegotiated). */
+    void
+    wake()
+    {
+        txFull_ = false;
+        deliverTxSpace();
+    }
+
     void
     deliverRx(net::Packet pkt)
     {
@@ -94,6 +150,8 @@ class NetDevice
     }
 
   private:
+    std::deque<net::Packet> staged_;
+    bool txFull_ = false; //!< transmit() took the last room
     std::function<void(net::Packet)> rxHandler_;
     std::function<void(std::uint64_t)> txCompleteHandler_;
     std::function<void()> txSpaceHandler_;

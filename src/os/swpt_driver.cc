@@ -16,7 +16,6 @@ SwptDriver::SwptDriver(sim::SimContext &ctx, std::string name,
       validator_(validator),
       costs_(costs),
       mac_(mac),
-      nQdiscDrop_(stats().addCounter("qdisc_drops")),
       nTxPkts_(stats().addCounter("tx_packets")),
       nRxPkts_(stats().addCounter("rx_packets")),
       nIrqsHandled_(stats().addCounter("irqs_handled"))
@@ -48,47 +47,25 @@ SwptDriver::detach()
     if (detached_)
         return;
     detached_ = true;
-    dropQdisc();
+    dropStaged();
     validator_.detachGuest(gid_);
-}
-
-std::uint64_t
-SwptDriver::dropQdisc()
-{
-    std::uint64_t n = qdisc_.size();
-    qdisc_.clear();
-    txWasFull_ = false;
-    return n;
 }
 
 bool
 SwptDriver::canTransmit() const
 {
-    return !detached_ && qdisc_.size() < qdiscLimit_;
-}
-
-void
-SwptDriver::transmit(net::Packet pkt)
-{
-    if (!canTransmit()) {
-        nQdiscDrop_.inc();
-        txWasFull_ = true;
-        return;
-    }
-    qdisc_.push_back(std::move(pkt));
-    if (!canTransmit())
-        txWasFull_ = true;
+    return !detached_ && staged().size() < kQdiscLimit;
 }
 
 void
 SwptDriver::flush()
 {
-    if (flushPending_ || qdisc_.empty() || detached_)
+    if (flushPending_ || staged().empty() || detached_)
         return;
     std::uint32_t outstanding = txPosted_ - txCompleted_;
     std::uint32_t window = kTxWindow - std::min(kTxWindow, outstanding);
     std::uint32_t n = std::min<std::uint32_t>(
-        static_cast<std::uint32_t>(qdisc_.size()), window);
+        static_cast<std::uint32_t>(staged().size()), window);
     if (n == 0)
         return; // retried when completions drain
     flushPending_ = true;
@@ -107,14 +84,13 @@ SwptDriver::doFlush(std::uint32_t n)
         return;
     std::uint32_t outstanding = txPosted_ - txCompleted_;
     std::uint32_t window = kTxWindow - std::min(kTxWindow, outstanding);
-    n = std::min({n, window, static_cast<std::uint32_t>(qdisc_.size())});
+    n = std::min({n, window, static_cast<std::uint32_t>(staged().size())});
     if (n == 0)
         return;
     std::vector<vmm::SwptValidator::TxReq> batch;
     batch.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
-        net::Packet pkt = std::move(qdisc_.front());
-        qdisc_.pop_front();
+        net::Packet pkt = takeStaged();
         vmm::SwptValidator::TxReq req;
         req.sg = pkt.hostSg;
         req.pkt = std::move(pkt);
@@ -123,10 +99,7 @@ SwptDriver::doFlush(std::uint32_t n)
         nTxPkts_.inc();
     }
     validator_.txDoorbell(gid_, std::move(batch));
-    if (txWasFull_ && canTransmit()) {
-        txWasFull_ = false;
-        deliverTxSpace();
-    }
+    wakeIfRoom();
 }
 
 void
@@ -161,12 +134,9 @@ SwptDriver::handleIrq()
         if (autoRefill_ && !recycle.empty() && !detached_)
             validator_.rxDoorbell(gid_, std::move(recycle));
 
-        if (!qdisc_.empty())
+        if (!staged().empty())
             flush();
-        if (txWasFull_ && canTransmit()) {
-            txWasFull_ = false;
-            deliverTxSpace();
-        }
+        wakeIfRoom();
     });
 }
 

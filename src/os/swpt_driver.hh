@@ -16,7 +16,6 @@
 #define CDNA_OS_SWPT_DRIVER_HH
 
 #include <cstdint>
-#include <deque>
 
 #include "core/cost_model.hh"
 #include "os/net_device.hh"
@@ -34,15 +33,11 @@ class SwptDriver : public sim::SimObject, public NetDevice
     /** Register with the validator, allocate rings and RX buffers. */
     void attach();
 
-    /** Guest killed: drop queued TX and detach the validator port. */
+    /** Guest killed: drop staged TX and detach the validator port. */
     void detach();
-
-    /** Discard every packet queued but not yet doorbell'd. */
-    std::uint64_t dropQdisc();
 
     // --- NetDevice ------------------------------------------------------
     bool canTransmit() const override;
-    void transmit(net::Packet pkt) override;
     net::MacAddr mac() const override { return mac_; }
     bool tsoCapable() const override
     {
@@ -56,8 +51,6 @@ class SwptDriver : public sim::SimObject, public NetDevice
     vmm::SwptValidator &validator() { return validator_; }
     vmm::SwptValidator::GuestId gid() const { return gid_; }
     bool detached() const { return detached_; }
-
-    std::uint64_t txQueueDrops() const { return nQdiscDrop_.value(); }
 
   private:
     void handleIrq();
@@ -75,18 +68,15 @@ class SwptDriver : public sim::SimObject, public NetDevice
     vmm::SwptValidator::GuestId gid_ = 0;
     bool detached_ = false;
 
-    // TX
-    std::deque<net::Packet> qdisc_;
-    std::uint32_t qdiscLimit_ = 512;
+    // TX: the qdisc is the NetDevice stage, up to kQdiscLimit packets.
+    static constexpr std::size_t kQdiscLimit = 512;
     bool flushPending_ = false;
     std::uint32_t txPosted_ = 0;
     std::uint32_t txCompleted_ = 0;
-    bool txWasFull_ = false;
 
     // RX
     bool autoRefill_ = true;
 
-    sim::Counter &nQdiscDrop_;
     sim::Counter &nTxPkts_;
     sim::Counter &nRxPkts_;
     sim::Counter &nIrqsHandled_;

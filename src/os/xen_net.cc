@@ -41,7 +41,7 @@ XenVif::XenVif(sim::SimContext &ctx, std::string name, DriverDomainNet &ddn,
 bool
 XenVif::canTransmit() const
 {
-    return txOutstanding_ + feBacklog_.size() < kRingSlots;
+    return txOutstanding_ + staged().size() < kRingSlots;
 }
 
 bool
@@ -51,23 +51,14 @@ XenVif::tsoCapable() const
 }
 
 void
-XenVif::transmit(net::Packet pkt)
-{
-    SIM_ASSERT(canTransmit(), "vif transmit past ring capacity");
-    feBacklog_.push_back(std::move(pkt));
-    if (!canTransmit())
-        txWasFull_ = true;
-}
-
-void
 XenVif::flush()
 {
-    if (feFlushPending_ || feBacklog_.empty())
+    if (feFlushPending_ || staged().empty())
         return;
     feFlushPending_ = true;
-    auto n = static_cast<std::uint32_t>(feBacklog_.size());
+    auto n = static_cast<std::uint32_t>(staged().size());
     std::uint64_t bytes = 0;
-    for (const auto &p : feBacklog_)
+    for (const auto &p : staged())
         bytes += p.payloadBytes;
     const auto &c = ddn_.costs();
     sim::Time cost = n * c.feTxPerPacket +
@@ -77,10 +68,9 @@ XenVif::flush()
     guest_.vcpu().post(cpu::Bucket::kOs, cost, [this] {
         feFlushPending_ = false;
         auto &grants = ddn_.hv().grants();
-        while (!feBacklog_.empty()) {
+        while (!staged().empty()) {
             TxRequest req;
-            req.pkt = std::move(feBacklog_.front());
-            feBacklog_.pop_front();
+            req.pkt = takeStaged();
             mem::forEachSgPage(req.pkt.hostSg, [&](mem::PageNum p) {
                 mem::GrantRef ref = grants.grantAccess(
                     guest_.id(), ddn_.driverDomain().id(), p);
@@ -190,8 +180,7 @@ XenVif::completeReconnect()
     // wake the stack (ring space is fully available again).
     if (!txReq_.empty())
         ddn_.hv().notifyChannel(*beChannel_);
-    txWasFull_ = false;
-    deliverTxSpace();
+    wake();
 }
 
 void
@@ -306,10 +295,7 @@ XenVif::frontendIrq()
             deliverRx(std::move(pkt));
         }
         postRxBuffers();
-        if (txWasFull_ && canTransmit()) {
-            txWasFull_ = false;
-            deliverTxSpace();
-        }
+        wakeIfRoom();
     });
 }
 
@@ -348,36 +334,15 @@ DriverDomainNet::crash()
         return;
     backendUp_ = false;
 
-    // Everything the backend had in flight is orphaned: record the
-    // grants (and the lost bytes) on each frontend so it can reclaim
-    // them when it reconnects.  The hypervisor revokes the dead
-    // domain's grant mappings separately.
-    auto orphan = [](XenVif *vif, XenVif::TxMeta &meta) {
-        vif->orphanTxBytes_ += meta.bytes;
-        vif->nLostTx_.inc();
-        for (auto ref : meta.grants)
-            vif->orphanGrants_.push_back(ref);
-    };
-    for (auto &[vif, meta] : txMeta_)
-        orphan(vif, meta);
+    // Everything the backend had in flight is orphaned.  The
+    // hypervisor revokes the dead domain's grant mappings separately.
+    for (const auto &[vif, meta] : txMeta_)
+        orphanTx(*vif, meta);
     txMeta_.clear();
-    for (auto &[vif, meta] : txCompStage_)
-        orphan(vif, meta);
+    for (const auto &[vif, meta] : txCompStage_)
+        orphanTx(*vif, meta);
     txCompStage_.clear();
-
-    // Staged RX died in driver-domain memory.  Recycle the NIC buffer
-    // pages -- the adapter itself survived the crash -- so reception
-    // can resume the moment the domain is back.
-    for (XenVif *vif : rxTouched_) {
-        for (auto &pkt : vif->rxStage_) {
-            vif->nOutageDrops_.inc();
-            nOutageDrops_.inc();
-            if (!pkt.hostSg.empty())
-                phys_.refillRx(mem::pageOf(pkt.hostSg[0].addr));
-        }
-        vif->rxStage_.clear();
-    }
-    rxTouched_.clear();
+    dropStagedRx(std::exchange(rxTouched_, {}));
     CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "backend_crash", now());
 }
 
@@ -389,6 +354,15 @@ DriverDomainNet::restart()
     backendUp_ = true;
     CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "backend_restart",
                        now());
+}
+
+void
+DriverDomainNet::orphanTx(XenVif &vif, const XenVif::TxMeta &meta)
+{
+    vif.orphanTxBytes_ += meta.bytes;
+    vif.nLostTx_.inc();
+    for (auto ref : meta.grants)
+        vif.orphanGrants_.push_back(ref);
 }
 
 void
@@ -439,21 +413,11 @@ DriverDomainNet::collectTxComplete()
 
     // A crash between stage and service orphans the batch exactly as
     // if it were still staged (the lambdas own it by then).
-    auto orphanBatch =
-        [this](std::vector<std::pair<XenVif *, XenVif::TxMeta>> &batch) {
-            for (auto &[vif, meta] : batch) {
-                vif->orphanTxBytes_ += meta.bytes;
-                vif->nLostTx_.inc();
-                for (auto ref : meta.grants)
-                    vif->orphanGrants_.push_back(ref);
-            }
-        };
-
     drvDom_.vcpu().post(cpu::Bucket::kOs, n * costs_.beTxCompletion,
-                        [this, orphanBatch,
-                         batch = std::move(batch)]() mutable {
+                        [this, batch = std::move(batch)]() mutable {
         if (!backendUp_) {
-            orphanBatch(batch);
+            for (const auto &[vif, meta] : batch)
+                orphanTx(*vif, meta);
             return;
         }
         std::uint64_t pages = 0;
@@ -461,10 +425,10 @@ DriverDomainNet::collectTxComplete()
             pages += meta.grants.size();
         auto &hvp = hv().params();
         hv().hypercall(static_cast<sim::Time>(pages) * hvp.grantUnmapPerPage,
-                       [this, orphanBatch,
-                        batch = std::move(batch)]() mutable {
+                       [this, batch = std::move(batch)]() mutable {
             if (!backendUp_) {
-                orphanBatch(batch);
+                for (const auto &[vif, meta] : batch)
+                    orphanTx(*vif, meta);
                 return;
             }
             auto &grants = hv().grants();
@@ -487,32 +451,14 @@ DriverDomainNet::collectTxComplete()
 void
 DriverDomainNet::onPhysRx(net::Packet pkt)
 {
-    if (!backendUp_) {
-        // No bridge to demux: the packet is lost in the outage.
-        nOutageDrops_.inc();
-        auto victim = macTable_.find(pkt.dst.hash());
-        if (victim != macTable_.end())
-            victim->second->nOutageDrops_.inc();
-        if (!pkt.hostSg.empty())
-            phys_.refillRx(mem::pageOf(pkt.hostSg[0].addr));
-        return;
-    }
     auto it = macTable_.find(pkt.dst.hash());
-    if (it == macTable_.end()) {
-        nNoVif_.inc();
-        // Recycle the NIC buffer page: nothing consumed it.
-        if (!pkt.hostSg.empty())
-            phys_.refillRx(mem::pageOf(pkt.hostSg[0].addr));
-        return;
-    }
-    XenVif *vif = it->second;
-    if (vif->feState_ != XenVif::FeState::kConnected) {
-        // The frontend has not completed its reconnection handshake:
-        // there is no negotiated RX ring to deliver into yet.
-        nOutageDrops_.inc();
-        vif->nOutageDrops_.inc();
-        if (!pkt.hostSg.empty())
-            phys_.refillRx(mem::pageOf(pkt.hostSg[0].addr));
+    XenVif *vif = it == macTable_.end() ? nullptr : it->second;
+    // Deliverable only through a live bridge to a connected frontend:
+    // until its reconnection handshake completes there is no
+    // negotiated RX ring to deliver into.
+    if (!backendUp_ || !vif ||
+        vif->feState_ != XenVif::FeState::kConnected) {
+        dropRx(pkt, vif);
         return;
     }
     nBridgePkts_.inc();
@@ -520,6 +466,34 @@ DriverDomainNet::onPhysRx(net::Packet pkt)
         rxTouched_.push_back(vif);
     vif->rxStage_.push_back(std::move(pkt));
     scheduleRxCollect();
+}
+
+void
+DriverDomainNet::dropRx(const net::Packet &pkt, XenVif *vif)
+{
+    if (backendUp_ && !vif) {
+        nNoVif_.inc();
+    } else {
+        nOutageDrops_.inc();
+        if (vif)
+            vif->nOutageDrops_.inc();
+    }
+    // Recycle the NIC buffer page: nothing consumed it, and the adapter
+    // outlives a driver-domain crash, so reception can resume the
+    // moment the domain is back.
+    if (!pkt.hostSg.empty())
+        phys_.refillRx(mem::pageOf(pkt.hostSg[0].addr));
+}
+
+void
+DriverDomainNet::dropStagedRx(const std::vector<XenVif *> &touched)
+{
+    // The staged frames sat in driver-domain memory when it died.
+    for (XenVif *vif : touched) {
+        for (const auto &pkt : vif->rxStage_)
+            dropRx(pkt, vif);
+        vif->rxStage_.clear();
+    }
 }
 
 void
@@ -566,34 +540,18 @@ DriverDomainNet::collectRx()
               (params.grantMapPerPage + params.grantUnmapPerPage)
         : static_cast<sim::Time>(n) * params.pageFlipPerPage;
 
-    // A crash while the batch waits drops it: the packets sat in
-    // driver-domain memory the moment the domain died.
-    auto dropStaged = [this](const std::vector<XenVif *> &touched) {
-        for (XenVif *vif : touched) {
-            for (auto &pkt : vif->rxStage_) {
-                vif->nOutageDrops_.inc();
-                nOutageDrops_.inc();
-                if (!pkt.hostSg.empty())
-                    phys_.refillRx(mem::pageOf(pkt.hostSg[0].addr));
-            }
-            vif->rxStage_.clear();
-        }
-    };
-
+    // A crash while the batch waits drops it.
     drvDom_.vcpu().post(cpu::Bucket::kOs, cost,
-                        [this, touched = std::move(touched), hv_cost,
-                         dropStaged] {
+                        [this, touched = std::move(touched), hv_cost] {
         if (!backendUp_) {
-            dropStaged(touched);
+            dropStagedRx(touched);
             return;
         }
-        hv().hypercall(hv_cost,
-                       [this, touched, dropStaged] {
+        hv().hypercall(hv_cost, [this, touched] {
             if (!backendUp_) {
-                dropStaged(touched);
+                dropStagedRx(touched);
                 return;
             }
-            auto &memory = hv().mem();
             auto &grants = hv().grants();
             for (XenVif *vif : touched) {
                 auto staged = std::exchange(vif->rxStage_, {});
@@ -618,9 +576,7 @@ DriverDomainNet::collectRx()
                         // Copy mode: data is copied into the guest's
                         // posted page; the NIC buffer page stays in the
                         // driver domain and is recycled immediately.
-                        std::uint32_t len = pkt.hostSg.empty()
-                            ? pkt.payloadBytes
-                            : pkt.hostSg[0].len;
+                        std::uint32_t len = pkt.hostSg[0].len;
                         pkt.hostSg = {{mem::addrOf(posted), len}};
                         phys_.refillRx(pkt_page);
                     } else {
@@ -635,7 +591,6 @@ DriverDomainNet::collectRx()
                         SIM_ASSERT(ok1 && ok2, "page flip failed");
                         phys_.refillRx(posted);
                     }
-                    (void)memory;
                     vif->rxResp_.push_back(std::move(pkt));
                     delivered = true;
                 }

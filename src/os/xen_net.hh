@@ -53,7 +53,6 @@ class XenVif : public sim::SimObject, public NetDevice
 
     // --- NetDevice (front-end, guest side) -------------------------------
     bool canTransmit() const override;
-    void transmit(net::Packet pkt) override;
     void flush() override;
     net::MacAddr mac() const override { return mac_; }
     bool tsoCapable() const override;
@@ -138,9 +137,6 @@ class XenVif : public sim::SimObject, public NetDevice
     std::deque<net::Packet> rxResp_; //!< flipped-in packets
 
     std::uint32_t txOutstanding_ = 0; //!< requests not yet responded
-    bool txWasFull_ = false;
-
-    std::deque<net::Packet> feBacklog_; //!< awaiting a flush task
     bool feFlushPending_ = false;
 
     std::deque<mem::PageNum> guestFreePages_;
@@ -235,8 +231,23 @@ class DriverDomainNet : public sim::SimObject
 
     /** Backend hands a packet to the bridge toward the wire. */
     void bridgeTx(XenVif &vif, XenVif::TxRequest req);
+    /**
+     * The backend died holding @p meta: leave its grants and bytes for
+     * @p vif to reclaim when it reconnects.
+     */
+    void orphanTx(XenVif &vif, const XenVif::TxMeta &meta);
     /** Physical driver delivered a packet; demux to a vif. */
     void onPhysRx(net::Packet pkt);
+    /**
+     * Drop a frame the bridge cannot deliver to @p vif (null: no vif
+     * has its MAC) and repost its NIC buffer page.  A frame for an
+     * unknown MAC while the backend is up counts as bridge_no_vif;
+     * any other is lost to an outage (backend down, frontend not
+     * reconnected) and counted against the bridge and @p vif.
+     */
+    void dropRx(const net::Packet &pkt, XenVif *vif);
+    /** The backend died before servicing @p touched's staged RX. */
+    void dropStagedRx(const std::vector<XenVif *> &touched);
     void onPhysTxComplete(std::uint64_t bytes);
     void scheduleRxCollect();
     void collectRx();

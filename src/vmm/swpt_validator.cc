@@ -41,7 +41,6 @@ SwptValidator::attach()
     nic_.setPromiscuous(true);
 
     std::uint32_t entries = nic_.rxRing().size();
-    rxSlotPage_.assign(entries, 0);
     for (std::uint32_t i = 0; i < entries; ++i)
         postOwnRxBuffer(mem.allocOne(mem::kDomHypervisor));
     nic_.pioWriteRxProducer(rxProducer_);
@@ -264,7 +263,7 @@ SwptValidator::handleIrq()
         return; // validator software is down; state drains at restart
     std::uint32_t completed = nic_.txConsumer() - txDrained_;
     txDrained_ += completed;
-    auto deliveries = nic_.drainRx();
+    auto frames = nic_.drainRx();
 
     // Cost of the hypervisor-side bottom half: lazy unpin of completed
     // descriptors, demux decision + copy for each received frame.
@@ -273,15 +272,15 @@ SwptValidator::handleIrq()
         unpin_pages += mem::sgPages(inflight_[i].sg);
     sim::Time cost =
         static_cast<sim::Time>(unpin_pages) * costs_.protUnpinPerPage;
-    for (const auto &d : deliveries)
+    for (const auto &pkt : frames)
         cost += costs_.bridgePerPacket +
             static_cast<sim::Time>(costs_.swptRxCopyPerByteNs *
-                                   static_cast<double>(d.pkt.payloadBytes) *
+                                   static_cast<double>(pkt.payloadBytes) *
                                    sim::kNanosecond);
 
     hv_.cpu().runHypervisor(cost,
                             [this, completed,
-                             deliveries = std::move(deliveries)]() mutable {
+                             frames = std::move(frames)]() mutable {
         std::vector<char> notify(guests_.size(), 0);
 
         for (std::uint32_t i = 0; i < completed; ++i) {
@@ -297,15 +296,14 @@ SwptValidator::handleIrq()
             }
         }
 
-        for (auto &d : deliveries) {
+        for (auto &pkt : frames) {
             // Recycle the hypervisor-owned buffer this frame landed in.
-            std::uint32_t slot = d.pos % rxSlotPage_.size();
-            postOwnRxBuffer(rxSlotPage_[slot]);
+            postOwnRxBuffer(mem::pageOf(pkt.hostSg[0].addr));
 
             GuestState *dst = nullptr;
             GuestId dst_id = 0;
             for (GuestId g = 0; g < guests_.size(); ++g) {
-                if (guests_[g]->active && guests_[g]->mac == d.pkt.dst) {
+                if (guests_[g]->active && guests_[g]->mac == pkt.dst) {
                     dst = guests_[g].get();
                     dst_id = g;
                     break;
@@ -322,9 +320,10 @@ SwptValidator::handleIrq()
             mem::PageNum page = dst->rxBufs.front();
             dst->rxBufs.pop_front();
             hv_.mem().putRef(page); // back under guest control
-            d.pkt.hostSg = {{mem::addrOf(page),
-                             d.pkt.payloadBytes + net::kTcpIpHeader}};
-            dst->rxMail.push_back(std::move(d.pkt));
+            // The frame is copied into the guest's posted page.
+            std::uint32_t len = pkt.hostSg[0].len;
+            pkt.hostSg = {{mem::addrOf(page), len}};
+            dst->rxMail.push_back(std::move(pkt));
             notify[dst_id] = true;
         }
         nic_.pioWriteRxProducer(rxProducer_);
@@ -340,8 +339,6 @@ SwptValidator::handleIrq()
 void
 SwptValidator::postOwnRxBuffer(mem::PageNum page)
 {
-    std::uint32_t slot = rxProducer_ % rxSlotPage_.size();
-    rxSlotPage_[slot] = page;
     nic::DmaDescriptor desc;
     desc.sg = {{mem::addrOf(page), net::kMtu}};
     desc.flags = nic::kDescValid;

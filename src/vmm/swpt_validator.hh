@@ -174,7 +174,6 @@ class SwptValidator : public sim::SimObject
     std::uint32_t txProducer_ = 0;
     std::uint32_t txDrained_ = 0;
     std::uint32_t rxProducer_ = 0;
-    std::vector<mem::PageNum> rxSlotPage_;
 
     sim::Time validationTime_ = 0;
 

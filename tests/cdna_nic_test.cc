@@ -316,8 +316,23 @@ TEST(CdnaNic, DemuxByMacToContexts)
     h.link.port(0).send(to_b);
     h.ctx.events().run();
 
-    EXPECT_EQ(h.nic.drainRx(a).size(), 1u);
-    EXPECT_EQ(h.nic.drainRx(b).size(), 2u);
+    // Each frame names the buffer of its context's ring slot, written
+    // for payload plus headers.
+    auto expect_frames = [&h](CdnaNic::ContextId cxt, std::size_t n,
+                              std::uint32_t payload) {
+        auto got = h.nic.drainRx(cxt);
+        ASSERT_EQ(got.size(), n);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            ASSERT_EQ(got[i].hostSg.size(), 1u) << i;
+            EXPECT_EQ(got[i].hostSg[0].addr,
+                      h.nic.rxRing(cxt).at(i).sg[0].addr)
+                << i;
+            EXPECT_EQ(got[i].hostSg[0].len, payload + net::kTcpIpHeader)
+                << i;
+        }
+    };
+    expect_frames(a, 1, 700);
+    expect_frames(b, 2, 900);
     EXPECT_EQ(h.nic.rxConsumer(a), 1u);
     EXPECT_EQ(h.nic.rxConsumer(b), 2u);
     EXPECT_EQ(h.mem.violationCount(), 0u);

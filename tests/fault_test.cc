@@ -126,11 +126,28 @@ TEST(FaultDeterminism, NoInjectorWithoutAPlan)
     EXPECT_NE(chaotic.faultInjector(), nullptr);
 }
 
-// The fault matrix: every plan on every config, run twice.  Identical
-// seed + plan must give identical stats; no run may record a DMA
-// protection violation; every run must terminate (a hung simulation
-// fails the ctest timeout).
-TEST(FaultMatrix, DeterministicAndNoProtectionViolations)
+// The fault matrix: every plan on every architecture, both directions,
+// run twice.  Identical seed + plan must give identical stats; no run
+// may record a DMA protection violation; every run must terminate (a
+// hung simulation fails the ctest timeout).  One instance per
+// architecture, so ctest runs them in parallel.
+struct ArchCase
+{
+    const char *name;
+    SystemConfig (*config)();
+};
+
+void
+PrintTo(const ArchCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class FaultMatrix : public ::testing::TestWithParam<ArchCase>
+{
+};
+
+TEST_P(FaultMatrix, DeterministicAndNoProtectionViolations)
 {
     struct NamedPlan
     {
@@ -154,7 +171,8 @@ TEST(FaultMatrix, DeterministicAndNoProtectionViolations)
 
     for (bool transmit : {true, false}) {
         for (const auto &[name, plan] : plans) {
-            auto cfg = SystemConfig::cdna(2)
+            auto cfg = GetParam()
+                           .config()
                            .transmit(transmit)
                            .withSeed(11)
                            .withFaults(plan);
@@ -168,6 +186,15 @@ TEST(FaultMatrix, DeterministicAndNoProtectionViolations)
         }
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllArchs, FaultMatrix,
+    ::testing::Values(
+        ArchCase{"native", [] { return SystemConfig::native(); }},
+        ArchCase{"xen-intel", [] { return SystemConfig::xenIntel(2); }},
+        ArchCase{"xen-rice", [] { return SystemConfig::xenRice(2); }},
+        ArchCase{"cdna", [] { return SystemConfig::cdna(2); }},
+        ArchCase{"swpt", [] { return SystemConfig::swPassthrough(2); }}));
 
 // ---------------------------------------------------- fault behavior ----
 

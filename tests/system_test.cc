@@ -285,3 +285,31 @@ TEST(SystemIntegration, FlipModeActuallyFlips)
     sys.run(sim::milliseconds(40), sim::milliseconds(100));
     EXPECT_GT(sys.hv().grants().flipCount(), 1000u);
 }
+
+TEST(SystemIntegration, BridgeDropsUnknownMacAndRepostsItsBuffer)
+{
+    // A frame for a MAC no vif owns is dropped at the bridge, and its
+    // NIC buffer page goes straight back onto the RX ring: a burst
+    // larger than the 256-entry ring never runs the NIC out of
+    // descriptors.
+    System sys(SystemConfig::xenIntel(2));
+    sys.start();
+    sys.ctx().events().runUntil(sim::milliseconds(20));
+    net::TrafficPeer &peer = sys.peer(0);
+    for (int i = 0; i < 300; ++i) {
+        net::Packet p;
+        p.src = peer.mac();
+        p.dst = net::MacAddr::fromId(0xABCDEFu);
+        p.payloadBytes = 1000;
+        peer.port().send(std::move(p));
+    }
+    sys.ctx().events().runUntil(sim::milliseconds(60));
+
+    const sim::Counter *no_vif = nullptr;
+    for (const sim::SimObject *obj : sys.ctx().objects())
+        if (obj->name() == "ddn0")
+            no_vif = obj->stats().findCounter("bridge_no_vif");
+    ASSERT_NE(no_vif, nullptr);
+    EXPECT_EQ(no_vif->value(), 300u);
+    EXPECT_EQ(sys.intelNic(0)->rxDropNoDesc(), 0u);
+}
