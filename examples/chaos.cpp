@@ -10,8 +10,8 @@
  * happen: no DMA protection violation, no hung simulation, and the
  * surviving guests keep their share of the wire.
  *
- * Exits nonzero if any DMA protection violation is recorded, so CI can
- * run this binary as a smoke test (see the `chaos` job in ci.yml).
+ * Exits nonzero if any DMA protection violation is recorded, so it
+ * doubles as a smoke test: ctest runs it as `Examples.chaos`.
  *
  *   ./build/examples/chaos [--seed N] [--json] [observability flags]
  */

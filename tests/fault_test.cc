@@ -131,6 +131,8 @@ TEST(FaultDeterminism, NoInjectorWithoutAPlan)
 // may record a DMA protection violation; every run must terminate (a
 // hung simulation fails the ctest timeout).  One instance per
 // architecture, so ctest runs them in parallel.
+namespace {
+
 struct ArchCase
 {
     const char *name;
@@ -142,6 +144,8 @@ PrintTo(const ArchCase &c, std::ostream *os)
 {
     *os << c.name;
 }
+
+} // namespace
 
 class FaultMatrix : public ::testing::TestWithParam<ArchCase>
 {
