@@ -96,22 +96,14 @@ DmaEngine::doTransfer(std::span<const SgEntry> sg, DomainId behalf,
     // descriptor being consumed and its pages being released, stressing
     // the protection layer's deferred-reallocation rule.  PCIe keeps one
     // device's writes in order, so a delayed completion also holds back
-    // every later completion of this engine (the bus is FIFO, so
-    // completions arrive here in issue order).
+    // every later completion of this engine: the bus delivers them here
+    // in issue order, and equal times run in scheduling order.
     sim::Time extra = fi->dmaDelay();
     bus_.transfer(carried, [this, cb = std::move(cb), result,
                             extra]() mutable {
-        sim::Time at = std::max(now() + extra, orderedUntil_);
-        if (at == now() && heldBack_ == 0) {
-            cb(result);
-            return;
-        }
-        orderedUntil_ = at;
-        ++heldBack_;
-        events().scheduleAt(at, [this, cb = std::move(cb), result] {
-            --heldBack_;
-            cb(result);
-        });
+        orderedUntil_ = std::max(now() + extra, orderedUntil_);
+        events().scheduleAt(orderedUntil_,
+                            [cb = std::move(cb), result] { cb(result); });
     });
 }
 

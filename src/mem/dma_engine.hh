@@ -116,8 +116,6 @@ class DmaEngine : public sim::SimObject
     Iommu *iommu_;
     /** Latest completion time handed out while a DMA delay is armed. */
     sim::Time orderedUntil_ = 0;
-    /** Completions held back by a delayed one, not yet delivered. */
-    std::uint32_t heldBack_ = 0;
 
     sim::Counter &nReads_;
     sim::Counter &nWrites_;
