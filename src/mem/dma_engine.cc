@@ -97,7 +97,8 @@ DmaEngine::doTransfer(std::span<const SgEntry> sg, DomainId behalf,
     // the protection layer's deferred-reallocation rule.  PCIe keeps one
     // device's writes in order, so a delayed completion also holds back
     // every later completion of this engine: the bus delivers them here
-    // in issue order, and equal times run in scheduling order.
+    // in the order they were started, and equal times run in
+    // scheduling order.
     sim::Time extra = fi->dmaDelay();
     bus_.transfer(carried, [this, cb = std::move(cb), result,
                             extra]() mutable {
