@@ -546,7 +546,10 @@ presetCellJson(const std::string &preset, const std::string &cell,
  * table1 native cells pin the native driver with direct interrupts and
  * RX auto-refill, flipcopy's copy cell the netback's copy-mode length,
  * and the Xen dom0-kill latency cell the netback's crash orphaning and
- * its drops while a frontend reconnects.
+ * its drops while a frontend reconnects.  The oversubscribed CDNA
+ * latency cell pins the RPC engine's timeout and late-response paths
+ * (about half its requests time out), and the swpt dom0-kill cell the
+ * swpt RPC path through a validator stall.
  */
 TEST(ReportGolden, PresetCellsMatchFullDocuments)
 {
@@ -570,6 +573,10 @@ TEST(ReportGolden, PresetCellsMatchFullDocuments)
         {"flipcopy", "xen-copy/g8", "flipcopy-xen-copy-g8.json"},
         {"latency", "xen/load10k/domkill",
          "latency-xen-load10k-domkill.json"},
+        {"latency", "cdna-oversub/load10k/healthy",
+         "latency-cdna-oversub-load10k-healthy.json"},
+        {"latency", "swpt/load10k/domkill",
+         "latency-swpt-load10k-domkill.json"},
     };
     for (const Case &c : cases) {
         std::string golden = readGolden(c.file);
