@@ -43,26 +43,22 @@ TrafficPeer::applyWorkload(const workload::WorkloadSpec &spec)
     if (spec.tcp)
         enableTcpImpl(*spec.tcp);
 
-    // A saturating open-loop class is the legacy line-rate source and
-    // runs on the peer's own machinery, byte-identically; everything
-    // else (rate-driven streams, bulk TCP, RPC) needs the engine.
-    workload::WorkloadSpec engine_spec;
-    engine_spec.targets = spec.targets;
-    engine_spec.seed = spec.seed;
+    // A saturating class is the line-rate source and runs on the peer's
+    // own machinery; RPC classes run on the engine.
+    workload::WorkloadSpec rpc_spec;
+    rpc_spec.targets = spec.targets;
+    rpc_spec.seed = spec.seed;
     for (const auto &fc : spec.classes) {
-        if (fc.kind == workload::FlowKind::kOpenLoopStream &&
-            fc.arrival == workload::Arrival::kSaturate)
+        if (fc.kind == workload::FlowKind::kSaturating)
             startSourceImpl(spec.targets,
                             static_cast<std::uint32_t>(fc.sizeBytes));
         else
-            engine_spec.classes.push_back(fc);
+            rpc_spec.classes.push_back(fc);
     }
-    if (!engine_spec.classes.empty()) {
-        SIM_ASSERT(!engine_,
-                   "engine-backed workload classes applied twice");
+    if (!rpc_spec.classes.empty()) {
+        SIM_ASSERT(!engine_, "RPC workload classes applied twice");
         engine_ = std::make_unique<workload::WorkloadEngine>(
-            ctx(), name() + ".wl", *port_, mac_, tcp_.get(),
-            std::move(engine_spec));
+            ctx(), name() + ".wl", *port_, mac_, std::move(rpc_spec));
         engine_->start();
     }
 }

@@ -7,7 +7,9 @@
  * that it would never be the bottleneck".  TrafficPeer is the faithful
  * model of that role: an infinitely fast sink for transmit experiments
  * and a line-rate source (round-robin across the guests' MAC addresses)
- * for receive experiments.
+ * for receive experiments.  Its workload is one of the two shapes a
+ * WorkloadSpec holds: the saturating source runs here, and Poisson RPC
+ * classes run on a WorkloadEngine bound to this peer's port.
  */
 
 #ifndef CDNA_NET_TRAFFIC_PEER_HH
@@ -45,15 +47,14 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
     /**
      * Configure this endpoint from one declarative WorkloadSpec: knob
      * optionals that are set are applied (unset ones leave the current
-     * setting alone), a saturating open-loop class starts the classic
-     * line-rate source, and every other class is handed to a
-     * WorkloadEngine bound to this peer's port and transport.  This is
-     * the single configuration entry point; it has no call-order
-     * constraints.
+     * setting alone), a saturating class starts the line-rate source,
+     * and RPC classes are handed to a WorkloadEngine bound to this
+     * peer's port.  This is the single configuration entry point; it
+     * has no call-order constraints.
      */
     void applyWorkload(const workload::WorkloadSpec &spec);
 
-    /** The workload engine, or null when no engine class was applied. */
+    /** The workload engine, or null when no RPC class was applied. */
     workload::WorkloadEngine *engine() { return engine_.get(); }
     const workload::WorkloadEngine *engine() const { return engine_.get(); }
 

@@ -1,14 +1,14 @@
 /**
  * @file
- * Deterministic workload generator driving a fabric port.
+ * Deterministic Poisson RPC generator driving a fabric port.
  *
- * The engine owns the stochastic side of a WorkloadSpec: it draws flow
- * arrivals and sizes from the dedicated workload RNG stream
+ * The engine runs a WorkloadSpec's RPC classes: it draws request
+ * arrivals from the dedicated workload RNG stream
  * (workloadStreamSeed(seed) ^ srcMac.hash(), so co-located engines on
- * one SimContext have independent sequences), starts flows of each
- * class on its TrafficPeer's port or TCP endpoint, and measures
- * request/response RPC latency from request enqueue to the last
- * response byte delivered back at the peer.
+ * one SimContext have independent sequences), sends each request on
+ * its TrafficPeer's port, and measures request/response latency from
+ * request enqueue to the last response byte delivered back at the peer.
+ * Saturating classes never reach the engine; the peer runs them.
  *
  * RPC datapath: the engine emits a request frame (Packet::rpcReq) to a
  * guest MAC; the guest's os::NetStack batches it through the normal
@@ -29,7 +29,6 @@
 
 #include "net/fabric.hh"
 #include "net/packet.hh"
-#include "net/transport/tcp.hh"
 #include "net/workload/workload_spec.hh"
 #include "sim/rng.hh"
 #include "sim/sim_object.hh"
@@ -42,23 +41,18 @@ class WorkloadEngine : public sim::SimObject
     /**
      * @param ctx   simulation context
      * @param name  component name (peer name + ".wl")
-     * @param port  fabric port frames are sourced on
+     * @param port  fabric port requests are sent on
      * @param src   MAC the engine sources from (the peer's)
-     * @param tcp   the peer's transport endpoint, or null (required
-     *              only by kBulkTcp classes)
-     * @param spec  the workload to run (engine classes only)
+     * @param spec  the workload to run (RPC classes only)
      */
     WorkloadEngine(sim::SimContext &ctx, std::string name, Port &port,
-                   MacAddr src, transport::TcpEndpoint *tcp,
-                   WorkloadSpec spec);
+                   MacAddr src, WorkloadSpec spec);
 
     /** Arm every class's arrival process (idempotent). */
     void start();
 
     /** A response frame for one of our requests arrived at the peer. */
     void onRpcResponse(const Packet &pkt);
-
-    const WorkloadSpec &spec() const { return spec_; }
 
     // ------------------------------------------------------ counters ----
     std::uint64_t flowsStarted() const { return nFlowsStarted_.value(); }
@@ -76,7 +70,6 @@ class WorkloadEngine : public sim::SimObject
     /** One request in flight, keyed by rpcId. */
     struct Outstanding
     {
-        std::size_t classIdx = 0;
         sim::Time sentAt = 0;
         std::uint64_t expectedBytes = 0;
         std::uint64_t gotBytes = 0;
@@ -85,20 +78,11 @@ class WorkloadEngine : public sim::SimObject
 
     void scheduleNextArrival(std::size_t c);
     void onArrival(std::size_t c);
-    void launch(std::size_t c);
-    void issueRpc(std::size_t c);
-    void startBulkFlow(std::size_t c);
-    void sendStreamBurst(std::size_t c);
     void onRpcTimeout(std::uint64_t id);
-    void onBufFreed(std::uint64_t flow_id, std::uint64_t bytes);
-
-    std::uint64_t drawSize(const FlowClass &fc);
-    sim::Time drawInterarrival(const FlowClass &fc);
     MacAddr nextTarget(std::size_t c);
 
     Port &port_;
     MacAddr src_;
-    transport::TcpEndpoint *tcp_;
     WorkloadSpec spec_;
     sim::Rng rng_;
     bool started_ = false;
@@ -107,14 +91,8 @@ class WorkloadEngine : public sim::SimObject
     std::vector<std::size_t> rr_;
 
     std::map<std::uint64_t, Outstanding> outstanding_;
-    /** Bulk TCP flows: bytes not yet cumulatively ACKed / not yet
-     *  accepted by the send buffer, plus the owning class. */
-    std::map<std::uint64_t, std::uint64_t> bulkUnacked_;
-    std::map<std::uint64_t, std::uint64_t> bulkPending_;
-    std::map<std::uint64_t, std::size_t> bulkClass_;
 
     std::uint64_t nextRpcId_ = 1;
-    std::uint64_t nextBulkFlow_;
     std::uint64_t nextPktId_;
 
     sim::SampleStats rpcLatency_;

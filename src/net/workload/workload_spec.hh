@@ -1,15 +1,18 @@
 /**
  * @file
- * Declarative workload description: composable flow classes with
- * stochastic arrival processes and (heavy-tailed) size distributions.
+ * Declarative workload description: the two traffic shapes the
+ * experiments run.
  *
  * A WorkloadSpec is a value type in the fluent house style of
  * SystemConfig / ExperimentSpec.  One idempotent `applyWorkload(spec)`
- * call is TrafficPeer's single configuration entry point (the old
- * order-sensitive imperative setters are gone), and a spec describes
- * traffic those setters never could: Poisson / ON-OFF arrivals,
- * bounded-Pareto flow sizes, and closed-loop request/response RPC with
- * per-request latency tracking.
+ * call is TrafficPeer's single configuration entry point, and a spec
+ * holds flow classes of two kinds:
+ *
+ *  - a saturating class, the paper's line-rate source (§5.1), which
+ *    runs on the peer's own machinery (raw frames, or unlimited Reno
+ *    flows under TCP);
+ *  - a request/response RPC class with Poisson arrivals and
+ *    per-request latency tracking, which runs on a WorkloadEngine.
  *
  * Determinism contract (mirrors sim/fault_injector.hh): all workload
  * randomness is drawn from a dedicated RNG stream derived from
@@ -50,117 +53,34 @@ workloadStreamSeed(std::uint64_t system_seed)
 constexpr int kRpcHistBuckets = 160;
 constexpr int kRpcHistSubBits = 3;
 
-/** What a flow of this class does once started. */
+/** What a flow class does; the kind implies its arrivals. */
 enum class FlowKind : std::uint8_t {
-    kOpenLoopStream, ///< raw frames, no feedback (legacy source)
-    kBulkTcp,        ///< closed-loop bulk transfer over the transport
-    kRpc,            ///< request out, response back, latency measured
-};
-
-/** When new flows (or requests) of this class start. */
-enum class Arrival : std::uint8_t {
-    kSaturate,   ///< back-to-back at line rate (legacy startSource)
-    kFixedRate,  ///< deterministic 1/rate interarrival
-    kPoisson,    ///< exponential interarrival at `ratePerSec`
-    kOnOff,      ///< Poisson bursts: ON for onFraction of burstPeriod
-    kClosedLoop, ///< `concurrency` always outstanding; next on completion
-};
-
-/** How a flow's size (or an RPC request's size) is drawn. */
-enum class SizeDist : std::uint8_t {
-    kFixed,         ///< always `sizeBytes`
-    kUniform,       ///< uniform in [sizeBytes, sizeMaxBytes]
-    kBoundedPareto, ///< heavy tail in [sizeBytes, sizeMaxBytes], `paretoAlpha`
+    kSaturating, ///< back-to-back at line rate on the peer's own source
+    kRpc,        ///< Poisson requests out, responses back, latency measured
 };
 
 /**
  * One class of traffic inside a WorkloadSpec.  Fluent setters return
- * *this so classes compose inline; static factories name the common
- * shapes.
+ * *this so classes compose inline; the static factories build the two
+ * kinds.
  */
 struct FlowClass
 {
-    FlowKind kind = FlowKind::kOpenLoopStream;
-    Arrival arrival = Arrival::kSaturate;
-
-    /** Mean arrival rate (flows or requests per second); <= 0 is inert
-     *  for every arrival process except kSaturate / kClosedLoop. */
+    FlowKind kind = FlowKind::kSaturating;
+    /** kRpc: mean Poisson request rate per second; <= 0 never fires. */
     double ratePerSec = 0.0;
-    /** kOnOff: fraction of each burstPeriod spent ON. */
-    double onFraction = 0.5;
-    /** kOnOff: length of one ON+OFF cycle. */
-    sim::Time burstPeriod = sim::milliseconds(10);
-
-    SizeDist sizeDist = SizeDist::kFixed;
-    /** Fixed size, or the lower bound of the distribution. */
+    /** kSaturating: frame payload.  kRpc: request size, sent as one
+     *  frame of [1, kMss] bytes. */
     std::uint64_t sizeBytes = kMss;
-    /** Upper bound for kUniform / kBoundedPareto. */
-    std::uint64_t sizeMaxBytes = kMss;
-    /** Bounded-Pareto shape (heavier tail as alpha -> 1). */
-    double paretoAlpha = 1.3;
-
-    /** kClosedLoop: requests/flows kept outstanding at all times. */
-    std::uint32_t concurrency = 1;
-
     /** kRpc: response payload the server returns per request. */
     std::uint32_t rpcRespBytes = 8192;
     /** kRpc: a request unanswered for this long counts as timed out. */
     sim::Time rpcTimeout = sim::milliseconds(20);
 
     // ------------------------------------------------- fluent setters ----
-    FlowClass &at(double rate)
-    {
-        arrival = Arrival::kFixedRate;
-        ratePerSec = rate;
-        return *this;
-    }
     FlowClass &poissonAt(double rate)
     {
-        arrival = Arrival::kPoisson;
         ratePerSec = rate;
-        return *this;
-    }
-    FlowClass &burstyAt(double rate, double on_fraction,
-                        sim::Time period)
-    {
-        arrival = Arrival::kOnOff;
-        ratePerSec = rate;
-        onFraction = on_fraction;
-        burstPeriod = period;
-        return *this;
-    }
-    FlowClass &closedLoop(std::uint32_t outstanding)
-    {
-        arrival = Arrival::kClosedLoop;
-        concurrency = outstanding;
-        return *this;
-    }
-    FlowClass &sized(std::uint64_t bytes)
-    {
-        sizeDist = SizeDist::kFixed;
-        sizeBytes = bytes;
-        sizeMaxBytes = bytes;
-        return *this;
-    }
-    FlowClass &sizedUniform(std::uint64_t lo, std::uint64_t hi)
-    {
-        sizeDist = SizeDist::kUniform;
-        sizeBytes = lo;
-        sizeMaxBytes = hi;
-        return *this;
-    }
-    FlowClass &sizedPareto(std::uint64_t lo, std::uint64_t hi,
-                           double alpha)
-    {
-        sizeDist = SizeDist::kBoundedPareto;
-        sizeBytes = lo;
-        sizeMaxBytes = hi;
-        paretoAlpha = alpha;
-        return *this;
-    }
-    FlowClass &respondingWith(std::uint32_t bytes)
-    {
-        rpcRespBytes = bytes;
         return *this;
     }
     FlowClass &timingOutAfter(sim::Time t)
@@ -170,44 +90,22 @@ struct FlowClass
     }
 
     // ----------------------------------------------- named factories ----
-    /** The legacy line-rate open-loop source (receive experiments). */
+    /** The line-rate source of the receive experiments. */
     static FlowClass
     saturating(std::uint32_t payload = kMss)
     {
         FlowClass fc;
-        fc.kind = FlowKind::kOpenLoopStream;
-        fc.arrival = Arrival::kSaturate;
-        fc.sized(payload);
+        fc.sizeBytes = payload;
         return fc;
     }
-    /** Rate-driven open-loop stream (defaults to fixed-rate). */
-    static FlowClass
-    stream(std::uint64_t bytes, double rate)
-    {
-        FlowClass fc;
-        fc.kind = FlowKind::kOpenLoopStream;
-        fc.at(rate).sized(bytes);
-        return fc;
-    }
-    /** Request/response RPC (defaults to Poisson arrivals). */
+    /** Request/response RPC; inert until poissonAt() sets a rate. */
     static FlowClass
     rpc(std::uint64_t req_bytes, std::uint32_t resp_bytes)
     {
         FlowClass fc;
         fc.kind = FlowKind::kRpc;
-        fc.arrival = Arrival::kPoisson;
-        fc.sized(req_bytes);
+        fc.sizeBytes = req_bytes;
         fc.rpcRespBytes = resp_bytes;
-        return fc;
-    }
-    /** Bulk transfer over the TCP transport (requires overTcp()). */
-    static FlowClass
-    bulk(std::uint64_t bytes)
-    {
-        FlowClass fc;
-        fc.kind = FlowKind::kBulkTcp;
-        fc.arrival = Arrival::kPoisson;
-        fc.sized(bytes);
         return fc;
     }
 };
@@ -217,7 +115,7 @@ struct FlowClass
  * peers) accepts through applyWorkload().  Endpoint knobs are
  * std::optional: unset means "leave the endpoint's current setting
  * alone", so a spec carrying only flow classes composes with knobs
- * applied earlier (exactly how the legacy shims are built on top).
+ * applied earlier.
  */
 struct WorkloadSpec
 {
@@ -288,18 +186,6 @@ struct WorkloadSpec
     {
         for (const auto &fc : classes)
             if (fc.kind == FlowKind::kRpc)
-                return true;
-        return false;
-    }
-
-    /** True when any class needs the WorkloadEngine (anything beyond
-     *  the legacy saturating open-loop source). */
-    bool
-    needsEngine() const
-    {
-        for (const auto &fc : classes)
-            if (fc.kind != FlowKind::kOpenLoopStream ||
-                fc.arrival != Arrival::kSaturate)
                 return true;
         return false;
     }

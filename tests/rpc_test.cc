@@ -113,19 +113,6 @@ TEST(Rpc, DriverDomainKillTimesOutXenButNotCdna)
               0u);
 }
 
-TEST(Rpc, ClosedLoopKeepsConcurrencyOutstanding)
-{
-    wl::WorkloadSpec spec;
-    spec.withClass(wl::FlowClass::rpc(512, 4096).closedLoop(4));
-    System sys(
-        SystemConfig::cdna(1).withNics(1).receive().withWorkload(spec));
-    auto r = sys.run(sim::milliseconds(20), sim::milliseconds(100));
-    // The loop self-clocks: every completion launches the next request,
-    // so requests can exceed responses only by the outstanding window.
-    EXPECT_GT(r.rpcResponses, 100u);
-    EXPECT_LE(r.rpcRequests, r.rpcResponses + r.rpcTimeouts + 4);
-}
-
 TEST(Rpc, ReportIsDeterministicAcrossRebuilds)
 {
     auto run = [] {

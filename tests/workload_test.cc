@@ -3,7 +3,7 @@
  * Unit tests for the benchmark application (window bookkeeping,
  * connection round-robin, sink accounting) and for the declarative
  * workload layer (spec fluency, applyWorkload equivalence with the
- * legacy setter sequence, seeded arrival/size distributions).
+ * legacy setter sequence, seeded Poisson arrivals).
  */
 
 #include <gtest/gtest.h>
@@ -176,11 +176,9 @@ TEST(Workload, SpecFluencyAndPredicates)
         .seeded(7);
     EXPECT_FALSE(spec.empty());
     EXPECT_TRUE(spec.hasRpc());
-    EXPECT_TRUE(spec.needsEngine());
     ASSERT_EQ(spec.classes.size(), 1u);
     const wl::FlowClass &fc = spec.classes[0];
     EXPECT_EQ(fc.kind, wl::FlowKind::kRpc);
-    EXPECT_EQ(fc.arrival, wl::Arrival::kPoisson);
     EXPECT_EQ(fc.ratePerSec, 5000.0);
     EXPECT_EQ(fc.sizeBytes, 512u);
     EXPECT_EQ(fc.rpcRespBytes, 8192u);
@@ -190,10 +188,9 @@ TEST(Workload, SpecFluencyAndPredicates)
     ASSERT_TRUE(spec.ackEvery.has_value());
     EXPECT_EQ(*spec.ackEvery, 2u);
 
-    // A saturating-only spec runs on the legacy source machinery.
+    // A saturating-only spec runs on the peer's own source.
     wl::WorkloadSpec flood;
     flood.withClass(wl::FlowClass::saturating());
-    EXPECT_FALSE(flood.needsEngine());
     EXPECT_FALSE(flood.hasRpc());
 }
 
@@ -212,8 +209,7 @@ TEST(Workload, PoissonArrivalsAreSeededDeterministically)
             wl::WorkloadSpec{}
                 .seeded(seed)
                 .toward({net::MacAddr::fromId(1)})
-                .withClass(wl::FlowClass::stream(1000, 20000.0)
-                               .poissonAt(20000.0)));
+                .withClass(wl::FlowClass::rpc(1000, 8192).poissonAt(20000.0)));
         ctx.events().runUntil(sim::milliseconds(20));
         std::vector<sim::Time> stamps;
         for (const auto &p : sink.got)
@@ -226,61 +222,5 @@ TEST(Workload, PoissonArrivalsAreSeededDeterministically)
     EXPECT_FALSE(a1.empty());
     EXPECT_EQ(a1, a2);
     EXPECT_NE(a1, b);
-}
-
-TEST(Workload, BoundedParetoSizesStayInBounds)
-{
-    // hi <= MSS keeps each burst in one wire frame, exposing the raw
-    // size draws; every draw must respect [lo, hi] and the heavy tail
-    // must actually spread (not collapse to a constant).
-    namespace wl = net::workload;
-    sim::SimContext ctx;
-    net::EthLink link(ctx, "eth");
-    net::TrafficPeer peer(ctx, "peer", link);
-    FrameSink sink;
-    link.bind(sink);
-    peer.applyWorkload(
-        wl::WorkloadSpec{}
-            .toward({net::MacAddr::fromId(1)})
-            .withClass(wl::FlowClass::stream(0, 50000.0)
-                           .at(50000.0)
-                           .sizedPareto(64, 1400, 1.2)));
-    ctx.events().runUntil(sim::milliseconds(20));
-    ASSERT_GT(sink.got.size(), 100u);
-    std::set<std::uint32_t> sizes;
-    for (const auto &p : sink.got) {
-        EXPECT_GE(p.payloadBytes, 64u);
-        EXPECT_LE(p.payloadBytes, 1400u);
-        sizes.insert(p.payloadBytes);
-    }
-    EXPECT_GT(sizes.size(), 10u);
-}
-
-TEST(Workload, OnOffBurstsPreserveMeanRate)
-{
-    // ON/OFF at 25% duty must deliver roughly the configured mean rate
-    // (the ON phase runs 4x hot), and the OFF phases must be silent.
-    namespace wl = net::workload;
-    sim::SimContext ctx;
-    net::EthLink link(ctx, "eth");
-    net::TrafficPeer peer(ctx, "peer", link);
-    FrameSink sink;
-    link.bind(sink);
-    const double rate = 20000.0;
-    peer.applyWorkload(
-        wl::WorkloadSpec{}
-            .toward({net::MacAddr::fromId(1)})
-            .withClass(wl::FlowClass::stream(100, rate).burstyAt(
-                rate, 0.25, sim::milliseconds(2))));
-    const double secs = 0.1;
-    ctx.events().runUntil(sim::milliseconds(100));
-    double got = static_cast<double>(sink.got.size());
-    EXPECT_GT(got, 0.6 * rate * secs);
-    EXPECT_LT(got, 1.4 * rate * secs);
-    // No arrival may land in an OFF window (phase >= 25% of period).
-    for (const auto &p : sink.got) {
-        sim::Time phase = p.created % sim::milliseconds(2);
-        EXPECT_LT(phase, sim::milliseconds(2) / 4);
-    }
 }
 
