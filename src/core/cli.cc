@@ -1,35 +1,12 @@
 #include "core/cli.hh"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/fault_plan.hh"
 
 namespace cdna::core {
 
 namespace {
-
-bool
-parseU32(const std::string &s, std::uint32_t *out)
-{
-    char *end = nullptr;
-    unsigned long v = std::strtoul(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0')
-        return false;
-    *out = static_cast<std::uint32_t>(v);
-    return true;
-}
-
-bool
-parseF(const std::string &s, double *out)
-{
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0')
-        return false;
-    *out = v;
-    return true;
-}
 
 /** Everything the option handlers accumulate before the config exists. */
 struct ParseState
@@ -78,7 +55,7 @@ bool
 rateArg(const char *flag, const std::string &v, double *out,
         std::string *error)
 {
-    if (!parseF(v, out) || *out < 0.0 || *out > 1.0)
+    if (!parseFinite(v, out) || *out < 0.0 || *out > 1.0)
         return failWith(error,
                         std::string(flag) + " needs a probability in [0,1]");
     return true;
@@ -134,14 +111,14 @@ const Spec kSpecs[] = {
     {"--guests", "N", "number of guest VMs (default 1)",
      "topology & workload",
      [](ParseState &st, const std::string &v, std::string *error) {
-         if (!parseU32(v, &st.guests) || st.guests == 0)
+         if (!parseCount(v, &st.guests) || st.guests == 0)
              return failWith(error, "--guests needs a positive integer");
          return true;
      }},
     {"--nics", "N", "number of physical NICs (default 2)",
      "topology & workload",
      [](ParseState &st, const std::string &v, std::string *error) {
-         if (!parseU32(v, &st.nics) || st.nics == 0)
+         if (!parseCount(v, &st.nics) || st.nics == 0)
              return failWith(error, "--nics needs a positive integer");
          return true;
      }},
@@ -153,7 +130,7 @@ const Spec kSpecs[] = {
     {"--connections", "N", "connections per interface (default 2)",
      "topology & workload",
      [](ParseState &st, const std::string &v, std::string *error) {
-         if (!parseU32(v, &st.connections) || st.connections == 0)
+         if (!parseCount(v, &st.connections) || st.connections == 0)
              return failWith(error,
                              "--connections needs a positive integer");
          return true;
@@ -171,19 +148,19 @@ const Spec kSpecs[] = {
     {"--warmup", "MS", "warmup before measuring (default 100)",
      "run control",
      [](ParseState &st, const std::string &v, std::string *error) {
-         if (!parseU32(v, &st.warmupMs))
+         if (!parseCount(v, &st.warmupMs))
              return failWith(error, "--warmup needs milliseconds");
          return true;
      }},
     {"--seconds", "S", "measurement window (default 0.5)", "run control",
      [](ParseState &st, const std::string &v, std::string *error) {
-         if (!parseF(v, &st.seconds) || st.seconds <= 0)
+         if (!parseFinite(v, &st.seconds) || st.seconds <= 0)
              return failWith(error, "--seconds needs a positive number");
          return true;
      }},
     {"--seed", "N", "simulation seed (default 1)", "run control",
      [](ParseState &st, const std::string &v, std::string *error) {
-         if (!parseU32(v, &st.seed))
+         if (!parseCount(v, &st.seed))
              return failWith(error, "--seed needs an integer");
          return true;
      }},
@@ -228,7 +205,7 @@ const Spec kSpecs[] = {
      "simulated time (0 = off; default 0)",
      "observability",
      [](ParseState &st, const std::string &v, std::string *error) {
-         if (!parseF(v, &st.sampleUs) || st.sampleUs < 0)
+         if (!parseFinite(v, &st.sampleUs) || st.sampleUs < 0)
              return failWith(error,
                              "--sample-period needs microseconds >= 0");
          return true;
@@ -293,7 +270,8 @@ const Spec kSpecs[] = {
     {"--dma-delay-us", "US", "delayed-completion latency (default 25)",
      "fault injection",
      [](ParseState &st, const std::string &v, std::string *error) {
-         if (!parseF(v, &st.faults.dmaDelayUs) || st.faults.dmaDelayUs <= 0)
+         if (!parseFinite(v, &st.faults.dmaDelayUs) ||
+             st.faults.dmaDelayUs <= 0)
              return failWith(error,
                              "--dma-delay-us needs microseconds > 0");
          st.haveFaults = true;

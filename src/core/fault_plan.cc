@@ -1,5 +1,7 @@
 #include "core/fault_plan.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -26,34 +28,37 @@ FaultPlan::rates() const
     return r;
 }
 
-namespace {
-
 bool
-parseDouble(const std::string &s, double *out)
+parseCount(const std::string &s, std::uint32_t *out)
 {
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0')
+    // from_chars into an unsigned type takes digits only and reports
+    // overflow instead of wrapping.
+    std::uint32_t v = 0;
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc{} || ptr != end)
         return false;
     *out = v;
     return true;
 }
 
 bool
-parseU32(const std::string &s, std::uint32_t *out)
+parseFinite(const std::string &s, double *out)
 {
     char *end = nullptr;
-    unsigned long v = std::strtoul(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0')
+    double v = std::strtod(s.c_str(), &end);
+    if (end == s.c_str() || *end != '\0' || !std::isfinite(v))
         return false;
-    *out = static_cast<std::uint32_t>(v);
+    *out = v;
     return true;
 }
+
+namespace {
 
 bool
 parseRate(const std::string &s, double *out)
 {
-    return parseDouble(s, out) && *out >= 0.0 && *out <= 1.0;
+    return parseFinite(s, out) && *out >= 0.0 && *out <= 1.0;
 }
 
 } // namespace
@@ -67,9 +72,9 @@ parseStallSpec(const std::string &spec)
         colon < at)
         return std::nullopt;
     FaultPlan::FirmwareStall fs;
-    if (!parseU32(spec.substr(0, at), &fs.nic) ||
-        !parseDouble(spec.substr(at + 1, colon - at - 1), &fs.atMs) ||
-        !parseDouble(spec.substr(colon + 1), &fs.durMs) || fs.atMs < 0 ||
+    if (!parseCount(spec.substr(0, at), &fs.nic) ||
+        !parseFinite(spec.substr(at + 1, colon - at - 1), &fs.atMs) ||
+        !parseFinite(spec.substr(colon + 1), &fs.durMs) || fs.atMs < 0 ||
         fs.durMs <= 0)
         return std::nullopt;
     return fs;
@@ -82,8 +87,8 @@ parseKillSpec(const std::string &spec)
     if (at == std::string::npos)
         return std::nullopt;
     FaultPlan::GuestKill gk;
-    if (!parseU32(spec.substr(0, at), &gk.guest) ||
-        !parseDouble(spec.substr(at + 1), &gk.atMs) || gk.atMs < 0)
+    if (!parseCount(spec.substr(0, at), &gk.guest) ||
+        !parseFinite(spec.substr(at + 1), &gk.atMs) || gk.atMs < 0)
         return std::nullopt;
     return gk;
 }
@@ -92,7 +97,7 @@ std::optional<FaultPlan::DriverDomainKill>
 parseDriverKillSpec(const std::string &spec)
 {
     FaultPlan::DriverDomainKill dk;
-    if (!parseDouble(spec, &dk.atMs) || dk.atMs < 0)
+    if (!parseFinite(spec, &dk.atMs) || dk.atMs < 0)
         return std::nullopt;
     return dk;
 }
@@ -104,8 +109,8 @@ parseRebootSpec(const std::string &spec)
     if (at == std::string::npos)
         return std::nullopt;
     FaultPlan::FirmwareReboot fr;
-    if (!parseU32(spec.substr(0, at), &fr.nic) ||
-        !parseDouble(spec.substr(at + 1), &fr.atMs) || fr.atMs < 0)
+    if (!parseCount(spec.substr(0, at), &fr.nic) ||
+        !parseFinite(spec.substr(at + 1), &fr.atMs) || fr.atMs < 0)
         return std::nullopt;
     return fr;
 }
@@ -150,7 +155,7 @@ FaultPlan::parse(const std::string &text, std::string *error)
                 return fail(line_no, line);
         } else if (key == "dma-delay" && args.size() == 2) {
             if (!parseRate(args[0], &plan.dmaDelayRate) ||
-                !parseDouble(args[1], &plan.dmaDelayUs) ||
+                !parseFinite(args[1], &plan.dmaDelayUs) ||
                 plan.dmaDelayUs < 0)
                 return fail(line_no, line);
         } else if (key == "firmware-stall" &&

@@ -175,6 +175,16 @@ struct FaultPlan
                                              std::string *error);
 };
 
+/**
+ * Parse @p s as an id or a count: decimal digits only (no sign, no
+ * space) and at most UINT32_MAX.  Shared by the plan parser and the
+ * command line, so neither wraps "-1" or "4294967297" to another value.
+ */
+bool parseCount(const std::string &s, std::uint32_t *out);
+
+/** Parse @p s as a complete number that is finite (no nan, no inf). */
+bool parseFinite(const std::string &s, double *out);
+
 /** Parse "NIC@MS:DURMS" (e.g. "0@20:5") as used by --firmware-stall. */
 std::optional<FaultPlan::FirmwareStall>
 parseStallSpec(const std::string &spec);

@@ -127,6 +127,16 @@ TEST(Cli, ErrorsAreReported)
     EXPECT_FALSE(parse({"--guests", "zero"}, &err).has_value());
     EXPECT_FALSE(parse({"--guests", "0"}, &err).has_value());
     EXPECT_FALSE(parse({"--seconds", "-1"}, &err).has_value());
+    // Counts and ids take digits only, up to UINT32_MAX: a sign or an
+    // overflow never wraps to another value, and a window is finite.
+    EXPECT_FALSE(parse({"--guests", "-1"}, &err).has_value());
+    EXPECT_FALSE(parse({"--nics", "-1"}, &err).has_value());
+    EXPECT_FALSE(parse({"--warmup", "-1"}, &err).has_value());
+    EXPECT_FALSE(parse({"--guests", "4294967297"}, &err).has_value());
+    EXPECT_FALSE(parse({"--seed", "4294967297"}, &err).has_value());
+    EXPECT_FALSE(parse({"--seconds", "nan"}, &err).has_value());
+    EXPECT_FALSE(parse({"--seconds", "inf"}, &err).has_value());
+    EXPECT_TRUE(parse({"--seed", "4294967295"}, &err).has_value());
     EXPECT_FALSE(parse({"--direction", "sideways"}, &err).has_value());
     EXPECT_FALSE(parse({"--nonsense"}, &err).has_value());
     EXPECT_NE(err.find("--nonsense"), std::string::npos);
@@ -216,6 +226,10 @@ TEST(CliFault, BadFaultFlagsRejected)
     EXPECT_FALSE(parse({"--firmware-stall", "abc"}, &err).has_value());
     EXPECT_NE(err.find("--firmware-stall"), std::string::npos);
     EXPECT_FALSE(parse({"--kill-guest", "1:40"}, &err).has_value());
+    EXPECT_FALSE(
+        parse({"--firmware-stall", "4294967296@150:5"}, &err).has_value());
+    EXPECT_FALSE(parse({"--kill-guest", "-1@150"}, &err).has_value());
+    EXPECT_FALSE(parse({"--drop-rate", "nan"}, &err).has_value());
     std::string missing = tempPath("no-such-plan.txt");
     EXPECT_FALSE(parse({"--fault-plan", missing.c_str()}, &err).has_value());
 }

@@ -76,6 +76,10 @@ TEST(FaultPlan, ParseErrorsNameTheLine)
     EXPECT_FALSE(FaultPlan::parse("drop-rate 1.5\n", &err));
     EXPECT_FALSE(FaultPlan::parse("firmware-stall zero\n", &err));
     EXPECT_FALSE(FaultPlan::parse("kill-guest 1\n", &err));
+    EXPECT_FALSE(FaultPlan::parse("kill-guest -1@150\n", &err));
+    EXPECT_FALSE(FaultPlan::parse("firmware-stall 4294967296@150:5\n", &err));
+    EXPECT_FALSE(FaultPlan::parse("dma-delay 0.1 inf\n", &err));
+    EXPECT_FALSE(FaultPlan::parse("kill-driver-domain nan\n", &err));
 }
 
 TEST(FaultPlan, SpecParsers)

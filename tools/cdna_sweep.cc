@@ -21,7 +21,6 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +31,7 @@
 #include <vector>
 
 #include "core/cli.hh"
+#include "core/fault_plan.hh"
 #include "sim/sweep.hh"
 #include "sim/sweep_presets.hh"
 #include "sim/thread_pool.hh"
@@ -92,17 +92,14 @@ struct Args
 bool
 positive(const char *flag, const std::string &v, std::uint32_t *out)
 {
-    bool digits = !v.empty() &&
-                  v.find_first_not_of("0123456789") == std::string::npos;
-    errno = 0;
-    unsigned long long n = digits ? std::strtoull(v.c_str(), nullptr, 10) : 0;
-    if (n == 0 || errno == ERANGE || n > UINT32_MAX) {
+    std::uint32_t n = 0;
+    if (!core::parseCount(v, &n) || n == 0) {
         std::fprintf(stderr,
                      "cdna_sweep: %s needs a positive integer, got '%s'\n",
                      flag, v.c_str());
         return false;
     }
-    *out = static_cast<std::uint32_t>(n);
+    *out = n;
     return true;
 }
 
