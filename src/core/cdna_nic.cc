@@ -35,7 +35,6 @@ CdnaNic::CdnaNic(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
                    params.numContexts <= nic::kMaxContexts,
                "context count out of range");
     slotOwner_.assign(params_.numContexts, kNoSlotOwner);
-    setCoalesce(params.coalesce);
 }
 
 int
@@ -177,7 +176,6 @@ CdnaNic::rebootFirmware(sim::Time down_time, sim::Time reconcile_per_cxt)
         vecTimer_ = sim::kInvalidEvent;
     }
     pendingVector_ = 0;
-    pendingUpdates_ = 0;
 
     std::uint32_t live = 0;
     for (ContextId id = 0; id < contexts_.size(); ++id) {
@@ -868,17 +866,8 @@ CdnaNic::noteContextUpdate(ContextId id)
     if (!c.resident || c.pagingOut)
         return; // the pager notifies the guest once eviction completes
     pendingVector_ |= (1u << c.slot);
-    ++pendingUpdates_;
-    if (pendingUpdates_ >= coalesce().eventThreshold) {
-        if (vecTimer_ != sim::kInvalidEvent) {
-            events().cancel(vecTimer_);
-            vecTimer_ = sim::kInvalidEvent;
-        }
-        fireBitVector();
-        return;
-    }
     if (vecTimer_ == sim::kInvalidEvent) {
-        vecTimer_ = events().schedule(coalesce().delay, [this] {
+        vecTimer_ = events().schedule(params_.coalesce, [this] {
             vecTimer_ = sim::kInvalidEvent;
             fireBitVector();
         });
@@ -893,7 +882,6 @@ CdnaNic::fireBitVector()
     if (!intrRing_) {
         // No hypervisor ring configured (unit tests): raise directly.
         pendingVector_ = 0;
-        pendingUpdates_ = 0;
         raiseIrq();
         return;
     }
@@ -908,7 +896,6 @@ CdnaNic::fireBitVector()
         return;
     }
     std::uint32_t vec = std::exchange(pendingVector_, 0);
-    pendingUpdates_ = 0;
     vecDmaBusy_ = true;
     mem::SgList sg{{intrRing_->producerAddr(), 4}};
     dma_.write(sg, mem::kDomHypervisor, mem::kWholeDevice,

@@ -61,7 +61,7 @@ struct CdnaNicParams
     /** Extra wire dead-time per transmitted frame (firmware dispatch). */
     sim::Time txInterFrameGap = sim::nanoseconds(200);
     /** Coalescing window for interrupt bit vectors. */
-    nic::CoalesceParams coalesce{sim::microseconds(70), 1u << 30};
+    sim::Time coalesce = sim::microseconds(70);
     /** Validate descriptor sequence numbers (protection on). */
     bool seqnoCheck = true;
     /**
@@ -405,7 +405,6 @@ class CdnaNic : public nic::NicBase
 
     std::optional<InterruptRing> intrRing_;
     std::uint32_t pendingVector_ = 0;
-    std::uint32_t pendingUpdates_ = 0;
     sim::EventId vecTimer_ = sim::kInvalidEvent;
     bool vecDmaBusy_ = false;
 

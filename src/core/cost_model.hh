@@ -189,8 +189,8 @@ struct CostModel
     nic::CoalesceParams intelCoalesce{sim::microseconds(120), 48};
     /** CDNA bit-vector windows (tuned per direction, as the paper tuned
      *  "NIC coalescing options" per experiment). */
-    nic::CoalesceParams cdnaCoalesce{sim::microseconds(145), 1u << 30};
-    nic::CoalesceParams cdnaCoalesceRx{sim::microseconds(268), 1u << 30};
+    Time cdnaCoalesce = sim::microseconds(145);
+    Time cdnaCoalesceRx = sim::microseconds(268);
 
     // ---- switch fabric (multi-host topologies) --------------------------
     /**

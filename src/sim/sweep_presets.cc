@@ -224,7 +224,7 @@ coalesce()
         char label[32];
         std::snprintf(label, sizeof(label), "w%.0fus", us);
         windows.emplace_back(label, [us](core::SystemConfig &c) {
-            c.costs.cdnaCoalesce.delay = sim::microseconds(us);
+            c.costs.cdnaCoalesce = sim::microseconds(us);
         });
     }
     return ExperimentSpec("coalesce")

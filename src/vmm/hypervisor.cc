@@ -102,18 +102,11 @@ Hypervisor::physicalInterrupt(sim::Time isr_cost, std::function<void()> body)
 }
 
 void
-Hypervisor::hypercall(sim::Time cost, std::function<void()> body,
-                      std::function<void()> done)
+Hypervisor::hypercall(sim::Time cost, std::function<void()> body)
 {
     nHypercalls_.inc();
     CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "hypercall", now());
-    cpu_.runHypervisor(params_.hypercallOverhead + cost,
-                       [body = std::move(body), done = std::move(done)] {
-                           if (body)
-                               body();
-                           if (done)
-                               done();
-                       });
+    cpu_.runHypervisor(params_.hypercallOverhead + cost, std::move(body));
 }
 
 void

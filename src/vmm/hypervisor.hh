@@ -99,10 +99,9 @@ class Hypervisor : public sim::SimObject
 
     /**
      * Execute a hypercall from a domain: charges overhead + @p cost in
-     * hypervisor context, runs @p body, then @p done.
+     * hypervisor context, then runs @p body.
      */
-    void hypercall(sim::Time cost, std::function<void()> body,
-                   std::function<void()> done = {});
+    void hypercall(sim::Time cost, std::function<void()> body);
 
     /**
      * Virtual-context page trap (oversubscribed CDNA): a doorbell to a

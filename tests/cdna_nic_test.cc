@@ -425,7 +425,7 @@ TEST(InterruptRing, ProducerConsumerProtocol)
 TEST(CdnaNic, CoalescingMergesUpdatesIntoOneVector)
 {
     CdnaNicParams params;
-    params.coalesce.delay = sim::milliseconds(2); // wide window
+    params.coalesce = sim::milliseconds(2); // wide window
     CdnaHarness h(params);
     auto a = h.makeContext(1, 10);
     mem::PageNum hv_page = h.mem.allocOne(mem::kDomHypervisor);

@@ -205,9 +205,9 @@ TEST(SystemIntegration, GuestIntrRateTracksCoalescing)
     // Halving the coalescing window roughly doubles the interrupt rate
     // (the paper tuned this knob per experiment).
     SystemConfig slow = SystemConfig::cdna(1);
-    slow.costs.cdnaCoalesce.delay = sim::microseconds(290);
+    slow.costs.cdnaCoalesce = sim::microseconds(290);
     SystemConfig fast = SystemConfig::cdna(1);
-    fast.costs.cdnaCoalesce.delay = sim::microseconds(145);
+    fast.costs.cdnaCoalesce = sim::microseconds(145);
     auto rs = quickRun(std::move(slow));
     auto rf = quickRun(std::move(fast));
     EXPECT_NEAR(rf.guestIntrPerSec / rs.guestIntrPerSec, 2.0, 0.35);
