@@ -59,7 +59,6 @@ TrafficPeer::applyWorkload(const workload::WorkloadSpec &spec)
         SIM_ASSERT(!engine_, "RPC workload classes applied twice");
         engine_ = std::make_unique<workload::WorkloadEngine>(
             ctx(), name() + ".wl", *port_, mac_, std::move(rpc_spec));
-        engine_->start();
     }
 }
 

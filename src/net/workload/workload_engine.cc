@@ -30,21 +30,13 @@ WorkloadEngine::WorkloadEngine(sim::SimContext &ctx, std::string name,
       nRpcResponses_(stats().addCounter("rpc_responses")),
       nRpcTimeouts_(stats().addCounter("rpc_timeouts"))
 {
-    for (const auto &fc : spec_.classes)
-        SIM_ASSERT(fc.kind == FlowKind::kRpc,
+    for (std::size_t c = 0; c < spec_.classes.size(); ++c) {
+        SIM_ASSERT(spec_.classes[c].kind == FlowKind::kRpc,
                    "saturating classes run on the peer's own source, "
                    "not the engine");
-}
-
-void
-WorkloadEngine::start()
-{
-    if (started_ || spec_.targets.empty())
-        return;
-    started_ = true;
-    for (std::size_t c = 0; c < spec_.classes.size(); ++c)
-        if (spec_.classes[c].ratePerSec > 0.0)
+        if (spec_.classes[c].ratePerSec > 0.0 && !spec_.targets.empty())
             scheduleNextArrival(c);
+    }
 }
 
 void

@@ -43,13 +43,11 @@ class WorkloadEngine : public sim::SimObject
      * @param name  component name (peer name + ".wl")
      * @param port  fabric port requests are sent on
      * @param src   MAC the engine sources from (the peer's)
-     * @param spec  the workload to run (RPC classes only)
+     * @param spec  the workload to run (RPC classes only); each class
+     *              with a positive rate and a target starts arriving now
      */
     WorkloadEngine(sim::SimContext &ctx, std::string name, Port &port,
                    MacAddr src, WorkloadSpec spec);
-
-    /** Arm every class's arrival process (idempotent). */
-    void start();
 
     /** A response frame for one of our requests arrived at the peer. */
     void onRpcResponse(const Packet &pkt);
@@ -85,7 +83,6 @@ class WorkloadEngine : public sim::SimObject
     MacAddr src_;
     WorkloadSpec spec_;
     sim::Rng rng_;
-    bool started_ = false;
 
     /** Per-class round-robin cursor over spec_.targets. */
     std::vector<std::size_t> rr_;
