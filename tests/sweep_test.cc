@@ -549,7 +549,9 @@ presetCellJson(const std::string &preset, const std::string &cell,
  * its drops while a frontend reconnects.  The oversubscribed CDNA
  * latency cell pins the RPC engine's timeout and late-response paths
  * (about half its requests time out), and the swpt dom0-kill cell the
- * swpt RPC path through a validator stall.
+ * swpt RPC path through a validator stall.  The noisy-neighbor cells
+ * are the only topology with two switches, a trunk and two hosts: they
+ * pin static routing across the trunk and its tail drops.
  */
 TEST(ReportGolden, PresetCellsMatchFullDocuments)
 {
@@ -577,6 +579,8 @@ TEST(ReportGolden, PresetCellsMatchFullDocuments)
          "latency-cdna-oversub-load10k-healthy.json"},
         {"latency", "swpt/load10k/domkill",
          "latency-swpt-load10k-domkill.json"},
+        {"noisy-neighbor", "cdna/noisy", "noisy-neighbor-cdna-noisy.json"},
+        {"noisy-neighbor", "xen/noisy", "noisy-neighbor-xen-noisy.json"},
     };
     for (const Case &c : cases) {
         std::string golden = readGolden(c.file);
