@@ -323,12 +323,6 @@ CdnaNic::contextLastActive(ContextId id) const
     return cxt(id).lastActive;
 }
 
-std::uint64_t
-CdnaNic::contextTrafficScore(ContextId id) const
-{
-    return cxt(id).trafficScore;
-}
-
 void
 CdnaNic::noteInflightDone(ContextId id)
 {
@@ -397,7 +391,6 @@ CdnaNic::pageInContext(ContextId id)
     SIM_ASSERT(slot >= 0, "page-in with no free slot");
     claimSlot(id, static_cast<std::uint32_t>(slot));
     nCxtPageIns_.inc();
-    c.trafficScore = 0;
     touchActivity(c);
     reconcileContext(id);
 }
@@ -655,7 +648,6 @@ CdnaNic::pumpTx()
     txArb_.pop_front();
     txDataBusy_ = true;
     ++c.inflight; // page-out quiesce waits for this op to settle
-    ++c.trafficScore;
     touchActivity(c);
 
     // Fair interleave: rotate the context to the arbiter tail while this
@@ -757,7 +749,6 @@ CdnaNic::receiveFrame(net::Packet pkt)
     std::uint32_t pos = c.rx.ready.front();
     c.rx.ready.pop_front();
     ++c.inflight;
-    ++c.trafficScore;
     touchActivity(c);
     if (c.rx.ready.size() < params_.fetchBatch / 2)
         startFetch(id, /*is_tx=*/false);

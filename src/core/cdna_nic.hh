@@ -212,7 +212,6 @@ class CdnaNic : public nic::NicBase
     bool contextResident(ContextId cxt) const;
     std::uint32_t freeSlots() const;
     sim::Time contextLastActive(ContextId cxt) const;
-    std::uint64_t contextTrafficScore(ContextId cxt) const;
 
     /** Doorbell traps taken on paged-out contexts. */
     std::uint64_t pageTraps() const { return nCxtTraps_.value(); }
@@ -336,7 +335,6 @@ class CdnaNic : public nic::NicBase
                                      //!< the old slot's fetch chains
         std::uint32_t inflight = 0;  //!< datapath ops claimed, not done
         sim::Time lastActive = 0;
-        std::uint64_t trafficScore = 0; //!< packets since last page-in
         std::function<void()> pageOutDone;
 
         Queue tx;

@@ -18,7 +18,6 @@ struct ParseState
     std::string direction = "tx";
     bool protection = true;
     bool oversub = false;
-    std::string evictPolicy = "lru";
     std::uint32_t guests = 1;
     std::uint32_t nics = 2;
     std::uint32_t connections = 2;
@@ -96,14 +95,6 @@ const Spec kSpecs[] = {
      "I/O architecture",
      [](ParseState &st, const std::string &, std::string *) {
          st.oversub = true;
-         return true;
-     }},
-    {"--evict-policy", "P",
-     "lru | traffic — context eviction policy with --oversub "
-     "(default lru)",
-     "I/O architecture",
-     [](ParseState &st, const std::string &v, std::string *) {
-         st.evictPolicy = v;
          return true;
      }},
 
@@ -379,12 +370,6 @@ finalize(ParseState st, std::string *error)
                   .withProtection(st.protection);
         if (st.oversub)
             cfg.oversubscribed();
-        if (st.evictPolicy == "lru")
-            cfg.withEvictionPolicy(EvictPolicy::kLru);
-        else if (st.evictPolicy == "traffic")
-            cfg.withEvictionPolicy(EvictPolicy::kTrafficWeighted);
-        else
-            return fail("--evict-policy must be lru or traffic");
     } else if (st.mode == "swpt") {
         cfg = SystemConfig::swPassthrough(st.guests).withNics(st.nics);
     } else {

@@ -7,24 +7,13 @@
 
 namespace cdna::core {
 
-const char *
-evictPolicyName(EvictPolicy p)
-{
-    switch (p) {
-      case EvictPolicy::kLru: return "lru";
-      case EvictPolicy::kTrafficWeighted: return "traffic";
-    }
-    return "?";
-}
-
 ContextPager::ContextPager(sim::SimContext &ctx, std::string name,
                            vmm::Hypervisor &hv, CdnaNic &nic,
-                           const CostModel &costs, EvictPolicy policy)
+                           const CostModel &costs)
     : sim::SimObject(ctx, std::move(name)),
       hv_(hv),
       nic_(nic),
-      costs_(costs),
-      policy_(policy)
+      costs_(costs)
 {
 }
 
@@ -66,24 +55,16 @@ std::optional<CdnaNic::ContextId>
 ContextPager::pickVictim() const
 {
     std::optional<CdnaNic::ContextId> best;
-    std::uint64_t bestScore = 0;
     sim::Time bestActive = 0;
     std::uint32_t n = std::max(nic_.params().numContexts,
                                nic_.params().virtualContexts);
     for (CdnaNic::ContextId id = 0; id < n; ++id) {
         if (!nic_.contextAllocated(id) || !nic_.contextResident(id))
             continue;
-        std::uint64_t score = policy_ == EvictPolicy::kTrafficWeighted
-                                  ? nic_.contextTrafficScore(id)
-                                  : 0;
+        // Strictly older wins, so ties keep the lowest id.
         sim::Time active = nic_.contextLastActive(id);
-        // Primary key: traffic score (traffic-weighted only); secondary
-        // key: recency; final tie-break: lowest id (determinism).
-        bool better = !best.has_value() || score < bestScore ||
-                      (score == bestScore && active < bestActive);
-        if (better) {
+        if (!best.has_value() || active < bestActive) {
             best = id;
-            bestScore = score;
             bestActive = active;
         }
     }

@@ -8,8 +8,8 @@
  * to the hypervisor (CdnaNic::setPageFaultHandler); the pager then
  *
  *   1. charges the trap cost in hypervisor context,
- *   2. picks an eviction victim via a pluggable policy when no slot is
- *      free (LRU or traffic-weighted),
+ *   2. picks the least recently active resident context as the
+ *      eviction victim when no slot is free,
  *   3. quiesces the victim with the NIC's epoch-guarded quiesce (new
  *      work stops, in-flight datapath ops drain to their completions),
  *   4. charges the quiesce epoch + save-DMA cost, notifies the evicted
@@ -38,21 +38,11 @@
 
 namespace cdna::core {
 
-/** Victim-selection policy for context eviction. */
-enum class EvictPolicy
-{
-    kLru,             //!< least recently active context
-    kTrafficWeighted, //!< fewest packets moved since its page-in
-};
-
-const char *evictPolicyName(EvictPolicy p);
-
 class ContextPager : public sim::SimObject
 {
   public:
     ContextPager(sim::SimContext &ctx, std::string name,
-                 vmm::Hypervisor &hv, CdnaNic &nic, const CostModel &costs,
-                 EvictPolicy policy);
+                 vmm::Hypervisor &hv, CdnaNic &nic, const CostModel &costs);
 
     /** Doorbell trap on paged-out @p cxt (wire to the NIC's handler). */
     void onTrap(CdnaNic::ContextId cxt);
@@ -70,13 +60,12 @@ class ContextPager : public sim::SimObject
     }
 
     /**
-     * Victim the policy would evict now (exposed for tests): the
-     * lowest-scoring resident, allocated, non-quiescing context; ties
-     * break towards the lowest context id for determinism.
+     * Victim to evict now (exposed for tests): the least recently
+     * active allocated resident context; ties break towards the lowest
+     * context id for determinism.
      */
     std::optional<CdnaNic::ContextId> pickVictim() const;
 
-    EvictPolicy policy() const { return policy_; }
     std::uint64_t switchesQueuedPeak() const { return queuePeak_; }
 
   private:
@@ -87,7 +76,6 @@ class ContextPager : public sim::SimObject
     vmm::Hypervisor &hv_;
     CdnaNic &nic_;
     const CostModel &costs_;
-    EvictPolicy policy_;
     std::function<void(CdnaNic::ContextId)> evictedHook_;
 
     std::deque<CdnaNic::ContextId> pending_;

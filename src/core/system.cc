@@ -457,8 +457,8 @@ System::buildCdna()
         CdnaNic &nic = *cdnaNics_[i];
         if (cfg_.ctxOversub) {
             pagers_.push_back(std::make_unique<ContextPager>(
-                ctx_, nm("pager" + std::to_string(i)), *hv_, nic, cfg_.costs,
-                cfg_.ctxEvictPolicy));
+                ctx_, nm("pager" + std::to_string(i)), *hv_, nic,
+                cfg_.costs));
             ContextPager *pager = pagers_.back().get();
             nic.setPageFaultHandler(
                 [pager](CdnaNic::ContextId c) { pager->onTrap(c); });

@@ -139,8 +139,6 @@ struct SystemConfig
      * Off by default -- disabled systems are bit-identical to PR 5.
      */
     bool ctxOversub = false;
-    /** Eviction policy used by the context pager. */
-    EvictPolicy ctxEvictPolicy = EvictPolicy::kLru;
     /**
      * Multi-host topologies: this host's index in the shared MAC space.
      * Host h's guest and driver-domain MACs live in a disjoint 1 Mi-id
@@ -259,14 +257,6 @@ struct SystemConfig
     oversubscribed(bool on = true)
     {
         ctxOversub = on;
-        return *this;
-    }
-
-    /** Eviction policy for the context pager (with oversubscribed()). */
-    SystemConfig &
-    withEvictionPolicy(EvictPolicy p)
-    {
-        ctxEvictPolicy = p;
         return *this;
     }
 

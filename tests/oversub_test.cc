@@ -217,15 +217,11 @@ TEST(Oversub, GrantsStayRevocableWhilePagedOut)
 TEST(Oversub, CliFlagConfiguresPaging)
 {
     std::string err;
-    auto opt = parseCli({"--mode", "cdna", "--guests", "64", "--oversub",
-                         "--evict-policy", "traffic"},
+    auto opt = parseCli({"--mode", "cdna", "--guests", "64", "--oversub"},
                         &err);
     ASSERT_TRUE(opt.has_value()) << err;
     EXPECT_TRUE(opt->config.ctxOversub);
-    EXPECT_EQ(opt->config.ctxEvictPolicy, EvictPolicy::kTrafficWeighted);
     EXPECT_FALSE(parseCli({"--mode", "xen", "--oversub"}, &err));
-    EXPECT_FALSE(
-        parseCli({"--mode", "cdna", "--evict-policy", "random"}, &err));
 }
 
 // ------------------------------------------------- NIC-level paging ----
@@ -302,10 +298,8 @@ struct PagerHarness : OversubHarness
     CostModel costs{};
     ContextPager pager;
 
-    explicit PagerHarness(CdnaNicParams params,
-                          EvictPolicy policy = EvictPolicy::kLru)
-        : OversubHarness(params),
-          pager(ctx, "pager", hv, nic, costs, policy)
+    explicit PagerHarness(CdnaNicParams params)
+        : OversubHarness(params), pager(ctx, "pager", hv, nic, costs)
     {
         nic.setPageFaultHandler(
             [this](CdnaNic::ContextId id) { pager.onTrap(id); });
@@ -324,7 +318,7 @@ TEST(ContextPage, PagerRestoresFaultingContextEndToEnd)
     auto b = h.makeContext(2, 2);
     auto c = h.makeContext(3, 3);
 
-    // Warm both residents so eviction has real traffic state to weigh.
+    // Warm both residents so each has a recent activity time.
     h.queueTx(a, 1000, h.peer.mac());
     h.doorbellTx(a);
     h.queueTx(b, 1000, h.peer.mac());
@@ -348,7 +342,7 @@ TEST(ContextPage, PagerRestoresFaultingContextEndToEnd)
     EXPECT_NE(h.nic.contextResident(a), h.nic.contextResident(b));
 }
 
-TEST(ContextPage, LruAndTrafficPoliciesPickDifferentVictims)
+TEST(ContextPage, PagerEvictsLeastRecentlyActive)
 {
     CdnaNicParams params;
     params.numContexts = 2;
@@ -357,17 +351,14 @@ TEST(ContextPage, LruAndTrafficPoliciesPickDifferentVictims)
     cpu::SimCpu cpu{h.ctx, "cpu"};
     vmm::Hypervisor hv{h.ctx, cpu, h.mem};
     CostModel costs{};
-    ContextPager lru(h.ctx, "lru", hv, h.nic, costs, EvictPolicy::kLru);
-    ContextPager traffic(h.ctx, "traffic", hv, h.nic, costs,
-                         EvictPolicy::kTrafficWeighted);
+    ContextPager pager(h.ctx, "pager", hv, h.nic, costs);
 
     auto a = h.makeContext(1, 1);
     auto b = h.makeContext(2, 2);
     h.makeContext(3, 3); // paged out; makes both residents candidates
 
     // Context a: heavy traffic, but long ago.  Context b: idle, but
-    // touched recently.  LRU evicts the stale-but-busy a; the
-    // traffic-weighted policy protects it and evicts the idle b.
+    // touched recently.  The pager evicts the stale-but-busy a.
     for (int i = 0; i < 4; ++i)
         h.queueTx(a, 1000, h.peer.mac());
     h.doorbellTx(a);
@@ -376,11 +367,7 @@ TEST(ContextPage, LruAndTrafficPoliciesPickDifferentVictims)
     h.nic.pioWriteMailbox(b, nic::kMboxRxProducer, 0);
 
     ASSERT_LT(h.nic.contextLastActive(a), h.nic.contextLastActive(b));
-    ASSERT_GT(h.nic.contextTrafficScore(a),
-              h.nic.contextTrafficScore(b));
-    EXPECT_EQ(lru.pickVictim(), std::optional<CdnaNic::ContextId>(a));
-    EXPECT_EQ(traffic.pickVictim(),
-              std::optional<CdnaNic::ContextId>(b));
+    EXPECT_EQ(pager.pickVictim(), std::optional<CdnaNic::ContextId>(a));
 }
 
 // --------------------------------------------- uint32 wraparound ----
