@@ -25,7 +25,6 @@ EthSwitch::EthSwitch(sim::SimContext &ctx, std::string name,
     }
     wire_.addFaultCounters(stats());
     nUnrouted_ = &stats().addCounter("unrouted_drops");
-    nFlooded_ = &stats().addCounter("flooded_frames");
 }
 
 Port &
@@ -86,34 +85,14 @@ EthSwitch::maxQueuePeakBytes() const
 }
 
 void
-EthSwitch::forward(SwitchPort &ingress, Packet pkt)
+EthSwitch::forward(Packet pkt)
 {
-    if (params_.learning && !(pkt.src == MacAddr{}))
-        fdb_[pkt.src] = ingress.index();
-
     auto route = routes_.find(pkt.dst);
-    if (route != routes_.end()) {
-        enqueue(ports_[route->second], std::move(pkt));
+    if (route == routes_.end()) {
+        nUnrouted_->inc();
         return;
     }
-    if (params_.learning) {
-        auto learned = fdb_.find(pkt.dst);
-        if (learned != fdb_.end()) {
-            // Destination on the ingress segment: filter, don't hairpin.
-            if (learned->second != ingress.index())
-                enqueue(ports_[learned->second], std::move(pkt));
-            return;
-        }
-        // Unknown unicast: flood to every other bound port.
-        nFlooded_->inc();
-        for (auto &out : ports_) {
-            if (out.index() == ingress.index() || !out.connected())
-                continue;
-            enqueue(out, pkt);
-        }
-        return;
-    }
-    nUnrouted_->inc();
+    enqueue(ports_[route->second], std::move(pkt));
 }
 
 void

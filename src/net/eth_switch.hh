@@ -6,17 +6,13 @@
  * directions use (line-rate serialization, fault injection,
  * propagation), delivering to the switch instead of a far endpoint; the
  * switch itself adds only forwarding and the egress queues.
- * Fully-received frames are looked up -- static route first, then the
- * learned MAC table, else flooded -- and enqueued on the destination
- * port's finite egress queue.  The queue is
- * tail-drop with per-port drop counters, models store-and-forward (a
- * frame occupies buffer from enqueue until its last byte has been
- * retransmitted), and charges a fixed forwarding latency before a frame
- * becomes eligible for egress.
- *
- * There is no spanning tree; multi-switch topologies must be acyclic.
- * A two-switch trunk cannot loop because flooding never exits the
- * ingress port.
+ * Forwarding is by static route only: a fully-received frame is
+ * enqueued on the finite egress queue of the port its destination MAC
+ * is pinned to (setRoute), and a frame with no route is dropped and
+ * counted.  The queue is tail-drop with per-port drop counters, models
+ * store-and-forward (a frame occupies buffer from enqueue until its
+ * last byte has been retransmitted), and charges a fixed forwarding
+ * latency before a frame becomes eligible for egress.
  */
 
 #ifndef CDNA_NET_ETH_SWITCH_HH
@@ -44,9 +40,6 @@ struct EthSwitchParams
     sim::Time forwardLatency = sim::microseconds(4);
     /** Per-port egress buffer in wire bytes (0 = unlimited). */
     std::uint64_t bufBytesPerPort = 128 * 1024;
-    /** Learn source MACs; unknown unicast floods.  When false, only
-     *  setRoute() entries forward and unrouted frames are dropped. */
-    bool learning = true;
 };
 
 class EthSwitch : public sim::SimObject, public Fabric
@@ -69,10 +62,10 @@ class EthSwitch : public sim::SimObject, public Fabric
         return static_cast<std::uint32_t>(ports_.size());
     }
 
-    /** Pin @p mac to egress port @p port; beats the learned table. */
+    /** Pin @p mac to egress port @p port. */
     void setRoute(MacAddr mac, std::uint32_t port);
 
-    /** Frames dropped because no route existed (learning off). */
+    /** Frames dropped because no route existed. */
     std::uint64_t unrouted() const { return nUnrouted_->value(); }
 
     /** Sum of egress tail-drops over all ports. */
@@ -105,7 +98,7 @@ class EthSwitch : public sim::SimObject, public Fabric
         void
         arrive(Packet pkt) override
         {
-            sw->forward(*this, std::move(pkt));
+            sw->forward(std::move(pkt));
         }
         std::uint64_t egressDrops() const override
         {
@@ -118,9 +111,9 @@ class EthSwitch : public sim::SimObject, public Fabric
         std::uint64_t queuePeakBytes() const override { return qPeakBytes; }
     };
 
-    /** A frame has fully arrived on @p ingress: look up and enqueue. */
-    void forward(SwitchPort &ingress, Packet pkt);
-    /** Enqueue one copy on @p out (tail-drop on overflow). */
+    /** A frame has fully arrived: look up its route and enqueue. */
+    void forward(Packet pkt);
+    /** Enqueue @p pkt on @p out (tail-drop on overflow). */
     void enqueue(SwitchPort &out, Packet pkt);
     /** Start the next eligible egress transmission on @p out. */
     void pumpEgress(SwitchPort &out);
@@ -130,9 +123,7 @@ class EthSwitch : public sim::SimObject, public Fabric
     std::vector<SwitchPort> ports_;
     std::uint32_t bound_ = 0;
     std::map<MacAddr, std::uint32_t> routes_;
-    std::map<MacAddr, std::uint32_t> fdb_;
     sim::Counter *nUnrouted_ = nullptr;
-    sim::Counter *nFlooded_ = nullptr;
 };
 
 /**

@@ -15,8 +15,7 @@ TrafficPeer::TrafficPeer(sim::SimContext &ctx, std::string name,
       nRxPayload_(stats().addCounter("rx_payload_bytes")),
       nTxFrames_(stats().addCounter("tx_frames")),
       nRxDups_(stats().addCounter("rx_duplicates")),
-      nRxBadCsum_(stats().addCounter("rx_drops_bad_csum")),
-      nRxFiltered_(stats().addCounter("rx_filtered"))
+      nRxBadCsum_(stats().addCounter("rx_drops_bad_csum"))
 {
     // Derive the peer's MAC from its name so it is stable per component
     // regardless of construction order; peers live in a reserved id range
@@ -34,8 +33,6 @@ TrafficPeer::~TrafficPeer() = default;
 void
 TrafficPeer::applyWorkload(const workload::WorkloadSpec &spec)
 {
-    if (spec.macFilter)
-        macFilter_ = *spec.macFilter;
     if (spec.ackEvery)
         ackEvery_ = *spec.ackEvery;
     if (spec.sourceWindow)
@@ -203,12 +200,6 @@ TrafficPeer::sendNext()
 void
 TrafficPeer::receiveFrame(Packet pkt)
 {
-    if (macFilter_ && pkt.dst != mac_ && pkt.dst != MacAddr{}) {
-        // Flooded or misrouted frame for someone else: a real NIC's MAC
-        // filter discards it before it costs anything.
-        nRxFiltered_.inc();
-        return;
-    }
     nRxFrames_.inc(pkt.wireFrames());
     if (!pkt.intact) {
         // Checksum check fails: the frame occupied the wire but never

@@ -65,9 +65,6 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
     Port &port() { return *port_; }
     const Port &port() const { return *port_; }
 
-    /** Frames discarded by the MAC filter. */
-    std::uint64_t rxFiltered() const { return nRxFiltered_.value(); }
-
     /** Stop sourcing (pending frame still completes). */
     void stopSource();
 
@@ -116,7 +113,6 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
 
     Port *port_ = nullptr;
     MacAddr mac_;
-    bool macFilter_ = false;
     std::vector<MacAddr> dsts_;
     std::uint32_t payload_ = kMss;
     std::size_t rrIndex_ = 0;
@@ -142,7 +138,6 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
     sim::Counter &nTxFrames_;
     sim::Counter &nRxDups_;
     sim::Counter &nRxBadCsum_;
-    sim::Counter &nRxFiltered_;
 };
 
 } // namespace cdna::net

@@ -121,7 +121,6 @@ struct WorkloadSpec
 {
     std::vector<FlowClass> classes;
 
-    std::optional<bool> macFilter;
     std::optional<std::uint32_t> ackEvery;
     std::optional<std::uint32_t> sourceWindow;
     std::optional<transport::TcpParams> tcp;
@@ -139,12 +138,6 @@ struct WorkloadSpec
     withClass(FlowClass fc)
     {
         classes.push_back(fc);
-        return *this;
-    }
-    WorkloadSpec &
-    filteringMac(bool on = true)
-    {
-        macFilter = on;
         return *this;
     }
     WorkloadSpec &

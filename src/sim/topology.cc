@@ -72,9 +72,6 @@ Topology::addPeer(const std::string &name, net::Fabric &fabric)
     peers_.push_back(
         std::make_unique<net::TrafficPeer>(*ctx_, name, fabric));
     net::TrafficPeer &peer = *peers_.back();
-    // On a switch, flooding can deliver other hosts' frames here;
-    // filter like a real NIC would, and pin the return route.
-    peer.applyWorkload(net::workload::WorkloadSpec{}.filteringMac(true));
     routeOnSwitch(fabric, peer.mac(), peer.port().index());
     return peer;
 }

@@ -23,9 +23,10 @@
  * subsequent host gets an "h<k>." prefix and a distinct hostId (a
  * disjoint guest-MAC block).
  *
- * addHost() pins every guest MAC (and the driver-domain MAC for Xen
- * modes) to the host's switch port with static routes, so cross-host
- * unicast never depends on flood-then-learn warmup.
+ * Switches forward by static route only.  addHost() pins every guest
+ * MAC (and the driver-domain MAC for Xen modes) to the host's switch
+ * port, addPeer() pins the peer's MAC to its port, and the caller pins
+ * the routes that cross a trunk.
  */
 
 #ifndef CDNA_SIM_TOPOLOGY_HH
@@ -73,8 +74,8 @@ class Topology
     core::System &addHost(core::SystemConfig cfg,
                           std::vector<net::Fabric *> fabrics);
 
-    /** Add an external traffic peer on @p fabric (MAC-filtered and
-     *  statically routed when the fabric is one of ours). */
+    /** Add an external traffic peer on @p fabric (statically routed
+     *  when the fabric is one of our switches). */
     net::TrafficPeer &addPeer(const std::string &name,
                               net::Fabric &fabric);
 

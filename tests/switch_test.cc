@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the output-queued Ethernet switch: forwarding and
- * learning, FIFO ordering, finite-buffer tail drop, store-and-forward
+ * Unit tests for the output-queued Ethernet switch: static-route
+ * forwarding, FIFO ordering, finite-buffer tail drop, store-and-forward
  * latency, and the per-port drain/backpressure surface two endpoints
  * share without starving each other.
  */
@@ -65,44 +65,10 @@ TEST(Switch, StaticRouteForwardsToPinnedPort)
     EXPECT_TRUE(a.got.empty());
 }
 
-TEST(Switch, LearningFloodsUnknownThenUnicasts)
+TEST(Switch, UnroutedFramesAreDropped)
 {
     sim::SimContext ctx;
-    EthSwitch sw(ctx, "sw", 3);
-    Sink a, b, c;
-    Port &pa = sw.bind(a);
-    Port &pb = sw.bind(b);
-    sw.bind(c);
-
-    auto ma = MacAddr::fromId(1);
-    auto mb = MacAddr::fromId(2);
-    // Unknown destination: flooded to both other ports (never the
-    // ingress port, so no loop through a two-switch trunk either).
-    pa.send(frame(ma, mb));
-    ctx.events().run();
-    EXPECT_EQ(b.got.size(), 1u);
-    EXPECT_EQ(c.got.size(), 1u);
-    EXPECT_TRUE(a.got.empty());
-
-    // b replies; the switch learned a's port from the flood, so the
-    // reply unicasts, and the next a->b frame unicasts too.
-    pb.send(frame(mb, ma));
-    ctx.events().run();
-    EXPECT_EQ(a.got.size(), 1u);
-    EXPECT_EQ(c.got.size(), 1u);
-
-    pa.send(frame(ma, mb));
-    ctx.events().run();
-    EXPECT_EQ(b.got.size(), 2u);
-    EXPECT_EQ(c.got.size(), 1u);
-}
-
-TEST(Switch, RoutingOffDropsUnroutedFrames)
-{
-    sim::SimContext ctx;
-    EthSwitchParams params;
-    params.learning = false;
-    EthSwitch sw(ctx, "sw", 2, params);
+    EthSwitch sw(ctx, "sw", 2);
     Sink a, b;
     Port &pa = sw.bind(a);
     sw.bind(b);
@@ -268,8 +234,7 @@ TEST(Switch, SharedEgressQueueNeverStarvesEitherSender)
     TrafficPeer s1(ctx, "s1", sw);
     TrafficPeer s2(ctx, "s2", sw);
     TrafficPeer rx(ctx, "rx", sw);
-    rx.applyWorkload(
-        workload::WorkloadSpec{}.filteringMac(true).ackingEvery(2));
+    rx.applyWorkload(workload::WorkloadSpec{}.ackingEvery(2));
     sw.setRoute(rx.mac(), 2);
     sw.setRoute(s1.mac(), 0);
     sw.setRoute(s2.mac(), 1);

@@ -171,7 +171,6 @@ TEST(Workload, SpecFluencyAndPredicates)
     EXPECT_TRUE(spec.empty());
     EXPECT_FALSE(spec.hasRpc());
     spec.withClass(wl::FlowClass::rpc(512, 8192).poissonAt(5000.0))
-        .filteringMac()
         .ackingEvery(2)
         .seeded(7);
     EXPECT_FALSE(spec.empty());
@@ -183,8 +182,6 @@ TEST(Workload, SpecFluencyAndPredicates)
     EXPECT_EQ(fc.sizeBytes, 512u);
     EXPECT_EQ(fc.rpcRespBytes, 8192u);
     EXPECT_EQ(spec.seed, 7u);
-    ASSERT_TRUE(spec.macFilter.has_value());
-    EXPECT_TRUE(*spec.macFilter);
     ASSERT_TRUE(spec.ackEvery.has_value());
     EXPECT_EQ(*spec.ackEvery, 2u);
 
