@@ -20,7 +20,6 @@ struct ParseState
     bool oversub = false;
     std::uint32_t guests = 1;
     std::uint32_t nics = 2;
-    std::uint32_t connections = 2;
     std::string transport = "open";
     std::uint32_t warmupMs = 100;
     double seconds = 0.5;
@@ -116,14 +115,6 @@ const Spec kSpecs[] = {
     {"--direction", "DIR", "tx | rx (default tx)", "topology & workload",
      [](ParseState &st, const std::string &v, std::string *) {
          st.direction = v;
-         return true;
-     }},
-    {"--connections", "N", "connections per interface (default 2)",
-     "topology & workload",
-     [](ParseState &st, const std::string &v, std::string *error) {
-         if (!parseCount(v, &st.connections) || st.connections == 0)
-             return failWith(error,
-                             "--connections needs a positive integer");
          return true;
      }},
     {"--transport", "MODE",
@@ -395,7 +386,7 @@ finalize(ParseState st, std::string *error)
     else if (st.transport != "open")
         return fail("--transport must be open or tcp");
 
-    cfg.withConnections(st.connections).withSeed(st.seed);
+    cfg.withSeed(st.seed);
     if (st.haveFaults)
         cfg.withFaults(std::move(st.faults));
 

@@ -116,7 +116,7 @@ System::nicPort(std::uint32_t i)
 void
 System::buildCommon()
 {
-    mem_ = std::make_unique<mem::PhysMemory>(ctx_, cfg_.memoryPages);
+    mem_ = std::make_unique<mem::PhysMemory>(ctx_, 256 * 1024); // 1 GB
     cpu_ = std::make_unique<cpu::SimCpu>(ctx_, nm("cpu0"),
                                          cfg_.costs.cpuParams);
     hv_ = std::make_unique<vmm::Hypervisor>(ctx_, *cpu_, *mem_,
@@ -150,7 +150,7 @@ System::buildCommon()
             fab = links_.back().get();
         }
         if (intel) {
-            auto params = cfg_.intelParams;
+            nic::IntelNicParams params;
             params.coalesce = cfg_.costs.intelCoalesce;
             intelNics_.push_back(std::make_unique<nic::IntelNic>(
                 ctx_, nm("intel" + suffix), *buses_.back(), *mem_, i,
@@ -409,7 +409,6 @@ System::addGuestPort(vmm::Domain &guest, os::NetDevice &dev,
     if (cfg_.transportKind == TransportKind::kTcp)
         stacks_.back()->enableTcp(cfg_.tcpParams);
     workload::TrafficApp::Params ap;
-    ap.connections = cfg_.connectionsPerVif;
     ap.transmit = cfg_.transmitDir;
     ap.rpcServer = cfg_.workload.hasRpc();
     apps_.push_back(std::make_unique<workload::TrafficApp>(

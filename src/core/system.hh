@@ -104,12 +104,9 @@ struct SystemConfig
     mem::Iommu::Mode iommuMode = mem::Iommu::Mode::kNone;
     /** Workload direction: transmit from guests, or receive into them. */
     bool transmitDir = true;
-    std::uint32_t connectionsPerVif = 2;
     std::uint64_t seed = 1;
-    std::uint64_t memoryPages = 256 * 1024; // 1 GB
     CostModel costs{};
     CdnaNicParams cdnaParams{};
-    nic::IntelNicParams intelParams{};
     /** Explicit report label; empty derives one (see effectiveLabel()). */
     std::string label;
     /** Fault plan; an empty plan injects nothing (see fault_plan.hh). */
@@ -225,13 +222,6 @@ struct SystemConfig
     }
 
     SystemConfig &
-    withConnections(std::uint32_t n)
-    {
-        connectionsPerVif = n;
-        return *this;
-    }
-
-    SystemConfig &
     withSeed(std::uint64_t s)
     {
         seed = s;
@@ -290,13 +280,6 @@ struct SystemConfig
     transport(TransportKind k)
     {
         transportKind = k;
-        return *this;
-    }
-
-    SystemConfig &
-    withTcpParams(const net::transport::TcpParams &p)
-    {
-        tcpParams = p;
         return *this;
     }
 

@@ -84,12 +84,11 @@ TEST(Cli, ModeSelection)
 TEST(Cli, TopologyAndWorkload)
 {
     auto opt = parse({"--guests", "8", "--nics", "3", "--direction", "rx",
-                      "--connections", "5", "--seed", "9"});
+                      "--seed", "9"});
     ASSERT_TRUE(opt.has_value());
     EXPECT_EQ(opt->config.numGuests, 8u);
     EXPECT_EQ(opt->config.numNics, 3u);
     EXPECT_FALSE(opt->config.transmitDir);
-    EXPECT_EQ(opt->config.connectionsPerVif, 5u);
     EXPECT_EQ(opt->config.seed, 9u);
 }
 
