@@ -602,7 +602,7 @@ CdnaNic::enterFault(ContextId id, vmm::Fault f)
     c.rx.ready.clear();
     if (f == vmm::Fault::kBadSeqno)
         nSeqnoFaults_.inc();
-    log_.warn("context %u fault: %s", id, vmm::faultName(f));
+    warn("context %u fault: %s", id, vmm::faultName(f));
     if (faultHandler_)
         faultHandler_(id, c.dom, f);
 }

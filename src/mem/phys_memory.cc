@@ -177,9 +177,9 @@ PhysMemory::noteDmaAccess(PageNum page, DomainId dom, bool write)
     if (pi.owner != dom && !(pi.mapCount > 0 && pi.mapper == dom)) {
         nViolations_.inc();
         violations_.push_back({page, dom, pi.owner, write, now()});
-        log_.warn("DMA %s violation: page %llu owner=%u on behalf of %u",
-                  write ? "write" : "read",
-                  static_cast<unsigned long long>(page), pi.owner, dom);
+        warn("DMA %s violation: page %llu owner=%u on behalf of %u",
+             write ? "write" : "read",
+             static_cast<unsigned long long>(page), pi.owner, dom);
         return false;
     }
     return true;

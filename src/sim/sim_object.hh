@@ -5,7 +5,8 @@
  * A SimContext bundles the services every component needs -- the event
  * queue/clock, a root random stream, and a place to register itself so
  * whole-system stat dumps can enumerate components.  SimObject wires a
- * named component to that context.
+ * named component to that context and gives it one diagnostic channel,
+ * warn(), for modeled faults worth a line on stderr.
  */
 
 #ifndef CDNA_SIM_SIM_OBJECT_HH
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/logger.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
@@ -86,7 +86,12 @@ class SimObject
     Tracer::LaneId traceLane() const { return traceLane_; }
 
   protected:
-    Logger log_;
+    /**
+     * Print "[<time> us] WARN  <name> <message>" to stderr, @p fmt
+     * being printf-style.  The line is formatted whole and printed in
+     * one call, so lines from parallel sweep runs never interleave.
+     */
+    void warn(const char *fmt, ...) const;
 
   private:
     SimContext &ctx_;

@@ -124,7 +124,7 @@ Hypervisor::recordFault(mem::DomainId dom, Fault f)
     CDNA_TRACE_INSTANT_ARG(ctx().tracer(), traceLane(), "fault", now(),
                            "domain", dom);
     faults_.emplace_back(dom, f, now());
-    log_.warn("protection fault: domain %u %s", dom, faultName(f));
+    warn("protection fault: domain %u %s", dom, faultName(f));
 }
 
 std::uint64_t

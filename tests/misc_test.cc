@@ -1,34 +1,33 @@
 /**
  * @file
- * Coverage for remaining small surfaces: logging levels, stat dumps,
- * IOMMU drop accounting at the NIC, and report edge cases.
+ * Coverage for remaining small surfaces: the warning line, the stats
+ * dump, IOMMU drop accounting at the NIC, and report edge cases.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/system.hh"
-#include "sim/logger.hh"
 
 using namespace cdna;
 using namespace cdna::core;
 
-TEST(Logger, GlobalAndPerChannelThresholds)
+TEST(SimObject, WarnPrintsOneTimestampedLine)
 {
-    sim::Logger quiet("quiet");
-    sim::Logger chatty("chatty");
-    sim::Logger::setGlobalLevel(sim::LogLevel::kWarn);
-    EXPECT_TRUE(quiet.enabled(sim::LogLevel::kError));
-    EXPECT_TRUE(quiet.enabled(sim::LogLevel::kWarn));
-    EXPECT_FALSE(quiet.enabled(sim::LogLevel::kDebug));
-
-    chatty.setLevel(sim::LogLevel::kTrace);
-    EXPECT_TRUE(chatty.enabled(sim::LogLevel::kTrace));
-    EXPECT_FALSE(quiet.enabled(sim::LogLevel::kTrace));
-
-    sim::Logger::setGlobalLevel(sim::LogLevel::kError);
-    EXPECT_FALSE(quiet.enabled(sim::LogLevel::kWarn));
-    EXPECT_TRUE(chatty.enabled(sim::LogLevel::kTrace)); // override wins
-    sim::Logger::setGlobalLevel(sim::LogLevel::kWarn);
+    struct Widget : sim::SimObject
+    {
+        explicit Widget(sim::SimContext &c) : SimObject(c, "widget") {}
+        using SimObject::warn;
+    };
+    sim::SimContext ctx;
+    Widget w(ctx);
+    ctx.events().schedule(sim::microseconds(12.5), [&w] {
+        w.warn("context %u fault: %s", 3u, "bad-seqno");
+    });
+    testing::internal::CaptureStderr();
+    ctx.events().run();
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "[        12.500 us] WARN  widget         "
+              "context 3 fault: bad-seqno\n");
 }
 
 TEST(Misc, EventQueueRunCapsEventCount)
