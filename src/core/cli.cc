@@ -195,23 +195,15 @@ const Spec kSpecs[] = {
 
     // --- fault injection -------------------------------------------------
     {"--fault-plan", "FILE",
-     "load a fault plan file (see core/fault_plan.hh);\n"
-     "later fault flags override its rates",
+     "apply a fault plan file (see core/fault_plan.hh);\n"
+     "fault flags and files apply in command-line order:\n"
+     "a later rate replaces an earlier one, and\n"
+     "scheduled faults accumulate",
      "fault injection",
      [](ParseState &st, const std::string &v, std::string *error) {
-         std::string err;
-         auto plan = FaultPlan::fromFile(v, &err);
+         auto plan = FaultPlan::fromFile(v, error, &st.faults);
          if (!plan)
-             return failWith(error, err);
-         // Keep any stalls/kills already given on the command line.
-         for (const auto &fs : st.faults.firmwareStalls)
-             plan->firmwareStalls.push_back(fs);
-         for (const auto &gk : st.faults.guestKills)
-             plan->guestKills.push_back(gk);
-         for (const auto &dk : st.faults.driverDomainKills)
-             plan->driverDomainKills.push_back(dk);
-         for (const auto &fr : st.faults.firmwareReboots)
-             plan->firmwareReboots.push_back(fr);
+             return false;
          st.faults = std::move(*plan);
          st.haveFaults = true;
          return true;

@@ -116,7 +116,8 @@ parseRebootSpec(const std::string &spec)
 }
 
 std::optional<FaultPlan>
-FaultPlan::parse(const std::string &text, std::string *error)
+FaultPlan::parse(const std::string &text, std::string *error,
+                 const FaultPlan *base)
 {
     auto fail = [&](std::size_t line_no,
                     const std::string &line) -> std::optional<FaultPlan> {
@@ -126,7 +127,7 @@ FaultPlan::parse(const std::string &text, std::string *error)
         return std::nullopt;
     };
 
-    FaultPlan plan;
+    FaultPlan plan = base ? *base : FaultPlan{};
     std::istringstream in(text);
     std::string line;
     std::size_t line_no = 0;
@@ -189,7 +190,8 @@ FaultPlan::parse(const std::string &text, std::string *error)
 }
 
 std::optional<FaultPlan>
-FaultPlan::fromFile(const std::string &path, std::string *error)
+FaultPlan::fromFile(const std::string &path, std::string *error,
+                    const FaultPlan *base)
 {
     std::ifstream in(path);
     if (!in) {
@@ -199,7 +201,7 @@ FaultPlan::fromFile(const std::string &path, std::string *error)
     }
     std::ostringstream text;
     text << in.rdbuf();
-    return parse(text.str(), error);
+    return parse(text.str(), error, base);
 }
 
 } // namespace cdna::core

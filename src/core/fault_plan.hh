@@ -164,15 +164,20 @@ struct FaultPlan
     }
 
     /**
-     * Parse the text plan format described in the file comment.
+     * Parse the text plan format described in the file comment,
+     * applying its directives on top of @p base (when given): a rate
+     * directive replaces the base's rate, and a scheduled fault is
+     * appended.
      * @param error receives a message naming the offending line on failure
      */
     static std::optional<FaultPlan> parse(const std::string &text,
-                                          std::string *error);
+                                          std::string *error,
+                                          const FaultPlan *base = nullptr);
 
-    /** Load and parse a plan file. */
+    /** Load a plan file and parse it on top of @p base (when given). */
     static std::optional<FaultPlan> fromFile(const std::string &path,
-                                             std::string *error);
+                                             std::string *error,
+                                             const FaultPlan *base = nullptr);
 };
 
 /**

@@ -256,6 +256,29 @@ TEST(CliFault, FaultPlanFileLoaded)
     EXPECT_EQ(p.guestKills[0].guest, 0u);
 }
 
+TEST(CliFault, FlagsBeforeFaultPlanFileStillApply)
+{
+    // Flags and files apply in command-line order: a rate the file does
+    // not set survives, a rate it sets replaces the flag's, and the
+    // scheduled faults of both accumulate in order.
+    std::string path = tempPath("cli_fault_plan_base.txt");
+    {
+        std::ofstream f(path);
+        f << "drop-rate 0.02\n"
+             "kill-guest 0@30\n";
+    }
+    auto opt = parse({"--dup-rate", "0.05", "--drop-rate", "0.5",
+                      "--kill-guest", "1@20", "--fault-plan", path.c_str()});
+    std::remove(path.c_str());
+    ASSERT_TRUE(opt.has_value());
+    const FaultPlan &p = opt->config.faults;
+    EXPECT_DOUBLE_EQ(p.dupRate, 0.05);
+    EXPECT_DOUBLE_EQ(p.dropRate, 0.02);
+    ASSERT_EQ(p.guestKills.size(), 2u);
+    EXPECT_EQ(p.guestKills[0].guest, 1u);
+    EXPECT_EQ(p.guestKills[1].guest, 0u);
+}
+
 // ----------------------------------------------------- observability ----
 
 TEST(Cli, ObservabilityFlags)
