@@ -8,7 +8,7 @@
  * declaratively on top of SystemConfig: a set of base configurations
  * (one per paper row/series) crossed with named parameter axes and a
  * seed ensemble.  expand() turns the spec into a flat, deterministic
- * list of RunPoints; SweepRunner executes them on a work-stealing
+ * list of RunPoints; SweepRunner executes them on a shared-index
  * thread pool, each run a fully isolated System + EventQueue + Rng
  * instance, and aggregates per-cell statistics (mean / stddev / 95% CI
  * across the seed ensemble).

@@ -1,53 +1,13 @@
 #include "sim/thread_pool.hh"
 
 #include <algorithm>
-#include <deque>
+#include <atomic>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace cdna::sim {
-
-namespace {
-
-/** One worker's deque of pending task indices. */
-struct WorkQueue
-{
-    std::mutex mu;
-    std::deque<std::size_t> tasks;
-
-    bool
-    popFront(std::size_t *out)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (tasks.empty())
-            return false;
-        *out = tasks.front();
-        tasks.pop_front();
-        return true;
-    }
-
-    bool
-    stealBack(std::size_t *out)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (tasks.empty())
-            return false;
-        *out = tasks.back();
-        tasks.pop_back();
-        return true;
-    }
-
-    std::size_t
-    size()
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        return tasks.size();
-    }
-};
-
-} // namespace
 
 unsigned
 defaultThreadCount()
@@ -72,36 +32,17 @@ parallelFor(unsigned threads, std::size_t n,
         return;
     }
 
-    std::vector<WorkQueue> queues(workers);
-    for (std::size_t i = 0; i < n; ++i)
-        queues[i % workers].tasks.push_back(i);
-
+    std::atomic<std::size_t> next{0};
     std::mutex errMu;
     std::exception_ptr firstError;
 
-    auto workerBody = [&](unsigned self) {
-        std::size_t task;
+    auto workerBody = [&] {
+        // Results are index-addressed, so which worker runs a task
+        // never changes the output.
         for (;;) {
-            if (!queues[self].popFront(&task)) {
-                // Own deque dry: steal from the victim with the most
-                // queued work (ties broken by lowest index, so the
-                // scan is deterministic even if the outcome of the
-                // race is not -- results are index-addressed anyway).
-                std::size_t bestSize = 0;
-                unsigned victim = workers;
-                for (unsigned q = 0; q < workers; ++q) {
-                    if (q == self)
-                        continue;
-                    std::size_t s = queues[q].size();
-                    if (s > bestSize) {
-                        bestSize = s;
-                        victim = q;
-                    }
-                }
-                if (victim == workers ||
-                    !queues[victim].stealBack(&task))
-                    return; // nothing left anywhere
-            }
+            std::size_t task = next.fetch_add(1);
+            if (task >= n)
+                return;
             try {
                 fn(task);
             } catch (...) {
@@ -115,7 +56,7 @@ parallelFor(unsigned threads, std::size_t n,
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(workerBody, w);
+        pool.emplace_back(workerBody);
     for (auto &t : pool)
         t.join();
 

@@ -1,14 +1,12 @@
 /**
  * @file
- * Work-stealing thread pool for running independent simulations.
+ * Thread pool for running independent simulations.
  *
  * The sweep runner executes many fully isolated System instances; all
  * it needs from a pool is "run tasks 0..n-1 on k threads, balancing
- * load".  Each worker owns a deque seeded round-robin with task
- * indices; it pops work from the front of its own deque and, when that
- * runs dry, steals from the back of the busiest victim.  Deques are
- * mutex-protected (simulation runs dwarf any locking cost, and plain
- * locks keep the pool trivially ThreadSanitizer-clean).
+ * load".  The workers share one atomic next-task index: a worker that
+ * finishes a run takes the next unstarted one, so stragglers (e.g. a
+ * 24-guest run next to a 1-guest run) do not serialize the sweep.
  *
  * With one thread the tasks run inline on the calling thread, so a
  * `-j1` sweep is byte-for-byte the sequential program.
@@ -25,11 +23,9 @@ namespace cdna::sim {
 /**
  * Run @p fn(i) for every i in [0, n), using up to @p threads workers.
  *
- * Blocks until every task has completed.  Task indices are distributed
- * round-robin across workers and rebalanced by stealing, so stragglers
- * (e.g. a 24-guest run next to a 1-guest run) do not serialize the
- * sweep.  The first exception thrown by a task is rethrown here after
- * all workers have stopped.
+ * Blocks until every task has completed.  Each worker repeatedly
+ * claims the lowest unstarted index.  The first exception thrown by a
+ * task is rethrown here after all workers have stopped.
  *
  * @param threads  worker count; clamped to [1, n].  1 means inline.
  * @param n        number of tasks

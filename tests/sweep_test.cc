@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the sweep subsystem and the event-queue hot path it runs
- * on: the pooled/generation-tagged EventQueue, the work-stealing
+ * on: the pooled/generation-tagged EventQueue, the shared-index
  * parallelFor, ExperimentSpec expansion, seed-ensemble statistics, and
  * the determinism contract (-j1 == -jN == standalone run,
  * byte-for-byte).

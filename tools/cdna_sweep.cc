@@ -4,7 +4,7 @@
  *
  * One binary regenerates every paper artifact (and the repository's
  * extension/ablation sweeps) from the shared presets, running the
- * expanded grid on a work-stealing thread pool:
+ * expanded grid on a shared-index thread pool:
  *
  *   cdna_sweep --preset table2                      # one artifact
  *   cdna_sweep --preset fig3 -j 8 --seeds 5 --out fig3.json
