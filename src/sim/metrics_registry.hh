@@ -5,8 +5,8 @@
  *
  * Every SimObject already owns a StatGroup; the registry federates them
  * under dotted names ("<component>.<stat>") and serializes the whole
- * simulation's state as one JSON document, so experiment harnesses and
- * scripts no longer scrape text dumps.
+ * simulation's state as one JSON document, the simulator's only stats
+ * dump.
  *
  * Gauges are named callbacks returning a double (per-domain CPU
  * utilization, ring occupancy, pinned-page counts, ...).  When sampling

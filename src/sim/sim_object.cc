@@ -9,15 +9,6 @@ SimContext::SimContext(std::uint64_t seed) : rng_(seed)
 {
 }
 
-std::string
-SimContext::dumpStats() const
-{
-    std::string out;
-    for (const SimObject *obj : objects_)
-        out += obj->stats().dump(obj->name() + ".");
-    return out;
-}
-
 SimObject::SimObject(SimContext &ctx, std::string name)
     : ctx_(ctx),
       name_(std::move(name)),

@@ -54,9 +54,6 @@ class SimContext
     FaultInjector *faultInjector() { return faults_; }
     void setFaultInjector(FaultInjector *f) { faults_ = f; }
 
-    /** Dump every registered component's stats (debugging aid). */
-    std::string dumpStats() const;
-
   private:
     EventQueue events_;
     Rng rng_;

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 
 #include "sim/assert.hh"
@@ -141,29 +140,6 @@ StatGroup::findSamples(const std::string &name) const
         if (n == name)
             return s;
     return nullptr;
-}
-
-std::string
-StatGroup::dump(const std::string &prefix) const
-{
-    std::string out;
-    char line[160];
-    for (const auto &[name, c] : counterView_) {
-        std::snprintf(line, sizeof(line), "%s%s %llu\n", prefix.c_str(),
-                      name.c_str(),
-                      static_cast<unsigned long long>(c->value()));
-        out += line;
-    }
-    for (const auto &[name, s] : sampleView_) {
-        std::snprintf(line, sizeof(line),
-                      "%s%s count=%llu sum=%.3f mean=%.3f min=%.3f "
-                      "max=%.3f stddev=%.3f\n",
-                      prefix.c_str(), name.c_str(),
-                      static_cast<unsigned long long>(s->count()), s->sum(),
-                      s->mean(), s->min(), s->max(), s->stddev());
-        out += line;
-    }
-    return out;
 }
 
 } // namespace cdna::sim

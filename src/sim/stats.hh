@@ -4,7 +4,8 @@
  *
  * Components expose Counters and SampleStats; experiment harnesses read
  * them at the end of (or during) a run.  A StatGroup gives a component a
- * flat, named view of its statistics for uniform report printing.
+ * flat, named view of its statistics, which the metrics registry
+ * federates into one JSON document (sim/metrics_registry.hh).
  */
 
 #ifndef CDNA_SIM_STATS_HH
@@ -121,9 +122,6 @@ class StatGroup
     counters() const { return counterView_; }
     const std::vector<std::pair<std::string, const SampleStats *>> &
     samples() const { return sampleView_; }
-
-    /** Render all stats as "name value" lines (for debugging dumps). */
-    std::string dump(const std::string &prefix = "") const;
 
   private:
     // Deque-like stable storage: pointers handed out must not move.

@@ -73,10 +73,18 @@ TEST(Misc, SystemStatsDumpEnumeratesComponents)
     SystemConfig cfg = SystemConfig::cdna(1);
     System sys(cfg);
     sys.run(sim::milliseconds(10), sim::milliseconds(20));
-    std::string dump = sys.ctx().dumpStats();
-    EXPECT_NE(dump.find("cdna0.tx_packets"), std::string::npos);
-    EXPECT_NE(dump.find("hypervisor.hypercalls"), std::string::npos);
-    EXPECT_NE(dump.find("phys-mem.dma_accesses"), std::string::npos);
+    std::string json = sys.metrics().toJson();
+    // True when @p counter sits inside component @p obj's object.
+    auto has = [&json](const std::string &obj, const std::string &counter) {
+        std::size_t at = json.find("\"" + obj + "\": {");
+        if (at == std::string::npos)
+            return false;
+        return json.find("\"" + counter + "\":", at) <
+               json.find("\n  }", at);
+    };
+    EXPECT_TRUE(has("cdna0", "tx_packets"));
+    EXPECT_TRUE(has("hypervisor", "hypercalls"));
+    EXPECT_TRUE(has("phys-mem", "dma_accesses"));
 }
 
 TEST(Misc, ReportWindowAndLabelPropagate)
