@@ -186,78 +186,46 @@ System::buildCommon()
 void
 System::registerGauges()
 {
-    // Utilization gauges report the busy fraction since the previous
-    // sample as a percentage; each lambda keeps the prior cumulative
-    // value.  All callbacks are read-only with respect to simulated
-    // state, so sampling cannot perturb results.
-    auto util_pct = [](sim::Time busy_delta, sim::Time dt) {
-        if (dt <= 0)
-            return 0.0;
-        double pct = 100.0 * static_cast<double>(busy_delta) /
-                     static_cast<double>(dt);
-        return pct < 0.0 ? 0.0 : pct;
+    // A utilization gauge reports the busy share of the time since its
+    // previous sample, in percent, of the cumulative time busy() reads.
+    // resetAccounting() can move that time backwards; the sample after
+    // it reads 0.  All callbacks are read-only with respect to
+    // simulated state, so sampling cannot perturb results.
+    auto add_util = [this](std::string name, auto busy) {
+        metrics_.addGauge(
+            std::move(name), [this, busy, prev = sim::Time{0},
+                              prevAt = sim::Time{0}]() mutable {
+                sim::Time b = busy();
+                sim::Time at = ctx_.events().now();
+                double pct = 0.0;
+                if (b >= prev && at > prevAt)
+                    pct = 100.0 * static_cast<double>(b - prev) /
+                          static_cast<double>(at - prevAt);
+                prev = b;
+                prevAt = at;
+                return pct;
+            });
     };
 
     for (const auto &dom : hv_->domains()) {
         const vmm::Domain *d = dom.get();
-        metrics_.addGauge(
-            "cpu." + d->name() + ".util_pct",
-            [this, d, util_pct, prev = sim::Time{0},
-             prevAt = sim::Time{0}]() mutable {
-                const auto &prof = cpu_->profile();
-                sim::Time busy =
-                    prof.domainTime(d->id(), cpu::Bucket::kOs) +
-                    prof.domainTime(d->id(), cpu::Bucket::kUser);
-                sim::Time at = ctx_.events().now();
-                double pct = util_pct(busy - prev, at - prevAt);
-                // resetAccounting() can move cumulative time backwards;
-                // restart the delta from the post-reset value.
-                if (busy < prev)
-                    pct = 0.0;
-                prev = busy;
-                prevAt = at;
-                return pct;
-            });
+        add_util("cpu." + d->name() + ".util_pct", [this, d] {
+            const auto &prof = cpu_->profile();
+            return prof.domainTime(d->id(), cpu::Bucket::kOs) +
+                   prof.domainTime(d->id(), cpu::Bucket::kUser);
+        });
     }
-    metrics_.addGauge(
-        "cpu.hypervisor_pct",
-        [this, util_pct, prev = sim::Time{0},
-         prevAt = sim::Time{0}]() mutable {
-            sim::Time busy = cpu_->profile().hypervisor();
-            sim::Time at = ctx_.events().now();
-            double pct = busy < prev ? 0.0
-                                     : util_pct(busy - prev, at - prevAt);
-            prev = busy;
-            prevAt = at;
-            return pct;
-        });
-    metrics_.addGauge(
-        "cpu.idle_pct",
-        [this, util_pct, prev = sim::Time{0},
-         prevAt = sim::Time{0}]() mutable {
-            cpu_->syncIdle(); // flush the in-progress idle span
-            sim::Time busy = cpu_->profile().idle();
-            sim::Time at = ctx_.events().now();
-            double pct = busy < prev ? 0.0
-                                     : util_pct(busy - prev, at - prevAt);
-            prev = busy;
-            prevAt = at;
-            return pct;
-        });
+    add_util("cpu.hypervisor_pct",
+             [this] { return cpu_->profile().hypervisor(); });
+    add_util("cpu.idle_pct", [this] {
+        cpu_->syncIdle(); // flush the in-progress idle span
+        return cpu_->profile().idle();
+    });
 
     for (const auto &nicp : cdnaNics_) {
         CdnaNic *nic = nicp.get();
-        metrics_.addGauge(
-            "nic." + nic->name() + ".fw_util_pct",
-            [nic, this, util_pct, prev = sim::Time{0},
-             prevAt = sim::Time{0}]() mutable {
-                sim::Time busy = nic->firmwareBusyTime();
-                sim::Time at = ctx_.events().now();
-                double pct = util_pct(busy - prev, at - prevAt);
-                prev = busy;
-                prevAt = at;
-                return pct;
-            });
+        add_util("nic." + nic->name() + ".fw_util_pct",
+                 [nic] { return nic->firmwareBusyTime(); });
         metrics_.addGauge(
             "nic." + nic->name() + ".intr_ring_occupancy", [nic] {
                 const InterruptRing *ring = nic->interruptRing();
