@@ -371,7 +371,7 @@ TEST(CdnaNic, PromiscuousContextCatchesUnknownMacs)
 TEST(CdnaNic, RxDropWithoutDescriptors)
 {
     CdnaHarness h;
-    auto a = h.makeContext(1, 10);
+    h.makeContext(1, 10); // owns the MAC, but posts no RX descriptors
     net::Packet p;
     p.dst = net::MacAddr::fromId(10);
     p.payloadBytes = 100;

@@ -74,8 +74,9 @@ TEST_F(StackFixture, NonTsoSegmentsAtMss)
     for (std::size_t i = 0; i < dev.sent.size(); ++i) {
         const auto &p = dev.sent[i];
         EXPECT_LE(p.payloadBytes, net::kMss);
-        if (i + 1 < dev.sent.size())
+        if (i + 1 < dev.sent.size()) {
             EXPECT_EQ(p.payloadBytes, net::kMss);
+        }
         EXPECT_EQ(p.dst, net::MacAddr::fromId(99));
         EXPECT_EQ(p.src, dev.addr);
         EXPECT_EQ(p.srcDomain, dom->id());
