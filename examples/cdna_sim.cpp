@@ -51,8 +51,9 @@ main(int argc, char **argv)
                     "fairness: %.2f\n",
                     r.latencyMeanUs, r.latencyP50Us, r.latencyP99Us,
                     r.fairness());
-        if (r.anyFaultActivity())
-            std::printf("%s\n", r.faultSummary().c_str());
+        std::string summary = r.faultSummary();
+        if (!summary.empty())
+            std::printf("%s\n", summary.c_str());
     }
     return 0;
 }

@@ -19,12 +19,13 @@
  * chrome://tracing or https://ui.perfetto.dev).
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/cli.hh"
+#include "core/fault_plan.hh"
 #include "core/system.hh"
 #include "sim/sweep.hh"
 
@@ -37,10 +38,19 @@ main(int argc, char **argv)
     std::vector<std::string> args;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if ((a == "-j" || a == "--jobs") && i + 1 < argc)
-            opt.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-        else
+        if (a != "-j" && a != "--jobs") {
             args.push_back(a);
+            continue;
+        }
+        std::string v = i + 1 < argc ? argv[++i] : "";
+        std::uint32_t jobs = 0;
+        if (!core::parseCount(v, &jobs) || jobs == 0) {
+            std::fprintf(stderr,
+                         "quickstart: %s needs a positive integer, got '%s'\n",
+                         a.c_str(), v.c_str());
+            return 1;
+        }
+        opt.jobs = jobs;
     }
     std::string error;
     auto obs = core::parseCli(args, &error);

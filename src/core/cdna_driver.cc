@@ -23,9 +23,7 @@ CdnaGuestDriver::CdnaGuestDriver(sim::SimContext &ctx, std::string name,
       nDoorbells_(stats().addCounter("doorbells")),
       nTxPkts_(stats().addCounter("tx_packets")),
       nRxPkts_(stats().addCounter("rx_packets")),
-      nFaultsSeen_(stats().addCounter("faults_seen")),
-      nMboxTimeouts_(stats().addCounter("mailbox_timeouts")),
-      nRingResyncs_(stats().addCounter("ring_resyncs"))
+      nFaultsSeen_(stats().addCounter("faults_seen"))
 {
 }
 
@@ -95,17 +93,15 @@ CdnaGuestDriver::fireWatchdog()
         // treats an unchanged producer as a no-op, so a spurious
         // timeout costs only the PIO writes.  Exponential backoff
         // keeps a genuinely wedged NIC from being hammered.
-        nMboxTimeouts_.inc();
         if (sim::FaultInjector *fi = ctx().faultInjector())
-            fi->noteMailboxTimeout();
+            fi->note(sim::FaultEvent::kMailboxTimeout);
         watchdogDelay_ = std::min(watchdogDelay_ * 2, kWatchdogMax);
         sim::Time cost = 2 * costs_.drvPioWrite + costs_.drvIrqHandler;
         dom_.vcpu().post(cpu::Bucket::kOs, cost, [this] {
             if (detached_)
                 return;
-            nRingResyncs_.inc();
             if (sim::FaultInjector *fi = ctx().faultInjector())
-                fi->noteRingResync();
+                fi->note(sim::FaultEvent::kRingResync);
             nic_.pioWriteMailbox(cxt_, nic::kMboxTxProducer, txEnqueued_);
             nic_.pioWriteMailbox(cxt_, nic::kMboxRxProducer, rxEnqueued_);
             nDoorbells_.inc(2);

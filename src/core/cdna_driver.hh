@@ -84,11 +84,6 @@ class CdnaGuestDriver : public sim::SimObject, public os::NetDevice
     /** Ring-doorbell writes issued (PIO mailbox updates). */
     std::uint64_t doorbells() const { return nDoorbells_.value(); }
 
-    /** Mailbox timeouts detected by the watchdog (fault injection). */
-    std::uint64_t mailboxTimeouts() const { return nMboxTimeouts_.value(); }
-    /** Descriptor-ring resynchronizations performed after a timeout. */
-    std::uint64_t ringResyncs() const { return nRingResyncs_.value(); }
-
   private:
     void flushRxRefills();
     void armWatchdog();
@@ -133,8 +128,6 @@ class CdnaGuestDriver : public sim::SimObject, public os::NetDevice
     sim::Counter &nTxPkts_;
     sim::Counter &nRxPkts_;
     sim::Counter &nFaultsSeen_;
-    sim::Counter &nMboxTimeouts_;
-    sim::Counter &nRingResyncs_;
 };
 
 } // namespace cdna::core

@@ -142,9 +142,6 @@ class CdnaNic : public nic::NicBase
      */
     void stallFirmware(sim::Time duration, bool watchdog_reset);
 
-    /** Watchdog firmware reboots performed (fault injection). */
-    std::uint64_t firmwareResets() const { return nFwResets_.value(); }
-
     /**
      * Fault injection: full firmware reboot (--reboot-firmware).  The
      * running image dies *now*: the event hierarchy, staged and
@@ -159,9 +156,6 @@ class CdnaNic : public nic::NicBase
      * before traffic resumes; no other domain is involved.
      */
     void rebootFirmware(sim::Time down_time, sim::Time reconcile_per_cxt);
-
-    /** Full firmware reboots performed (fault injection). */
-    std::uint64_t firmwareReboots() const { return fw_.rebootCount(); }
 
     /** Doorbells deferred by the per-context storm guard. */
     std::uint64_t
@@ -413,7 +407,6 @@ class CdnaNic : public nic::NicBase
     sim::Counter &nMailboxEvents_;
     sim::Counter &nBitVectors_;
     sim::Counter &nIommuDrops_;
-    sim::Counter &nFwResets_;
     sim::Counter &nMailboxThrottled_;
     sim::Counter &nCxtTraps_;
     sim::Counter &nCxtEvictions_;

@@ -26,7 +26,6 @@ struct ParseState
     std::uint32_t seed = 1;
     double sampleUs = 0.0;
     FaultPlan faults;
-    bool haveFaults = false;
 };
 
 using Handler = bool (*)(ParseState &, const std::string &, std::string *);
@@ -49,19 +48,10 @@ failWith(std::string *error, std::string msg)
     return false;
 }
 
-bool
-rateArg(const char *flag, const std::string &v, double *out,
-        std::string *error)
-{
-    if (!parseFinite(v, out) || *out < 0.0 || *out > 1.0)
-        return failWith(error,
-                        std::string(flag) + " needs a probability in [0,1]");
-    return true;
-}
-
-// The single source of truth for the CLI surface.  cliUsage(), the
-// parser, and cliOptionTable() all derive from this array, so adding a
-// flag here is the whole job.
+// The single source of truth for the CLI surface, together with the
+// fault directives (core/fault_plan.hh), which follow these rows as
+// "--NAME" flags.  cliUsage(), the parser, and cliOptionTable() all
+// derive from the two tables, so adding a row is the whole job.
 const Spec kSpecs[] = {
     // --- I/O architecture ------------------------------------------------
     {"--mode", "MODE", "native | xen | cdna | swpt (default cdna)",
@@ -205,104 +195,6 @@ const Spec kSpecs[] = {
          if (!plan)
              return false;
          st.faults = std::move(*plan);
-         st.haveFaults = true;
-         return true;
-     }},
-    {"--drop-rate", "P", "P(frame lost on the wire)", "fault injection",
-     [](ParseState &st, const std::string &v, std::string *error) {
-         if (!rateArg("--drop-rate", v, &st.faults.dropRate, error))
-             return false;
-         st.haveFaults = true;
-         return true;
-     }},
-    {"--corrupt-rate", "P", "P(frame corrupted; dropped at the receiver)",
-     "fault injection",
-     [](ParseState &st, const std::string &v, std::string *error) {
-         if (!rateArg("--corrupt-rate", v, &st.faults.corruptRate, error))
-             return false;
-         st.haveFaults = true;
-         return true;
-     }},
-    {"--dup-rate", "P", "P(frame delivered twice)", "fault injection",
-     [](ParseState &st, const std::string &v, std::string *error) {
-         if (!rateArg("--dup-rate", v, &st.faults.dupRate, error))
-             return false;
-         st.haveFaults = true;
-         return true;
-     }},
-    {"--dma-delay-rate", "P", "P(DMA completion delayed)",
-     "fault injection",
-     [](ParseState &st, const std::string &v, std::string *error) {
-         if (!rateArg("--dma-delay-rate", v, &st.faults.dmaDelayRate,
-                      error))
-             return false;
-         if (st.faults.dmaDelayUs <= 0.0)
-             st.faults.dmaDelayUs = 25.0;
-         st.haveFaults = true;
-         return true;
-     }},
-    {"--dma-delay-us", "US", "delayed-completion latency (default 25)",
-     "fault injection",
-     [](ParseState &st, const std::string &v, std::string *error) {
-         if (!parseFinite(v, &st.faults.dmaDelayUs) ||
-             st.faults.dmaDelayUs <= 0)
-             return failWith(error,
-                             "--dma-delay-us needs microseconds > 0");
-         st.haveFaults = true;
-         return true;
-     }},
-    {"--firmware-stall", "NIC@MS:DURMS",
-     "stall NIC's firmware at MS ms for DURMS ms,\n"
-     "then watchdog-reset it (repeatable)",
-     "fault injection",
-     [](ParseState &st, const std::string &v, std::string *error) {
-         auto fs = parseStallSpec(v);
-         if (!fs)
-             return failWith(error, "--firmware-stall needs NIC@MS:DURMS, "
-                                    "got \"" + v + "\"");
-         st.faults.firmwareStalls.push_back(*fs);
-         st.haveFaults = true;
-         return true;
-     }},
-    {"--kill-guest", "G@MS",
-     "kill guest G at MS ms, revoking its NIC\n"
-     "contexts mid-transfer (repeatable)",
-     "fault injection",
-     [](ParseState &st, const std::string &v, std::string *error) {
-         auto gk = parseKillSpec(v);
-         if (!gk)
-             return failWith(error, "--kill-guest needs G@MS, got \"" + v +
-                                    "\"");
-         st.faults.guestKills.push_back(*gk);
-         st.haveFaults = true;
-         return true;
-     }},
-    {"--kill-driver-domain", "MS",
-     "crash the driver domain at MS ms, revoking its\n"
-     "grant mappings; it reboots after the configured\n"
-     "cost and frontends reconnect (repeatable)",
-     "fault injection",
-     [](ParseState &st, const std::string &v, std::string *error) {
-         auto dk = parseDriverKillSpec(v);
-         if (!dk)
-             return failWith(error, "--kill-driver-domain needs MS, got \"" +
-                                    v + "\"");
-         st.faults.driverDomainKills.push_back(*dk);
-         st.haveFaults = true;
-         return true;
-     }},
-    {"--reboot-firmware", "NIC@MS",
-     "reboot NIC's firmware at MS ms; volatile context\n"
-     "state is lost and reconciled against the\n"
-     "hypervisor-validated view (repeatable)",
-     "fault injection",
-     [](ParseState &st, const std::string &v, std::string *error) {
-         auto fr = parseRebootSpec(v);
-         if (!fr)
-             return failWith(error, "--reboot-firmware needs NIC@MS, got \"" +
-                                    v + "\"");
-         st.faults.firmwareReboots.push_back(*fr);
-         st.haveFaults = true;
          return true;
      }},
 };
@@ -314,6 +206,19 @@ findSpec(const std::string &name)
     for (const Spec &s : kSpecs)
         if (key == s.name)
             return &s;
+    return nullptr;
+}
+
+/** The fault directive a "--NAME" flag names, or nullptr. */
+const FaultDirective *
+findDirective(const std::string &flag)
+{
+    if (!flag.starts_with("--"))
+        return nullptr;
+    std::string name = flag.substr(2);
+    for (const FaultDirective &d : faultDirectives())
+        if (name == d.name)
+            return &d;
     return nullptr;
 }
 
@@ -379,8 +284,7 @@ finalize(ParseState st, std::string *error)
         return fail("--transport must be open or tcp");
 
     cfg.withSeed(st.seed);
-    if (st.haveFaults)
-        cfg.withFaults(std::move(st.faults));
+    cfg.withFaults(std::move(st.faults));
 
     st.opt.config = std::move(cfg);
     st.opt.warmup = sim::milliseconds(static_cast<double>(st.warmupMs));
@@ -399,6 +303,9 @@ cliOptionTable()
         for (const Spec &s : kSpecs)
             t.push_back({s.name, s.argName ? s.argName : "", s.help,
                          s.group});
+        for (const FaultDirective &d : faultDirectives())
+            t.push_back({std::string("--") + d.name, d.argName, d.help,
+                         "fault injection"});
         return t;
     }();
     return table;
@@ -462,6 +369,15 @@ parseCli(const std::vector<std::string> &args, std::string *error)
     }
 
     for (std::size_t i = 0; i < argv.size(); ++i) {
+        if (const FaultDirective *d = findDirective(argv[i])) {
+            const std::string &flag = argv[i];
+            if (++i >= argv.size())
+                return fail(flag + " needs a value");
+            if (!st.faults.apply(d->name, argv[i]))
+                return fail(flag + " needs " + d->argName + ", got \"" +
+                            argv[i] + "\"");
+            continue;
+        }
         const Spec *spec = findSpec(argv[i]);
         if (!spec)
             return fail("unknown option: " + argv[i]);

@@ -29,7 +29,6 @@ ContextPager::onTrap(CdnaNic::ContextId target)
             pending_.end())
         return;
     pending_.push_back(target);
-    queuePeak_ = std::max<std::uint64_t>(queuePeak_, pending_.size());
     hv_.contextTrap(costs_.cxtPageTrap, [this] { pump(); });
 }
 

@@ -66,8 +66,6 @@ class ContextPager : public sim::SimObject
      */
     std::optional<CdnaNic::ContextId> pickVictim() const;
 
-    std::uint64_t switchesQueuedPeak() const { return queuePeak_; }
-
   private:
     void pump();
     void beginSwitch(CdnaNic::ContextId target);
@@ -80,7 +78,6 @@ class ContextPager : public sim::SimObject
 
     std::deque<CdnaNic::ContextId> pending_;
     std::optional<CdnaNic::ContextId> current_;
-    std::uint64_t queuePeak_ = 0;
 };
 
 } // namespace cdna::core

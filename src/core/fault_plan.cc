@@ -11,21 +11,9 @@ namespace cdna::core {
 bool
 FaultPlan::empty() const
 {
-    return !rates().framesArmed() && !rates().dmaArmed() &&
+    return !rates.framesArmed() && !rates.dmaArmed() &&
            firmwareStalls.empty() && guestKills.empty() &&
            driverDomainKills.empty() && firmwareReboots.empty();
-}
-
-sim::FaultRates
-FaultPlan::rates() const
-{
-    sim::FaultRates r;
-    r.frameDrop = dropRate;
-    r.frameCorrupt = corruptRate;
-    r.frameDuplicate = dupRate;
-    r.dmaDelayChance = dmaDelayRate;
-    r.dmaDelay = sim::microseconds(dmaDelayUs);
-    return r;
 }
 
 bool
@@ -55,64 +43,131 @@ parseFinite(const std::string &s, double *out)
 
 namespace {
 
+using Args = std::vector<std::string>;
+
+/** "X@MS": X (an id) before the '@', and a time >= 0 after it. */
 bool
-parseRate(const std::string &s, double *out)
+parseAt(const std::string &s, std::uint32_t *id, double *at_ms)
 {
-    return parseFinite(s, out) && *out >= 0.0 && *out <= 1.0;
+    std::size_t at = s.find('@');
+    return at != std::string::npos && parseCount(s.substr(0, at), id) &&
+           parseFinite(s.substr(at + 1), at_ms) && *at_ms >= 0;
 }
+
+/** A directive taking one number that must satisfy @p ok. */
+bool
+oneNumber(const Args &args, bool (*ok)(double), double *out)
+{
+    double v = 0.0;
+    if (args.size() != 1 || !parseFinite(args[0], &v) || !ok(v))
+        return false;
+    *out = v;
+    return true;
+}
+
+bool
+isProbability(double v)
+{
+    return v >= 0.0 && v <= 1.0;
+}
+
+/** One directive per row: its name is both the file key and the flag. */
+constexpr FaultDirective kDirectives[] = {
+    {"drop-rate", "P", "P(frame lost on the wire)",
+     [](FaultPlan &p, const Args &a) {
+         return oneNumber(a, isProbability, &p.rates.frameDrop);
+     }},
+    {"corrupt-rate", "P", "P(frame corrupted; dropped at the receiver)",
+     [](FaultPlan &p, const Args &a) {
+         return oneNumber(a, isProbability, &p.rates.frameCorrupt);
+     }},
+    {"dup-rate", "P", "P(frame delivered twice)",
+     [](FaultPlan &p, const Args &a) {
+         return oneNumber(a, isProbability, &p.rates.frameDuplicate);
+     }},
+    {"dma-delay-rate", "P", "P(DMA completion delayed)",
+     [](FaultPlan &p, const Args &a) {
+         return oneNumber(a, isProbability, &p.rates.dmaDelayChance);
+     }},
+    {"dma-delay-us", "US", "delayed-completion latency (default 25)",
+     [](FaultPlan &p, const Args &a) {
+         double us = 0.0;
+         if (!oneNumber(a, [](double v) { return v > 0; }, &us))
+             return false;
+         p.rates.dmaDelay = sim::microseconds(us);
+         return true;
+     }},
+    {"firmware-stall", "NIC@MS:DURMS",
+     "stall NIC's firmware at MS ms for DURMS ms,\n"
+     "then watchdog-reset it (repeatable)",
+     [](FaultPlan &p, const Args &a) {
+         FaultPlan::FirmwareStall fs;
+         if (a.empty() || a.size() > 2 ||
+             (a.size() == 2 && a[1] != "no-reset"))
+             return false;
+         std::size_t colon = a[0].rfind(':');
+         if (colon == std::string::npos ||
+             !parseAt(a[0].substr(0, colon), &fs.nic, &fs.atMs) ||
+             !parseFinite(a[0].substr(colon + 1), &fs.durMs) ||
+             fs.durMs <= 0)
+             return false;
+         fs.watchdogReset = a.size() == 1;
+         p.firmwareStalls.push_back(fs);
+         return true;
+     }},
+    {"kill-guest", "G@MS",
+     "kill guest G at MS ms, revoking its NIC\n"
+     "contexts mid-transfer (repeatable)",
+     [](FaultPlan &p, const Args &a) {
+         FaultPlan::GuestKill gk;
+         if (a.size() != 1 || !parseAt(a[0], &gk.guest, &gk.atMs))
+             return false;
+         p.guestKills.push_back(gk);
+         return true;
+     }},
+    {"kill-driver-domain", "MS",
+     "crash the driver domain at MS ms, revoking its\n"
+     "grant mappings; it reboots after the configured\n"
+     "cost and frontends reconnect (repeatable)",
+     [](FaultPlan &p, const Args &a) {
+         FaultPlan::DriverDomainKill dk;
+         if (!oneNumber(a, [](double v) { return v >= 0; }, &dk.atMs))
+             return false;
+         p.driverDomainKills.push_back(dk);
+         return true;
+     }},
+    {"reboot-firmware", "NIC@MS",
+     "reboot NIC's firmware at MS ms; volatile context\n"
+     "state is lost and reconciled against the\n"
+     "hypervisor-validated view (repeatable)",
+     [](FaultPlan &p, const Args &a) {
+         FaultPlan::FirmwareReboot fr;
+         if (a.size() != 1 || !parseAt(a[0], &fr.nic, &fr.atMs))
+             return false;
+         p.firmwareReboots.push_back(fr);
+         return true;
+     }},
+};
 
 } // namespace
 
-std::optional<FaultPlan::FirmwareStall>
-parseStallSpec(const std::string &spec)
+std::span<const FaultDirective>
+faultDirectives()
 {
-    std::size_t at = spec.find('@');
-    std::size_t colon = spec.find(':', at == std::string::npos ? 0 : at);
-    if (at == std::string::npos || colon == std::string::npos ||
-        colon < at)
-        return std::nullopt;
-    FaultPlan::FirmwareStall fs;
-    if (!parseCount(spec.substr(0, at), &fs.nic) ||
-        !parseFinite(spec.substr(at + 1, colon - at - 1), &fs.atMs) ||
-        !parseFinite(spec.substr(colon + 1), &fs.durMs) || fs.atMs < 0 ||
-        fs.durMs <= 0)
-        return std::nullopt;
-    return fs;
+    return kDirectives;
 }
 
-std::optional<FaultPlan::GuestKill>
-parseKillSpec(const std::string &spec)
+bool
+FaultPlan::apply(const std::string &name, const std::string &args)
 {
-    std::size_t at = spec.find('@');
-    if (at == std::string::npos)
-        return std::nullopt;
-    FaultPlan::GuestKill gk;
-    if (!parseCount(spec.substr(0, at), &gk.guest) ||
-        !parseFinite(spec.substr(at + 1), &gk.atMs) || gk.atMs < 0)
-        return std::nullopt;
-    return gk;
-}
-
-std::optional<FaultPlan::DriverDomainKill>
-parseDriverKillSpec(const std::string &spec)
-{
-    FaultPlan::DriverDomainKill dk;
-    if (!parseFinite(spec, &dk.atMs) || dk.atMs < 0)
-        return std::nullopt;
-    return dk;
-}
-
-std::optional<FaultPlan::FirmwareReboot>
-parseRebootSpec(const std::string &spec)
-{
-    std::size_t at = spec.find('@');
-    if (at == std::string::npos)
-        return std::nullopt;
-    FaultPlan::FirmwareReboot fr;
-    if (!parseCount(spec.substr(0, at), &fr.nic) ||
-        !parseFinite(spec.substr(at + 1), &fr.atMs) || fr.atMs < 0)
-        return std::nullopt;
-    return fr;
+    std::istringstream in(args);
+    Args words;
+    for (std::string w; in >> w;)
+        words.push_back(w);
+    for (const FaultDirective &d : kDirectives)
+        if (name == d.name)
+            return d.apply(*this, words);
+    return false;
 }
 
 std::optional<FaultPlan>
@@ -137,54 +192,12 @@ FaultPlan::parse(const std::string &text, std::string *error,
         if (hash != std::string::npos)
             line.erase(hash);
         std::istringstream ls(line);
-        std::string key;
+        std::string key, args;
         if (!(ls >> key))
             continue; // blank or comment-only line
-        std::vector<std::string> args;
-        std::string a;
-        while (ls >> a)
-            args.push_back(a);
-
-        if (key == "drop-rate" && args.size() == 1) {
-            if (!parseRate(args[0], &plan.dropRate))
-                return fail(line_no, line);
-        } else if (key == "corrupt-rate" && args.size() == 1) {
-            if (!parseRate(args[0], &plan.corruptRate))
-                return fail(line_no, line);
-        } else if (key == "dup-rate" && args.size() == 1) {
-            if (!parseRate(args[0], &plan.dupRate))
-                return fail(line_no, line);
-        } else if (key == "dma-delay" && args.size() == 2) {
-            if (!parseRate(args[0], &plan.dmaDelayRate) ||
-                !parseFinite(args[1], &plan.dmaDelayUs) ||
-                plan.dmaDelayUs < 0)
-                return fail(line_no, line);
-        } else if (key == "firmware-stall" &&
-                   (args.size() == 1 ||
-                    (args.size() == 2 && args[1] == "no-reset"))) {
-            auto fs = parseStallSpec(args[0]);
-            if (!fs)
-                return fail(line_no, line);
-            fs->watchdogReset = args.size() == 1;
-            plan.firmwareStalls.push_back(*fs);
-        } else if (key == "kill-guest" && args.size() == 1) {
-            auto gk = parseKillSpec(args[0]);
-            if (!gk)
-                return fail(line_no, line);
-            plan.guestKills.push_back(*gk);
-        } else if (key == "kill-driver-domain" && args.size() == 1) {
-            auto dk = parseDriverKillSpec(args[0]);
-            if (!dk)
-                return fail(line_no, line);
-            plan.driverDomainKills.push_back(*dk);
-        } else if (key == "reboot-firmware" && args.size() == 1) {
-            auto fr = parseRebootSpec(args[0]);
-            if (!fr)
-                return fail(line_no, line);
-            plan.firmwareReboots.push_back(*fr);
-        } else {
+        std::getline(ls, args);
+        if (!plan.apply(key, args))
             return fail(line_no, line);
-        }
     }
     return plan;
 }

@@ -5,17 +5,22 @@
  * A FaultPlan is plain data attached to a SystemConfig (see
  * SystemConfig::withFaults).  Continuous faults are probabilities drawn
  * per event by sim::FaultInjector; scheduled faults (firmware stalls,
- * guest kills) are turned into timed events by core::System at
- * construction.  An empty() plan installs no injector at all, so runs
- * without faults are bit-identical to a build without this subsystem.
+ * guest kills) are turned into timed events by core::System.  An
+ * empty() plan installs no injector at all, so runs without faults are
+ * bit-identical to a build without this subsystem.
  *
- * Plans can be built fluently in code, or parsed from a small text
- * format (one directive per line, '#' comments):
+ * Plans can be built fluently in code, or from directives.  Every
+ * directive is one row of faultDirectives(), and that table is the
+ * whole vocabulary: a plan-file line "NAME ARGS" and the cdna_sim flag
+ * "--NAME ARGS" apply the same row, and the flags' usage text is
+ * generated from it.  A plan file holds one directive per line, with
+ * '#' comments:
  *
  *   drop-rate 0.01            # P(frame lost on the wire)
  *   corrupt-rate 0.002        # P(frame arrives with a bad FCS)
  *   dup-rate 0.001            # P(frame delivered twice)
- *   dma-delay 0.05 25         # P(DMA completion delayed), delay in us
+ *   dma-delay-rate 0.05       # P(DMA completion delayed)
+ *   dma-delay-us 25           # ... by this many us (default 25)
  *   firmware-stall 0@20:5     # NIC 0 stalls at t=20 ms for 5 ms
  *   firmware-stall 1@30:2 no-reset   # ... without the watchdog reboot
  *   kill-guest 1@40           # guest 1 dies at t=40 ms
@@ -23,6 +28,9 @@
  *                             # from CostModel::driverDomainReboot)
  *   reboot-firmware 0@60      # NIC 0 firmware reboots at t=60 ms,
  *                             # losing volatile context state
+ *
+ * A rate directive replaces the plan's rate; a scheduled fault is
+ * appended.
  */
 
 #ifndef CDNA_CORE_FAULT_PLAN_HH
@@ -30,6 +38,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +61,8 @@ struct FaultPlan
          * merely falls behind and catches up on its own.
          */
         bool watchdogReset = true;
+
+        bool operator==(const FirmwareStall &) const = default;
     };
 
     /** A guest crash: revoke its context on every NIC at @p atMs. */
@@ -59,6 +70,8 @@ struct FaultPlan
     {
         std::uint32_t guest = 0;
         double atMs = 0.0;
+
+        bool operator==(const GuestKill &) const = default;
     };
 
     /**
@@ -72,6 +85,8 @@ struct FaultPlan
     struct DriverDomainKill
     {
         double atMs = 0.0;
+
+        bool operator==(const DriverDomainKill &) const = default;
     };
 
     /**
@@ -86,13 +101,12 @@ struct FaultPlan
     {
         std::uint32_t nic = 0;
         double atMs = 0.0;
+
+        bool operator==(const FirmwareReboot &) const = default;
     };
 
-    double dropRate = 0.0;
-    double corruptRate = 0.0;
-    double dupRate = 0.0;
-    double dmaDelayRate = 0.0;
-    double dmaDelayUs = 0.0;
+    /** The continuous-fault rates the injector draws against. */
+    sim::FaultRates rates;
     std::vector<FirmwareStall> firmwareStalls;
     std::vector<GuestKill> guestKills;
     std::vector<DriverDomainKill> driverDomainKills;
@@ -101,36 +115,35 @@ struct FaultPlan
     /** True when the plan can never inject anything. */
     bool empty() const;
 
-    /** The continuous-fault rates the injector draws against. */
-    sim::FaultRates rates() const;
+    bool operator==(const FaultPlan &) const = default;
 
     // --- fluent builders -------------------------------------------------
     FaultPlan &
     dropping(double p)
     {
-        dropRate = p;
+        rates.frameDrop = p;
         return *this;
     }
 
     FaultPlan &
     corrupting(double p)
     {
-        corruptRate = p;
+        rates.frameCorrupt = p;
         return *this;
     }
 
     FaultPlan &
     duplicating(double p)
     {
-        dupRate = p;
+        rates.frameDuplicate = p;
         return *this;
     }
 
     FaultPlan &
     delayingDma(double p, double us)
     {
-        dmaDelayRate = p;
-        dmaDelayUs = us;
+        rates.dmaDelayChance = p;
+        rates.dmaDelay = sim::microseconds(us);
         return *this;
     }
 
@@ -164,10 +177,16 @@ struct FaultPlan
     }
 
     /**
+     * Apply the directive @p name (a faultDirectives() row) with its
+     * arguments @p args, split on whitespace.
+     * @return false, leaving the plan unchanged, when @p name is no
+     *         directive or @p args do not parse
+     */
+    bool apply(const std::string &name, const std::string &args);
+
+    /**
      * Parse the text plan format described in the file comment,
-     * applying its directives on top of @p base (when given): a rate
-     * directive replaces the base's rate, and a scheduled fault is
-     * appended.
+     * applying its directives on top of @p base (when given).
      * @param error receives a message naming the offending line on failure
      */
     static std::optional<FaultPlan> parse(const std::string &text,
@@ -190,20 +209,19 @@ bool parseCount(const std::string &s, std::uint32_t *out);
 /** Parse @p s as a complete number that is finite (no nan, no inf). */
 bool parseFinite(const std::string &s, double *out);
 
-/** Parse "NIC@MS:DURMS" (e.g. "0@20:5") as used by --firmware-stall. */
-std::optional<FaultPlan::FirmwareStall>
-parseStallSpec(const std::string &spec);
+/** One fault directive: the plan-file line "NAME ARGS" and the flag
+ *  "--NAME ARGS" (see FaultPlan::apply). */
+struct FaultDirective
+{
+    const char *name;    //!< e.g. "drop-rate"
+    const char *argName; //!< usage metavariable, e.g. "P"
+    const char *help;    //!< usage text ('\n' continues on a new line)
+    /** Apply @p args to @p plan; false when they do not parse. */
+    bool (*apply)(FaultPlan &plan, const std::vector<std::string> &args);
+};
 
-/** Parse "G@MS" (e.g. "1@40") as used by --kill-guest. */
-std::optional<FaultPlan::GuestKill> parseKillSpec(const std::string &spec);
-
-/** Parse "MS" (e.g. "60") as used by --kill-driver-domain. */
-std::optional<FaultPlan::DriverDomainKill>
-parseDriverKillSpec(const std::string &spec);
-
-/** Parse "NIC@MS" (e.g. "0@60") as used by --reboot-firmware. */
-std::optional<FaultPlan::FirmwareReboot>
-parseRebootSpec(const std::string &spec);
+/** Every fault directive, in usage order. */
+std::span<const FaultDirective> faultDirectives();
 
 } // namespace cdna::core
 

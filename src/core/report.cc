@@ -107,60 +107,18 @@ Report::row() const
     return profileLine(label, cells);
 }
 
-bool
-Report::anyFaultActivity() const
-{
-    return faultFramesDropped || faultFramesCorrupted ||
-           faultFramesDuplicated || faultDmaDelays || firmwareStalls ||
-           guestKills || mailboxTimeouts || ringResyncs ||
-           driverDomainKills || firmwareReboots || feReconnects ||
-           grantsRevoked || pagesQuarantined || mailboxThrottled ||
-           outagePacketsLost || switchDrops;
-}
-
 std::string
 Report::faultSummary() const
 {
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "  drops: nodesc=%llu nobuf=%llu filter=%llu | faults: "
-        "drop=%llu corrupt=%llu dup=%llu dmadelay=%llu fwstall=%llu "
-        "kill=%llu | recovery: timeout=%llu resync=%llu",
-        static_cast<unsigned long long>(rxDropsNoDesc),
-        static_cast<unsigned long long>(rxDropsNoBuf),
-        static_cast<unsigned long long>(rxDropsFilter),
-        static_cast<unsigned long long>(faultFramesDropped),
-        static_cast<unsigned long long>(faultFramesCorrupted),
-        static_cast<unsigned long long>(faultFramesDuplicated),
-        static_cast<unsigned long long>(faultDmaDelays),
-        static_cast<unsigned long long>(firmwareStalls),
-        static_cast<unsigned long long>(guestKills),
-        static_cast<unsigned long long>(mailboxTimeouts),
-        static_cast<unsigned long long>(ringResyncs));
-    std::string out = buf;
-    if (driverDomainKills || firmwareReboots || feReconnects ||
-        grantsRevoked || outagePacketsLost) {
-        std::snprintf(
-            buf, sizeof(buf),
-            " | outage: domkill=%llu fwreboot=%llu reconnect=%llu "
-            "revoked=%llu quarantined=%llu lost=%llu",
-            static_cast<unsigned long long>(driverDomainKills),
-            static_cast<unsigned long long>(firmwareReboots),
-            static_cast<unsigned long long>(feReconnects),
-            static_cast<unsigned long long>(grantsRevoked),
-            static_cast<unsigned long long>(pagesQuarantined),
-            static_cast<unsigned long long>(outagePacketsLost));
-        out += buf;
-    }
-    if (switchDrops) {
-        std::snprintf(
-            buf, sizeof(buf),
-            " | fabric: swdrops=%llu (%llu bytes, qpeak=%llu)",
-            static_cast<unsigned long long>(switchDrops),
-            static_cast<unsigned long long>(switchDropBytes),
-            static_cast<unsigned long long>(switchQueuePeakBytes));
-        out += buf;
+    std::string out;
+    for (const MetricRow &m : reportMetrics()) {
+        const auto *f = std::get_if<std::uint64_t Report::*>(&m.field);
+        if (m.kind != MetricKind::kDelta || !f || this->**f == 0)
+            continue;
+        out += out.empty() ? "  " : " ";
+        out += m.key;
+        out += '=';
+        out += std::to_string(this->**f);
     }
     return out;
 }

@@ -123,9 +123,12 @@ struct Report
     /** Frames discarded by receivers' checksum check (both transports). */
     std::uint64_t rxDropsBadCsum = 0;
 
-    // Guest-stack TX backlog (packets queued behind a full device).
-    std::uint64_t txBacklogPeak = 0; //!< high-watermark across stacks
-    std::uint64_t txBacklogNow = 0;  //!< depth at the end of the window
+    // Guest-stack TX backlog (packets queued behind a full device).  The
+    // two aggregate differently, so now can exceed peak: with 2 NICs,
+    // one guest has two stacks, and "now" adds both depths while
+    // "peak" is the larger of the two stacks' own peaks.
+    std::uint64_t txBacklogPeak = 0; //!< largest single-stack peak
+    std::uint64_t txBacklogNow = 0;  //!< sum over stacks at window end
 
     // TCP transport recovery activity (zero in open-loop runs).
     std::uint64_t tcpRetransSegs = 0;
@@ -216,12 +219,11 @@ struct Report
     /** Header matching row(). */
     static std::string header();
 
-    /** True when any fault was injected or recovered from. */
-    bool anyFaultActivity() const;
-
     /**
-     * One-line summary of RX drops and fault/recovery counters, for
-     * the text report ("drops: nodesc=3 ... resync=2").
+     * One-line summary for the text report: "key=N" for every nonzero
+     * windowed counter (each kDelta row of reportMetrics(), in table
+     * order), e.g. "  frames_dropped=41 mailbox_timeouts=2".  Empty
+     * when the window moved none, as in a clean run.
      */
     std::string faultSummary() const;
 

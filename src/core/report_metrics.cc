@@ -75,7 +75,7 @@ reportMetrics()
     using S = System;
     using Tcp = net::transport::TcpEndpoint;
     using Engine = net::workload::WorkloadEngine;
-    using Faults = sim::FaultInjector;
+    using enum sim::FaultEvent;
     using Nic = nic::NicBase;
     using Val = vmm::SwptValidator;
     using Peer = net::TrafficPeer;
@@ -96,10 +96,9 @@ reportMetrics()
                 return p.engine() ? (p.engine()->*get)() : 0;
             });
         };
-    static constexpr auto injected =
-        [](const S &s, std::uint64_t (Faults::*get)() const) {
-            return s.faults_ ? ((*s.faults_).*get)() : 0;
-        };
+    static constexpr auto injected = [](const S &s, sim::FaultEvent e) {
+        return s.faults_ ? s.faults_->count(e) : 0;
+    };
     static constexpr auto nicSum = [](const S &s,
                                       std::uint64_t (Nic::*get)() const) {
         return sumOver(s.intelNics_, get) + sumOver(s.cdnaNics_, get);
@@ -223,21 +222,21 @@ reportMetrics()
         {"rx_drops_filter", &R::rxDropsFilter, kDelta,
          [](const S &s) { return nicSum(s, &Nic::rxDropFilter); }},
         {"frames_dropped", &R::faultFramesDropped, kDelta,
-         [](const S &s) { return injected(s, &Faults::framesDropped); }},
+         [](const S &s) { return injected(s, kFrameDrop); }},
         {"frames_corrupted", &R::faultFramesCorrupted, kDelta,
-         [](const S &s) { return injected(s, &Faults::framesCorrupted); }},
+         [](const S &s) { return injected(s, kFrameCorrupt); }},
         {"frames_duplicated", &R::faultFramesDuplicated, kDelta,
-         [](const S &s) { return injected(s, &Faults::framesDuplicated); }},
+         [](const S &s) { return injected(s, kFrameDuplicate); }},
         {"dma_delays", &R::faultDmaDelays, kDelta,
-         [](const S &s) { return injected(s, &Faults::dmaDelays); }},
+         [](const S &s) { return injected(s, kDmaDelay); }},
         {"firmware_stalls", &R::firmwareStalls, kDelta,
-         [](const S &s) { return injected(s, &Faults::firmwareStalls); }},
+         [](const S &s) { return injected(s, kFirmwareStall); }},
         {"guest_kills", &R::guestKills, kDelta,
-         [](const S &s) { return injected(s, &Faults::guestKills); }},
+         [](const S &s) { return injected(s, kGuestKill); }},
         {"mailbox_timeouts", &R::mailboxTimeouts, kDelta,
-         [](const S &s) { return injected(s, &Faults::mailboxTimeouts); }},
+         [](const S &s) { return injected(s, kMailboxTimeout); }},
         {"ring_resyncs", &R::ringResyncs, kDelta,
-         [](const S &s) { return injected(s, &Faults::ringResyncs); }},
+         [](const S &s) { return injected(s, kRingResync); }},
         {"rx_drops_bad_csum", &R::rxDropsBadCsum, kDelta,
          [](const S &s) {
              return sumOver(s.peers_, &Peer::rxDropsBadCsum) +
@@ -257,11 +256,11 @@ reportMetrics()
         {"tcp_dup_acks", &R::tcpDupAcks, kDelta,
          [](const S &s) { return tcpSum(s, &Tcp::dupAcksRx); }},
         {"driver_domain_kills", &R::driverDomainKills, kDelta,
-         [](const S &s) { return injected(s, &Faults::driverDomainKills); }},
+         [](const S &s) { return injected(s, kDriverDomainKill); }},
         {"firmware_reboots", &R::firmwareReboots, kDelta,
-         [](const S &s) { return injected(s, &Faults::firmwareReboots); }},
+         [](const S &s) { return injected(s, kFirmwareReboot); }},
         {"fe_reconnects", &R::feReconnects, kDelta,
-         [](const S &s) { return injected(s, &Faults::frontendReconnects); }},
+         [](const S &s) { return injected(s, kFrontendReconnect); }},
         {"grants_revoked", &R::grantsRevoked, kDelta,
          [](const S &s) { return s.hv_->grants().revokedGrants(); }},
         {"pages_quarantined", &R::pagesQuarantined, kDelta,

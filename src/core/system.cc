@@ -40,7 +40,7 @@ System::System(SystemConfig cfg, sim::SimContext *shared,
         SIM_ASSERT(ctx_.faultInjector() == nullptr,
                    "shared context already has a fault plan installed");
         faults_ = std::make_unique<sim::FaultInjector>(
-            ctx_, nm("faults"), cfg_.seed, cfg_.faults.rates());
+            ctx_, nm("faults"), cfg_.seed, cfg_.faults.rates);
         ctx_.setFaultInjector(faults_.get());
     }
     buildCommon();
@@ -686,7 +686,7 @@ System::scheduleFaultEvents()
         CdnaNic *nic = cdnaNics_[fs.nic].get();
         ctx_.events().schedule(
             sim::milliseconds(fs.atMs), [this, nic, fs] {
-                faults_->noteFirmwareStall();
+                faults_->note(sim::FaultEvent::kFirmwareStall);
                 nic->stallFirmware(sim::milliseconds(fs.durMs),
                                    fs.watchdogReset);
             });
@@ -745,7 +745,7 @@ System::killDriverDomain()
         return false;
     driverDomainDown_ = true;
     if (faults_)
-        faults_->noteDriverDomainKill();
+        faults_->note(sim::FaultEvent::kDriverDomainKill);
     if (avail_)
         for (std::uint32_t g = 0; g < avail_->guests(); ++g)
             avail_->noteOutageStart(g);
@@ -816,19 +816,22 @@ System::restartDriverDomain()
             avail_->noteRecovery(g);
     }
     if (faults_)
-        faults_->noteDriverDomainRestart();
+        faults_->note(sim::FaultEvent::kDriverDomainRestart);
 }
 
 bool
 System::rebootNicFirmware(std::uint32_t nic)
 {
-    if (vmm::SwptValidator *val = swptValidator(nic)) {
+    vmm::SwptValidator *val = swptValidator(nic);
+    if (!val && nic >= cdnaNics_.size())
+        return false; // no firmware NIC with that index
+    if (faults_)
+        faults_->note(sim::FaultEvent::kFirmwareReboot);
+    if (val) {
         // Full device reset of the shared IntelNic: in-flight TX is
         // dropped (attributed as zero-byte completions so guest TX
         // windows recover) and the validator re-rings its shadow queue
         // once the firmware is back.
-        if (faults_)
-            faults_->noteFirmwareReboot();
         if (avail_)
             for (std::uint32_t g = 0; g < avail_->guests(); ++g)
                 avail_->noteOutageStart(g);
@@ -841,8 +844,6 @@ System::rebootNicFirmware(std::uint32_t nic)
         });
         return true;
     }
-    if (nic >= cdnaNics_.size())
-        return false; // no firmware NIC with that index
     if (avail_)
         for (std::uint32_t g = 0; g < avail_->guests(); ++g)
             avail_->noteOutageStart(g);
@@ -889,7 +890,7 @@ System::killGuest(std::uint32_t guest)
             domainTimerStopped_[id] = 1;
     }
     if (faults_)
-        faults_->noteGuestKill();
+        faults_->note(sim::FaultEvent::kGuestKill);
     return true;
 }
 

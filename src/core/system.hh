@@ -187,13 +187,6 @@ struct SystemConfig
     }
 
     SystemConfig &
-    withGuests(std::uint32_t n)
-    {
-        numGuests = n;
-        return *this;
-    }
-
-    SystemConfig &
     withNics(std::uint32_t n)
     {
         numNics = n;
@@ -356,13 +349,6 @@ class System
     }
     CdnaNic *cdnaNic(std::uint32_t i);
 
-    /** Context pager of NIC @p i (nullptr unless oversubscribed). */
-    ContextPager *
-    contextPager(std::uint32_t i)
-    {
-        return i < pagers_.size() ? pagers_[i].get() : nullptr;
-    }
-
     vmm::Hypervisor &hypervisor() { return *hv_; }
     nic::IntelNic *intelNic(std::uint32_t i);
     /** Local traffic peer of NIC @p i (only for locally-linked NICs). */
@@ -429,7 +415,6 @@ class System
      *         i.e. native, or when it is already down)
      */
     bool killDriverDomain();
-    bool driverDomainDown() const { return driverDomainDown_; }
 
     /**
      * Reboot NIC @p nic's firmware (FaultPlan::rebootingFirmware).  A

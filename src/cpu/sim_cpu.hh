@@ -99,8 +99,6 @@ class Vcpu
     /** True when no work is queued (the vCPU would block). */
     bool idle() const { return irqQ_.empty() && normalQ_.empty(); }
 
-    std::size_t queuedTasks() const { return irqQ_.size() + normalQ_.size(); }
-
   private:
     friend class SimCpu;
 
@@ -150,9 +148,6 @@ class SimCpu : public sim::SimObject
 
     /** Discard accounting so far; the measurement window starts now. */
     void resetAccounting();
-
-    /** Start of the current measurement window. */
-    sim::Time accountingStart() const { return accountingStart_; }
 
     /** Elapsed time in the current measurement window. */
     sim::Time elapsed() const { return now() - accountingStart_; }

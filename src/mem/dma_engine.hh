@@ -104,7 +104,6 @@ class DmaEngine : public sim::SimObject
     void setIommu(Iommu *iommu) { iommu_ = iommu; }
 
     std::uint64_t bytesRead() const { return nReadBytes_.value(); }
-    std::uint64_t bytesWritten() const { return nWriteBytes_.value(); }
 
   private:
     void doTransfer(std::span<const SgEntry> sg, DomainId behalf,

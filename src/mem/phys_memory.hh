@@ -76,7 +76,6 @@ class PhysMemory : public sim::SimObject
 
     PhysMemory(sim::SimContext &ctx, std::uint64_t total_pages);
 
-    std::uint64_t totalPages() const { return pages_.size(); }
     std::uint64_t freePages() const { return freeList_.size(); }
 
     /**

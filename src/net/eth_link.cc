@@ -16,14 +16,6 @@ Wire::Wire(double bits_per_sec, sim::Time propagation)
 }
 
 void
-Wire::addFaultCounters(sim::StatGroup &stats)
-{
-    faultDrops = &stats.addCounter("fault_drops");
-    faultCorrupts = &stats.addCounter("fault_corrupts");
-    faultDups = &stats.addCounter("fault_dups");
-}
-
-void
 WirePort::attach(sim::SimObject &owner, const Wire &wire,
                  std::uint32_t index)
 {
@@ -88,20 +80,15 @@ WirePort::send(Packet pkt, sim::Time extra_gap,
     if (sim::FaultInjector *fi = owner_->ctx().faultInjector();
         fi && fi->framesArmed())
         fate = fi->frameFault();
-    if (fate == sim::FaultInjector::FrameFault::kDrop) {
-        wire_->faultDrops->inc();
+    if (fate == sim::FaultInjector::FrameFault::kDrop)
         return end;
-    }
-    if (fate == sim::FaultInjector::FrameFault::kCorrupt) {
-        wire_->faultCorrupts->inc();
+    if (fate == sim::FaultInjector::FrameFault::kCorrupt)
         pkt.intact = false;
-    }
 
     // Packets leave host memory when they hit the wire.
     pkt.hostSg.clear();
     Packet dup;
     if (fate == sim::FaultInjector::FrameFault::kDuplicate) {
-        wire_->faultDups->inc();
         dup = pkt;
         dup.duplicated = true;
     }
@@ -127,7 +114,6 @@ EthLink::EthLink(sim::SimContext &ctx, std::string name, double bits_per_sec,
         ports_[i].attach(*this, wire_, i);
         ports_[i].far = &ports_[1 - i];
     }
-    wire_.addFaultCounters(stats());
 }
 
 Port &

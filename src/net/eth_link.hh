@@ -30,7 +30,7 @@
 
 namespace cdna::net {
 
-/** A fabric's cable: line rate, propagation and its fault counters. */
+/** A fabric's cable: line rate and propagation. */
 struct Wire
 {
     Wire(double bits_per_sec, sim::Time propagation);
@@ -43,14 +43,8 @@ struct Wire
                                       static_cast<double>(wire_bytes));
     }
 
-    /** Register fault_drops, fault_corrupts and fault_dups on @p stats. */
-    void addFaultCounters(sim::StatGroup &stats);
-
     double psPerByte;
     sim::Time propagation;
-    sim::Counter *faultDrops = nullptr;
-    sim::Counter *faultCorrupts = nullptr;
-    sim::Counter *faultDups = nullptr;
 };
 
 /**

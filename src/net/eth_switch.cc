@@ -23,7 +23,6 @@ EthSwitch::EthSwitch(sim::SimContext &ctx, std::string name,
         ports_[i].drops = &stats().addCounter(p + "_egress_drops");
         ports_[i].dropBytes = &stats().addCounter(p + "_egress_drop_bytes");
     }
-    wire_.addFaultCounters(stats());
     nUnrouted_ = &stats().addCounter("unrouted_drops");
 }
 

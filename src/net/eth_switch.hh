@@ -57,11 +57,6 @@ class EthSwitch : public sim::SimObject, public Fabric
     Port &port(std::uint32_t i);
     const Port &port(std::uint32_t i) const;
 
-    std::uint32_t numPorts() const
-    {
-        return static_cast<std::uint32_t>(ports_.size());
-    }
-
     /** Pin @p mac to egress port @p port. */
     void setRoute(MacAddr mac, std::uint32_t port);
 

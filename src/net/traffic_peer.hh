@@ -101,9 +101,6 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
         return rxBySrc_;
     }
 
-    /** Frames sourced onto the wire. */
-    std::uint64_t framesSent() const { return nTxFrames_.value(); }
-
     void receiveFrame(Packet pkt) override;
 
   private:

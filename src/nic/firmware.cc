@@ -9,9 +9,7 @@ namespace cdna::nic {
 
 FirmwareProc::FirmwareProc(sim::SimContext &ctx, std::string name)
     : sim::SimObject(ctx, std::move(name)),
-      nJobs_(stats().addCounter("jobs")),
-      nStalls_(stats().addCounter("stalls")),
-      nReboots_(stats().addCounter("reboots"))
+      nJobs_(stats().addCounter("jobs"))
 {
 }
 
@@ -37,7 +35,6 @@ void
 FirmwareProc::stall(sim::Time duration)
 {
     SIM_ASSERT(duration >= 0, "negative firmware stall");
-    nStalls_.inc();
     sim::Time start = std::max(now(), busyUntil_);
     busyUntil_ = start + duration;
     busyAccum_ += duration;
@@ -50,7 +47,6 @@ FirmwareProc::reboot(sim::Time down_time)
 {
     SIM_ASSERT(down_time >= 0, "negative firmware reboot time");
     ++epoch_;
-    nReboots_.inc();
     // The queued backlog dies with the old image; the new image owns
     // the processor from now until boot completes.
     busyUntil_ = now() + down_time;

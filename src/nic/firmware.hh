@@ -54,9 +54,6 @@ class FirmwareProc : public sim::SimObject
     /** Firmware image generation; bumped by reboot(). */
     std::uint64_t epoch() const { return epoch_; }
 
-    std::uint64_t stallCount() const { return nStalls_.value(); }
-    std::uint64_t rebootCount() const { return nReboots_.value(); }
-
     /** Fraction of elapsed time the processor has been busy. */
     double utilization(sim::Time elapsed) const;
 
@@ -70,8 +67,6 @@ class FirmwareProc : public sim::SimObject
     sim::Time busyAccum_ = 0;
     std::uint64_t epoch_ = 0;
     sim::Counter &nJobs_;
-    sim::Counter &nStalls_;
-    sim::Counter &nReboots_;
 };
 
 } // namespace cdna::nic

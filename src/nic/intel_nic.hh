@@ -97,9 +97,7 @@ class IntelNic : public NicBase
 
     // --- stats -----------------------------------------------------------
     std::uint64_t txPackets() const { return nTxPackets_.value(); }
-    std::uint64_t txPayloadBytes() const { return nTxPayload_.value(); }
     std::uint64_t rxPackets() const { return nRxPackets_.value(); }
-    std::uint64_t rxPayloadBytes() const { return nRxPayload_.value(); }
 
     const IntelNicParams &params() const { return params_; }
 

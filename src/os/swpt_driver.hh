@@ -49,7 +49,6 @@ class SwptDriver : public sim::SimObject, public NetDevice
 
     vmm::Domain &domain() { return dom_; }
     vmm::SwptValidator &validator() { return validator_; }
-    vmm::SwptValidator::GuestId gid() const { return gid_; }
     bool detached() const { return detached_; }
 
   private:

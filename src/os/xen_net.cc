@@ -19,7 +19,6 @@ XenVif::XenVif(sim::SimContext &ctx, std::string name, DriverDomainNet &ddn,
       nTxPkts_(stats().addCounter("tx_packets")),
       nRxPkts_(stats().addCounter("rx_packets")),
       nRxDropNoBuf_(stats().addCounter("rx_drop_no_buffer")),
-      nReconnects_(stats().addCounter("fe_reconnects")),
       nOutageDrops_(stats().addCounter("rx_outage_drops")),
       nLostTx_(stats().addCounter("tx_lost_crash"))
 {
@@ -169,10 +168,9 @@ XenVif::completeReconnect()
     postRxBuffers();
 
     feState_ = FeState::kConnected;
-    nReconnects_.inc();
     CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "fe_reconnect", now());
     if (sim::FaultInjector *fi = ctx().faultInjector())
-        fi->noteFrontendReconnect();
+        fi->note(sim::FaultEvent::kFrontendReconnect);
     if (onReconnected_)
         onReconnected_();
 

@@ -62,8 +62,6 @@ class XenVif : public sim::SimObject, public NetDevice
     /** Shared-ring capacity (slots) in each direction. */
     static constexpr std::uint32_t kRingSlots = 256;
 
-    std::uint64_t rxDropNoBuffer() const { return nRxDropNoBuf_.value(); }
-
     /**
      * Arm the dead-backend watchdog (frontend reconnection protocol).
      * Only called when a fault plan schedules a driver-domain crash,
@@ -86,7 +84,6 @@ class XenVif : public sim::SimObject, public NetDevice
         onReconnected_ = std::move(fn);
     }
 
-    std::uint64_t reconnects() const { return nReconnects_.value(); }
     /** RX packets dropped because the backend was down. */
     std::uint64_t outageRxDrops() const { return nOutageDrops_.value(); }
     /** TX packets orphaned inside the crashed driver domain. */
@@ -163,7 +160,6 @@ class XenVif : public sim::SimObject, public NetDevice
     sim::Counter &nTxPkts_;
     sim::Counter &nRxPkts_;
     sim::Counter &nRxDropNoBuf_;
-    sim::Counter &nReconnects_;
     sim::Counter &nOutageDrops_;
     sim::Counter &nLostTx_;
 };
@@ -199,9 +195,6 @@ class DriverDomainNet : public sim::SimObject
      * driver-domain memcpy for the flip hypercall and its TLB costs.
      */
     void setRxCopyMode(bool on) { rxCopyMode_ = on; }
-    bool rxCopyMode() const { return rxCopyMode_; }
-
-    std::uint64_t bridgeRxDropNoVif() const { return nNoVif_.value(); }
 
     /**
      * The driver domain crashed (fault injection): the backend stops

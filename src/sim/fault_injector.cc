@@ -1,30 +1,51 @@
 #include "sim/fault_injector.hh"
 
+#include <iterator>
 #include <utility>
 
 #include "sim/trace.hh"
 
 namespace cdna::sim {
 
+namespace {
+
+/** Each event's counter name and trace-instant name, in FaultEvent order. */
+constexpr std::pair<const char *, const char *> kLedger[] = {
+    {"frames_dropped", "frame_drop"},
+    {"frames_corrupted", "frame_corrupt"},
+    {"frames_duplicated", "frame_dup"},
+    {"dma_delays", "dma_delay"},
+    {"firmware_stalls", "firmware_stall"},
+    {"firmware_resets", "firmware_reset"},
+    {"guest_kills", "guest_kill"},
+    {"mailbox_timeouts", "mailbox_timeout"},
+    {"ring_resyncs", "ring_resync"},
+    {"driver_domain_kills", "driver_domain_kill"},
+    {"driver_domain_restarts", "driver_domain_restart"},
+    {"firmware_reboots", "firmware_reboot"},
+    {"frontend_reconnects", "frontend_reconnect"},
+};
+static_assert(std::size(kLedger) == kNumFaultEvents);
+
+} // namespace
+
 FaultInjector::FaultInjector(SimContext &ctx, std::string name,
                              std::uint64_t system_seed, FaultRates rates)
     : SimObject(ctx, std::move(name)),
       rates_(rates),
-      rng_(faultStreamSeed(system_seed)),
-      nDrop_(stats().addCounter("frames_dropped")),
-      nCorrupt_(stats().addCounter("frames_corrupted")),
-      nDup_(stats().addCounter("frames_duplicated")),
-      nDmaDelay_(stats().addCounter("dma_delays")),
-      nFwStall_(stats().addCounter("firmware_stalls")),
-      nFwReset_(stats().addCounter("firmware_resets")),
-      nGuestKill_(stats().addCounter("guest_kills")),
-      nMboxTimeout_(stats().addCounter("mailbox_timeouts")),
-      nRingResync_(stats().addCounter("ring_resyncs")),
-      nDomKill_(stats().addCounter("driver_domain_kills")),
-      nDomRestart_(stats().addCounter("driver_domain_restarts")),
-      nFwReboot_(stats().addCounter("firmware_reboots")),
-      nFeReconnect_(stats().addCounter("frontend_reconnects"))
+      rng_(faultStreamSeed(system_seed))
 {
+    for (std::size_t i = 0; i < kNumFaultEvents; ++i)
+        counters_[i] = &stats().addCounter(kLedger[i].first);
+}
+
+void
+FaultInjector::note(FaultEvent e)
+{
+    auto i = static_cast<std::size_t>(e);
+    counters_[i]->inc();
+    CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), kLedger[i].second,
+                       now());
 }
 
 FaultInjector::FrameFault
@@ -35,23 +56,17 @@ FaultInjector::frameFault()
     // One draw decides the frame's fate; the sub-ranges partition [0,1).
     double u = rng_.uniform();
     if (u < rates_.frameDrop) {
-        nDrop_.inc();
-        CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "frame_drop",
-                           now());
+        note(FaultEvent::kFrameDrop);
         return FrameFault::kDrop;
     }
     u -= rates_.frameDrop;
     if (u < rates_.frameCorrupt) {
-        nCorrupt_.inc();
-        CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "frame_corrupt",
-                           now());
+        note(FaultEvent::kFrameCorrupt);
         return FrameFault::kCorrupt;
     }
     u -= rates_.frameCorrupt;
     if (u < rates_.frameDuplicate) {
-        nDup_.inc();
-        CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "frame_dup",
-                           now());
+        note(FaultEvent::kFrameDuplicate);
         return FrameFault::kDuplicate;
     }
     return FrameFault::kNone;
@@ -62,79 +77,8 @@ FaultInjector::dmaDelay()
 {
     if (!rates_.dmaArmed() || !rng_.chance(rates_.dmaDelayChance))
         return 0;
-    nDmaDelay_.inc();
-    CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "dma_delay", now());
+    note(FaultEvent::kDmaDelay);
     return rates_.dmaDelay;
-}
-
-void
-FaultInjector::noteFirmwareStall()
-{
-    nFwStall_.inc();
-    CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "firmware_stall",
-                       now());
-}
-
-void
-FaultInjector::noteFirmwareReset()
-{
-    nFwReset_.inc();
-    CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "firmware_reset",
-                       now());
-}
-
-void
-FaultInjector::noteGuestKill()
-{
-    nGuestKill_.inc();
-    CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "guest_kill", now());
-}
-
-void
-FaultInjector::noteMailboxTimeout()
-{
-    nMboxTimeout_.inc();
-    CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "mailbox_timeout",
-                       now());
-}
-
-void
-FaultInjector::noteRingResync()
-{
-    nRingResync_.inc();
-    CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "ring_resync", now());
-}
-
-void
-FaultInjector::noteDriverDomainKill()
-{
-    nDomKill_.inc();
-    CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "driver_domain_kill",
-                       now());
-}
-
-void
-FaultInjector::noteDriverDomainRestart()
-{
-    nDomRestart_.inc();
-    CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(),
-                       "driver_domain_restart", now());
-}
-
-void
-FaultInjector::noteFirmwareReboot()
-{
-    nFwReboot_.inc();
-    CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "firmware_reboot",
-                       now());
-}
-
-void
-FaultInjector::noteFrontendReconnect()
-{
-    nFeReconnect_.inc();
-    CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "frontend_reconnect",
-                       now());
 }
 
 } // namespace cdna::sim

@@ -9,9 +9,11 @@
  * all, and two runs with the same seed and plan make identical fault
  * decisions.
  *
- * The injector only knows *rates* and *counters*; the declarative plan
- * (which guest dies when, which firmware stalls, ...) lives in
- * core::FaultPlan and is turned into scheduled events by core::System.
+ * The injector only knows *rates* and the fault *ledger*; the
+ * declarative plan (which guest dies when, which firmware stalls, ...)
+ * lives in core::FaultPlan and is turned into scheduled events by
+ * core::System.  The ledger is the one place a fault or recovery event
+ * is counted: whoever fires or recovers from a fault calls note().
  * Components reach the injector through SimContext::faultInjector(),
  * which is null unless a non-empty plan was installed -- fault hooks
  * must stay entirely inert in that case.
@@ -20,6 +22,8 @@
 #ifndef CDNA_SIM_FAULT_INJECTOR_HH
 #define CDNA_SIM_FAULT_INJECTOR_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/sim_object.hh"
@@ -34,7 +38,7 @@ struct FaultRates
     double frameCorrupt = 0.0;   //!< P(frame arrives with a bad FCS)
     double frameDuplicate = 0.0; //!< P(frame is delivered twice)
     double dmaDelayChance = 0.0; //!< P(a DMA completion is delayed)
-    Time dmaDelay = 0;           //!< extra latency of a delayed DMA
+    Time dmaDelay = microseconds(25); //!< extra latency of a delayed DMA
 
     bool
     framesArmed() const
@@ -44,7 +48,33 @@ struct FaultRates
     }
 
     bool dmaArmed() const { return dmaDelayChance > 0.0 && dmaDelay > 0; }
+
+    bool operator==(const FaultRates &) const = default;
 };
+
+/**
+ * Every fault and recovery event, in ledger order: the order of the
+ * injector's counters in --stats-json.  Each is counted, and traced as
+ * an instant on the injector's lane, by FaultInjector::note() alone.
+ */
+enum class FaultEvent : std::uint8_t
+{
+    kFrameDrop,
+    kFrameCorrupt,
+    kFrameDuplicate,
+    kDmaDelay,
+    kFirmwareStall,
+    kFirmwareReset,
+    kGuestKill,
+    kMailboxTimeout,
+    kRingResync,
+    kDriverDomainKill,
+    kDriverDomainRestart,
+    kFirmwareReboot,
+    kFrontendReconnect,
+};
+
+inline constexpr std::size_t kNumFaultEvents = 13;
 
 /** Mix the system seed into the independent fault-stream seed. */
 constexpr std::uint64_t
@@ -72,56 +102,20 @@ class FaultInjector : public SimObject
     /** Extra completion latency for one DMA transfer (usually 0). */
     Time dmaDelay();
 
-    // --- recovery-path accounting (called by the recovering parties) ----
-    void noteFirmwareStall();
-    void noteFirmwareReset();
-    void noteGuestKill();
-    void noteMailboxTimeout();
-    void noteRingResync();
-    void noteDriverDomainKill();
-    void noteDriverDomainRestart();
-    void noteFirmwareReboot();
-    void noteFrontendReconnect();
+    /** Count @p e and trace it (called where the event happens). */
+    void note(FaultEvent e);
 
-    std::uint64_t framesDropped() const { return nDrop_.value(); }
-    std::uint64_t framesCorrupted() const { return nCorrupt_.value(); }
-    std::uint64_t framesDuplicated() const { return nDup_.value(); }
-    std::uint64_t dmaDelays() const { return nDmaDelay_.value(); }
-    std::uint64_t firmwareStalls() const { return nFwStall_.value(); }
-    std::uint64_t firmwareResets() const { return nFwReset_.value(); }
-    std::uint64_t guestKills() const { return nGuestKill_.value(); }
-    std::uint64_t mailboxTimeouts() const { return nMboxTimeout_.value(); }
-    std::uint64_t ringResyncs() const { return nRingResync_.value(); }
-    std::uint64_t driverDomainKills() const { return nDomKill_.value(); }
+    /** Times @p e has happened. */
     std::uint64_t
-    driverDomainRestarts() const
+    count(FaultEvent e) const
     {
-        return nDomRestart_.value();
-    }
-    std::uint64_t firmwareReboots() const { return nFwReboot_.value(); }
-    std::uint64_t
-    frontendReconnects() const
-    {
-        return nFeReconnect_.value();
+        return counters_[static_cast<std::size_t>(e)]->value();
     }
 
   private:
     FaultRates rates_;
     Rng rng_;
-
-    sim::Counter &nDrop_;
-    sim::Counter &nCorrupt_;
-    sim::Counter &nDup_;
-    sim::Counter &nDmaDelay_;
-    sim::Counter &nFwStall_;
-    sim::Counter &nFwReset_;
-    sim::Counter &nGuestKill_;
-    sim::Counter &nMboxTimeout_;
-    sim::Counter &nRingResync_;
-    sim::Counter &nDomKill_;
-    sim::Counter &nDomRestart_;
-    sim::Counter &nFwReboot_;
-    sim::Counter &nFeReconnect_;
+    std::array<sim::Counter *, kNumFaultEvents> counters_;
 };
 
 } // namespace cdna::sim

@@ -89,7 +89,6 @@ class Histogram
     void merge(const Histogram &other);
 
     std::uint64_t count() const { return total_; }
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
     int subBucketBits() const { return subBits_; }
 
     /**

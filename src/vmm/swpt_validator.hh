@@ -89,7 +89,6 @@ class SwptValidator : public sim::SimObject
     /** Validator restarts: reprocess latched doorbells, drain the
      *  completions and receives that accumulated during the stall. */
     void restart();
-    bool stalled() const { return stalled_; }
 
     /** Guest killed mid-DMA: drop its latched/queued descriptors,
      *  release its posted RX buffers, stop demuxing to it.  Pages
@@ -111,8 +110,6 @@ class SwptValidator : public sim::SimObject
     std::uint64_t descRejected() const { return nRejected_.value(); }
     /** Hypervisor CPU time spent on the doorbell/validation path. */
     sim::Time validationTime() const { return validationTime_; }
-    std::uint64_t rxDemuxDrops() const { return nRxDemuxDrop_.value(); }
-    std::uint64_t rxNoBufDrops() const { return nRxNoBuf_.value(); }
 
     nic::IntelNic &nic() { return nic_; }
 

@@ -53,8 +53,6 @@ class TrafficApp : public sim::SimObject
     std::uint64_t bytesSent() const { return nSent_.value(); }
     std::uint64_t bytesReceived() const { return nReceived_.value(); }
     std::uint64_t packetsReceived() const { return nRxPkts_.value(); }
-    /** RPC requests answered (rpcServer mode). */
-    std::uint64_t rpcServed() const { return nRpcServed_.value(); }
 
   private:
     void pump();

@@ -186,11 +186,11 @@ TEST(CliFault, FaultFlagsBuildPlan)
     ASSERT_TRUE(opt.has_value());
     const FaultPlan &p = opt->config.faults;
     EXPECT_FALSE(p.empty());
-    EXPECT_DOUBLE_EQ(p.dropRate, 0.01);
-    EXPECT_DOUBLE_EQ(p.corruptRate, 0.002);
-    EXPECT_DOUBLE_EQ(p.dupRate, 0.001);
-    EXPECT_DOUBLE_EQ(p.dmaDelayRate, 0.05);
-    EXPECT_DOUBLE_EQ(p.dmaDelayUs, 30.0);
+    EXPECT_DOUBLE_EQ(p.rates.frameDrop, 0.01);
+    EXPECT_DOUBLE_EQ(p.rates.frameCorrupt, 0.002);
+    EXPECT_DOUBLE_EQ(p.rates.frameDuplicate, 0.001);
+    EXPECT_DOUBLE_EQ(p.rates.dmaDelayChance, 0.05);
+    EXPECT_EQ(p.rates.dmaDelay, sim::microseconds(30));
     ASSERT_EQ(p.firmwareStalls.size(), 1u);
     EXPECT_EQ(p.firmwareStalls[0].nic, 0u);
     EXPECT_DOUBLE_EQ(p.firmwareStalls[0].atMs, 20.0);
@@ -212,7 +212,7 @@ TEST(CliFault, DmaDelayRateGetsDefaultLatency)
 {
     auto opt = parse({"--dma-delay-rate", "0.1"});
     ASSERT_TRUE(opt.has_value());
-    EXPECT_DOUBLE_EQ(opt->config.faults.dmaDelayUs, 25.0);
+    EXPECT_EQ(opt->config.faults.rates.dmaDelay, sim::microseconds(25));
 }
 
 TEST(CliFault, BadFaultFlagsRejected)
@@ -247,8 +247,8 @@ TEST(CliFault, FaultPlanFileLoaded)
     std::remove(path.c_str());
     ASSERT_TRUE(opt.has_value());
     const FaultPlan &p = opt->config.faults;
-    EXPECT_DOUBLE_EQ(p.dropRate, 0.02);
-    EXPECT_DOUBLE_EQ(p.dupRate, 0.005); // flag after the file still applies
+    EXPECT_DOUBLE_EQ(p.rates.frameDrop, 0.02);
+    EXPECT_DOUBLE_EQ(p.rates.frameDuplicate, 0.005); // flag after the file
     ASSERT_EQ(p.firmwareStalls.size(), 1u);
     EXPECT_EQ(p.firmwareStalls[0].nic, 1u);
     EXPECT_FALSE(p.firmwareStalls[0].watchdogReset);
@@ -272,8 +272,8 @@ TEST(CliFault, FlagsBeforeFaultPlanFileStillApply)
     std::remove(path.c_str());
     ASSERT_TRUE(opt.has_value());
     const FaultPlan &p = opt->config.faults;
-    EXPECT_DOUBLE_EQ(p.dupRate, 0.05);
-    EXPECT_DOUBLE_EQ(p.dropRate, 0.02);
+    EXPECT_DOUBLE_EQ(p.rates.frameDuplicate, 0.05);
+    EXPECT_DOUBLE_EQ(p.rates.frameDrop, 0.02);
     ASSERT_EQ(p.guestKills.size(), 2u);
     EXPECT_EQ(p.guestKills[0].guest, 1u);
     EXPECT_EQ(p.guestKills[1].guest, 0u);
