@@ -28,6 +28,8 @@
 #define CDNA_CORE_AVAILABILITY_HH
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/sim_object.hh"
@@ -45,8 +47,9 @@ class AvailabilityTracker : public sim::SimObject
      */
     static constexpr sim::Time kGrace = sim::kMillisecond;
 
-    AvailabilityTracker(sim::SimContext &ctx, std::uint32_t guests)
-        : sim::SimObject(ctx, "availability"), per_(guests)
+    AvailabilityTracker(sim::SimContext &ctx, std::string name,
+                        std::uint32_t guests)
+        : sim::SimObject(ctx, std::move(name)), per_(guests)
     {
     }
 

@@ -6,9 +6,10 @@
 
 namespace cdna::core {
 
-DmaProtection::DmaProtection(sim::SimContext &ctx, vmm::Hypervisor &hv,
-                             const CostModel &costs, bool enabled)
-    : sim::SimObject(ctx, "dma-protection"),
+DmaProtection::DmaProtection(sim::SimContext &ctx, std::string name,
+                             vmm::Hypervisor &hv, const CostModel &costs,
+                             bool enabled)
+    : sim::SimObject(ctx, std::move(name)),
       hv_(hv),
       costs_(costs),
       enabled_(enabled),
@@ -35,13 +36,6 @@ DmaProtection::registerRing(CdnaNic &nic, CdnaNic::ContextId cxt,
 
 DmaProtection::RingState &
 DmaProtection::state(Handle h)
-{
-    SIM_ASSERT(h < rings_.size(), "bad protection handle");
-    return *rings_[h];
-}
-
-const DmaProtection::RingState &
-DmaProtection::state(Handle h) const
 {
     SIM_ASSERT(h < rings_.size(), "bad protection handle");
     return *rings_[h];
@@ -208,12 +202,6 @@ DmaProtection::unpinAll(Handle h)
     while (!rs.pinned.empty())
         pages += unpinFront(rs);
     nUnpins_.inc(pages);
-}
-
-std::uint32_t
-DmaProtection::producer(Handle h) const
-{
-    return state(h).producer;
 }
 
 } // namespace cdna::core

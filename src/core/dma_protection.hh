@@ -33,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/cdna_nic.hh"
@@ -62,8 +63,8 @@ class DmaProtection : public sim::SimObject
         std::uint32_t producer = 0; //!< new free-running producer index
     };
 
-    DmaProtection(sim::SimContext &ctx, vmm::Hypervisor &hv,
-                  const CostModel &costs, bool enabled);
+    DmaProtection(sim::SimContext &ctx, std::string name,
+                  vmm::Hypervisor &hv, const CostModel &costs, bool enabled);
 
     bool enabled() const { return enabled_; }
 
@@ -99,9 +100,6 @@ class DmaProtection : public sim::SimObject
      */
     void syncUnpin(Handle h);
 
-    /** Current free-running producer index of a ring. */
-    std::uint32_t producer(Handle h) const;
-
     std::uint64_t validationFailures() const { return nRejects_.value(); }
     std::uint64_t pagesPinned() const { return nPins_.value(); }
     std::uint64_t pagesUnpinned() const { return nUnpins_.value(); }
@@ -121,7 +119,6 @@ class DmaProtection : public sim::SimObject
     };
 
     RingState &state(Handle h);
-    const RingState &state(Handle h) const;
 
     /** Apply the modulus the NIC validates against. */
     std::uint64_t stamp(RingState &rs);

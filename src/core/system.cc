@@ -62,15 +62,15 @@ System::System(SystemConfig cfg, sim::SimContext *shared,
         buildNative();
         break;
       case Arch::kXenRice:
-        prot_ = std::make_unique<DmaProtection>(ctx_, *hv_, cfg_.costs,
-                                                /*enabled=*/true);
+        prot_ = std::make_unique<DmaProtection>(
+            ctx_, nm("dma-protection"), *hv_, cfg_.costs, /*enabled=*/true);
         [[fallthrough]];
       case Arch::kXenIntel:
         buildXen();
         break;
       case Arch::kCdna:
-        prot_ = std::make_unique<DmaProtection>(ctx_, *hv_, cfg_.costs,
-                                                cfg_.dmaProtection);
+        prot_ = std::make_unique<DmaProtection>(
+            ctx_, nm("dma-protection"), *hv_, cfg_.costs, cfg_.dmaProtection);
         buildCdna();
         break;
       case Arch::kSwpt:
@@ -116,13 +116,16 @@ System::nicPort(std::uint32_t i)
 void
 System::buildCommon()
 {
-    mem_ = std::make_unique<mem::PhysMemory>(ctx_, 256 * 1024); // 1 GB
+    mem_ = std::make_unique<mem::PhysMemory>(ctx_, nm("phys-mem"),
+                                             256 * 1024); // 1 GB
     cpu_ = std::make_unique<cpu::SimCpu>(ctx_, nm("cpu0"),
-                                         cfg_.costs.cpuParams);
+                                         cfg_.costs.cpuParams,
+                                         nm("hypervisor"));
     hv_ = std::make_unique<vmm::Hypervisor>(ctx_, *cpu_, *mem_,
-                                            cfg_.costs.hv);
+                                            cfg_.costs.hv, cfg_.namePrefix);
     if (cfg_.iommuMode != mem::Iommu::Mode::kNone)
-        iommu_ = std::make_unique<mem::Iommu>(ctx_, *mem_, cfg_.iommuMode);
+        iommu_ = std::make_unique<mem::Iommu>(ctx_, nm("iommu"), *mem_,
+                                              cfg_.iommuMode);
 
     bool intel = cfg_.arch == Arch::kNative ||
                  cfg_.arch == Arch::kXenIntel || cfg_.arch == Arch::kSwpt;
@@ -421,6 +424,11 @@ System::buildCdna()
 {
     for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
         wireCdnaIsr(i);
+        // A per-device IOMMU holds one binding per NIC, so it cannot
+        // express per-guest contexts (section 5.3): the NIC acts for
+        // guest 0, and every other guest's DMA is blocked.
+        if (iommu_ && iommu_->mode() == mem::Iommu::Mode::kPerDevice)
+            iommu_->bindDevice(i, guests_[0]->id());
         CdnaNic &nic = *cdnaNics_[i];
         if (cfg_.ctxOversub) {
             pagers_.push_back(std::make_unique<ContextPager>(
@@ -713,7 +721,8 @@ System::setupAvailability()
         cfg_.faults.firmwareReboots.empty())
         return;
     auto guests = static_cast<std::uint32_t>(guests_.size());
-    avail_ = std::make_unique<AvailabilityTracker>(ctx_, guests);
+    avail_ = std::make_unique<AvailabilityTracker>(ctx_, nm("availability"),
+                                                   guests);
 
     // Per-guest progress: any stack of guest g (on any NIC) moving
     // data end-to-end counts, which is what makes a CDNA guest with a

@@ -348,8 +348,6 @@ class System
             std::max(cdnaNics_.size(), intelNics_.size()));
     }
     CdnaNic *cdnaNic(std::uint32_t i);
-
-    vmm::Hypervisor &hypervisor() { return *hv_; }
     nic::IntelNic *intelNic(std::uint32_t i);
     /** Local traffic peer of NIC @p i (only for locally-linked NICs). */
     net::TrafficPeer &peer(std::uint32_t i) { return *peers_[i]; }

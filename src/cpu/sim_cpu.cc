@@ -26,11 +26,11 @@ Vcpu::postIrq(Bucket bucket, sim::Time cost, std::function<void()> done)
     cpu_.notifyWake(this, true);
 }
 
-SimCpu::SimCpu(sim::SimContext &ctx, std::string name, CpuParams params)
+SimCpu::SimCpu(sim::SimContext &ctx, std::string name, CpuParams params,
+               const std::string &hv_lane)
     : sim::SimObject(ctx, std::move(name)),
       params_(params),
-      // Hypervisor execution spans share the hypervisor component's lane.
-      hvLane_(ctx.tracer().lane("hypervisor")),
+      hvLane_(ctx.tracer().lane(hv_lane)),
       nSwitches_(stats().addCounter("domain_switches")),
       nTasks_(stats().addCounter("tasks")),
       nHvItems_(stats().addCounter("hv_items"))

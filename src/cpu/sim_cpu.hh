@@ -130,7 +130,9 @@ class Vcpu
 class SimCpu : public sim::SimObject
 {
   public:
-    SimCpu(sim::SimContext &ctx, std::string name, CpuParams params = {});
+    /** Hypervisor work is traced on lane @p hv_lane, the hypervisor's. */
+    SimCpu(sim::SimContext &ctx, std::string name, CpuParams params = {},
+           const std::string &hv_lane = "hypervisor");
 
     /** Create a vCPU for @p dom.  The SimCpu owns the returned object. */
     Vcpu &createVcpu(mem::DomainId dom, std::string name, int weight = 1);

@@ -1,11 +1,13 @@
 #include "mem/grant_table.hh"
 
 #include <algorithm>
+#include <utility>
 
 namespace cdna::mem {
 
-GrantTable::GrantTable(sim::SimContext &ctx, PhysMemory &mem)
-    : sim::SimObject(ctx, "grant-table"),
+GrantTable::GrantTable(sim::SimContext &ctx, std::string name,
+                       PhysMemory &mem)
+    : sim::SimObject(ctx, std::move(name)),
       mem_(mem),
       nGrants_(stats().addCounter("grants")),
       nMaps_(stats().addCounter("maps")),

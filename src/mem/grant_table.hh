@@ -14,6 +14,7 @@
 #define CDNA_MEM_GRANT_TABLE_HH
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -30,7 +31,7 @@ inline constexpr GrantRef kInvalidGrant = 0;
 class GrantTable : public sim::SimObject
 {
   public:
-    GrantTable(sim::SimContext &ctx, PhysMemory &mem);
+    GrantTable(sim::SimContext &ctx, std::string name, PhysMemory &mem);
 
     /**
      * Grant @p to access to @p page owned by @p from.

@@ -1,9 +1,12 @@
 #include "mem/iommu.hh"
 
+#include <utility>
+
 namespace cdna::mem {
 
-Iommu::Iommu(sim::SimContext &ctx, PhysMemory &mem, Mode mode)
-    : sim::SimObject(ctx, "iommu"),
+Iommu::Iommu(sim::SimContext &ctx, std::string name, PhysMemory &mem,
+             Mode mode)
+    : sim::SimObject(ctx, std::move(name)),
       mem_(mem),
       mode_(mode),
       nChecks_(stats().addCounter("checks")),

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 
 #include "mem/phys_memory.hh"
 #include "sim/sim_object.hh"
@@ -44,7 +45,8 @@ class Iommu : public sim::SimObject
   public:
     enum class Mode { kNone, kPerDevice, kPerContext };
 
-    Iommu(sim::SimContext &ctx, PhysMemory &mem, Mode mode);
+    Iommu(sim::SimContext &ctx, std::string name, PhysMemory &mem,
+          Mode mode);
 
     Mode mode() const { return mode_; }
 

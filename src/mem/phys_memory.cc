@@ -1,13 +1,15 @@
 #include "mem/phys_memory.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/assert.hh"
 
 namespace cdna::mem {
 
-PhysMemory::PhysMemory(sim::SimContext &ctx, std::uint64_t total_pages)
-    : sim::SimObject(ctx, "phys-mem"),
+PhysMemory::PhysMemory(sim::SimContext &ctx, std::string name,
+                       std::uint64_t total_pages)
+    : sim::SimObject(ctx, std::move(name)),
       pages_(total_pages),
       nAllocs_(stats().addCounter("allocs")),
       nReleases_(stats().addCounter("releases")),

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/sim_object.hh"
@@ -74,7 +75,8 @@ class PhysMemory : public sim::SimObject
         sim::Time when;
     };
 
-    PhysMemory(sim::SimContext &ctx, std::uint64_t total_pages);
+    PhysMemory(sim::SimContext &ctx, std::string name,
+               std::uint64_t total_pages);
 
     std::uint64_t freePages() const { return freeList_.size(); }
 

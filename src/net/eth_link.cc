@@ -22,7 +22,8 @@ WirePort::attach(sim::SimObject &owner, const Wire &wire,
     owner_ = &owner;
     wire_ = &wire;
     index_ = index;
-    std::string p = "p" + std::to_string(index);
+    std::string p = "p";
+    p += std::to_string(index);
     txFrames_ = &owner.stats().addCounter(p + "_tx_frames");
     txPayload_ = &owner.stats().addCounter(p + "_tx_payload_bytes");
     rxPayload_ = &owner.stats().addCounter(p + "_rx_payload_bytes");
@@ -34,13 +35,6 @@ WirePort::deliver(Packet pkt)
     rxPayload_->inc(pkt.payloadBytes);
     if (ep_)
         ep_->receiveFrame(std::move(pkt));
-}
-
-sim::Time
-WirePort::estimate(const Packet &pkt) const
-{
-    sim::Time start = std::max(owner_->now(), busyUntil_);
-    return start + wire_->serialize(pkt.wireBytes());
 }
 
 bool
@@ -63,13 +57,6 @@ WirePort::send(Packet pkt, sim::Time extra_gap,
     sim::EventQueue &events = owner_->events();
     if (serialized)
         events.scheduleAt(end, std::move(serialized));
-    if (drainHook_)
-        events.scheduleAt(busyUntil_, [this] {
-            // A later send pushed busyUntil_ forward: that send's own
-            // hook event covers the eventual drain.
-            if (drainHook_ && busyUntil_ <= owner_->now())
-                drainHook_();
-        });
 
     // Fault injection: the frame still occupied the wire, but it may
     // never reach the far side (drop), arrive with its payload mangled
@@ -107,7 +94,6 @@ WirePort::send(Packet pkt, sim::Time extra_gap,
 EthLink::EthLink(sim::SimContext &ctx, std::string name, double bits_per_sec,
                  sim::Time propagation)
     : sim::SimObject(ctx, std::move(name)),
-      bps_(bits_per_sec),
       wire_(bits_per_sec, propagation)
 {
     for (std::uint32_t i = 0; i < 2; ++i) {

@@ -73,7 +73,6 @@ class WirePort : public Port
 
     sim::Time send(Packet pkt, sim::Time extra_gap,
                    std::function<void()> serialized) override;
-    sim::Time estimate(const Packet &pkt) const override;
     bool busy() const override;
     std::uint64_t payloadCarried() const override
     {
@@ -113,8 +112,6 @@ class EthLink : public sim::SimObject, public Fabric
     /** Claim the next of the two ports (asserts on a third binder). */
     Port &bind(LinkEndpoint &ep) override;
 
-    double bitsPerSec() const override { return bps_; }
-
     /** Port @p i's handle (bound or not; tests peek at counters). */
     Port &port(std::uint32_t i);
 
@@ -127,7 +124,6 @@ class EthLink : public sim::SimObject, public Fabric
         void arrive(Packet pkt) override;
     };
 
-    double bps_;
     Wire wire_;
     LinkPort ports_[2];
     std::uint32_t bound_ = 0;

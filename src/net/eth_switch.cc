@@ -17,7 +17,8 @@ EthSwitch::EthSwitch(sim::SimContext &ctx, std::string name,
 {
     SIM_ASSERT(num_ports >= 2, "a switch needs at least two ports");
     for (std::uint32_t i = 0; i < num_ports; ++i) {
-        std::string p = "p" + std::to_string(i);
+        std::string p = "p";
+        p += std::to_string(i);
         ports_[i].sw = this;
         ports_[i].attach(*this, wire_, i);
         ports_[i].drops = &stats().addCounter(p + "_egress_drops");
@@ -42,13 +43,6 @@ EthSwitch::port(std::uint32_t i)
     return ports_[i];
 }
 
-const Port &
-EthSwitch::port(std::uint32_t i) const
-{
-    SIM_ASSERT(i < ports_.size(), "switch port index out of range");
-    return ports_[i];
-}
-
 void
 EthSwitch::setRoute(MacAddr mac, std::uint32_t port)
 {
@@ -62,24 +56,6 @@ EthSwitch::totalDrops() const
     std::uint64_t n = 0;
     for (const auto &p : ports_)
         n += p.drops->value();
-    return n;
-}
-
-std::uint64_t
-EthSwitch::totalDropBytes() const
-{
-    std::uint64_t n = 0;
-    for (const auto &p : ports_)
-        n += p.dropBytes->value();
-    return n;
-}
-
-std::uint64_t
-EthSwitch::maxQueuePeakBytes() const
-{
-    std::uint64_t n = 0;
-    for (const auto &p : ports_)
-        n = std::max(n, p.qPeakBytes);
     return n;
 }
 

@@ -51,11 +51,8 @@ class EthSwitch : public sim::SimObject, public Fabric
     /** Claim the next free port (asserts when the switch is full). */
     Port &bind(LinkEndpoint &ep) override;
 
-    double bitsPerSec() const override { return params_.bitsPerSec; }
-
     /** Port @p i's handle (bound or not; tests peek at counters). */
     Port &port(std::uint32_t i);
-    const Port &port(std::uint32_t i) const;
 
     /** Pin @p mac to egress port @p port. */
     void setRoute(MacAddr mac, std::uint32_t port);
@@ -65,9 +62,6 @@ class EthSwitch : public sim::SimObject, public Fabric
 
     /** Sum of egress tail-drops over all ports. */
     std::uint64_t totalDrops() const;
-    std::uint64_t totalDropBytes() const;
-    /** Largest egress-queue high-watermark over all ports. */
-    std::uint64_t maxQueuePeakBytes() const;
 
   private:
     struct QEntry

@@ -7,9 +7,8 @@
  * output-queued EthSwitch.  Endpoints (NICs, traffic peers, trunks)
  * never see the fabric topology -- they bind() themselves and get back
  * a Port handle carrying the full datapath surface: send with a
- * serialization-complete callback, busy/estimate for backpressure, an
- * optional drain hook that fires when the port's serializer goes idle,
- * and the port-local byte/drop accounting the reports read.
+ * serialization-complete callback, busy for backpressure, and the
+ * port-local byte/drop accounting the reports read.
  *
  * This is what lets a System stay fabric-agnostic: the same NIC model
  * drives a dedicated link in the paper's single-host experiments and a
@@ -22,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 
 #include "net/packet.hh"
 #include "sim/time.hh"
@@ -42,10 +40,10 @@ class LinkEndpoint
 /**
  * One endpoint's handle onto a fabric.
  *
- * The handle is per-endpoint: busy(), the serialized callback, and the
- * drain hook all describe *this port's* ingress serializer, never the
- * whole fabric, so two endpoints sharing a switch cannot observe (or
- * stall on) each other's transmit state.
+ * The handle is per-endpoint: busy() and the serialized callback
+ * describe *this port's* ingress serializer, never the whole fabric,
+ * so two endpoints sharing a switch cannot observe (or stall on) each
+ * other's transmit state.
  */
 class Port
 {
@@ -61,9 +59,6 @@ class Port
      */
     virtual sim::Time send(Packet pkt, sim::Time extra_gap = 0,
                            std::function<void()> serialized = {}) = 0;
-
-    /** Serialization-complete time for a hypothetical send issued now. */
-    virtual sim::Time estimate(const Packet &pkt) const = 0;
 
     /** True while this port's ingress serializer is occupied. */
     virtual bool busy() const = 0;
@@ -84,21 +79,8 @@ class Port
     /** Position of this port on its fabric (bind order). */
     std::uint32_t index() const { return index_; }
 
-    /**
-     * Backpressure resume: @p hook fires whenever a send completes
-     * serialization and the port is idle again.  Per-port by
-     * construction -- an endpoint only ever hears about its own
-     * serializer.  Unset by default, in which case the fabric
-     * schedules nothing.
-     */
-    void setDrainHook(std::function<void()> hook)
-    {
-        drainHook_ = std::move(hook);
-    }
-
   protected:
     std::uint32_t index_ = 0;
-    std::function<void()> drainHook_;
 };
 
 /** A frame-moving device with bind-order port allocation. */
@@ -109,9 +91,6 @@ class Fabric
 
     /** Claim the next free port for @p ep and return its handle. */
     virtual Port &bind(LinkEndpoint &ep) = 0;
-
-    /** Line rate of each port. */
-    virtual double bitsPerSec() const = 0;
 };
 
 } // namespace cdna::net

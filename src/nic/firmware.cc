@@ -25,12 +25,6 @@ FirmwareProc::exec(sim::Time cost, std::function<void()> fn)
     events().scheduleAt(busyUntil_, std::move(fn));
 }
 
-sim::Time
-FirmwareProc::estimate(sim::Time cost) const
-{
-    return std::max(now(), busyUntil_) + cost;
-}
-
 void
 FirmwareProc::stall(sim::Time duration)
 {

@@ -33,9 +33,6 @@ class FirmwareProc : public sim::SimObject
      */
     void exec(sim::Time cost, std::function<void()> fn);
 
-    /** Completion time a job of @p cost would get if submitted now. */
-    sim::Time estimate(sim::Time cost) const;
-
     /**
      * Wedge the processor for @p duration (fault injection): queued and
      * newly submitted jobs execute only after the stall ends.

@@ -131,20 +131,13 @@ SwptDriver::handleIrq()
                 recycle.push_back(mem::pageOf(p.hostSg[0].addr));
             deliverRx(std::move(p));
         }
-        if (autoRefill_ && !recycle.empty() && !detached_)
+        if (!recycle.empty() && !detached_)
             validator_.rxDoorbell(gid_, std::move(recycle));
 
         if (!staged().empty())
             flush();
         wakeIfRoom();
     });
-}
-
-void
-SwptDriver::refillRx(mem::PageNum page)
-{
-    if (!detached_)
-        validator_.rxDoorbell(gid_, {page});
 }
 
 } // namespace cdna::os

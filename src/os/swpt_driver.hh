@@ -44,8 +44,6 @@ class SwptDriver : public sim::SimObject, public NetDevice
         return validator_.nic().params().tso;
     }
     void flush() override;
-    void setAutoRefill(bool on) override { autoRefill_ = on; }
-    void refillRx(mem::PageNum page) override;
 
     vmm::Domain &domain() { return dom_; }
     vmm::SwptValidator &validator() { return validator_; }
@@ -72,9 +70,6 @@ class SwptDriver : public sim::SimObject, public NetDevice
     bool flushPending_ = false;
     std::uint32_t txPosted_ = 0;
     std::uint32_t txCompleted_ = 0;
-
-    // RX
-    bool autoRefill_ = true;
 
     sim::Counter &nTxPkts_;
     sim::Counter &nRxPkts_;

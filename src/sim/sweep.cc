@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <set>
 
 #include "sim/assert.hh"
 #include "sim/thread_pool.hh"
+#include "sim/topology.hh"
 
 namespace cdna::sim {
 
@@ -83,38 +83,28 @@ ExperimentSpec::expand() const
     return points;
 }
 
-namespace {
+core::Report
+runHost(const RunPoint &point)
+{
+    Topology topo(point.config.seed, point.observe);
+    topo.addHost(point.config, {});
+    topo.run(point.warmup, point.measure);
+    return topo.report(0);
+}
 
-/** Execute one run point in complete isolation. */
 RunResult
-executeRun(const RunPoint &point, const ExperimentSpec::Setup &setup,
-           const ExperimentSpec::Probe &probe,
-           const ExperimentSpec::Runner &runner, const core::CliOptions *obs)
+runPoint(const ExperimentSpec &spec, const RunPoint &point)
 {
     RunResult result;
     result.point = point;
-    if (runner) {
-        result.report = runner(point, result.extra);
-        result.json = core::reportToJson(result.report);
-        return result;
-    }
-    core::System sys(point.config);
-    if (setup)
-        setup(sys, point);
-    std::unique_ptr<core::ObservabilitySession> session;
-    if (obs)
-        session = std::make_unique<core::ObservabilitySession>(sys, *obs);
-    result.report = sys.run(point.warmup, point.measure);
-    if (session) {
-        std::string error;
-        if (!session->close(&error))
-            std::fprintf(stderr, "sweep: warning: %s\n", error.c_str());
-    }
-    if (probe)
-        probe(sys, point, result.extra);
+    result.point.observe = nullptr;
+    result.report = spec.runnerFn() ? spec.runnerFn()(point, result.extra)
+                                    : runHost(point);
     result.json = core::reportToJson(result.report);
     return result;
 }
+
+namespace {
 
 std::vector<CellStats>
 aggregate(const std::vector<RunResult> &runs)
@@ -145,8 +135,8 @@ aggregate(const std::vector<RunResult> &runs)
                 xs[k] = m.value(runs[idx[k]].report);
             cs.metrics.emplace_back(m.key, MetricStats::of(xs));
         }
-        // Probe metrics: keyed off the first run (every run of a cell
-        // shares the spec's probe, hence the same keys).
+        // Runner extras: keyed off the first run (every run of a cell
+        // shares the spec's runner, hence the same keys).
         for (const auto &[name, unused] : runs[idx.front()].extra) {
             (void)unused;
             for (std::size_t k = 0; k < idx.size(); ++k) {
@@ -167,15 +157,13 @@ runSweep(const ExperimentSpec &spec, const SweepOptions &opt)
 {
     std::vector<RunPoint> points = spec.expand();
 
-    // Resolve which run (if any) carries the observability session:
-    // the first expanded point whose cell matches, at the first seed.
-    std::size_t obsIndex = points.size();
+    // The observed run (if any): the first expanded point whose cell
+    // matches, at the first seed.
     if (!opt.observeCell.empty()) {
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (points[i].seed == spec.seedEnsemble().front() &&
-                points[i].cell.find(opt.observeCell) !=
-                    std::string::npos) {
-                obsIndex = i;
+        for (RunPoint &p : points) {
+            if (p.seed == spec.seedEnsemble().front() &&
+                p.cell.find(opt.observeCell) != std::string::npos) {
+                p.observe = &opt.obs;
                 break;
             }
         }
@@ -190,9 +178,7 @@ runSweep(const ExperimentSpec &spec, const SweepOptions &opt)
     unsigned jobs = opt.jobs ? opt.jobs : defaultThreadCount();
 
     parallelFor(jobs, points.size(), [&](std::size_t i) {
-        const core::CliOptions *obs = i == obsIndex ? &opt.obs : nullptr;
-        RunResult r = executeRun(points[i], spec.setupFn(), spec.probeFn(),
-                                 spec.runnerFn(), obs);
+        RunResult r = runPoint(spec, points[i]);
         {
             std::lock_guard<std::mutex> lock(progressMu);
             result.runs[i] = std::move(r);
@@ -314,7 +300,7 @@ defaultBand(const std::string &key, double paper)
 
 /**
  * Mean over @p cell's seeds of @p key: a report key (per-guest arrays
- * element by element) or a probe extra.  Empty when the sweep produced
+ * element by element) or a runner extra.  Empty when the sweep produced
  * no such cell, or the cell no such key.
  */
 std::optional<std::vector<double>>
@@ -388,13 +374,13 @@ renderTable(const ExperimentSpec &spec, const SweepResult &result)
     Rows rows = {{"cell", {}}};
     for (const std::string &key : keys)
         rows[0].second.push_back(core::columnTitle(key));
-    // A probe extra named like a report key would be written to --out
+    // A runner extra named like a report key would be written to --out
     // cells under the name the table uses for the report key.
     std::set<std::string> shadowing;
     for (const RunResult &run : result.runs)
         for (const auto &[key, value] : run.extra)
             if (core::findMetric(key) && shadowing.insert(key).second)
-                table.errors.push_back("probe extra '" + key +
+                table.errors.push_back("runner extra '" + key +
                                        "' of cell '" + run.point.cell +
                                        "' is named like a report key");
     std::set<std::string> unresolved;
@@ -405,11 +391,14 @@ renderTable(const ExperimentSpec &spec, const SweepResult &result)
             if (!v && unresolved.insert(key).second)
                 table.errors.push_back("column '" + key +
                                        "' is neither a report key nor a "
-                                       "probe extra of cell '" +
+                                       "runner extra of cell '" +
                                        cs.cell + "'");
             std::string text = v ? "" : "?";
-            for (std::size_t i = 0; v && i < v->size(); ++i)
-                text += (i ? "/" : "") + core::formatColumn(key, (*v)[i]);
+            for (std::size_t i = 0; v && i < v->size(); ++i) {
+                if (i)
+                    text += '/';
+                text += core::formatColumn(key, (*v)[i]);
+            }
             cells.push_back(text.empty() ? "-" : text);
         }
         rows.emplace_back(cs.cell, std::move(cells));

@@ -8,9 +8,9 @@
  * declaratively on top of SystemConfig: a set of base configurations
  * (one per paper row/series) crossed with named parameter axes and a
  * seed ensemble.  expand() turns the spec into a flat, deterministic
- * list of RunPoints; SweepRunner executes them on a shared-index
- * thread pool, each run a fully isolated System + EventQueue + Rng
- * instance, and aggregates per-cell statistics (mean / stddev / 95% CI
+ * list of RunPoints; runSweep() executes them on a shared-index thread
+ * pool, each run a fully isolated sim::Topology (its own EventQueue and
+ * Rng), and aggregates per-cell statistics (mean / stddev / 95% CI
  * across the seed ensemble).
  *
  * Determinism is the contract: a run's result depends only on its
@@ -49,6 +49,12 @@ struct RunPoint
     core::SystemConfig config;
     sim::Time warmup = 0;
     sim::Time measure = 0;
+    /**
+     * Observability options for this run, or null.  runSweep() sets it
+     * on the one observed run only; executors hand it to their
+     * Topology, and results never keep it.
+     */
+    const core::CliOptions *observe = nullptr;
 };
 
 /** The outcome of one run. */
@@ -58,7 +64,7 @@ struct RunResult
     core::Report report;
     /** Canonical per-run JSON: exactly core::reportToJson(report). */
     std::string json;
-    /** Probe-extracted metrics (deterministic order); usually empty. */
+    /** Runner-extracted metrics (deterministic order); usually empty. */
     std::map<std::string, double> extra;
 };
 
@@ -96,7 +102,7 @@ struct Band
 struct PaperValue
 {
     std::string cell;
-    /** A table column: report key or probe extra. */
+    /** A table column: report key or runner extra. */
     std::string key;
     double value = 0.0;
     /**
@@ -135,19 +141,14 @@ class ExperimentSpec
         std::function<core::SystemConfig(std::uint32_t guests)>;
     /** In-place tweak applied by a generic axis value. */
     using Mutator = std::function<void(core::SystemConfig &)>;
-    /** Post-run probe: extract extra metrics from the live System. */
-    using Probe = std::function<void(core::System &, const RunPoint &,
-                                     std::map<std::string, double> &)>;
-    /** Pre-run hook: adjust the freshly built System before run(). */
-    using Setup = std::function<void(core::System &, const RunPoint &)>;
     /**
-     * Custom executor: build whatever topology the run point asks for
-     * (multi-host switches, external peers) and return the report to
-     * record.  When set, the default single-System execution -- and
-     * with it setup/probe/observability -- is bypassed; the runner
-     * reads knobs from point.config.scenario and fills @p extra
-     * itself.  Determinism contract is unchanged: the result may
-     * depend only on the run point.
+     * Custom executor: build the sim::Topology the run point asks for
+     * (multi-host switches, external peers), hand it point.observe,
+     * run it, and return the report to record, filling @p extra with
+     * whatever it reads from the topology after the run.  Without one,
+     * a cell runs as a one-host topology (runHost()).  Determinism
+     * contract is unchanged: the result may depend only on the run
+     * point.
      */
     using Runner = std::function<core::Report(
         const RunPoint &, std::map<std::string, double> &extra)>;
@@ -231,22 +232,6 @@ class ExperimentSpec
         return *this;
     }
 
-    /** Install a post-run probe (see Probe). */
-    ExperimentSpec &
-    probe(Probe p)
-    {
-        probe_ = std::move(p);
-        return *this;
-    }
-
-    /** Install a pre-run hook (see Setup). */
-    ExperimentSpec &
-    setup(Setup s)
-    {
-        setup_ = std::move(s);
-        return *this;
-    }
-
     /** Install a custom executor (see Runner). */
     ExperimentSpec &
     runner(Runner r)
@@ -255,7 +240,7 @@ class ExperimentSpec
         return *this;
     }
 
-    /** The columns of the preset's table: report keys or probe extras. */
+    /** The columns of the preset's table: report keys or runner extras. */
     ExperimentSpec &
     columns(std::vector<std::string> keys)
     {
@@ -272,8 +257,6 @@ class ExperimentSpec
         return *this;
     }
 
-    const Probe &probeFn() const { return probe_; }
-    const Setup &setupFn() const { return setup_; }
     const Runner &runnerFn() const { return runner_; }
     const std::vector<std::uint64_t> &seedEnsemble() const { return seeds_; }
     const std::vector<std::string> &tableColumns() const { return columns_; }
@@ -309,8 +292,6 @@ class ExperimentSpec
     std::vector<std::uint64_t> seeds_{1};
     sim::Time warmup_ = sim::milliseconds(100);
     sim::Time measure_ = sim::milliseconds(400);
-    Probe probe_;
-    Setup setup_;
     Runner runner_;
     std::vector<std::string> columns_;
     std::vector<PaperValue> paper_;
@@ -347,6 +328,15 @@ struct SweepResult
     /** Per-cell aggregates, in first-appearance order. */
     std::vector<CellStats> cells;
 };
+
+/**
+ * The default executor: run @p point's config as the only host of a
+ * sim::Topology observed by point.observe, and return its report.
+ */
+core::Report runHost(const RunPoint &point);
+
+/** Execute @p point in isolation: @p spec's runner, else runHost(). */
+RunResult runPoint(const ExperimentSpec &spec, const RunPoint &point);
 
 /** Expand @p spec and execute every run; see file header for contract. */
 SweepResult runSweep(const ExperimentSpec &spec, const SweepOptions &opt);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <optional>
+#include <utility>
 
 #include "net/eth_switch.hh"
 #include "sim/topology.hh"
@@ -49,6 +51,25 @@ const std::vector<double> kCdnaTx = {1867, 10.2, 0.3, 0.2, 37.8, 0.7, 50.8,
                                      0, 13659};
 const std::vector<double> kCdnaRx = {1874, 9.9, 0.3, 0.2, 48.0, 0.7, 40.9,
                                      0, 7402};
+
+/**
+ * A runner that runs the cell as a one-host topology, as runHost()
+ * does, then lets @p extras read the host.
+ */
+ExperimentSpec::Runner
+hostRunner(std::function<void(core::System &,
+                              std::map<std::string, double> &)>
+               extras)
+{
+    return [extras = std::move(extras)](
+               const RunPoint &point, std::map<std::string, double> &extra) {
+        Topology topo(point.config.seed, point.observe);
+        core::System &sys = topo.addHost(point.config, {});
+        topo.run(point.warmup, point.measure);
+        extras(sys, extra);
+        return topo.report(sys);
+    };
+}
 
 } // namespace
 
@@ -266,11 +287,11 @@ contexts()
                 })
         .guests({1, 2, 4, 8, 16, 24, 30})
         .columns({"mbps", "fw_util", "fairness", "idle_pct"})
-        .probe([](core::System &sys, const RunPoint &,
-                  std::map<std::string, double> &extra) {
+        .runner(hostRunner([](core::System &sys,
+                              std::map<std::string, double> &extra) {
             extra["fw_util"] =
                 sys.cdnaNic(0)->firmwareUtilization(sys.cpu().elapsed());
-        });
+        }));
 }
 
 ExperimentSpec
@@ -287,23 +308,13 @@ iommu()
         .config("perdevice", core::SystemConfig::cdna(2)
                                  .withProtection(false)
                                  .withIommu(Mode::kPerDevice))
-        // The per-device IOMMU can hold only one binding per NIC; bind
-        // every NIC to guest 0, which blocks guest 1's DMA -- the
-        // section 5.3 argument that per-device granularity cannot
-        // express per-guest contexts.
-        .setup([](core::System &sys, const RunPoint &) {
-            if (sys.config().iommuMode != Mode::kPerDevice)
-                return;
-            for (std::uint32_t i = 0; i < sys.nicCount(); ++i)
-                sys.iommu()->bindDevice(i, sys.guestDomain(0)->id());
-        })
-        .probe([](core::System &sys, const RunPoint &,
-                  std::map<std::string, double> &extra) {
+        .runner(hostRunner([](core::System &sys,
+                              std::map<std::string, double> &extra) {
             extra["iommu_blocked"] =
                 sys.iommu()
                     ? static_cast<double>(sys.iommu()->blockedCount())
                     : 0.0;
-        })
+        }))
         .columns({"mbps", "hyp_pct", "iommu_blocked", "dma_violations"});
 }
 
@@ -492,7 +503,7 @@ incast()
                                    cfg.costs.switchBufBytesPerPort)));
             sw_params.forwardLatency = cfg.costs.switchForwardLatency;
 
-            Topology topo(cfg.seed);
+            Topology topo(cfg.seed, point.observe);
             auto &sw = topo.addSwitch("sw", fanout + 1, sw_params);
             auto &host = topo.addHost(cfg, {&sw});
             std::vector<net::TrafficPeer *> senders;
@@ -567,7 +578,7 @@ noisyNeighbor()
             sw_params.bufBytesPerPort = cfg.costs.switchBufBytesPerPort;
             sw_params.forwardLatency = cfg.costs.switchForwardLatency;
 
-            Topology topo(cfg.seed);
+            Topology topo(cfg.seed, point.observe);
             auto &core_sw = topo.addSwitch("core", 4, sw_params);
             auto &access = topo.addSwitch("access", 4, sw_params);
             auto &trunk = topo.link(core_sw, access);

@@ -1,13 +1,16 @@
 #include "sim/topology.hh"
 
+#include <cstdio>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "sim/assert.hh"
 
 namespace cdna::sim {
 
-Topology::Topology(std::uint64_t seed)
-    : ctx_(std::make_unique<SimContext>(seed))
+Topology::Topology(std::uint64_t seed, const core::CliOptions *observe)
+    : ctx_(std::make_unique<SimContext>(seed)), observe_(observe)
 {
 }
 
@@ -46,7 +49,13 @@ Topology::addHost(core::SystemConfig cfg, std::vector<net::Fabric *> fabrics)
     std::uint32_t id = nextHostId_++;
     // Host 0 keeps the standalone naming and MAC block so single-host
     // topologies stay bit-identical to a standalone System.
-    cfg.onHost(id, id == 0 ? "" : "h" + std::to_string(id) + ".");
+    std::string prefix;
+    if (id > 0) {
+        prefix = "h";
+        prefix += std::to_string(id);
+        prefix += '.';
+    }
+    cfg.onHost(id, std::move(prefix));
     hosts_.push_back(
         std::make_unique<core::System>(cfg, *ctx_, std::move(fabrics)));
     core::System &sys = *hosts_.back();
@@ -82,6 +91,9 @@ Topology::run(Time warmup, Time measure,
 {
     SIM_ASSERT(reports_.empty(), "Topology::run is one-shot");
     SIM_ASSERT(!hosts_.empty(), "topology has no hosts");
+    std::optional<core::ObservabilitySession> session;
+    if (observe_)
+        session.emplace(*hosts_.front(), *observe_);
     for (auto &h : hosts_)
         h->start();
     ctx_->events().runUntil(warmup);
@@ -92,6 +104,9 @@ Topology::run(Time warmup, Time measure,
     ctx_->events().runUntil(warmup + measure);
     for (auto &h : hosts_)
         reports_.push_back(h->endMeasurement(measure));
+    std::string error;
+    if (session && !session->close(&error))
+        std::fprintf(stderr, "sweep: warning: %s\n", error.c_str());
 }
 
 core::Report

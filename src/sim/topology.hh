@@ -27,6 +27,11 @@
  * MAC (and the driver-domain MAC for Xen modes) to the host's switch
  * port, addPeer() pins the peer's MAC to its port, and the caller pins
  * the routes that cross a trunk.
+ *
+ * Every sweep cell runs as a Topology, so this is also where a run is
+ * observed: given CLI observability options, run() attaches them to
+ * host 0.  The trace then covers every lane of the shared context, and
+ * --stats-json every component's counters but host 0's gauges.
  */
 
 #ifndef CDNA_SIM_TOPOLOGY_HH
@@ -38,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cli.hh"
 #include "core/system.hh"
 #include "net/eth_switch.hh"
 #include "net/traffic_peer.hh"
@@ -48,7 +54,12 @@ namespace cdna::sim {
 class Topology
 {
   public:
-    explicit Topology(std::uint64_t seed = 1);
+    /**
+     * @p observe, when set, is attached to host 0 by run() and must
+     * outlive it.
+     */
+    explicit Topology(std::uint64_t seed = 1,
+                      const core::CliOptions *observe = nullptr);
     ~Topology();
 
     Topology(const Topology &) = delete;
@@ -86,7 +97,9 @@ class Topology
      * Start every host, simulate @p warmup, begin measurement on every
      * host (and fire @p on_measure_begin, for per-flow baseline
      * snapshots), simulate @p measure, and end measurement.  Reports
-     * are then available via report().
+     * are then available via report().  An observed topology writes
+     * its trace and stats files at the end, warning on stderr when it
+     * cannot.
      */
     void run(Time warmup, Time measure,
              std::function<void()> on_measure_begin = {});
@@ -97,6 +110,7 @@ class Topology
 
   private:
     std::unique_ptr<SimContext> ctx_;
+    const core::CliOptions *observe_;
     std::vector<std::unique_ptr<net::EthSwitch>> switches_;
     std::vector<std::unique_ptr<net::SwitchTrunk>> trunks_;
     std::vector<std::unique_ptr<core::System>> hosts_;

@@ -29,11 +29,12 @@ Domain::Domain(sim::SimContext &ctx, Hypervisor &hv, mem::DomainId id,
 }
 
 Hypervisor::Hypervisor(sim::SimContext &ctx, cpu::SimCpu &cpu,
-                       mem::PhysMemory &mem, HvParams params)
-    : sim::SimObject(ctx, "hypervisor"),
+                       mem::PhysMemory &mem, HvParams params,
+                       const std::string &prefix)
+    : sim::SimObject(ctx, prefix + "hypervisor"),
       cpu_(cpu),
       mem_(mem),
-      grants_(ctx, mem),
+      grants_(ctx, prefix + "grant-table", mem),
       params_(params),
       nHypercalls_(stats().addCounter("hypercalls")),
       nPhysIrqs_(stats().addCounter("phys_irqs")),

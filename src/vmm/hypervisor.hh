@@ -61,8 +61,12 @@ const char *faultName(Fault f);
 class Hypervisor : public sim::SimObject
 {
   public:
+    /**
+     * @p prefix is prepended to the names of the hypervisor and its
+     * grant table, so hosts sharing one context keep distinct names.
+     */
     Hypervisor(sim::SimContext &ctx, cpu::SimCpu &cpu, mem::PhysMemory &mem,
-               HvParams params = {});
+               HvParams params = {}, const std::string &prefix = "");
 
     /** Create a domain with a fresh vCPU and page-ownership identity. */
     Domain &createDomain(Domain::Kind kind, const std::string &name,

@@ -21,7 +21,7 @@ namespace {
 struct DriverFixture : ::testing::TestWithParam<bool>
 {
     sim::SimContext ctx;
-    mem::PhysMemory mem{ctx, 8192};
+    mem::PhysMemory mem{ctx, "phys-mem", 8192};
     cpu::SimCpu cpu{ctx, "cpu"};
     vmm::Hypervisor hv{ctx, cpu, mem};
     mem::PciBus bus{ctx, "pci"};
@@ -45,7 +45,7 @@ struct DriverFixture : ::testing::TestWithParam<bool>
     buildDriver(bool protection)
     {
         guest = &hv.createDomain(vmm::Domain::Kind::kGuest, "g");
-        prot = std::make_unique<DmaProtection>(ctx, hv, costs, protection);
+        prot = std::make_unique<DmaProtection>(ctx, "dma-protection", hv, costs, protection);
         auto cxt = nic.allocContext(guest->id(), net::MacAddr::fromId(5));
         ASSERT_TRUE(cxt.has_value());
         nic.configureContextRings(

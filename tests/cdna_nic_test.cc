@@ -22,7 +22,7 @@ namespace {
 struct CdnaHarness
 {
     sim::SimContext ctx;
-    mem::PhysMemory mem{ctx, 8192};
+    mem::PhysMemory mem{ctx, "phys-mem", 8192};
     mem::PciBus bus{ctx, "pci"};
     net::EthLink link{ctx, "eth"};
     net::TrafficPeer peer{ctx, "peer", link};

@@ -26,7 +26,7 @@ class MemoryFuzz : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(MemoryFuzz, OwnershipInvariantsHold)
 {
     sim::SimContext ctx;
-    mem::PhysMemory memory(ctx, 512);
+    mem::PhysMemory memory(ctx, "phys-mem", 512);
     sim::Rng rng(GetParam());
 
     struct Held

@@ -22,7 +22,7 @@ namespace {
 struct MemFixture : ::testing::Test
 {
     sim::SimContext ctx;
-    PhysMemory mem{ctx, 1024};
+    PhysMemory mem{ctx, "phys-mem", 1024};
 };
 
 } // namespace
@@ -132,7 +132,7 @@ TEST_F(MemFixture, PageAddrRoundTrip)
 
 TEST_F(MemFixture, GrantMapUnmapLifecycle)
 {
-    GrantTable gt(ctx, mem);
+    GrantTable gt(ctx, "grant-table", mem);
     PageNum p = mem.allocOne(2);
     GrantRef ref = gt.grantAccess(2, 1, p);
     ASSERT_NE(ref, kInvalidGrant);
@@ -153,14 +153,14 @@ TEST_F(MemFixture, GrantMapUnmapLifecycle)
 
 TEST_F(MemFixture, GrantOfForeignPageDenied)
 {
-    GrantTable gt(ctx, mem);
+    GrantTable gt(ctx, "grant-table", mem);
     PageNum p = mem.allocOne(2);
     EXPECT_EQ(gt.grantAccess(3, 1, p), kInvalidGrant);
 }
 
 TEST_F(MemFixture, MapByWrongDomainDenied)
 {
-    GrantTable gt(ctx, mem);
+    GrantTable gt(ctx, "grant-table", mem);
     PageNum p = mem.allocOne(2);
     GrantRef ref = gt.grantAccess(2, 1, p);
     EXPECT_FALSE(gt.mapGrant(ref, 9, nullptr));
@@ -168,7 +168,7 @@ TEST_F(MemFixture, MapByWrongDomainDenied)
 
 TEST_F(MemFixture, MapFailsAfterOwnershipChanged)
 {
-    GrantTable gt(ctx, mem);
+    GrantTable gt(ctx, "grant-table", mem);
     PageNum p = mem.allocOne(2);
     GrantRef ref = gt.grantAccess(2, 1, p);
     mem.transferOwnership(p, 5);
@@ -177,7 +177,7 @@ TEST_F(MemFixture, MapFailsAfterOwnershipChanged)
 
 TEST_F(MemFixture, TransferPageRequiresUnpinned)
 {
-    GrantTable gt(ctx, mem);
+    GrantTable gt(ctx, "grant-table", mem);
     PageNum p = mem.allocOne(2);
     mem.getRef(p);
     EXPECT_FALSE(gt.transferPage(2, 3, p));
@@ -229,7 +229,7 @@ namespace {
 struct DmaFixture : ::testing::Test
 {
     sim::SimContext ctx;
-    PhysMemory mem{ctx, 256};
+    PhysMemory mem{ctx, "phys-mem", 256};
     PciBus bus{ctx, "pci"};
 };
 
@@ -272,7 +272,7 @@ TEST_F(DmaFixture, WrongOwnerFlagsViolation)
 
 TEST_F(DmaFixture, IommuBlocksSuppressAccess)
 {
-    Iommu iommu(ctx, mem, Iommu::Mode::kPerDevice);
+    Iommu iommu(ctx, "iommu", mem, Iommu::Mode::kPerDevice);
     DmaEngine dma(ctx, "dma", bus, mem, 0, &iommu);
     PageNum p = mem.allocOne(4);
     iommu.bindDevice(0, 5); // device bound to a different domain
@@ -289,13 +289,13 @@ TEST_F(DmaFixture, IommuBlocksSuppressAccess)
 
 TEST_F(DmaFixture, IommuNoneAllowsAll)
 {
-    Iommu iommu(ctx, mem, Iommu::Mode::kNone);
+    Iommu iommu(ctx, "iommu", mem, Iommu::Mode::kNone);
     EXPECT_EQ(iommu.check(0, 0, 999999), IommuVerdict::kAllowed);
 }
 
 TEST_F(DmaFixture, IommuPerDeviceOwnership)
 {
-    Iommu iommu(ctx, mem, Iommu::Mode::kPerDevice);
+    Iommu iommu(ctx, "iommu", mem, Iommu::Mode::kPerDevice);
     PageNum p = mem.allocOne(4);
     EXPECT_EQ(iommu.check(0, kWholeDevice, p),
               IommuVerdict::kBlockedNoBinding);
@@ -310,7 +310,7 @@ TEST_F(DmaFixture, IommuPerContextBindings)
 {
     // Section 5.3: a per-device IOMMU is insufficient for CDNA; the
     // per-context extension lets each context touch only its domain.
-    Iommu iommu(ctx, mem, Iommu::Mode::kPerContext);
+    Iommu iommu(ctx, "iommu", mem, Iommu::Mode::kPerContext);
     PageNum pa = mem.allocOne(4);
     PageNum pb = mem.allocOne(5);
     iommu.bindContext(0, 1, 4);
@@ -325,7 +325,7 @@ TEST_F(DmaFixture, IommuPerContextBindings)
 
 TEST_F(DmaFixture, IommuPerContextWholeDeviceFallsBack)
 {
-    Iommu iommu(ctx, mem, Iommu::Mode::kPerContext);
+    Iommu iommu(ctx, "iommu", mem, Iommu::Mode::kPerContext);
     PageNum hv = mem.allocOne(kDomHypervisor);
     iommu.bindDevice(0, kDomHypervisor);
     EXPECT_EQ(iommu.check(0, kWholeDevice, hv), IommuVerdict::kAllowed);

@@ -202,7 +202,7 @@ namespace {
 struct IntelHarness
 {
     sim::SimContext ctx;
-    mem::PhysMemory mem{ctx, 4096};
+    mem::PhysMemory mem{ctx, "phys-mem", 4096};
     mem::PciBus bus{ctx, "pci"};
     net::EthLink link{ctx, "eth"};
     net::TrafficPeer peer{ctx, "peer", link};

@@ -39,7 +39,7 @@ namespace {
 struct OversubHarness
 {
     sim::SimContext ctx;
-    mem::PhysMemory mem{ctx, 8192};
+    mem::PhysMemory mem{ctx, "phys-mem", 8192};
     mem::PciBus bus{ctx, "pci"};
     net::EthLink link{ctx, "eth"};
     net::TrafficPeer peer{ctx, "peer", link};
@@ -204,7 +204,7 @@ TEST(Oversub, GrantsStayRevocableWhilePagedOut)
 
     mem::DomainId from = sys.guestDomain(victim)->id();
     mem::DomainId to = sys.guestDomain((victim + 1) % 8)->id();
-    mem::GrantTable &grants = sys.hypervisor().grants();
+    mem::GrantTable &grants = sys.hv().grants();
     mem::PageNum page = sys.mem().allocOne(from);
     mem::GrantRef ref = grants.grantAccess(from, to, page);
     mem::PageNum mapped = 0;

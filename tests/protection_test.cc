@@ -22,7 +22,7 @@ namespace {
 struct ProtFixture : ::testing::Test
 {
     sim::SimContext ctx;
-    mem::PhysMemory mem{ctx, 8192};
+    mem::PhysMemory mem{ctx, "phys-mem", 8192};
     cpu::SimCpu cpu{ctx, "cpu"};
     vmm::Hypervisor hv{ctx, cpu, mem};
     mem::PciBus bus{ctx, "pci"};
@@ -66,7 +66,7 @@ struct ProtFixture : ::testing::Test
 
 TEST_F(ProtFixture, ValidEnqueueStampsAndPins)
 {
-    DmaProtection prot(ctx, hv, costs, true);
+    DmaProtection prot(ctx, "dma-protection", hv, costs, true);
     auto h = prot.registerRing(nic, cxt, guest->id(), true);
 
     mem::PageNum page = mem.allocOne(guest->id());
@@ -94,7 +94,7 @@ TEST_F(ProtFixture, ValidEnqueueStampsAndPins)
 
 TEST_F(ProtFixture, ForeignPageRejected)
 {
-    DmaProtection prot(ctx, hv, costs, true);
+    DmaProtection prot(ctx, "dma-protection", hv, costs, true);
     auto h = prot.registerRing(nic, cxt, guest->id(), true);
 
     vmm::Domain &victim = hv.createDomain(vmm::Domain::Kind::kGuest, "v");
@@ -117,7 +117,7 @@ TEST_F(ProtFixture, ForeignPageRejected)
 
 TEST_F(ProtFixture, BatchStopsAtFirstBadDescriptor)
 {
-    DmaProtection prot(ctx, hv, costs, true);
+    DmaProtection prot(ctx, "dma-protection", hv, costs, true);
     auto h = prot.registerRing(nic, cxt, guest->id(), true);
     vmm::Domain &victim = hv.createDomain(vmm::Domain::Kind::kGuest, "v");
 
@@ -138,7 +138,7 @@ TEST_F(ProtFixture, BatchStopsAtFirstBadDescriptor)
 
 TEST_F(ProtFixture, LazyUnpinAfterCompletion)
 {
-    DmaProtection prot(ctx, hv, costs, true);
+    DmaProtection prot(ctx, "dma-protection", hv, costs, true);
     auto h = prot.registerRing(nic, cxt, guest->id(), true);
 
     mem::PageNum first = mem.allocOne(guest->id());
@@ -167,7 +167,7 @@ TEST_F(ProtFixture, FreedPageStaysUntilDmaDone)
     // The reallocation-delay guarantee: the guest releases a page right
     // after enqueueing it; the release must be deferred until the NIC
     // is done with it.
-    DmaProtection prot(ctx, hv, costs, true);
+    DmaProtection prot(ctx, "dma-protection", hv, costs, true);
     auto h = prot.registerRing(nic, cxt, guest->id(), true);
 
     mem::PageNum page = mem.allocOne(guest->id());
@@ -193,7 +193,7 @@ TEST_F(ProtFixture, FreedPageStaysUntilDmaDone)
 
 TEST_F(ProtFixture, RingFullRejected)
 {
-    DmaProtection prot(ctx, hv, costs, true);
+    DmaProtection prot(ctx, "dma-protection", hv, costs, true);
     auto h = prot.registerRing(nic, cxt, guest->id(), true);
 
     std::vector<DmaProtection::Request> reqs;
@@ -209,7 +209,7 @@ TEST_F(ProtFixture, RingFullRejected)
 
 TEST_F(ProtFixture, SyncUnpinReleasesCompleted)
 {
-    DmaProtection prot(ctx, hv, costs, true);
+    DmaProtection prot(ctx, "dma-protection", hv, costs, true);
     auto h = prot.registerRing(nic, cxt, guest->id(), true);
     mem::PageNum page = mem.allocOne(guest->id());
     std::vector<DmaProtection::Request> reqs;
@@ -225,7 +225,7 @@ TEST_F(ProtFixture, SyncUnpinReleasesCompleted)
 
 TEST_F(ProtFixture, UnpinAllAtTeardown)
 {
-    DmaProtection prot(ctx, hv, costs, true);
+    DmaProtection prot(ctx, "dma-protection", hv, costs, true);
     auto h = prot.registerRing(nic, cxt, guest->id(), true);
     std::vector<mem::PageNum> pages;
     std::vector<DmaProtection::Request> reqs;
@@ -244,7 +244,7 @@ TEST_F(ProtFixture, UnpinAllAtTeardown)
 
 TEST_F(ProtFixture, DirectEnqueueSkipsEverything)
 {
-    DmaProtection prot(ctx, hv, costs, false);
+    DmaProtection prot(ctx, "dma-protection", hv, costs, false);
     auto h = prot.registerRing(nic, cxt, guest->id(), true);
 
     vmm::Domain &victim = hv.createDomain(vmm::Domain::Kind::kGuest, "v");
@@ -262,7 +262,7 @@ TEST_F(ProtFixture, DirectEnqueueSkipsEverything)
 
 TEST_F(ProtFixture, MultiPageScatterGatherValidatedPerPage)
 {
-    DmaProtection prot(ctx, hv, costs, true);
+    DmaProtection prot(ctx, "dma-protection", hv, costs, true);
     auto h = prot.registerRing(nic, cxt, guest->id(), true);
     vmm::Domain &victim = hv.createDomain(vmm::Domain::Kind::kGuest, "v");
 
@@ -288,7 +288,7 @@ TEST_F(ProtFixture, ZeroLengthEntriesSpanNoPages)
     // the guest owns, and at address 0, where its last byte would wrap
     // to the top of the address space.  Both get the same verdict, are
     // charged and pinned for no page, and their DMA touches nothing.
-    DmaProtection prot(ctx, hv, costs, true);
+    DmaProtection prot(ctx, "dma-protection", hv, costs, true);
     auto h = prot.registerRing(nic, cxt, guest->id(), true);
     std::vector<DmaProtection::Request> reqs(2);
     reqs[0].sg = {{mem::addrOf(mem.allocOne(guest->id())), 0}};
@@ -311,7 +311,7 @@ TEST_F(ProtFixture, ZeroLengthEntriesSpanNoPages)
 
 TEST_F(ProtFixture, EnqueueChargesHypervisorTime)
 {
-    DmaProtection prot(ctx, hv, costs, true);
+    DmaProtection prot(ctx, "dma-protection", hv, costs, true);
     auto h = prot.registerRing(nic, cxt, guest->id(), true);
     std::vector<DmaProtection::Request> reqs;
     reqs.push_back(makeReq(mem.allocOne(guest->id())));

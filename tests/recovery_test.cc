@@ -214,8 +214,8 @@ namespace {
 struct GrantRevokeFixture : ::testing::Test
 {
     sim::SimContext ctx;
-    mem::PhysMemory mem{ctx, 256};
-    mem::GrantTable grants{ctx, mem};
+    mem::PhysMemory mem{ctx, "phys-mem", 256};
+    mem::GrantTable grants{ctx, "grant-table", mem};
     static constexpr mem::DomainId kGuest = 1, kBackend = 2;
 };
 
@@ -284,7 +284,7 @@ namespace {
 struct AvailabilityUnit : ::testing::Test
 {
     sim::SimContext ctx;
-    AvailabilityTracker avail{ctx, 2};
+    AvailabilityTracker avail{ctx, "availability", 2};
 
     void
     at(sim::Time t, std::function<void()> fn)

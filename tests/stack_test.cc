@@ -38,7 +38,7 @@ struct FakeDevice : NetDevice
 struct StackFixture : ::testing::Test
 {
     sim::SimContext ctx;
-    mem::PhysMemory mem{ctx, 4096};
+    mem::PhysMemory mem{ctx, "phys-mem", 4096};
     cpu::SimCpu cpu{ctx, "cpu"};
     vmm::Hypervisor hv{ctx, cpu, mem};
     core::CostModel costs;

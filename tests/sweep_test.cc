@@ -313,6 +313,32 @@ TEST(SweepDeterminism, ObservedRunStaysByteIdentical)
         EXPECT_EQ(baseline.runs[i].json, traced.runs[i].json);
 }
 
+TEST(SweepDeterminism, ObservedTopologyRunStaysByteIdentical)
+{
+    // The noisy cell is a two-host, two-switch topology built by the
+    // preset's runner; observing it must not move a byte either.
+    auto spec = [] {
+        sim::ExperimentSpec s = *sim::presets::byName("noisy-neighbor");
+        s.warmup(sim::milliseconds(2)).measure(sim::milliseconds(5));
+        return s;
+    };
+    sim::SweepOptions plain;
+    plain.jobs = 1;
+    auto baseline = sim::runSweep(spec(), plain);
+
+    sim::SweepOptions observed;
+    observed.jobs = 2;
+    observed.observeCell = "cdna/noisy";
+    observed.obs.traceFile = "/dev/null";
+    observed.obs.statsJsonFile = "/dev/null";
+    auto traced = sim::runSweep(spec(), observed);
+    ASSERT_EQ(baseline.runs.size(), traced.runs.size());
+    for (std::size_t i = 0; i < baseline.runs.size(); ++i)
+        EXPECT_EQ(baseline.runs[i].json, traced.runs[i].json)
+            << baseline.runs[i].point.cell;
+    EXPECT_EQ(sim::sweepToJson(baseline), sim::sweepToJson(traced));
+}
+
 TEST(SweepAggregate, CellsGroupSeedsInFirstAppearanceOrder)
 {
     sim::SweepOptions opt;
@@ -414,15 +440,16 @@ TEST(SweepTable, RowsAverageSeedsJoinArraysAndFlagUnknownNames)
                     .paper("cdna", "mbps", 1868)
                     .paper("cdna", "no_such_key", 1)
                     .paper("nope", "mbps", 1)
-                    .probe([](core::System &, const sim::RunPoint &,
-                              std::map<std::string, double> &extra) {
+                    .runner([](const sim::RunPoint &point,
+                               std::map<std::string, double> &extra) {
                         extra["idle_pct"] = 0.0; // named like a report key
+                        return sim::runHost(point);
                     });
     sim::SweepOptions opt;
     auto result = sim::runSweep(spec, opt);
     sim::SweepTable table = sim::renderTable(spec, result);
 
-    // One column, two paper values and one probe extra.
+    // One column, two paper values and one runner extra.
     ASSERT_EQ(table.errors.size(), 4u);
     EXPECT_NE(table.errors[0].find("idle_pct"), std::string::npos);
     ASSERT_EQ(table.checks.size(), 1u);
@@ -511,8 +538,8 @@ readGolden(const std::string &file)
 }
 
 /**
- * Run one preset cell at seed 1 the way the sweep runner executes it,
- * with @p faults (when not empty) added to the cell's config.
+ * Run one preset cell at seed 1 the way the sweep executes it, with
+ * @p faults (when not empty) added to the cell's config.
  */
 std::string
 presetCellJson(const std::string &preset, const std::string &cell,
@@ -526,14 +553,7 @@ presetCellJson(const std::string &preset, const std::string &cell,
             continue;
         if (!faults.empty())
             point.config.withFaults(faults);
-        if (spec->runnerFn()) {
-            std::map<std::string, double> extra;
-            return core::reportToJson(spec->runnerFn()(point, extra));
-        }
-        core::System sys(point.config);
-        if (spec->setupFn())
-            spec->setupFn()(sys, point);
-        return core::reportToJson(sys.run(point.warmup, point.measure));
+        return sim::runPoint(*spec, point).json;
     }
     return "no cell " + cell;
 }

@@ -191,7 +191,7 @@ TEST(Switch, CorruptFramesConsumeBuffer)
     EXPECT_EQ(b.got.size(), 12u - sw.totalDrops());
 }
 
-TEST(Switch, PerPortBusyAndDrainAreIndependent)
+TEST(Switch, PerPortBusyIsIndependent)
 {
     sim::SimContext ctx;
     EthSwitch sw(ctx, "sw", 3);
@@ -202,9 +202,6 @@ TEST(Switch, PerPortBusyAndDrainAreIndependent)
 
     auto mc = MacAddr::fromId(3);
     sw.setRoute(mc, 2);
-    int a_drained = 0, b_drained = 0;
-    pa.setDrainHook([&] { ++a_drained; });
-    pb.setDrainHook([&] { ++b_drained; });
 
     pa.send(frame(MacAddr::fromId(1), mc));
     // Port a's ingress serializer is busy; port b's is not -- the
@@ -216,8 +213,6 @@ TEST(Switch, PerPortBusyAndDrainAreIndependent)
     ctx.events().run();
     EXPECT_FALSE(pa.busy());
     EXPECT_FALSE(pb.busy());
-    EXPECT_EQ(a_drained, 1);
-    EXPECT_EQ(b_drained, 1);
 }
 
 TEST(Switch, SharedEgressQueueNeverStarvesEitherSender)

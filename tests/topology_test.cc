@@ -3,9 +3,13 @@
  * Multi-host topology tests: the 1-host degenerate case is
  * bit-identical to a standalone System, cross-host TCP traverses
  * guest -> NIC -> switch -> NIC -> guest, multi-host runs are
- * deterministic, and a noisy neighbor on a shared uplink measurably
- * degrades a victim host.
+ * deterministic, every component of every host has a distinct name,
+ * and a noisy neighbor on a shared uplink measurably degrades a victim
+ * host.
  */
+
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +36,23 @@ TEST(Topology, SingleHostMatchesStandalone)
     auto r2 = topo.report(h);
 
     EXPECT_EQ(core::reportToJson(r1), core::reportToJson(r2));
+}
+
+TEST(Topology, ComponentNamesAreUnique)
+{
+    // Every component of every host has its own name -- memory,
+    // hypervisor, grant table, DMA protection, IOMMU and availability
+    // tracker included -- so stats and trace lanes never merge.
+    auto cfg = core::SystemConfig::cdna(2).withIommu(
+        mem::Iommu::Mode::kPerContext);
+    sim::Topology topo;
+    topo.addHost(cfg, {});
+    topo.addHost(
+        cfg.withFaults(core::FaultPlan{}.killingDriverDomain(1)), {});
+    topo.run(sim::milliseconds(1), sim::milliseconds(1));
+    std::set<std::string> names;
+    for (const sim::SimObject *obj : topo.ctx().objects())
+        EXPECT_TRUE(names.insert(obj->name()).second) << obj->name();
 }
 
 TEST(Topology, CrossHostTcpGuestToGuest)

@@ -20,7 +20,7 @@ namespace {
 struct VmmFixture : ::testing::Test
 {
     sim::SimContext ctx;
-    mem::PhysMemory mem{ctx, 1024};
+    mem::PhysMemory mem{ctx, "phys-mem", 1024};
     cpu::SimCpu cpu{ctx, "cpu",
                     [] {
                         cpu::CpuParams p;

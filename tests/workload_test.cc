@@ -48,7 +48,7 @@ struct EchoDevice : os::NetDevice
 struct AppFixture : ::testing::Test
 {
     sim::SimContext ctx;
-    mem::PhysMemory mem{ctx, 4096};
+    mem::PhysMemory mem{ctx, "phys-mem", 4096};
     cpu::SimCpu cpu{ctx, "cpu"};
     vmm::Hypervisor hv{ctx, cpu, mem};
     core::CostModel costs;

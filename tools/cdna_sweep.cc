@@ -129,14 +129,6 @@ runOne(const std::string &name, const Args &args)
     sim::SweepOptions opt;
     opt.jobs = args.jobs;
     if (args.observing()) {
-        if (spec->runnerFn()) {
-            std::fprintf(stderr,
-                         "cdna_sweep: preset '%s' builds its own topology "
-                         "per run; --trace and --stats-json cannot observe "
-                         "it\n",
-                         name.c_str());
-            return 1;
-        }
         opt.observeCell = args.observe.value_or(points.front().cell);
         if (std::none_of(points.begin(), points.end(), [&](const auto &p) {
                 return p.cell.find(opt.observeCell) != std::string::npos;

@@ -1,10 +1,10 @@
 # Run cdna_sweep with an observability flag and check what it wrote.
-#   cmake -DSWEEP=bin -DOUT=prefix -DMODE=TraceIsJson|KeepsOutIdentical
-#         -P check_observed_sweep.cmake
+#   cmake -DSWEEP=bin -DOUT=prefix -DPRESET=name -DCELL=substring
+#         -DMODE=TraceIsJson|KeepsOutIdentical -P check_observed_sweep.cmake
 # TraceIsJson:       the trace of the observed run parses as JSON.
 # KeepsOutIdentical: --out is byte-identical with and without --trace.
-set(args --preset table2 -j 2 --quiet)
-set(observed --observe cdna --trace ${OUT}-trace.json --trace-filter hypervisor)
+set(args --preset ${PRESET} -j 2 --quiet)
+set(observed --observe ${CELL} --trace ${OUT}-trace.json --trace-filter hypervisor)
 
 function(sweep)
     execute_process(COMMAND ${SWEEP} ${args} ${ARGN}
