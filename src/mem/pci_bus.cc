@@ -30,7 +30,7 @@ PciBus::estimate(std::uint64_t bytes) const
 }
 
 sim::Time
-PciBus::transfer(std::uint64_t bytes, std::function<void()> done)
+PciBus::transfer(std::uint64_t bytes, sim::InplaceCallback done)
 {
     nTransfers_.inc();
     nBytes_.inc(bytes);

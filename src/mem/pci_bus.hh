@@ -14,7 +14,6 @@
 #define CDNA_MEM_PCI_BUS_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/sim_object.hh"
 
@@ -39,7 +38,7 @@ class PciBus : public sim::SimObject
      * has crossed the bus.
      * @return the simulated completion time
      */
-    sim::Time transfer(std::uint64_t bytes, std::function<void()> done);
+    sim::Time transfer(std::uint64_t bytes, sim::InplaceCallback done);
 
     /** Completion time a transfer of @p bytes would get if issued now. */
     sim::Time estimate(std::uint64_t bytes) const;

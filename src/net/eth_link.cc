@@ -45,7 +45,7 @@ WirePort::busy() const
 
 sim::Time
 WirePort::send(Packet pkt, sim::Time extra_gap,
-               std::function<void()> serialized)
+               sim::InplaceCallback serialized)
 {
     txFrames_->inc(pkt.wireFrames());
     txPayload_->inc(pkt.payloadBytes);
@@ -54,9 +54,14 @@ WirePort::send(Packet pkt, sim::Time extra_gap,
     sim::Time end = start + wire_->serialize(pkt.wireBytes());
     busyUntil_ = end + extra_gap;
 
-    sim::EventQueue &events = owner_->events();
-    if (serialized)
-        events.scheduleAt(end, std::move(serialized));
+    if (serialized) {
+        SIM_ASSERT(done_.empty() || end >= done_.back().when,
+                   "wire serialization ends out of order");
+        done_.push_back({end, owner_->events().reserveSeq(),
+                         std::move(serialized)});
+        if (done_.size() == 1)
+            armDone();
+    }
 
     // Fault injection: the frame still occupied the wire, but it may
     // never reach the far side (drop), arrive with its payload mangled
@@ -80,15 +85,59 @@ WirePort::send(Packet pkt, sim::Time extra_gap,
         dup.duplicated = true;
     }
     sim::Time arrival = end + wire_->propagation;
-    events.scheduleAt(arrival, [this, p = std::move(pkt)]() mutable {
-        arrive(std::move(p));
-    });
+    queueArrival(arrival, std::move(pkt));
     if (fate == sim::FaultInjector::FrameFault::kDuplicate)
         // FIFO ties: arrives right behind the original.
-        events.scheduleAt(arrival, [this, p = std::move(dup)]() mutable {
-            arrive(std::move(p));
-        });
+        queueArrival(arrival, std::move(dup));
     return end;
+}
+
+void
+WirePort::queueArrival(sim::Time when, Packet pkt)
+{
+    SIM_ASSERT(inFlight_.empty() || when >= inFlight_.back().when,
+               "wire arrivals out of order");
+    inFlight_.push_back({when, owner_->events().reserveSeq(), std::move(pkt)});
+    if (inFlight_.size() == 1)
+        armArrival();
+}
+
+void
+WirePort::armDone()
+{
+    const PendingDone &head = done_.front();
+    owner_->events().scheduleAt(head.when, head.seq, [this] { fireDone(); });
+}
+
+void
+WirePort::armArrival()
+{
+    const InFlight &head = inFlight_.front();
+    owner_->events().scheduleAt(head.when, head.seq,
+                                [this] { fireArrival(); });
+}
+
+// Each head moves its entry out and arms its successor before running,
+// so the callback may send on this port again.
+
+void
+WirePort::fireDone()
+{
+    sim::InplaceCallback fn = std::move(done_.front().fn);
+    done_.pop_front();
+    if (!done_.empty())
+        armDone();
+    fn();
+}
+
+void
+WirePort::fireArrival()
+{
+    Packet pkt = std::move(inFlight_.front().pkt);
+    inFlight_.pop_front();
+    if (!inFlight_.empty())
+        armArrival();
+    arrive(std::move(pkt));
 }
 
 EthLink::EthLink(sim::SimContext &ctx, std::string name, double bits_per_sec,

@@ -14,6 +14,11 @@
  * delivering to each other's endpoint; an EthSwitch's ingress ports are
  * WirePorts delivering to the switch's forwarding logic.
  *
+ * A NIC may hand the wire far more than it can carry at once (the CDNA
+ * NIC stages megabytes), so a WirePort keeps its backlog out of the
+ * event heap: serialization-done callbacks and frames in flight wait in
+ * two FIFOs, and only each FIFO's head is a scheduled event.
+ *
  * Endpoints bind() in any order; the first binder gets port 0, the
  * second port 1, and each port transmits toward the other's endpoint.
  */
@@ -22,7 +27,7 @@
 #define CDNA_NET_ETH_LINK_HH
 
 #include <cstdint>
-#include <functional>
+#include <deque>
 
 #include "net/fabric.hh"
 #include "net/packet.hh"
@@ -52,6 +57,13 @@ struct Wire
  * wireBytes() at line rate plus the caller's extra gap; the fault
  * injector may then drop, corrupt or duplicate the frame, and whatever
  * survives reaches arrive() after the propagation delay.
+ *
+ * Each send reserves the event sequence numbers its events would have
+ * taken if scheduled at once (serialized, arrival, duplicate) and
+ * queues them.  A FIFO's (when, seq) keys strictly increase -- frames
+ * end in send order and propagation is fixed -- so arming only the
+ * head, and the successor when the head fires, dispatches everything in
+ * exactly the order of scheduling it all at send time.
  */
 class WirePort : public Port
 {
@@ -72,7 +84,7 @@ class WirePort : public Port
     void deliver(Packet pkt);
 
     sim::Time send(Packet pkt, sim::Time extra_gap,
-                   std::function<void()> serialized) override;
+                   sim::InplaceCallback serialized) override;
     bool busy() const override;
     std::uint64_t payloadCarried() const override
     {
@@ -84,8 +96,30 @@ class WirePort : public Port
     }
 
   private:
+    /** A serialized callback waiting for its frame's last byte. */
+    struct PendingDone
+    {
+        sim::Time when;
+        std::uint64_t seq;
+        sim::InplaceCallback fn;
+    };
+
+    /** A frame on the wire, waiting to reach the far side. */
+    struct InFlight
+    {
+        sim::Time when;
+        std::uint64_t seq;
+        Packet pkt;
+    };
+
     /** A frame has crossed the wire: hand it to the far end. */
     virtual void arrive(Packet pkt) = 0;
+
+    void queueArrival(sim::Time when, Packet pkt);
+    void armDone();
+    void armArrival();
+    void fireDone();
+    void fireArrival();
 
     sim::SimObject *owner_ = nullptr;
     const Wire *wire_ = nullptr;
@@ -94,6 +128,8 @@ class WirePort : public Port
     sim::Counter *txFrames_ = nullptr;
     sim::Counter *txPayload_ = nullptr;
     sim::Counter *rxPayload_ = nullptr;
+    std::deque<PendingDone> done_;
+    std::deque<InFlight> inFlight_;
 };
 
 class EthLink : public sim::SimObject, public Fabric

@@ -90,26 +90,29 @@ EthSwitch::pumpEgress(SwitchPort &out)
 {
     if (out.egressBusy || out.q.empty())
         return;
-    QEntry &head = out.q.front();
+    const QEntry &head = out.q.front();
     out.egressBusy = true;
-
     sim::Time end = std::max(now(), head.readyAt) +
                     wire_.serialize(head.wireBytes);
-    Packet pkt = std::move(head.pkt);
-    std::uint64_t wb = head.wireBytes;
-    out.q.pop_front();
+    events().scheduleAt(end, [&out] { out.sw->finishEgress(out); });
+}
 
+void
+EthSwitch::finishEgress(SwitchPort &out)
+{
     // Store-and-forward buffer accounting: the frame's bytes stay
     // resident until its last byte has left on the egress wire.
-    events().scheduleAt(end, [this, &out, wb, p = std::move(pkt)]() mutable {
-        out.qBytes -= wb;
-        out.egressBusy = false;
-        events().scheduleAt(now() + wire_.propagation,
-                            [&out, q = std::move(p)]() mutable {
-                                out.deliver(std::move(q));
-                            });
-        pumpEgress(out);
+    QEntry &head = out.q.front();
+    out.qBytes -= head.wireBytes;
+    out.egressBusy = false;
+    out.onWire.push_back(std::move(head.pkt));
+    out.q.pop_front();
+    events().scheduleAt(now() + wire_.propagation, [&out] {
+        Packet pkt = std::move(out.onWire.front());
+        out.onWire.pop_front();
+        out.deliver(std::move(pkt));
     });
+    pumpEgress(out);
 }
 
 // ------------------------------------------------------------- trunk ----

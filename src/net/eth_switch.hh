@@ -77,7 +77,10 @@ class EthSwitch : public sim::SimObject, public Fabric
     {
         EthSwitch *sw = nullptr;
 
+        /** Egress queue; while egressBusy its head is serializing. */
         std::deque<QEntry> q;
+        /** Frames past egress serialization, propagating to the endpoint. */
+        std::deque<Packet> onWire;
         std::uint64_t qBytes = 0;
         std::uint64_t qPeakBytes = 0;
         bool egressBusy = false;
@@ -106,6 +109,8 @@ class EthSwitch : public sim::SimObject, public Fabric
     void enqueue(SwitchPort &out, Packet pkt);
     /** Start the next eligible egress transmission on @p out. */
     void pumpEgress(SwitchPort &out);
+    /** @p out's head has serialized: free its buffer, send it on. */
+    void finishEgress(SwitchPort &out);
 
     EthSwitchParams params_;
     Wire wire_;

@@ -20,9 +20,9 @@
 #define CDNA_NET_FABRIC_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "net/packet.hh"
+#include "sim/event_queue.hh"
 #include "sim/time.hh"
 
 namespace cdna::net {
@@ -58,7 +58,7 @@ class Port
      * @return time at which serialization completes
      */
     virtual sim::Time send(Packet pkt, sim::Time extra_gap = 0,
-                           std::function<void()> serialized = {}) = 0;
+                           sim::InplaceCallback serialized = {}) = 0;
 
     /** True while this port's ingress serializer is occupied. */
     virtual bool busy() const = 0;

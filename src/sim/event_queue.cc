@@ -27,9 +27,10 @@ EventQueue::schedule(Time delay, Callback fn)
 }
 
 EventId
-EventQueue::scheduleAt(Time when, Callback fn)
+EventQueue::scheduleAt(Time when, std::uint64_t seq, Callback fn)
 {
     SIM_ASSERT(when >= now_, "scheduling into the past");
+    SIM_ASSERT(seq < nextSeq_, "sequence number was never reserved");
     std::uint32_t slot;
     if (!free_.empty()) {
         slot = free_.back();
@@ -42,7 +43,7 @@ EventQueue::scheduleAt(Time when, Callback fn)
     Node &n = pool_[slot];
     n.fn = std::move(fn);
     n.heapIndex = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back(HeapEntry{when, nextSeq_++, slot});
+    heap_.push_back(HeapEntry{when, seq, slot});
     siftUp(n.heapIndex);
     return makeId(n.gen, slot);
 }

@@ -38,9 +38,9 @@ inline constexpr EventId kInvalidEvent = 0;
 /**
  * Move-only callable of signature void() with inline storage.
  *
- * Callables up to kInlineSize bytes (every capture pattern in this
- * simulator: a few pointers and integers) are stored inside the event
- * node itself; larger ones fall back to a heap allocation.  This is the
+ * Callables up to kInlineSize bytes (a few pointers and integers) are
+ * stored inside the event node itself; larger ones, such as a closure
+ * holding a Packet, fall back to a heap allocation.  This is the
  * drop-in replacement for the std::function the queue used to hold,
  * minus the per-schedule allocation.
  */
@@ -181,7 +181,26 @@ class EventQueue
     EventId schedule(Time delay, Callback fn);
 
     /** Schedule @p fn at the absolute time @p when (>= now). */
-    EventId scheduleAt(Time when, Callback fn);
+    EventId scheduleAt(Time when, Callback fn)
+    {
+        return scheduleAt(when, nextSeq_++, std::move(fn));
+    }
+
+    /**
+     * Take the FIFO position the next schedule would get, without
+     * scheduling anything.  An event created now but armed later (the
+     * successor in a time-ordered backlog) passes the number to
+     * scheduleAt() and dispatches exactly where it would have if
+     * scheduled now.
+     */
+    std::uint64_t reserveSeq() { return nextSeq_++; }
+
+    /**
+     * Schedule @p fn at @p when (>= now) under @p seq, a number taken
+     * from reserveSeq(): among equal-time events it dispatches as if
+     * scheduled when @p seq was reserved.
+     */
+    EventId scheduleAt(Time when, std::uint64_t seq, Callback fn);
 
     /**
      * Cancel a pending event.

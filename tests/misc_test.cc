@@ -61,7 +61,6 @@ TEST(Misc, NicIommuDropAccounting)
     cfg.numNics = 1;
     cfg.iommuMode = mem::Iommu::Mode::kPerDevice;
     System sys(cfg);
-    sys.iommu()->bindDevice(0, sys.guestDomain(0)->id());
     sys.run(sim::milliseconds(20), sim::milliseconds(60));
     // Guest 1's DMA is blocked; its packets are dropped, not sent.
     EXPECT_GT(sys.cdnaNic(0)->iommuDrops(), 0u);

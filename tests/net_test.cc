@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "net/eth_link.hh"
 #include "net/packet.hh"
 #include "net/traffic_peer.hh"
+#include "sim/fault_injector.hh"
 #include "sim/sim_object.hh"
 
 using namespace cdna;
@@ -169,6 +172,80 @@ TEST(EthLink, HostSgClearedOnWire)
     ctx.events().run();
     ASSERT_EQ(sink.got.size(), 1u);
     EXPECT_TRUE(sink.got[0].hostSg.empty());
+}
+
+namespace {
+
+/** (time, frame id, 's'erialized / 'a'rrived / 'd'uplicate arrived). */
+using WireStep = std::tuple<sim::Time, std::uint64_t, char>;
+
+/**
+ * Hand a link 64 back-to-back MSS frames at t=0, each with a serialized
+ * callback, and log every callback and arrival.  @p pending receives
+ * the event count right after the sends.
+ */
+std::vector<WireStep>
+sendBacklog(double duplicate_rate, std::size_t &pending)
+{
+    sim::SimContext ctx;
+    sim::FaultRates rates;
+    rates.frameDuplicate = duplicate_rate;
+    sim::FaultInjector fi(ctx, "faults", 1, rates);
+    ctx.setFaultInjector(&fi);
+    EthLink link(ctx, "eth", 1.0e9, sim::nanoseconds(500));
+    std::vector<WireStep> log;
+    struct LogSink : LinkEndpoint
+    {
+        sim::SimContext *ctx = nullptr;
+        std::vector<WireStep> *log = nullptr;
+        void
+        receiveFrame(Packet pkt) override
+        {
+            log->emplace_back(ctx->now(), pkt.id,
+                              pkt.duplicated ? 'd' : 'a');
+        }
+    } sink;
+    sink.ctx = &ctx;
+    sink.log = &log;
+    link.bind(sink);
+    for (std::uint64_t k = 0; k < 64; ++k) {
+        Packet p;
+        p.payloadBytes = kMss;
+        p.id = k;
+        link.port(1).send(std::move(p), 0, [&ctx, &log, k] {
+            log.emplace_back(ctx.now(), k, 's');
+        });
+    }
+    pending = ctx.events().pendingCount();
+    ctx.events().run();
+    return log;
+}
+
+} // namespace
+
+TEST(EthLink, BacklogArmsOnlyItsHead)
+{
+    // The second pass duplicates every frame: each duplicate lands right
+    // behind its original, before the next frame.
+    for (double duplicate_rate : {0.0, 1.0}) {
+        SCOPED_TRACE(duplicate_rate);
+        std::size_t pending = 0;
+        std::vector<WireStep> log = sendBacklog(duplicate_rate, pending);
+        // One serialized callback and one arrival are events; the rest
+        // wait in the wire's FIFOs.
+        EXPECT_EQ(pending, 2u);
+        // Frame k's last byte leaves at (k+1) x 12.304 us and it lands
+        // 500 ns later, before frame k+1 finishes serializing.
+        std::vector<WireStep> want;
+        for (std::uint64_t k = 0; k < 64; ++k) {
+            sim::Time end = sim::Time(k + 1) * sim::nanoseconds(1538 * 8);
+            want.emplace_back(end, k, 's');
+            want.emplace_back(end + sim::nanoseconds(500), k, 'a');
+            if (duplicate_rate > 0)
+                want.emplace_back(end + sim::nanoseconds(500), k, 'd');
+        }
+        EXPECT_EQ(log, want);
+    }
 }
 
 // ---------------------------------------------------------------- peer ----

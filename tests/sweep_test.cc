@@ -142,6 +142,28 @@ TEST(EventQueuePool, RescheduleFromCallbackKeepsOrdering)
         EXPECT_EQ(times[i], static_cast<sim::Time>(100 * i));
 }
 
+TEST(EventQueuePool, ReservedSeqKeepsItsFifoPlace)
+{
+    sim::EventQueue q;
+    std::vector<int> order;
+    // Reserved at t=0, ahead of two later schedules at the same time:
+    // the deferred event dispatches first, as if scheduled at once.
+    std::uint64_t seq = q.reserveSeq();
+    q.scheduleAt(10, [&order] { order.push_back(1); });
+    q.scheduleAt(10, [&order] { order.push_back(2); });
+    q.scheduleAt(10, seq, [&order] { order.push_back(0); });
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueuePoolDeathTest, UnreservedSeqPanics)
+{
+    sim::EventQueue q;
+    // The number after the last one handed out was never reserved.
+    std::uint64_t unreserved = q.reserveSeq() + 1;
+    EXPECT_DEATH(q.scheduleAt(10, unreserved, [] {}), "assertion failed");
+}
+
 // --- parallelFor --------------------------------------------------------
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce)
@@ -662,9 +684,6 @@ TEST(ReportGolden, DeviceAndWireFaultPathsMatchFullDocuments)
         std::string golden = readGolden(c.file);
         ASSERT_FALSE(golden.empty()) << c.file;
         core::System sys(c.cfg);
-        // Every NIC bound to guest 0, as the iommu preset's setup does.
-        for (std::uint32_t i = 0; sys.iommu() && i < sys.nicCount(); ++i)
-            sys.iommu()->bindDevice(i, sys.guestDomain(0)->id());
         EXPECT_EQ(core::reportToJson(sys.run(sim::milliseconds(100), c.measure)),
                   golden)
             << c.file;
