@@ -62,10 +62,12 @@ attackForeignPage(bool protection)
     std::vector<DmaProtection::Request> reqs;
     reqs.push_back(std::move(req));
 
+    // Without protection the guest writes the ring itself, so the
+    // callback runs before enqueue() returns.
+    DmaProtection::Result res;
+    sys.protection()->enqueue(handle, std::move(reqs),
+                              [&](DmaProtection::Result r) { res = r; });
     if (protection) {
-        DmaProtection::Result res;
-        sys.protection()->enqueue(handle, std::move(reqs),
-                                  [&](DmaProtection::Result r) { res = r; });
         sys.ctx().events().runUntil(sys.ctx().now() + sim::milliseconds(5));
         std::printf("  protected:   hypercall rejected (%s), "
                     "%llu descriptors accepted, %llu violations\n",
@@ -74,7 +76,6 @@ attackForeignPage(bool protection)
                     static_cast<unsigned long long>(
                         sys.mem().violationCount()));
     } else {
-        auto res = sys.protection()->enqueueDirect(handle, std::move(reqs));
         nic.pioWriteMailbox(*cxt, nic::kMboxTxProducer, res.producer);
         sys.ctx().events().runUntil(sys.ctx().now() + sim::milliseconds(5));
         std::printf("  unprotected: descriptor accepted; the NIC read "

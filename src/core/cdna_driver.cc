@@ -162,12 +162,13 @@ CdnaGuestDriver::flush()
             txInflightBytes_.push_back(pkt.payloadBytes);
             nTxPkts_.inc();
             DmaProtection::Request req;
-            req.sg = pkt.hostSg;
+            req.sg = std::move(pkt.hostSg);
             req.pkt = std::move(pkt);
             reqs.push_back(std::move(req));
         }
         auto n = static_cast<std::uint32_t>(reqs.size());
-        auto finish = [this, n](DmaProtection::Result res) {
+        prot_.enqueue(txHandle_, std::move(reqs),
+                      [this, n](DmaProtection::Result res) {
             if (detached_)
                 return; // revoked while the hypercall was in flight
             if (res.fault != vmm::Fault::kNone) {
@@ -178,11 +179,7 @@ CdnaGuestDriver::flush()
             txEnqueued_ = res.producer;
             nic_.pioWriteMailbox(cxt_, nic::kMboxTxProducer, res.producer);
             nDoorbells_.inc();
-        };
-        if (prot_.enabled())
-            prot_.enqueue(txHandle_, std::move(reqs), finish);
-        else
-            finish(prot_.enqueueDirect(txHandle_, std::move(reqs)));
+        });
     });
 }
 
@@ -215,7 +212,7 @@ CdnaGuestDriver::handleIrq()
         // Backend mode: delivered pages are about to be page-flipped to
         // guests, which requires their DMA pins dropped now rather than
         // at the next enqueue.
-        if (!autoRefill_ && prot_.enabled() && !frames.empty())
+        if (!autoRefill_ && !frames.empty())
             prot_.syncUnpin(rxHandle_);
 
         for (auto &pkt : frames) {
@@ -259,7 +256,8 @@ CdnaGuestDriver::flushRxRefills()
             reqs.push_back(std::move(req));
         }
         rxRefillStage_.clear();
-        auto finish = [this](DmaProtection::Result res) {
+        prot_.enqueue(rxHandle_, std::move(reqs),
+                      [this](DmaProtection::Result res) {
             if (detached_)
                 return; // revoked while the hypercall was in flight
             if (res.fault != vmm::Fault::kNone)
@@ -267,11 +265,7 @@ CdnaGuestDriver::flushRxRefills()
             rxEnqueued_ = res.producer;
             nic_.pioWriteMailbox(cxt_, nic::kMboxRxProducer, res.producer);
             nDoorbells_.inc();
-        };
-        if (prot_.enabled())
-            prot_.enqueue(rxHandle_, std::move(reqs), finish);
-        else
-            finish(prot_.enqueueDirect(rxHandle_, std::move(reqs)));
+        });
     });
 }
 

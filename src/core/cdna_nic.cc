@@ -228,9 +228,8 @@ CdnaNic::reconcileContext(ContextId id)
     // the reconciled state: the guests' watchdogs (after a reboot) or
     // the pager's doorbell replay (after a page-in) re-ring them.
     for (Queue *q : {&c.tx, &c.rx}) {
-        q->ready.clear();
         q->fetchBusy = false;
-        q->producer = q->fetched = q->consumer;
+        q->producer = q->fetched = q->validated = q->used = q->consumer;
         q->nextSeqno = q->done64 + 1;
     }
     c.inTxArb = false;
@@ -365,7 +364,7 @@ CdnaNic::pageOutContext(ContextId id, std::function<void()> done)
     // while in-flight datapath operations drain to their completion
     // records before the slot is surrendered.
     for (Queue *q : {&c.tx, &c.rx}) {
-        q->ready.clear();
+        q->validated = q->used;
         q->fetchBusy = false;
     }
     auto it = std::find(txArb_.begin(), txArb_.end(), id);
@@ -418,7 +417,8 @@ CdnaNic::seedContextCounters(ContextId id, std::uint32_t tx_base,
                    static_cast<std::uint32_t>(rx_done64) == rx_base,
                "done64 low bits must match the 32-bit base");
     auto seed = [](Queue &q, std::uint32_t base, std::uint64_t done64) {
-        q.producer = q.fetched = q.consumer = q.consumerHost = base;
+        q.producer = q.fetched = q.validated = q.used = q.consumer =
+            q.consumerHost = base;
         q.done64 = done64;
         q.nextSeqno = done64 + 1;
     };
@@ -584,7 +584,8 @@ CdnaNic::validateFetched(ContextId id, bool is_tx, std::uint32_t first,
             enterFault(id, vmm::Fault::kBadSeqno);
             return;
         }
-        q.ready.push_back(pos);
+        SIM_ASSERT(pos == q.validated, "descriptors validated out of order");
+        ++q.validated;
     }
     if (is_tx)
         enqueueTxArb(id);
@@ -595,8 +596,8 @@ CdnaNic::enterFault(ContextId id, vmm::Fault f)
 {
     Context &c = cxt(id);
     c.faulted = true;
-    c.tx.ready.clear();
-    c.rx.ready.clear();
+    c.tx.validated = c.tx.used;
+    c.rx.validated = c.rx.used;
     if (f == vmm::Fault::kBadSeqno)
         nSeqnoFaults_.inc();
     warn("context %u fault: %s", id, vmm::faultName(f));
@@ -608,7 +609,7 @@ void
 CdnaNic::enqueueTxArb(ContextId id)
 {
     Context &c = cxt(id);
-    if (c.inTxArb || c.tx.ready.empty() || c.faulted || !c.resident ||
+    if (c.inTxArb || c.tx.ready() == 0 || c.faulted || !c.resident ||
         c.pagingOut)
         return;
     c.inTxArb = true;
@@ -623,14 +624,14 @@ CdnaNic::pumpTx()
         return;
     ContextId id = txArb_.front();
     Context &c = cxt(id);
-    if (!c.allocated || c.faulted || c.tx.ready.empty()) {
+    if (!c.allocated || c.faulted || c.tx.ready() == 0) {
         txArb_.pop_front();
         c.inTxArb = false;
         pumpTx();
         return;
     }
-    std::uint32_t pos = c.tx.ready.front();
-    const nic::DmaDescriptor desc = c.tx.ring->at(pos);
+    std::uint32_t pos = c.tx.used;
+    const nic::DmaDescriptor &desc = c.tx.ring->at(pos);
     auto pkt_opt = c.tx.ring->detachPacket(pos);
     std::uint64_t bytes = pkt_opt ? pkt_opt->payloadBytes : desc.len();
     if (bytes == 0)
@@ -641,7 +642,7 @@ CdnaNic::pumpTx()
         txWaitingBuffer_ = true;
         return;
     }
-    c.tx.ready.pop_front();
+    ++c.tx.used;
     txArb_.pop_front();
     txDataBusy_ = true;
     ++c.inflight; // page-out quiesce waits for this op to settle
@@ -649,7 +650,7 @@ CdnaNic::pumpTx()
 
     // Fair interleave: rotate the context to the arbiter tail while this
     // packet streams in, so other contexts transmit between its packets.
-    if (!c.tx.ready.empty())
+    if (c.tx.ready() != 0)
         txArb_.push_back(id);
     else
         c.inTxArb = false;
@@ -733,7 +734,7 @@ CdnaNic::receiveFrame(net::Packet pkt)
         nRxDropFilter_.inc();
         return;
     }
-    if (c.rx.ready.empty()) {
+    if (c.rx.ready() == 0) {
         nRxDropNoDesc_.inc();
         startFetch(id, /*is_tx=*/false);
         return;
@@ -743,11 +744,10 @@ CdnaNic::receiveFrame(net::Packet pkt)
         nRxDropNoBuf_.inc();
         return;
     }
-    std::uint32_t pos = c.rx.ready.front();
-    c.rx.ready.pop_front();
+    std::uint32_t pos = c.rx.used++;
     ++c.inflight;
     touchActivity(c);
-    if (c.rx.ready.size() < params_.fetchBatch / 2)
+    if (c.rx.ready() < params_.fetchBatch / 2)
         startFetch(id, /*is_tx=*/false);
     // The frame names the prefix of its buffer that the DMA writes.
     pkt.hostSg = mem::sgPrefix(c.rx.ring->at(pos).sg,
@@ -834,8 +834,8 @@ CdnaNic::scheduleWriteback(ContextId id)
         return;
     }
     c.wbBusy = true;
-    mem::SgList sg{{c.statusAddr, 16}};
-    dma_.write(sg, c.dom, id, [this, id](mem::DmaResult) {
+    mem::SgEntry sg{c.statusAddr, 16};
+    dma_.write({&sg, 1}, c.dom, id, [this, id](mem::DmaResult) {
         Context &cc = cxt(id);
         cc.wbBusy = false;
         if (!cc.allocated)
@@ -885,8 +885,8 @@ CdnaNic::fireBitVector()
     }
     std::uint32_t vec = std::exchange(pendingVector_, 0);
     vecDmaBusy_ = true;
-    mem::SgList sg{{intrRing_->producerAddr(), 4}};
-    dma_.write(sg, mem::kDomHypervisor, mem::kWholeDevice,
+    mem::SgEntry sg{intrRing_->producerAddr(), 4};
+    dma_.write({&sg, 1}, mem::kDomHypervisor, mem::kWholeDevice,
                [this, vec](mem::DmaResult) {
         vecDmaBusy_ = false;
         intrRing_->push(vec);

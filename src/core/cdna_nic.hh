@@ -304,10 +304,13 @@ class CdnaNic : public nic::NicBase
     /** One direction of a context: the ring cursor plus what CDNA adds. */
     struct Queue : nic::DescQueue
     {
+        std::uint32_t validated = 0;    //!< validated, in fetch order
         std::uint32_t consumerHost = 0; //!< consumer as the host sees it
         std::uint64_t done64 = 0;       //!< 64-bit shadow of consumer
         std::uint64_t nextSeqno = 1;    //!< the next descriptor's seqno
-        std::deque<std::uint32_t> ready; //!< validated, not yet used
+
+        /** Validated descriptors not yet used: [used, validated). */
+        std::uint32_t ready() const { return validated - used; }
     };
 
     struct Context

@@ -49,34 +49,32 @@ DmaProtection::stamp(RingState &rs)
     return m ? s % m : s;
 }
 
-std::uint64_t
+void
 DmaProtection::lazyUnpin(RingState &rs)
 {
-    std::uint32_t consumer = rs.nic->consumer(rs.cxt, rs.isTx);
-    std::uint64_t pages = 0;
-    while (rs.unpinnedUpTo != consumer && !rs.pinned.empty())
-        pages += unpinFront(rs);
-    nUnpins_.inc(pages);
-    return pages;
+    unpinUpTo(rs, rs.nic->consumer(rs.cxt, rs.isTx));
 }
 
-std::uint64_t
-DmaProtection::unpinFront(RingState &rs)
+void
+DmaProtection::unpinUpTo(RingState &rs, std::uint32_t end)
 {
+    if (!enabled_)
+        return; // nothing was pinned
     std::uint64_t pages = 0;
-    mem::forEachSgPage(rs.pinned.front(), [&](mem::PageNum p) {
-        hv_.mem().putRef(p);
-        ++pages;
-        return true;
-    });
-    rs.pinned.pop_front();
-    ++rs.unpinnedUpTo;
-    return pages;
+    while (rs.unpinnedUpTo != end && rs.unpinnedUpTo != rs.producer) {
+        const nic::DmaDescriptor &slot =
+            rs.nic->ring(rs.cxt, rs.isTx).at(rs.unpinnedUpTo++);
+        mem::forEachSgPage(slot.sg, [&](mem::PageNum p) {
+            hv_.mem().putRef(p);
+            ++pages;
+            return true;
+        });
+    }
+    nUnpins_.inc(pages);
 }
 
 DmaProtection::Result
-DmaProtection::doEnqueue(RingState &rs, std::vector<Request> &reqs,
-                         bool validate)
+DmaProtection::doEnqueue(RingState &rs, std::vector<Request> &reqs)
 {
     Result res;
     if (!rs.nic->contextAllocated(rs.cxt)) {
@@ -97,7 +95,13 @@ DmaProtection::doEnqueue(RingState &rs, std::vector<Request> &reqs,
             break;
         }
 
-        if (validate) {
+        nic::DmaDescriptor desc;
+        desc.flags = nic::kDescValid | (rs.isTx ? nic::kDescEop : 0u);
+        if (enabled_) {
+            // The slot is the only record of its pins, so it must not
+            // still hold any.
+            SIM_ASSERT(rs.producer - rs.unpinnedUpTo < ring.size(),
+                       "enqueue would overwrite a pinned descriptor");
             // Owned or grant-mapped (driver domain enqueueing guests'
             // granted packet pages).
             bool owned = mem::forEachSgPage(req.sg, [&](mem::PageNum p) {
@@ -115,19 +119,10 @@ DmaProtection::doEnqueue(RingState &rs, std::vector<Request> &reqs,
                 nPins_.inc();
                 return true;
             });
-            rs.pinned.push_back(req.sg);
-        } else {
-            // Track positions so unpin accounting stays aligned even
-            // though nothing was pinned.
-            rs.pinned.push_back({});
-        }
-
-        nic::DmaDescriptor desc;
-        desc.sg = req.sg;
-        desc.flags = nic::kDescValid | (rs.isTx ? nic::kDescEop : 0u);
-        if (validate)
             desc.seqno = stamp(rs);
-        ring.write(rs.producer, desc);
+        }
+        desc.sg = std::move(req.sg);
+        ring.write(rs.producer, std::move(desc));
         if (req.pkt.has_value())
             ring.attachPacket(rs.producer, std::move(*req.pkt));
         ++rs.producer;
@@ -142,9 +137,14 @@ void
 DmaProtection::enqueue(Handle h, std::vector<Request> reqs,
                        std::function<void(Result)> done)
 {
-    SIM_ASSERT(enabled_, "protected enqueue with protection disabled");
     nEnqueues_.inc();
     RingState &rs = state(h);
+    if (!enabled_) {
+        Result res = doEnqueue(rs, reqs);
+        if (done)
+            done(res);
+        return;
+    }
 
     // Cost: validate + pin each referenced page, stamp/copy each
     // descriptor, and the lazy unpin of completed descriptors.
@@ -167,25 +167,14 @@ DmaProtection::enqueue(Handle h, std::vector<Request> reqs,
     hv_.hypercall(cost,
                   [this, h, reqs = std::move(reqs),
                    done = std::move(done)]() mutable {
+        // Unpin up to the consumer doEnqueue's ring-full check reads,
+        // so no slot it rewrites still holds pins.
         RingState &ring_state = state(h);
         lazyUnpin(ring_state);
-        Result res = doEnqueue(ring_state, reqs, /*validate=*/true);
+        Result res = doEnqueue(ring_state, reqs);
         if (done)
             done(res);
     });
-}
-
-DmaProtection::Result
-DmaProtection::enqueueDirect(Handle h, std::vector<Request> reqs)
-{
-    nEnqueues_.inc();
-    RingState &rs = state(h);
-    // No validation, no pinning, no sequence numbers: the guest writes
-    // the ring itself.  Positions are still tracked for completion
-    // bookkeeping.
-    Result res = doEnqueue(rs, reqs, /*validate=*/false);
-    lazyUnpin(rs); // no-op pins, but advances unpin bookkeeping
-    return res;
 }
 
 void
@@ -198,10 +187,7 @@ void
 DmaProtection::unpinAll(Handle h)
 {
     RingState &rs = state(h);
-    std::uint64_t pages = 0;
-    while (!rs.pinned.empty())
-        pages += unpinFront(rs);
-    nUnpins_.inc(pages);
+    unpinUpTo(rs, rs.producer);
 }
 
 } // namespace cdna::core

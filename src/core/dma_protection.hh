@@ -19,17 +19,21 @@
  *     (the paper decrements "only when additional DMA descriptors are
  *     enqueued", and so do we, plus at teardown).
  *
+ * The ring itself is the record of what is pinned: the unpin reads the
+ * SG lists back from the slots it wrote.  Only the hypervisor writes
+ * them, and only after unpinning up to the consumer its ring-full
+ * check reads, so a pinned slot is never overwritten.
+ *
  * With protection disabled (the Table 4 ablation / IOMMU upper bound),
- * enqueueDirect() writes descriptors with no validation, no pinning and
- * no sequence numbers -- and the attack tests show exactly why that is
- * unsafe.
+ * enqueue() is the guest writing its own ring: no hypercall, no
+ * validation, no pinning and no sequence numbers -- and the attack
+ * tests show exactly why that is unsafe.
  */
 
 #ifndef CDNA_CORE_DMA_PROTECTION_HH
 #define CDNA_CORE_DMA_PROTECTION_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -78,16 +82,12 @@ class DmaProtection : public sim::SimObject
     /**
      * The enqueue hypercall.  Charges hypervisor time for validation,
      * pinning, stamping and lazy unpinning, then reports the Result.
+     * With protection disabled the *guest* writes the ring instead:
+     * @p done runs before this returns, and the caller charges its own
+     * (guest) cost.
      */
     void enqueue(Handle h, std::vector<Request> reqs,
                  std::function<void(Result)> done);
-
-    /**
-     * Unprotected direct enqueue (protection disabled): the *guest*
-     * writes the ring.  Purely functional; the caller charges its own
-     * (guest) cost.  Never validates, pins, or stamps.
-     */
-    Result enqueueDirect(Handle h, std::vector<Request> reqs);
 
     /** Drop all pins held for a ring (context revocation / teardown). */
     void unpinAll(Handle h);
@@ -114,8 +114,7 @@ class DmaProtection : public sim::SimObject
         bool isTx;
         std::uint32_t producer = 0;
         std::uint64_t nextSeqno = 1;
-        std::uint32_t unpinnedUpTo = 0; //!< descriptors already unpinned
-        std::deque<mem::SgList> pinned; //!< per-descriptor pinned pages
+        std::uint32_t unpinnedUpTo = 0; //!< [unpinnedUpTo, producer) pinned
     };
 
     RingState &state(Handle h);
@@ -123,14 +122,13 @@ class DmaProtection : public sim::SimObject
     /** Apply the modulus the NIC validates against. */
     std::uint64_t stamp(RingState &rs);
 
-    /** Lazily unpin completed descriptors; returns pages unpinned. */
-    std::uint64_t lazyUnpin(RingState &rs);
+    /** Lazily unpin the descriptors the NIC has consumed. */
+    void lazyUnpin(RingState &rs);
 
-    /** Unpin the oldest pinned descriptor; returns its page count. */
-    std::uint64_t unpinFront(RingState &rs);
+    /** Unpin the slots from unpinnedUpTo up to @p end or the producer. */
+    void unpinUpTo(RingState &rs, std::uint32_t end);
 
-    Result doEnqueue(RingState &rs, std::vector<Request> &reqs,
-                     bool validate);
+    Result doEnqueue(RingState &rs, std::vector<Request> &reqs);
 
     vmm::Hypervisor &hv_;
     const CostModel &costs_;

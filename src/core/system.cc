@@ -893,11 +893,9 @@ System::killGuest(std::uint32_t guest)
         app(guest, i).stop();
         stack(guest, i).shutdown();
     }
-    if (guest < guests_.size()) {
-        auto id = static_cast<std::size_t>(guests_[guest]->id());
-        if (id < domainTimerStopped_.size())
-            domainTimerStopped_[id] = 1;
-    }
+    auto id = static_cast<std::size_t>(guests_[guest]->id());
+    if (id < domainTimerStopped_.size())
+        domainTimerStopped_[id] = 1;
     if (faults_)
         faults_->note(sim::FaultEvent::kGuestKill);
     return true;
@@ -938,13 +936,17 @@ System::cdnaDriver(std::uint32_t guest, std::uint32_t nic)
 os::NetStack &
 System::stack(std::uint32_t guest, std::uint32_t nic)
 {
-    return *stacks_.at(portIndex(guest, nic));
+    std::size_t idx = portIndex(guest, nic);
+    SIM_ASSERT(idx < stacks_.size(), "no such guest port");
+    return *stacks_[idx];
 }
 
 workload::TrafficApp &
 System::app(std::uint32_t guest, std::uint32_t nic)
 {
-    return *apps_.at(portIndex(guest, nic));
+    std::size_t idx = portIndex(guest, nic);
+    SIM_ASSERT(idx < apps_.size(), "no such guest port");
+    return *apps_[idx];
 }
 
 namespace {

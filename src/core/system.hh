@@ -393,7 +393,7 @@ class System
      * descriptors are flushed and RX demux to the dead guest stops,
      * while pages referenced by descriptors already on the NIC stay
      * pinned until the device consumes them.  A Xen or native guest
-     * owns neither, so the kill is a no-op there.
+     * owns neither, so the kill is a no-op there and for unknown guests.
      * @retval true at least one context/port was revoked
      */
     bool killGuest(std::uint32_t guest);
@@ -481,10 +481,13 @@ class System
     {
         return static_cast<std::uint32_t>(guests_.size());
     }
-    /** Index of (guest, nic) in the NIC-major per-port vectors. */
+    /** Index of (guest, nic) in the NIC-major per-port vectors, or
+     *  past their end when the guest has no port on that NIC. */
     std::size_t
     portIndex(std::uint32_t guest, std::uint32_t nic) const
     {
+        if (guest >= guestsPerNic() || nic >= cfg_.numNics)
+            return SIZE_MAX;
         return static_cast<std::size_t>(nic) * guestsPerNic() + guest;
     }
     /** MACs of the guests behind NIC @p nic, in guest order. */

@@ -16,8 +16,9 @@
  * the payload bytes a real buffer would hold.
  *
  * DescQueue is the device's side of one ring -- its free-running
- * producer, fetched and consumer indices and the descriptor-fetch DMA
- * -- shared by both directions of both NIC models.
+ * producer, fetched, used and consumer indices and the descriptor-fetch
+ * DMA -- shared by both directions of both NIC models.  [used, fetched)
+ * are the descriptors fetched but not yet handed to the datapath.
  */
 
 #ifndef CDNA_NIC_DESC_RING_HH
@@ -91,6 +92,7 @@ struct DescQueue
     std::optional<DescRing> ring; //!< installed by the driver
     std::uint32_t producer = 0;   //!< advertised by the driver
     std::uint32_t fetched = 0;    //!< fetched from host memory
+    std::uint32_t used = 0;       //!< handed to the datapath
     std::uint32_t consumer = 0;   //!< completed
     bool fetchBusy = false;       //!< a descriptor fetch is in flight
 

@@ -74,8 +74,6 @@ IntelNic::startTxFetch()
               [this, n = f->count, ep = txEpoch_](mem::DmaResult) {
         if (ep != txEpoch_)
             return; // TX engine was quiesced while the fetch was in flight
-        for (std::uint32_t i = 0; i < n; ++i)
-            txPending_.push_back(tx_.fetched + i);
         tx_.fetched += n;
         tx_.fetchBusy = false;
         startTxFetch();
@@ -86,9 +84,9 @@ IntelNic::startTxFetch()
 void
 IntelNic::pumpTx()
 {
-    if (txDataBusy_ || txPending_.empty())
+    if (txDataBusy_ || tx_.used == tx_.fetched)
         return;
-    std::uint32_t pos = txPending_.front();
+    std::uint32_t pos = tx_.used;
     const DmaDescriptor &desc = tx_.ring->at(pos);
     auto pkt_opt = tx_.ring->detachPacket(pos);
     if (!desc.valid() || !pkt_opt.has_value()) {
@@ -96,7 +94,7 @@ IntelNic::pumpTx()
         // transmit garbage from whatever the buffer holds.  Count it and
         // move on; the conventional NIC has no way to detect this.
         nTxGhost_.inc();
-        txPending_.pop_front();
+        ++tx_.used;
         ++tx_.consumer;
         scheduleConsumerWriteback();
         notePendingEvent();
@@ -114,7 +112,7 @@ IntelNic::pumpTx()
         return;
     }
     txDataBusy_ = true;
-    txPending_.pop_front();
+    ++tx_.used;
 
     dma_.read(desc.sg, dmaDomain_, mem::kWholeDevice,
               [this, pkt = std::move(pkt), bytes,
@@ -160,7 +158,7 @@ IntelNic::receiveFrame(net::Packet pkt)
         nRxDropFilter_.inc();
         return;
     }
-    if (rx_.fetched == rxUsed_) {
+    if (rx_.fetched == rx_.used) {
         nRxDropNoDesc_.inc();
         startRxFetch();
         return;
@@ -170,9 +168,9 @@ IntelNic::receiveFrame(net::Packet pkt)
         nRxDropNoBuf_.inc();
         return;
     }
-    std::uint32_t pos = rxUsed_++;
+    std::uint32_t pos = rx_.used++;
     // Prefetch more descriptors as the supply drains.
-    if (rx_.fetched - rxUsed_ < params_.fetchBatch / 2)
+    if (rx_.fetched - rx_.used < params_.fetchBatch / 2)
         startRxFetch();
 
     // Only the frame's bytes cross the bus, not the whole buffer; the
@@ -206,17 +204,16 @@ IntelNic::quiesceTx()
     ++txEpoch_;
     std::uint64_t dropped = 0;
     if (tx_.ring) {
-        for (std::uint32_t pos : txPending_)
+        for (std::uint32_t pos = tx_.used; pos != tx_.fetched; ++pos)
             if (tx_.ring->detachPacket(pos).has_value())
                 ++dropped;
     }
     // Descriptors advertised but never fetched die with the engine too.
     dropped += tx_.producer - tx_.fetched;
-    txPending_.clear();
     txBuf_.reset();
     tx_.fetchBusy = false;
     txDataBusy_ = false;
-    tx_.fetched = tx_.producer;
+    tx_.fetched = tx_.used = tx_.producer;
     if (tx_.consumer != tx_.producer) {
         // Publish the skip so the driver's completion accounting
         // (in-flight byte queue) drains instead of wedging.
@@ -238,8 +235,8 @@ IntelNic::scheduleConsumerWriteback()
         return;
     }
     writebackBusy_ = true;
-    mem::SgList sg{{statusAddr_, 8}};
-    dma_.write(sg, dmaDomain_, mem::kWholeDevice, [this](mem::DmaResult) {
+    mem::SgEntry sg{statusAddr_, 8};
+    dma_.write({&sg, 1}, dmaDomain_, mem::kWholeDevice, [this](mem::DmaResult) {
         writebackBusy_ = false;
         if (std::exchange(writebackAgain_, false))
             scheduleConsumerWriteback();

@@ -15,7 +15,6 @@
 #define CDNA_NIC_INTEL_NIC_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "nic/desc_ring.hh"
@@ -119,16 +118,16 @@ class IntelNic : public NicBase
     PacketBufferPool txBuf_;
     PacketBufferPool rxBuf_;
 
-    // TX: consumer counts transmitted descriptors.
+    // TX: [used, fetched) wait for the data engine; consumer counts
+    // transmitted descriptors.
     DescQueue tx_;
     bool txDataBusy_ = false;
-    std::deque<std::uint32_t> txPending_;
     /** Bumped by quiesceTx(); stale TX continuations early-return. */
     std::uint64_t txEpoch_ = 0;
 
-    // RX: consumer counts deliveries completed to host memory.
+    // RX: used counts descriptors taken by arriving frames, consumer
+    // the deliveries completed to host memory.
     DescQueue rx_;
-    std::uint32_t rxUsed_ = 0;      //!< descriptors consumed by frames
     std::vector<net::Packet> rxReady_;
 
     bool writebackBusy_ = false;

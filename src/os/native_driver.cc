@@ -147,12 +147,12 @@ NativeDriver::doFlush(std::uint32_t n)
     for (std::uint32_t i = 0; i < n; ++i) {
         net::Packet pkt = takeStaged();
         nic::DmaDescriptor desc;
-        desc.sg = pkt.hostSg;
+        desc.sg = std::move(pkt.hostSg);
         desc.flags = nic::kDescValid | nic::kDescEop;
         if (pkt.payloadBytes > net::kMss)
             desc.flags |= nic::kDescTso;
         txInflightBytes_.push_back(pkt.payloadBytes);
-        nic_.txRing().write(txProducer_, desc);
+        nic_.txRing().write(txProducer_, std::move(desc));
         nic_.txRing().attachPacket(txProducer_, std::move(pkt));
         ++txProducer_;
         nTxPkts_.inc();
@@ -167,7 +167,7 @@ NativeDriver::postRxBuffer(mem::PageNum page)
     nic::DmaDescriptor desc;
     desc.sg = {{mem::addrOf(page), net::kMtu}};
     desc.flags = nic::kDescValid;
-    nic_.rxRing().write(rxProducer_, desc);
+    nic_.rxRing().write(rxProducer_, std::move(desc));
     ++rxProducer_;
     rxPioPending_ = true;
 }

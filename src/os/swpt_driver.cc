@@ -92,7 +92,7 @@ SwptDriver::doFlush(std::uint32_t n)
     for (std::uint32_t i = 0; i < n; ++i) {
         net::Packet pkt = takeStaged();
         vmm::SwptValidator::TxReq req;
-        req.sg = pkt.hostSg;
+        req.sg = std::move(pkt.hostSg);
         req.pkt = std::move(pkt);
         batch.push_back(std::move(req));
         ++txPosted_;

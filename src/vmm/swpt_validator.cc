@@ -194,7 +194,7 @@ SwptValidator::validateTxBatch(GuestId g, std::deque<TxReq> batch)
         ShadowTx s;
         s.g = g;
         s.bytes = req.pkt.payloadBytes;
-        s.desc.sg = req.sg;
+        s.desc.sg = std::move(req.sg);
         s.desc.flags = nic::kDescValid | nic::kDescEop;
         if (req.pkt.payloadBytes > net::kMss)
             s.desc.flags |= nic::kDescTso;
@@ -237,7 +237,7 @@ SwptValidator::pumpShadow()
         ShadowTx s = std::move(shadowQueue_.front());
         shadowQueue_.pop_front();
         inflight_.push_back({s.g, s.bytes, s.desc.sg});
-        nic_.txRing().write(txProducer_, s.desc);
+        nic_.txRing().write(txProducer_, std::move(s.desc));
         nic_.txRing().attachPacket(txProducer_, std::move(s.pkt));
         ++txProducer_;
         --space;
@@ -342,7 +342,7 @@ SwptValidator::postOwnRxBuffer(mem::PageNum page)
     nic::DmaDescriptor desc;
     desc.sg = {{mem::addrOf(page), net::kMtu}};
     desc.flags = nic::kDescValid;
-    nic_.rxRing().write(rxProducer_, desc);
+    nic_.rxRing().write(rxProducer_, std::move(desc));
     ++rxProducer_;
 }
 

@@ -136,7 +136,9 @@ class SwptValidator : public sim::SimObject
         std::uint64_t bytes;
     };
 
-    /** Descriptor on the NIC; pages pinned until the device consumes. */
+    /** Descriptor on the NIC; pages pinned until the device consumes.
+     *  The NIC frees the ring slot before the completion task unpins,
+     *  so this copy of the SG list is the only safe pin record. */
     struct Inflight
     {
         GuestId g;

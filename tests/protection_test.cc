@@ -242,6 +242,61 @@ TEST_F(ProtFixture, UnpinAllAtTeardown)
         EXPECT_EQ(mem.refCount(p), 0u);
 }
 
+TEST_F(ProtFixture, RingRecordsPinsAcrossAFullLap)
+{
+    // The ring is the only record of what is pinned.  Fill it with
+    // two-page descriptors and complete them all; the second lap's
+    // enqueue must unpin exactly the first lap's pages from the slots
+    // it is about to rewrite, and teardown must unpin the second lap.
+    DmaProtection prot(ctx, "dma-protection", hv, costs, true);
+    auto h = prot.registerRing(nic, cxt, guest->id(), true);
+    const std::uint32_t slots = nic.txRing(cxt).size();
+
+    auto lap = [&](std::vector<mem::PageNum> &pages) {
+        std::vector<DmaProtection::Request> reqs;
+        for (std::uint32_t i = 0; i < slots; ++i) {
+            mem::PageNum a = mem.allocOne(guest->id());
+            mem::PageNum b = mem.allocOne(guest->id());
+            pages.insert(pages.end(), {a, b});
+            DmaProtection::Request r = makeReq(a);
+            r.sg.push_back({mem::addrOf(b), 1000});
+            reqs.push_back(std::move(r));
+        }
+        return reqs;
+    };
+
+    std::vector<mem::PageNum> first;
+    DmaProtection::Result res;
+    prot.enqueue(h, lap(first), [&](DmaProtection::Result r) {
+        res = r;
+        nic.pioWriteMailbox(cxt, nic::kMboxTxProducer, r.producer);
+    });
+    ctx.events().run();
+    ASSERT_EQ(res.accepted, slots);
+    ASSERT_EQ(nic.txConsumer(cxt), slots); // every DMA completed
+    for (auto p : first)
+        EXPECT_EQ(mem.refCount(p), 1u); // unpin is lazy
+
+    std::vector<mem::PageNum> second;
+    prot.enqueue(h, lap(second),
+                 [&](DmaProtection::Result r) { res = r; });
+    ctx.events().run();
+    EXPECT_EQ(res.fault, vmm::Fault::kNone);
+    EXPECT_EQ(res.accepted, slots);
+    for (auto p : first)
+        EXPECT_EQ(mem.refCount(p), 0u);
+    for (auto p : second)
+        EXPECT_EQ(mem.refCount(p), 1u);
+    EXPECT_EQ(prot.pagesUnpinned(), first.size());
+
+    prot.unpinAll(h);
+    for (auto p : first)
+        EXPECT_EQ(mem.refCount(p), 0u);
+    for (auto p : second)
+        EXPECT_EQ(mem.refCount(p), 0u);
+    EXPECT_EQ(prot.pagesUnpinned(), first.size() + second.size());
+}
+
 TEST_F(ProtFixture, DirectEnqueueSkipsEverything)
 {
     DmaProtection prot(ctx, "dma-protection", hv, costs, false);
@@ -252,7 +307,13 @@ TEST_F(ProtFixture, DirectEnqueueSkipsEverything)
 
     std::vector<DmaProtection::Request> reqs;
     reqs.push_back(makeReq(stolen)); // would be rejected with protection
-    auto res = prot.enqueueDirect(h, std::move(reqs));
+    DmaProtection::Result res;
+    bool done = false;
+    prot.enqueue(h, std::move(reqs), [&](DmaProtection::Result r) {
+        res = r;
+        done = true;
+    });
+    ASSERT_TRUE(done); // the guest wrote the ring itself, synchronously
     EXPECT_EQ(res.fault, vmm::Fault::kNone);
     EXPECT_EQ(res.accepted, 1u);
     EXPECT_EQ(mem.refCount(stolen), 0u); // nothing pinned

@@ -130,6 +130,30 @@ TEST(SystemIntegration, PacketConservationOnTransmit)
     EXPECT_LE(sent - received, bound);
 }
 
+TEST(SystemIntegration, KillGuestOutOfRangeIsNoOp)
+{
+    // Guest 2 of 2 does not exist.  On a two-NIC host its port index
+    // would alias guest 0's port on NIC 1, which the kill must leave
+    // alone, like every other port.
+    for (SystemConfig cfg :
+         {SystemConfig::cdna(2), SystemConfig::swPassthrough(2)}) {
+        cfg.withNics(2).withFaults(FaultPlan{}.killingGuest(2, 10.0));
+        System sys(cfg);
+        Report r = sys.run(sim::milliseconds(5), sim::milliseconds(20));
+        EXPECT_EQ(r.guestKills, 0u) << r.label;
+        EXPECT_GT(r.mbps, 0.0) << r.label;
+        for (std::uint32_t g = 0; g < 2; ++g) {
+            for (std::uint32_t n = 0; n < 2; ++n) {
+                CdnaGuestDriver *cdna = sys.cdnaDriver(g, n);
+                os::SwptDriver *swpt = sys.swptDriver(g, n);
+                ASSERT_TRUE(cdna || swpt) << r.label;
+                EXPECT_FALSE(cdna && cdna->detached()) << r.label;
+                EXPECT_FALSE(swpt && swpt->detached()) << r.label;
+            }
+        }
+    }
+}
+
 TEST(SystemIntegration, CdnaTransmitBacklogIsNotEvents)
 {
     // fig3's 24-guest CDNA transmit cell stages megabytes of frames in
