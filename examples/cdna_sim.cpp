@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -34,11 +35,19 @@ main(int argc, char **argv)
         return 0;
     }
 
-    core::System sys(opt->config);
-    core::ObservabilitySession obs(sys, *opt);
-    core::Report r = sys.run(opt->warmup, opt->measure);
-    if (!obs.close(&error)) {
-        std::fprintf(stderr, "cdna_sim: %s\n", error.c_str());
+    // A configuration the machine cannot hold (more guests than NIC
+    // contexts or memory) throws while the System is built or started.
+    core::Report r;
+    try {
+        core::System sys(opt->config);
+        core::ObservabilitySession obs(sys, *opt);
+        r = sys.run(opt->warmup, opt->measure);
+        if (!obs.close(&error)) {
+            std::fprintf(stderr, "cdna_sim: %s\n", error.c_str());
+            return 1;
+        }
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "cdna_sim: %s\n", e.what());
         return 1;
     }
 

@@ -51,8 +51,7 @@ CdnaGuestDriver::attach()
     rxHandle_ = prot_.registerRing(nic_, cxt_, dom_.id(), /*is_tx=*/false);
 
     std::uint32_t entries = nic_.rxRing(cxt_).size();
-    auto pages = dom_.hypervisor().mem().alloc(dom_.id(), entries);
-    SIM_ASSERT(!pages.empty(), "out of memory for CDNA RX buffers");
+    auto pages = dom_.hypervisor().mem().allocOrThrow(dom_.id(), entries);
     for (auto p : pages)
         rxRefillStage_.push_back(p);
     flushRxRefills();

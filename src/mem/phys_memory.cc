@@ -1,6 +1,7 @@
 #include "mem/phys_memory.hh"
 
-#include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sim/assert.hh"
@@ -10,30 +11,29 @@ namespace cdna::mem {
 PhysMemory::PhysMemory(sim::SimContext &ctx, std::string name,
                        std::uint64_t total_pages)
     : sim::SimObject(ctx, std::move(name)),
-      pages_(total_pages),
+      capacity_(total_pages),
       nAllocs_(stats().addCounter("allocs")),
       nReleases_(stats().addCounter("releases")),
       nDeferredReleases_(stats().addCounter("deferred_releases")),
       nDmaAccesses_(stats().addCounter("dma_accesses")),
       nViolations_(stats().addCounter("dma_violations"))
 {
-    freeList_.reserve(total_pages);
-    // Allocate ascending page numbers first: push in reverse.
-    for (std::uint64_t p = total_pages; p-- > 0;)
-        freeList_.push_back(p);
-}
-
-PhysMemory::PageInfo &
-PhysMemory::info(PageNum page)
-{
-    SIM_ASSERT(page < pages_.size(), "page out of range");
-    return pages_[page];
 }
 
 const PhysMemory::PageInfo &
 PhysMemory::info(PageNum page) const
 {
-    SIM_ASSERT(page < pages_.size(), "page out of range");
+    static constexpr PageInfo kUntouched{};
+    SIM_ASSERT(page < capacity_, "page out of range");
+    return page < pages_.size() ? pages_[page] : kUntouched;
+}
+
+PhysMemory::PageInfo &
+PhysMemory::touch(PageNum page)
+{
+    SIM_ASSERT(page < capacity_, "page out of range");
+    if (page >= pages_.size())
+        pages_.resize(page + 1);
     return pages_[page];
 }
 
@@ -41,13 +41,18 @@ std::vector<PageNum>
 PhysMemory::alloc(DomainId dom, std::uint64_t n)
 {
     std::vector<PageNum> out;
-    if (freeList_.size() < n)
+    if (freePages() < n)
         return out;
     out.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-        PageNum p = freeList_.back();
-        freeList_.pop_back();
-        PageInfo &pi = info(p);
+        PageNum p;
+        if (released_.empty()) {
+            p = cursor_++;
+        } else {
+            p = released_.back();
+            released_.pop_back();
+        }
+        PageInfo &pi = touch(p);
         SIM_ASSERT(pi.owner == kDomFree, "free-list page not free");
         SIM_ASSERT(pi.refs == 0, "free-list page still pinned");
         pi.owner = dom;
@@ -58,19 +63,29 @@ PhysMemory::alloc(DomainId dom, std::uint64_t n)
     return out;
 }
 
+std::vector<PageNum>
+PhysMemory::allocOrThrow(DomainId dom, std::uint64_t n)
+{
+    auto pages = alloc(dom, n);
+    if (pages.empty() && n > 0)
+        throw std::runtime_error(
+            "out of simulated memory: domain " + std::to_string(dom) +
+            " needs " + std::to_string(n) + (n == 1 ? " page, " : " pages, ") +
+            std::to_string(freePages()) + " of " +
+            std::to_string(capacity_) + " free");
+    return pages;
+}
+
 PageNum
 PhysMemory::allocOne(DomainId dom)
 {
-    auto v = alloc(dom, 1);
-    if (v.empty())
-        SIM_PANIC("out of physical memory");
-    return v[0];
+    return allocOrThrow(dom, 1)[0];
 }
 
 bool
 PhysMemory::release(PageNum page)
 {
-    PageInfo &pi = info(page);
+    PageInfo &pi = touch(page);
     SIM_ASSERT(pi.owner != kDomFree, "releasing a free page");
     nReleases_.inc();
     if (pi.refs > 0) {
@@ -81,7 +96,7 @@ PhysMemory::release(PageNum page)
     }
     pi.owner = kDomFree;
     pi.pendingFree = false;
-    freeList_.push_back(page);
+    released_.push_back(page);
     return true;
 }
 
@@ -94,26 +109,24 @@ PhysMemory::ownerOf(PageNum page) const
 bool
 PhysMemory::ownedBy(PageNum page, DomainId dom) const
 {
-    if (page >= pages_.size())
-        return false;
-    return pages_[page].owner == dom;
+    return page < capacity_ && info(page).owner == dom;
 }
 
 void
 PhysMemory::getRef(PageNum page)
 {
-    ++info(page).refs;
+    ++touch(page).refs;
 }
 
 void
 PhysMemory::putRef(PageNum page)
 {
-    PageInfo &pi = info(page);
+    PageInfo &pi = touch(page);
     SIM_ASSERT(pi.refs > 0, "putRef on unpinned page");
     if (--pi.refs == 0 && pi.pendingFree) {
         pi.owner = kDomFree;
         pi.pendingFree = false;
-        freeList_.push_back(page);
+        released_.push_back(page);
     }
 }
 
@@ -126,7 +139,7 @@ PhysMemory::refCount(PageNum page) const
 void
 PhysMemory::transferOwnership(PageNum page, DomainId to)
 {
-    PageInfo &pi = info(page);
+    PageInfo &pi = touch(page);
     SIM_ASSERT(pi.refs == 0, "flipping a pinned page");
     SIM_ASSERT(pi.owner != kDomFree, "flipping a free page");
     pi.owner = to;
@@ -141,16 +154,16 @@ PhysMemory::releasePending(PageNum page) const
 bool
 PhysMemory::dmaAccessibleBy(PageNum page, DomainId dom) const
 {
-    if (page >= pages_.size())
+    if (page >= capacity_)
         return false;
-    const PageInfo &pi = pages_[page];
+    const PageInfo &pi = info(page);
     return pi.owner == dom || (pi.mapCount > 0 && pi.mapper == dom);
 }
 
 void
 PhysMemory::noteGrantMapped(PageNum page, DomainId mapper)
 {
-    PageInfo &pi = info(page);
+    PageInfo &pi = touch(page);
     SIM_ASSERT(pi.mapCount == 0 || pi.mapper == mapper,
                "page grant-mapped by two domains");
     pi.mapper = mapper;
@@ -160,7 +173,7 @@ PhysMemory::noteGrantMapped(PageNum page, DomainId mapper)
 void
 PhysMemory::clearGrantMapped(PageNum page)
 {
-    PageInfo &pi = info(page);
+    PageInfo &pi = touch(page);
     SIM_ASSERT(pi.mapCount > 0, "clearing unmapped grant");
     if (--pi.mapCount == 0)
         pi.mapper = kDomInvalid;
@@ -170,12 +183,12 @@ bool
 PhysMemory::noteDmaAccess(PageNum page, DomainId dom, bool write)
 {
     nDmaAccesses_.inc();
-    if (page >= pages_.size()) {
+    if (page >= capacity_) {
         nViolations_.inc();
         violations_.push_back({page, dom, kDomInvalid, write, now()});
         return false;
     }
-    const PageInfo &pi = pages_[page];
+    const PageInfo &pi = info(page);
     if (pi.owner != dom && !(pi.mapCount > 0 && pi.mapper == dom)) {
         nViolations_.inc();
         violations_.push_back({page, dom, pi.owner, write, now()});

@@ -12,6 +12,12 @@
  * Payload contents are not simulated, but every DMA access is checked
  * against ownership at access time so corruption (a device touching a
  * page its requesting domain no longer owns) is detected and counted.
+ *
+ * State is kept only for the pages a run has touched, so a machine's
+ * capacity costs nothing until its guests use it: fresh pages come from
+ * a cursor in ascending order, released pages are reused last-in
+ * first-out before any fresh page, and the per-page records grow on
+ * demand.  A page past the records reads as free.
  */
 
 #ifndef CDNA_MEM_PHYS_MEMORY_HH
@@ -60,7 +66,8 @@ addrOf(PageNum page)
 
 /**
  * The machine's physical memory: a page-granular ownership map with
- * reference counting and a free-list frame allocator.
+ * reference counting and a frame allocator that hands out released
+ * pages (last released first) before fresh ones (ascending).
  */
 class PhysMemory : public sim::SimObject
 {
@@ -78,7 +85,10 @@ class PhysMemory : public sim::SimObject
     PhysMemory(sim::SimContext &ctx, std::string name,
                std::uint64_t total_pages);
 
-    std::uint64_t freePages() const { return freeList_.size(); }
+    std::uint64_t freePages() const
+    {
+        return released_.size() + (capacity_ - cursor_);
+    }
 
     /**
      * Allocate @p n pages to @p dom from the free pool.
@@ -86,7 +96,16 @@ class PhysMemory : public sim::SimObject
      */
     std::vector<PageNum> alloc(DomainId dom, std::uint64_t n);
 
-    /** Allocate a single page (panics if out of memory). */
+    /**
+     * Allocate @p n pages to @p dom, or throw std::runtime_error naming
+     * the domain, the pages asked for and the pages free.  For the pages
+     * a guest is built and started with: running out of those means the
+     * configuration holds more guests than the machine's memory, a user
+     * error rather than a simulator bug.
+     */
+    std::vector<PageNum> allocOrThrow(DomainId dom, std::uint64_t n);
+
+    /** Allocate a single page (throws like allocOrThrow). */
     PageNum allocOne(DomainId dom);
 
     /**
@@ -164,11 +183,15 @@ class PhysMemory : public sim::SimObject
         std::uint16_t mapCount = 0;
     };
 
-    PageInfo &info(PageNum page);
+    /** Record of @p page for reading (a free one if never touched). */
     const PageInfo &info(PageNum page) const;
+    /** Record of @p page for writing; grows the records to cover it. */
+    PageInfo &touch(PageNum page);
 
-    std::vector<PageInfo> pages_;
-    std::vector<PageNum> freeList_;
+    std::uint64_t capacity_;
+    PageNum cursor_ = 0;            //!< pages from here on never allocated
+    std::vector<PageInfo> pages_;   //!< grows on demand; past it is free
+    std::vector<PageNum> released_; //!< free pages below cursor_, LIFO
     std::vector<Violation> violations_;
 
     sim::Counter &nAllocs_;

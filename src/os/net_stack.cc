@@ -447,7 +447,7 @@ NetStack::sendRpcResponse(const net::Packet &req)
     if (rpcBuf_.empty()) {
         std::size_t pages =
             (net::kMaxTsoBytes + mem::kPageSize - 1) / mem::kPageSize;
-        rpcBuf_ = dom_.hypervisor().mem().alloc(dom_.id(), pages);
+        rpcBuf_ = dom_.hypervisor().mem().allocOrThrow(dom_.id(), pages);
     }
     auto pkts = std::make_shared<std::vector<net::Packet>>();
     buildPackets(bytes, req.rpcId, rpcBuf_, pkts.get());

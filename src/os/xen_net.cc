@@ -30,8 +30,7 @@ XenVif::XenVif(sim::SimContext &ctx, std::string name, DriverDomainNet &ddn,
                                    [this] { backendIrq(); });
 
     // Seed the guest's RX page pool and post buffers for reception.
-    auto pages = hv.mem().alloc(guest_.id(), kRingSlots + 64);
-    SIM_ASSERT(!pages.empty(), "out of memory for vif RX pool");
+    auto pages = hv.mem().allocOrThrow(guest_.id(), kRingSlots + 64);
     for (auto p : pages)
         guestFreePages_.push_back(p);
     postRxBuffers();

@@ -17,16 +17,4 @@ panicImpl(const char *file, int line, const char *fmt, ...)
     std::abort();
 }
 
-void
-simFatal(const char *fmt, ...)
-{
-    std::fprintf(stderr, "fatal: ");
-    va_list ap;
-    va_start(ap, fmt);
-    std::vfprintf(stderr, fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "\n");
-    std::exit(1);
-}
-
 } // namespace cdna::sim

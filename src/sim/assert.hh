@@ -2,11 +2,13 @@
  * @file
  * Internal-invariant checking for the simulator.
  *
- * Following the gem5 panic()/fatal() convention:
+ * Two kinds of failure, kept apart:
  *  - SIM_PANIC / SIM_ASSERT fire on conditions that indicate a bug in the
  *    simulator itself; they abort.
- *  - simFatal() reports a condition that is the *user's* fault (bad
- *    configuration, impossible parameter combination) and exits cleanly.
+ *  - A condition that is the *user's* fault (a configuration the machine
+ *    cannot hold, such as more guests than NIC contexts or memory) throws
+ *    std::runtime_error with a message naming the limit, and never
+ *    aborts; front ends print the message and exit 1.
  *
  * Protection violations by simulated guests are neither: they are modeled
  * outcomes, reported as values (see vmm::Fault), never as aborts.
@@ -21,9 +23,6 @@ namespace cdna::sim {
 
 /** Abort with a formatted message; used for simulator bugs. */
 [[noreturn]] void panicImpl(const char *file, int line, const char *fmt, ...);
-
-/** Exit(1) with a formatted message; used for user/configuration errors. */
-[[noreturn]] void simFatal(const char *fmt, ...);
 
 } // namespace cdna::sim
 

@@ -69,8 +69,7 @@ TrafficApp::start()
     for (std::uint32_t i = 0; i < params_.connections; ++i) {
         Conn c;
         c.id = i + 1;
-        c.buffer = memory.alloc(stack_.domain().id(), pages_per_buf);
-        SIM_ASSERT(!c.buffer.empty(), "out of memory for app buffer");
+        c.buffer = memory.allocOrThrow(stack_.domain().id(), pages_per_buf);
         conns_.push_back(std::move(c));
     }
     pump();

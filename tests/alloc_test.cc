@@ -1,18 +1,22 @@
 /**
  * @file
- * Allocation gate: heap allocations per wire frame on the datapath.
+ * Allocation gate: heap allocations per wire frame on the datapath, and
+ * heap bytes to build and start a System.
  *
  * This binary replaces the global operator new with a counting one,
- * which is why it is built apart from cdna_tests.  Each cell builds a
- * whole System, warms it up for 20 ms, then counts heap allocations
- * and the frames EthLink transmitted (its per-port "*_tx_frames"
- * counters, both directions of the wire) over a 50 ms window.
+ * which is why it is built apart from cdna_tests.  Each per-frame cell
+ * builds a whole System, warms it up for 20 ms, then counts heap
+ * allocations and the frames EthLink transmitted (its per-port
+ * "*_tx_frames" counters, both directions of the wire) over a 50 ms
+ * window.
  *
- * Each bound sits midway between the count before and after the
- * descriptor rings became the one record of posted buffers (SG lists
- * moved into descriptors instead of copied, no shadow pin list, no
- * deques of ring positions, one-entry spans for fixed-record DMAs), so
- * reintroducing those copies fails the gate.
+ * Each per-frame bound sits midway between the count before and after
+ * the descriptor rings became the one record of posted buffers (SG
+ * lists moved into descriptors instead of copied, no shadow pin list,
+ * no deques of ring positions, one-entry spans for fixed-record DMAs),
+ * so reintroducing those copies fails the gate.  The set-up bound sits
+ * midway between the bytes before and after page records were built on
+ * demand, so a machine-sized table built up front fails it.
  */
 
 #include <gtest/gtest.h>
@@ -29,11 +33,13 @@
 namespace {
 
 std::atomic<std::uint64_t> gAllocs{0};
+std::atomic<std::uint64_t> gBytes{0};
 
 void *
 countedAlloc(std::size_t n)
 {
     gAllocs.fetch_add(1, std::memory_order_relaxed);
+    gBytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -89,6 +95,16 @@ allocsPerFrame(SystemConfig cfg)
                   : 0.0;
 }
 
+/** Heap bytes allocated while building and starting a System. */
+std::uint64_t
+setupBytes(SystemConfig cfg)
+{
+    std::uint64_t before = gBytes.load(std::memory_order_relaxed);
+    System sys(std::move(cfg));
+    sys.start();
+    return gBytes.load(std::memory_order_relaxed) - before;
+}
+
 } // namespace
 
 // Each cell's comment gives the count before -> after the rings became
@@ -112,4 +128,12 @@ TEST(AllocGate, XenRiceTransmit)
 {
     // 13.43 -> 7.95 allocations per frame.
     EXPECT_LT(allocsPerFrame(SystemConfig::xenRice(1)), 10.69);
+}
+
+TEST(AllocGate, SystemSetupBytes)
+{
+    // 7,424 KiB -> 296 KiB before -> after page records were built on
+    // demand instead of for the whole 1 GB: 262,144 page records and a
+    // free list as long were most of a one-guest System's set-up.
+    EXPECT_LT(setupBytes(SystemConfig::cdna(1)), 3860u * 1024u);
 }

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "mem/dma_engine.hh"
 #include "mem/grant_table.hh"
 #include "mem/iommu.hh"
@@ -119,6 +122,92 @@ TEST_F(MemFixture, DmaAccessChecksOwnershipAtAccessTime)
     EXPECT_GE(mem.violationCount(), 1u);
     ASSERT_FALSE(mem.violations().empty());
     EXPECT_EQ(mem.violations().back().expected, 3u);
+}
+
+// ----------------------------------------------------- allocator order ----
+// Every golden depends on which page numbers a run is handed, so the
+// allocator's order is part of its contract.
+
+TEST_F(MemFixture, FreshPagesAscendFromZero)
+{
+    EXPECT_EQ(mem.alloc(7, 4), (std::vector<PageNum>{0, 1, 2, 3}));
+    EXPECT_EQ(mem.allocOne(8), 4u);
+}
+
+TEST_F(MemFixture, ReleasedPagesReusedLastFirstBeforeFresh)
+{
+    auto pages = mem.alloc(7, 4);
+    mem.release(pages[1]);
+    mem.release(pages[3]);
+    EXPECT_EQ(mem.freePages(), 1022u);
+    EXPECT_EQ(mem.alloc(8, 3), (std::vector<PageNum>{3, 1, 4}));
+}
+
+TEST_F(MemFixture, DeferredReleaseReentersPoolWhenPinDrops)
+{
+    auto pages = mem.alloc(7, 3);
+    mem.getRef(pages[0]);
+    EXPECT_FALSE(mem.release(pages[0]));
+    EXPECT_EQ(mem.allocOne(8), 3u); // still pinned: a fresh page instead
+    mem.putRef(pages[0]);
+    EXPECT_EQ(mem.allocOne(8), 0u); // back in the pool, ahead of fresh
+    EXPECT_EQ(mem.allocOne(8), 4u);
+}
+
+TEST_F(MemFixture, NeverAllocatedPageReadsAsFree)
+{
+    mem.alloc(7, 4);
+    const PageNum p = 1000; // in range, never handed out
+    EXPECT_EQ(mem.ownerOf(p), kDomFree);
+    EXPECT_FALSE(mem.ownedBy(p, 7));
+    EXPECT_FALSE(mem.dmaAccessibleBy(p, 7));
+    EXPECT_EQ(mem.refCount(p), 0u);
+    EXPECT_FALSE(mem.releasePending(p));
+
+    EXPECT_FALSE(mem.noteDmaAccess(p, 7, true));
+    ASSERT_EQ(mem.violations().size(), 1u);
+    EXPECT_EQ(mem.violations().back().expected, 7u);
+    EXPECT_EQ(mem.violations().back().actual, kDomFree);
+    EXPECT_EQ(mem.freePages(), 1020u);
+}
+
+TEST_F(MemFixture, NeverAllocatedPageTakesWrites)
+{
+    // A grant mapping is a write: it must land on the page's own record
+    // and leave the page free for the allocator.
+    const PageNum p = 1000;
+    mem.noteGrantMapped(p, 4);
+    EXPECT_TRUE(mem.dmaAccessibleBy(p, 4));
+    mem.clearGrantMapped(p);
+    EXPECT_FALSE(mem.dmaAccessibleBy(p, 4));
+    EXPECT_EQ(mem.ownerOf(p), kDomFree);
+    EXPECT_EQ(mem.freePages(), 1024u);
+}
+
+TEST_F(MemFixture, PagePastCapacityIsInvalid)
+{
+    for (PageNum p : {PageNum{1024}, PageNum{1} << 40}) {
+        EXPECT_FALSE(mem.ownedBy(p, kDomFree));
+        EXPECT_FALSE(mem.dmaAccessibleBy(p, kDomFree));
+        EXPECT_FALSE(mem.noteDmaAccess(p, 7, false));
+        EXPECT_EQ(mem.violations().back().actual, kDomInvalid);
+    }
+    EXPECT_EQ(mem.violationCount(), 2u);
+}
+
+TEST_F(MemFixture, AllocOrThrowNamesTheShortfall)
+{
+    mem.alloc(7, 1000);
+    try {
+        mem.allocOrThrow(9, 30);
+        FAIL() << "expected memory exhaustion to throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "out of simulated memory: domain 9 needs "
+                               "30 pages, 24 of 1024 free");
+    }
+    EXPECT_EQ(mem.freePages(), 24u); // nothing partially allocated
+    EXPECT_EQ(mem.allocOrThrow(9, 24).size(), 24u);
+    EXPECT_THROW(mem.allocOne(9), std::runtime_error);
 }
 
 TEST_F(MemFixture, PageAddrRoundTrip)

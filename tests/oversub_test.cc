@@ -135,6 +135,24 @@ TEST(Oversub, GuestPastContextLimitThrowsClearDiagnostic)
     }
 }
 
+TEST(Oversub, GuestPastMemoryThrowsClearDiagnostic)
+{
+    // 400 Xen guests do not fit in the machine's 1 GB.  The guest that
+    // runs out must fail with a diagnostic naming the domain and the
+    // shortfall -- not an assert in whichever component asked.
+    try {
+        System sys(SystemConfig::xenIntel(400));
+        sys.start();
+        FAIL() << "expected memory exhaustion to throw";
+    } catch (const std::runtime_error &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("out of simulated memory: domain "),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find(" of 262144 free"), std::string::npos) << what;
+    }
+}
+
 TEST(Oversub, InertWhenAllGuestsResident)
 {
     // With oversubscription enabled but every guest resident, the run

@@ -1,5 +1,6 @@
-# Run a command that must be rejected at argument parsing: it has to
-# exit 1, quickly, with MATCH in its stderr.
+# Run a command that must be rejected -- at argument parsing, or as a
+# configuration the machine cannot hold: it has to exit 1, quickly, with
+# MATCH in its stderr.
 #   cmake -DCMD="bin;arg;..." -DMATCH=regex -P expect_usage_error.cmake
 execute_process(COMMAND ${CMD} RESULT_VARIABLE rc ERROR_VARIABLE err
                 OUTPUT_QUIET TIMEOUT 10)
