@@ -12,7 +12,10 @@
 #define CDNA_NET_PACKET_HH
 
 #include <array>
+#include <bit>
+#include <compare>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "mem/dma_engine.hh"
@@ -40,8 +43,14 @@ class MacAddr
         return m;
     }
 
-    bool operator==(const MacAddr &o) const = default;
-    auto operator<=>(const MacAddr &o) const = default;
+    bool operator==(const MacAddr &o) const { return key() == o.key(); }
+
+    /** Byte-lexicographic order, compared as one integer. */
+    std::strong_ordering
+    operator<=>(const MacAddr &o) const
+    {
+        return key() <=> o.key();
+    }
 
     std::string str() const;
 
@@ -59,6 +68,25 @@ class MacAddr
     }
 
   private:
+    /**
+     * The six bytes as one big-endian integer, so integer order is byte
+     * order.  Comparing the byte array itself calls memcmp on every map
+     * lookup.
+     */
+    std::uint64_t
+    key() const
+    {
+        std::uint32_t hi;
+        std::uint16_t lo;
+        std::memcpy(&hi, bytes_.data(), sizeof(hi));
+        std::memcpy(&lo, bytes_.data() + sizeof(hi), sizeof(lo));
+        if constexpr (std::endian::native == std::endian::little) {
+            hi = __builtin_bswap32(hi);
+            lo = __builtin_bswap16(lo);
+        }
+        return std::uint64_t{hi} << 16 | lo;
+    }
+
     std::array<std::uint8_t, 6> bytes_;
 };
 

@@ -11,10 +11,11 @@ namespace cdna::net::transport {
 // ---------------------------------------------------------------------------
 
 TcpSenderFlow::TcpSenderFlow(sim::SimContext &ctx, const TcpParams &params,
-                             std::function<void()> on_ready)
+                             std::function<void()> on_ready, Totals *totals)
     : ctx_(ctx),
       p_(params),
       onReady_(std::move(on_ready)),
+      totals_(totals),
       cwnd_(static_cast<std::uint64_t>(p_.initialCwndSegs) *
             p_.segmentBytes),
       ssthresh_(UINT64_C(1) << 62),
@@ -70,8 +71,12 @@ void
 TcpSenderFlow::commitSegment(const Segment &s)
 {
     ++segsSent;
+    if (totals_)
+        totals_->segsSent.inc();
     if (s.rtx) {
         ++retransSegs;
+        if (totals_)
+            totals_->retransSegs.inc();
         timingActive_ = false; // Karn: never sample a retransmission
     } else if (!timingActive_) {
         timingActive_ = true;
@@ -131,6 +136,8 @@ TcpSenderFlow::onAck(std::uint64_t ack_no)
         }
     } else if (sndNxt_ > sndUna_) {
         ++dupAcksRx;
+        if (totals_)
+            totals_->dupAcksRx.inc();
         if (inRecovery_) {
             cwnd_ += p_.segmentBytes; // window inflation
         } else if (++dupAcks_ == p_.dupAckThreshold) {
@@ -141,6 +148,8 @@ TcpSenderFlow::onAck(std::uint64_t ack_no)
             cwnd_ = ssthresh_ + 3 * std::uint64_t{p_.segmentBytes};
             fastRtxPending_ = true;
             ++fastRetransmits;
+            if (totals_)
+                totals_->fastRetransmits.inc();
             timingActive_ = false;
             if (onEvent_)
                 onEvent_("fast_rtx");
@@ -201,6 +210,8 @@ TcpSenderFlow::onRtoFire()
     if (inFlight() == 0)
         return;
     ++rtoEvents;
+    if (totals_)
+        totals_->rtoEvents.inc();
     ssthresh_ = std::max<std::uint64_t>(
         inFlight() / 2, 2 * std::uint64_t{p_.segmentBytes});
     cwnd_ = p_.segmentBytes;
@@ -336,11 +347,11 @@ TcpEndpoint::TcpEndpoint(sim::SimContext &ctx, std::string name,
       p_(params),
       nDelivered_(stats().addCounter("delivered_bytes")),
       nAcksRx_(stats().addCounter("acks_received")),
-      nSegs_(stats().addCounter("segs_sent")),
-      nRetrans_(stats().addCounter("segs_retransmitted")),
-      nFastRtx_(stats().addCounter("fast_retransmits")),
-      nRto_(stats().addCounter("rto_events")),
-      nDupAcks_(stats().addCounter("dup_acks_received")),
+      totals_{stats().addCounter("segs_sent"),
+              stats().addCounter("segs_retransmitted"),
+              stats().addCounter("fast_retransmits"),
+              stats().addCounter("rto_events"),
+              stats().addCounter("dup_acks_received")},
       nAcksTx_(stats().addCounter("acks_sent"))
 {
 }
@@ -353,7 +364,7 @@ TcpEndpoint::openSender(std::uint64_t flow_id, MacAddr dst, bool unlimited)
         return;
     it->second.dst = dst;
     it->second.flow = std::make_unique<TcpSenderFlow>(
-        ctx(), p_, [this] { pump(); });
+        ctx(), p_, [this] { pump(); }, &totals_);
     if (unlimited)
         it->second.flow->setUnlimited();
     it->second.flow->setEventHook([this, flow_id](const char *what) {
@@ -425,6 +436,7 @@ TcpEndpoint::onPacket(const Packet &pkt)
         rf = std::make_unique<TcpReceiverFlow>(
             ctx(), p_,
             [this, src = pkt.src, fid = pkt.flowId](std::uint64_t ack_no) {
+                nAcksTx_.inc();
                 AckOut ao{src, fid, ack_no};
                 if (!ackTx_ || !ackTx_(ao))
                     pendingAcks_.push_back(ao);
@@ -438,7 +450,6 @@ TcpEndpoint::onPacket(const Packet &pkt)
         if (deliver_)
             deliver_(pkt, delivered);
     }
-    syncStatCounters();
 }
 
 void
@@ -466,7 +477,6 @@ TcpEndpoint::pump()
             progress = true;
         }
     }
-    syncStatCounters();
     CDNA_TRACE_COUNTER(ctx().tracer(), traceLane(), "cwnd_bytes", now(),
                        cwndBytes());
     pumping_ = false;
@@ -487,60 +497,6 @@ TcpEndpoint::senderFlow(std::uint64_t flow_id)
     return it == senders_.end() ? nullptr : it->second.flow.get();
 }
 
-std::uint64_t
-TcpEndpoint::segsSent() const
-{
-    std::uint64_t n = 0;
-    for (const auto &[id, s] : senders_)
-        n += s.flow->segsSent;
-    return n;
-}
-
-std::uint64_t
-TcpEndpoint::retransSegs() const
-{
-    std::uint64_t n = 0;
-    for (const auto &[id, s] : senders_)
-        n += s.flow->retransSegs;
-    return n;
-}
-
-std::uint64_t
-TcpEndpoint::fastRetransmits() const
-{
-    std::uint64_t n = 0;
-    for (const auto &[id, s] : senders_)
-        n += s.flow->fastRetransmits;
-    return n;
-}
-
-std::uint64_t
-TcpEndpoint::rtoEvents() const
-{
-    std::uint64_t n = 0;
-    for (const auto &[id, s] : senders_)
-        n += s.flow->rtoEvents;
-    return n;
-}
-
-std::uint64_t
-TcpEndpoint::dupAcksRx() const
-{
-    std::uint64_t n = 0;
-    for (const auto &[id, s] : senders_)
-        n += s.flow->dupAcksRx;
-    return n;
-}
-
-std::uint64_t
-TcpEndpoint::acksSent() const
-{
-    std::uint64_t n = 0;
-    for (const auto &[key, r] : receivers_)
-        n += r->acksSent;
-    return n;
-}
-
 double
 TcpEndpoint::cwndBytes() const
 {
@@ -548,24 +504,6 @@ TcpEndpoint::cwndBytes() const
     for (const auto &[id, s] : senders_)
         sum += static_cast<double>(s.flow->cwnd());
     return sum;
-}
-
-void
-TcpEndpoint::syncStatCounters()
-{
-    // Per-flow event counts are plain members (flows are unit-testable
-    // without a StatGroup); top the endpoint's monotonic counters up to
-    // the aggregate sums so stat dumps stay truthful.
-    auto top_up = [](sim::Counter &c, std::uint64_t total) {
-        if (total > c.value())
-            c.inc(total - c.value());
-    };
-    top_up(nSegs_, segsSent());
-    top_up(nRetrans_, retransSegs());
-    top_up(nFastRtx_, fastRetransmits());
-    top_up(nRto_, rtoEvents());
-    top_up(nDupAcks_, dupAcksRx());
-    top_up(nAcksTx_, acksSent());
 }
 
 } // namespace cdna::net::transport

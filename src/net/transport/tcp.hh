@@ -85,8 +85,22 @@ class TcpSenderFlow
         bool rtx; //!< retransmission (never RTT-sampled; Karn's rule)
     };
 
+    /**
+     * The owning endpoint's stat counters.  A flow adds each event to
+     * them where it counts the event itself, so the totals never lag.
+     */
+    struct Totals
+    {
+        sim::Counter &segsSent;
+        sim::Counter &retransSegs;
+        sim::Counter &fastRetransmits;
+        sim::Counter &rtoEvents;
+        sim::Counter &dupAcksRx;
+    };
+
+    /** @param totals  endpoint counters to add to; null for a lone flow */
     TcpSenderFlow(sim::SimContext &ctx, const TcpParams &params,
-                  std::function<void()> on_ready);
+                  std::function<void()> on_ready, Totals *totals = nullptr);
     ~TcpSenderFlow();
 
     TcpSenderFlow(const TcpSenderFlow &) = delete;
@@ -119,7 +133,7 @@ class TcpSenderFlow
     bool inRecovery() const { return inRecovery_; }
     sim::Time rto() const { return rto_; }
 
-    // Event counts, aggregated by the owning endpoint.
+    // Event counts of this flow alone.
     std::uint64_t segsSent = 0;
     std::uint64_t retransSegs = 0;
     std::uint64_t fastRetransmits = 0;
@@ -151,6 +165,7 @@ class TcpSenderFlow
     TcpParams p_;
     std::function<void()> onReady_;
     std::function<void(const char *)> onEvent_;
+    Totals *totals_;
 
     std::uint64_t sndUna_ = 0;  //!< oldest unacknowledged byte
     std::uint64_t sndNxt_ = 0;  //!< next byte to send
@@ -292,13 +307,17 @@ class TcpEndpoint : public sim::SimObject
 
     const TcpParams &params() const { return p_; }
 
-    // --- aggregates (sums over flows; monotonic) --------------------------
-    std::uint64_t segsSent() const;
-    std::uint64_t retransSegs() const;
-    std::uint64_t fastRetransmits() const;
-    std::uint64_t rtoEvents() const;
-    std::uint64_t dupAcksRx() const;
-    std::uint64_t acksSent() const;
+    // --- aggregates (totals over flows; monotonic) ------------------------
+    std::uint64_t segsSent() const { return totals_.segsSent.value(); }
+    std::uint64_t retransSegs() const { return totals_.retransSegs.value(); }
+    std::uint64_t
+    fastRetransmits() const
+    {
+        return totals_.fastRetransmits.value();
+    }
+    std::uint64_t rtoEvents() const { return totals_.rtoEvents.value(); }
+    std::uint64_t dupAcksRx() const { return totals_.dupAcksRx.value(); }
+    std::uint64_t acksSent() const { return nAcksTx_.value(); }
     std::uint64_t deliveredBytes() const { return nDelivered_.value(); }
 
     /** Sum of cumulatively ACKed bytes across sender flows (the
@@ -318,8 +337,6 @@ class TcpEndpoint : public sim::SimObject
         std::unique_ptr<TcpSenderFlow> flow;
     };
 
-    void syncStatCounters();
-
     TcpParams p_;
     SegmentTx segmentTx_;
     AckTx ackTx_;
@@ -337,12 +354,8 @@ class TcpEndpoint : public sim::SimObject
 
     sim::Counter &nDelivered_;
     sim::Counter &nAcksRx_;
-    sim::Counter &nSegs_;
-    sim::Counter &nRetrans_;
-    sim::Counter &nFastRtx_;
-    sim::Counter &nRto_;
-    sim::Counter &nDupAcks_;
-    sim::Counter &nAcksTx_;
+    TcpSenderFlow::Totals totals_; //!< every sender flow counts into these
+    sim::Counter &nAcksTx_;        //!< counted as each ACK leaves a flow
 };
 
 } // namespace cdna::net::transport

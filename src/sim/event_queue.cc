@@ -23,28 +23,31 @@ EventId
 EventQueue::schedule(Time delay, Callback fn)
 {
     SIM_ASSERT(delay >= 0, "negative event delay");
-    return scheduleAt(now_ + delay, std::move(fn));
+    return insert(now_ + delay, nextSeq_++, fn);
 }
 
 EventId
 EventQueue::scheduleAt(Time when, std::uint64_t seq, Callback fn)
 {
-    SIM_ASSERT(when >= now_, "scheduling into the past");
     SIM_ASSERT(seq < nextSeq_, "sequence number was never reserved");
-    std::uint32_t slot;
-    if (!free_.empty()) {
-        slot = free_.back();
-        free_.pop_back();
-    } else {
-        SIM_ASSERT(pool_.size() < kSlotMask, "event pool exhausted");
-        slot = static_cast<std::uint32_t>(pool_.size());
-        pool_.emplace_back();
-    }
-    Node &n = pool_[slot];
+    return insert(when, seq, fn);
+}
+
+EventId
+EventQueue::insert(Time when, std::uint64_t seq, Callback &fn)
+{
+    SIM_ASSERT(when >= now_, "scheduling into the past");
+    if (freeHead_ == kNoSlot)
+        addChunk();
+    const std::uint32_t slot = freeHead_;
+    Node &n = node(slot);
+    freeHead_ = n.nextFree;
     n.fn = std::move(fn);
-    n.heapIndex = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back(HeapEntry{when, seq, slot});
-    siftUp(n.heapIndex);
+    // Carry the entry up from a hole at the end, in registers: an entry
+    // written there and read straight back stalls on the store.
+    const auto hole = static_cast<std::uint32_t>(heap_.size());
+    heap_.emplace_back();
+    siftUp(hole, HeapEntry{when, seq, slot});
     return makeId(n.gen, slot);
 }
 
@@ -53,13 +56,13 @@ EventQueue::cancel(EventId id)
 {
     std::uint32_t slot = static_cast<std::uint32_t>(id & kSlotMask);
     std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-    if (gen == 0 || slot >= pool_.size())
+    if (gen == 0 || slot >= chunks_.size() * kChunkNodes)
         return false;
-    Node &n = pool_[slot];
+    Node &n = node(slot);
     if (n.gen != gen || n.heapIndex == kNotInHeap)
         return false;
-    heapRemove(n.heapIndex);
-    freeNode(slot);
+    unlink(slot);
+    release(slot);
     return true;
 }
 
@@ -76,16 +79,23 @@ EventQueue::runOne()
 {
     if (heap_.empty())
         return false;
-    const HeapEntry top = heap_.front();
-    SIM_ASSERT(top.when >= now_, "event queue time went backwards");
-    now_ = top.when;
+    const Time when = heap_.front().when;
+    const std::uint32_t slot = heap_.front().slot;
+    SIM_ASSERT(when >= now_, "event queue time went backwards");
+    now_ = when;
     ++dispatched_;
-    // Move the callback out and recycle the node *before* invoking, so
-    // the callback is free to schedule new events into the slot.
-    Callback fn = std::move(pool_[top.slot].fn);
-    heapRemove(0);
-    freeNode(top.slot);
-    fn();
+    // Run the callback in its node.  The node is off the heap and off
+    // the free list meanwhile, so the callback may schedule (even grow
+    // the pool: chunks never move) and cancel freely; the node is freed
+    // once the call returns or throws.
+    unlink(slot);
+    struct Release
+    {
+        EventQueue &q;
+        std::uint32_t slot;
+        ~Release() { q.release(slot); }
+    } const freeAfterCall{*this, slot};
+    node(slot).fn();
     return true;
 }
 
@@ -112,28 +122,70 @@ EventQueue::run(std::uint64_t max_events)
 }
 
 void
-EventQueue::siftUp(std::uint32_t pos)
+EventQueue::addChunk()
 {
-    const HeapEntry e = heap_[pos];
-    while (pos > 0) {
-        std::uint32_t parent = (pos - 1) / 4;
-        if (!e.before(heap_[parent]))
-            break;
-        heap_[pos] = heap_[parent];
-        pool_[heap_[pos].slot].heapIndex = pos;
-        pos = parent;
-    }
-    heap_[pos] = e;
-    pool_[e.slot].heapIndex = pos;
+    const std::size_t base = chunks_.size() * kChunkNodes;
+    SIM_ASSERT(base + kChunkNodes <= kSlotMask, "event pool exhausted");
+    auto chunk = std::make_unique<Node[]>(kChunkNodes);
+    for (std::uint32_t i = 0; i + 1 < kChunkNodes; ++i)
+        chunk[i].nextFree = static_cast<std::uint32_t>(base + i + 1);
+    chunks_.push_back(std::move(chunk));
+    freeHead_ = static_cast<std::uint32_t>(base);
 }
 
 void
-EventQueue::siftDown(std::uint32_t pos)
+EventQueue::unlink(std::uint32_t slot)
 {
-    const HeapEntry e = heap_[pos];
+    Node &n = node(slot);
+    heapErase(n.heapIndex);
+    n.heapIndex = kNotInHeap;
+    if (++n.gen == 0)
+        n.gen = 1;
+}
+
+void
+EventQueue::release(std::uint32_t slot) noexcept
+{
+    Node &n = node(slot);
+    n.fn.reset();
+    n.nextFree = freeHead_;
+    freeHead_ = slot;
+}
+
+void
+EventQueue::heapErase(std::uint32_t pos)
+{
+    const HeapEntry last = heap_.back();
+    heap_.pop_back();
+    if (pos == heap_.size())
+        return;
+    // The tail entry fills the hole, moving the one way it has to.
+    if (pos > 0 && last.before(heap_[(pos - 1) / 4]))
+        siftUp(pos, last);
+    else
+        siftDown(pos, last);
+}
+
+inline void
+EventQueue::siftUp(std::uint32_t hole, HeapEntry e)
+{
+    while (hole > 0) {
+        const std::uint32_t parent = (hole - 1) / 4;
+        const HeapEntry p = heap_[parent];
+        if (!e.before(p))
+            break;
+        place(hole, p);
+        hole = parent;
+    }
+    place(hole, e);
+}
+
+inline void
+EventQueue::siftDown(std::uint32_t hole, HeapEntry e)
+{
     const std::uint32_t size = static_cast<std::uint32_t>(heap_.size());
     for (;;) {
-        std::uint32_t first = pos * 4 + 1;
+        std::uint32_t first = hole * 4 + 1;
         if (first >= size)
             break;
         std::uint32_t last = first + 4 < size ? first + 4 : size;
@@ -141,39 +193,20 @@ EventQueue::siftDown(std::uint32_t pos)
         for (std::uint32_t c = first + 1; c < last; ++c)
             if (heap_[c].before(heap_[best]))
                 best = c;
-        if (!heap_[best].before(e))
+        const HeapEntry b = heap_[best];
+        if (!b.before(e))
             break;
-        heap_[pos] = heap_[best];
-        pool_[heap_[pos].slot].heapIndex = pos;
-        pos = best;
+        place(hole, b);
+        hole = best;
     }
+    place(hole, e);
+}
+
+void
+EventQueue::place(std::uint32_t pos, const HeapEntry &e)
+{
     heap_[pos] = e;
-    pool_[e.slot].heapIndex = pos;
-}
-
-void
-EventQueue::heapRemove(std::uint32_t pos)
-{
-    pool_[heap_[pos].slot].heapIndex = kNotInHeap;
-    const HeapEntry last = heap_.back();
-    heap_.pop_back();
-    if (pos == heap_.size())
-        return;
-    heap_[pos] = last;
-    pool_[last.slot].heapIndex = pos;
-    // The replacement may need to move either way relative to pos.
-    siftDown(pos);
-    siftUp(pool_[last.slot].heapIndex);
-}
-
-void
-EventQueue::freeNode(std::uint32_t slot)
-{
-    Node &n = pool_[slot];
-    n.fn.reset();
-    if (++n.gen == 0)
-        n.gen = 1;
-    free_.push_back(slot);
+    node(e.slot).heapIndex = pos;
 }
 
 } // namespace cdna::sim

@@ -9,10 +9,12 @@
  *
  * The queue is the simulator's hot path: a full-system run schedules and
  * dispatches tens of millions of events.  Event state therefore lives in
- * pooled nodes organised as an intrusive 4-ary min-heap -- scheduling
- * reuses a free node instead of allocating, cancellation is O(log n)
- * with immediate removal (no tombstones), and callbacks are stored in a
- * small-buffer type so typical captures never touch the heap.
+ * pooled nodes held in fixed-size chunks that never move, addressed by
+ * an intrusive 4-ary min-heap.  Scheduling reuses a free node instead of
+ * allocating and moves the callback once, into its node; dispatch runs
+ * the callback where it lies; a pop or a cancellation costs one sift;
+ * and callbacks are stored in a small-buffer type so typical captures
+ * never touch the heap.
  */
 
 #ifndef CDNA_SIM_EVENT_QUEUE_HH
@@ -20,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -156,14 +159,23 @@ class InplaceCallback
  * dispatched (or explicitly via runUntil()'s horizon).  Scheduling in the
  * past is a simulator bug and panics.
  *
- * EventIds encode (generation << 32 | pool slot); freeing a node bumps
- * its generation, so a stale handle can never cancel an unrelated later
- * event that reuses the slot.
+ * EventIds encode (generation << 32 | pool slot); taking an event out
+ * of the heap bumps its node's generation, so a stale handle can never
+ * cancel an unrelated later event that reuses the slot.
+ *
+ * Nodes live in chunks of kChunkNodes that are allocated whole and never
+ * move, so runOne() invokes a callback in its node instead of moving it
+ * out first.  The event leaves the heap and its handle goes stale before
+ * the call (cancelling the running event fails); the node returns to the
+ * free list after the call, also when the callback throws.
  */
 class EventQueue
 {
   public:
     using Callback = InplaceCallback;
+
+    /** Nodes per pool chunk, the unit in which the pool grows. */
+    static constexpr std::uint32_t kChunkNodes = 256;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -183,7 +195,7 @@ class EventQueue
     /** Schedule @p fn at the absolute time @p when (>= now). */
     EventId scheduleAt(Time when, Callback fn)
     {
-        return scheduleAt(when, nextSeq_++, std::move(fn));
+        return insert(when, nextSeq_++, fn);
     }
 
     /**
@@ -240,12 +252,14 @@ class EventQueue
 
   private:
     static constexpr std::uint32_t kNotInHeap = UINT32_MAX;
+    static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
     /** Pooled per-event state; the ordering key lives in HeapEntry. */
     struct Node
     {
         std::uint32_t gen = 1;       //!< liveness generation (never 0)
         std::uint32_t heapIndex = kNotInHeap;
+        std::uint32_t nextFree = kNoSlot; //!< free-list link while free
         Callback fn;
     };
 
@@ -267,16 +281,29 @@ class EventQueue
         }
     };
 
-    void siftUp(std::uint32_t pos);
-    void siftDown(std::uint32_t pos);
-    void heapRemove(std::uint32_t pos);
-    void freeNode(std::uint32_t slot);
+    Node &
+    node(std::uint32_t slot)
+    {
+        return chunks_[slot / kChunkNodes][slot % kChunkNodes];
+    }
+
+    /** Schedule @p fn, moving it once: from the caller's argument. */
+    EventId insert(Time when, std::uint64_t seq, Callback &fn);
+    void addChunk();
+    void unlink(std::uint32_t slot);
+    void release(std::uint32_t slot) noexcept;
+    void heapErase(std::uint32_t pos);
+    // Inlined into their callers so the moving entry stays in registers:
+    // a 24-byte argument would pass through memory and stall on reload.
+    [[gnu::always_inline]] void siftUp(std::uint32_t hole, HeapEntry e);
+    [[gnu::always_inline]] void siftDown(std::uint32_t hole, HeapEntry e);
+    void place(std::uint32_t pos, const HeapEntry &e);
 
     Time now_ = 0;
     std::uint64_t nextSeq_ = 1;
     std::uint64_t dispatched_ = 0;
-    std::vector<Node> pool_;           //!< slot-addressed node storage
-    std::vector<std::uint32_t> free_;  //!< recyclable pool slots
+    std::vector<std::unique_ptr<Node[]>> chunks_; //!< node storage
+    std::uint32_t freeHead_ = kNoSlot; //!< first free slot
     std::vector<HeapEntry> heap_;      //!< 4-ary min-heap
 };
 

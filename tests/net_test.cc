@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <map>
+#include <set>
 #include <tuple>
+#include <vector>
 
 #include "net/eth_link.hh"
 #include "net/packet.hh"
@@ -30,6 +35,39 @@ TEST(MacAddr, StringForm)
 {
     std::string s = MacAddr::fromId(0x123456).str();
     EXPECT_EQ(s, "02:cd:4a:12:34:56");
+}
+
+TEST(MacAddr, OrderIsByteLexicographic)
+{
+    // Every byte position takes values on both sides of 0x80, so a
+    // signed or wrongly ordered byte would break the comparison.
+    const std::uint8_t vals[] = {0x00, 0x01, 0x7f, 0x80, 0x81, 0xff};
+    std::vector<std::array<std::uint8_t, 6>> raws;
+    for (int pos = 0; pos < 6; ++pos)
+        for (std::uint8_t hi : vals)
+            for (std::uint8_t lo : vals) {
+                std::array<std::uint8_t, 6> b{};
+                b[pos] = hi;
+                b[(pos + 1) % 6] = lo;
+                raws.push_back(b);
+            }
+    std::map<MacAddr, std::size_t> byMac;
+    for (std::size_t i = 0; i < raws.size(); ++i) {
+        const auto a = std::bit_cast<MacAddr>(raws[i]);
+        ASSERT_EQ(a.raw(), raws[i]);
+        byMac.emplace(a, i);
+        for (const auto &rb : raws) {
+            const auto b = std::bit_cast<MacAddr>(rb);
+            EXPECT_EQ(a <=> b, raws[i] <=> rb) << a.str() << " vs " << b.str();
+            EXPECT_EQ(a == b, raws[i] == rb);
+        }
+    }
+    // A map keyed by MacAddr iterates in byte order.
+    std::set<std::array<std::uint8_t, 6>> sorted(raws.begin(), raws.end());
+    ASSERT_EQ(byMac.size(), sorted.size());
+    auto it = sorted.begin();
+    for (const auto &[mac, i] : byMac)
+        EXPECT_EQ(mac.raw(), *it++);
 }
 
 // -------------------------------------------------------------- packet ----

@@ -7,6 +7,7 @@
  * byte-for-byte).
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -14,6 +15,8 @@
 #include <functional>
 #include <iomanip>
 #include <map>
+#include <memory>
+#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -154,6 +157,215 @@ TEST(EventQueuePool, ReservedSeqKeepsItsFifoPlace)
     q.scheduleAt(10, seq, [&order] { order.push_back(0); });
     q.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+/**
+ * Drives an EventQueue with random operations and checks it against a
+ * reference, an ordered map of the pending (when, seq) keys: every
+ * dispatch must be the reference's smallest key, and pendingCount()
+ * its size after every operation.  Callbacks run operations too, so
+ * events are scheduled, armed and cancelled from inside dispatch, and
+ * each callback tries to cancel itself.
+ */
+class QueueVsReference
+{
+  public:
+    explicit QueueVsReference(std::uint64_t seed) : rng_(seed) {}
+
+    /**
+     * One random operation: schedule, reserve a sequence number, arm a
+     * reserved one, or cancel any event ever scheduled.  It adds half an
+     * event on average, so a queue whose callbacks run one operation
+     * each still drains.
+     */
+    void
+    op()
+    {
+        switch (pick(8)) {
+        case 0:
+        case 1:
+        case 2:
+            add(pickTime(), nextSeq_++, false);
+            break;
+        case 3:
+            EXPECT_EQ(q_.reserveSeq(), nextSeq_);
+            reserved_.push_back(nextSeq_++);
+            break;
+        case 4:
+            if (!reserved_.empty()) {
+                std::size_t i = pick(reserved_.size());
+                std::uint64_t seq = reserved_[i];
+                reserved_.erase(reserved_.begin() + i);
+                add(pickTime(), seq, true);
+            }
+            break;
+        default:
+            if (!events_.empty())
+                cancel(pick(events_.size()));
+            break;
+        }
+        ASSERT_EQ(q_.pendingCount(), pending_.size());
+        peak_ = std::max(peak_, pending_.size());
+    }
+
+    /** Schedule 40 events at once: the heap grows deep, the pool by chunks. */
+    void
+    burst()
+    {
+        for (int i = 0; i < 40; ++i)
+            add(pickTime(), nextSeq_++, false);
+        ASSERT_EQ(q_.pendingCount(), pending_.size());
+        peak_ = std::max(peak_, pending_.size());
+    }
+
+    /** Dispatch one event; it must be the reference's smallest key. */
+    void
+    dispatch()
+    {
+        ASSERT_FALSE(pending_.empty());
+        auto top = pending_.begin();
+        const std::size_t want = top->second;
+        const sim::Time when = top->first.first;
+        pending_.erase(top);
+        ASSERT_TRUE(q_.runOne());
+        ASSERT_FALSE(dispatched_.empty());
+        ASSERT_EQ(dispatched_.back(), want);
+        ASSERT_EQ(q_.now(), when);
+        ASSERT_EQ(q_.pendingCount(), pending_.size());
+    }
+
+    std::size_t pending() const { return pending_.size(); }
+    std::size_t peak() const { return peak_; }
+    std::size_t dispatchedCount() const { return dispatched_.size(); }
+
+  private:
+    using Key = std::pair<sim::Time, std::uint64_t>;
+
+    std::size_t pick(std::size_t n) { return rng_() % n; }
+
+    /** Mostly a few ps ahead, so equal times (FIFO ties) are common. */
+    sim::Time
+    pickTime()
+    {
+        return q_.now() + static_cast<sim::Time>(pick(2) ? pick(3)
+                                                         : pick(500));
+    }
+
+    void
+    add(sim::Time when, std::uint64_t seq, bool reserved)
+    {
+        const std::size_t label = events_.size();
+        auto fn = [this, label] {
+            dispatched_.push_back(label);
+            if (pick(4) == 0)
+                cancel(label); // the running event: must fail
+            for (std::size_t n = pick(3); n > 0; --n)
+                op();
+        };
+        sim::EventId id;
+        if (reserved)
+            id = q_.scheduleAt(when, seq, fn);
+        else if (pick(2))
+            id = q_.schedule(when - q_.now(), fn);
+        else
+            id = q_.scheduleAt(when, fn);
+        events_.push_back({id, Key{when, seq}});
+        pending_.emplace(Key{when, seq}, label);
+    }
+
+    /** Cancel event @p label, pending or not; only pending succeeds. */
+    void
+    cancel(std::size_t label)
+    {
+        const auto [id, key] = events_[label];
+        auto it = pending_.find(key);
+        const bool live = it != pending_.end();
+        EXPECT_EQ(q_.cancel(id), live) << "event " << label;
+        if (live)
+            pending_.erase(it);
+    }
+
+    sim::EventQueue q_;
+    std::mt19937_64 rng_;
+    std::map<Key, std::size_t> pending_; //!< the reference
+    std::vector<std::pair<sim::EventId, Key>> events_; //!< by label
+    std::vector<std::uint64_t> reserved_; //!< reserved, not yet armed
+    std::uint64_t nextSeq_ = 1;           //!< the queue's next seq
+    std::vector<std::size_t> dispatched_;
+    std::size_t peak_ = 0;
+};
+
+TEST(EventQueuePool, MatchesOrderedReferenceUnderRandomOps)
+{
+    for (std::uint64_t seed : {1, 2, 3}) {
+        SCOPED_TRACE(seed);
+        QueueVsReference t(seed);
+        std::mt19937_64 driver(seed);
+        // Grow the queue, then let it drain.
+        for (int step = 0; step < 6000; ++step) {
+            const auto r = driver() % 20;
+            if (r == 0)
+                t.burst();
+            else if (r < 10 || t.pending() == 0)
+                t.op();
+            else
+                t.dispatch();
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        while (t.pending() > 0) {
+            if (driver() % 5 == 0)
+                t.op();
+            else
+                t.dispatch();
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        EXPECT_GT(t.peak(), sim::EventQueue::kChunkNodes);
+        EXPECT_GT(t.dispatchedCount(), 10000u);
+    }
+}
+
+TEST(EventQueuePool, CallbackKeepsCapturesWhilePoolGrows)
+{
+    // The running callback grows the pool by several chunks; it runs in
+    // its node, so its captures must stay where they are (reading a
+    // freed node trips ASan; a moved-from capture fails `intact`).
+    sim::EventQueue q;
+    constexpr std::uint32_t kMore = 3 * sim::EventQueue::kChunkNodes;
+    std::uint32_t fired = 0;
+    bool intact = false;
+    q.schedule(1, [&q, &fired, &intact, v = std::vector<int>(100, 42)] {
+        for (std::uint32_t i = 0; i < kMore; ++i)
+            q.schedule(1, [&fired] { ++fired; });
+        intact = v == std::vector<int>(100, 42);
+    });
+    q.run();
+    EXPECT_TRUE(intact);
+    EXPECT_EQ(fired, kMore);
+}
+
+TEST(EventQueuePool, ThrowingCallbackLeavesLaterEventsInOrder)
+{
+    sim::EventQueue q;
+    std::vector<int> order;
+    auto token = std::make_shared<int>(0); // counts live closures
+    for (int i = 0; i < 6; ++i)
+        q.schedule(10 * (1 + i / 2), [&order, i, token] {
+            order.push_back(i);
+            if (i == 2)
+                throw std::runtime_error("callback failed");
+        });
+    EXPECT_THROW(q.run(), std::runtime_error);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(q.now(), 20);
+    EXPECT_EQ(q.pendingCount(), 3u);
+    EXPECT_EQ(token.use_count(), 1 + 3); // the thrower's closure is gone
+    // Due at the thrower's time, so after event 3, already due then.
+    q.schedule(0, [&order] { order.push_back(6); });
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 6, 4, 5}));
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(EventQueuePoolDeathTest, UnreservedSeqPanics)

@@ -294,6 +294,56 @@ TEST(TcpEndpoint, LoopbackTransfersWholeStream)
     EXPECT_LE(l.a.segsSent(), (total + kSeg - 1) / kSeg + 10);
 }
 
+TEST(TcpEndpoint, DelayedAckCountsInStats)
+{
+    // One segment leaves the delayed-ACK timer to send the ACK, after the
+    // last packet and pump: the stat must count it all the same.
+    sim::SimContext ctx;
+    TcpEndpoint ep{ctx, "ep", TcpParams{}};
+    int wire_acks = 0;
+    ep.setAckTx([&wire_acks](const TcpEndpoint::AckOut &) {
+        ++wire_acks;
+        return true;
+    });
+    Packet p;
+    p.src = MacAddr::fromId(1);
+    p.flowId = 3;
+    p.payloadBytes = 1000;
+    p.tcpData = true;
+    ep.onPacket(p);
+    ctx.events().run();
+    EXPECT_EQ(wire_acks, 1);
+    EXPECT_EQ(ep.acksSent(), 1u);
+    EXPECT_EQ(ep.stats().findCounter("acks_sent")->value(), 1u);
+}
+
+TEST(TcpEndpoint, StatCountersEqualTheFlowsCounts)
+{
+    const std::uint64_t total = 400'000;
+    Loopback l(total);
+    // Lose the first transmission of two segments: one fast retransmit,
+    // and one tail loss that only the RTO recovers.
+    l.dropData = [](const TcpEndpoint::SegmentOut &so) {
+        return !so.rtx && (so.seq == 20 * kSeg || so.seq + so.len == total);
+    };
+    l.start();
+    l.ctx.events().run();
+    ASSERT_EQ(l.b.deliveredBytes(), total);
+    const TcpSenderFlow &f = *l.a.senderFlow(7);
+    EXPECT_GE(f.fastRetransmits, 1u);
+    EXPECT_GE(f.rtoEvents, 1u);
+    auto stat = [](const TcpEndpoint &ep, const char *name) {
+        return ep.stats().findCounter(name)->value();
+    };
+    EXPECT_EQ(stat(l.a, "segs_sent"), f.segsSent);
+    EXPECT_EQ(stat(l.a, "segs_retransmitted"), f.retransSegs);
+    EXPECT_EQ(stat(l.a, "fast_retransmits"), f.fastRetransmits);
+    EXPECT_EQ(stat(l.a, "rto_events"), f.rtoEvents);
+    EXPECT_EQ(stat(l.a, "dup_acks_received"), f.dupAcksRx);
+    // The wire loses no ACK, so every ACK the receiver sent arrived.
+    EXPECT_EQ(stat(l.b, "acks_sent"), stat(l.a, "acks_received"));
+}
+
 TEST(TcpEndpoint, SingleLossRecoversByFastRetransmit)
 {
     const std::uint64_t total = 1'000'000;
