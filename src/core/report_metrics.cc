@@ -319,9 +319,7 @@ reportMetrics()
                  if (!s.cfg_.transmitDir) {
                      n += s.stacks_[s.portIndex(g, i)]->rxBytes();
                  } else if (s.peers_[i]) {
-                     const auto &by_src = s.peers_[i]->receivedBySrc();
-                     auto it = by_src.find(s.guestMac(g, i));
-                     n += it == by_src.end() ? 0 : it->second;
+                     n += s.peers_[i]->receivedFrom(s.guestMac(g, i));
                  }
              }
              return n;

@@ -492,29 +492,51 @@ System::buildSwpt()
 void
 System::startTimers()
 {
-    sim::Time period = sim::kSecond / cfg_.costs.timerHz;
-    sim::Time cost = cfg_.costs.timerTickCost;
     for (const auto &dom : hv_->domains())
         domainTimerStopped_.resize(
             std::max<std::size_t>(domainTimerStopped_.size(),
                                   dom->id() + 1),
             0);
+    // Each domain ticks every period from its own phase.  The ticks wait
+    // in a heap ordered as the event queue orders events, and only the
+    // earliest is an event, so the queue holds one tick per host however
+    // many guests it runs.  Each tick reserves its sequence number where
+    // a self-rescheduling event would have been scheduled, so it fires
+    // exactly where that event would have.  The heap cannot be a FIFO:
+    // from domain id 73 on, the phase passes the period, and a domain's
+    // first tick falls after another domain's second.
+    sim::EventQueue &eq = ctx_.events();
+    sim::Time period = sim::kSecond / cfg_.costs.timerHz;
     for (const auto &dom : hv_->domains()) {
-        vmm::Domain *d = dom.get();
-        // The System owns the tick callback; the lambda captures a raw
-        // pointer to reschedule itself without a shared_ptr cycle.  A
-        // killed domain's tick stops rescheduling (killGuest).
-        timerTicks_.push_back(std::make_unique<std::function<void()>>());
-        std::function<void()> *tick = timerTicks_.back().get();
-        *tick = [this, d, period, cost, tick] {
-            if (domainTimerStopped_[d->id()])
-                return;
-            d->vcpu().post(cpu::Bucket::kOs, cost);
-            ctx_.events().schedule(period, *tick);
-        };
-        sim::Time phase = sim::microseconds(137.0) * d->id();
-        ctx_.events().schedule(phase + period, *tick);
+        sim::Time phase = sim::microseconds(137.0) * dom->id();
+        pendingTicks_.push({eq.now() + phase + period, eq.reserveSeq(),
+                            dom.get()});
     }
+    armTick();
+}
+
+void
+System::armTick()
+{
+    if (pendingTicks_.empty())
+        return;
+    const PendingTick &next = pendingTicks_.top();
+    ctx_.events().scheduleAt(next.when, next.seq, [this] { fireTick(); });
+}
+
+void
+System::fireTick()
+{
+    sim::EventQueue &eq = ctx_.events();
+    vmm::Domain *d = pendingTicks_.top().dom;
+    pendingTicks_.pop();
+    // A killed domain's tick fires this once more, doing nothing.
+    if (!domainTimerStopped_[d->id()]) {
+        d->vcpu().post(cpu::Bucket::kOs, cfg_.costs.timerTickCost);
+        sim::Time period = sim::kSecond / cfg_.costs.timerHz;
+        pendingTicks_.push({eq.now() + period, eq.reserveSeq(), d});
+    }
+    armTick();
 }
 
 void

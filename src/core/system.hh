@@ -36,9 +36,11 @@
 #define CDNA_CORE_SYSTEM_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -470,6 +472,10 @@ class System
     void detachCdnaContext(std::uint32_t nic, CdnaGuestDriver &drv);
     void wireCdnaIsr(std::uint32_t nic_index);
     void startTimers();
+    /** Arm the earliest pending timer tick as an event. */
+    void armTick();
+    /** Run the earliest pending timer tick and arm the next. */
+    void fireTick();
     /** @p base prefixed with cfg_.namePrefix (shared-context naming). */
     std::string nm(const std::string &base) const
     {
@@ -550,8 +556,25 @@ class System
     std::vector<std::unique_ptr<os::NetStack>> stacks_;
     std::vector<std::unique_ptr<workload::TrafficApp>> apps_;
 
-    // Self-rescheduling per-domain timer callbacks (see startTimers()).
-    std::vector<std::unique_ptr<std::function<void()>>> timerTicks_;
+    /** A domain's next timer tick, at its reserved FIFO position. */
+    struct PendingTick
+    {
+        sim::Time when;
+        std::uint64_t seq;
+        vmm::Domain *dom;
+
+        /** Due later: the heap below keeps the earliest on top. */
+        bool
+        operator>(const PendingTick &o) const
+        {
+            return when != o.when ? when > o.when : seq > o.seq;
+        }
+    };
+    // Every domain's next timer tick in (when, seq) order; only the
+    // earliest is an armed event (see startTimers()).
+    std::priority_queue<PendingTick, std::vector<PendingTick>,
+                        std::greater<>>
+        pendingTicks_;
     // Indexed by domain id; a stopped (killed) domain's tick no longer
     // posts CPU work or reschedules itself.
     std::vector<char> domainTimerStopped_;

@@ -67,11 +67,10 @@ class MacAddr
         return h;
     }
 
-  private:
     /**
      * The six bytes as one big-endian integer, so integer order is byte
-     * order.  Comparing the byte array itself calls memcmp on every map
-     * lookup.
+     * order.  Compares and keyed lookups use it: comparing the byte
+     * array itself calls memcmp.
      */
     std::uint64_t
     key() const
@@ -87,6 +86,7 @@ class MacAddr
         return std::uint64_t{hi} << 16 | lo;
     }
 
+  private:
     std::array<std::uint8_t, 6> bytes_;
 };
 

@@ -102,7 +102,7 @@ TrafficPeer::enableTcpImpl(const transport::TcpParams &params)
     });
 
     tcp_->setDeliver([this](const Packet &pkt, std::uint64_t bytes) {
-        rxBySrc_[pkt.src] += bytes;
+        countReceived(pkt.src, bytes);
         if (pkt.created > 0) {
             double us = sim::toMicroseconds(now() - pkt.created);
             latency_.record(us);
@@ -111,11 +111,57 @@ TrafficPeer::enableTcpImpl(const transport::TcpParams &params)
     });
 }
 
+std::uint32_t
+TrafficPeer::remoteIndex(MacAddr mac)
+{
+    // Indices are never below 0, so this finds the first entry whose
+    // key is not below mac's.
+    const std::pair<std::uint64_t, std::uint32_t> probe{mac.key(), 0};
+    auto it = std::lower_bound(byKey_.begin(), byKey_.end(), probe);
+    if (it != byKey_.end() && it->first == probe.first)
+        return it->second;
+    const auto index = static_cast<std::uint32_t>(remotes_.size());
+    remotes_.push_back(Remote{mac});
+    byKey_.insert(it, {probe.first, index});
+    return index;
+}
+
+TrafficPeer::Remote &
+TrafficPeer::countReceived(MacAddr src, std::uint64_t bytes)
+{
+    Remote &r = remotes_[remoteIndex(src)];
+    r.received = true;
+    r.rxBytes += bytes;
+    return r;
+}
+
+std::map<MacAddr, std::uint64_t>
+TrafficPeer::receivedBySrc() const
+{
+    std::map<MacAddr, std::uint64_t> by_src;
+    for (const Remote &r : remotes_)
+        if (r.received)
+            by_src.emplace(r.mac, r.rxBytes);
+    return by_src;
+}
+
+std::uint64_t
+TrafficPeer::receivedFrom(MacAddr src) const
+{
+    const std::pair<std::uint64_t, std::uint32_t> probe{src.key(), 0};
+    auto it = std::lower_bound(byKey_.begin(), byKey_.end(), probe);
+    if (it == byKey_.end() || it->first != probe.first)
+        return 0;
+    return remotes_[it->second].rxBytes;
+}
+
 void
 TrafficPeer::startSourceImpl(std::vector<MacAddr> dsts,
                              std::uint32_t payload)
 {
-    dsts_ = std::move(dsts);
+    dsts_.clear();
+    for (MacAddr dst : dsts)
+        dsts_.push_back(remoteIndex(dst));
     payload_ = payload;
     rrIndex_ = 0;
     if (dsts_.empty())
@@ -124,8 +170,8 @@ TrafficPeer::startSourceImpl(std::vector<MacAddr> dsts,
         // Closed-loop source: one unlimited Reno flow per destination;
         // guests' ACKs clock the data out.
         sourcing_ = true;
-        for (std::size_t i = 0; i < dsts_.size(); ++i)
-            tcp_->openSender(0x1000 + i, dsts_[i], /*unlimited=*/true);
+        for (std::size_t i = 0; i < dsts.size(); ++i)
+            tcp_->openSender(0x1000 + i, dsts[i], /*unlimited=*/true);
         tcp_->pump();
         return;
     }
@@ -148,22 +194,21 @@ TrafficPeer::sendNext()
         return;
 
     // Pick the next destination with window room (round-robin).
-    bool flow_control = ackEvery_ != 0 && windowFrames_ != 0;
-    std::size_t tried = 0;
-    MacAddr dst;
-    bool found = false;
-    while (tried < dsts_.size()) {
-        MacAddr cand = dsts_[rrIndex_];
-        rrIndex_ = (rrIndex_ + 1) % dsts_.size();
-        ++tried;
-        if (!flow_control ||
-            srcSent_[cand] - srcAcked_[cand] < windowFrames_) {
-            dst = cand;
-            found = true;
-            break;
+    const bool flow_control = ackEvery_ != 0 && windowFrames_ != 0;
+    Remote *dst = nullptr;
+    for (std::size_t tried = 0; tried < dsts_.size(); ++tried) {
+        Remote &cand = remotes_[dsts_[rrIndex_]];
+        if (++rrIndex_ == dsts_.size())
+            rrIndex_ = 0;
+        if (flow_control) {
+            cand.windowed = true;
+            if (cand.sent - cand.acked >= windowFrames_)
+                continue;
         }
+        dst = &cand;
+        break;
     }
-    if (!found) {
+    if (!dst) {
         // Every destination's window is full: wait for ACKs, with an
         // RTO-style retry that re-opens the windows (retransmission).
         // The RTO backs off exponentially while no progress is made, so
@@ -174,8 +219,9 @@ TrafficPeer::sendNext()
                 retryTimer_ = sim::kInvalidEvent;
                 retryDelay_ = std::min<sim::Time>(retryDelay_ * 2,
                                                   sim::milliseconds(16));
-                for (auto &[mac, sent] : srcSent_)
-                    sent = srcAcked_[mac];
+                for (Remote &r : remotes_)
+                    if (r.windowed)
+                        r.sent = r.acked;
                 sendNext();
             });
         }
@@ -184,11 +230,12 @@ TrafficPeer::sendNext()
 
     Packet pkt;
     pkt.src = mac_;
-    pkt.dst = dst;
+    pkt.dst = dst->mac;
     pkt.payloadBytes = payload_;
     pkt.id = nextPktId_++;
     pkt.created = now();
-    srcSent_[dst] += pkt.wireFrames();
+    dst->windowed = true;
+    dst->sent += pkt.wireFrames();
     nTxFrames_.inc();
     sendInProgress_ = true;
     port_->send(std::move(pkt), 0, [this] {
@@ -216,7 +263,7 @@ TrafficPeer::receiveFrame(Packet pkt)
             return;
         }
         nRxPayload_.inc(pkt.payloadBytes);
-        rxBySrc_[pkt.src] += pkt.payloadBytes;
+        countReceived(pkt.src, pkt.payloadBytes);
         engine_->onRpcResponse(pkt);
         return;
     }
@@ -240,7 +287,7 @@ TrafficPeer::receiveFrame(Packet pkt)
         return;
     }
     nRxPayload_.inc(pkt.payloadBytes);
-    rxBySrc_[pkt.src] += pkt.payloadBytes;
+    Remote &src = countReceived(pkt.src, pkt.payloadBytes);
 
     if (pkt.payloadBytes > 0 && pkt.created > 0) {
         double us = sim::toMicroseconds(now() - pkt.created);
@@ -249,19 +296,19 @@ TrafficPeer::receiveFrame(Packet pkt)
     }
 
     // An incoming ACK opens the sender-side window toward its source.
+    // (sendNext() adds no record, so src stays valid; an ACK carries no
+    // payload, so the data branch below does not run after it anyway.)
     if (pkt.payloadBytes == 0 && sourcing_) {
         retryDelay_ = sim::microseconds(500); // progress: reset the RTO
-        srcAcked_[pkt.src] += ackEvery_ ? ackEvery_ : 0;
-        auto sent_it = srcSent_.find(pkt.src);
-        if (sent_it != srcSent_.end() &&
-            srcAcked_[pkt.src] > sent_it->second)
-            srcAcked_[pkt.src] = sent_it->second;
+        src.acked += ackEvery_;
+        if (src.windowed && src.acked > src.sent)
+            src.acked = src.sent;
         sendNext();
     }
 
     // TCP reverse path: ACK data frames (never ACK an ACK).
     if (ackEvery_ != 0 && pkt.payloadBytes > 0) {
-        std::uint64_t &debt = ackDebt_[pkt.src];
+        std::uint64_t &debt = src.ackDebt;
         debt += pkt.wireFrames();
         while (debt >= ackEvery_) {
             debt -= ackEvery_;

@@ -19,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/fabric.hh"
@@ -95,22 +96,49 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
     /** Latency histogram (microsecond buckets) for quantiles. */
     const sim::Histogram &latencyHist() const { return latencyHist_; }
 
-    /** Per-source-MAC payload received (fairness checks in tests). */
-    const std::map<MacAddr, std::uint64_t> &receivedBySrc() const
-    {
-        return rxBySrc_;
-    }
+    /** Payload received per source MAC (fairness checks in tests). */
+    std::map<MacAddr, std::uint64_t> receivedBySrc() const;
+
+    /** Payload received from @p src: its receivedBySrc() entry, or 0. */
+    std::uint64_t receivedFrom(MacAddr src) const;
 
     void receiveFrame(Packet pkt) override;
 
   private:
+    /**
+     * Everything the peer keeps per remote MAC, in one flat record: the
+     * source's window toward it, the ACK debt of the data it sent, and
+     * its received payload.
+     */
+    struct Remote
+    {
+        MacAddr mac;
+        std::uint64_t sent = 0;    //!< wire frames sent toward it
+        std::uint64_t acked = 0;   //!< of those, frames it ACKed
+        std::uint64_t ackDebt = 0; //!< its data frames not yet ACKed
+        std::uint64_t rxBytes = 0; //!< payload received from it
+        /** The source sent toward it or checked its room: only such a
+         *  window clamps ACKs and is reset by the retry timer. */
+        bool windowed = false;
+        bool received = false; //!< listed by receivedBySrc()
+    };
+
     void sendNext();
     void enableTcpImpl(const transport::TcpParams &params);
     void startSourceImpl(std::vector<MacAddr> dsts, std::uint32_t payload);
+    /** Index of @p mac's record, made on first sight. */
+    std::uint32_t remoteIndex(MacAddr mac);
+    /** Count @p bytes of payload received from @p src. */
+    Remote &countReceived(MacAddr src, std::uint64_t bytes);
 
     Port *port_ = nullptr;
     MacAddr mac_;
-    std::vector<MacAddr> dsts_;
+    std::vector<Remote> remotes_;
+    /** (MAC key, index into remotes_), sorted by key. */
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> byKey_;
+    /** Round-robin destinations as indices into remotes_: a MAC listed
+     *  twice shares one record, so one window. */
+    std::vector<std::uint32_t> dsts_;
     std::uint32_t payload_ = kMss;
     std::size_t rrIndex_ = 0;
     bool sourcing_ = false;
@@ -120,10 +148,6 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
     std::uint32_t windowFrames_ = 128;
     sim::EventId retryTimer_ = sim::kInvalidEvent;
     sim::Time retryDelay_ = sim::microseconds(500);
-    std::map<MacAddr, std::uint64_t> rxBySrc_;
-    std::map<MacAddr, std::uint64_t> ackDebt_;
-    std::map<MacAddr, std::uint64_t> srcSent_;
-    std::map<MacAddr, std::uint64_t> srcAcked_;
     sim::SampleStats latency_;
     sim::Histogram latencyHist_;
 

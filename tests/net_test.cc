@@ -314,6 +314,74 @@ TEST(TrafficPeer, SourcesRoundRobinAtLineRate)
     EXPECT_LE(std::abs(to1 - to2), 1);
 }
 
+/**
+ * The windowed source's rules, frame by frame: a window per destination
+ * MAC (one MAC listed twice shares one), round-robin over the targets
+ * skipping full windows, an ACK that opens only its sender's window,
+ * and a 500 us retry that re-opens every window.
+ */
+TEST(TrafficPeer, WindowedSourceFollowsAcks)
+{
+    sim::SimContext ctx;
+    EthLink link(ctx, "eth");
+    TrafficPeer peer(ctx, "peer", link);
+    Sink sink;
+    link.bind(sink);
+
+    auto m1 = MacAddr::fromId(1);
+    auto m2 = MacAddr::fromId(2);
+    auto m3 = MacAddr::fromId(3);
+    peer.applyWorkload(workload::WorkloadSpec{}
+                           .ackingEvery(2)
+                           .windowed(4)
+                           .toward({m1, m2, m1})
+                           .withClass(workload::FlowClass::saturating()));
+    auto sentSince = [&](std::size_t from) {
+        std::vector<MacAddr> dsts;
+        for (std::size_t i = from; i < sink.got.size(); ++i)
+            dsts.push_back(sink.got[i].dst);
+        return dsts;
+    };
+    auto ackFrom = [&](MacAddr src) {
+        Packet ack;
+        ack.src = src;
+        ack.dst = peer.mac();
+        ack.payloadBytes = 0;
+        link.port(1).send(ack);
+    };
+
+    // Eight frames (12.3 us each) fill both windows by about 100 us;
+    // the retry timer is then due at about 600 us.
+    ctx.events().runUntil(sim::microseconds(300));
+    EXPECT_EQ(sentSince(0),
+              (std::vector<MacAddr>{m1, m2, m1, m1, m2, m1, m2, m2}));
+
+    // One ACK (two frames) from m2 releases two frames toward m2 only.
+    ackFrom(m2);
+    ctx.events().runUntil(sim::microseconds(400));
+    EXPECT_EQ(sentSince(8), (std::vector<MacAddr>{m2, m2}));
+
+    // An ACK from a MAC the source never targeted opens nothing.
+    ackFrom(m3);
+    ctx.events().runUntil(sim::microseconds(590));
+    EXPECT_EQ(sink.got.size(), 10u);
+
+    // The retry resets every window to its ACKed count: m1 has four
+    // frames of room again, m2 four past its two ACKed frames.
+    ctx.events().runUntil(sim::microseconds(800));
+    EXPECT_EQ(sentSince(10),
+              (std::vector<MacAddr>{m1, m1, m2, m1, m1, m2, m2, m2}));
+
+    // ACKs for more frames than were sent are clamped: four ACKs (eight
+    // frames) against m2's seven sent frames -- the first ACK frees one
+    // more before the rest arrive -- open only five frames.
+    for (int i = 0; i < 4; ++i)
+        ackFrom(m2);
+    ctx.events().runUntil(sim::microseconds(1000));
+    EXPECT_EQ(sentSince(18), std::vector<MacAddr>(5, m2));
+    peer.stopSource();
+}
+
 TEST(TrafficPeer, SinkCountsPayloadBySource)
 {
     sim::SimContext ctx;

@@ -805,7 +805,10 @@ presetCellJson(const std::string &preset, const std::string &cell,
  * (about half its requests time out), and the swpt dom0-kill cell the
  * swpt RPC path through a validator stall.  The noisy-neighbor cells
  * are the only topology with two switches, a trunk and two hosts: they
- * pin static routing across the trunk and its tail drops.
+ * pin static routing across the trunk and its tail drops.  Oversub's
+ * 128-guest Xen cell is the only one with domain ids of 73 and up,
+ * whose first timer tick (137 us apart per id) falls after an earlier
+ * domain's second: it pins the hosts' tick order past the period.
  */
 TEST(ReportGolden, PresetCellsMatchFullDocuments)
 {
@@ -818,6 +821,7 @@ TEST(ReportGolden, PresetCellsMatchFullDocuments)
     const Case cases[] = {
         {"tcp-loss", "cdna/drop0.01", "tcp-loss-cdna-drop0.01.json"},
         {"oversub", "cdna/g64", "oversub-cdna-g64.json"},
+        {"oversub", "xen/g128", "oversub-xen-g128.json"},
         {"swpt", "swpt/g8/rx", "swpt-swpt-g8-rx.json"},
         {"latency", "cdna/load10k/healthy",
          "latency-cdna-load10k-healthy.json"},

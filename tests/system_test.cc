@@ -179,6 +179,19 @@ TEST(SystemIntegration, CdnaTransmitBacklogIsNotEvents)
     EXPECT_LT(peak, 200u);
 }
 
+TEST(SystemIntegration, TimerTicksAreOneEventPerHost)
+{
+    // Every domain has a 10 ms timer tick, but only the host's earliest
+    // is an armed event: more guests add no depth to the event heap.
+    for (auto make : {&SystemConfig::xenIntel, &SystemConfig::cdna}) {
+        System one(make(1));
+        System many(make(24));
+        EXPECT_EQ(many.ctx().events().pendingCount(),
+                  one.ctx().events().pendingCount())
+            << many.config().effectiveLabel();
+    }
+}
+
 TEST(SystemIntegration, CdnaFairAcrossGuests)
 {
     auto r = quickRun(SystemConfig::cdna(4), sim::milliseconds(300));
