@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/cli.hh"
+#include "sim/sweep.hh"
 
 using namespace cdna;
 
@@ -35,17 +36,20 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // A configuration the machine cannot hold (more guests than NIC
-    // contexts or memory) throws while the System is built or started.
+    // One run is one sweep cell: the same executor, observed by the
+    // same Topology::run.  A configuration the machine cannot hold (more
+    // guests than NIC contexts or memory) throws while the System is
+    // built or started, an unwritable --trace or --stats-json file once
+    // the run ends.
+    sim::RunPoint point;
+    point.seed = opt->config.seed;
+    point.config = opt->config;
+    point.warmup = opt->warmup;
+    point.measure = opt->measure;
+    point.observe = &*opt;
     core::Report r;
     try {
-        core::System sys(opt->config);
-        core::ObservabilitySession obs(sys, *opt);
-        r = sys.run(opt->warmup, opt->measure);
-        if (!obs.close(&error)) {
-            std::fprintf(stderr, "cdna_sim: %s\n", error.c_str());
-            return 1;
-        }
+        r = sim::runHost(point);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "cdna_sim: %s\n", e.what());
         return 1;

@@ -74,7 +74,7 @@ class CdnaGuestDriver : public sim::SimObject, public os::NetDevice
     bool canTransmit() const override;
     void flush() override;
     net::MacAddr mac() const override { return mac_; }
-    bool tsoCapable() const override { return nic_.params().tso; }
+    bool tsoCapable() const override { return CdnaNic::kTso; }
     void setAutoRefill(bool on) override { autoRefill_ = on; }
     void refillRx(mem::PageNum page) override;
 

@@ -9,6 +9,24 @@
 
 namespace cdna::core {
 
+namespace {
+
+/** Interrupt-ring slots in hypervisor memory. */
+constexpr std::uint32_t kIntrRingSlots = 64;
+
+/**
+ * Doorbell storm guard: mailbox PIO writes beyond kDoorbellBurst per
+ * context per kDoorbellWindow are coalesced into one deferred event at
+ * the window edge instead of each costing firmware decode time.  The
+ * limit is far above any legitimate driver's rate -- batching drivers
+ * ring once per burst -- so only a storming context is throttled, and
+ * only its own doorbells.
+ */
+constexpr std::uint32_t kDoorbellBurst = 64;
+constexpr sim::Time kDoorbellWindow = sim::microseconds(100);
+
+} // namespace
+
 CdnaNic::CdnaNic(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
                  mem::PhysMemory &mem, mem::DeviceId dev, net::Fabric &fabric,
                  CdnaNicParams params)
@@ -257,7 +275,7 @@ CdnaNic::setStatusPage(ContextId id, mem::PhysAddr addr)
 void
 CdnaNic::setInterruptRing(mem::PhysAddr base)
 {
-    intrRing_.emplace(params_.intrRingSlots, base);
+    intrRing_.emplace(kIntrRingSlots, base);
 }
 
 bool
@@ -451,24 +469,22 @@ CdnaNic::pioWriteMailbox(ContextId id, std::uint32_t mbox,
     // at the window edge.  The mailbox value is in SRAM already, so
     // nothing is lost -- the flood just stops costing firmware decode
     // time per ring, and other contexts keep their fair share.
-    if (params_.doorbellBurst > 0) {
-        if (now() >= c.dbWindowEnd) {
-            c.dbWindowEnd = now() + params_.doorbellWindow;
-            c.dbUsed = 0;
-        }
-        if (c.dbUsed >= params_.doorbellBurst) {
-            nMailboxThrottled_.inc();
-            c.dbDeferred |= 1u << mbox;
-            if (!c.dbTimerArmed) {
-                c.dbTimerArmed = true;
-                events().scheduleAt(c.dbWindowEnd, [this, id] {
-                    flushDeferredDoorbells(id);
-                });
-            }
-            return;
-        }
-        ++c.dbUsed;
+    if (now() >= c.dbWindowEnd) {
+        c.dbWindowEnd = now() + kDoorbellWindow;
+        c.dbUsed = 0;
     }
+    if (c.dbUsed >= kDoorbellBurst) {
+        nMailboxThrottled_.inc();
+        c.dbDeferred |= 1u << mbox;
+        if (!c.dbTimerArmed) {
+            c.dbTimerArmed = true;
+            events().scheduleAt(c.dbWindowEnd, [this, id] {
+                flushDeferredDoorbells(id);
+            });
+        }
+        return;
+    }
+    ++c.dbUsed;
     postDoorbell(id, mbox);
 }
 
@@ -499,7 +515,7 @@ CdnaNic::flushDeferredDoorbells(ContextId id)
     if (!c.resident || c.pagingOut)
         return; // paged out meanwhile: doorbells replayed at page-in
     std::uint32_t pending = std::exchange(c.dbDeferred, 0);
-    c.dbWindowEnd = now() + params_.doorbellWindow;
+    c.dbWindowEnd = now() + kDoorbellWindow;
     c.dbUsed = 0;
     for (std::uint32_t mbox = 0; pending != 0; ++mbox, pending >>= 1) {
         if (pending & 1u) {

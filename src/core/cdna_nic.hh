@@ -70,10 +70,6 @@ struct CdnaNicParams
      * from aliasing the expected one.
      */
     std::uint64_t seqnoModulus = 0;
-    /** TSO support (the RiceNIC firmware of the paper had none). */
-    bool tso = false;
-    /** Interrupt-ring slots in hypervisor memory. */
-    std::uint32_t intrRingSlots = 64;
     /**
      * Virtual contexts the hypervisor may allocate on top of the
      * numContexts physical SRAM slots (0 disables oversubscription and
@@ -83,22 +79,15 @@ struct CdnaNicParams
      * paged-out context traps to the hypervisor's context pager.
      */
     std::uint32_t virtualContexts = 0;
-    /**
-     * Doorbell storm guard: mailbox PIO writes beyond this many per
-     * context per doorbellWindow are coalesced into one deferred event
-     * at the window edge instead of each costing firmware decode time
-     * (0 disables the guard).  The limit is far above any legitimate
-     * driver's rate -- batching drivers ring once per burst -- so only
-     * a storming context is throttled, and only its own doorbells.
-     */
-    std::uint32_t doorbellBurst = 64;
-    sim::Time doorbellWindow = sim::microseconds(100);
 };
 
 class CdnaNic : public nic::NicBase
 {
   public:
     using ContextId = mem::ContextId;
+
+    /** The RiceNIC firmware of the paper has no TCP segmentation. */
+    static constexpr bool kTso = false;
 
     /** Fault callback: (context, owning domain, fault kind). */
     using FaultHandler =

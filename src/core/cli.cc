@@ -1,7 +1,5 @@
 #include "core/cli.hh"
 
-#include <cstdio>
-
 #include "core/fault_plan.hh"
 
 namespace cdna::core {
@@ -395,52 +393,6 @@ parseCli(const std::vector<std::string> &args, std::string *error)
     }
 
     return finalize(std::move(st), error);
-}
-
-ObservabilitySession::ObservabilitySession(System &sys, const CliOptions &opt)
-    : sys_(sys),
-      traceFile_(opt.traceFile),
-      statsJsonFile_(opt.statsJsonFile)
-{
-    if (!traceFile_.empty()) {
-        sys_.ctx().tracer().enable();
-        if (!opt.traceFilter.empty())
-            sys_.ctx().tracer().setFilter(opt.traceFilter);
-    }
-    // Sampling is useful on its own (the series land in --stats-json),
-    // so it is keyed off the period, not the trace flag.
-    if (opt.samplePeriod > 0)
-        sys_.metrics().startSampling(opt.samplePeriod);
-    else if (!statsJsonFile_.empty())
-        // A stats dump with no explicit period still gets a coarse
-        // time-series: one sample per simulated millisecond.
-        sys_.metrics().startSampling(sim::milliseconds(1.0));
-}
-
-ObservabilitySession::~ObservabilitySession()
-{
-    close(nullptr);
-}
-
-bool
-ObservabilitySession::close(std::string *error)
-{
-    if (closed_)
-        return true;
-    closed_ = true;
-    if (!traceFile_.empty() &&
-        !sys_.ctx().tracer().writeChromeJson(traceFile_)) {
-        if (error)
-            *error = "cannot write trace file: " + traceFile_;
-        return false;
-    }
-    if (!statsJsonFile_.empty() &&
-        !sys_.metrics().writeJson(statsJsonFile_)) {
-        if (error)
-            *error = "cannot write stats file: " + statsJsonFile_;
-        return false;
-    }
-    return true;
 }
 
 } // namespace cdna::core

@@ -2,10 +2,12 @@
  * @file
  * Command-line front end for the simulator.
  *
- * Turns argv into a SystemConfig + run parameters and renders reports
- * as text or JSON, so scripts can sweep configurations without writing
- * C++.  Used by the `cdna_sim` and `chaos` tools; exposed as a library
- * so the parsing is unit-testable.
+ * Turns argv into a SystemConfig, run parameters and observability
+ * options, so scripts can sweep configurations without writing C++.
+ * `cdna_sim` runs the result through sim::runHost(), a sweep cell's
+ * default executor, and `cdna_sweep` parses its observability flags
+ * through the same table; exposed as a library so the parsing is
+ * unit-testable.
  *
  * Parsing is table-driven: every option lives in one spec table (see
  * cliOptionTable()) from which the usage text is generated, so a new
@@ -68,41 +70,6 @@ std::string cliUsage();
  */
 std::optional<CliOptions> parseCli(const std::vector<std::string> &args,
                                    std::string *error);
-
-/**
- * RAII wrapper around a run's observability outputs.
- *
- * Construction enables tracing and gauge sampling on @p sys per the
- * parsed options; destruction writes the requested trace / stats files.
- * Call close() before destruction to learn about I/O failures — the
- * destructor flushes too, but has nowhere to report errors.
- *
- *   core::System sys(opt->config);
- *   core::ObservabilitySession obs(sys, *opt);
- *   core::Report r = sys.run(opt->warmup, opt->measure);
- *   if (!obs.close(&error)) { ... }
- */
-class ObservabilitySession
-{
-  public:
-    ObservabilitySession(System &sys, const CliOptions &opt);
-    ~ObservabilitySession();
-
-    ObservabilitySession(const ObservabilitySession &) = delete;
-    ObservabilitySession &operator=(const ObservabilitySession &) = delete;
-
-    /**
-     * Write the trace and stats files now (idempotent; the destructor
-     * becomes a no-op).  @return false (with *error set) on failure.
-     */
-    bool close(std::string *error = nullptr);
-
-  private:
-    System &sys_;
-    std::string traceFile_;
-    std::string statsJsonFile_;
-    bool closed_ = false;
-};
 
 } // namespace cdna::core
 

@@ -1017,8 +1017,6 @@ SystemConfig::swPassthrough(std::uint32_t guests)
 std::string
 SystemConfig::effectiveLabel() const
 {
-    if (!label.empty())
-        return label;
     std::string base;
     switch (arch) {
       case Arch::kNative:

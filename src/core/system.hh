@@ -109,8 +109,6 @@ struct SystemConfig
     std::uint64_t seed = 1;
     CostModel costs{};
     CdnaNicParams cdnaParams{};
-    /** Explicit report label; empty derives one (see effectiveLabel()). */
-    std::string label;
     /** Fault plan; an empty plan injects nothing (see fault_plan.hh). */
     FaultPlan faults{};
     /**
@@ -224,13 +222,6 @@ struct SystemConfig
     }
 
     SystemConfig &
-    withLabel(std::string l)
-    {
-        label = std::move(l);
-        return *this;
-    }
-
-    SystemConfig &
     withFaults(FaultPlan plan)
     {
         faults = std::move(plan);
@@ -287,9 +278,9 @@ struct SystemConfig
     }
 
     /**
-     * The report label: the explicit label if set, otherwise derived
-     * from architecture/direction/protection ("cdna/tx", "xen-intel/rx",
-     * "cdna/tx/noprot", ...) so it always matches the configuration.
+     * The report label, derived from architecture/direction/protection
+     * ("cdna/tx", "xen-intel/rx", "cdna/tx/noprot", ...) so it always
+     * matches the configuration.
      */
     std::string effectiveLabel() const;
 };

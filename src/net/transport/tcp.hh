@@ -301,7 +301,6 @@ class TcpEndpoint : public sim::SimObject
      * state (the --kill-guest x --transport tcp hazard).
      */
     void shutdown();
-    bool isShutdown() const { return shutdown_; }
     /** Pending per-flow timers (RTO + delayed ACK); 0 after shutdown. */
     std::uint64_t armedTimers() const;
 

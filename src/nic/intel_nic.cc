@@ -102,9 +102,6 @@ IntelNic::pumpTx()
         return;
     }
     net::Packet pkt = std::move(*pkt_opt);
-    if (!params_.tso && pkt.payloadBytes > net::kMss) {
-        SIM_PANIC("TSO segment submitted to non-TSO NIC");
-    }
     std::uint64_t bytes = pkt.payloadBytes;
     if (!txBuf_.tryReserve(bytes)) {
         // Out of NIC buffering; re-attach and retry when space frees.

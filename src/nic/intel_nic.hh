@@ -26,8 +26,6 @@ namespace cdna::nic {
 /** Configuration of an IntelNic. */
 struct IntelNicParams
 {
-    std::uint32_t txRingEntries = 256;
-    std::uint32_t rxRingEntries = 256;
     std::uint64_t txBufferBytes = 256 * 1024;
     std::uint64_t rxBufferBytes = 256 * 1024;
     CoalesceParams coalesce{};
@@ -35,12 +33,14 @@ struct IntelNicParams
     sim::Time txInterFrameGap = sim::nanoseconds(80);
     /** Largest descriptor batch fetched per DMA. */
     std::uint32_t fetchBatch = 64;
-    bool tso = true;
 };
 
 class IntelNic : public NicBase
 {
   public:
+    /** The device segments TCP: a TX descriptor may carry 64 KB. */
+    static constexpr bool kTso = true;
+
     IntelNic(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
              mem::PhysMemory &mem, mem::DeviceId dev, net::Fabric &fabric,
              IntelNicParams params = {});

@@ -42,7 +42,7 @@ class NativeDriver : public sim::SimObject, public NetDevice
     // --- NetDevice ------------------------------------------------------
     bool canTransmit() const override;
     net::MacAddr mac() const override { return mac_; }
-    bool tsoCapable() const override { return nic_.params().tso; }
+    bool tsoCapable() const override { return nic::IntelNic::kTso; }
 
     /** Push queued transmits to the NIC (end of a stack burst). */
     void flush() override;

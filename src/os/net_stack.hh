@@ -107,7 +107,6 @@ class NetStack : public sim::SimObject
      * hazard where an armed RTO fires into a dead domain.
      */
     void shutdown();
-    bool isShutdown() const { return dead_; }
 
     std::uint64_t txBytes() const { return nTxBytes_.value(); }
     std::uint64_t rxBytes() const { return nRxBytes_.value(); }

@@ -39,10 +39,7 @@ class SwptDriver : public sim::SimObject, public NetDevice
     // --- NetDevice ------------------------------------------------------
     bool canTransmit() const override;
     net::MacAddr mac() const override { return mac_; }
-    bool tsoCapable() const override
-    {
-        return validator_.nic().params().tso;
-    }
+    bool tsoCapable() const override { return nic::IntelNic::kTso; }
     void flush() override;
 
     vmm::Domain &domain() { return dom_; }

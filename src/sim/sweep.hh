@@ -51,8 +51,8 @@ struct RunPoint
     sim::Time measure = 0;
     /**
      * Observability options for this run, or null.  runSweep() sets it
-     * on the one observed run only; executors hand it to their
-     * Topology, and results never keep it.
+     * on the one observed run only, `cdna_sim` on its one run;
+     * executors hand it to their Topology, and results never keep it.
      */
     const core::CliOptions *observe = nullptr;
 };
@@ -332,13 +332,18 @@ struct SweepResult
 /**
  * The default executor: run @p point's config as the only host of a
  * sim::Topology observed by point.observe, and return its report.
+ * @throw std::runtime_error when the machine cannot hold the config or
+ *        an observability file cannot be written
  */
 core::Report runHost(const RunPoint &point);
 
 /** Execute @p point in isolation: @p spec's runner, else runHost(). */
 RunResult runPoint(const ExperimentSpec &spec, const RunPoint &point);
 
-/** Expand @p spec and execute every run; see file header for contract. */
+/**
+ * Expand @p spec and execute every run; see file header for contract.
+ * The first exception a run throws is rethrown once every worker stops.
+ */
 SweepResult runSweep(const ExperimentSpec &spec, const SweepOptions &opt);
 
 /**

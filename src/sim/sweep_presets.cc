@@ -166,7 +166,7 @@ fig3()
         .config("xen", xenIntelG)
         .config("cdna", cdnaG)
         .guests({1, 2, 4, 8, 12, 16, 20, 24})
-        .columns({"mbps", "idle_pct"})
+        .columns({"mbps", "idle_pct", "fairness"})
         .paper("xen/g1", "mbps", 1602)
         .paper("xen/g24", "mbps", 891)
         .paper("cdna/g1", "mbps", 1867)
@@ -656,6 +656,28 @@ swpt()
                   "swpt_validation_us"});
 }
 
+ExperimentSpec
+chaos()
+{
+    using Cfg = core::SystemConfig;
+    core::FaultPlan plan;
+    plan.dropping(0.01)
+        .corrupting(0.002)
+        .duplicating(0.005)
+        .delayingDma(0.05, 25.0)
+        .stallingFirmware(0, /*at_ms=*/120.0, /*dur_ms=*/5.0)
+        .killingGuest(3, /*at_ms=*/250.0);
+    return ExperimentSpec("chaos")
+        .config("cdna", core::SystemConfig::cdna(4))
+        .vary("faults",
+              {{"clean", [](Cfg &) {}},
+               {"chaos", [plan](Cfg &c) { c.withFaults(plan); }}})
+        .columns({"mbps", "frames_dropped", "frames_corrupted",
+                  "frames_duplicated", "dma_delays", "firmware_stalls",
+                  "guest_kills", "mailbox_timeouts", "ring_resyncs",
+                  "dma_violations"});
+}
+
 const std::vector<std::pair<std::string, ExperimentSpec (*)()>> &
 all()
 {
@@ -679,6 +701,7 @@ all()
             {"incast", incast},
             {"noisy-neighbor", noisyNeighbor},
             {"swpt", swpt},
+            {"chaos", chaos},
         };
     return presets;
 }

@@ -32,7 +32,10 @@ ExperimentSpec table2();
 ExperimentSpec table3();
 /** Table 4: CDNA with/without DMA protection, tx+rx. */
 ExperimentSpec table4();
-/** Figure 3: transmit throughput vs guest count (1..24), Xen vs CDNA. */
+/**
+ * Figure 3: transmit throughput vs guest count (1..24), Xen vs CDNA,
+ * with the per-guest fairness of each cell.
+ */
 ExperimentSpec fig3();
 /** Figure 4: receive throughput vs guest count (1..24), Xen vs CDNA. */
 ExperimentSpec fig4();
@@ -107,6 +110,14 @@ ExperimentSpec noisyNeighbor();
  * hardware contexts as guest count (and therefore trap rate) grows.
  */
 ExperimentSpec swpt();
+/**
+ * Extension: chaos.  Four CDNA guests transmit clean and under six
+ * kinds of fault at once: wire drops, corruption and duplicates,
+ * delayed DMA completions, a firmware stall with a watchdog reset and a
+ * guest killed mid-transfer.  The columns count each fault and recovery; what
+ * must not happen is a DMA protection violation.
+ */
+ExperimentSpec chaos();
 
 /** Every preset, keyed by CLI name, in documentation order. */
 const std::vector<std::pair<std::string, ExperimentSpec (*)()>> &all();

@@ -1,7 +1,6 @@
 #include "sim/topology.hh"
 
-#include <cstdio>
-#include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -91,9 +90,22 @@ Topology::run(Time warmup, Time measure,
 {
     SIM_ASSERT(reports_.empty(), "Topology::run is one-shot");
     SIM_ASSERT(!hosts_.empty(), "topology has no hosts");
-    std::optional<core::ObservabilitySession> session;
-    if (observe_)
-        session.emplace(*hosts_.front(), *observe_);
+    core::System &observed = *hosts_.front();
+    if (observe_) {
+        if (!observe_->traceFile.empty()) {
+            ctx_->tracer().enable();
+            if (!observe_->traceFilter.empty())
+                ctx_->tracer().setFilter(observe_->traceFilter);
+        }
+        // Sampling is useful on its own (the series land in
+        // --stats-json), so it is keyed off the period, not the trace
+        // flag; a stats dump with no period still gets one sample per
+        // simulated millisecond.
+        if (observe_->samplePeriod > 0)
+            observed.metrics().startSampling(observe_->samplePeriod);
+        else if (!observe_->statsJsonFile.empty())
+            observed.metrics().startSampling(milliseconds(1.0));
+    }
     for (auto &h : hosts_)
         h->start();
     ctx_->events().runUntil(warmup);
@@ -104,9 +116,14 @@ Topology::run(Time warmup, Time measure,
     ctx_->events().runUntil(warmup + measure);
     for (auto &h : hosts_)
         reports_.push_back(h->endMeasurement(measure));
-    std::string error;
-    if (session && !session->close(&error))
-        std::fprintf(stderr, "sweep: warning: %s\n", error.c_str());
+    if (!observe_)
+        return;
+    const std::string &trace = observe_->traceFile;
+    if (!trace.empty() && !ctx_->tracer().writeChromeJson(trace))
+        throw std::runtime_error("cannot write trace file: " + trace);
+    const std::string &stats = observe_->statsJsonFile;
+    if (!stats.empty() && !observed.metrics().writeJson(stats))
+        throw std::runtime_error("cannot write stats file: " + stats);
 }
 
 core::Report

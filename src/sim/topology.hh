@@ -28,10 +28,12 @@
  * port, addPeer() pins the peer's MAC to its port, and the caller pins
  * the routes that cross a trunk.
  *
- * Every sweep cell runs as a Topology, so this is also where a run is
- * observed: given CLI observability options, run() attaches them to
- * host 0.  The trace then covers every lane of the shared context, and
- * --stats-json every component's counters but host 0's gauges.
+ * Every sweep cell and every `cdna_sim` run is a Topology, so this is
+ * the one place a run is observed: given CLI observability options,
+ * run() enables tracing and gauge sampling on host 0 and writes the
+ * --trace and --stats-json files.  The trace then covers every lane of
+ * the shared context, and --stats-json every component's counters but
+ * host 0's gauges.
  */
 
 #ifndef CDNA_SIM_TOPOLOGY_HH
@@ -98,8 +100,8 @@ class Topology
      * host (and fire @p on_measure_begin, for per-flow baseline
      * snapshots), simulate @p measure, and end measurement.  Reports
      * are then available via report().  An observed topology writes
-     * its trace and stats files at the end, warning on stderr when it
-     * cannot.
+     * its trace and stats files at the end.
+     * @throw std::runtime_error naming a file it cannot write
      */
     void run(Time warmup, Time measure,
              std::function<void()> on_measure_begin = {});

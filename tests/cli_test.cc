@@ -2,16 +2,18 @@
  * @file
  * Unit tests for the command-line front end: argument parsing, config
  * mapping, the option table, fault-injection flags, error handling,
- * ObservabilitySession, and JSON report rendering.
+ * observed runs through sim::runHost, and JSON report rendering.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 #include "core/cli.hh"
 #include "core/fault_plan.hh"
+#include "sim/sweep.hh"
 
 using namespace cdna;
 using namespace cdna::core;
@@ -303,37 +305,37 @@ TEST(Cli, ObservabilityFlags)
     EXPECT_FALSE(parse({"--sample-period", "-3"}, &err).has_value());
 }
 
+namespace {
+
+/** A 1 + 2 ms run of @p opt's config, observed as cdna_sim observes. */
+sim::RunPoint
+observedPoint(const CliOptions &opt)
+{
+    sim::RunPoint point;
+    point.config = opt.config;
+    point.warmup = sim::milliseconds(1);
+    point.measure = sim::milliseconds(2);
+    point.observe = &opt;
+    return point;
+}
+
+} // namespace
+
 TEST(Cli, ObservabilitySessionWritesOnClose)
 {
+    // The executor's Topology::run writes both files when the run ends.
     std::string trace = tempPath("cli_obs_trace.json");
     std::string stats = tempPath("cli_obs_stats.json");
+    std::remove(trace.c_str());
+    std::remove(stats.c_str());
     auto opt = parse({"--trace", trace.c_str(), "--stats-json",
                       stats.c_str(), "--guests", "1"});
     ASSERT_TRUE(opt.has_value());
 
-    System sys(opt->config);
-    ObservabilitySession session(sys, *opt);
-    sys.run(sim::milliseconds(1), sim::milliseconds(2));
-    std::string err;
-    EXPECT_TRUE(session.close(&err)) << err;
+    sim::runHost(observedPoint(*opt));
     EXPECT_TRUE(fileExists(trace));
     EXPECT_TRUE(fileExists(stats));
     std::remove(trace.c_str());
-    std::remove(stats.c_str());
-}
-
-TEST(Cli, ObservabilitySessionFlushesOnDestruction)
-{
-    std::string stats = tempPath("cli_obs_dtor_stats.json");
-    auto opt = parse({"--stats-json", stats.c_str()});
-    ASSERT_TRUE(opt.has_value());
-    {
-        System sys(opt->config);
-        ObservabilitySession session(sys, *opt);
-        sys.run(sim::milliseconds(1), sim::milliseconds(2));
-        // No close(): the destructor must still write the file.
-    }
-    EXPECT_TRUE(fileExists(stats));
     std::remove(stats.c_str());
 }
 
@@ -342,12 +344,13 @@ TEST(Cli, ObservabilitySessionReportsWriteErrors)
     std::string bad = tempPath("no-such-dir/stats.json");
     auto opt = parse({"--stats-json", bad.c_str()});
     ASSERT_TRUE(opt.has_value());
-    System sys(opt->config);
-    ObservabilitySession session(sys, *opt);
-    sys.run(sim::milliseconds(1), sim::milliseconds(1));
-    std::string err;
-    EXPECT_FALSE(session.close(&err));
-    EXPECT_NE(err.find(bad), std::string::npos);
+    try {
+        sim::runHost(observedPoint(*opt));
+        ADD_FAILURE() << "an unwritable --stats-json path must throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+            << e.what();
+    }
 }
 
 // --------------------------------------------------------------- misc ----

@@ -2,8 +2,9 @@
  * @file
  * Fault-injection subsystem tests: plan parsing, determinism, the
  * fault matrix (no fault sequence may produce a DMA protection
- * violation or a hung simulation), and the recovery paths (driver
- * watchdog resync after a firmware reset, guest kill mid-transfer).
+ * violation or a hung simulation), the recovery paths (driver
+ * watchdog resync after a firmware reset, guest kill mid-transfer), and
+ * the chaos preset, which runs six kinds of fault at once.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 #include "core/cli.hh"
 #include "core/fault_plan.hh"
 #include "core/system.hh"
+#include "sim/sweep.hh"
+#include "sim/sweep_presets.hh"
 
 using namespace cdna;
 using namespace cdna::core;
@@ -344,4 +347,50 @@ TEST(FaultRecovery, KillOfUnknownGuestIsIgnored)
     Report r = runOnce(cfg);
     EXPECT_EQ(r.guestKills, 0u);
     EXPECT_GT(r.mbps, 0.0);
+}
+
+// ------------------------------------------------------ chaos preset ----
+
+TEST(ChaosPreset, FiresEveryFaultKindWithoutDmaViolations)
+{
+    sim::SweepOptions opt;
+    opt.jobs = 2;
+    sim::SweepResult result = sim::runSweep(sim::presets::chaos(), opt);
+    ASSERT_EQ(result.runs.size(), 2u);
+    for (const sim::RunResult &run : result.runs)
+        EXPECT_EQ(run.report.dmaViolations, 0u) << run.point.cell;
+
+    ASSERT_EQ(result.runs[1].point.cell, "cdna/chaos");
+    const Report &r = result.runs[1].report;
+    EXPECT_GT(r.faultFramesDropped, 0u);
+    EXPECT_GT(r.faultFramesCorrupted, 0u);
+    EXPECT_GT(r.faultFramesDuplicated, 0u);
+    EXPECT_GT(r.faultDmaDelays, 0u);
+    EXPECT_GT(r.mailboxTimeouts, 0u);
+    EXPECT_EQ(r.firmwareStalls, 1u);
+    EXPECT_EQ(r.guestKills, 1u);
+}
+
+TEST(ChaosPreset, ChaosCellIsOneCdnaSimCommandLine)
+{
+    // The same plan spelled as cdna_sim fault flags runs the same report.
+    std::string err;
+    auto opt = parseCli(
+        {"--mode", "cdna", "--guests", "4", "--seconds", "0.4",
+         "--drop-rate", "0.01", "--corrupt-rate", "0.002", "--dup-rate",
+         "0.005", "--dma-delay-rate", "0.05", "--dma-delay-us", "25",
+         "--firmware-stall", "0@120:5", "--kill-guest", "3@250"},
+        &err);
+    ASSERT_TRUE(opt.has_value()) << err;
+    sim::RunPoint cli;
+    cli.config = opt->config;
+    cli.warmup = opt->warmup;
+    cli.measure = opt->measure;
+
+    sim::ExperimentSpec spec = sim::presets::chaos();
+    std::vector<sim::RunPoint> points = spec.expand();
+    ASSERT_EQ(points.size(), 2u);
+    ASSERT_EQ(points[1].cell, "cdna/chaos");
+    EXPECT_EQ(sim::runPoint(spec, points[1]).json,
+              reportToJson(sim::runHost(cli)));
 }

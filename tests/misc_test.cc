@@ -88,11 +88,9 @@ TEST(Misc, SystemStatsDumpEnumeratesComponents)
 
 TEST(Misc, ReportWindowAndLabelPropagate)
 {
-    SystemConfig cfg = SystemConfig::cdna(1);
-    cfg.label = "custom-label";
-    System sys(cfg);
+    System sys(SystemConfig::cdna(1));
     auto r = sys.run(sim::milliseconds(10), sim::milliseconds(30));
-    EXPECT_EQ(r.label, "custom-label");
+    EXPECT_EQ(r.label, "cdna/tx");
     EXPECT_EQ(r.window, sim::milliseconds(30));
 }
 

@@ -371,7 +371,6 @@ TEST(IntelNic, RingWrapsAcrossManyLaps)
 TEST(IntelNic, CoalescingBoundsIrqRate)
 {
     IntelHarness h;
-    IntelNicParams params;
     // Generous window: one interrupt should cover the whole burst.
     CoalesceParams co{sim::milliseconds(5), 1000};
     h.nic.setCoalesce(co);
@@ -380,5 +379,4 @@ TEST(IntelNic, CoalescingBoundsIrqRate)
     h.nic.pioWriteTxProducer(h.txProducer);
     h.ctx.events().run();
     EXPECT_EQ(h.nic.irqCount(), 1u);
-    (void)params;
 }

@@ -160,7 +160,6 @@ TEST(Oversub, InertWhenAllGuestsResident)
     // never fires and all new state is timing-neutral.
     SystemConfig plain = SystemConfig::cdna(4);
     plain.numNics = 1;
-    plain.withLabel("pin");
     SystemConfig over = plain;
     over.oversubscribed();
 
@@ -170,6 +169,9 @@ TEST(Oversub, InertWhenAllGuestsResident)
     Report rb = b.run(sim::milliseconds(5), sim::milliseconds(20));
     EXPECT_EQ(rb.cxtPageTraps, 0u);
     EXPECT_EQ(rb.cxtEvictions, 0u);
+    // Only the derived label names the option.
+    EXPECT_EQ(rb.label, ra.label + "/oversub");
+    rb.label = ra.label;
     EXPECT_EQ(reportToJson(ra), reportToJson(rb));
 }
 

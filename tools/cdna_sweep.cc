@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -156,7 +157,15 @@ runOne(const std::string &name, const Args &args)
                  name.c_str(), points.size(), jobs);
 
     auto t0 = std::chrono::steady_clock::now();
-    sim::SweepResult result = sim::runSweep(*spec, opt);
+    sim::SweepResult result;
+    try {
+        result = sim::runSweep(*spec, opt);
+    } catch (const std::exception &e) {
+        // A run that failed, or an observed run whose trace or stats
+        // file cannot be written: no table and no --out.
+        std::fprintf(stderr, "cdna_sweep: %s\n", e.what());
+        return 1;
+    }
     double wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
