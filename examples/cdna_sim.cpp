@@ -38,9 +38,9 @@ main(int argc, char **argv)
 
     // One run is one sweep cell: the same executor, observed by the
     // same Topology::run.  A configuration the machine cannot hold (more
-    // guests than NIC contexts or memory) throws while the System is
-    // built or started, an unwritable --trace or --stats-json file once
-    // the run ends.
+    // guests than its memory) throws while the System is built or
+    // started, an unwritable --trace or --stats-json file once the run
+    // ends.
     sim::RunPoint point;
     point.seed = opt->config.seed;
     point.config = opt->config;

@@ -25,6 +25,15 @@ constexpr std::uint32_t kIntrRingSlots = 64;
 constexpr std::uint32_t kDoorbellBurst = 64;
 constexpr sim::Time kDoorbellWindow = sim::microseconds(100);
 
+/** Firmware cost of decoding one mailbox event. */
+constexpr sim::Time kFwMailboxEvent = sim::nanoseconds(400);
+/** Firmware cost per descriptor validated and queued. */
+constexpr sim::Time kFwPerDescriptor = sim::nanoseconds(150);
+/** Firmware cost per packet moved (TX or RX). */
+constexpr sim::Time kFwPerPacket = sim::nanoseconds(400);
+/** Extra wire dead-time per transmitted frame (firmware dispatch). */
+constexpr sim::Time kTxInterFrameGap = sim::nanoseconds(200);
+
 } // namespace
 
 CdnaNic::CdnaNic(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
@@ -33,8 +42,8 @@ CdnaNic::CdnaNic(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
     : nic::NicBase(ctx, std::move(name), bus, mem, dev, fabric),
       params_(params),
       fw_(ctx, this->name() + ".fw"),
-      txBuf_(params.txBufferBytes),
-      rxBuf_(params.rxBufferBytes),
+      txBuf_(kTxBufferBytes),
+      rxBuf_(kRxBufferBytes),
       contexts_(std::max(params.numContexts, params.virtualContexts)),
       nTxPackets_(stats().addCounter("tx_packets")),
       nRxPackets_(stats().addCounter("rx_packets")),
@@ -496,7 +505,7 @@ CdnaNic::postDoorbell(ContextId id, std::uint32_t mbox)
     // the owning virtual context when it decodes the event.
     hier_.post(cxt(id).slot, mbox);
     nMailboxEvents_.inc();
-    fw_.exec(params_.fwMailboxEvent, [this] {
+    fw_.exec(kFwMailboxEvent, [this] {
         std::uint32_t slot, mb;
         if (!hier_.popLowest(&slot, &mb))
             return;
@@ -545,8 +554,7 @@ CdnaNic::startFetch(ContextId id, bool is_tx)
     Context &c = cxt(id);
     if (c.faulted || !c.resident || c.pagingOut)
         return;
-    std::optional<nic::DescFetch> f =
-        c.queue(is_tx).beginFetch(params_.fetchBatch);
+    std::optional<nic::DescFetch> f = c.queue(is_tx).beginFetch();
     if (!f)
         return;
     std::uint64_t ep = fw_.epoch();
@@ -562,7 +570,7 @@ CdnaNic::startFetch(ContextId id, bool is_tx)
         Queue &q = cc.queue(is_tx);
         q.fetchBusy = false;
         q.fetched = first + n;
-        fw_.exec(n * params_.fwPerDescriptor,
+        fw_.exec(n * kFwPerDescriptor,
                  [this, id, is_tx, first, n, ep, cep] {
             if (ep != fw_.epoch() || cxt(id).cxtEpoch != cep)
                 return;
@@ -670,7 +678,7 @@ CdnaNic::pumpTx()
         txArb_.push_back(id);
     else
         c.inTxArb = false;
-    if (c.tx.fetched - c.tx.consumer < params_.fetchBatch)
+    if (c.tx.fetched - c.tx.consumer < nic::kFetchBatch)
         startFetch(id, /*is_tx=*/true);
 
     net::Packet pkt;
@@ -695,7 +703,7 @@ CdnaNic::pumpTx()
                pkt = std::move(pkt)](mem::DmaResult dr) mutable {
         if (ep != fw_.epoch())
             return; // firmware rebooted: the staged frame died with it
-        fw_.exec(params_.fwPerPacket,
+        fw_.exec(kFwPerPacket,
                  [this, id, bytes, ep, dr, pkt = std::move(pkt)]() mutable {
             if (ep != fw_.epoch())
                 return;
@@ -711,7 +719,7 @@ CdnaNic::pumpTx()
                 pumpTx();
                 return;
             }
-            sim::Time gap = params_.txInterFrameGap *
+            sim::Time gap = kTxInterFrameGap *
                             static_cast<sim::Time>(pkt.wireFrames());
             port_.send(std::move(pkt), gap, [this, id, bytes, ep] {
                 if (ep != fw_.epoch())
@@ -763,14 +771,14 @@ CdnaNic::receiveFrame(net::Packet pkt)
     std::uint32_t pos = c.rx.used++;
     ++c.inflight;
     touchActivity(c);
-    if (c.rx.ready() < params_.fetchBatch / 2)
+    if (c.rx.ready() < nic::kFetchBatch / 2)
         startFetch(id, /*is_tx=*/false);
     // The frame names the prefix of its buffer that the DMA writes.
     pkt.hostSg = mem::sgPrefix(c.rx.ring->at(pos).sg,
                                bytes + net::kTcpIpHeader);
 
     std::uint64_t ep = fw_.epoch();
-    fw_.exec(params_.fwPerPacket,
+    fw_.exec(kFwPerPacket,
              [this, id, bytes, ep, pkt = std::move(pkt)]() mutable {
         if (ep != fw_.epoch())
             return; // firmware rebooted: frame lost with the old image

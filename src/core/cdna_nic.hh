@@ -45,21 +45,10 @@
 
 namespace cdna::core {
 
-/** Configuration of a CdnaNic. */
+/** Configuration of a CdnaNic: what System and the tests set. */
 struct CdnaNicParams
 {
     std::uint32_t numContexts = nic::kMaxContexts;
-    std::uint64_t txBufferBytes = 4 * 1024 * 1024;
-    std::uint64_t rxBufferBytes = 4 * 1024 * 1024;
-    std::uint32_t fetchBatch = 64;
-    /** Firmware cost of decoding one mailbox event. */
-    sim::Time fwMailboxEvent = sim::nanoseconds(400);
-    /** Firmware cost per descriptor validated/queued. */
-    sim::Time fwPerDescriptor = sim::nanoseconds(150);
-    /** Firmware cost per packet moved (TX or RX). */
-    sim::Time fwPerPacket = sim::nanoseconds(400);
-    /** Extra wire dead-time per transmitted frame (firmware dispatch). */
-    sim::Time txInterFrameGap = sim::nanoseconds(200);
     /** Coalescing window for interrupt bit vectors. */
     sim::Time coalesce = sim::microseconds(70);
     /** Validate descriptor sequence numbers (protection on). */
@@ -88,6 +77,10 @@ class CdnaNic : public nic::NicBase
 
     /** The RiceNIC firmware of the paper has no TCP segmentation. */
     static constexpr bool kTso = false;
+
+    /** On-NIC packet buffer per direction (4 MB: 33.5 ms of wire). */
+    static constexpr std::uint64_t kTxBufferBytes = 4 * 1024 * 1024;
+    static constexpr std::uint64_t kRxBufferBytes = 4 * 1024 * 1024;
 
     /** Fault callback: (context, owning domain, fault kind). */
     using FaultHandler =

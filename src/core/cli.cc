@@ -15,7 +15,6 @@ struct ParseState
     std::string iommu = "none";
     std::string direction = "tx";
     bool protection = true;
-    bool oversub = false;
     std::uint32_t guests = 1;
     std::uint32_t nics = 2;
     std::string transport = "open";
@@ -64,7 +63,8 @@ const Spec kSpecs[] = {
          st.nic = v;
          return true;
      }},
-    {"--no-protection", nullptr, "disable CDNA DMA memory protection",
+    {"--no-protection", nullptr,
+     "disable CDNA DMA memory protection (cdna mode only)",
      "I/O architecture",
      [](ParseState &st, const std::string &, std::string *) {
          st.protection = false;
@@ -74,14 +74,6 @@ const Spec kSpecs[] = {
      "I/O architecture",
      [](ParseState &st, const std::string &v, std::string *) {
          st.iommu = v;
-         return true;
-     }},
-    {"--oversub", nullptr,
-     "page guest contexts in/out of the NIC's hardware slots, lifting "
-     "the per-NIC context limit (cdna mode only)",
-     "I/O architecture",
-     [](ParseState &st, const std::string &, std::string *) {
-         st.oversub = true;
          return true;
      }},
 
@@ -254,8 +246,6 @@ finalize(ParseState st, std::string *error)
         cfg = SystemConfig::cdna(st.guests)
                   .withNics(st.nics)
                   .withProtection(st.protection);
-        if (st.oversub)
-            cfg.oversubscribed();
     } else if (st.mode == "swpt") {
         cfg = SystemConfig::swPassthrough(st.guests).withNics(st.nics);
     } else {
@@ -263,8 +253,8 @@ finalize(ParseState st, std::string *error)
     }
     if (st.nic && st.mode != "xen")
         return fail("--nic requires --mode xen");
-    if (st.oversub && st.mode != "cdna")
-        return fail("--oversub requires --mode cdna");
+    if (!st.protection && st.mode != "cdna")
+        return fail("--no-protection requires --mode cdna");
     cfg.transmit(transmit);
 
     if (st.iommu == "none")

@@ -63,7 +63,7 @@ formatColumn(const std::string &key, double v)
     int decimals = 2;
     if (key.ends_with("_pct"))
         decimals = 1;
-    else if ((m && m->kind != MetricKind::kDerived) || v == std::floor(v))
+    else if (m ? m->kind != MetricKind::kDerived : v == std::floor(v))
         decimals = 0;
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);

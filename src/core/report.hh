@@ -47,8 +47,8 @@ class System;
  *   4  virtual-context oversubscription: "cxt_page_traps",
  *      "cxt_evictions", "cxt_page_ins", and "cxt_resident_peak"
  *      appended after "outage_packets_lost" (all zero -- except the
- *      resident peak, which counts allocated contexts -- unless
- *      oversubscription is enabled and contexts exceed slots).  All
+ *      resident peak, which counts allocated contexts -- unless the
+ *      guests outnumber the NIC's contexts).  All
  *      version-3 keys keep their order and formatting.
  *   5  network fabric: "switch_drops", "switch_drop_bytes", and
  *      "switch_queue_peak_bytes" appended after "cxt_resident_peak"
@@ -318,9 +318,9 @@ const std::vector<std::string> &profileKeys();
 std::string columnTitle(const std::string &key);
 
 /**
- * @p v as printed in @p key's column: one decimal for *_pct, none for
- * other report keys, two for fairness and probe extras (none when the
- * value is integral).
+ * @p v as printed in @p key's column: one decimal for *_pct, two for
+ * derived report keys (fairness), none for other report keys, and two
+ * for probe extras (none when the value is integral).
  */
 std::string formatColumn(const std::string &key, double v);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 
 #include "net/workload/workload_engine.hh"
@@ -10,19 +9,41 @@
 
 namespace cdna::core {
 
-System::System(SystemConfig cfg) : System(std::move(cfg), nullptr, {})
+namespace {
+
+/** A CDNA system pages its contexts exactly when guests outnumber them. */
+bool
+pagesContexts(const SystemConfig &cfg)
+{
+    return cfg.arch == Arch::kCdna && cfg.numGuests > cfg.cdnaContexts;
+}
+
+SystemConfig
+archConfig(Arch arch, std::uint32_t guests)
+{
+    SystemConfig cfg;
+    cfg.arch = arch;
+    cfg.numGuests = guests;
+    return cfg;
+}
+
+} // namespace
+
+System::System(SystemConfig cfg) : System(std::move(cfg), nullptr, 0, {})
 {
 }
 
-System::System(SystemConfig cfg, sim::SimContext &shared,
+System::System(SystemConfig cfg, sim::SimContext &shared, std::uint32_t host,
                std::vector<net::Fabric *> nic_fabrics)
-    : System(std::move(cfg), &shared, std::move(nic_fabrics))
+    : System(std::move(cfg), &shared, host, std::move(nic_fabrics))
 {
 }
 
-System::System(SystemConfig cfg, sim::SimContext *shared,
+System::System(SystemConfig cfg, sim::SimContext *shared, std::uint32_t host,
                std::vector<net::Fabric *> nic_fabrics)
     : cfg_(std::move(cfg)),
+      hostId_(host),
+      prefix_(host == 0 ? "" : "h" + std::to_string(host) + "."),
       ownedCtx_(shared ? nullptr
                        : std::make_unique<sim::SimContext>(cfg_.seed)),
       ctx_(shared ? *shared : *ownedCtx_),
@@ -30,7 +51,7 @@ System::System(SystemConfig cfg, sim::SimContext *shared,
 {
     // Guest/driver MAC blocks are 1 Mi ids apart; cap hostId well clear
     // of the 0xFE0000 range traffic peers hash their names into.
-    SIM_ASSERT(cfg_.hostId <= 12, "hostId out of range for the MAC plan");
+    SIM_ASSERT(hostId_ <= 12, "hostId out of range for the MAC plan");
     // Install the injector before any component is built so fault
     // hooks (driver watchdogs, link faults) see it from the start.  An
     // empty plan installs nothing, keeping the run bit-identical to a
@@ -96,14 +117,14 @@ System::guestMac(std::uint32_t guest, std::uint32_t nic) const
 {
     // Host 0 is bit-identical to the classic single-host layout; other
     // hosts shift into disjoint 1 Mi-id blocks of the 24-bit MAC space.
-    return net::MacAddr::fromId(cfg_.hostId * 0x00100000u + 0x010000u +
+    return net::MacAddr::fromId(hostId_ * 0x00100000u + 0x010000u +
                                 guest * 256u + nic);
 }
 
 net::MacAddr
 System::driverMac(std::uint32_t nic) const
 {
-    return net::MacAddr::fromId(cfg_.hostId * 0x00100000u + 0x020000u +
+    return net::MacAddr::fromId(hostId_ * 0x00100000u + 0x020000u +
                                 nic);
 }
 
@@ -122,7 +143,7 @@ System::buildCommon()
                                          cfg_.costs.cpuParams,
                                          nm("hypervisor"));
     hv_ = std::make_unique<vmm::Hypervisor>(ctx_, *cpu_, *mem_,
-                                            cfg_.costs.hv, cfg_.namePrefix);
+                                            cfg_.costs.hv, prefix_);
     if (cfg_.iommuMode != mem::Iommu::Mode::kNone)
         iommu_ = std::make_unique<mem::Iommu>(ctx_, nm("iommu"), *mem_,
                                               cfg_.iommuMode);
@@ -153,25 +174,22 @@ System::buildCommon()
             fab = links_.back().get();
         }
         if (intel) {
-            nic::IntelNicParams params;
-            params.coalesce = cfg_.costs.intelCoalesce;
             intelNics_.push_back(std::make_unique<nic::IntelNic>(
                 ctx_, nm("intel" + suffix), *buses_.back(), *mem_, i,
-                *fab, params));
+                *fab, cfg_.costs.intelCoalesce));
             nicPorts_.push_back(&intelNics_.back()->port());
             if (iommu_)
                 intelNics_.back()->dma().setIommu(iommu_.get());
         } else {
-            auto params = cfg_.cdnaParams;
+            CdnaNicParams params;
+            params.numContexts = cfg_.cdnaContexts;
             params.coalesce = cfg_.transmitDir ? cfg_.costs.cdnaCoalesce
                                                : cfg_.costs.cdnaCoalesceRx;
             params.seqnoCheck = cfg_.dmaProtection;
-            if (cfg_.arch == Arch::kCdna && cfg_.ctxOversub) {
-                // One virtual context per guest, paged over the
-                // physical slots on demand.
-                params.virtualContexts =
-                    std::max(params.numContexts, cfg_.numGuests);
-            }
+            // One virtual context per guest, paged over the physical
+            // slots on demand.
+            if (pagesContexts(cfg_))
+                params.virtualContexts = cfg_.numGuests;
             cdnaNics_.push_back(std::make_unique<CdnaNic>(
                 ctx_, nm("cdna" + suffix), *buses_.back(), *mem_, i,
                 *fab, params));
@@ -319,18 +337,8 @@ System::attachCdnaContext(std::uint32_t i, vmm::Domain &dom,
 {
     CdnaNic &nic = *cdnaNics_[i];
     auto cxt = nic.allocContext(dom.id(), mac);
-    if (!cxt.has_value()) {
-        // Clear diagnostic instead of an assert: the 33rd CDNA guest is
-        // a configuration error unless the virtual context layer is
-        // enabled.
-        throw std::runtime_error(
-            "CDNA NIC '" + nic.name() + "': out of hardware contexts (" +
-            std::to_string(nic.params().numContexts) +
-            ") allocating guest '" + dom.name() +
-            "'; enable virtual-context oversubscription "
-            "(SystemConfig::oversubscribed) to run more guests than "
-            "physical contexts");
-    }
+    // Guests past the hardware contexts get virtual ones (buildCommon).
+    SIM_ASSERT(cxt.has_value(), "CDNA NIC out of contexts");
     mem::PageNum txp = mem_->allocOne(dom.id());
     mem::PageNum rxp = mem_->allocOne(dom.id());
     mem::PageNum stp = mem_->allocOne(dom.id());
@@ -430,7 +438,7 @@ System::buildCdna()
         if (iommu_ && iommu_->mode() == mem::Iommu::Mode::kPerDevice)
             iommu_->bindDevice(i, guests_[0]->id());
         CdnaNic &nic = *cdnaNics_[i];
-        if (cfg_.ctxOversub) {
+        if (pagesContexts(cfg_)) {
             pagers_.push_back(std::make_unique<ContextPager>(
                 ctx_, nm("pager" + std::to_string(i)), *hv_, nic,
                 cfg_.costs));
@@ -971,19 +979,6 @@ System::app(std::uint32_t guest, std::uint32_t nic)
     return *apps_[idx];
 }
 
-namespace {
-
-SystemConfig
-archConfig(Arch arch, std::uint32_t guests)
-{
-    SystemConfig cfg;
-    cfg.arch = arch;
-    cfg.numGuests = guests;
-    return cfg;
-}
-
-} // namespace
-
 SystemConfig
 SystemConfig::native(std::uint32_t nics)
 {
@@ -1040,7 +1035,7 @@ SystemConfig::effectiveLabel() const
         base += "/tcp";
     if (arch == Arch::kCdna && !dmaProtection)
         base += "/noprot";
-    if (arch == Arch::kCdna && ctxOversub)
+    if (pagesContexts(*this))
         base += "/oversub";
     return base;
 }

@@ -108,7 +108,9 @@ struct SystemConfig
     bool transmitDir = true;
     std::uint64_t seed = 1;
     CostModel costs{};
-    CdnaNicParams cdnaParams{};
+    /** Hardware contexts per CDNA NIC; more CDNA guests than this page
+     *  their contexts over them (label "/oversub"). */
+    std::uint32_t cdnaContexts = nic::kMaxContexts;
     /** Fault plan; an empty plan injects nothing (see fault_plan.hh). */
     FaultPlan faults{};
     /**
@@ -129,27 +131,6 @@ struct SystemConfig
      * is replaced by the system seed, so sweeps stay deterministic.
      */
     net::workload::WorkloadSpec workload{};
-    /**
-     * Virtual-context oversubscription (CDNA only): allocate one
-     * virtual context per guest even past the NIC's physical slot
-     * count, with the hypervisor's pager switching contexts on demand.
-     * Off by default -- disabled systems are bit-identical to PR 5.
-     */
-    bool ctxOversub = false;
-    /**
-     * Multi-host topologies: this host's index in the shared MAC space.
-     * Host h's guest and driver-domain MACs live in a disjoint 1 Mi-id
-     * block, so hosts on one switch never collide; 0 is bit-identical
-     * to the classic single-host layout.
-     */
-    std::uint32_t hostId = 0;
-    /**
-     * Prefix applied to every component name this System creates, so N
-     * systems sharing one SimContext keep distinct stat/trace names
-     * ("h1.eth0", ...).  Empty (the default) matches the single-host
-     * names exactly.
-     */
-    std::string namePrefix;
     /**
      * Free-form scenario parameters (fanout, switch buffer bytes, ...)
      * so sweep axes can carry topology knobs that System itself never
@@ -228,23 +209,6 @@ struct SystemConfig
         return *this;
     }
 
-    /** Enable virtual-context oversubscription (CDNA only). */
-    SystemConfig &
-    oversubscribed(bool on = true)
-    {
-        ctxOversub = on;
-        return *this;
-    }
-
-    /** Place this host in a multi-host topology (MAC block + names). */
-    SystemConfig &
-    onHost(std::uint32_t id, std::string prefix)
-    {
-        hostId = id;
-        namePrefix = std::move(prefix);
-        return *this;
-    }
-
     /** Attach a free-form scenario parameter (topology knobs). */
     SystemConfig &
     withScenario(const std::string &key, double value)
@@ -278,9 +242,9 @@ struct SystemConfig
     }
 
     /**
-     * The report label, derived from architecture/direction/protection
-     * ("cdna/tx", "xen-intel/rx", "cdna/tx/noprot", ...) so it always
-     * matches the configuration.
+     * The report label, derived from the configuration ("cdna/tx",
+     * "xen-intel/rx", "cdna/tx/noprot", "cdna/tx/oversub", ...) so it
+     * always matches it.
      */
     std::string effectiveLabel() const;
 };
@@ -291,15 +255,16 @@ class System
     explicit System(SystemConfig cfg);
 
     /**
-     * Construct inside a shared context (multi-host topologies).  NIC i
-     * binds a port on @p nic_fabrics[i]; a nullptr entry (or a vector
-     * shorter than numNics) gives that NIC the classic private
-     * EthLink + TrafficPeer pair.  The caller drives the event queue
-     * and brackets measurement with beginMeasurement() /
-     * endMeasurement(); see sim/topology.hh for the builder that
-     * assembles switches, hosts, and peers.
+     * Construct as host @p host of a shared context (multi-host
+     * topologies): host h > 0 takes a disjoint MAC block and "h<h>."
+     * component names.  NIC i binds a port on @p nic_fabrics[i]; a
+     * nullptr entry (or a vector shorter than numNics) gives that NIC
+     * the classic private EthLink + TrafficPeer pair.  The caller
+     * drives the event queue and brackets measurement with
+     * beginMeasurement() / endMeasurement(); see sim/topology.hh for
+     * the builder that assembles switches, hosts, and peers.
      */
-    System(SystemConfig cfg, sim::SimContext &shared,
+    System(SystemConfig cfg, sim::SimContext &shared, std::uint32_t host,
            std::vector<net::Fabric *> nic_fabrics);
     ~System();
 
@@ -433,7 +398,7 @@ class System
     // The report's collectors read this System's own components.
     friend const std::vector<MetricRow> &reportMetrics();
 
-    System(SystemConfig cfg, sim::SimContext *shared,
+    System(SystemConfig cfg, sim::SimContext *shared, std::uint32_t host,
            std::vector<net::Fabric *> nic_fabrics);
 
     void buildCommon();
@@ -467,10 +432,10 @@ class System
     void armTick();
     /** Run the earliest pending timer tick and arm the next. */
     void fireTick();
-    /** @p base prefixed with cfg_.namePrefix (shared-context naming). */
+    /** @p base prefixed with this host's name prefix. */
     std::string nm(const std::string &base) const
     {
-        return cfg_.namePrefix + base;
+        return prefix_ + base;
     }
     /** Guests with their own stack on each NIC (native: the one OS). */
     std::uint32_t
@@ -496,6 +461,8 @@ class System
                        sim::Time window) const;
 
     SystemConfig cfg_;
+    std::uint32_t hostId_; //!< index in its topology (0 standalone)
+    std::string prefix_;   //!< of every component name; "" on host 0
     /** Owned in single-host mode; null when sharing a topology context. */
     std::unique_ptr<sim::SimContext> ownedCtx_;
     sim::SimContext &ctx_;
@@ -533,7 +500,7 @@ class System
 
     // CDNA NICs: per-NIC channel table indexed by (virtual) context id
     std::vector<std::vector<vmm::EventChannel *>> cxtChannels_;
-    // Per-NIC context pagers (oversubscription only; else empty).
+    // Per-NIC context pagers (only when guests outnumber contexts).
     std::vector<std::unique_ptr<ContextPager>> pagers_;
     std::vector<std::unique_ptr<CdnaGuestDriver>> guestCdnaDrivers_;
 

@@ -127,7 +127,7 @@ struct WorkloadSpec
 
     /** Destinations, cycled round-robin per class.  When the spec is
      *  attached to a SystemConfig and left empty, System fills in the
-     *  guest MACs of each NIC (matching the legacy receive flood). */
+     *  guest MACs of each NIC. */
     std::vector<MacAddr> targets;
 
     /** Workload stream seed (System overrides with SystemConfig::seed). */
@@ -171,7 +171,8 @@ struct WorkloadSpec
         return *this;
     }
 
-    /** No flow classes: System falls back to the legacy source path. */
+    /** No flow classes: System starts each peer of a receive run with
+     *  one saturating class, and a transmit run's peers send nothing. */
     bool empty() const { return classes.empty(); }
 
     bool

@@ -67,12 +67,13 @@ DescRing::hasPacket(std::uint32_t pos) const
 }
 
 std::optional<DescFetch>
-DescQueue::beginFetch(std::uint32_t batch)
+DescQueue::beginFetch()
 {
     if (fetchBusy || !ring || producer == fetched)
         return std::nullopt;
     fetchBusy = true;
-    std::uint32_t n = std::min({producer - fetched, batch, ring->size()});
+    std::uint32_t n =
+        std::min({producer - fetched, kFetchBatch, ring->size()});
     return DescFetch{fetched, n, ring->fetchSg(fetched, n)};
 }
 

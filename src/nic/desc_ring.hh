@@ -86,6 +86,9 @@ struct DescFetch
     mem::SgList sg;
 };
 
+/** Largest descriptor batch either NIC model fetches in one DMA. */
+inline constexpr std::uint32_t kFetchBatch = 64;
+
 /** The device's cursor over one descriptor ring. */
 struct DescQueue
 {
@@ -97,13 +100,13 @@ struct DescQueue
     bool fetchBusy = false;       //!< a descriptor fetch is in flight
 
     /**
-     * Claim the next descriptor fetch: up to @p batch advertised
+     * Claim the next descriptor fetch: up to kFetchBatch advertised
      * descriptors, never more than one ring lap.  Sets fetchBusy; the
      * caller advances fetched and clears it when the DMA lands.  No
      * value when there is no ring, a fetch is in flight, or nothing new
      * is advertised.
      */
-    std::optional<DescFetch> beginFetch(std::uint32_t batch);
+    std::optional<DescFetch> beginFetch();
 };
 
 } // namespace cdna::nic

@@ -9,11 +9,10 @@ namespace cdna::nic {
 
 IntelNic::IntelNic(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
                    mem::PhysMemory &mem, mem::DeviceId dev,
-                   net::Fabric &fabric, IntelNicParams params)
+                   net::Fabric &fabric, CoalesceParams coalesce)
     : NicBase(ctx, std::move(name), bus, mem, dev, fabric),
-      params_(params),
-      txBuf_(params.txBufferBytes),
-      rxBuf_(params.rxBufferBytes),
+      txBuf_(kTxBufferBytes),
+      rxBuf_(kRxBufferBytes),
       nTxPackets_(stats().addCounter("tx_packets")),
       nTxPayload_(stats().addCounter("tx_payload_bytes")),
       nRxPackets_(stats().addCounter("rx_packets")),
@@ -21,7 +20,7 @@ IntelNic::IntelNic(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
       nTxGhost_(stats().addCounter("tx_ghost_descriptors")),
       nTxResetDrops_(stats().addCounter("tx_reset_drops"))
 {
-    setCoalesce(params.coalesce);
+    setCoalesce(coalesce);
 }
 
 void
@@ -67,7 +66,7 @@ IntelNic::pioWriteRxProducer(std::uint32_t producer)
 void
 IntelNic::startTxFetch()
 {
-    std::optional<DescFetch> f = tx_.beginFetch(params_.fetchBatch);
+    std::optional<DescFetch> f = tx_.beginFetch();
     if (!f)
         return;
     dma_.read(f->sg, dmaDomain_, mem::kWholeDevice,
@@ -119,7 +118,7 @@ IntelNic::pumpTx()
         txDataBusy_ = false;
         nTxPackets_.inc();
         nTxPayload_.inc(pkt.payloadBytes);
-        sim::Time gap = params_.txInterFrameGap *
+        sim::Time gap = kTxInterFrameGap *
                         static_cast<sim::Time>(pkt.wireFrames());
         port_.send(std::move(pkt), gap, [this, bytes, ep] {
             if (ep != txEpoch_)
@@ -137,7 +136,7 @@ IntelNic::pumpTx()
 void
 IntelNic::startRxFetch()
 {
-    std::optional<DescFetch> f = rx_.beginFetch(params_.fetchBatch);
+    std::optional<DescFetch> f = rx_.beginFetch();
     if (!f)
         return;
     dma_.read(f->sg, dmaDomain_, mem::kWholeDevice,
@@ -167,7 +166,7 @@ IntelNic::receiveFrame(net::Packet pkt)
     }
     std::uint32_t pos = rx_.used++;
     // Prefetch more descriptors as the supply drains.
-    if (rx_.fetched - rx_.used < params_.fetchBatch / 2)
+    if (rx_.fetched - rx_.used < kFetchBatch / 2)
         startRxFetch();
 
     // Only the frame's bytes cross the bus, not the whole buffer; the

@@ -23,27 +23,19 @@
 
 namespace cdna::nic {
 
-/** Configuration of an IntelNic. */
-struct IntelNicParams
-{
-    std::uint64_t txBufferBytes = 256 * 1024;
-    std::uint64_t rxBufferBytes = 256 * 1024;
-    CoalesceParams coalesce{};
-    /** Extra wire dead-time per transmitted packet (MAC pipeline). */
-    sim::Time txInterFrameGap = sim::nanoseconds(80);
-    /** Largest descriptor batch fetched per DMA. */
-    std::uint32_t fetchBatch = 64;
-};
-
 class IntelNic : public NicBase
 {
   public:
     /** The device segments TCP: a TX descriptor may carry 64 KB. */
     static constexpr bool kTso = true;
 
+    /** On-NIC packet buffer per direction (256 KB: 2 ms of wire). */
+    static constexpr std::uint64_t kTxBufferBytes = 256 * 1024;
+    static constexpr std::uint64_t kRxBufferBytes = 256 * 1024;
+
     IntelNic(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
              mem::PhysMemory &mem, mem::DeviceId dev, net::Fabric &fabric,
-             IntelNicParams params = {});
+             CoalesceParams coalesce = {});
 
     // --- host/driver configuration -------------------------------------
     void setMac(net::MacAddr mac) { mac_ = mac; }
@@ -98,18 +90,18 @@ class IntelNic : public NicBase
     std::uint64_t txPackets() const { return nTxPackets_.value(); }
     std::uint64_t rxPackets() const { return nRxPackets_.value(); }
 
-    const IntelNicParams &params() const { return params_; }
-
     // --- LinkEndpoint ------------------------------------------------------
     void receiveFrame(net::Packet pkt) override;
 
   private:
+    /** Extra wire dead-time per transmitted packet (MAC pipeline). */
+    static constexpr sim::Time kTxInterFrameGap = sim::nanoseconds(80);
+
     void startTxFetch();
     void pumpTx();
     void startRxFetch();
     void scheduleConsumerWriteback();
 
-    IntelNicParams params_;
     net::MacAddr mac_;
     bool promiscuous_ = false;
     mem::DomainId dmaDomain_ = mem::kDomInvalid;

@@ -6,7 +6,7 @@
  *  - SIM_PANIC / SIM_ASSERT fire on conditions that indicate a bug in the
  *    simulator itself; they abort.
  *  - A condition that is the *user's* fault (a configuration the machine
- *    cannot hold, such as more guests than NIC contexts or memory) throws
+ *    cannot hold, such as more guests than its memory) throws
  *    std::runtime_error with a message naming the limit, and never
  *    aborts; front ends print the message and exit 1.
  *

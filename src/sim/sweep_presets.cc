@@ -214,8 +214,7 @@ latency()
         };
     };
     auto oversub = core::SystemConfig::cdna(4).withNics(1).receive();
-    oversub.cdnaParams.numContexts = 2; // 4 guests over 2 slots
-    oversub.oversubscribed();
+    oversub.cdnaContexts = 2; // 4 guests paged over 2 contexts
     return ExperimentSpec("latency")
         .config("xen", core::SystemConfig::xenRice(4).withNics(1).receive())
         .config("cdna", core::SystemConfig::cdna(4).withNics(1).receive())
@@ -400,12 +399,10 @@ availability()
 ExperimentSpec
 oversub()
 {
-    // Scaling past the paper's 32 hardware contexts: plain CDNA refuses
-    // to boot more than 32 guests per NIC, so the "cdna" series enables
-    // the virtual-context fallback only where it must, while
-    // "cdna-oversub" always runs through the pager.  Guest counts reach
-    // 8x the slot count; the measurement window is short because the
-    // 256-guest cells are large.
+    // Scaling past the paper's 32 hardware contexts: from 64 guests on,
+    // CDNA pages the guests' contexts over the NIC's 32.  Guest counts
+    // reach 8x the context count; the measurement window is short
+    // because the 256-guest cells are large.
     return ExperimentSpec("oversub")
         .config("xen",
                 [](std::uint32_t g) {
@@ -413,16 +410,7 @@ oversub()
                 })
         .config("cdna",
                 [](std::uint32_t g) {
-                    auto c = core::SystemConfig::cdna(g).withNics(1);
-                    if (g > nic::kMaxContexts)
-                        c.oversubscribed(); // exhaustion fallback
-                    return c;
-                })
-        .config("cdna-oversub",
-                [](std::uint32_t g) {
-                    return core::SystemConfig::cdna(g)
-                        .withNics(1)
-                        .oversubscribed();
+                    return core::SystemConfig::cdna(g).withNics(1);
                 })
         .guests({8, 16, 32, 64, 128, 256})
         .warmup(sim::milliseconds(5))

@@ -42,7 +42,8 @@ ExperimentSpec fig4();
 /**
  * Extension: RPC tail latency (p50/p99/p999).  A Poisson
  * request/response workload (512 B requests, 8 KB responses) runs
- * against {xen-rice, cdna, cdna-oversub, swpt}, each at two load
+ * against {xen-rice, cdna, cdna-oversub (4 guests paged over 2 NIC
+ * contexts), swpt}, each at two load
  * levels and under {healthy, domkill, fwreboot}; the report's
  * rpc_lat_* keys carry the quantiles per cell.
  */
@@ -75,9 +76,8 @@ ExperimentSpec tcpLoss();
 ExperimentSpec availability();
 /**
  * Extension: virtual-context oversubscription.  Sweeps guest count 8 to
- * 256 on one NIC across {xen, cdna, cdna-oversub}: plain CDNA falls
- * back to the virtual-context layer past 32 guests (it cannot boot
- * otherwise), cdna-oversub always runs through the hypervisor's context
+ * 256 on one NIC across {xen, cdna}: past 32 guests CDNA pages the
+ * guests' contexts over the NIC's 32 through the hypervisor's context
  * pager.  Shows where direct access beats Xen's software path while the
  * hot-tenant working set fits the 32 physical slots, and how paging
  * degrades as it no longer does.

@@ -42,21 +42,13 @@ Topology::routeOnSwitch(net::Fabric &fabric, net::MacAddr mac,
 }
 
 core::System &
-Topology::addHost(core::SystemConfig cfg, std::vector<net::Fabric *> fabrics)
+Topology::addHost(const core::SystemConfig &cfg,
+                  std::vector<net::Fabric *> fabrics)
 {
     SIM_ASSERT(reports_.empty(), "cannot add hosts after run()");
-    std::uint32_t id = nextHostId_++;
-    // Host 0 keeps the standalone naming and MAC block so single-host
-    // topologies stay bit-identical to a standalone System.
-    std::string prefix;
-    if (id > 0) {
-        prefix = "h";
-        prefix += std::to_string(id);
-        prefix += '.';
-    }
-    cfg.onHost(id, std::move(prefix));
-    hosts_.push_back(
-        std::make_unique<core::System>(cfg, *ctx_, std::move(fabrics)));
+    auto id = static_cast<std::uint32_t>(hosts_.size());
+    hosts_.push_back(std::make_unique<core::System>(cfg, *ctx_, id,
+                                                    std::move(fabrics)));
     core::System &sys = *hosts_.back();
 
     // Pin this host's MACs to its switch ports: every guest terminates

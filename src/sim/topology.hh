@@ -16,12 +16,12 @@
  *   topo.run(warmup, measure);
  *   core::Report r = topo.report(victim);
  *
- * Host 0 keeps an empty name prefix and hostId 0, so a 1-host topology
- * with no external fabrics is event-for-event identical to a
- * standalone System -- the single-host paper configurations are the
- * degenerate case of this builder, not a separate code path.  Every
- * subsequent host gets an "h<k>." prefix and a distinct hostId (a
- * disjoint guest-MAC block).
+ * addHost() passes each System its host index k.  Host 0 keeps the
+ * standalone names and MACs, so a 1-host topology with no external
+ * fabrics is event-for-event identical to a standalone System -- the
+ * single-host paper configurations are the degenerate case of this
+ * builder, not a separate code path.  Every subsequent host's names
+ * carry an "h<k>." prefix and its MACs a disjoint block.
  *
  * Switches forward by static route only.  addHost() pins every guest
  * MAC (and the driver-domain MAC for Xen modes) to the host's switch
@@ -84,7 +84,7 @@ class Topology
      * TrafficPeer pair.  Guest and driver-domain MACs are statically
      * routed on every switch the host binds.
      */
-    core::System &addHost(core::SystemConfig cfg,
+    core::System &addHost(const core::SystemConfig &cfg,
                           std::vector<net::Fabric *> fabrics);
 
     /** Add an external traffic peer on @p fabric (statically routed
@@ -118,7 +118,6 @@ class Topology
     std::vector<std::unique_ptr<core::System>> hosts_;
     std::vector<std::unique_ptr<net::TrafficPeer>> peers_;
     std::vector<core::Report> reports_;
-    std::uint32_t nextHostId_ = 0;
 
     /** Pin @p mac to @p port_index on @p fabric if it is one of our
      *  switches (links need no routes). */

@@ -102,6 +102,14 @@ TEST(Cli, ProtectionAndIommu)
     EXPECT_EQ(opt->config.iommuMode, mem::Iommu::Mode::kPerContext);
     EXPECT_EQ(parse({"--iommu", "device"})->config.iommuMode,
               mem::Iommu::Mode::kPerDevice);
+    // Only CDNA reads the protection switch; elsewhere the flag would
+    // change nothing, so it is a usage error.
+    std::string err;
+    EXPECT_FALSE(parse({"--mode", "swpt", "--no-protection"}, &err));
+    EXPECT_NE(err.find("--no-protection requires --mode cdna"),
+              std::string::npos);
+    EXPECT_FALSE(
+        parse({"--mode", "xen", "--nic", "rice", "--no-protection"}));
 }
 
 TEST(Cli, RunControl)

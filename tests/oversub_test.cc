@@ -1,10 +1,10 @@
 /**
  * @file
  * Virtual-context oversubscription: paging per-guest CDNA context
- * state in and out of the NIC's fixed physical slots, the hypervisor
- * pager that drives it, the context-exhaustion diagnostic, and the
- * uint32 ring-index wraparound fixes that the paging machinery pinned
- * down.
+ * state in and out of the NIC's fixed physical slots exactly when the
+ * guests outnumber them, the hypervisor pager that drives it, the
+ * memory-exhaustion diagnostic, and the uint32 ring-index wraparound
+ * fixes that the paging machinery pinned down.
  *
  * The paper's NIC holds 32 hardware contexts; everything here is about
  * running more guests than that.  Suites are named Oversub* /
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/cdna_nic.hh"
-#include "core/cli.hh"
 #include "core/context_pager.hh"
 #include "core/system.hh"
 #include "cpu/sim_cpu.hh"
@@ -103,37 +102,44 @@ struct OversubHarness
     }
 };
 
+/** CDNA with @p guests on one NIC: past 32 guests their contexts page. */
 SystemConfig
-oversubbed(std::uint32_t guests)
+cdnaOneNic(std::uint32_t guests)
 {
-    SystemConfig cfg = SystemConfig::cdna(guests);
-    cfg.numNics = 1;
-    return cfg.oversubscribed();
+    return SystemConfig::cdna(guests).withNics(1);
 }
 
 } // namespace
 
-// ------------------------------------------ exhaustion diagnostic ----
+// --------------------------------------------- paging is derived ----
 
-TEST(Oversub, GuestPastContextLimitThrowsClearDiagnostic)
+TEST(Oversub, PagesExactlyWhenGuestsOutnumberSlots)
 {
-    // The 33rd CDNA guest on a 32-context NIC must fail with a
-    // diagnostic that names the limit and the remedy -- not an assert.
-    SystemConfig cfg = SystemConfig::cdna(nic::kMaxContexts + 1);
-    cfg.numNics = 1;
-    try {
-        System sys(cfg);
-        sys.start();
-        FAIL() << "expected context exhaustion to throw";
-    } catch (const std::runtime_error &e) {
-        std::string what = e.what();
-        EXPECT_NE(what.find("out of hardware contexts"),
-                  std::string::npos)
-            << what;
-        EXPECT_NE(what.find("oversubscription"), std::string::npos)
-            << what;
-    }
+    // As many guests as contexts: every guest keeps its own, and the
+    // pager never runs.
+    System fit(cdnaOneNic(nic::kMaxContexts));
+    Report r = fit.run(sim::milliseconds(5), sim::milliseconds(20));
+    EXPECT_EQ(r.label, "cdna/tx");
+    EXPECT_EQ(r.cxtPageTraps, 0u);
+
+    // One guest more, and the contexts page over the 32.
+    System over(cdnaOneNic(nic::kMaxContexts + 1));
+    r = over.run(sim::milliseconds(5), sim::milliseconds(20));
+    EXPECT_EQ(r.label, "cdna/tx/oversub");
+    EXPECT_GT(r.cxtPageTraps, 0u);
+    EXPECT_LE(r.cxtResidentPeak, nic::kMaxContexts);
+
+    // The same holds for a NIC with fewer contexts.
+    SystemConfig small = cdnaOneNic(4);
+    small.cdnaContexts = 2;
+    System paged(small);
+    r = paged.run(sim::milliseconds(5), sim::milliseconds(20));
+    EXPECT_EQ(r.label, "cdna/tx/oversub");
+    EXPECT_GT(r.cxtPageTraps, 0u);
+    EXPECT_LE(r.cxtResidentPeak, 2u);
 }
+
+// ------------------------------------------ exhaustion diagnostic ----
 
 TEST(Oversub, GuestPastMemoryThrowsClearDiagnostic)
 {
@@ -153,28 +159,6 @@ TEST(Oversub, GuestPastMemoryThrowsClearDiagnostic)
     }
 }
 
-TEST(Oversub, InertWhenAllGuestsResident)
-{
-    // With oversubscription enabled but every guest resident, the run
-    // must be byte-identical to the plain configuration: the pager
-    // never fires and all new state is timing-neutral.
-    SystemConfig plain = SystemConfig::cdna(4);
-    plain.numNics = 1;
-    SystemConfig over = plain;
-    over.oversubscribed();
-
-    System a(plain);
-    Report ra = a.run(sim::milliseconds(5), sim::milliseconds(20));
-    System b(over);
-    Report rb = b.run(sim::milliseconds(5), sim::milliseconds(20));
-    EXPECT_EQ(rb.cxtPageTraps, 0u);
-    EXPECT_EQ(rb.cxtEvictions, 0u);
-    // Only the derived label names the option.
-    EXPECT_EQ(rb.label, ra.label + "/oversub");
-    rb.label = ra.label;
-    EXPECT_EQ(reportToJson(ra), reportToJson(rb));
-}
-
 // --------------------------------------------- graceful degradation ----
 
 TEST(Oversub, GracefulDegradationPastPhysicalContexts)
@@ -182,7 +166,7 @@ TEST(Oversub, GracefulDegradationPastPhysicalContexts)
     // 40 hot guests over 32 slots: traffic flows, paging churns, and
     // nothing leaks -- no protection faults, no grant imbalance, no
     // availability downtime charged to evicted-but-healthy guests.
-    System sys(oversubbed(40));
+    System sys(cdnaOneNic(40));
     Report r = sys.run(sim::milliseconds(5), sim::milliseconds(20));
 
     EXPECT_GT(r.mbps, 0.0);
@@ -205,10 +189,8 @@ TEST(Oversub, GrantsStayRevocableWhilePagedOut)
     // Grant-table operations are hypervisor state, independent of NIC
     // residency: a guest whose context is paged out can still issue,
     // serve, and retire grants.
-    SystemConfig cfg = SystemConfig::cdna(8);
-    cfg.numNics = 1;
-    cfg.cdnaParams.numContexts = 4;
-    cfg.oversubscribed();
+    SystemConfig cfg = cdnaOneNic(8);
+    cfg.cdnaContexts = 4;
     System sys(cfg);
     sys.start();
     sys.ctx().events().runUntil(sim::milliseconds(10));
@@ -232,16 +214,6 @@ TEST(Oversub, GrantsStayRevocableWhilePagedOut)
     EXPECT_EQ(mapped, page);
     EXPECT_TRUE(grants.unmapGrant(ref, to));
     EXPECT_TRUE(grants.endGrant(ref, from));
-}
-
-TEST(Oversub, CliFlagConfiguresPaging)
-{
-    std::string err;
-    auto opt = parseCli({"--mode", "cdna", "--guests", "64", "--oversub"},
-                        &err);
-    ASSERT_TRUE(opt.has_value()) << err;
-    EXPECT_TRUE(opt->config.ctxOversub);
-    EXPECT_FALSE(parseCli({"--mode", "xen", "--oversub"}, &err));
 }
 
 // ------------------------------------------------- NIC-level paging ----
@@ -436,8 +408,7 @@ sim::ExperimentSpec
 miniOversubSpec()
 {
     return sim::ExperimentSpec("mini-oversub")
-        .config("cdna-ov",
-                [](std::uint32_t g) { return oversubbed(g); })
+        .config("cdna-ov", cdnaOneNic)
         .guests({8, 40})
         .seeds(1)
         .warmup(sim::milliseconds(2))
@@ -483,12 +454,14 @@ TEST(OversubSweep, PresetRegisteredAndWellFormed)
     auto spec = sim::presets::byName("oversub");
     ASSERT_TRUE(spec.has_value());
     auto points = spec->expand();
-    ASSERT_FALSE(points.empty());
-    // 3 configs x 6 guest counts; plain cdna silently gains paging
-    // above 32 guests, cdna-oversub always pages, xen never does.
-    bool sawOversubLabel = false;
-    for (const auto &p : points)
-        if (p.cell.find("cdna-oversub") != std::string::npos)
-            sawOversubLabel = true;
-    EXPECT_TRUE(sawOversubLabel);
+    // 2 configs x 6 guest counts; cdna pages from 64 guests on (its
+    // label says so), xen never does.
+    ASSERT_EQ(points.size(), 12u);
+    for (const auto &p : points) {
+        bool cdna = p.cell.starts_with("cdna/");
+        EXPECT_TRUE(cdna || p.cell.starts_with("xen/")) << p.cell;
+        bool paged = cdna && p.config.numGuests >= 64;
+        EXPECT_EQ(p.config.effectiveLabel().ends_with("/oversub"), paged)
+            << p.cell;
+    }
 }

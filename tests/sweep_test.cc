@@ -719,6 +719,15 @@ TEST(SweepTable, DefaultBandsFollowTheMetricFamily)
     }
 }
 
+TEST(SweepTable, DerivedKeysPrintTwoDecimals)
+{
+    // A derived report key keeps two decimals whole or not, so its
+    // column lines up; a runner extra drops them when integral.
+    EXPECT_EQ(core::formatColumn("fairness", 1.0), "1.00");
+    EXPECT_EQ(core::formatColumn("fairness", 0.0), "0.00");
+    EXPECT_EQ(core::formatColumn("sender_retrans", 12.0), "12");
+}
+
 const char *const kPaperPresets[] = {"table1", "table2", "table3",
                                      "table4", "fig3",   "fig4"};
 
