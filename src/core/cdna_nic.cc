@@ -124,7 +124,7 @@ CdnaNic::allocContext(mem::DomainId dom, net::MacAddr mac)
             c.allocated = true;
             c.dom = dom;
             c.mac = mac;
-            macMap_[mac.hash()] = i;
+            macMap_.set(mac, i);
             // Claim a physical slot if one is free; otherwise the
             // context starts paged out (oversubscription) and the pager
             // restores it on its first doorbell.
@@ -145,7 +145,7 @@ CdnaNic::revokeContext(ContextId id)
 {
     Context &c = cxt(id);
     SIM_ASSERT(c.allocated, "revoking unallocated context");
-    macMap_.erase(c.mac.hash());
+    macMap_.erase(c.mac);
     if (c.resident) {
         hier_.clearContext(c.slot);
         pendingVector_ &= ~(1u << c.slot);
@@ -737,10 +737,9 @@ CdnaNic::pumpTx()
 void
 CdnaNic::receiveFrame(net::Packet pkt)
 {
-    auto it = macMap_.find(pkt.dst.hash());
     ContextId id;
-    if (it != macMap_.end()) {
-        id = it->second;
+    if (const ContextId *owner = macMap_.find(pkt.dst)) {
+        id = *owner;
     } else if (promiscuousCxt_.has_value()) {
         id = *promiscuousCxt_;
     } else {

@@ -32,7 +32,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/interrupt_ring.hh"
@@ -365,7 +364,7 @@ class CdnaNic : public nic::NicBase
     nic::PacketBufferPool txBuf_;
     nic::PacketBufferPool rxBuf_;
     std::vector<Context> contexts_;
-    std::unordered_map<std::uint64_t, ContextId> macMap_;
+    net::MacTable<ContextId> macMap_;
     FaultHandler faultHandler_;
     PageFaultHandler pageFaultHandler_;
     std::optional<ContextId> promiscuousCxt_;

@@ -250,22 +250,6 @@ enum class MetricKind
     kDerived,      //!< computed from the report itself (fairness)
 };
 
-/** One latency family, merged over the components that record it. */
-struct LatencySamples
-{
-    sim::Histogram hist;
-    double sum = 0.0;
-    std::uint64_t count = 0;
-
-    void
-    add(const sim::Histogram &h, const sim::SampleStats &st)
-    {
-        hist.merge(h);
-        sum += st.sum();
-        count += st.count();
-    }
-};
-
 /**
  * One report key: the Report member it fills, its kind, and the
  * collector that reads it from one System's own components.
@@ -278,7 +262,8 @@ struct MetricRow
     using Counter = std::uint64_t (*)(const System &);
     using GuestCounter = std::uint64_t (*)(const System &, std::uint32_t);
     using Share = double (*)(const System &, sim::Time window);
-    using Latency = LatencySamples (*)(const System &);
+    /** One latency family, merged over the components recording it. */
+    using Latency = sim::LatencyRecorder (*)(const System &);
     using GuestValue = double (*)(const System &, std::uint32_t);
     using Collector = std::variant<std::monostate, Counter, GuestCounter,
                                    Share, Latency, GuestValue>;

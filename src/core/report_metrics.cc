@@ -118,25 +118,25 @@ reportMetrics()
     // End-to-end data latency: peers measure transmitted data, guest
     // stacks measure received data.  Cumulative (includes warmup).
     static constexpr auto dataLatency = [](const S &s) {
-        LatencySamples l;
+        sim::LatencyRecorder l;
         if (s.cfg_.transmitDir) {
             for (const auto &p : s.peers_)
                 if (p)
-                    l.add(p->latencyHist(), p->latency());
+                    l.merge(p->latency());
         } else {
             for (const auto &st : s.stacks_)
-                l.add(st->rxLatencyHist(), st->rxLatency());
+                l.merge(st->rxLatency());
         }
         return l;
     };
     // RPC round trips from the engines' fine-grained histograms
     // (cumulative too).
     static constexpr auto rpcLatency = [](const S &s) {
-        LatencySamples l{sim::Histogram(net::workload::kRpcHistBuckets,
-                                        net::workload::kRpcHistSubBits)};
+        sim::LatencyRecorder l(net::workload::kRpcHistBuckets,
+                               net::workload::kRpcHistSubBits);
         for (const auto &p : s.peers_)
             if (const Engine *e = p ? p->engine() : nullptr)
-                l.add(e->rpcLatencyHist(), e->rpcLatency());
+                l.merge(e->rpcLatency());
         return l;
     };
 

@@ -673,12 +673,13 @@ System::buildReport(const std::vector<std::uint64_t> &a,
             break;
           case kMean:
           case kQuantile: {
-            LatencySamples l = std::get<MetricRow::Latency>(m.collect)(*this);
-            if (l.count == 0)
+            sim::LatencyRecorder l =
+                std::get<MetricRow::Latency>(m.collect)(*this);
+            if (l.count() == 0)
                 break;
             r.**dbl = m.kind == kMean
-                          ? l.sum / static_cast<double>(l.count)
-                          : static_cast<double>(l.hist.quantile(m.param));
+                          ? l.mean()
+                          : static_cast<double>(l.quantile(m.param));
             break;
           }
           case kPerGuestMbps:

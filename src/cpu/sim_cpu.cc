@@ -7,8 +7,8 @@
 
 namespace cdna::cpu {
 
-Vcpu::Vcpu(SimCpu &cpu, mem::DomainId dom, std::string name, int weight)
-    : cpu_(cpu), dom_(dom), name_(std::move(name)), weight_(weight)
+Vcpu::Vcpu(SimCpu &cpu, mem::DomainId dom, std::string name)
+    : cpu_(cpu), dom_(dom), name_(std::move(name))
 {
 }
 
@@ -39,10 +39,9 @@ SimCpu::SimCpu(sim::SimContext &ctx, std::string name, CpuParams params,
 }
 
 Vcpu &
-SimCpu::createVcpu(mem::DomainId dom, std::string name, int weight)
+SimCpu::createVcpu(mem::DomainId dom, std::string name)
 {
-    vcpus_.push_back(std::make_unique<Vcpu>(*this, dom, std::move(name),
-                                            weight));
+    vcpus_.push_back(std::make_unique<Vcpu>(*this, dom, std::move(name)));
     vcpus_.back()->traceLane_ = ctx().tracer().lane(vcpus_.back()->name());
     return *vcpus_.back();
 }

@@ -75,7 +75,7 @@ struct CpuParams
 class Vcpu
 {
   public:
-    Vcpu(SimCpu &cpu, mem::DomainId dom, std::string name, int weight);
+    Vcpu(SimCpu &cpu, mem::DomainId dom, std::string name);
 
     Vcpu(const Vcpu &) = delete;
     Vcpu &operator=(const Vcpu &) = delete;
@@ -90,7 +90,6 @@ class Vcpu
 
     mem::DomainId domain() const { return dom_; }
     const std::string &name() const { return name_; }
-    int weight() const { return weight_; }
 
     /** Whether this vCPU's working set contends for the cache (guests). */
     void setContends(bool on) { contends_ = on; }
@@ -114,7 +113,6 @@ class Vcpu
     SimCpu &cpu_;
     mem::DomainId dom_;
     std::string name_;
-    int weight_;
     sim::Tracer::LaneId traceLane_ = 0;
     bool contends_ = false;
     sim::Time lastRan_ = std::numeric_limits<sim::Time>::min() / 2;
@@ -135,7 +133,7 @@ class SimCpu : public sim::SimObject
            const std::string &hv_lane = "hypervisor");
 
     /** Create a vCPU for @p dom.  The SimCpu owns the returned object. */
-    Vcpu &createVcpu(mem::DomainId dom, std::string name, int weight = 1);
+    Vcpu &createVcpu(mem::DomainId dom, std::string name);
 
     /**
      * Run hypervisor work at priority above all domains.

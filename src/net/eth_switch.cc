@@ -47,7 +47,7 @@ void
 EthSwitch::setRoute(MacAddr mac, std::uint32_t port)
 {
     SIM_ASSERT(port < ports_.size(), "route to nonexistent port");
-    routes_[mac] = port;
+    routes_.set(mac, port);
 }
 
 std::uint64_t
@@ -62,12 +62,12 @@ EthSwitch::totalDrops() const
 void
 EthSwitch::forward(Packet pkt)
 {
-    auto route = routes_.find(pkt.dst);
-    if (route == routes_.end()) {
+    const std::uint32_t *route = routes_.find(pkt.dst);
+    if (!route) {
         nUnrouted_->inc();
         return;
     }
-    enqueue(ports_[route->second], std::move(pkt));
+    enqueue(ports_[*route], std::move(pkt));
 }
 
 void

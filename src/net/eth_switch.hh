@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "net/eth_link.hh"
@@ -116,7 +115,7 @@ class EthSwitch : public sim::SimObject, public Fabric
     Wire wire_;
     std::vector<SwitchPort> ports_;
     std::uint32_t bound_ = 0;
-    std::map<MacAddr, std::uint32_t> routes_;
+    MacTable<std::uint32_t> routes_;
     sim::Counter *nUnrouted_ = nullptr;
 };
 

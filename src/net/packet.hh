@@ -11,12 +11,15 @@
 #ifndef CDNA_NET_PACKET_HH
 #define CDNA_NET_PACKET_HH
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <compare>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mem/dma_engine.hh"
 #include "sim/time.hh"
@@ -57,7 +60,8 @@ class MacAddr
     /** Raw byte view (printing, hashing in tests). */
     const std::array<std::uint8_t, 6> &raw() const { return bytes_; }
 
-    /** Hash for unordered containers. */
+    /** Seeds the workload RNG stream; it is not injective (fromId(131)
+     *  and fromId(256) hash alike), so no lookup keys on it. */
     std::uint64_t
     hash() const
     {
@@ -88,6 +92,54 @@ class MacAddr
 
   private:
     std::array<std::uint8_t, 6> bytes_;
+};
+
+/**
+ * The one MAC-keyed lookup (NIC and bridge demux, switch routes, peer
+ * records): (MacAddr::key(), value) pairs in one flat vector sorted by
+ * key and searched by bisection.
+ */
+template <typename V>
+class MacTable
+{
+  public:
+    /** @p mac's value, or null when it has none. */
+    const V *
+    find(MacAddr mac) const
+    {
+        auto it = slot(mac.key());
+        return it != entries_.end() && it->first == mac.key() ? &it->second
+                                                              : nullptr;
+    }
+
+    /** Map @p mac to @p v, replacing its earlier value. */
+    void
+    set(MacAddr mac, V v)
+    {
+        erase(mac);
+        entries_.insert(slot(mac.key()), {mac.key(), std::move(v)});
+    }
+
+    /** Forget @p mac (nothing when it has no value). */
+    void
+    erase(MacAddr mac)
+    {
+        if (find(mac))
+            entries_.erase(slot(mac.key()));
+    }
+
+  private:
+    using Entry = std::pair<std::uint64_t, V>;
+
+    typename std::vector<Entry>::const_iterator
+    slot(std::uint64_t key) const
+    {
+        return std::lower_bound(
+            entries_.begin(), entries_.end(), key,
+            [](const Entry &e, std::uint64_t k) { return e.first < k; });
+    }
+
+    std::vector<Entry> entries_;
 };
 
 /** Standard Ethernet MTU (bytes of IP datagram per frame). */

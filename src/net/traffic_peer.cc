@@ -24,6 +24,7 @@ TrafficPeer::TrafficPeer(sim::SimContext &ctx, std::string name,
     for (char c : this->name())
         h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
     mac_ = MacAddr::fromId(0x00FE0000u + (h & 0xFFFFu));
+    frames_ = FrameBuilder(mac_);
     port_ = &fabric.bind(*this);
 }
 
@@ -71,58 +72,34 @@ TrafficPeer::enableTcpImpl(const transport::TcpParams &params)
     tcp_->setSegmentTx([this](const transport::TcpEndpoint::SegmentOut &so) {
         if (port_->busy())
             return false;
-        Packet pkt;
-        pkt.src = mac_;
-        pkt.dst = so.dst;
-        pkt.payloadBytes = so.len;
-        pkt.id = nextPktId_++;
-        pkt.flowId = so.flowId;
-        pkt.created = now();
-        pkt.seq = so.seq;
-        pkt.tcpData = true;
         nTxFrames_.inc();
-        port_->send(std::move(pkt), 0, [this] { tcp_->pump(); });
+        port_->send(frames_.tcpSegment(so, now()), 0,
+                    [this] { tcp_->pump(); });
         return true;
     });
 
     // Pure ACKs are tiny; let them queue on the link like open-loop
     // ACKs do rather than stalling the delayed-ACK clock.
     tcp_->setAckTx([this](const transport::TcpEndpoint::AckOut &ao) {
-        Packet ack;
-        ack.src = mac_;
-        ack.dst = ao.dst;
-        ack.payloadBytes = 0;
-        ack.id = nextPktId_++;
-        ack.flowId = ao.flowId;
-        ack.created = now();
-        ack.tcpAck = true;
-        ack.ackNo = ao.ackNo;
-        port_->send(std::move(ack));
+        port_->send(frames_.tcpAck(ao, now()));
         return true;
     });
 
     tcp_->setDeliver([this](const Packet &pkt, std::uint64_t bytes) {
         countReceived(pkt.src, bytes);
-        if (pkt.created > 0) {
-            double us = sim::toMicroseconds(now() - pkt.created);
-            latency_.record(us);
-            latencyHist_.record(static_cast<std::uint64_t>(us));
-        }
+        if (pkt.created > 0)
+            latency_.record(now() - pkt.created);
     });
 }
 
 std::uint32_t
 TrafficPeer::remoteIndex(MacAddr mac)
 {
-    // Indices are never below 0, so this finds the first entry whose
-    // key is not below mac's.
-    const std::pair<std::uint64_t, std::uint32_t> probe{mac.key(), 0};
-    auto it = std::lower_bound(byKey_.begin(), byKey_.end(), probe);
-    if (it != byKey_.end() && it->first == probe.first)
-        return it->second;
+    if (const std::uint32_t *index = byMac_.find(mac))
+        return *index;
     const auto index = static_cast<std::uint32_t>(remotes_.size());
     remotes_.push_back(Remote{mac});
-    byKey_.insert(it, {probe.first, index});
+    byMac_.set(mac, index);
     return index;
 }
 
@@ -130,29 +107,15 @@ TrafficPeer::Remote &
 TrafficPeer::countReceived(MacAddr src, std::uint64_t bytes)
 {
     Remote &r = remotes_[remoteIndex(src)];
-    r.received = true;
     r.rxBytes += bytes;
     return r;
-}
-
-std::map<MacAddr, std::uint64_t>
-TrafficPeer::receivedBySrc() const
-{
-    std::map<MacAddr, std::uint64_t> by_src;
-    for (const Remote &r : remotes_)
-        if (r.received)
-            by_src.emplace(r.mac, r.rxBytes);
-    return by_src;
 }
 
 std::uint64_t
 TrafficPeer::receivedFrom(MacAddr src) const
 {
-    const std::pair<std::uint64_t, std::uint32_t> probe{src.key(), 0};
-    auto it = std::lower_bound(byKey_.begin(), byKey_.end(), probe);
-    if (it == byKey_.end() || it->first != probe.first)
-        return 0;
-    return remotes_[it->second].rxBytes;
+    const std::uint32_t *index = byMac_.find(src);
+    return index ? remotes_[*index].rxBytes : 0;
 }
 
 void
@@ -228,12 +191,7 @@ TrafficPeer::sendNext()
         return;
     }
 
-    Packet pkt;
-    pkt.src = mac_;
-    pkt.dst = dst->mac;
-    pkt.payloadBytes = payload_;
-    pkt.id = nextPktId_++;
-    pkt.created = now();
+    Packet pkt = frames_.data(dst->mac, payload_, 0, now());
     dst->windowed = true;
     dst->sent += pkt.wireFrames();
     nTxFrames_.inc();
@@ -289,11 +247,8 @@ TrafficPeer::receiveFrame(Packet pkt)
     nRxPayload_.inc(pkt.payloadBytes);
     Remote &src = countReceived(pkt.src, pkt.payloadBytes);
 
-    if (pkt.payloadBytes > 0 && pkt.created > 0) {
-        double us = sim::toMicroseconds(now() - pkt.created);
-        latency_.record(us);
-        latencyHist_.record(static_cast<std::uint64_t>(us));
-    }
+    if (pkt.payloadBytes > 0 && pkt.created > 0)
+        latency_.record(now() - pkt.created);
 
     // An incoming ACK opens the sender-side window toward its source.
     // (sendNext() adds no record, so src stays valid; an ACK carries no
@@ -312,13 +267,7 @@ TrafficPeer::receiveFrame(Packet pkt)
         debt += pkt.wireFrames();
         while (debt >= ackEvery_) {
             debt -= ackEvery_;
-            Packet ack;
-            ack.src = mac_;
-            ack.dst = pkt.src;
-            ack.payloadBytes = 0;
-            ack.id = nextPktId_++;
-            ack.created = now();
-            port_->send(std::move(ack));
+            port_->send(frames_.ack(pkt.src, now()));
         }
     }
 }

@@ -17,12 +17,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "net/fabric.hh"
+#include "net/frame_builder.hh"
 #include "net/packet.hh"
 #include "net/transport/tcp.hh"
 #include "net/workload/workload_spec.hh"
@@ -91,15 +91,10 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
     }
 
     /** End-to-end latency of received data frames (stack entry to peer
-     *  delivery), in microseconds. */
-    const sim::SampleStats &latency() const { return latency_; }
-    /** Latency histogram (microsecond buckets) for quantiles. */
-    const sim::Histogram &latencyHist() const { return latencyHist_; }
+     *  delivery). */
+    const sim::LatencyRecorder &latency() const { return latency_; }
 
-    /** Payload received per source MAC (fairness checks in tests). */
-    std::map<MacAddr, std::uint64_t> receivedBySrc() const;
-
-    /** Payload received from @p src: its receivedBySrc() entry, or 0. */
+    /** Payload received from @p src (0 when none). */
     std::uint64_t receivedFrom(MacAddr src) const;
 
     void receiveFrame(Packet pkt) override;
@@ -120,7 +115,6 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
         /** The source sent toward it or checked its room: only such a
          *  window clamps ACKs and is reset by the retry timer. */
         bool windowed = false;
-        bool received = false; //!< listed by receivedBySrc()
     };
 
     void sendNext();
@@ -133,9 +127,10 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
 
     Port *port_ = nullptr;
     MacAddr mac_;
+    FrameBuilder frames_;
     std::vector<Remote> remotes_;
-    /** (MAC key, index into remotes_), sorted by key. */
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> byKey_;
+    /** Index into remotes_ of each MAC's record. */
+    MacTable<std::uint32_t> byMac_;
     /** Round-robin destinations as indices into remotes_: a MAC listed
      *  twice shares one record, so one window. */
     std::vector<std::uint32_t> dsts_;
@@ -143,13 +138,11 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
     std::size_t rrIndex_ = 0;
     bool sourcing_ = false;
     bool sendInProgress_ = false;
-    std::uint64_t nextPktId_ = 1;
     std::uint32_t ackEvery_ = 0;
     std::uint32_t windowFrames_ = 128;
     sim::EventId retryTimer_ = sim::kInvalidEvent;
     sim::Time retryDelay_ = sim::microseconds(500);
-    sim::SampleStats latency_;
-    sim::Histogram latencyHist_;
+    sim::LatencyRecorder latency_;
 
     std::unique_ptr<transport::TcpEndpoint> tcp_;
     std::unique_ptr<workload::WorkloadEngine> engine_;

@@ -18,12 +18,11 @@ WorkloadEngine::WorkloadEngine(sim::SimContext &ctx, std::string name,
                                Port &port, MacAddr src, WorkloadSpec spec)
     : SimObject(ctx, std::move(name)),
       port_(port),
-      src_(src),
       spec_(std::move(spec)),
       rng_(workloadStreamSeed(spec_.seed) ^ src.hash()),
       rr_(spec_.classes.size(), 0),
-      nextPktId_(kEnginePktIdBase),
-      rpcLatencyHist_(kRpcHistBuckets, kRpcHistSubBits),
+      frames_(src, mem::kDomInvalid, kEnginePktIdBase),
+      rpcLatency_(kRpcHistBuckets, kRpcHistSubBits),
       nFlowsStarted_(stats().addCounter("flows_started")),
       nFlowsCompleted_(stats().addCounter("flows_completed")),
       nRpcRequests_(stats().addCounter("rpc_requests")),
@@ -76,13 +75,9 @@ WorkloadEngine::onArrival(std::size_t c)
         events().schedule(fc.rpcTimeout, [this, id] { onRpcTimeout(id); });
     outstanding_.emplace(id, o);
 
-    Packet pkt;
-    pkt.src = src_;
-    pkt.dst = nextTarget(c);
-    pkt.payloadBytes = static_cast<std::uint32_t>(req_bytes);
-    pkt.id = nextPktId_++;
-    pkt.flowId = id;
-    pkt.created = now();
+    Packet pkt = frames_.data(nextTarget(c),
+                              static_cast<std::uint32_t>(req_bytes), id,
+                              now());
     pkt.rpcReq = true;
     pkt.rpcId = id;
     pkt.rpcRespBytes = fc.rpcRespBytes;
@@ -103,9 +98,7 @@ WorkloadEngine::onRpcResponse(const Packet &pkt)
     o.gotBytes += pkt.payloadBytes;
     if (o.gotBytes < o.expectedBytes)
         return;
-    double us = sim::toMicroseconds(now() - o.sentAt);
-    rpcLatency_.record(us);
-    rpcLatencyHist_.record(static_cast<std::uint64_t>(us));
+    rpcLatency_.record(now() - o.sentAt);
     events().cancel(o.timeout);
     outstanding_.erase(it);
     nRpcResponses_.inc();

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "net/fabric.hh"
+#include "net/frame_builder.hh"
 #include "net/packet.hh"
 #include "net/workload/workload_spec.hh"
 #include "sim/rng.hh"
@@ -59,10 +60,9 @@ class WorkloadEngine : public sim::SimObject
     std::uint64_t rpcResponses() const { return nRpcResponses_.value(); }
     std::uint64_t rpcTimeouts() const { return nRpcTimeouts_.value(); }
 
-    /** Per-request latency (microseconds, request enqueue to last
-     *  response byte back at the peer). */
-    const sim::SampleStats &rpcLatency() const { return rpcLatency_; }
-    const sim::Histogram &rpcLatencyHist() const { return rpcLatencyHist_; }
+    /** Per-request latency (request enqueue to last response byte
+     *  back at the peer). */
+    const sim::LatencyRecorder &rpcLatency() const { return rpcLatency_; }
 
   private:
     /** One request in flight, keyed by rpcId. */
@@ -80,7 +80,6 @@ class WorkloadEngine : public sim::SimObject
     MacAddr nextTarget(std::size_t c);
 
     Port &port_;
-    MacAddr src_;
     WorkloadSpec spec_;
     sim::Rng rng_;
 
@@ -90,10 +89,9 @@ class WorkloadEngine : public sim::SimObject
     std::map<std::uint64_t, Outstanding> outstanding_;
 
     std::uint64_t nextRpcId_ = 1;
-    std::uint64_t nextPktId_;
+    FrameBuilder frames_;
 
-    sim::SampleStats rpcLatency_;
-    sim::Histogram rpcLatencyHist_;
+    sim::LatencyRecorder rpcLatency_;
 
     sim::Counter &nFlowsStarted_;
     sim::Counter &nFlowsCompleted_;

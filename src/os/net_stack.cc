@@ -8,12 +8,40 @@
 
 namespace cdna::os {
 
+namespace {
+
+/**
+ * The SG list of stream bytes [off, off + len) in @p pages, a reused
+ * buffer the stream runs round.
+ */
+mem::SgList
+bufferSg(const std::vector<mem::PageNum> &pages, std::uint64_t off,
+         std::uint32_t len)
+{
+    const std::uint64_t buf_bytes = pages.size() * mem::kPageSize;
+    mem::SgList sg;
+    off %= buf_bytes;
+    while (len > 0) {
+        std::uint64_t in_page = off % mem::kPageSize;
+        auto chunk = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(len, mem::kPageSize - in_page));
+        sg.push_back({mem::addrOf(pages[off / mem::kPageSize]) + in_page,
+                      chunk});
+        off = (off + chunk) % buf_bytes;
+        len -= chunk;
+    }
+    return sg;
+}
+
+} // namespace
+
 NetStack::NetStack(sim::SimContext &ctx, std::string name, vmm::Domain &dom,
                    NetDevice &dev, const core::CostModel &costs)
     : sim::SimObject(ctx, std::move(name)),
       dom_(dom),
       dev_(dev),
       costs_(costs),
+      frames_(dev.mac(), dom.id()),
       nTxBytes_(stats().addCounter("tx_bytes")),
       nRxBytes_(stats().addCounter("rx_bytes")),
       nRxPkts_(stats().addCounter("rx_packets")),
@@ -56,10 +84,10 @@ NetStack::shutdown()
     ackDebt_ = 0;
 }
 
-void
+std::shared_ptr<std::vector<net::Packet>>
 NetStack::buildPackets(std::uint64_t bytes, std::uint64_t flow_id,
-                       const std::vector<mem::PageNum> &pages,
-                       std::vector<net::Packet> *out)
+                       net::MacAddr dst,
+                       const std::vector<mem::PageNum> &pages)
 {
     SIM_ASSERT(!pages.empty(), "no buffer pages");
     const std::uint64_t buf_bytes = pages.size() * mem::kPageSize;
@@ -69,35 +97,26 @@ NetStack::buildPackets(std::uint64_t bytes, std::uint64_t flow_id,
         ? std::min<std::uint32_t>(net::kMaxTsoBytes, static_cast<std::uint32_t>(buf_bytes))
         : net::kMss;
 
+    auto out = std::make_shared<std::vector<net::Packet>>();
     std::uint64_t off = 0;
     while (off < bytes) {
         auto len = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(unit, bytes - off));
-        net::Packet pkt;
-        pkt.src = dev_.mac();
-        pkt.dst = dst_;
-        pkt.payloadBytes = len;
-        pkt.srcDomain = dom_.id();
-        pkt.id = nextPktId_++;
-        pkt.flowId = flow_id;
-        pkt.created = now();
-
-        // Map [off, off+len) onto the buffer pages.
-        std::uint64_t seg_off = off;
-        std::uint32_t remaining = len;
-        while (remaining > 0) {
-            std::uint64_t page_idx = seg_off / mem::kPageSize;
-            std::uint64_t in_page = seg_off % mem::kPageSize;
-            auto chunk = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                remaining, mem::kPageSize - in_page));
-            pkt.hostSg.push_back(
-                {mem::addrOf(pages[page_idx]) + in_page, chunk});
-            seg_off += chunk;
-            remaining -= chunk;
-        }
+        net::Packet pkt = frames_.data(dst, len, flow_id, now());
+        pkt.hostSg = bufferSg(pages, off, len);
         out->push_back(std::move(pkt));
         off += len;
     }
+    return out;
+}
+
+sim::Time
+NetStack::txCost(std::uint64_t frames, std::uint64_t bytes) const
+{
+    return static_cast<sim::Time>(frames) * costs_.stackTxPerPacket +
+           static_cast<sim::Time>(costs_.stackTxPerByteNs *
+                                  static_cast<double>(bytes) *
+                                  sim::kNanosecond);
 }
 
 void
@@ -110,17 +129,11 @@ NetStack::sendBurst(std::uint64_t bytes, std::uint64_t flow_id,
         sendBurstTcp(bytes, flow_id, pages);
         return;
     }
-    auto pkts = std::make_shared<std::vector<net::Packet>>();
-    buildPackets(bytes, flow_id, pages, pkts.get());
-
-    sim::Time cost =
-        static_cast<sim::Time>(pkts->size()) * costs_.stackTxPerPacket +
-        static_cast<sim::Time>(costs_.stackTxPerByteNs *
-                               static_cast<double>(bytes) * sim::kNanosecond);
-
+    auto pkts = buildPackets(bytes, flow_id, dst_, pages);
     CDNA_TRACE_INSTANT_ARG(ctx().tracer(), traceLane(), "tx_burst", now(),
                            "bytes", bytes);
-    dom_.vcpu().post(cpu::Bucket::kOs, cost, [this, pkts, bytes] {
+    dom_.vcpu().post(cpu::Bucket::kOs, txCost(pkts->size(), bytes),
+                     [this, pkts, bytes] {
         nTxBytes_.inc(bytes);
         for (auto &p : *pkts)
             txBacklog_.push_back(std::move(p));
@@ -241,7 +254,9 @@ NetStack::enableTcp(const net::transport::TcpParams &params)
                 return false;
             auto it = flowBufs_.find(so.flowId);
             SIM_ASSERT(it != flowBufs_.end(), "segment for unknown flow");
-            dev_.transmit(makeTcpSegment(so, it->second));
+            net::Packet pkt = frames_.tcpSegment(so, now());
+            pkt.hostSg = bufferSg(it->second, so.seq, so.len);
+            dev_.transmit(std::move(pkt));
             dev_.flush();
             if (so.rtx)
                 // The original transmission was charged at offer time;
@@ -254,17 +269,7 @@ NetStack::enableTcp(const net::transport::TcpParams &params)
     tcp_->setAckTx([this](const net::transport::TcpEndpoint::AckOut &ao) {
         if (!dev_.canTransmit())
             return false;
-        net::Packet ack;
-        ack.src = dev_.mac();
-        ack.dst = ao.dst;
-        ack.payloadBytes = 0;
-        ack.srcDomain = dom_.id();
-        ack.id = nextPktId_++;
-        ack.flowId = ao.flowId;
-        ack.created = now();
-        ack.tcpAck = true;
-        ack.ackNo = ao.ackNo;
-        dev_.transmit(std::move(ack));
+        dev_.transmit(frames_.tcpAck(ao, now()));
         dev_.flush();
         dom_.vcpu().post(cpu::Bucket::kOs, costs_.stackAckTxCost, [] {});
         return true;
@@ -308,14 +313,10 @@ NetStack::sendBurstTcp(std::uint64_t bytes, std::uint64_t flow_id,
     // under TCP: every segment is an MSS so loss granularity is real).
     std::uint32_t seg = tcp_->params().segmentBytes;
     std::uint64_t nsegs = (bytes + seg - 1) / seg;
-    sim::Time cost =
-        static_cast<sim::Time>(nsegs) * costs_.stackTxPerPacket +
-        static_cast<sim::Time>(costs_.stackTxPerByteNs *
-                               static_cast<double>(bytes) * sim::kNanosecond);
-
     CDNA_TRACE_INSTANT_ARG(ctx().tracer(), traceLane(), "tx_burst", now(),
                            "bytes", bytes);
-    dom_.vcpu().post(cpu::Bucket::kOs, cost, [this, bytes, flow_id] {
+    dom_.vcpu().post(cpu::Bucket::kOs, txCost(nsegs, bytes),
+                     [this, bytes, flow_id] {
         nTxBytes_.inc(bytes);
         std::uint64_t accepted = tcp_->offer(flow_id, bytes);
         if (accepted < bytes)
@@ -323,37 +324,6 @@ NetStack::sendBurstTcp(std::uint64_t bytes, std::uint64_t flow_id,
             // space (resumed from the BufFreed callback).
             pendingOffer_[flow_id] += bytes - accepted;
     });
-}
-
-net::Packet
-NetStack::makeTcpSegment(const net::transport::TcpEndpoint::SegmentOut &so,
-                         const std::vector<mem::PageNum> &pages)
-{
-    const std::uint64_t buf_bytes = pages.size() * mem::kPageSize;
-    net::Packet pkt;
-    pkt.src = dev_.mac();
-    pkt.dst = so.dst;
-    pkt.payloadBytes = so.len;
-    pkt.srcDomain = dom_.id();
-    pkt.id = nextPktId_++;
-    pkt.flowId = so.flowId;
-    pkt.created = now();
-    pkt.seq = so.seq;
-    pkt.tcpData = true;
-
-    // The stream is a ring over the flow's (reused) buffer pages.
-    std::uint64_t off = so.seq % buf_bytes;
-    std::uint32_t remaining = so.len;
-    while (remaining > 0) {
-        std::uint64_t page_idx = off / mem::kPageSize;
-        std::uint64_t in_page = off % mem::kPageSize;
-        auto chunk = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-            remaining, mem::kPageSize - in_page));
-        pkt.hostSg.push_back({mem::addrOf(pages[page_idx]) + in_page, chunk});
-        off = (off + chunk) % buf_bytes;
-        remaining -= chunk;
-    }
-    return pkt;
 }
 
 void
@@ -399,14 +369,7 @@ NetStack::collectRxBatch()
         // Emit the owed ACKs toward the data source.
         bool sent = false;
         for (std::uint32_t i = 0; i < acks_out && dev_.canTransmit(); ++i) {
-            net::Packet ack;
-            ack.src = dev_.mac();
-            ack.dst = ackDst_;
-            ack.payloadBytes = 0;
-            ack.srcDomain = dom_.id();
-            ack.id = nextPktId_++;
-            ack.created = now();
-            dev_.transmit(std::move(ack));
+            dev_.transmit(frames_.ack(ackDst_, now()));
             sent = true;
         }
         if (sent)
@@ -421,11 +384,8 @@ NetStack::collectRxBatch()
             CDNA_TRACE_INSTANT_ARG(ctx().tracer(), traceLane(),
                                    "rx_deliver", now(), "bytes", bytes);
             // Data reaches user space now: record wire-to-app latency.
-            for (sim::Time created : stamps) {
-                double us = sim::toMicroseconds(now() - created);
-                rxLatency_.record(us);
-                rxLatencyHist_.record(static_cast<std::uint64_t>(us));
-            }
+            for (sim::Time created : stamps)
+                rxLatency_.record(now() - created);
             if (progress_)
                 progress_();
             if (rxDeliver_)
@@ -449,22 +409,16 @@ NetStack::sendRpcResponse(const net::Packet &req)
             (net::kMaxTsoBytes + mem::kPageSize - 1) / mem::kPageSize;
         rpcBuf_ = dom_.hypervisor().mem().allocOrThrow(dom_.id(), pages);
     }
-    auto pkts = std::make_shared<std::vector<net::Packet>>();
-    buildPackets(bytes, req.rpcId, rpcBuf_, pkts.get());
+    auto pkts = buildPackets(bytes, req.rpcId, req.src, rpcBuf_);
     for (auto &p : *pkts) {
-        p.dst = req.src;
         p.rpcResp = true;
         p.rpcId = req.rpcId;
         p.rpcRespBytes = req.rpcRespBytes;
     }
-
-    sim::Time cost =
-        static_cast<sim::Time>(pkts->size()) * costs_.stackTxPerPacket +
-        static_cast<sim::Time>(costs_.stackTxPerByteNs *
-                               static_cast<double>(bytes) * sim::kNanosecond);
     CDNA_TRACE_INSTANT_ARG(ctx().tracer(), traceLane(), "rpc_response",
                            now(), "bytes", bytes);
-    dom_.vcpu().post(cpu::Bucket::kOs, cost, [this, pkts, bytes] {
+    dom_.vcpu().post(cpu::Bucket::kOs, txCost(pkts->size(), bytes),
+                     [this, pkts, bytes] {
         if (dead_)
             return;
         nTxBytes_.inc(bytes);

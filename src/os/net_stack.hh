@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/cost_model.hh"
+#include "net/frame_builder.hh"
 #include "net/transport/tcp.hh"
 #include "os/net_device.hh"
 #include "vmm/domain.hh"
@@ -119,17 +120,19 @@ class NetStack : public sim::SimObject
     /** High-watermark of the TX backlog over the stack's lifetime. */
     std::uint64_t txBacklogPeak() const { return txBacklogPeak_; }
 
-    /** Wire-to-app latency of received data frames, in microseconds. */
-    const sim::SampleStats &rxLatency() const { return rxLatency_; }
-    const sim::Histogram &rxLatencyHist() const { return rxLatencyHist_; }
+    /** Wire-to-app latency of received data frames. */
+    const sim::LatencyRecorder &rxLatency() const { return rxLatency_; }
 
     NetDevice &device() { return dev_; }
     vmm::Domain &domain() { return dom_; }
 
   private:
-    void buildPackets(std::uint64_t bytes, std::uint64_t flow_id,
-                      const std::vector<mem::PageNum> &pages,
-                      std::vector<net::Packet> *out);
+    /** Frames toward @p dst carrying bytes [0, @p bytes) of @p pages. */
+    std::shared_ptr<std::vector<net::Packet>>
+    buildPackets(std::uint64_t bytes, std::uint64_t flow_id, net::MacAddr dst,
+                 const std::vector<mem::PageNum> &pages);
+    /** OS time to form @p frames frames carrying @p bytes. */
+    sim::Time txCost(std::uint64_t frames, std::uint64_t bytes) const;
     void pushToDevice();
     void noteBacklogDepth();
     void onRxPacket(net::Packet pkt);
@@ -137,15 +140,12 @@ class NetStack : public sim::SimObject
     void scheduleRxCollect();
     void sendBurstTcp(std::uint64_t bytes, std::uint64_t flow_id,
                       const std::vector<mem::PageNum> &pages);
-    net::Packet makeTcpSegment(
-        const net::transport::TcpEndpoint::SegmentOut &so,
-        const std::vector<mem::PageNum> &pages);
 
     vmm::Domain &dom_;
     NetDevice &dev_;
     const core::CostModel &costs_;
     net::MacAddr dst_;
-    std::uint64_t nextPktId_ = 1;
+    net::FrameBuilder frames_;
 
     std::deque<net::Packet> txBacklog_;
 
@@ -154,8 +154,7 @@ class NetStack : public sim::SimObject
     std::uint32_t rxBatchAcks_ = 0;  //!< pure ACKs in the batch
     std::vector<sim::Time> rxBatchCreated_; //!< origin stamps for latency
     std::vector<net::Packet> rpcBatch_;     //!< RPC requests in the batch
-    sim::SampleStats rxLatency_;
-    sim::Histogram rxLatencyHist_;
+    sim::LatencyRecorder rxLatency_;
     bool rxCollectorPending_ = false;
     std::uint64_t ackDebt_ = 0;
     net::MacAddr ackDst_;

@@ -127,8 +127,7 @@ SwptDriver::handleIrq()
         recycle.reserve(pkts.size());
         for (auto &p : pkts) {
             nRxPkts_.inc();
-            if (!p.hostSg.empty())
-                recycle.push_back(mem::pageOf(p.hostSg[0].addr));
+            recycle.push_back(mem::pageOf(p.hostSg[0].addr));
             deliverRx(std::move(p));
         }
         if (!recycle.empty() && !detached_)

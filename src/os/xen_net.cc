@@ -287,8 +287,7 @@ XenVif::frontendIrq()
             net::Packet pkt = std::move(rxResp_.front());
             rxResp_.pop_front();
             nRxPkts_.inc();
-            if (!pkt.hostSg.empty())
-                guestFreePages_.push_back(mem::pageOf(pkt.hostSg[0].addr));
+            guestFreePages_.push_back(mem::pageOf(pkt.hostSg[0].addr));
             deliverRx(std::move(pkt));
         }
         postRxBuffers();
@@ -320,7 +319,7 @@ DriverDomainNet::createVif(vmm::Domain &guest, net::MacAddr mac)
 {
     vifs_.push_back(std::make_unique<XenVif>(
         ctx(), name() + ".vif-" + guest.name(), *this, guest, mac));
-    macTable_[mac.hash()] = vifs_.back().get();
+    macTable_.set(mac, vifs_.back().get());
     return *vifs_.back();
 }
 
@@ -448,8 +447,10 @@ DriverDomainNet::collectTxComplete()
 void
 DriverDomainNet::onPhysRx(net::Packet pkt)
 {
-    auto it = macTable_.find(pkt.dst.hash());
-    XenVif *vif = it == macTable_.end() ? nullptr : it->second;
+    // Both NIC models name the posted buffer a received frame fills.
+    SIM_ASSERT(!pkt.hostSg.empty(), "received frame names no buffer");
+    XenVif *const *entry = macTable_.find(pkt.dst);
+    XenVif *vif = entry ? *entry : nullptr;
     // Deliverable only through a live bridge to a connected frontend:
     // until its reconnection handshake completes there is no
     // negotiated RX ring to deliver into.
@@ -478,8 +479,7 @@ DriverDomainNet::dropRx(const net::Packet &pkt, XenVif *vif)
     // Recycle the NIC buffer page: nothing consumed it, and the adapter
     // outlives a driver-domain crash, so reception can resume the
     // moment the domain is back.
-    if (!pkt.hostSg.empty())
-        phys_.refillRx(mem::pageOf(pkt.hostSg[0].addr));
+    phys_.refillRx(mem::pageOf(pkt.hostSg[0].addr));
 }
 
 void
@@ -554,13 +554,6 @@ DriverDomainNet::collectRx()
                 auto staged = std::exchange(vif->rxStage_, {});
                 bool delivered = false;
                 for (auto &pkt : staged) {
-                    if (pkt.hostSg.empty()) {
-                        // Packet without backing memory (synthetic);
-                        // deliver without a flip.
-                        vif->rxResp_.push_back(std::move(pkt));
-                        delivered = true;
-                        continue;
-                    }
                     mem::PageNum pkt_page = mem::pageOf(pkt.hostSg[0].addr);
                     if (vif->rxReq_.empty()) {
                         vif->nRxDropNoBuf_.inc();

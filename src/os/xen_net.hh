@@ -29,7 +29,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/cost_model.hh"
@@ -252,7 +251,7 @@ class DriverDomainNet : public sim::SimObject
     const core::CostModel &costs_;
 
     std::vector<std::unique_ptr<XenVif>> vifs_;
-    std::unordered_map<std::uint64_t, XenVif *> macTable_;
+    net::MacTable<XenVif *> macTable_;
 
     /** FIFO metadata matching the physical driver's TX completions. */
     std::deque<std::pair<XenVif *, XenVif::TxMeta>> txMeta_;

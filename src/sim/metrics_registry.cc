@@ -9,23 +9,6 @@
 
 namespace cdna::sim {
 
-namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
-
 MetricsRegistry::MetricsRegistry(SimContext &ctx) : ctx_(ctx)
 {
 }

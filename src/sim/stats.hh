@@ -104,6 +104,44 @@ class Histogram
     int subBits_ = 0;
 };
 
+/**
+ * Latency samples in microseconds: their sum (for the mean) and a
+ * Histogram (for the count and quantiles).  Recorders merge, so a
+ * report reads one latency family over every component recording it.
+ */
+class LatencyRecorder
+{
+  public:
+    explicit LatencyRecorder(int num_buckets = 48, int sub_bucket_bits = 0)
+        : hist_(num_buckets, sub_bucket_bits)
+    {}
+
+    void
+    record(Time elapsed)
+    {
+        double us = toMicroseconds(elapsed);
+        sum_ += us;
+        hist_.record(static_cast<std::uint64_t>(us));
+    }
+
+    /** Add @p other's samples (same histogram geometry). */
+    void
+    merge(const LatencyRecorder &other)
+    {
+        hist_.merge(other.hist_);
+        sum_ += other.sum_;
+    }
+
+    std::uint64_t count() const { return hist_.count(); }
+    /** Mean in microseconds; needs count() > 0. */
+    double mean() const { return sum_ / static_cast<double>(count()); }
+    std::uint64_t quantile(double q) const { return hist_.quantile(q); }
+
+  private:
+    Histogram hist_;
+    double sum_ = 0.0;
+};
+
 /** A named, flat set of statistics owned by one component. */
 class StatGroup
 {

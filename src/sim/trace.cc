@@ -4,9 +4,6 @@
 
 namespace cdna::sim {
 
-namespace {
-
-/** Minimal JSON string escaping (names are simple identifiers). */
 std::string
 jsonEscape(const std::string &s)
 {
@@ -30,6 +27,8 @@ jsonEscape(const std::string &s)
     }
     return out;
 }
+
+namespace {
 
 /** Picoseconds to the microsecond doubles Chrome's "ts"/"dur" expect. */
 double

@@ -34,6 +34,10 @@
 
 namespace cdna::sim {
 
+/** @p s as the body of a JSON string: quotes, backslashes and control
+ *  characters escaped. */
+std::string jsonEscape(const std::string &s);
+
 class Tracer
 {
   public:

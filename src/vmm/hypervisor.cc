@@ -45,11 +45,10 @@ Hypervisor::Hypervisor(sim::SimContext &ctx, cpu::SimCpu &cpu,
 }
 
 Domain &
-Hypervisor::createDomain(Domain::Kind kind, const std::string &name,
-                         int weight)
+Hypervisor::createDomain(Domain::Kind kind, const std::string &name)
 {
     mem::DomainId id = nextDomId_++;
-    cpu::Vcpu &vcpu = cpu_.createVcpu(id, name + ".vcpu", weight);
+    cpu::Vcpu &vcpu = cpu_.createVcpu(id, name + ".vcpu");
     // Guest working sets contend for the cache; the (single) driver
     // domain's footprint is part of the calibrated baseline.
     vcpu.setContends(kind == Domain::Kind::kGuest);

@@ -69,8 +69,7 @@ class Hypervisor : public sim::SimObject
                HvParams params = {}, const std::string &prefix = "");
 
     /** Create a domain with a fresh vCPU and page-ownership identity. */
-    Domain &createDomain(Domain::Kind kind, const std::string &name,
-                         int weight = 1);
+    Domain &createDomain(Domain::Kind kind, const std::string &name);
 
     Domain *domain(mem::DomainId id);
     const std::vector<std::unique_ptr<Domain>> &domains() const

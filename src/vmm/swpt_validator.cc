@@ -58,7 +58,9 @@ SwptValidator::addGuest(Domain &dom, net::MacAddr mac,
     gs->channel = &hv_.createChannel(dom, costs_.irqEntry,
                                      std::move(irq_handler));
     guests_.push_back(std::move(gs));
-    return static_cast<GuestId>(guests_.size() - 1);
+    const auto g = static_cast<GuestId>(guests_.size() - 1);
+    byMac_.set(mac, g);
+    return g;
 }
 
 SwptValidator::GuestState &
@@ -300,19 +302,12 @@ SwptValidator::handleIrq()
             // Recycle the hypervisor-owned buffer this frame landed in.
             postOwnRxBuffer(mem::pageOf(pkt.hostSg[0].addr));
 
-            GuestState *dst = nullptr;
-            GuestId dst_id = 0;
-            for (GuestId g = 0; g < guests_.size(); ++g) {
-                if (guests_[g]->active && guests_[g]->mac == pkt.dst) {
-                    dst = guests_[g].get();
-                    dst_id = g;
-                    break;
-                }
-            }
-            if (!dst) {
+            const GuestId *dst_id = byMac_.find(pkt.dst);
+            if (!dst_id) {
                 nRxDemuxDrop_.inc();
                 continue;
             }
+            GuestState *dst = guests_[*dst_id].get();
             if (dst->rxBufs.empty()) {
                 nRxNoBuf_.inc();
                 continue;
@@ -324,7 +319,7 @@ SwptValidator::handleIrq()
             std::uint32_t len = pkt.hostSg[0].len;
             pkt.hostSg = {{mem::addrOf(page), len}};
             dst->rxMail.push_back(std::move(pkt));
-            notify[dst_id] = true;
+            notify[*dst_id] = true;
         }
         nic_.pioWriteRxProducer(rxProducer_);
 
@@ -388,6 +383,7 @@ SwptValidator::detachGuest(GuestId g)
     if (!gs.active)
         return;
     gs.active = false;
+    byMac_.erase(gs.mac);
     nDetachDrops_.inc(gs.pendingTx.size());
     gs.pendingTx.clear();
     gs.pendingRxPost.clear();

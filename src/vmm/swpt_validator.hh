@@ -163,6 +163,8 @@ class SwptValidator : public sim::SimObject
     const core::CostModel &costs_;
 
     std::vector<std::unique_ptr<GuestState>> guests_;
+    /** Each active guest's id by its MAC (the RX demux). */
+    net::MacTable<GuestId> byMac_;
     std::deque<ShadowTx> shadowQueue_;
     std::deque<Inflight> inflight_;
 

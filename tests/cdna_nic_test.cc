@@ -166,10 +166,9 @@ TEST(CdnaNic, FairInterleaveAcrossContexts)
 
     // Both contexts drained fully and fairly: by total payload each
     // sent half.
-    auto by_src = h.peer.receivedBySrc();
-    EXPECT_EQ(by_src.at(net::MacAddr::fromId(100 + a)),
+    EXPECT_EQ(h.peer.receivedFrom(net::MacAddr::fromId(100 + a)),
               8ull * net::kMss);
-    EXPECT_EQ(by_src.at(net::MacAddr::fromId(100 + b)),
+    EXPECT_EQ(h.peer.receivedFrom(net::MacAddr::fromId(100 + b)),
               8ull * net::kMss);
     EXPECT_EQ(h.nic.txConsumer(a), 8u);
     EXPECT_EQ(h.nic.txConsumer(b), 8u);
@@ -351,6 +350,53 @@ TEST(CdnaNic, UnknownMacDropped)
     h.ctx.events().run();
     EXPECT_EQ(h.nic.rxPackets(), 0u);
     EXPECT_EQ(h.nic.rxDropFilter(), 1u);
+}
+
+// fromId(131) and fromId(256) hash alike (MacAddr::hash()); the NIC's
+// filter must still tell them apart.
+TEST(CdnaNic, DemuxSeparatesMacsThatHashAlike)
+{
+    CdnaHarness h;
+    auto a = h.makeContext(1, 131);
+    auto b = h.makeContext(2, 256);
+    h.postRx(a, 4);
+    h.postRx(b, 4);
+    h.ctx.events().run();
+    net::Packet p;
+    p.payloadBytes = 100;
+    p.dst = net::MacAddr::fromId(131);
+    h.link.port(0).send(p);
+    p.dst = net::MacAddr::fromId(256);
+    h.link.port(0).send(p);
+    h.link.port(0).send(p);
+    h.ctx.events().run();
+    EXPECT_EQ(h.nic.drainRx(a).size(), 1u);
+    EXPECT_EQ(h.nic.drainRx(b).size(), 2u);
+    EXPECT_EQ(h.nic.rxDropFilter(), 0u);
+}
+
+TEST(CdnaNic, RevokingOneContextKeepsTheOthersFrames)
+{
+    for (bool revoke_first : {true, false}) {
+        SCOPED_TRACE(revoke_first ? "revoke 131" : "revoke 256");
+        CdnaHarness h;
+        auto a = h.makeContext(1, 131);
+        auto b = h.makeContext(2, 256);
+        const auto keep = revoke_first ? b : a;
+        h.postRx(keep, 4);
+        h.ctx.events().run();
+        h.nic.revokeContext(revoke_first ? a : b);
+        net::Packet p;
+        p.payloadBytes = 100;
+        p.dst = net::MacAddr::fromId(revoke_first ? 256 : 131);
+        h.link.port(0).send(p);
+        h.link.port(0).send(p);
+        p.dst = net::MacAddr::fromId(revoke_first ? 131 : 256);
+        h.link.port(0).send(p);
+        h.ctx.events().run();
+        EXPECT_EQ(h.nic.drainRx(keep).size(), 2u);
+        EXPECT_EQ(h.nic.rxDropFilter(), 1u); // the revoked MAC's frame
+    }
 }
 
 TEST(CdnaNic, PromiscuousContextCatchesUnknownMacs)

@@ -31,6 +31,39 @@ TEST(MacAddr, FromIdDistinct)
     EXPECT_NE(MacAddr::fromId(7).hash(), MacAddr::fromId(8).hash());
 }
 
+TEST(MacTable, KeysWholeAddresses)
+{
+    // fromId(131) and fromId(256) end in bytes (0, 131) and (1, 0), which
+    // hash alike; a table keyed by the whole address tells them apart.
+    const MacAddr a = MacAddr::fromId(131);
+    const MacAddr b = MacAddr::fromId(256);
+    ASSERT_EQ(a.hash(), b.hash());
+    MacTable<int> t;
+    t.set(b, 2);
+    t.set(a, 1);
+    ASSERT_NE(t.find(a), nullptr);
+    ASSERT_NE(t.find(b), nullptr);
+    EXPECT_EQ(*t.find(a), 1);
+    EXPECT_EQ(*t.find(b), 2);
+    t.set(a, 3); // replaces
+    EXPECT_EQ(*t.find(a), 3);
+    t.erase(b);
+    EXPECT_EQ(t.find(b), nullptr);
+    EXPECT_EQ(*t.find(a), 3);
+    t.erase(b); // already gone: nothing
+    EXPECT_EQ(*t.find(a), 3);
+
+    // Inserted out of order, every entry is still found.
+    MacTable<std::uint32_t> many;
+    for (std::uint32_t i = 0; i < 64; ++i)
+        many.set(MacAddr::fromId(i * 37 % 64), i * 37 % 64);
+    for (std::uint32_t i = 0; i < 64; ++i) {
+        ASSERT_NE(many.find(MacAddr::fromId(i)), nullptr) << i;
+        EXPECT_EQ(*many.find(MacAddr::fromId(i)), i);
+    }
+    EXPECT_EQ(many.find(MacAddr::fromId(64)), nullptr);
+}
+
 TEST(MacAddr, StringForm)
 {
     std::string s = MacAddr::fromId(0x123456).str();
@@ -394,7 +427,8 @@ TEST(TrafficPeer, SinkCountsPayloadBySource)
     link.port(1).send(p);
     ctx.events().run();
     EXPECT_EQ(peer.payloadReceived(), 2000u);
-    EXPECT_EQ(peer.receivedBySrc().at(MacAddr::fromId(5)), 2000u);
+    EXPECT_EQ(peer.receivedFrom(MacAddr::fromId(5)), 2000u);
+    EXPECT_EQ(peer.receivedFrom(MacAddr::fromId(6)), 0u);
 }
 
 TEST(TrafficPeer, AcksEveryNthFrame)

@@ -207,6 +207,52 @@ TEST(Recovery, KillGuestCancelsTransportTimers)
     EXPECT_EQ(sys.mem().violationCount(), 0u);
 }
 
+TEST(Recovery, KillReceivingGuestCancelsTransportTimers)
+{
+    // A receiving guest's endpoint holds receiver flows only.  Kill
+    // guest 0 while one of them has a delayed ACK armed: a run whose
+    // kill comes later finds such an instant (runs are identical up to
+    // their kill), then a second run kills there.  Guest 0, because
+    // guest 1's flow barely moves while guest 0 receives.
+    auto config = [](double kill_ms) {
+        SystemConfig cfg = SystemConfig::cdna(2).receive().transport(kTcp);
+        cfg.withFaults(FaultPlan{}.killingGuest(0, kill_ms));
+        cfg.numNics = 1;
+        return cfg;
+    };
+    sim::Time armed = 0;
+    sim::Time disarmed = 0;
+    {
+        System probe(config(1000.0));
+        probe.start();
+        sim::EventQueue &events = probe.ctx().events();
+        net::transport::TcpEndpoint &ep = *probe.stack(0, 0).tcp();
+        const sim::Time horizon = sim::milliseconds(100);
+        while (ep.armedTimers() == 0 && events.now() < horizon)
+            events.runOne();
+        armed = events.now();
+        while (ep.armedTimers() > 0 && events.now() < horizon)
+            events.runOne();
+        disarmed = events.now();
+    }
+    ASSERT_GT(disarmed - armed, sim::microseconds(4));
+    const sim::Time kill = armed + (disarmed - armed) / 2;
+
+    System sys(config(sim::toMicroseconds(kill) / 1000.0));
+    sys.start();
+    net::transport::TcpEndpoint &victim = *sys.stack(0, 0).tcp();
+    sys.ctx().events().runUntil(kill - sim::microseconds(1));
+    ASSERT_GT(victim.armedTimers(), 0u);
+    sys.ctx().events().runUntil(kill + sim::microseconds(1));
+    EXPECT_EQ(victim.armedTimers(), 0u);
+
+    // The survivor keeps receiving.
+    std::uint64_t mid = sys.stack(1, 0).rxBytes();
+    sys.ctx().events().runUntil(kill + sim::milliseconds(50));
+    EXPECT_GT(sys.stack(1, 0).rxBytes(), mid);
+    EXPECT_EQ(sys.mem().violationCount(), 0u);
+}
+
 // ------------------------------------------- grant-table safety -----
 
 namespace {

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -519,6 +522,135 @@ TEST(MetricsRegistry, JsonFederatesComponentStats)
     EXPECT_NE(json.find("\"stddev\""), std::string::npos);
     EXPECT_NE(json.find("\"timeseries\""), std::string::npos);
     EXPECT_NE(json.find("\"g\": [[0, 1.5]"), std::string::npos);
+}
+
+namespace {
+
+/** A check of the JSON grammar (RFC 8259; numbers loosely). */
+struct JsonCheck
+{
+    const std::string &s;
+    std::size_t i = 0;
+
+    void
+    ws()
+    {
+        while (i < s.size() &&
+               (s[i] == ' ' || s[i] == '\n' || s[i] == '\r' || s[i] == '\t'))
+            ++i;
+    }
+
+    bool
+    eat(char c)
+    {
+        ws();
+        if (i == s.size() || s[i] != c)
+            return false;
+        ++i;
+        return true;
+    }
+
+    bool
+    string()
+    {
+        if (!eat('"'))
+            return false;
+        while (i < s.size()) {
+            const auto c = static_cast<unsigned char>(s[i++]);
+            if (c == '"')
+                return true;
+            if (c < 0x20)
+                return false; // control characters must be escaped
+            if (c != '\\')
+                continue;
+            if (i == s.size())
+                return false;
+            const char e = s[i++];
+            if (e == 'u') {
+                for (int k = 0; k < 4; ++k)
+                    if (i == s.size() ||
+                        !std::isxdigit(static_cast<unsigned char>(s[i++])))
+                        return false;
+            } else if (std::string_view("\"\\/bfnrt").find(e) ==
+                       std::string_view::npos) {
+                return false;
+            }
+        }
+        return false;
+    }
+
+    bool
+    value()
+    {
+        ws();
+        if (i < s.size() && s[i] == '"')
+            return string();
+        if (eat('{')) {
+            if (eat('}'))
+                return true;
+            do {
+                if (!string() || !eat(':') || !value())
+                    return false;
+            } while (eat(','));
+            return eat('}');
+        }
+        if (eat('[')) {
+            if (eat(']'))
+                return true;
+            do {
+                if (!value())
+                    return false;
+            } while (eat(','));
+            return eat(']');
+        }
+        for (std::string_view lit : {"true", "false", "null"}) {
+            if (s.compare(i, lit.size(), lit) == 0) {
+                i += lit.size();
+                return true;
+            }
+        }
+        const std::size_t start = i;
+        while (i < s.size() &&
+               std::string_view("+-.0123456789eE").find(s[i]) !=
+                   std::string_view::npos)
+            ++i;
+        return i > start;
+    }
+
+    bool
+    document()
+    {
+        if (!value())
+            return false;
+        ws();
+        return i == s.size();
+    }
+};
+
+} // namespace
+
+TEST(MetricsRegistry, ControlCharactersInNamesStayValidJson)
+{
+    SimContext ctx;
+
+    class Widget : public SimObject
+    {
+      public:
+        explicit Widget(SimContext &c) : SimObject(c, "wid\tget")
+        {
+            stats().addCounter("hits\n").inc(7);
+        }
+    };
+
+    Widget w(ctx);
+    MetricsRegistry m(ctx);
+    m.addGauge("g\x01", [] { return 1.5; });
+    m.sampleOnce();
+    std::string json = m.toJson();
+    EXPECT_TRUE(JsonCheck{json}.document()) << json;
+    EXPECT_NE(json.find("\"wid\\tget\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"hits\\n\": 7"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"g\\u0001\""), std::string::npos) << json;
 }
 
 TEST(MetricsRegistry, UnknownSeriesIsEmpty)

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "os/net_stack.hh"
+#include "os/xen_net.hh"
 #include "vmm/hypervisor.hh"
 
 using namespace cdna;
@@ -339,3 +341,41 @@ TEST_P(StackSegmentation, ConservesBytes)
 INSTANTIATE_TEST_SUITE_P(Sizes, StackSegmentation,
                          ::testing::Values(1, 100, 1460, 1461, 2920, 4096,
                                            10000, 65536, 65535, 32768));
+
+// ---------------------------------------------------------- xen bridge ----
+
+// fromId(131) and fromId(256) hash alike (MacAddr::hash()); the bridge
+// must still hand each vif its own frames.
+TEST(XenBridge, DemuxSeparatesMacsThatHashAlike)
+{
+    sim::SimContext ctx;
+    mem::PhysMemory mem{ctx, "phys-mem", 4096};
+    cpu::SimCpu cpu{ctx, "cpu"};
+    vmm::Hypervisor hv{ctx, cpu, mem};
+    core::CostModel costs;
+    FakeDevice phys;
+    vmm::Domain &dom0 = hv.createDomain(vmm::Domain::Kind::kDriver, "dom0");
+    DriverDomainNet ddn(ctx, "ddn", dom0, phys, costs);
+    const net::MacAddr macs[] = {net::MacAddr::fromId(131),
+                                 net::MacAddr::fromId(256)};
+    std::vector<net::MacAddr> got[2];
+    for (int v = 0; v < 2; ++v) {
+        vmm::Domain &guest = hv.createDomain(vmm::Domain::Kind::kGuest,
+                                             v == 0 ? "g0" : "g1");
+        XenVif &vif = ddn.createVif(guest, macs[v]);
+        vif.setRxHandler(
+            [&got, v](net::Packet pkt) { got[v].push_back(pkt.dst); });
+    }
+    // Each frame fills a dom0 buffer, as the NIC's DMA leaves it.
+    for (int v : {0, 1, 1}) {
+        net::Packet pkt;
+        pkt.dst = macs[v];
+        pkt.payloadBytes = 100;
+        pkt.hostSg = {{mem::addrOf(mem.allocOne(dom0.id())),
+                       100 + net::kTcpIpHeader}};
+        phys.deliverRx(std::move(pkt));
+    }
+    ctx.events().run();
+    EXPECT_EQ(got[0], std::vector<net::MacAddr>{macs[0]});
+    EXPECT_EQ(got[1], (std::vector<net::MacAddr>{macs[1], macs[1]}));
+}

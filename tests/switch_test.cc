@@ -246,9 +246,8 @@ TEST(Switch, SharedEgressQueueNeverStarvesEitherSender)
     s2.stopSource();
     ctx.events().run();
 
-    auto by_src = rx.receivedBySrc();
-    std::uint64_t from1 = by_src[s1.mac()];
-    std::uint64_t from2 = by_src[s2.mac()];
+    std::uint64_t from1 = rx.receivedFrom(s1.mac());
+    std::uint64_t from2 = rx.receivedFrom(s2.mac());
     ASSERT_GT(from1, 0u);
     ASSERT_GT(from2, 0u);
     // Deterministic ACK phasing need not split the port exactly in
