@@ -19,11 +19,7 @@ CdnaGuestDriver::CdnaGuestDriver(sim::SimContext &ctx, std::string name,
       cxt_(cxt),
       prot_(prot),
       costs_(costs),
-      mac_(mac),
-      nDoorbells_(stats().addCounter("doorbells")),
-      nTxPkts_(stats().addCounter("tx_packets")),
-      nRxPkts_(stats().addCounter("rx_packets")),
-      nFaultsSeen_(stats().addCounter("faults_seen"))
+      mac_(mac)
 {
 }
 

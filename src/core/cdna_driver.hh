@@ -124,10 +124,10 @@ class CdnaGuestDriver : public sim::SimObject, public os::NetDevice
     std::uint32_t wdTxConsumer_ = 0;
     std::uint32_t wdRxConsumer_ = 0;
 
-    sim::Counter &nDoorbells_;
-    sim::Counter &nTxPkts_;
-    sim::Counter &nRxPkts_;
-    sim::Counter &nFaultsSeen_;
+    sim::Counter nDoorbells_{stats(), "doorbells"};
+    sim::Counter nTxPkts_{stats(), "tx_packets"};
+    sim::Counter nRxPkts_{stats(), "rx_packets"};
+    sim::Counter nFaultsSeen_{stats(), "faults_seen"};
 };
 
 } // namespace cdna::core

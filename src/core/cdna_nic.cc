@@ -44,18 +44,7 @@ CdnaNic::CdnaNic(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
       fw_(ctx, this->name() + ".fw"),
       txBuf_(kTxBufferBytes),
       rxBuf_(kRxBufferBytes),
-      contexts_(std::max(params.numContexts, params.virtualContexts)),
-      nTxPackets_(stats().addCounter("tx_packets")),
-      nRxPackets_(stats().addCounter("rx_packets")),
-      nGhostTx_(stats().addCounter("ghost_tx")),
-      nSeqnoFaults_(stats().addCounter("seqno_faults")),
-      nMailboxEvents_(stats().addCounter("mailbox_events")),
-      nBitVectors_(stats().addCounter("bit_vectors")),
-      nIommuDrops_(stats().addCounter("iommu_drops")),
-      nMailboxThrottled_(stats().addCounter("mailbox_throttled")),
-      nCxtTraps_(stats().addCounter("cxt_page_traps")),
-      nCxtEvictions_(stats().addCounter("cxt_evictions")),
-      nCxtPageIns_(stats().addCounter("cxt_page_ins"))
+      contexts_(std::max(params.numContexts, params.virtualContexts))
 {
     SIM_ASSERT(params.numContexts >= 1 &&
                    params.numContexts <= nic::kMaxContexts,
@@ -693,7 +682,6 @@ CdnaNic::pumpTx()
         pkt.dst = net::MacAddr::fromId(0xFFFFFFu);
         pkt.payloadBytes = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(bytes, net::kMaxTsoBytes));
-        pkt.srcDomain = c.dom;
         nGhostTx_.inc();
     }
 

@@ -384,17 +384,17 @@ class CdnaNic : public nic::NicBase
     sim::EventId vecTimer_ = sim::kInvalidEvent;
     bool vecDmaBusy_ = false;
 
-    sim::Counter &nTxPackets_;
-    sim::Counter &nRxPackets_;
-    sim::Counter &nGhostTx_;
-    sim::Counter &nSeqnoFaults_;
-    sim::Counter &nMailboxEvents_;
-    sim::Counter &nBitVectors_;
-    sim::Counter &nIommuDrops_;
-    sim::Counter &nMailboxThrottled_;
-    sim::Counter &nCxtTraps_;
-    sim::Counter &nCxtEvictions_;
-    sim::Counter &nCxtPageIns_;
+    sim::Counter nTxPackets_{stats(), "tx_packets"};
+    sim::Counter nRxPackets_{stats(), "rx_packets"};
+    sim::Counter nGhostTx_{stats(), "ghost_tx"};
+    sim::Counter nSeqnoFaults_{stats(), "seqno_faults"};
+    sim::Counter nMailboxEvents_{stats(), "mailbox_events"};
+    sim::Counter nBitVectors_{stats(), "bit_vectors"};
+    sim::Counter nIommuDrops_{stats(), "iommu_drops"};
+    sim::Counter nMailboxThrottled_{stats(), "mailbox_throttled"};
+    sim::Counter nCxtTraps_{stats(), "cxt_page_traps"};
+    sim::Counter nCxtEvictions_{stats(), "cxt_evictions"};
+    sim::Counter nCxtPageIns_{stats(), "cxt_page_ins"};
 };
 
 } // namespace cdna::core

@@ -278,6 +278,11 @@ finalize(ParseState st, std::string *error)
     st.opt.warmup = sim::milliseconds(static_cast<double>(st.warmupMs));
     st.opt.measure = sim::seconds(st.seconds);
     st.opt.samplePeriod = sim::microseconds(st.sampleUs);
+    // Both act only on what --trace or --stats-json writes.
+    if ((st.opt.samplePeriod > 0 || !st.opt.traceFilter.empty()) &&
+        st.opt.traceFile.empty() && st.opt.statsJsonFile.empty())
+        return fail("--trace-filter and --sample-period write nothing "
+                    "without --trace or --stats-json");
     return std::move(st.opt);
 }
 
@@ -300,9 +305,29 @@ cliOptionTable()
 }
 
 std::string
-cliUsage()
+cliOptionUsage(const CliOptionSpec &s)
 {
     constexpr std::size_t kHelpCol = 22;
+    std::string out = "  " + s.name;
+    if (s.takesValue())
+        out += " " + s.argName;
+    if (out.size() + 2 > kHelpCol)
+        out += "  ";
+    else
+        out.resize(kHelpCol, ' ');
+    // Indent continuation lines under the help column.
+    for (char c : s.help) {
+        out += c;
+        if (c == '\n')
+            out.append(kHelpCol, ' ');
+    }
+    out += '\n';
+    return out;
+}
+
+std::string
+cliUsage()
+{
     std::string out = "usage: cdna_sim [options]\n"
                       "\n"
                       "options accept both \"--opt value\" and "
@@ -313,21 +338,7 @@ cliUsage()
             group = s.group;
             out += "\n" + group + ":\n";
         }
-        std::string lead = "  " + s.name;
-        if (s.takesValue())
-            lead += " " + s.argName;
-        if (lead.size() + 2 > kHelpCol)
-            lead += "  ";
-        else
-            lead.resize(kHelpCol, ' ');
-        out += lead;
-        // Indent continuation lines under the help column.
-        for (char c : s.help) {
-            out += c;
-            if (c == '\n')
-                out.append(kHelpCol, ' ');
-        }
-        out += '\n';
+        out += cliOptionUsage(s);
     }
     return out;
 }

@@ -59,6 +59,9 @@ struct CliOptionSpec
 /** Every option the parser understands, in usage order. */
 const std::vector<CliOptionSpec> &cliOptionTable();
 
+/** The usage line(s) of one option, its help at the usage help column. */
+std::string cliOptionUsage(const CliOptionSpec &s);
+
 /** Usage text for the CLI (generated from cliOptionTable()). */
 std::string cliUsage();
 

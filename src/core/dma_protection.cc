@@ -12,12 +12,7 @@ DmaProtection::DmaProtection(sim::SimContext &ctx, std::string name,
     : sim::SimObject(ctx, std::move(name)),
       hv_(hv),
       costs_(costs),
-      enabled_(enabled),
-      nEnqueues_(stats().addCounter("enqueue_calls")),
-      nDescs_(stats().addCounter("descriptors")),
-      nPins_(stats().addCounter("pages_pinned")),
-      nUnpins_(stats().addCounter("pages_unpinned")),
-      nRejects_(stats().addCounter("rejects"))
+      enabled_(enabled)
 {
 }
 

@@ -135,11 +135,11 @@ class DmaProtection : public sim::SimObject
     bool enabled_;
     std::vector<std::unique_ptr<RingState>> rings_;
 
-    sim::Counter &nEnqueues_;
-    sim::Counter &nDescs_;
-    sim::Counter &nPins_;
-    sim::Counter &nUnpins_;
-    sim::Counter &nRejects_;
+    sim::Counter nEnqueues_{stats(), "enqueue_calls"};
+    sim::Counter nDescs_{stats(), "descriptors"};
+    sim::Counter nPins_{stats(), "pages_pinned"};
+    sim::Counter nUnpins_{stats(), "pages_unpinned"};
+    sim::Counter nRejects_{stats(), "rejects"};
 };
 
 } // namespace cdna::core

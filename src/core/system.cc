@@ -6,6 +6,7 @@
 
 #include "net/workload/workload_engine.hh"
 #include "sim/assert.hh"
+#include "sim/metrics_registry.hh"
 
 namespace cdna::core {
 
@@ -99,7 +100,6 @@ System::System(SystemConfig cfg, sim::SimContext *shared, std::uint32_t host,
         break;
     }
     startTimers();
-    registerGauges();
     if (faults_) {
         setupAvailability();
         scheduleFaultEvents();
@@ -205,15 +205,15 @@ System::buildCommon()
 }
 
 void
-System::registerGauges()
+System::registerGauges(sim::MetricsRegistry &metrics)
 {
     // A utilization gauge reports the busy share of the time since its
     // previous sample, in percent, of the cumulative time busy() reads.
     // resetAccounting() can move that time backwards; the sample after
     // it reads 0.  All callbacks are read-only with respect to
     // simulated state, so sampling cannot perturb results.
-    auto add_util = [this](std::string name, auto busy) {
-        metrics_.addGauge(
+    auto add_util = [this, &metrics](std::string name, auto busy) {
+        metrics.addGauge(
             std::move(name), [this, busy, prev = sim::Time{0},
                               prevAt = sim::Time{0}]() mutable {
                 sim::Time b = busy();
@@ -247,7 +247,7 @@ System::registerGauges()
         CdnaNic *nic = nicp.get();
         add_util("nic." + nic->name() + ".fw_util_pct",
                  [nic] { return nic->firmwareBusyTime(); });
-        metrics_.addGauge(
+        metrics.addGauge(
             "nic." + nic->name() + ".intr_ring_occupancy", [nic] {
                 const InterruptRing *ring = nic->interruptRing();
                 if (!ring)
@@ -258,24 +258,31 @@ System::registerGauges()
     }
     if (prot_) {
         DmaProtection *prot = prot_.get();
-        metrics_.addGauge("protection.pinned_pages", [prot] {
+        metrics.addGauge("protection.pinned_pages", [prot] {
             return static_cast<double>(prot->pagesPinned() -
                                        prot->pagesUnpinned());
         });
     }
-    metrics_.addGauge("sim.pending_events", [this] {
+    metrics.addGauge("sim.pending_events", [this] {
         return static_cast<double>(ctx_.events().pendingCount());
     });
     // cwnd trajectories, one gauge per transport endpoint.
     for (const auto &st : stacks_)
         if (net::transport::TcpEndpoint *t = st->tcp())
-            metrics_.addGauge(t->name() + ".cwnd_bytes",
-                              [t] { return t->cwndBytes(); });
+            metrics.addGauge(t->name() + ".cwnd_bytes",
+                             [t] { return t->cwndBytes(); });
     for (const auto &p : peers_)
         if (p)
             if (net::transport::TcpEndpoint *t = p->tcp())
-                metrics_.addGauge(t->name() + ".cwnd_bytes",
-                                  [t] { return t->cwndBytes(); });
+                metrics.addGauge(t->name() + ".cwnd_bytes",
+                                 [t] { return t->cwndBytes(); });
+    // Packets queued behind a full device, one gauge per stack.
+    for (const auto &st : stacks_) {
+        const os::NetStack *s = st.get();
+        metrics.addGauge(s->name() + ".tx_backlog_depth", [s] {
+            return static_cast<double>(s->txBacklogDepth());
+        });
+    }
 }
 
 void

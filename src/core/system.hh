@@ -54,7 +54,6 @@
 #include "core/report.hh"
 #include "mem/grant_table.hh"
 #include "mem/iommu.hh"
-#include "sim/metrics_registry.hh"
 #include "net/eth_link.hh"
 #include "net/traffic_peer.hh"
 #include "nic/intel_nic.hh"
@@ -65,6 +64,10 @@
 #include "vmm/hypervisor.hh"
 #include "vmm/swpt_validator.hh"
 #include "workload/traffic_app.hh"
+
+namespace cdna::sim {
+class MetricsRegistry;
+} // namespace cdna::sim
 
 namespace cdna::core {
 
@@ -289,10 +292,18 @@ class System
     void beginMeasurement();
     Report endMeasurement(sim::Time window);
 
+    /**
+     * Register this host's gauges on @p metrics: each domain's, the
+     * hypervisor's and the idle CPU share; each CDNA NIC's firmware
+     * utilization and interrupt-ring occupancy; pinned pages; pending
+     * events; each TCP endpoint's cwnd; each stack's TX backlog depth.
+     * The gauges read this System, which must outlive @p metrics.  An
+     * observed sim::Topology::run is the one caller.
+     */
+    void registerGauges(sim::MetricsRegistry &metrics);
+
     // --- component access (tests, examples, ablations) -------------------
     sim::SimContext &ctx() { return ctx_; }
-    /** Federated stats + gauge sampling (see sim/metrics_registry.hh). */
-    sim::MetricsRegistry &metrics() { return metrics_; }
     cpu::SimCpu &cpu() { return *cpu_; }
     vmm::Hypervisor &hv() { return *hv_; }
     mem::PhysMemory &mem() { return *mem_; }
@@ -405,7 +416,6 @@ class System
     void scheduleFaultEvents();
     void setupAvailability();
     void restartDriverDomain();
-    void registerGauges();
     // One per architecture: the components between guests and NICs.
     void buildNative();
     void buildXen();
@@ -468,7 +478,6 @@ class System
     sim::SimContext &ctx_;
     /** Caller-provided fabrics, indexed by NIC (nullptr = local link). */
     std::vector<net::Fabric *> extFabrics_;
-    sim::MetricsRegistry metrics_{ctx_};
     std::unique_ptr<sim::FaultInjector> faults_;
     std::unique_ptr<mem::PhysMemory> mem_;
     std::unique_ptr<cpu::SimCpu> cpu_;

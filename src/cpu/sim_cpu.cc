@@ -30,10 +30,7 @@ SimCpu::SimCpu(sim::SimContext &ctx, std::string name, CpuParams params,
                const std::string &hv_lane)
     : sim::SimObject(ctx, std::move(name)),
       params_(params),
-      hvLane_(ctx.tracer().lane(hv_lane)),
-      nSwitches_(stats().addCounter("domain_switches")),
-      nTasks_(stats().addCounter("tasks")),
-      nHvItems_(stats().addCounter("hv_items"))
+      hvLane_(ctx.tracer().lane(hv_lane))
 {
     idleSince_ = now();
 }

@@ -197,9 +197,9 @@ class SimCpu : public sim::SimObject
     std::uint32_t boostStreak_ = 0;
     sim::Tracer::LaneId hvLane_;
 
-    sim::Counter &nSwitches_;
-    sim::Counter &nTasks_;
-    sim::Counter &nHvItems_;
+    sim::Counter nSwitches_{stats(), "domain_switches"};
+    sim::Counter nTasks_{stats(), "tasks"};
+    sim::Counter nHvItems_{stats(), "hv_items"};
 };
 
 } // namespace cdna::cpu

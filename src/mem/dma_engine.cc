@@ -48,11 +48,7 @@ DmaEngine::DmaEngine(sim::SimContext &ctx, std::string name, PciBus &bus,
       bus_(bus),
       mem_(mem),
       dev_(dev),
-      iommu_(iommu),
-      nReads_(stats().addCounter("reads")),
-      nWrites_(stats().addCounter("writes")),
-      nReadBytes_(stats().addCounter("read_bytes")),
-      nWriteBytes_(stats().addCounter("write_bytes"))
+      iommu_(iommu)
 {
 }
 

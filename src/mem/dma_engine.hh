@@ -116,10 +116,10 @@ class DmaEngine : public sim::SimObject
     /** Latest completion time handed out while a DMA delay is armed. */
     sim::Time orderedUntil_ = 0;
 
-    sim::Counter &nReads_;
-    sim::Counter &nWrites_;
-    sim::Counter &nReadBytes_;
-    sim::Counter &nWriteBytes_;
+    sim::Counter nReads_{stats(), "reads"};
+    sim::Counter nWrites_{stats(), "writes"};
+    sim::Counter nReadBytes_{stats(), "read_bytes"};
+    sim::Counter nWriteBytes_{stats(), "write_bytes"};
 };
 
 } // namespace cdna::mem

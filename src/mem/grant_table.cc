@@ -8,15 +8,7 @@ namespace cdna::mem {
 GrantTable::GrantTable(sim::SimContext &ctx, std::string name,
                        PhysMemory &mem)
     : sim::SimObject(ctx, std::move(name)),
-      mem_(mem),
-      nGrants_(stats().addCounter("grants")),
-      nMaps_(stats().addCounter("maps")),
-      nFlips_(stats().addCounter("flips")),
-      nDenied_(stats().addCounter("denied")),
-      nRevoked_(stats().addCounter("revoked")),
-      nQuarantined_(stats().addCounter("quarantined")),
-      nQuarReleased_(stats().addCounter("quarantine_released")),
-      nUseAfterRevoke_(stats().addCounter("use_after_revoke"))
+      mem_(mem)
 {
 }
 

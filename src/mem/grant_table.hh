@@ -114,14 +114,14 @@ class GrantTable : public sim::SimObject
     /** Pages still pinned on behalf of a crashed mapper's DMA. */
     std::vector<PageNum> quarantine_;
 
-    sim::Counter &nGrants_;
-    sim::Counter &nMaps_;
-    sim::Counter &nFlips_;
-    sim::Counter &nDenied_;
-    sim::Counter &nRevoked_;
-    sim::Counter &nQuarantined_;
-    sim::Counter &nQuarReleased_;
-    sim::Counter &nUseAfterRevoke_;
+    sim::Counter nGrants_{stats(), "grants"};
+    sim::Counter nMaps_{stats(), "maps"};
+    sim::Counter nFlips_{stats(), "flips"};
+    sim::Counter nDenied_{stats(), "denied"};
+    sim::Counter nRevoked_{stats(), "revoked"};
+    sim::Counter nQuarantined_{stats(), "quarantined"};
+    sim::Counter nQuarReleased_{stats(), "quarantine_released"};
+    sim::Counter nUseAfterRevoke_{stats(), "use_after_revoke"};
 };
 
 } // namespace cdna::mem

@@ -8,9 +8,7 @@ Iommu::Iommu(sim::SimContext &ctx, std::string name, PhysMemory &mem,
              Mode mode)
     : sim::SimObject(ctx, std::move(name)),
       mem_(mem),
-      mode_(mode),
-      nChecks_(stats().addCounter("checks")),
-      nBlocked_(stats().addCounter("blocked"))
+      mode_(mode)
 {
 }
 

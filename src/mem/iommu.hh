@@ -73,8 +73,8 @@ class Iommu : public sim::SimObject
     std::map<DeviceId, DomainId> deviceBinding_;
     std::map<std::pair<DeviceId, ContextId>, DomainId> contextBinding_;
 
-    sim::Counter &nChecks_;
-    sim::Counter &nBlocked_;
+    sim::Counter nChecks_{stats(), "checks"};
+    sim::Counter nBlocked_{stats(), "blocked"};
 };
 
 } // namespace cdna::mem

@@ -9,9 +9,7 @@ PciBus::PciBus(sim::SimContext &ctx, std::string name, double bytes_per_sec,
                sim::Time setup)
     : sim::SimObject(ctx, std::move(name)),
       psPerByte_(static_cast<double>(sim::kSecond) / bytes_per_sec),
-      setup_(setup),
-      nTransfers_(stats().addCounter("transfers")),
-      nBytes_(stats().addCounter("bytes"))
+      setup_(setup)
 {
 }
 

@@ -57,8 +57,8 @@ class PciBus : public sim::SimObject
     sim::Time busyUntil_ = 0;
     sim::Time busyAccum_ = 0;
 
-    sim::Counter &nTransfers_;
-    sim::Counter &nBytes_;
+    sim::Counter nTransfers_{stats(), "transfers"};
+    sim::Counter nBytes_{stats(), "bytes"};
 };
 
 } // namespace cdna::mem

@@ -11,12 +11,7 @@ namespace cdna::mem {
 PhysMemory::PhysMemory(sim::SimContext &ctx, std::string name,
                        std::uint64_t total_pages)
     : sim::SimObject(ctx, std::move(name)),
-      capacity_(total_pages),
-      nAllocs_(stats().addCounter("allocs")),
-      nReleases_(stats().addCounter("releases")),
-      nDeferredReleases_(stats().addCounter("deferred_releases")),
-      nDmaAccesses_(stats().addCounter("dma_accesses")),
-      nViolations_(stats().addCounter("dma_violations"))
+      capacity_(total_pages)
 {
 }
 

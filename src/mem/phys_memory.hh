@@ -194,11 +194,11 @@ class PhysMemory : public sim::SimObject
     std::vector<PageNum> released_; //!< free pages below cursor_, LIFO
     std::vector<Violation> violations_;
 
-    sim::Counter &nAllocs_;
-    sim::Counter &nReleases_;
-    sim::Counter &nDeferredReleases_;
-    sim::Counter &nDmaAccesses_;
-    sim::Counter &nViolations_;
+    sim::Counter nAllocs_{stats(), "allocs"};
+    sim::Counter nReleases_{stats(), "releases"};
+    sim::Counter nDeferredReleases_{stats(), "deferred_releases"};
+    sim::Counter nDmaAccesses_{stats(), "dma_accesses"};
+    sim::Counter nViolations_{stats(), "dma_violations"};
 };
 
 } // namespace cdna::mem

@@ -24,15 +24,15 @@ WirePort::attach(sim::SimObject &owner, const Wire &wire,
     index_ = index;
     std::string p = "p";
     p += std::to_string(index);
-    txFrames_ = &owner.stats().addCounter(p + "_tx_frames");
-    txPayload_ = &owner.stats().addCounter(p + "_tx_payload_bytes");
-    rxPayload_ = &owner.stats().addCounter(p + "_rx_payload_bytes");
+    owner.stats().add(p + "_tx_frames", txFrames_);
+    owner.stats().add(p + "_tx_payload_bytes", txPayload_);
+    owner.stats().add(p + "_rx_payload_bytes", rxPayload_);
 }
 
 void
 WirePort::deliver(Packet pkt)
 {
-    rxPayload_->inc(pkt.payloadBytes);
+    rxPayload_.inc(pkt.payloadBytes);
     if (ep_)
         ep_->receiveFrame(std::move(pkt));
 }
@@ -47,8 +47,8 @@ sim::Time
 WirePort::send(Packet pkt, sim::Time extra_gap,
                sim::InplaceCallback serialized)
 {
-    txFrames_->inc(pkt.wireFrames());
-    txPayload_->inc(pkt.payloadBytes);
+    txFrames_.inc(pkt.wireFrames());
+    txPayload_.inc(pkt.payloadBytes);
 
     sim::Time start = std::max(owner_->now(), busyUntil_);
     sim::Time end = start + wire_->serialize(pkt.wireBytes());

@@ -88,11 +88,11 @@ class WirePort : public Port
     bool busy() const override;
     std::uint64_t payloadCarried() const override
     {
-        return txPayload_->value();
+        return txPayload_.value();
     }
     std::uint64_t payloadDelivered() const override
     {
-        return rxPayload_->value();
+        return rxPayload_.value();
     }
 
   private:
@@ -125,9 +125,9 @@ class WirePort : public Port
     const Wire *wire_ = nullptr;
     LinkEndpoint *ep_ = nullptr;
     sim::Time busyUntil_ = 0;
-    sim::Counter *txFrames_ = nullptr;
-    sim::Counter *txPayload_ = nullptr;
-    sim::Counter *rxPayload_ = nullptr;
+    sim::Counter txFrames_;
+    sim::Counter txPayload_;
+    sim::Counter rxPayload_;
     std::deque<PendingDone> done_;
     std::deque<InFlight> inFlight_;
 };

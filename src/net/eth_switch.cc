@@ -21,10 +21,10 @@ EthSwitch::EthSwitch(sim::SimContext &ctx, std::string name,
         p += std::to_string(i);
         ports_[i].sw = this;
         ports_[i].attach(*this, wire_, i);
-        ports_[i].drops = &stats().addCounter(p + "_egress_drops");
-        ports_[i].dropBytes = &stats().addCounter(p + "_egress_drop_bytes");
+        stats().add(p + "_egress_drops", ports_[i].drops);
+        stats().add(p + "_egress_drop_bytes", ports_[i].dropBytes);
     }
-    nUnrouted_ = &stats().addCounter("unrouted_drops");
+    stats().add("unrouted_drops", nUnrouted_);
 }
 
 Port &
@@ -55,7 +55,7 @@ EthSwitch::totalDrops() const
 {
     std::uint64_t n = 0;
     for (const auto &p : ports_)
-        n += p.drops->value();
+        n += p.drops.value();
     return n;
 }
 
@@ -64,7 +64,7 @@ EthSwitch::forward(Packet pkt)
 {
     const std::uint32_t *route = routes_.find(pkt.dst);
     if (!route) {
-        nUnrouted_->inc();
+        nUnrouted_.inc();
         return;
     }
     enqueue(ports_[*route], std::move(pkt));
@@ -75,8 +75,8 @@ EthSwitch::enqueue(SwitchPort &out, Packet pkt)
 {
     std::uint64_t wb = pkt.wireBytes();
     if (params_.bufBytesPerPort && out.qBytes + wb > params_.bufBytesPerPort) {
-        out.drops->inc();
-        out.dropBytes->inc(wb);
+        out.drops.inc();
+        out.dropBytes.inc(wb);
         return;
     }
     out.qBytes += wb;
@@ -121,14 +121,12 @@ SwitchTrunk::SwitchTrunk(sim::SimContext &ctx, std::string name, Fabric &a,
                          Fabric &b)
     : sim::SimObject(ctx, std::move(name))
 {
-    nAToB_ = &stats().addCounter("relayed_a_to_b");
-    nBToA_ = &stats().addCounter("relayed_b_to_a");
+    stats().add("relayed_a_to_b", endA_.relayed);
+    stats().add("relayed_b_to_a", endB_.relayed);
     endA_.trunk = this;
     endB_.trunk = this;
     endA_.other = &endB_;
     endB_.other = &endA_;
-    endA_.relayed = nAToB_;
-    endB_.relayed = nBToA_;
     endA_.port = &a.bind(endA_);
     endB_.port = &b.bind(endB_);
 }
@@ -138,7 +136,7 @@ SwitchTrunk::End::receiveFrame(Packet pkt)
 {
     // Relay onto the far fabric; the far port's ingress serializer
     // models the uplink wire in that direction.
-    relayed->inc();
+    relayed.inc();
     other->port->send(std::move(pkt));
 }
 

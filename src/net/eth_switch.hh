@@ -57,7 +57,7 @@ class EthSwitch : public sim::SimObject, public Fabric
     void setRoute(MacAddr mac, std::uint32_t port);
 
     /** Frames dropped because no route existed. */
-    std::uint64_t unrouted() const { return nUnrouted_->value(); }
+    std::uint64_t unrouted() const { return nUnrouted_.value(); }
 
     /** Sum of egress tail-drops over all ports. */
     std::uint64_t totalDrops() const;
@@ -83,8 +83,8 @@ class EthSwitch : public sim::SimObject, public Fabric
         std::uint64_t qBytes = 0;
         std::uint64_t qPeakBytes = 0;
         bool egressBusy = false;
-        sim::Counter *drops = nullptr;
-        sim::Counter *dropBytes = nullptr;
+        sim::Counter drops;
+        sim::Counter dropBytes;
 
         void
         arrive(Packet pkt) override
@@ -93,11 +93,11 @@ class EthSwitch : public sim::SimObject, public Fabric
         }
         std::uint64_t egressDrops() const override
         {
-            return drops->value();
+            return drops.value();
         }
         std::uint64_t egressDropBytes() const override
         {
-            return dropBytes->value();
+            return dropBytes.value();
         }
         std::uint64_t queuePeakBytes() const override { return qPeakBytes; }
     };
@@ -116,7 +116,7 @@ class EthSwitch : public sim::SimObject, public Fabric
     std::vector<SwitchPort> ports_;
     std::uint32_t bound_ = 0;
     MacTable<std::uint32_t> routes_;
-    sim::Counter *nUnrouted_ = nullptr;
+    sim::Counter nUnrouted_;
 };
 
 /**
@@ -136,8 +136,8 @@ class SwitchTrunk : public sim::SimObject
     std::uint32_t portOnB() const { return endB_.port->index(); }
 
     /** Frames relayed in each direction. */
-    std::uint64_t relayedAToB() const { return nAToB_->value(); }
-    std::uint64_t relayedBToA() const { return nBToA_->value(); }
+    std::uint64_t relayedAToB() const { return endA_.relayed.value(); }
+    std::uint64_t relayedBToA() const { return endB_.relayed.value(); }
 
   private:
     struct End final : LinkEndpoint
@@ -145,15 +145,13 @@ class SwitchTrunk : public sim::SimObject
         SwitchTrunk *trunk = nullptr;
         Port *port = nullptr;        // this end's port
         End *other = nullptr;        // the far end
-        sim::Counter *relayed = nullptr;
+        sim::Counter relayed;        // frames relayed to the far end
 
         void receiveFrame(Packet pkt) override;
     };
 
     End endA_;
     End endB_;
-    sim::Counter *nAToB_ = nullptr;
-    sim::Counter *nBToA_ = nullptr;
 };
 
 } // namespace cdna::net

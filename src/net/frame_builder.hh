@@ -11,18 +11,11 @@
 
 namespace cdna::net {
 
-/**
- * One sender's frames: each carries its source MAC and domain, and takes
- * the next id of its packet-id sequence.
- */
+/** One sender's frames: each carries its source MAC. */
 class FrameBuilder
 {
   public:
-    explicit FrameBuilder(MacAddr src = {},
-                          mem::DomainId dom = mem::kDomInvalid,
-                          std::uint64_t first_id = 1)
-        : src_(src), dom_(dom), nextId_(first_id)
-    {}
+    explicit FrameBuilder(MacAddr src = {}) : src_(src) {}
 
     /** @p len payload bytes toward @p dst, created @p now. */
     Packet
@@ -33,8 +26,6 @@ class FrameBuilder
         pkt.src = src_;
         pkt.dst = dst;
         pkt.payloadBytes = len;
-        pkt.srcDomain = dom_;
-        pkt.id = nextId_++;
         pkt.flowId = flow_id;
         pkt.created = now;
         return pkt;
@@ -65,8 +56,6 @@ class FrameBuilder
 
   private:
     MacAddr src_;
-    mem::DomainId dom_;
-    std::uint64_t nextId_;
 };
 
 } // namespace cdna::net

@@ -169,8 +169,6 @@ struct Packet
     MacAddr dst;
     std::uint32_t payloadBytes = 0;   //!< TCP payload (goodput) bytes
     mem::SgList hostSg;               //!< host buffer(s), empty once on wire
-    mem::DomainId srcDomain = mem::kDomInvalid; //!< origin (accounting)
-    std::uint64_t id = 0;             //!< unique id for tracing
     std::uint64_t flowId = 0;         //!< connection the packet belongs to
     sim::Time created = 0;            //!< creation time (latency stats)
     /**

@@ -10,12 +10,7 @@ namespace cdna::net {
 
 TrafficPeer::TrafficPeer(sim::SimContext &ctx, std::string name,
                          Fabric &fabric)
-    : sim::SimObject(ctx, std::move(name)),
-      nRxFrames_(stats().addCounter("rx_frames")),
-      nRxPayload_(stats().addCounter("rx_payload_bytes")),
-      nTxFrames_(stats().addCounter("tx_frames")),
-      nRxDups_(stats().addCounter("rx_duplicates")),
-      nRxBadCsum_(stats().addCounter("rx_drops_bad_csum"))
+    : sim::SimObject(ctx, std::move(name))
 {
     // Derive the peer's MAC from its name so it is stable per component
     // regardless of construction order; peers live in a reserved id range

@@ -147,11 +147,11 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
     std::unique_ptr<transport::TcpEndpoint> tcp_;
     std::unique_ptr<workload::WorkloadEngine> engine_;
 
-    sim::Counter &nRxFrames_;
-    sim::Counter &nRxPayload_;
-    sim::Counter &nTxFrames_;
-    sim::Counter &nRxDups_;
-    sim::Counter &nRxBadCsum_;
+    sim::Counter nRxFrames_{stats(), "rx_frames"};
+    sim::Counter nRxPayload_{stats(), "rx_payload_bytes"};
+    sim::Counter nTxFrames_{stats(), "tx_frames"};
+    sim::Counter nRxDups_{stats(), "rx_duplicates"};
+    sim::Counter nRxBadCsum_{stats(), "rx_drops_bad_csum"};
 };
 
 } // namespace cdna::net

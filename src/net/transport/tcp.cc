@@ -344,15 +344,7 @@ TcpReceiverFlow::cancelTimers()
 TcpEndpoint::TcpEndpoint(sim::SimContext &ctx, std::string name,
                          TcpParams params)
     : sim::SimObject(ctx, std::move(name)),
-      p_(params),
-      nDelivered_(stats().addCounter("delivered_bytes")),
-      nAcksRx_(stats().addCounter("acks_received")),
-      totals_{stats().addCounter("segs_sent"),
-              stats().addCounter("segs_retransmitted"),
-              stats().addCounter("fast_retransmits"),
-              stats().addCounter("rto_events"),
-              stats().addCounter("dup_acks_received")},
-      nAcksTx_(stats().addCounter("acks_sent"))
+      p_(params)
 {
 }
 

@@ -86,16 +86,18 @@ class TcpSenderFlow
     };
 
     /**
-     * The owning endpoint's stat counters.  A flow adds each event to
-     * them where it counts the event itself, so the totals never lag.
+     * The owning endpoint's stat counters, registered with its @p group.
+     * A flow adds each event to them where it counts the event itself,
+     * so the totals never lag.
      */
     struct Totals
     {
-        sim::Counter &segsSent;
-        sim::Counter &retransSegs;
-        sim::Counter &fastRetransmits;
-        sim::Counter &rtoEvents;
-        sim::Counter &dupAcksRx;
+        sim::StatGroup &group;
+        sim::Counter segsSent{group, "segs_sent"};
+        sim::Counter retransSegs{group, "segs_retransmitted"};
+        sim::Counter fastRetransmits{group, "fast_retransmits"};
+        sim::Counter rtoEvents{group, "rto_events"};
+        sim::Counter dupAcksRx{group, "dup_acks_received"};
     };
 
     /** @param totals  endpoint counters to add to; null for a lone flow */
@@ -351,10 +353,10 @@ class TcpEndpoint : public sim::SimObject
     bool notifying_ = false;
     bool shutdown_ = false;
 
-    sim::Counter &nDelivered_;
-    sim::Counter &nAcksRx_;
-    TcpSenderFlow::Totals totals_; //!< every sender flow counts into these
-    sim::Counter &nAcksTx_;        //!< counted as each ACK leaves a flow
+    sim::Counter nDelivered_{stats(), "delivered_bytes"};
+    sim::Counter nAcksRx_{stats(), "acks_received"};
+    TcpSenderFlow::Totals totals_{stats()}; //!< every sender flow's counts
+    sim::Counter nAcksTx_{stats(), "acks_sent"}; //!< as each ACK leaves
 };
 
 } // namespace cdna::net::transport

@@ -6,14 +6,6 @@
 
 namespace cdna::net::workload {
 
-namespace {
-
-/** Packet ids from a high base so engine frames never collide with the
- *  peer's own source ids (which count up from 1). */
-constexpr std::uint64_t kEnginePktIdBase = 0x4000'0000'0000'0000ull;
-
-} // namespace
-
 WorkloadEngine::WorkloadEngine(sim::SimContext &ctx, std::string name,
                                Port &port, MacAddr src, WorkloadSpec spec)
     : SimObject(ctx, std::move(name)),
@@ -21,13 +13,8 @@ WorkloadEngine::WorkloadEngine(sim::SimContext &ctx, std::string name,
       spec_(std::move(spec)),
       rng_(workloadStreamSeed(spec_.seed) ^ src.hash()),
       rr_(spec_.classes.size(), 0),
-      frames_(src, mem::kDomInvalid, kEnginePktIdBase),
-      rpcLatency_(kRpcHistBuckets, kRpcHistSubBits),
-      nFlowsStarted_(stats().addCounter("flows_started")),
-      nFlowsCompleted_(stats().addCounter("flows_completed")),
-      nRpcRequests_(stats().addCounter("rpc_requests")),
-      nRpcResponses_(stats().addCounter("rpc_responses")),
-      nRpcTimeouts_(stats().addCounter("rpc_timeouts"))
+      frames_(src),
+      rpcLatency_(kRpcHistBuckets, kRpcHistSubBits)
 {
     for (std::size_t c = 0; c < spec_.classes.size(); ++c) {
         SIM_ASSERT(spec_.classes[c].kind == FlowKind::kRpc,

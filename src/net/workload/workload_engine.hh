@@ -93,11 +93,11 @@ class WorkloadEngine : public sim::SimObject
 
     sim::LatencyRecorder rpcLatency_;
 
-    sim::Counter &nFlowsStarted_;
-    sim::Counter &nFlowsCompleted_;
-    sim::Counter &nRpcRequests_;
-    sim::Counter &nRpcResponses_;
-    sim::Counter &nRpcTimeouts_;
+    sim::Counter nFlowsStarted_{stats(), "flows_started"};
+    sim::Counter nFlowsCompleted_{stats(), "flows_completed"};
+    sim::Counter nRpcRequests_{stats(), "rpc_requests"};
+    sim::Counter nRpcResponses_{stats(), "rpc_responses"};
+    sim::Counter nRpcTimeouts_{stats(), "rpc_timeouts"};
 };
 
 } // namespace cdna::net::workload

@@ -8,8 +8,7 @@
 namespace cdna::nic {
 
 FirmwareProc::FirmwareProc(sim::SimContext &ctx, std::string name)
-    : sim::SimObject(ctx, std::move(name)),
-      nJobs_(stats().addCounter("jobs"))
+    : sim::SimObject(ctx, std::move(name))
 {
 }
 

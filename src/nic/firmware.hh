@@ -63,7 +63,7 @@ class FirmwareProc : public sim::SimObject
     sim::Time busyUntil_ = 0;
     sim::Time busyAccum_ = 0;
     std::uint64_t epoch_ = 0;
-    sim::Counter &nJobs_;
+    sim::Counter nJobs_{stats(), "jobs"};
 };
 
 } // namespace cdna::nic

@@ -12,13 +12,7 @@ IntelNic::IntelNic(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
                    net::Fabric &fabric, CoalesceParams coalesce)
     : NicBase(ctx, std::move(name), bus, mem, dev, fabric),
       txBuf_(kTxBufferBytes),
-      rxBuf_(kRxBufferBytes),
-      nTxPackets_(stats().addCounter("tx_packets")),
-      nTxPayload_(stats().addCounter("tx_payload_bytes")),
-      nRxPackets_(stats().addCounter("rx_packets")),
-      nRxPayload_(stats().addCounter("rx_payload_bytes")),
-      nTxGhost_(stats().addCounter("tx_ghost_descriptors")),
-      nTxResetDrops_(stats().addCounter("tx_reset_drops"))
+      rxBuf_(kRxBufferBytes)
 {
     setCoalesce(coalesce);
 }

@@ -125,12 +125,12 @@ class IntelNic : public NicBase
     bool writebackBusy_ = false;
     bool writebackAgain_ = false;
 
-    sim::Counter &nTxPackets_;
-    sim::Counter &nTxPayload_;
-    sim::Counter &nRxPackets_;
-    sim::Counter &nRxPayload_;
-    sim::Counter &nTxGhost_;
-    sim::Counter &nTxResetDrops_;
+    sim::Counter nTxPackets_{stats(), "tx_packets"};
+    sim::Counter nTxPayload_{stats(), "tx_payload_bytes"};
+    sim::Counter nRxPackets_{stats(), "rx_packets"};
+    sim::Counter nRxPayload_{stats(), "rx_payload_bytes"};
+    sim::Counter nTxGhost_{stats(), "tx_ghost_descriptors"};
+    sim::Counter nTxResetDrops_{stats(), "tx_reset_drops"};
 };
 
 } // namespace cdna::nic

@@ -8,11 +8,7 @@ NicBase::NicBase(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
                  mem::PhysMemory &mem, mem::DeviceId dev, net::Fabric &fabric)
     : sim::SimObject(ctx, std::move(name)),
       port_(fabric.bind(*this)),
-      dma_(ctx, this->name() + ".dma", bus, mem, dev),
-      nIrqs_(stats().addCounter("irqs")),
-      nRxDropNoDesc_(stats().addCounter("rx_drop_no_desc")),
-      nRxDropNoBuf_(stats().addCounter("rx_drop_no_buf")),
-      nRxDropFilter_(stats().addCounter("rx_drop_filter"))
+      dma_(ctx, this->name() + ".dma", bus, mem, dev)
 {
 }
 

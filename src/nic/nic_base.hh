@@ -73,10 +73,10 @@ class NicBase : public sim::SimObject, public net::LinkEndpoint
     net::Port &port_;
     mem::DmaEngine dma_;
 
-    sim::Counter &nIrqs_;
-    sim::Counter &nRxDropNoDesc_;
-    sim::Counter &nRxDropNoBuf_;
-    sim::Counter &nRxDropFilter_;
+    sim::Counter nIrqs_{stats(), "irqs"};
+    sim::Counter nRxDropNoDesc_{stats(), "rx_drop_no_desc"};
+    sim::Counter nRxDropNoBuf_{stats(), "rx_drop_no_buf"};
+    sim::Counter nRxDropFilter_{stats(), "rx_drop_filter"};
 
   private:
     std::function<void()> irq_;

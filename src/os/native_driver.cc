@@ -16,10 +16,7 @@ NativeDriver::NativeDriver(sim::SimContext &ctx, std::string name,
       nic_(nic),
       costs_(costs),
       route_(route),
-      mac_(mac),
-      nTxPkts_(stats().addCounter("tx_packets")),
-      nRxPkts_(stats().addCounter("rx_packets")),
-      nIrqsHandled_(stats().addCounter("irqs_handled"))
+      mac_(mac)
 {
 }
 

@@ -81,9 +81,9 @@ class NativeDriver : public sim::SimObject, public NetDevice
 
     bool irqTaskPending_ = false;
 
-    sim::Counter &nTxPkts_;
-    sim::Counter &nRxPkts_;
-    sim::Counter &nIrqsHandled_;
+    sim::Counter nTxPkts_{stats(), "tx_packets"};
+    sim::Counter nRxPkts_{stats(), "rx_packets"};
+    sim::Counter nIrqsHandled_{stats(), "irqs_handled"};
 };
 
 } // namespace cdna::os

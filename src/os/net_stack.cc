@@ -41,14 +41,7 @@ NetStack::NetStack(sim::SimContext &ctx, std::string name, vmm::Domain &dom,
       dom_(dom),
       dev_(dev),
       costs_(costs),
-      frames_(dev.mac(), dom.id()),
-      nTxBytes_(stats().addCounter("tx_bytes")),
-      nRxBytes_(stats().addCounter("rx_bytes")),
-      nRxPkts_(stats().addCounter("rx_packets")),
-      nTxStalls_(stats().addCounter("tx_stalls")),
-      nRxDups_(stats().addCounter("rx_duplicates")),
-      nRxBadCsum_(stats().addCounter("rx_drops_bad_csum")),
-      txBacklogDepthStat_(stats().addSamples("tx_backlog_depth"))
+      frames_(dev.mac())
 {
     dev_.setRxHandler([this](net::Packet pkt) { onRxPacket(std::move(pkt)); });
     dev_.setTxCompleteHandler([this](std::uint64_t bytes) {
@@ -164,7 +157,6 @@ NetStack::noteBacklogDepth()
     // could not absorb.  The high-watermark is the satellite metric
     // exported into the report.
     std::uint64_t depth = txBacklog_.size();
-    txBacklogDepthStat_.record(static_cast<double>(depth));
     txBacklogPeak_ = std::max(txBacklogPeak_, depth);
 }
 

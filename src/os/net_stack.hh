@@ -178,13 +178,12 @@ class NetStack : public sim::SimObject
 
     std::uint64_t txBacklogPeak_ = 0;
 
-    sim::Counter &nTxBytes_;
-    sim::Counter &nRxBytes_;
-    sim::Counter &nRxPkts_;
-    sim::Counter &nTxStalls_;
-    sim::Counter &nRxDups_;
-    sim::Counter &nRxBadCsum_;
-    sim::SampleStats &txBacklogDepthStat_;
+    sim::Counter nTxBytes_{stats(), "tx_bytes"};
+    sim::Counter nRxBytes_{stats(), "rx_bytes"};
+    sim::Counter nRxPkts_{stats(), "rx_packets"};
+    sim::Counter nTxStalls_{stats(), "tx_stalls"};
+    sim::Counter nRxDups_{stats(), "rx_duplicates"};
+    sim::Counter nRxBadCsum_{stats(), "rx_drops_bad_csum"};
 };
 
 } // namespace cdna::os

@@ -15,10 +15,7 @@ SwptDriver::SwptDriver(sim::SimContext &ctx, std::string name,
       dom_(dom),
       validator_(validator),
       costs_(costs),
-      mac_(mac),
-      nTxPkts_(stats().addCounter("tx_packets")),
-      nRxPkts_(stats().addCounter("rx_packets")),
-      nIrqsHandled_(stats().addCounter("irqs_handled"))
+      mac_(mac)
 {
 }
 

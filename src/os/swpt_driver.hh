@@ -68,9 +68,9 @@ class SwptDriver : public sim::SimObject, public NetDevice
     std::uint32_t txPosted_ = 0;
     std::uint32_t txCompleted_ = 0;
 
-    sim::Counter &nTxPkts_;
-    sim::Counter &nRxPkts_;
-    sim::Counter &nIrqsHandled_;
+    sim::Counter nTxPkts_{stats(), "tx_packets"};
+    sim::Counter nRxPkts_{stats(), "rx_packets"};
+    sim::Counter nIrqsHandled_{stats(), "irqs_handled"};
 };
 
 } // namespace cdna::os

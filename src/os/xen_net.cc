@@ -15,12 +15,7 @@ XenVif::XenVif(sim::SimContext &ctx, std::string name, DriverDomainNet &ddn,
     : sim::SimObject(ctx, std::move(name)),
       ddn_(ddn),
       guest_(guest),
-      mac_(mac),
-      nTxPkts_(stats().addCounter("tx_packets")),
-      nRxPkts_(stats().addCounter("rx_packets")),
-      nRxDropNoBuf_(stats().addCounter("rx_drop_no_buffer")),
-      nOutageDrops_(stats().addCounter("rx_outage_drops")),
-      nLostTx_(stats().addCounter("tx_lost_crash"))
+      mac_(mac)
 {
     auto &hv = ddn_.hv();
     feChannel_ = &hv.createChannel(guest_, ddn_.costs().irqEntry,
@@ -303,10 +298,7 @@ DriverDomainNet::DriverDomainNet(sim::SimContext &ctx, std::string name,
     : sim::SimObject(ctx, std::move(name)),
       drvDom_(driver_dom),
       phys_(phys),
-      costs_(costs),
-      nNoVif_(stats().addCounter("bridge_no_vif")),
-      nBridgePkts_(stats().addCounter("bridge_packets")),
-      nOutageDrops_(stats().addCounter("outage_rx_drops"))
+      costs_(costs)
 {
     phys_.setAutoRefill(false);
     phys_.setRxHandler([this](net::Packet pkt) { onPhysRx(std::move(pkt)); });

@@ -156,11 +156,11 @@ class XenVif : public sim::SimObject, public NetDevice
     std::uint64_t orphanTxBytes_ = 0;
     std::function<void()> onReconnected_;
 
-    sim::Counter &nTxPkts_;
-    sim::Counter &nRxPkts_;
-    sim::Counter &nRxDropNoBuf_;
-    sim::Counter &nOutageDrops_;
-    sim::Counter &nLostTx_;
+    sim::Counter nTxPkts_{stats(), "tx_packets"};
+    sim::Counter nRxPkts_{stats(), "rx_packets"};
+    sim::Counter nRxDropNoBuf_{stats(), "rx_drop_no_buffer"};
+    sim::Counter nOutageDrops_{stats(), "rx_outage_drops"};
+    sim::Counter nLostTx_{stats(), "tx_lost_crash"};
 };
 
 /**
@@ -265,9 +265,9 @@ class DriverDomainNet : public sim::SimObject
     bool txCompCollectPending_ = false;
     bool backendUp_ = true;
 
-    sim::Counter &nNoVif_;
-    sim::Counter &nBridgePkts_;
-    sim::Counter &nOutageDrops_;
+    sim::Counter nNoVif_{stats(), "bridge_no_vif"};
+    sim::Counter nBridgePkts_{stats(), "bridge_packets"};
+    sim::Counter nOutageDrops_{stats(), "outage_rx_drops"};
 };
 
 } // namespace cdna::os

@@ -36,14 +36,14 @@ FaultInjector::FaultInjector(SimContext &ctx, std::string name,
       rng_(faultStreamSeed(system_seed))
 {
     for (std::size_t i = 0; i < kNumFaultEvents; ++i)
-        counters_[i] = &stats().addCounter(kLedger[i].first);
+        stats().add(kLedger[i].first, counters_[i]);
 }
 
 void
 FaultInjector::note(FaultEvent e)
 {
     auto i = static_cast<std::size_t>(e);
-    counters_[i]->inc();
+    counters_[i].inc();
     CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), kLedger[i].second,
                        now());
 }

@@ -109,13 +109,13 @@ class FaultInjector : public SimObject
     std::uint64_t
     count(FaultEvent e) const
     {
-        return counters_[static_cast<std::size_t>(e)]->value();
+        return counters_[static_cast<std::size_t>(e)].value();
     }
 
   private:
     FaultRates rates_;
     Rng rng_;
-    std::array<sim::Counter *, kNumFaultEvents> counters_;
+    std::array<sim::Counter, kNumFaultEvents> counters_;
 };
 
 } // namespace cdna::sim

@@ -13,6 +13,11 @@ MetricsRegistry::MetricsRegistry(SimContext &ctx) : ctx_(ctx)
 {
 }
 
+MetricsRegistry::~MetricsRegistry()
+{
+    stopSampling();
+}
+
 void
 MetricsRegistry::addGauge(std::string name, std::function<double()> fn)
 {
@@ -96,21 +101,6 @@ MetricsRegistry::toJson() const
             std::snprintf(buf, sizeof(buf), "%s\n      \"%s\": %llu",
                           first ? "" : ",", jsonEscape(name).c_str(),
                           static_cast<unsigned long long>(c->value()));
-            out += buf;
-            first = false;
-        }
-        out += first ? "}," : "\n    },";
-        out += "\n    \"samples\": {";
-        first = true;
-        for (const auto &[name, s] : g.samples()) {
-            std::snprintf(
-                buf, sizeof(buf),
-                "%s\n      \"%s\": {\"count\": %llu, \"sum\": %.9g, "
-                "\"mean\": %.9g, \"min\": %.9g, \"max\": %.9g, "
-                "\"stddev\": %.9g}",
-                first ? "" : ",", jsonEscape(name).c_str(),
-                static_cast<unsigned long long>(s->count()), s->sum(),
-                s->mean(), s->min(), s->max(), s->stddev());
             out += buf;
             first = false;
         }

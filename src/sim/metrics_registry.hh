@@ -3,10 +3,11 @@
  * Hierarchical metrics: a machine-readable view of every component's
  * statistics, plus periodic time-series sampling of gauges.
  *
- * Every SimObject already owns a StatGroup; the registry federates them
- * under dotted names ("<component>.<stat>") and serializes the whole
- * simulation's state as one JSON document, the simulator's only stats
- * dump.
+ * Every SimObject's StatGroup lists its counters; the registry
+ * federates them under component names and serializes the whole
+ * simulation's counters as one JSON document, the simulator's only
+ * stats dump.  Only an observed run builds a registry: sim::Topology::run
+ * does, when the run samples gauges or writes --stats-json.
  *
  * Gauges are named callbacks returning a double (per-domain CPU
  * utilization, ring occupancy, pinned-page counts, ...).  When sampling
@@ -37,6 +38,8 @@ class MetricsRegistry
 {
   public:
     explicit MetricsRegistry(SimContext &ctx);
+    /** Stops sampling: no event is left to call into a dead registry. */
+    ~MetricsRegistry();
 
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
@@ -69,9 +72,7 @@ class MetricsRegistry
      * {
      *   "time_ps": <now>,
      *   "components": { "<name>": {
-     *       "counters": { "<stat>": N, ... },
-     *       "samples":  { "<stat>": {"count":..,"sum":..,"mean":..,
-     *                                "min":..,"max":..,"stddev":..}, ...}
+     *       "counters": { "<stat>": N, ... }
      *   }, ... },
      *   "sample_period_ps": <period>,
      *   "timeseries": { "<gauge>": [[t_ps, value], ...], ... }

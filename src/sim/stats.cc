@@ -2,37 +2,11 @@
 
 #include <bit>
 #include <cmath>
-#include <memory>
+#include <utility>
 
 #include "sim/assert.hh"
 
 namespace cdna::sim {
-
-void
-SampleStats::record(double x)
-{
-    ++n_;
-    sum_ += x;
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    if (x < min_)
-        min_ = x;
-    if (x > max_)
-        max_ = x;
-}
-
-void
-SampleStats::reset()
-{
-    *this = SampleStats();
-}
-
-double
-SampleStats::stddev() const
-{
-    return std::sqrt(variance());
-}
 
 void
 Histogram::record(std::uint64_t x)
@@ -104,41 +78,19 @@ Histogram::quantile(double q) const
     SIM_PANIC("histogram bucket sum diverged from total");
 }
 
-Counter &
-StatGroup::addCounter(const std::string &name)
+void
+StatGroup::add(std::string name, const Counter &c)
 {
-    SIM_ASSERT(!findCounter(name) && !findSamples(name),
-               "duplicate stat name registered");
-    counterStore_.push_back(std::make_unique<Counter>());
-    counterView_.emplace_back(name, counterStore_.back().get());
-    return *counterStore_.back();
-}
-
-SampleStats &
-StatGroup::addSamples(const std::string &name)
-{
-    SIM_ASSERT(!findCounter(name) && !findSamples(name),
-               "duplicate stat name registered");
-    sampleStore_.push_back(std::make_unique<SampleStats>());
-    sampleView_.emplace_back(name, sampleStore_.back().get());
-    return *sampleStore_.back();
+    SIM_ASSERT(!findCounter(name), "duplicate stat name registered");
+    counters_.emplace_back(std::move(name), &c);
 }
 
 const Counter *
 StatGroup::findCounter(const std::string &name) const
 {
-    for (const auto &[n, c] : counterView_)
+    for (const auto &[n, c] : counters_)
         if (n == name)
             return c;
-    return nullptr;
-}
-
-const SampleStats *
-StatGroup::findSamples(const std::string &name) const
-{
-    for (const auto &[n, s] : sampleView_)
-        if (n == name)
-            return s;
     return nullptr;
 }
 

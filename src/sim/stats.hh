@@ -2,18 +2,17 @@
  * @file
  * Lightweight statistics primitives used throughout the simulator.
  *
- * Components expose Counters and SampleStats; experiment harnesses read
- * them at the end of (or during) a run.  A StatGroup gives a component a
- * flat, named view of its statistics, which the metrics registry
- * federates into one JSON document (sim/metrics_registry.hh).
+ * A component counts events in Counters it holds as members; each one
+ * registers with the component's StatGroup, a flat, named view that the
+ * metrics registry federates into one JSON document
+ * (sim/metrics_registry.hh).  Latency families are LatencyRecorders,
+ * which the report reads directly.
  */
 
 #ifndef CDNA_SIM_STATS_HH
 #define CDNA_SIM_STATS_HH
 
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,10 +21,28 @@
 
 namespace cdna::sim {
 
-/** Monotonic event counter. */
+class StatGroup;
+
+/**
+ * Monotonic event counter, a member of the component that counts it.
+ * Declared with its group and name, it registers where it is declared,
+ * so a group lists its counters in declaration order:
+ *
+ *   sim::Counter nTxPkts_{stats(), "tx_packets"};
+ *
+ * A counter whose name is computed (per port, per ledger entry) is
+ * default-constructed and registered with StatGroup::add() instead.
+ * The group keeps its address, so a counter never copies or moves.
+ */
 class Counter
 {
   public:
+    Counter() = default;
+    Counter(StatGroup &group, std::string name);
+
+    Counter(const Counter &) = delete;
+    Counter &operator=(const Counter &) = delete;
+
     void inc(std::uint64_t n = 1) { value_ += n; }
     std::uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
@@ -40,31 +57,6 @@ class Counter
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/** Running min/max/mean/variance over double-valued samples (Welford). */
-class SampleStats
-{
-  public:
-    void record(double x);
-    void reset();
-
-    std::uint64_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    /** Population variance. */
-    double variance() const { return n_ ? m2_ / static_cast<double>(n_) : 0.0; }
-    double stddev() const;
-    double sum() const { return sum_; }
-
-  private:
-    std::uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double sum_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
 };
 
 /**
@@ -142,31 +134,31 @@ class LatencyRecorder
     double sum_ = 0.0;
 };
 
-/** A named, flat set of statistics owned by one component. */
+/**
+ * One component's counters by name, in registration order.  The
+ * counters belong to the component; the group only lists them.
+ */
 class StatGroup
 {
   public:
-    /** Register a counter.  Duplicate names are a simulator bug (panic). */
-    Counter &addCounter(const std::string &name);
-    /** Register a sample stat.  Duplicate names panic. */
-    SampleStats &addSamples(const std::string &name);
+    /** Register @p c as @p name.  Duplicate names are a simulator bug
+     *  (panic). */
+    void add(std::string name, const Counter &c);
 
-    /** Look up a registered stat by name; null when absent. */
+    /** Look up a registered counter by name; null when absent. */
     const Counter *findCounter(const std::string &name) const;
-    const SampleStats *findSamples(const std::string &name) const;
 
     const std::vector<std::pair<std::string, const Counter *>> &
-    counters() const { return counterView_; }
-    const std::vector<std::pair<std::string, const SampleStats *>> &
-    samples() const { return sampleView_; }
+    counters() const { return counters_; }
 
   private:
-    // Deque-like stable storage: pointers handed out must not move.
-    std::vector<std::unique_ptr<Counter>> counterStore_;
-    std::vector<std::unique_ptr<SampleStats>> sampleStore_;
-    std::vector<std::pair<std::string, const Counter *>> counterView_;
-    std::vector<std::pair<std::string, const SampleStats *>> sampleView_;
+    std::vector<std::pair<std::string, const Counter *>> counters_;
 };
+
+inline Counter::Counter(StatGroup &group, std::string name)
+{
+    group.add(std::move(name), *this);
+}
 
 } // namespace cdna::sim
 

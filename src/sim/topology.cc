@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "sim/assert.hh"
+#include "sim/metrics_registry.hh"
 
 namespace cdna::sim {
 
@@ -82,7 +83,9 @@ Topology::run(Time warmup, Time measure,
 {
     SIM_ASSERT(reports_.empty(), "Topology::run is one-shot");
     SIM_ASSERT(!hosts_.empty(), "topology has no hosts");
-    core::System &observed = *hosts_.front();
+    // Only an observed run that samples gauges or writes --stats-json
+    // builds a registry, with host 0's gauges.
+    std::unique_ptr<MetricsRegistry> metrics;
     if (observe_) {
         if (!observe_->traceFile.empty()) {
             ctx_->tracer().enable();
@@ -93,10 +96,14 @@ Topology::run(Time warmup, Time measure,
         // --stats-json), so it is keyed off the period, not the trace
         // flag; a stats dump with no period still gets one sample per
         // simulated millisecond.
-        if (observe_->samplePeriod > 0)
-            observed.metrics().startSampling(observe_->samplePeriod);
-        else if (!observe_->statsJsonFile.empty())
-            observed.metrics().startSampling(milliseconds(1.0));
+        Time period = observe_->samplePeriod;
+        if (period == 0 && !observe_->statsJsonFile.empty())
+            period = milliseconds(1.0);
+        if (period > 0) {
+            metrics = std::make_unique<MetricsRegistry>(*ctx_);
+            hosts_.front()->registerGauges(*metrics);
+            metrics->startSampling(period);
+        }
     }
     for (auto &h : hosts_)
         h->start();
@@ -114,7 +121,7 @@ Topology::run(Time warmup, Time measure,
     if (!trace.empty() && !ctx_->tracer().writeChromeJson(trace))
         throw std::runtime_error("cannot write trace file: " + trace);
     const std::string &stats = observe_->statsJsonFile;
-    if (!stats.empty() && !observed.metrics().writeJson(stats))
+    if (!stats.empty() && !metrics->writeJson(stats))
         throw std::runtime_error("cannot write stats file: " + stats);
 }
 

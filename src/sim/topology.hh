@@ -30,10 +30,12 @@
  *
  * Every sweep cell and every `cdna_sim` run is a Topology, so this is
  * the one place a run is observed: given CLI observability options,
- * run() enables tracing and gauge sampling on host 0 and writes the
- * --trace and --stats-json files.  The trace then covers every lane of
- * the shared context, and --stats-json every component's counters but
- * host 0's gauges.
+ * run() enables tracing, builds the metrics registry with host 0's
+ * gauges when the run samples them or writes --stats-json, and writes
+ * the --trace and --stats-json files.  The trace then covers every lane
+ * of the shared context, and --stats-json every component's counters
+ * but host 0's gauges.  An unobserved run builds no registry and no
+ * gauge.
  */
 
 #ifndef CDNA_SIM_TOPOLOGY_HH

@@ -42,7 +42,7 @@ class Domain : public sim::SimObject
     mem::DomainId id_;
     Kind kind_;
     cpu::Vcpu &vcpu_;
-    sim::Counter &nVirtIrqs_;
+    sim::Counter nVirtIrqs_{stats(), "virt_irqs"};
 };
 
 } // namespace cdna::vmm

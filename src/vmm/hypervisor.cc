@@ -23,8 +23,7 @@ Domain::Domain(sim::SimContext &ctx, Hypervisor &hv, mem::DomainId id,
       hv_(hv),
       id_(id),
       kind_(kind),
-      vcpu_(vcpu),
-      nVirtIrqs_(stats().addCounter("virt_irqs"))
+      vcpu_(vcpu)
 {
 }
 
@@ -35,12 +34,7 @@ Hypervisor::Hypervisor(sim::SimContext &ctx, cpu::SimCpu &cpu,
       cpu_(cpu),
       mem_(mem),
       grants_(ctx, prefix + "grant-table", mem),
-      params_(params),
-      nHypercalls_(stats().addCounter("hypercalls")),
-      nPhysIrqs_(stats().addCounter("phys_irqs")),
-      nVirtIrqs_(stats().addCounter("virt_irqs")),
-      nFaults_(stats().addCounter("faults")),
-      nCxtTraps_(stats().addCounter("context_traps"))
+      params_(params)
 {
 }
 

@@ -137,11 +137,11 @@ class Hypervisor : public sim::SimObject
     std::vector<std::unique_ptr<EventChannel>> channels_;
     std::vector<std::tuple<mem::DomainId, Fault, sim::Time>> faults_;
 
-    sim::Counter &nHypercalls_;
-    sim::Counter &nPhysIrqs_;
-    sim::Counter &nVirtIrqs_;
-    sim::Counter &nFaults_;
-    sim::Counter &nCxtTraps_;
+    sim::Counter nHypercalls_{stats(), "hypercalls"};
+    sim::Counter nPhysIrqs_{stats(), "phys_irqs"};
+    sim::Counter nVirtIrqs_{stats(), "virt_irqs"};
+    sim::Counter nFaults_{stats(), "faults"};
+    sim::Counter nCxtTraps_{stats(), "context_traps"};
 };
 
 } // namespace cdna::vmm

@@ -13,13 +13,7 @@ SwptValidator::SwptValidator(sim::SimContext &ctx, std::string name,
     : sim::SimObject(ctx, std::move(name)),
       hv_(hv),
       nic_(nic),
-      costs_(costs),
-      nDoorbells_(stats().addCounter("doorbell_traps")),
-      nValidated_(stats().addCounter("desc_validated")),
-      nRejected_(stats().addCounter("desc_rejected")),
-      nRxDemuxDrop_(stats().addCounter("rx_demux_drops")),
-      nRxNoBuf_(stats().addCounter("rx_no_guest_buf")),
-      nDetachDrops_(stats().addCounter("detach_drops"))
+      costs_(costs)
 {
 }
 

@@ -178,12 +178,12 @@ class SwptValidator : public sim::SimObject
 
     sim::Time validationTime_ = 0;
 
-    sim::Counter &nDoorbells_;
-    sim::Counter &nValidated_;
-    sim::Counter &nRejected_;
-    sim::Counter &nRxDemuxDrop_;
-    sim::Counter &nRxNoBuf_;
-    sim::Counter &nDetachDrops_;
+    sim::Counter nDoorbells_{stats(), "doorbell_traps"};
+    sim::Counter nValidated_{stats(), "desc_validated"};
+    sim::Counter nRejected_{stats(), "desc_rejected"};
+    sim::Counter nRxDemuxDrop_{stats(), "rx_demux_drops"};
+    sim::Counter nRxNoBuf_{stats(), "rx_no_guest_buf"};
+    sim::Counter nDetachDrops_{stats(), "detach_drops"};
 };
 
 } // namespace cdna::vmm

@@ -12,11 +12,7 @@ TrafficApp::TrafficApp(sim::SimContext &ctx, std::string name,
     : sim::SimObject(ctx, std::move(name)),
       stack_(stack),
       costs_(costs),
-      params_(params),
-      nSent_(stats().addCounter("bytes_sent")),
-      nReceived_(stats().addCounter("bytes_received")),
-      nRxPkts_(stats().addCounter("packets_received")),
-      nRpcServed_(stats().addCounter("rpc_served"))
+      params_(params)
 {
     stack_.setRxDeliverHandler([this](std::uint64_t bytes,
                                       std::uint32_t pkts) {

@@ -75,10 +75,10 @@ class TrafficApp : public sim::SimObject
     bool started_ = false;
     bool stopped_ = false;
 
-    sim::Counter &nSent_;
-    sim::Counter &nReceived_;
-    sim::Counter &nRxPkts_;
-    sim::Counter &nRpcServed_;
+    sim::Counter nSent_{stats(), "bytes_sent"};
+    sim::Counter nReceived_{stats(), "bytes_received"};
+    sim::Counter nRxPkts_{stats(), "packets_received"};
+    sim::Counter nRpcServed_{stats(), "rpc_served"};
 };
 
 } // namespace cdna::workload

@@ -80,7 +80,6 @@ struct DriverFixture : ::testing::TestWithParam<bool>
         p.src = drv->mac();
         p.dst = peer.mac();
         p.payloadBytes = bytes;
-        p.srcDomain = guest->id();
         mem::PageNum page = mem.allocOne(guest->id());
         p.hostSg = {{mem::addrOf(page), bytes}};
         return p;

@@ -74,7 +74,6 @@ struct CdnaHarness
         p.dst = dst;
         p.payloadBytes = payload;
         p.hostSg = d.sg;
-        p.srcDomain = dom;
         nic.txRing(cxt).write(producers[cxt], d);
         nic.txRing(cxt).attachPacket(producers[cxt], std::move(p));
         ++producers[cxt];

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 
 #include "core/cli.hh"
@@ -313,6 +314,23 @@ TEST(Cli, ObservabilityFlags)
     EXPECT_FALSE(parse({"--sample-period", "-3"}, &err).has_value());
 }
 
+TEST(Cli, ObservabilityWithoutOutputIsRejected)
+{
+    // Sampling and trace filtering only shape what --trace or
+    // --stats-json write; either output makes them valid.
+    for (const char *flag : {"--sample-period", "--trace-filter"}) {
+        std::vector<std::string> args{flag, "50"};
+        std::string err;
+        EXPECT_FALSE(parseCli(args, &err).has_value()) << flag;
+        EXPECT_NE(err.find("write nothing"), std::string::npos) << err;
+        for (const char *out : {"--trace", "--stats-json"}) {
+            std::vector<std::string> with = args;
+            with.insert(with.end(), {out, "out.json"});
+            EXPECT_TRUE(parseCli(with, &err).has_value()) << err;
+        }
+    }
+}
+
 namespace {
 
 /** A 1 + 2 ms run of @p opt's config, observed as cdna_sim observes. */
@@ -345,6 +363,32 @@ TEST(Cli, ObservabilitySessionWritesOnClose)
     EXPECT_TRUE(fileExists(stats));
     std::remove(trace.c_str());
     std::remove(stats.c_str());
+}
+
+TEST(Cli, SampledStatsHaveABacklogSeriesPerStackAndNoSamples)
+{
+    // Two guests on two NICs: four stacks.
+    std::string stats = tempPath("cli_obs_backlog.json");
+    auto opt = parse({"--stats-json", stats.c_str(), "--sample-period",
+                      "500", "--guests", "2"});
+    ASSERT_TRUE(opt.has_value());
+    sim::runHost(observedPoint(*opt));
+    std::ifstream in(stats);
+    std::string json((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    std::remove(stats.c_str());
+
+    EXPECT_EQ(json.find("\"samples\""), std::string::npos);
+    const std::string series = ".tx_backlog_depth\": [[";
+    std::size_t n = 0;
+    for (std::size_t at = json.find(series); at != std::string::npos;
+         at = json.find(series, at + 1))
+        ++n;
+    EXPECT_EQ(n, 4u);
+    for (const char *stack : {"stack0.0", "stack1.0", "stack0.1", "stack1.1"})
+        EXPECT_NE(json.find("\"" + std::string(stack) + series),
+                  std::string::npos)
+            << stack;
 }
 
 TEST(Cli, ObservabilitySessionReportsWriteErrors)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/system.hh"
+#include "sim/metrics_registry.hh"
 
 using namespace cdna;
 using namespace cdna::core;
@@ -72,7 +73,7 @@ TEST(Misc, SystemStatsDumpEnumeratesComponents)
     SystemConfig cfg = SystemConfig::cdna(1);
     System sys(cfg);
     sys.run(sim::milliseconds(10), sim::milliseconds(20));
-    std::string json = sys.metrics().toJson();
+    std::string json = sim::MetricsRegistry(sys.ctx()).toJson();
     // True when @p counter sits inside component @p obj's object.
     auto has = [&json](const std::string &obj, const std::string &counter) {
         std::size_t at = json.find("\"" + obj + "\": {");

@@ -272,7 +272,7 @@ sendBacklog(double duplicate_rate, std::size_t &pending)
         void
         receiveFrame(Packet pkt) override
         {
-            log->emplace_back(ctx->now(), pkt.id,
+            log->emplace_back(ctx->now(), pkt.flowId,
                               pkt.duplicated ? 'd' : 'a');
         }
     } sink;
@@ -282,7 +282,7 @@ sendBacklog(double duplicate_rate, std::size_t &pending)
     for (std::uint64_t k = 0; k < 64; ++k) {
         Packet p;
         p.payloadBytes = kMss;
-        p.id = k;
+        p.flowId = k;
         link.port(1).send(std::move(p), 0, [&ctx, &log, k] {
             log.emplace_back(ctx.now(), k, 's');
         });

@@ -234,7 +234,6 @@ struct IntelHarness
         p.dst = peer.mac();
         p.payloadBytes = payload;
         p.hostSg = d.sg;
-        p.srcDomain = dom;
         nic.txRing().write(txProducer, d);
         nic.txRing().attachPacket(txProducer, std::move(p));
         ++txProducer;

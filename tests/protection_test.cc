@@ -56,7 +56,6 @@ struct ProtFixture : ::testing::Test
         p.dst = peer.mac();
         p.payloadBytes = len;
         p.hostSg = r.sg;
-        p.srcDomain = guest->id();
         r.pkt = std::move(p);
         return r;
     }

@@ -277,22 +277,6 @@ TEST(Stats, CounterBasics)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Stats, SampleStatsMoments)
-{
-    SampleStats s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.record(x);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_NEAR(s.stddev(), 2.0, 1e-9);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
 TEST(Stats, HistogramQuantiles)
 {
     Histogram h;
@@ -340,22 +324,36 @@ TEST(Stats, HistogramEmptyQuantileIsZero)
 TEST(Stats, StatGroupFindByName)
 {
     StatGroup g;
-    Counter &c = g.addCounter("hits");
+    Counter c{g, "hits"};
     c.inc(4);
-    ASSERT_NE(g.findCounter("hits"), nullptr);
+    ASSERT_EQ(g.findCounter("hits"), &c);
     EXPECT_EQ(g.findCounter("hits")->value(), 4u);
     EXPECT_EQ(g.findCounter("misses"), nullptr);
-    EXPECT_EQ(g.findSamples("hits"), nullptr);
+}
+
+TEST(Stats, StatGroupListsCountersInRegistrationOrder)
+{
+    // Declared counters register as they are constructed; a computed
+    // name registers with add().
+    StatGroup g;
+    Counter b{g, "b"};
+    Counter later;
+    Counter a{g, "a"};
+    g.add("p0_later", later);
+    ASSERT_EQ(g.counters().size(), 3u);
+    EXPECT_EQ(g.counters()[0].first, "b");
+    EXPECT_EQ(g.counters()[1].first, "a");
+    EXPECT_EQ(g.counters()[2].first, "p0_later");
+    EXPECT_EQ(g.counters()[2].second, &later);
 }
 
 TEST(StatsDeathTest, StatGroupDuplicateNamePanics)
 {
     StatGroup g;
-    g.addCounter("n");
-    g.addSamples("lat");
-    EXPECT_DEATH(g.addCounter("n"), "assertion failed");
-    EXPECT_DEATH(g.addSamples("n"), "assertion failed");
-    EXPECT_DEATH(g.addCounter("lat"), "assertion failed");
+    Counter n{g, "n"};
+    Counter other;
+    EXPECT_DEATH(Counter again(g, "n"), "assertion failed");
+    EXPECT_DEATH(g.add("n", other), "assertion failed");
 }
 
 // ----------------------------------------------------------- sim object ----
@@ -373,7 +371,8 @@ TEST(SimObject, RegistersWithContext)
     Widget w(ctx);
     ASSERT_EQ(ctx.objects().size(), 1u);
     EXPECT_EQ(ctx.objects()[0]->name(), "widget");
-    w.stats().addCounter("n").inc(2);
+    Counter counter{w.stats(), "n"};
+    counter.inc(2);
     const Counter *n = ctx.objects()[0]->stats().findCounter("n");
     ASSERT_NE(n, nullptr);
     EXPECT_EQ(n->value(), 2u);
@@ -506,9 +505,10 @@ TEST(MetricsRegistry, JsonFederatesComponentStats)
       public:
         explicit Widget(SimContext &c) : SimObject(c, "widget")
         {
-            stats().addCounter("hits").inc(7);
-            stats().addSamples("lat").record(2.5);
+            hits_.inc(7);
         }
+
+        Counter hits_{stats(), "hits"};
     };
 
     Widget w(ctx);
@@ -518,8 +518,7 @@ TEST(MetricsRegistry, JsonFederatesComponentStats)
     std::string json = m.toJson();
     EXPECT_NE(json.find("\"widget\""), std::string::npos);
     EXPECT_NE(json.find("\"hits\": 7"), std::string::npos);
-    EXPECT_NE(json.find("\"lat\""), std::string::npos);
-    EXPECT_NE(json.find("\"stddev\""), std::string::npos);
+    EXPECT_EQ(json.find("\"samples\""), std::string::npos);
     EXPECT_NE(json.find("\"timeseries\""), std::string::npos);
     EXPECT_NE(json.find("\"g\": [[0, 1.5]"), std::string::npos);
 }
@@ -638,8 +637,10 @@ TEST(MetricsRegistry, ControlCharactersInNamesStayValidJson)
       public:
         explicit Widget(SimContext &c) : SimObject(c, "wid\tget")
         {
-            stats().addCounter("hits\n").inc(7);
+            hits_.inc(7);
         }
+
+        Counter hits_{stats(), "hits\n"};
     };
 
     Widget w(ctx);

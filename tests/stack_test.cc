@@ -81,7 +81,6 @@ TEST_F(StackFixture, NonTsoSegmentsAtMss)
         }
         EXPECT_EQ(p.dst, net::MacAddr::fromId(99));
         EXPECT_EQ(p.src, dev.addr);
-        EXPECT_EQ(p.srcDomain, dom->id());
         total += p.payloadBytes;
     }
     EXPECT_EQ(total, 65536u);

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <iomanip>
@@ -941,6 +942,99 @@ TEST(ReportGolden, KillGuestMatchesFullDocuments)
                       sys.run(sim::milliseconds(100), sim::milliseconds(300))),
                   golden)
             << c.file;
+    }
+}
+
+/**
+ * Every component's counters of one observed run of @p spec's executor,
+ * as "component counter value" lines in registration order, read from
+ * the "counters" objects of its --stats-json document (which lists
+ * ctx.objects() and each one's stats().counters()).
+ */
+std::string
+countersOf(const sim::ExperimentSpec &spec, sim::RunPoint point)
+{
+    core::CliOptions obs;
+    obs.statsJsonFile = testing::TempDir() + "counter_golden_stats.json";
+    point.observe = &obs;
+    sim::runPoint(spec, point);
+    std::ifstream in(obs.statsJsonFile);
+    std::string out, line, component;
+    bool counters = false;
+    while (std::getline(in, line)) {
+        if (line == "    \"counters\": {") {
+            counters = true;
+        } else if (line.rfind("    }", 0) == 0) {
+            counters = false;
+        } else if (counters) {
+            // `      "name": value` with an optional trailing comma.
+            std::size_t q = line.find('"', 7);
+            std::string value = line.substr(q + 3);
+            if (value.back() == ',')
+                value.pop_back();
+            out += component + " " + line.substr(7, q - 7) + " " + value +
+                   "\n";
+        } else if (line.rfind("  \"", 0) == 0 && line.back() == '{') {
+            component = line.substr(3, line.find('"', 3) - 3);
+        }
+    }
+    std::remove(obs.statsJsonFile.c_str());
+    return out;
+}
+
+/**
+ * Counter names, order and values of every class that counts: Xen/Intel
+ * TCP through a driver-domain crash (fault injector, netback, TCP),
+ * Xen/RiceNIC (dom0's CDNA driver), 40 CDNA guests paging one NIC's
+ * contexts, swpt receive (validator, swpt drivers), and the latency
+ * (RPC engine), iommu (per-device IOMMU) and noisy-neighbor (switches,
+ * trunk, a second host) preset cells.  On a mismatch the measured text
+ * is written beside the test's temporary files.
+ */
+TEST(CounterGolden, EveryComponentKeepsNamesOrderAndValues)
+{
+    using core::SystemConfig;
+    auto host = [](const char *label, SystemConfig cfg) {
+        sim::RunPoint point;
+        point.cell = label;
+        point.config = std::move(cfg);
+        point.warmup = sim::milliseconds(20);
+        point.measure = sim::milliseconds(40);
+        return point;
+    };
+    std::string text;
+    for (const sim::RunPoint &point :
+         {host("xen-intel/tcp/domkill",
+               SystemConfig::xenIntel(2).transport(core::kTcp).withFaults(
+                   core::FaultPlan{}.killingDriverDomain(30))),
+          host("xen-rice", SystemConfig::xenRice(2)),
+          host("cdna/g40/nics1", SystemConfig::cdna(40).withNics(1)),
+          host("swpt/rx", SystemConfig::swPassthrough(2).receive())})
+        text += "# " + point.cell + "\n" +
+                countersOf(sim::ExperimentSpec("host"), point);
+    for (auto [preset, cell] :
+         {std::pair{"latency", "cdna/load10k/healthy"},
+          std::pair{"iommu", "perdevice"},
+          std::pair{"noisy-neighbor", "cdna/noisy"}}) {
+        auto spec = sim::presets::byName(preset);
+        ASSERT_TRUE(spec) << preset;
+        for (sim::RunPoint point : spec->expand()) {
+            if (point.cell != cell || point.seed != 1)
+                continue;
+            point.warmup = std::min(point.warmup, sim::milliseconds(20));
+            point.measure = std::min(point.measure, sim::milliseconds(40));
+            text += "# " + std::string(preset) + " " + cell + "\n" +
+                    countersOf(*spec, point);
+        }
+    }
+    std::string golden = readGolden("counters.txt");
+    ASSERT_FALSE(golden.empty());
+    if (text != golden) {
+        std::string path = testing::TempDir() + "counters.txt";
+        std::ofstream(path) << text;
+        ADD_FAILURE() << "counters differ from tests/golden/counters.txt; "
+                         "measured text in "
+                      << path;
     }
 }
 

@@ -91,13 +91,13 @@ TEST(Switch, FifoOrderingPerPortPair)
     sw.setRoute(mb, 1);
     for (std::uint64_t i = 1; i <= 8; ++i) {
         Packet p = frame(MacAddr::fromId(1), mb);
-        p.id = i;
+        p.flowId = i;
         pa.send(std::move(p));
     }
     ctx.events().run();
     ASSERT_EQ(b.got.size(), 8u);
     for (std::uint64_t i = 0; i < 8; ++i)
-        EXPECT_EQ(b.got[i].id, i + 1);
+        EXPECT_EQ(b.got[i].flowId, i + 1);
 }
 
 TEST(Switch, StoreAndForwardLatency)

@@ -41,33 +41,37 @@ using namespace cdna;
 
 namespace {
 
-constexpr const char *kUsage =
-    "usage: cdna_sweep --preset NAME [options]\n"
-    "\n"
-    "presets:\n"
-    "  --preset NAME       experiment preset to expand and run; 'paper'\n"
-    "                      runs tables 1-4 and figures 3-4 in sequence\n"
-    "  --list              print the available presets and exit\n"
-    "\n"
-    "execution (never affects results):\n"
-    "  -j N, -jN, --jobs N worker threads (default: hardware threads)\n"
-    "  --seeds N           run each cell with seeds 1..N (default 1)\n"
-    "  --out FILE          write the sweep JSON document to FILE\n"
-    "                      ('paper' appends the preset name per file)\n"
-    "  --quiet             suppress per-run progress lines\n"
-    "  --help              this text\n"
-    "\n"
-    "observability (one run of one preset; its JSON is unchanged):\n"
-    "  --trace FILE        write a Chrome trace-event JSON file\n"
-    "  --trace-filter S    only trace lanes containing one of the\n"
-    "                      comma-separated substrings\n"
-    "  --stats-json FILE   dump every component's stats as JSON\n"
-    "  --sample-period US  sample gauges every US microseconds\n"
-    "  --observe CELL      observe the first run whose cell contains\n"
-    "                      CELL (default: the preset's first cell)\n"
-    "\n"
-    "stdout gets each preset's table: one row per cell, then the\n"
-    "paper's published values against their bands.\n";
+/** Usage text; the observability lines come from the core CLI's rows. */
+std::string
+usage()
+{
+    std::string out =
+        "usage: cdna_sweep --preset NAME [options]\n"
+        "\n"
+        "presets:\n"
+        "  --preset NAME       experiment preset to expand and run; 'paper'\n"
+        "                      runs tables 1-4 and figures 3-4 in sequence\n"
+        "  --list              print the available presets and exit\n"
+        "\n"
+        "execution (never affects results):\n"
+        "  -j N, -jN, --jobs N worker threads (default: hardware threads)\n"
+        "  --seeds N           run each cell with seeds 1..N (default 1)\n"
+        "  --out FILE          write the sweep JSON document to FILE\n"
+        "                      ('paper' appends the preset name per file)\n"
+        "  --quiet             suppress per-run progress lines\n"
+        "  --help              this text\n"
+        "\n"
+        "observability (one run of one preset; its JSON is unchanged):\n";
+    for (const core::CliOptionSpec &s : core::cliOptionTable())
+        if (s.group == "observability")
+            out += core::cliOptionUsage(s);
+    out += "  --observe CELL      observe the first run whose cell contains\n"
+           "                      CELL (default: the preset's first cell)\n"
+           "\n"
+           "stdout gets each preset's table: one row per cell, then the\n"
+           "paper's published values against their bands.\n";
+    return out;
+}
 
 struct Args
 {
@@ -231,7 +235,7 @@ main(int argc, char **argv)
         };
 
         if (a == "--help" || a == "-h") {
-            std::printf("%s", kUsage);
+            std::printf("%s", usage().c_str());
             return 0;
         } else if (a == "--list") {
             for (const auto &[name, make] : sim::presets::all()) {
@@ -275,14 +279,14 @@ main(int argc, char **argv)
             }
         } else {
             std::fprintf(stderr, "cdna_sweep: unknown option %s\n%s",
-                         a.c_str(), kUsage);
+                         a.c_str(), usage().c_str());
             return 1;
         }
     }
 
     if (args.presets.empty()) {
         std::fprintf(stderr, "cdna_sweep: --preset is required\n%s",
-                     kUsage);
+                     usage().c_str());
         return 1;
     }
     if (!obsArgs.empty() || args.observe) {
@@ -293,14 +297,13 @@ main(int argc, char **argv)
             return 1;
         }
         args.obs = *parsed;
-        if (!args.observing()) {
-            std::fprintf(stderr,
-                         "cdna_sweep: --observe, --trace-filter and "
-                         "--sample-period write nothing without --trace "
-                         "or --stats-json\n");
+        if (args.observe && !args.observing()) {
+            std::fprintf(stderr, "cdna_sweep: --observe would write "
+                                 "nothing without --trace or "
+                                 "--stats-json\n");
             return 1;
         }
-        if (args.presets.size() > 1) {
+        if (args.observing() && args.presets.size() > 1) {
             std::fprintf(stderr, "cdna_sweep: --trace and --stats-json "
                                  "observe one run of one preset\n");
             return 1;
