@@ -43,8 +43,7 @@ CdnaNic::CdnaNic(sim::SimContext &ctx, std::string name, mem::PciBus &bus,
       params_(params),
       fw_(ctx, this->name() + ".fw"),
       txBuf_(kTxBufferBytes),
-      rxBuf_(kRxBufferBytes),
-      contexts_(std::max(params.numContexts, params.virtualContexts))
+      rxBuf_(kRxBufferBytes)
 {
     SIM_ASSERT(params.numContexts >= 1 &&
                    params.numContexts <= nic::kMaxContexts,
@@ -103,30 +102,31 @@ CdnaNic::cxt(ContextId id) const
     return contexts_[id];
 }
 
-std::optional<CdnaNic::ContextId>
+CdnaNic::ContextId
 CdnaNic::allocContext(mem::DomainId dom, net::MacAddr mac)
 {
-    for (ContextId i = 0; i < contexts_.size(); ++i) {
-        if (!contexts_[i].allocated) {
-            contexts_[i] = Context{};
-            Context &c = contexts_[i];
-            c.allocated = true;
-            c.dom = dom;
-            c.mac = mac;
-            macMap_.set(mac, i);
-            // Claim a physical slot if one is free; otherwise the
-            // context starts paged out (oversubscription) and the pager
-            // restores it on its first doorbell.
-            int slot = findFreeSlot();
-            if (slot >= 0)
-                claimSlot(i, static_cast<std::uint32_t>(slot));
-            else
-                c.resident = false;
-            touchActivity(c);
-            return i;
-        }
-    }
-    return std::nullopt;
+    ContextId id = 0;
+    while (id < contexts_.size() && contexts_[id].allocated)
+        ++id;
+    if (id == contexts_.size())
+        contexts_.emplace_back(); // may move every Context: none is held
+    else
+        contexts_[id] = Context{};
+    Context &c = contexts_[id];
+    c.allocated = true;
+    c.dom = dom;
+    c.mac = mac;
+    macMap_.set(mac, id);
+    // Claim a physical slot if one is free; otherwise the context
+    // starts paged out (oversubscription) and the pager restores it on
+    // its first doorbell.
+    int slot = findFreeSlot();
+    if (slot >= 0)
+        claimSlot(id, static_cast<std::uint32_t>(slot));
+    else
+        c.resident = false;
+    touchActivity(c);
+    return id;
 }
 
 void

@@ -58,15 +58,6 @@ struct CdnaNicParams
      * from aliasing the expected one.
      */
     std::uint64_t seqnoModulus = 0;
-    /**
-     * Virtual contexts the hypervisor may allocate on top of the
-     * numContexts physical SRAM slots (0 disables oversubscription and
-     * keeps the NIC bit-identical to the fixed-slot device).  When more
-     * virtual contexts are allocated than physical slots exist, the
-     * surplus are held paged out in hypervisor memory; a doorbell to a
-     * paged-out context traps to the hypervisor's context pager.
-     */
-    std::uint32_t virtualContexts = 0;
 };
 
 class CdnaNic : public nic::NicBase
@@ -94,11 +85,14 @@ class CdnaNic : public nic::NicBase
 
     // ---- hypervisor-facing management (the privileged context) ----------
     /**
-     * Allocate a hardware context to @p dom with MAC @p mac.
-     * @return the context id, or no value if all contexts are in use
+     * Allocate a context to @p dom with MAC @p mac: the lowest free
+     * entry of the context table, which grows when none is free, so
+     * no allocated context's id ever moves.  The context claims a free
+     * physical slot; with none left (more contexts than the
+     * numContexts SRAM slots) it starts paged out in hypervisor memory,
+     * and its first doorbell traps to the context pager.
      */
-    std::optional<ContextId> allocContext(mem::DomainId dom,
-                                          net::MacAddr mac);
+    ContextId allocContext(mem::DomainId dom, net::MacAddr mac);
 
     /** Shut down all pending operations of @p cxt and free it (§3.1). */
     void revokeContext(ContextId cxt);
@@ -259,6 +253,13 @@ class CdnaNic : public nic::NicBase
     nic::DescRing &rxRing(ContextId cxt) { return ring(cxt, false); }
 
     const CdnaNicParams &params() const { return params_; }
+
+    /** Entries of the context table, allocated or free. */
+    std::uint32_t
+    contextTableSize() const
+    {
+        return static_cast<std::uint32_t>(contexts_.size());
+    }
 
     /** Frames transmitted from stale/ghost descriptors (protection off
      *  demonstrations). */

@@ -278,11 +278,14 @@ finalize(ParseState st, std::string *error)
     st.opt.warmup = sim::milliseconds(static_cast<double>(st.warmupMs));
     st.opt.measure = sim::seconds(st.seconds);
     st.opt.samplePeriod = sim::microseconds(st.sampleUs);
-    // Both act only on what --trace or --stats-json writes.
-    if ((st.opt.samplePeriod > 0 || !st.opt.traceFilter.empty()) &&
-        st.opt.traceFile.empty() && st.opt.statsJsonFile.empty())
-        return fail("--trace-filter and --sample-period write nothing "
-                    "without --trace or --stats-json");
+    // Sampled series land in --trace and --stats-json; a filter picks
+    // trace lanes, which only the trace has.
+    if (st.opt.samplePeriod > 0 && st.opt.traceFile.empty() &&
+        st.opt.statsJsonFile.empty())
+        return fail("--sample-period would write nothing without --trace "
+                    "or --stats-json");
+    if (!st.opt.traceFilter.empty() && st.opt.traceFile.empty())
+        return fail("--trace-filter would write nothing without --trace");
     return std::move(st.opt);
 }
 

@@ -3,17 +3,16 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/cost_model.hh"
 #include "sim/assert.hh"
 
 namespace cdna::core {
 
 ContextPager::ContextPager(sim::SimContext &ctx, std::string name,
-                           vmm::Hypervisor &hv, CdnaNic &nic,
-                           const CostModel &costs)
+                           vmm::Hypervisor &hv, CdnaNic &nic)
     : sim::SimObject(ctx, std::move(name)),
       hv_(hv),
-      nic_(nic),
-      costs_(costs)
+      nic_(nic)
 {
 }
 
@@ -29,7 +28,7 @@ ContextPager::onTrap(CdnaNic::ContextId target)
             pending_.end())
         return;
     pending_.push_back(target);
-    hv_.contextTrap(costs_.cxtPageTrap, [this] { pump(); });
+    hv_.contextTrap(CostModel::cxtPageTrap, [this] { pump(); });
 }
 
 void
@@ -55,9 +54,7 @@ ContextPager::pickVictim() const
 {
     std::optional<CdnaNic::ContextId> best;
     sim::Time bestActive = 0;
-    std::uint32_t n = std::max(nic_.params().numContexts,
-                               nic_.params().virtualContexts);
-    for (CdnaNic::ContextId id = 0; id < n; ++id) {
+    for (CdnaNic::ContextId id = 0; id < nic_.contextTableSize(); ++id) {
         if (!nic_.contextAllocated(id) || !nic_.contextResident(id))
             continue;
         // Strictly older wins, so ties keep the lowest id.
@@ -83,7 +80,7 @@ ContextPager::beginSwitch(CdnaNic::ContextId target)
     nic_.pageOutContext(*victim, [this, victim = *victim, target] {
         // Quiesce drained; charge the quiesce epoch plus the save DMA
         // that copies the victim's SRAM image out to host memory.
-        events().schedule(costs_.cxtQuiesce + costs_.cxtSaveDma,
+        events().schedule(CostModel::cxtQuiesce + CostModel::cxtSaveDma,
                           [this, victim, target] {
             if (evictedHook_)
                 evictedHook_(victim);
@@ -95,7 +92,7 @@ ContextPager::beginSwitch(CdnaNic::ContextId target)
 void
 ContextPager::restore(CdnaNic::ContextId target)
 {
-    events().schedule(costs_.cxtRestoreDma, [this, target] {
+    events().schedule(CostModel::cxtRestoreDma, [this, target] {
         // The target can have been revoked while the DMA was in
         // flight; the slot simply stays free for the next fault.
         if (nic_.contextAllocated(target) &&

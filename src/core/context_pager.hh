@@ -33,7 +33,6 @@
 #include <optional>
 
 #include "core/cdna_nic.hh"
-#include "core/cost_model.hh"
 #include "vmm/hypervisor.hh"
 
 namespace cdna::core {
@@ -42,7 +41,7 @@ class ContextPager : public sim::SimObject
 {
   public:
     ContextPager(sim::SimContext &ctx, std::string name,
-                 vmm::Hypervisor &hv, CdnaNic &nic, const CostModel &costs);
+                 vmm::Hypervisor &hv, CdnaNic &nic);
 
     /** Doorbell trap on paged-out @p cxt (wire to the NIC's handler). */
     void onTrap(CdnaNic::ContextId cxt);
@@ -73,7 +72,6 @@ class ContextPager : public sim::SimObject
 
     vmm::Hypervisor &hv_;
     CdnaNic &nic_;
-    const CostModel &costs_;
     std::function<void(CdnaNic::ContextId)> evictedHook_;
 
     std::deque<CdnaNic::ContextId> pending_;

@@ -7,6 +7,15 @@
  * land near the paper's measurements (Tables 1-4) and the guest sweeps
  * reproduce Figures 3-4; EXPERIMENTS.md records measured-vs-paper.
  *
+ * The calibration describes one fixed testbed, so every value is a
+ * static constexpr member except the six an ablation varies: the CDNA
+ * transmit coalescing window (the coalesce preset), the four
+ * protection costs and the hypercall overhead in hv (the protection
+ * preset).  Reading any value through an instance still compiles
+ * (cfg.costs.irqEntry); components that only read fixed values name
+ * them as CostModel::x and hold no CostModel.  Varying another cost
+ * means making it an instance member and setting it from a preset.
+ *
  * Calibration sources and caveats:
  *  - TCP acknowledgments ARE simulated as real reverse-path frames
  *    (the peer ACKs every ackPerFrames data frames; guests generate
@@ -31,84 +40,85 @@ namespace cdna::core {
 
 using sim::Time;
 
-/** All calibrated software-path costs. */
+/** All calibrated software-path costs; six are settable per run. */
 struct CostModel
 {
     // ---- application (user mode) --------------------------------------
     /** Per 64 KB socket write (syscall + buffer handling). */
-    Time appPerWrite = sim::microseconds(2.0);
+    static constexpr Time appPerWrite = sim::microseconds(2.0);
     /** Per 64 KB of received data consumed by the application. */
-    Time appPerRead = sim::microseconds(1.8);
+    static constexpr Time appPerRead = sim::microseconds(1.8);
     /** Per payload byte touched in user mode (single reused buffer). */
-    double appPerByteNs = 0.004;
+    static constexpr double appPerByteNs = 0.004;
 
     // ---- kernel network stack (OS mode) --------------------------------
     /** Per TSO segment or frame pushed through the TX stack. */
-    Time stackTxPerPacket = sim::nanoseconds(550);
+    static constexpr Time stackTxPerPacket = sim::nanoseconds(550);
     /** Per TX payload byte (user copy; checksum offloaded). */
-    double stackTxPerByteNs = 0.22;
+    static constexpr double stackTxPerByteNs = 0.22;
     /** Per frame delivered up the RX stack. */
-    Time stackRxPerPacket = sim::microseconds(1.15);
+    static constexpr Time stackRxPerPacket = sim::microseconds(1.15);
     /** Per RX payload byte (copy to user). */
-    double stackRxPerByteNs = 0.40;
+    static constexpr double stackRxPerByteNs = 0.40;
     /** Processing an incoming TCP ACK (window update, skb free). */
-    Time stackAckRxCost = sim::nanoseconds(300);
+    static constexpr Time stackAckRxCost = sim::nanoseconds(300);
     /** Generating an outgoing TCP ACK. */
-    Time stackAckTxCost = sim::nanoseconds(450);
-    /** Send one ACK per this many received data frames (0 disables). */
-    std::uint32_t ackPerFrames = 2;
+    static constexpr Time stackAckTxCost = sim::nanoseconds(450);
+    /** Send one ACK per this many received data frames. */
+    static constexpr std::uint32_t ackPerFrames = 2;
 
     // ---- native NIC driver (driver domain or native Linux) -------------
-    Time drvTxPerPacket = sim::nanoseconds(800);
-    Time drvTxCompletion = sim::nanoseconds(400);
-    Time drvRxPerPacket = sim::nanoseconds(1200);
-    Time drvPioWrite = sim::nanoseconds(400);
+    static constexpr Time drvTxPerPacket = sim::nanoseconds(800);
+    static constexpr Time drvTxCompletion = sim::nanoseconds(400);
+    static constexpr Time drvRxPerPacket = sim::nanoseconds(1200);
+    static constexpr Time drvPioWrite = sim::nanoseconds(400);
     /** Fixed handler cost per interrupt taken (beyond upcall entry). */
-    Time drvIrqHandler = sim::nanoseconds(1000);
+    static constexpr Time drvIrqHandler = sim::nanoseconds(1000);
     /** Upcall/IRQ entry cost charged to the interrupted OS. */
-    Time irqEntry = sim::nanoseconds(900);
+    static constexpr Time irqEntry = sim::nanoseconds(900);
 
     // ---- Xen paravirtual path (frontend / backend / bridge) ------------
     // Xen's paravirtual costs are dominantly per-byte/per-page (grant
     // machinery scales with the data spanned), which is why the paper's
     // TSO (Intel) and non-TSO (RiceNIC) rows land so close together.
     /** Frontend per TX packet: build request, issue grant (guest side). */
-    Time feTxPerPacket = sim::nanoseconds(200);
+    static constexpr Time feTxPerPacket = sim::nanoseconds(200);
     /** Frontend per TX payload byte (grant/page handling). */
-    double feTxPerByteNs = 1.35;
+    static constexpr double feTxPerByteNs = 1.35;
     /** Frontend per TX response processed. */
-    Time feTxCompletion = sim::nanoseconds(150);
+    static constexpr Time feTxCompletion = sim::nanoseconds(150);
     /** Frontend per RX packet: consume response, re-post buffer. */
-    Time feRxPerPacket = sim::nanoseconds(1000);
+    static constexpr Time feRxPerPacket = sim::nanoseconds(1000);
     /** Backend per TX packet (map, build skb, hand to bridge). */
-    Time beTxPerPacket = sim::nanoseconds(200);
+    static constexpr Time beTxPerPacket = sim::nanoseconds(200);
     /** Backend per TX payload byte (map/copy machinery). */
-    double beTxPerByteNs = 0.60;
+    static constexpr double beTxPerByteNs = 0.60;
     /** Backend per RX packet (flip bookkeeping, push response). */
-    Time beRxPerPacket = sim::nanoseconds(1700);
+    static constexpr Time beRxPerPacket = sim::nanoseconds(1700);
     /** Backend per RX payload byte. */
-    double beRxPerByteNs = 0.80;
+    static constexpr double beRxPerByteNs = 0.80;
     /**
      * Copy-mode netback (the mechanism that later replaced page
      * flipping in Xen): per-byte memcpy cost of moving a received
      * frame into the guest's posted page.
      */
-    double beRxCopyPerByteNs = 0.45;
+    static constexpr double beRxCopyPerByteNs = 0.45;
     /** Backend per TX completion (push response, free state). */
-    Time beTxCompletion = sim::nanoseconds(100);
+    static constexpr Time beTxCompletion = sim::nanoseconds(100);
     /** Bridge forwarding decision per packet. */
-    Time bridgePerPacket = sim::nanoseconds(400);
+    static constexpr Time bridgePerPacket = sim::nanoseconds(400);
     /** Fixed cost per backend/driver-domain wakeup (scan vifs etc.). */
-    Time backendPerWake = sim::microseconds(1.6);
+    static constexpr Time backendPerWake = sim::microseconds(1.6);
 
     // ---- CDNA guest driver ----------------------------------------------
     /** Virtual-to-physical translation library, per page (section 3.4). */
-    Time cdnaTranslatePerPage = sim::nanoseconds(150);
-    Time cdnaDrvTxPerPacket = sim::nanoseconds(450);
-    Time cdnaDrvRxPerPacket = sim::nanoseconds(400);
-    Time cdnaDrvCompletion = sim::nanoseconds(150);
+    static constexpr Time cdnaTranslatePerPage = sim::nanoseconds(150);
+    static constexpr Time cdnaDrvTxPerPacket = sim::nanoseconds(450);
+    static constexpr Time cdnaDrvRxPerPacket = sim::nanoseconds(400);
+    static constexpr Time cdnaDrvCompletion = sim::nanoseconds(150);
 
     // ---- hypervisor DMA memory protection (section 3.3) ----------------
+    // Settable: the protection preset zeroes each in turn.
     /** Validate that the caller owns one referenced page. */
     Time protValidatePerPage = sim::nanoseconds(100);
     /** Increment the page reference count (pin). */
@@ -124,7 +134,7 @@ struct CostModel
      * is ready to accept frontend reconnections (kernel boot + netback
      * init, compressed to simulation scale).
      */
-    Time driverDomainReboot = sim::milliseconds(10.0);
+    static constexpr Time driverDomainReboot = sim::milliseconds(10.0);
     /**
      * Bound on how long the NIC DMA engine may keep referencing pages
      * that were granted to the crashed domain; revoked grant pages stay
@@ -134,29 +144,29 @@ struct CostModel
      * it stays well below the driver-domain reboot cost so pages are
      * reusable before the restarted backend allocates.
      */
-    Time dmaQuarantineDrain = sim::microseconds(500.0);
+    static constexpr Time dmaQuarantineDrain = sim::microseconds(500.0);
     /** Frontend watchdog period for detecting a dead backend. */
-    Time feWatchdogPeriod = sim::milliseconds(1.0);
+    static constexpr Time feWatchdogPeriod = sim::milliseconds(1.0);
     /** First reconnect retry delay; doubles per failed attempt. */
-    Time feReconnectBackoffBase = sim::milliseconds(1.0);
+    static constexpr Time feReconnectBackoffBase = sim::milliseconds(1.0);
     /** Reconnect backoff ceiling. */
-    Time feReconnectBackoffMax = sim::milliseconds(8.0);
+    static constexpr Time feReconnectBackoffMax = sim::milliseconds(8.0);
     /** Guest CPU cost of renegotiating rings/grants on reconnect. */
-    Time feReconnectCost = sim::microseconds(15);
+    static constexpr Time feReconnectCost = sim::microseconds(15);
     /** NIC firmware reboot downtime (--reboot-firmware). */
-    Time firmwareReboot = sim::milliseconds(2.0);
+    static constexpr Time firmwareReboot = sim::milliseconds(2.0);
     /** Firmware cost to reconcile one context after a reboot. */
-    Time fwRebootReconcilePerContext = sim::microseconds(2.0);
+    static constexpr Time fwRebootReconcilePerContext = sim::microseconds(2.0);
 
     // ---- virtual-context oversubscription -------------------------------
     /** Hypervisor entry/decode for a doorbell to a paged-out context. */
-    Time cxtPageTrap = sim::microseconds(1.2);
+    static constexpr Time cxtPageTrap = sim::microseconds(1.2);
     /** Quiesce epoch for the eviction victim (drain in-flight ops). */
-    Time cxtQuiesce = sim::microseconds(3.0);
+    static constexpr Time cxtQuiesce = sim::microseconds(3.0);
     /** DMA the victim's 4 KB SRAM context image out to host memory. */
-    Time cxtSaveDma = sim::microseconds(4.0);
+    static constexpr Time cxtSaveDma = sim::microseconds(4.0);
     /** DMA the saved image back into the freed physical slot. */
-    Time cxtRestoreDma = sim::microseconds(4.0);
+    static constexpr Time cxtRestoreDma = sim::microseconds(4.0);
 
     // ---- software-only passthrough (Kedia & Bansal) ---------------------
     // Guests program real Intel-style descriptor rings; every doorbell
@@ -165,32 +175,35 @@ struct CostModel
     // trap / per descriptor so batching (many descriptors per doorbell)
     // amortizes the trap exactly as in the paper this models.
     /** VM exit + decode + re-entry for one trapped doorbell PIO. */
-    Time swptDoorbellTrap = sim::microseconds(1.0);
+    static constexpr Time swptDoorbellTrap = sim::microseconds(1.0);
     /** Audit one descriptor against the grant table / page owners. */
-    Time swptValidatePerDesc = sim::nanoseconds(250);
+    static constexpr Time swptValidatePerDesc = sim::nanoseconds(250);
     /** Copy one validated descriptor into the hypervisor shadow ring. */
-    Time swptShadowCopyPerDesc = sim::nanoseconds(120);
+    static constexpr Time swptShadowCopyPerDesc = sim::nanoseconds(120);
     /** Per-byte software demux copy of a received frame into the
      *  destination guest's posted buffer (same mechanism class as
      *  copy-mode netback, minus the bridge/vif machinery). */
-    double swptRxCopyPerByteNs = 0.45;
+    static constexpr double swptRxCopyPerByteNs = 0.45;
 
     // ---- background OS load ---------------------------------------------
     /** Periodic timer tick cost per domain. */
-    Time timerTickCost = sim::microseconds(4.0);
+    static constexpr Time timerTickCost = sim::microseconds(4.0);
     /** Timer tick frequency per domain (Hz). */
-    int timerHz = 100;
+    static constexpr int timerHz = 100;
 
     // ---- hypervisor + scheduler ------------------------------------------
+    /** Settable hypercallOverhead (the protection preset); the rest fixed. */
     vmm::HvParams hv{};
-    cpu::CpuParams cpuParams{};
+    static constexpr cpu::CpuParams cpuParams{};
 
     // ---- NIC coalescing ----------------------------------------------------
-    nic::CoalesceParams intelCoalesce{sim::microseconds(120), 48};
+    static constexpr nic::CoalesceParams intelCoalesce{
+        sim::microseconds(120), 48};
     /** CDNA bit-vector windows (tuned per direction, as the paper tuned
-     *  "NIC coalescing options" per experiment). */
+     *  "NIC coalescing options" per experiment); the coalesce preset
+     *  sweeps the transmit window. */
     Time cdnaCoalesce = sim::microseconds(145);
-    Time cdnaCoalesceRx = sim::microseconds(268);
+    static constexpr Time cdnaCoalesceRx = sim::microseconds(268);
 
     // ---- switch fabric (multi-host topologies) --------------------------
     /**
@@ -199,10 +212,10 @@ struct CostModel
      * top-of-rack switch forwards a learned unicast in a few
      * microseconds.
      */
-    Time switchForwardLatency = sim::microseconds(4.0);
+    static constexpr Time switchForwardLatency = sim::microseconds(4.0);
     /** Per-egress-port packet buffer (wire bytes); ~85 full frames,
      *  modeled after the shallow shared-memory switches of the era. */
-    std::uint64_t switchBufBytesPerPort = 128 * 1024;
+    static constexpr std::uint64_t switchBufBytesPerPort = 128 * 1024;
 };
 
 } // namespace cdna::core

@@ -140,7 +140,7 @@ System::buildCommon()
     mem_ = std::make_unique<mem::PhysMemory>(ctx_, nm("phys-mem"),
                                              256 * 1024); // 1 GB
     cpu_ = std::make_unique<cpu::SimCpu>(ctx_, nm("cpu0"),
-                                         cfg_.costs.cpuParams,
+                                         CostModel::cpuParams,
                                          nm("hypervisor"));
     hv_ = std::make_unique<vmm::Hypervisor>(ctx_, *cpu_, *mem_,
                                             cfg_.costs.hv, prefix_);
@@ -167,7 +167,7 @@ System::buildCommon()
             peers_.push_back(std::make_unique<net::TrafficPeer>(
                 ctx_, nm("peer" + suffix), *links_.back()));
             net::workload::WorkloadSpec knobs;
-            knobs.ackingEvery(cfg_.costs.ackPerFrames);
+            knobs.ackingEvery(CostModel::ackPerFrames);
             if (cfg_.transportKind == TransportKind::kTcp)
                 knobs.overTcp(cfg_.tcpParams);
             peers_.back()->applyWorkload(knobs);
@@ -176,7 +176,7 @@ System::buildCommon()
         if (intel) {
             intelNics_.push_back(std::make_unique<nic::IntelNic>(
                 ctx_, nm("intel" + suffix), *buses_.back(), *mem_, i,
-                *fab, cfg_.costs.intelCoalesce));
+                *fab, CostModel::intelCoalesce));
             nicPorts_.push_back(&intelNics_.back()->port());
             if (iommu_)
                 intelNics_.back()->dma().setIommu(iommu_.get());
@@ -184,22 +184,15 @@ System::buildCommon()
             CdnaNicParams params;
             params.numContexts = cfg_.cdnaContexts;
             params.coalesce = cfg_.transmitDir ? cfg_.costs.cdnaCoalesce
-                                               : cfg_.costs.cdnaCoalesceRx;
+                                               : CostModel::cdnaCoalesceRx;
             params.seqnoCheck = cfg_.dmaProtection;
-            // One virtual context per guest, paged over the physical
-            // slots on demand.
-            if (pagesContexts(cfg_))
-                params.virtualContexts = cfg_.numGuests;
             cdnaNics_.push_back(std::make_unique<CdnaNic>(
                 ctx_, nm("cdna" + suffix), *buses_.back(), *mem_, i,
                 *fab, params));
             nicPorts_.push_back(&cdnaNics_.back()->port());
             if (iommu_)
                 cdnaNics_.back()->dma().setIommu(iommu_.get());
-            cxtChannels_.emplace_back(
-                std::max<std::size_t>(nic::kMaxContexts,
-                                      params.virtualContexts),
-                nullptr);
+            cxtChannels_.emplace_back();
         }
     }
 }
@@ -309,8 +302,7 @@ System::wireCdnaIsr(std::uint32_t i)
                     auto owner = cdnaNics_[i]->contextAtSlot(b);
                     if (!owner)
                         continue;
-                    vmm::EventChannel *ch = cxtChannels_[i][*owner];
-                    if (ch)
+                    if (vmm::EventChannel *ch = cxtChannel(i, *owner))
                         hv_->deliverVirtIrq(*ch);
                 }
             }
@@ -330,8 +322,7 @@ System::buildNative()
     for (std::uint32_t i = 0; i < cfg_.numNics; ++i) {
         nativeDrivers_.push_back(std::make_unique<os::NativeDriver>(
             ctx_, nm("natdrv" + std::to_string(i)), native, *intelNics_[i],
-            cfg_.costs, os::NativeDriver::IrqRoute::kDirect,
-            guestMac(0, i)));
+            os::NativeDriver::IrqRoute::kDirect, guestMac(0, i)));
         nativeDrivers_.back()->attach();
         addGuestPort(native, *nativeDrivers_.back(), 0, i);
     }
@@ -343,31 +334,33 @@ System::attachCdnaContext(std::uint32_t i, vmm::Domain &dom,
                           std::unique_ptr<CdnaGuestDriver> &drv)
 {
     CdnaNic &nic = *cdnaNics_[i];
-    auto cxt = nic.allocContext(dom.id(), mac);
-    // Guests past the hardware contexts get virtual ones (buildCommon).
-    SIM_ASSERT(cxt.has_value(), "CDNA NIC out of contexts");
+    // Guests past the physical slots get contexts that start paged out.
+    CdnaNic::ContextId cxt = nic.allocContext(dom.id(), mac);
     mem::PageNum txp = mem_->allocOne(dom.id());
     mem::PageNum rxp = mem_->allocOne(dom.id());
     mem::PageNum stp = mem_->allocOne(dom.id());
-    nic.configureContextRings(*cxt, 256, mem::addrOf(txp), 256,
+    nic.configureContextRings(cxt, 256, mem::addrOf(txp), 256,
                               mem::addrOf(rxp));
-    nic.setStatusPage(*cxt, mem::addrOf(stp));
+    nic.setStatusPage(cxt, mem::addrOf(stp));
     if (drv)
-        drv->rebind(*cxt);
+        drv->rebind(cxt);
     else
-        drv = std::make_unique<CdnaGuestDriver>(ctx_, name, dom, nic, *cxt,
+        drv = std::make_unique<CdnaGuestDriver>(ctx_, name, dom, nic, cxt,
                                                 *prot_, cfg_.costs, mac);
     CdnaGuestDriver *d = drv.get();
-    cxtChannels_[i][*cxt] = &hv_->createChannel(dom, cfg_.costs.irqEntry,
-                                                [d] { d->handleIrq(); });
+    std::vector<vmm::EventChannel *> &channels = cxtChannels_[i];
+    if (channels.size() <= cxt)
+        channels.resize(cxt + 1, nullptr);
+    channels[cxt] = &hv_->createChannel(dom, CostModel::irqEntry,
+                                        [d] { d->handleIrq(); });
     d->attach();
     // Only a per-context IOMMU consults the binding.
     if (iommu_)
-        iommu_->bindContext(i, *cxt, dom.id());
+        iommu_->bindContext(i, cxt, dom.id());
     // dom0's context carries the bridge's traffic, so it must accept
     // frames for every guest MAC.
     if (&dom == driverDom_)
-        nic.setPromiscuousContext(*cxt);
+        nic.setPromiscuousContext(cxt);
     return *d;
 }
 
@@ -389,7 +382,7 @@ System::addGuestPort(vmm::Domain &guest, os::NetDevice &dev,
     std::string id = std::to_string(g) + "." + std::to_string(nic);
     guestDevs_.push_back(&dev);
     stacks_.push_back(std::make_unique<os::NetStack>(
-        ctx_, nm("stack" + id), guest, dev, cfg_.costs));
+        ctx_, nm("stack" + id), guest, dev));
     if (peers_[nic])
         stacks_.back()->setDefaultDst(peers_[nic]->mac());
     if (cfg_.transportKind == TransportKind::kTcp)
@@ -398,7 +391,7 @@ System::addGuestPort(vmm::Domain &guest, os::NetDevice &dev,
     ap.transmit = cfg_.transmitDir;
     ap.rpcServer = cfg_.workload.hasRpc();
     apps_.push_back(std::make_unique<workload::TrafficApp>(
-        ctx_, nm("app" + id), *stacks_.back(), cfg_.costs, ap));
+        ctx_, nm("app" + id), *stacks_.back(), ap));
 }
 
 void
@@ -410,8 +403,7 @@ System::buildXen()
         if (nic::IntelNic *inic = intelNic(i)) {
             nativeDrivers_.push_back(std::make_unique<os::NativeDriver>(
                 ctx_, nm("dom0drv" + suffix), *driverDom_, *inic,
-                cfg_.costs, os::NativeDriver::IrqRoute::kViaHypervisor,
-                driverMac(i)));
+                os::NativeDriver::IrqRoute::kViaHypervisor, driverMac(i)));
             nativeDrivers_.back()->attach();
             // The bridge needs frames destined to guest MACs.
             inic->setPromiscuous(true);
@@ -423,7 +415,7 @@ System::buildXen()
                                       drvDomCdnaDrivers_.emplace_back());
         }
         ddns_.push_back(std::make_unique<os::DriverDomainNet>(
-            ctx_, nm("ddn" + suffix), *driverDom_, *phys, cfg_.costs));
+            ctx_, nm("ddn" + suffix), *driverDom_, *phys));
         ddns_.back()->setRxCopyMode(cfg_.xenRxCopyMode);
 
         for (std::uint32_t g = 0; g < cfg_.numGuests; ++g) {
@@ -447,16 +439,14 @@ System::buildCdna()
         CdnaNic &nic = *cdnaNics_[i];
         if (pagesContexts(cfg_)) {
             pagers_.push_back(std::make_unique<ContextPager>(
-                ctx_, nm("pager" + std::to_string(i)), *hv_, nic,
-                cfg_.costs));
+                ctx_, nm("pager" + std::to_string(i)), *hv_, nic));
             ContextPager *pager = pagers_.back().get();
             nic.setPageFaultHandler(
                 [pager](CdnaNic::ContextId c) { pager->onTrap(c); });
             pager->setEvictedHook([this, i](CdnaNic::ContextId c) {
                 // Wake the evicted guest's driver so it collects the
                 // completion records that landed during the quiesce.
-                vmm::EventChannel *ch = cxtChannels_[i][c];
-                if (ch)
+                if (vmm::EventChannel *ch = cxtChannel(i, c))
                     hv_->deliverVirtIrq(*ch);
             });
         }
@@ -496,7 +486,7 @@ System::buildSwpt()
                 ctx_,
                 nm("swptdrv" + std::to_string(g) + "." +
                    std::to_string(i)),
-                guest, val, cfg_.costs, mac));
+                guest, val, mac));
             os::SwptDriver *drv = swptDrivers_.back().get();
             drv->attach();
             addGuestPort(guest, *drv, g, i);
@@ -521,7 +511,7 @@ System::startTimers()
     // from domain id 73 on, the phase passes the period, and a domain's
     // first tick falls after another domain's second.
     sim::EventQueue &eq = ctx_.events();
-    sim::Time period = sim::kSecond / cfg_.costs.timerHz;
+    sim::Time period = sim::kSecond / CostModel::timerHz;
     for (const auto &dom : hv_->domains()) {
         sim::Time phase = sim::microseconds(137.0) * dom->id();
         pendingTicks_.push({eq.now() + phase + period, eq.reserveSeq(),
@@ -547,8 +537,8 @@ System::fireTick()
     pendingTicks_.pop();
     // A killed domain's tick fires this once more, doing nothing.
     if (!domainTimerStopped_[d->id()]) {
-        d->vcpu().post(cpu::Bucket::kOs, cfg_.costs.timerTickCost);
-        sim::Time period = sim::kSecond / cfg_.costs.timerHz;
+        d->vcpu().post(cpu::Bucket::kOs, CostModel::timerTickCost);
+        sim::Time period = sim::kSecond / CostModel::timerHz;
         pendingTicks_.push({eq.now() + period, eq.reserveSeq(), d});
     }
     armTick();
@@ -832,10 +822,10 @@ System::killDriverDomain()
     // possibly in flight sit in quarantine until the drain delay
     // passes; only then do they return to the allocator.
     hv_->grants().revokeMappingsOf(driverDom_->id());
-    ctx_.events().schedule(cfg_.costs.dmaQuarantineDrain,
+    ctx_.events().schedule(CostModel::dmaQuarantineDrain,
                            [this] { hv_->grants().drainQuarantine(); });
 
-    ctx_.events().schedule(cfg_.costs.driverDomainReboot,
+    ctx_.events().schedule(CostModel::driverDomainReboot,
                            [this] { restartDriverDomain(); });
     return true;
 }
@@ -883,7 +873,7 @@ System::rebootNicFirmware(std::uint32_t nic)
             for (std::uint32_t g = 0; g < avail_->guests(); ++g)
                 avail_->noteOutageStart(g);
         val->resetNic();
-        ctx_.events().schedule(cfg_.costs.firmwareReboot, [this, val] {
+        ctx_.events().schedule(CostModel::firmwareReboot, [this, val] {
             val->reconcileAfterReset();
             if (avail_)
                 for (std::uint32_t g = 0; g < avail_->guests(); ++g)
@@ -894,12 +884,12 @@ System::rebootNicFirmware(std::uint32_t nic)
     if (avail_)
         for (std::uint32_t g = 0; g < avail_->guests(); ++g)
             avail_->noteOutageStart(g);
-    cdnaNics_[nic]->rebootFirmware(cfg_.costs.firmwareReboot,
-                                   cfg_.costs.fwRebootReconcilePerContext);
+    cdnaNics_[nic]->rebootFirmware(CostModel::firmwareReboot,
+                                   CostModel::fwRebootReconcilePerContext);
     if (avail_) {
         // Recovery point: the firmware is back up (context
         // reconciliation adds microseconds on top).
-        ctx_.events().schedule(cfg_.costs.firmwareReboot, [this] {
+        ctx_.events().schedule(CostModel::firmwareReboot, [this] {
             for (std::uint32_t g = 0; g < avail_->guests(); ++g)
                 avail_->noteRecovery(g);
         });

@@ -437,6 +437,14 @@ class System
     /** Detach @p drv and revoke its context on CDNA NIC @p nic. */
     void detachCdnaContext(std::uint32_t nic, CdnaGuestDriver &drv);
     void wireCdnaIsr(std::uint32_t nic_index);
+    /** The virtual-interrupt channel of context @p cxt on CDNA NIC
+     *  @p nic, or null when no guest driver is attached to it. */
+    vmm::EventChannel *cxtChannel(std::uint32_t nic,
+                                  CdnaNic::ContextId cxt) const
+    {
+        const std::vector<vmm::EventChannel *> &channels = cxtChannels_[nic];
+        return cxt < channels.size() ? channels[cxt] : nullptr;
+    }
     void startTimers();
     /** Arm the earliest pending timer tick as an event. */
     void armTick();
@@ -507,7 +515,8 @@ class System
     std::vector<std::unique_ptr<CdnaGuestDriver>> drvDomCdnaDrivers_;
     std::vector<std::unique_ptr<os::DriverDomainNet>> ddns_;
 
-    // CDNA NICs: per-NIC channel table indexed by (virtual) context id
+    // CDNA NICs: per-NIC channel table indexed by context id, grown as
+    // contexts attach
     std::vector<std::vector<vmm::EventChannel *>> cxtChannels_;
     // Per-NIC context pagers (only when guests outnumber contexts).
     std::vector<std::unique_ptr<ContextPager>> pagers_;

@@ -5,19 +5,21 @@
 
 namespace cdna::mem {
 
-PciBus::PciBus(sim::SimContext &ctx, std::string name, double bytes_per_sec,
-               sim::Time setup)
-    : sim::SimObject(ctx, std::move(name)),
-      psPerByte_(static_cast<double>(sim::kSecond) / bytes_per_sec),
-      setup_(setup)
+namespace {
+
+/** Bus time one transaction of @p bytes occupies. */
+sim::Time
+costOf(std::uint64_t bytes)
 {
+    return kPciSetup +
+           static_cast<sim::Time>(kPciPsPerByte * static_cast<double>(bytes));
 }
 
-sim::Time
-PciBus::costOf(std::uint64_t bytes) const
+} // namespace
+
+PciBus::PciBus(sim::SimContext &ctx, std::string name)
+    : sim::SimObject(ctx, std::move(name))
 {
-    return setup_ + static_cast<sim::Time>(psPerByte_
-                                           * static_cast<double>(bytes));
 }
 
 sim::Time

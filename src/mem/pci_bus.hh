@@ -19,19 +19,17 @@
 
 namespace cdna::mem {
 
+/** Picoseconds per byte at the sustained 528 MB/s of PCI64/66. */
+inline constexpr double kPciPsPerByte =
+    static_cast<double>(sim::kSecond) / 528.0e6;
+/** Per-transaction arbitration/setup latency. */
+inline constexpr sim::Time kPciSetup = sim::nanoseconds(120);
+
 /** FIFO-arbitrated shared bus with fixed setup cost + per-byte cost. */
 class PciBus : public sim::SimObject
 {
   public:
-    /**
-     * @param ctx           simulation context
-     * @param name          component name
-     * @param bytes_per_sec sustained bandwidth (default 528 MB/s PCI64/66)
-     * @param setup         per-transaction arbitration/setup latency
-     */
-    PciBus(sim::SimContext &ctx, std::string name,
-           double bytes_per_sec = 528.0e6,
-           sim::Time setup = sim::nanoseconds(120));
+    PciBus(sim::SimContext &ctx, std::string name);
 
     /**
      * Enqueue a transfer of @p bytes; @p done fires when the last byte
@@ -50,10 +48,6 @@ class PciBus : public sim::SimObject
     double utilization(sim::Time elapsed) const;
 
   private:
-    sim::Time costOf(std::uint64_t bytes) const;
-
-    double psPerByte_;
-    sim::Time setup_;
     sim::Time busyUntil_ = 0;
     sim::Time busyAccum_ = 0;
 

@@ -9,18 +9,10 @@
 
 namespace cdna::net {
 
-Wire::Wire(double bits_per_sec, sim::Time propagation)
-    : psPerByte(static_cast<double>(sim::kSecond) * 8.0 / bits_per_sec),
-      propagation(propagation)
-{
-}
-
 void
-WirePort::attach(sim::SimObject &owner, const Wire &wire,
-                 std::uint32_t index)
+WirePort::attach(sim::SimObject &owner, std::uint32_t index)
 {
     owner_ = &owner;
-    wire_ = &wire;
     index_ = index;
     std::string p = "p";
     p += std::to_string(index);
@@ -51,7 +43,7 @@ WirePort::send(Packet pkt, sim::Time extra_gap,
     txPayload_.inc(pkt.payloadBytes);
 
     sim::Time start = std::max(owner_->now(), busyUntil_);
-    sim::Time end = start + wire_->serialize(pkt.wireBytes());
+    sim::Time end = start + wireTime(pkt.wireBytes());
     busyUntil_ = end + extra_gap;
 
     if (serialized) {
@@ -84,7 +76,7 @@ WirePort::send(Packet pkt, sim::Time extra_gap,
         dup = pkt;
         dup.duplicated = true;
     }
-    sim::Time arrival = end + wire_->propagation;
+    sim::Time arrival = end + kWirePropagation;
     queueArrival(arrival, std::move(pkt));
     if (fate == sim::FaultInjector::FrameFault::kDuplicate)
         // FIFO ties: arrives right behind the original.
@@ -140,13 +132,11 @@ WirePort::fireArrival()
     arrive(std::move(pkt));
 }
 
-EthLink::EthLink(sim::SimContext &ctx, std::string name, double bits_per_sec,
-                 sim::Time propagation)
-    : sim::SimObject(ctx, std::move(name)),
-      wire_(bits_per_sec, propagation)
+EthLink::EthLink(sim::SimContext &ctx, std::string name)
+    : sim::SimObject(ctx, std::move(name))
 {
     for (std::uint32_t i = 0; i < 2; ++i) {
-        ports_[i].attach(*this, wire_, i);
+        ports_[i].attach(*this, i);
         ports_[i].far = &ports_[1 - i];
     }
 }

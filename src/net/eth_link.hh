@@ -35,22 +35,20 @@
 
 namespace cdna::net {
 
-/** A fabric's cable: line rate and propagation. */
-struct Wire
+/** Picoseconds one byte occupies every fabric's cable: Gigabit
+ *  Ethernet, the paper's testbed links. */
+inline constexpr double kWirePsPerByte =
+    static_cast<double>(sim::kSecond) * 8.0 / 1.0e9;
+/** One-way propagation delay of every cable. */
+inline constexpr sim::Time kWirePropagation = sim::nanoseconds(500);
+
+/** Time @p wire_bytes occupy a cable at line rate. */
+constexpr sim::Time
+wireTime(std::uint64_t wire_bytes)
 {
-    Wire(double bits_per_sec, sim::Time propagation);
-
-    /** Time @p wire_bytes occupy the wire at line rate. */
-    sim::Time
-    serialize(std::uint64_t wire_bytes) const
-    {
-        return static_cast<sim::Time>(psPerByte *
-                                      static_cast<double>(wire_bytes));
-    }
-
-    double psPerByte;
-    sim::Time propagation;
-};
+    return static_cast<sim::Time>(kWirePsPerByte *
+                                  static_cast<double>(wire_bytes));
+}
 
 /**
  * One endpoint's wire into a fabric.  A send occupies the wire for
@@ -69,12 +67,10 @@ class WirePort : public Port
 {
   public:
     /**
-     * Become port @p index of @p owner, transmitting on @p wire.
-     * Registers p<index>_tx_frames, _tx_payload_bytes and
-     * _rx_payload_bytes on @p owner.
+     * Become port @p index of @p owner.  Registers p<index>_tx_frames,
+     * _tx_payload_bytes and _rx_payload_bytes on @p owner.
      */
-    void attach(sim::SimObject &owner, const Wire &wire,
-                std::uint32_t index);
+    void attach(sim::SimObject &owner, std::uint32_t index);
 
     /** Terminate this port at @p ep. */
     void connect(LinkEndpoint &ep) { ep_ = &ep; }
@@ -122,7 +118,6 @@ class WirePort : public Port
     void fireArrival();
 
     sim::SimObject *owner_ = nullptr;
-    const Wire *wire_ = nullptr;
     LinkEndpoint *ep_ = nullptr;
     sim::Time busyUntil_ = 0;
     sim::Counter txFrames_;
@@ -135,15 +130,7 @@ class WirePort : public Port
 class EthLink : public sim::SimObject, public Fabric
 {
   public:
-    /**
-     * @param ctx          simulation context
-     * @param name         component name
-     * @param bits_per_sec line rate (default Gigabit Ethernet)
-     * @param propagation  one-way propagation delay
-     */
-    EthLink(sim::SimContext &ctx, std::string name,
-            double bits_per_sec = 1.0e9,
-            sim::Time propagation = sim::nanoseconds(500));
+    EthLink(sim::SimContext &ctx, std::string name);
 
     /** Claim the next of the two ports (asserts on a third binder). */
     Port &bind(LinkEndpoint &ep) override;
@@ -160,7 +147,6 @@ class EthLink : public sim::SimObject, public Fabric
         void arrive(Packet pkt) override;
     };
 
-    Wire wire_;
     LinkPort ports_[2];
     std::uint32_t bound_ = 0;
 };

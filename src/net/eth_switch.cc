@@ -12,7 +12,6 @@ EthSwitch::EthSwitch(sim::SimContext &ctx, std::string name,
                      std::uint32_t num_ports, EthSwitchParams params)
     : sim::SimObject(ctx, std::move(name)),
       params_(params),
-      wire_(params.bitsPerSec, params.propagation),
       ports_(num_ports)
 {
     SIM_ASSERT(num_ports >= 2, "a switch needs at least two ports");
@@ -20,7 +19,7 @@ EthSwitch::EthSwitch(sim::SimContext &ctx, std::string name,
         std::string p = "p";
         p += std::to_string(i);
         ports_[i].sw = this;
-        ports_[i].attach(*this, wire_, i);
+        ports_[i].attach(*this, i);
         stats().add(p + "_egress_drops", ports_[i].drops);
         stats().add(p + "_egress_drop_bytes", ports_[i].dropBytes);
     }
@@ -92,8 +91,8 @@ EthSwitch::pumpEgress(SwitchPort &out)
         return;
     const QEntry &head = out.q.front();
     out.egressBusy = true;
-    sim::Time end = std::max(now(), head.readyAt) +
-                    wire_.serialize(head.wireBytes);
+    sim::Time end =
+        std::max(now(), head.readyAt) + wireTime(head.wireBytes);
     events().scheduleAt(end, [&out] { out.sw->finishEgress(out); });
 }
 
@@ -107,7 +106,7 @@ EthSwitch::finishEgress(SwitchPort &out)
     out.egressBusy = false;
     out.onWire.push_back(std::move(head.pkt));
     out.q.pop_front();
-    events().scheduleAt(now() + wire_.propagation, [&out] {
+    events().scheduleAt(now() + kWirePropagation, [&out] {
         Packet pkt = std::move(out.onWire.front());
         out.onWire.pop_front();
         out.deliver(std::move(pkt));

@@ -29,12 +29,9 @@
 
 namespace cdna::net {
 
+/** Every port runs at the cables' line rate and propagation (eth_link.hh). */
 struct EthSwitchParams
 {
-    /** Line rate of every port. */
-    double bitsPerSec = 1.0e9;
-    /** One-way propagation delay of each attached cable. */
-    sim::Time propagation = sim::nanoseconds(500);
     /** Lookup/enqueue latency before a frame may begin egress. */
     sim::Time forwardLatency = sim::microseconds(4);
     /** Per-port egress buffer in wire bytes (0 = unlimited). */
@@ -112,7 +109,6 @@ class EthSwitch : public sim::SimObject, public Fabric
     void finishEgress(SwitchPort &out);
 
     EthSwitchParams params_;
-    Wire wire_;
     std::vector<SwitchPort> ports_;
     std::uint32_t bound_ = 0;
     MacTable<std::uint32_t> routes_;

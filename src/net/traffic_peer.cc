@@ -43,8 +43,7 @@ TrafficPeer::applyWorkload(const workload::WorkloadSpec &spec)
     rpc_spec.seed = spec.seed;
     for (const auto &fc : spec.classes) {
         if (fc.kind == workload::FlowKind::kSaturating)
-            startSourceImpl(spec.targets,
-                            static_cast<std::uint32_t>(fc.sizeBytes));
+            startSourceImpl(spec.targets);
         else
             rpc_spec.classes.push_back(fc);
     }
@@ -114,13 +113,11 @@ TrafficPeer::receivedFrom(MacAddr src) const
 }
 
 void
-TrafficPeer::startSourceImpl(std::vector<MacAddr> dsts,
-                             std::uint32_t payload)
+TrafficPeer::startSourceImpl(std::vector<MacAddr> dsts)
 {
     dsts_.clear();
     for (MacAddr dst : dsts)
         dsts_.push_back(remoteIndex(dst));
-    payload_ = payload;
     rrIndex_ = 0;
     if (dsts_.empty())
         return;
@@ -186,7 +183,7 @@ TrafficPeer::sendNext()
         return;
     }
 
-    Packet pkt = frames_.data(dst->mac, payload_, 0, now());
+    Packet pkt = frames_.data(dst->mac, kMss, 0, now());
     dst->windowed = true;
     dst->sent += pkt.wireFrames();
     nTxFrames_.inc();

@@ -6,7 +6,7 @@
  * "could easily saturate two NICs both transmitting and receiving so
  * that it would never be the bottleneck".  TrafficPeer is the faithful
  * model of that role: an infinitely fast sink for transmit experiments
- * and a line-rate source (round-robin across the guests' MAC addresses)
+ * and a line-rate source of MSS frames (round-robin across the guests' MACs)
  * for receive experiments.  Its workload is one of the two shapes a
  * WorkloadSpec holds: the saturating source runs here, and Poisson RPC
  * classes run on a WorkloadEngine bound to this peer's port.
@@ -119,7 +119,7 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
 
     void sendNext();
     void enableTcpImpl(const transport::TcpParams &params);
-    void startSourceImpl(std::vector<MacAddr> dsts, std::uint32_t payload);
+    void startSourceImpl(std::vector<MacAddr> dsts);
     /** Index of @p mac's record, made on first sight. */
     std::uint32_t remoteIndex(MacAddr mac);
     /** Count @p bytes of payload received from @p src. */
@@ -134,7 +134,6 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
     /** Round-robin destinations as indices into remotes_: a MAC listed
      *  twice shares one record, so one window. */
     std::vector<std::uint32_t> dsts_;
-    std::uint32_t payload_ = kMss;
     std::size_t rrIndex_ = 0;
     bool sourcing_ = false;
     bool sendInProgress_ = false;

@@ -11,7 +11,7 @@ namespace cdna::net::transport {
 // ---------------------------------------------------------------------------
 
 TcpSenderFlow::TcpSenderFlow(sim::SimContext &ctx, const TcpParams &params,
-                             std::function<void()> on_ready, Totals *totals)
+                             std::function<void()> on_ready, Totals &totals)
     : ctx_(ctx),
       p_(params),
       onReady_(std::move(on_ready)),
@@ -70,13 +70,9 @@ TcpSenderFlow::peekSegment() const
 void
 TcpSenderFlow::commitSegment(const Segment &s)
 {
-    ++segsSent;
-    if (totals_)
-        totals_->segsSent.inc();
+    totals_.segsSent.inc();
     if (s.rtx) {
-        ++retransSegs;
-        if (totals_)
-            totals_->retransSegs.inc();
+        totals_.retransSegs.inc();
         timingActive_ = false; // Karn: never sample a retransmission
     } else if (!timingActive_) {
         timingActive_ = true;
@@ -135,9 +131,7 @@ TcpSenderFlow::onAck(std::uint64_t ack_no)
                            p_.segmentBytes / cwnd_);
         }
     } else if (sndNxt_ > sndUna_) {
-        ++dupAcksRx;
-        if (totals_)
-            totals_->dupAcksRx.inc();
+        totals_.dupAcksRx.inc();
         if (inRecovery_) {
             cwnd_ += p_.segmentBytes; // window inflation
         } else if (++dupAcks_ == p_.dupAckThreshold) {
@@ -147,9 +141,7 @@ TcpSenderFlow::onAck(std::uint64_t ack_no)
                 inFlight() / 2, 2 * std::uint64_t{p_.segmentBytes});
             cwnd_ = ssthresh_ + 3 * std::uint64_t{p_.segmentBytes};
             fastRtxPending_ = true;
-            ++fastRetransmits;
-            if (totals_)
-                totals_->fastRetransmits.inc();
+            totals_.fastRetransmits.inc();
             timingActive_ = false;
             if (onEvent_)
                 onEvent_("fast_rtx");
@@ -209,9 +201,7 @@ TcpSenderFlow::onRtoFire()
     rtoTimer_ = sim::kInvalidEvent;
     if (inFlight() == 0)
         return;
-    ++rtoEvents;
-    if (totals_)
-        totals_->rtoEvents.inc();
+    totals_.rtoEvents.inc();
     ssthresh_ = std::max<std::uint64_t>(
         inFlight() / 2, 2 * std::uint64_t{p_.segmentBytes});
     cwnd_ = p_.segmentBytes;
@@ -308,7 +298,6 @@ TcpReceiverFlow::ackNow()
         delAckTimer_ = sim::kInvalidEvent;
     }
     pendingSegs_ = 0;
-    ++acksSent;
     sendAck_(rcvNxt_);
 }
 
@@ -321,7 +310,6 @@ TcpReceiverFlow::scheduleDelayedAck()
         delAckTimer_ = sim::kInvalidEvent;
         if (pendingSegs_ > 0) {
             pendingSegs_ = 0;
-            ++acksSent;
             sendAck_(rcvNxt_);
         }
     });
@@ -356,7 +344,7 @@ TcpEndpoint::openSender(std::uint64_t flow_id, MacAddr dst, bool unlimited)
         return;
     it->second.dst = dst;
     it->second.flow = std::make_unique<TcpSenderFlow>(
-        ctx(), p_, [this] { pump(); }, &totals_);
+        ctx(), p_, [this] { pump(); }, totals_);
     if (unlimited)
         it->second.flow->setUnlimited();
     it->second.flow->setEventHook([this, flow_id](const char *what) {

@@ -87,8 +87,8 @@ class TcpSenderFlow
 
     /**
      * The owning endpoint's stat counters, registered with its @p group.
-     * A flow adds each event to them where it counts the event itself,
-     * so the totals never lag.
+     * A flow counts each event there as it happens, so the totals never
+     * lag; a flow keeps no count of its own.
      */
     struct Totals
     {
@@ -100,9 +100,9 @@ class TcpSenderFlow
         sim::Counter dupAcksRx{group, "dup_acks_received"};
     };
 
-    /** @param totals  endpoint counters to add to; null for a lone flow */
+    /** @param totals  the counters this flow's events are counted in */
     TcpSenderFlow(sim::SimContext &ctx, const TcpParams &params,
-                  std::function<void()> on_ready, Totals *totals = nullptr);
+                  std::function<void()> on_ready, Totals &totals);
     ~TcpSenderFlow();
 
     TcpSenderFlow(const TcpSenderFlow &) = delete;
@@ -135,13 +135,6 @@ class TcpSenderFlow
     bool inRecovery() const { return inRecovery_; }
     sim::Time rto() const { return rto_; }
 
-    // Event counts of this flow alone.
-    std::uint64_t segsSent = 0;
-    std::uint64_t retransSegs = 0;
-    std::uint64_t fastRetransmits = 0;
-    std::uint64_t rtoEvents = 0;
-    std::uint64_t dupAcksRx = 0;
-
     /** Optional notification of recovery events ("fast_rtx", "rto"). */
     void setEventHook(std::function<void(const char *)> fn)
     {
@@ -150,7 +143,7 @@ class TcpSenderFlow
 
     /**
      * Domain teardown: cancel the RTO timer so no event fires into a
-     * dead owner.  The flow object stays around (counters remain
+     * dead owner.  The flow object stays around (its state stays
      * readable) but must not be pumped afterwards.
      */
     void cancelTimers() { cancelRto(); }
@@ -167,7 +160,7 @@ class TcpSenderFlow
     TcpParams p_;
     std::function<void()> onReady_;
     std::function<void(const char *)> onEvent_;
-    Totals *totals_;
+    Totals &totals_;
 
     std::uint64_t sndUna_ = 0;  //!< oldest unacknowledged byte
     std::uint64_t sndNxt_ = 0;  //!< next byte to send
@@ -216,7 +209,6 @@ class TcpReceiverFlow
 
     std::uint64_t rcvNxt() const { return rcvNxt_; }
 
-    std::uint64_t acksSent = 0;
     std::uint64_t oooSegs = 0; //!< segments buffered past a hole
     std::uint64_t oldSegs = 0; //!< fully duplicate segments discarded
 
@@ -318,7 +310,6 @@ class TcpEndpoint : public sim::SimObject
     }
     std::uint64_t rtoEvents() const { return totals_.rtoEvents.value(); }
     std::uint64_t dupAcksRx() const { return totals_.dupAcksRx.value(); }
-    std::uint64_t acksSent() const { return nAcksTx_.value(); }
     std::uint64_t deliveredBytes() const { return nDelivered_.value(); }
 
     /** Sum of cumulatively ACKed bytes across sender flows (the

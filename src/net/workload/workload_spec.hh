@@ -69,8 +69,7 @@ struct FlowClass
     FlowKind kind = FlowKind::kSaturating;
     /** kRpc: mean Poisson request rate per second; <= 0 never fires. */
     double ratePerSec = 0.0;
-    /** kSaturating: frame payload.  kRpc: request size, sent as one
-     *  frame of [1, kMss] bytes. */
+    /** kRpc: request size, sent as one frame of [1, kMss] bytes. */
     std::uint64_t sizeBytes = kMss;
     /** kRpc: response payload the server returns per request. */
     std::uint32_t rpcRespBytes = 8192;
@@ -90,14 +89,8 @@ struct FlowClass
     }
 
     // ----------------------------------------------- named factories ----
-    /** The line-rate source of the receive experiments. */
-    static FlowClass
-    saturating(std::uint32_t payload = kMss)
-    {
-        FlowClass fc;
-        fc.sizeBytes = payload;
-        return fc;
-    }
+    /** The line-rate source of the receive experiments: MSS frames. */
+    static FlowClass saturating() { return FlowClass{}; }
     /** Request/response RPC; inert until poissonAt() sets a rate. */
     static FlowClass
     rpc(std::uint64_t req_bytes, std::uint32_t resp_bytes)

@@ -3,18 +3,19 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/cost_model.hh"
 #include "sim/assert.hh"
 
 namespace cdna::os {
 
+using core::CostModel;
+
 NativeDriver::NativeDriver(sim::SimContext &ctx, std::string name,
                            vmm::Domain &dom, nic::IntelNic &nic,
-                           const core::CostModel &costs, IrqRoute route,
-                           net::MacAddr mac)
+                           IrqRoute route, net::MacAddr mac)
     : sim::SimObject(ctx, std::move(name)),
       dom_(dom),
       nic_(nic),
-      costs_(costs),
       route_(route),
       mac_(mac)
 {
@@ -43,7 +44,7 @@ NativeDriver::attach()
 
     if (route_ == IrqRoute::kViaHypervisor) {
         irqChannel_ = &dom_.hypervisor().createChannel(
-            dom_, costs_.irqEntry, [this] { handleIrq(); });
+            dom_, CostModel::irqEntry, [this] { handleIrq(); });
         nic_.setIrqLine([this] {
             auto &hv = dom_.hypervisor();
             hv.physicalInterrupt(hv.params().virtIrqDeliver,
@@ -63,7 +64,7 @@ NativeDriver::onIrq()
         return;
     irqTaskPending_ = true;
     dom_.virtIrqs().inc();
-    dom_.vcpu().postIrq(cpu::Bucket::kOs, costs_.irqEntry, [this] {
+    dom_.vcpu().postIrq(cpu::Bucket::kOs, CostModel::irqEntry, [this] {
         irqTaskPending_ = false;
         handleIrq();
     });
@@ -79,9 +80,9 @@ NativeDriver::handleIrq()
     txDrained_ += completed;
     auto frames = nic_.drainRx();
 
-    sim::Time cost = costs_.drvIrqHandler +
-        completed * costs_.drvTxCompletion +
-        static_cast<sim::Time>(frames.size()) * costs_.drvRxPerPacket;
+    sim::Time cost = CostModel::drvIrqHandler +
+        completed * CostModel::drvTxCompletion +
+        static_cast<sim::Time>(frames.size()) * CostModel::drvRxPerPacket;
 
     dom_.vcpu().post(cpu::Bucket::kOs, cost,
                      [this, completed, frames = std::move(frames)]() mutable {
@@ -127,7 +128,7 @@ NativeDriver::flush()
     if (n == 0)
         return; // retried from the completion handler
     flushPending_ = true;
-    sim::Time cost = n * costs_.drvTxPerPacket + costs_.drvPioWrite;
+    sim::Time cost = n * CostModel::drvTxPerPacket + CostModel::drvPioWrite;
     dom_.vcpu().post(cpu::Bucket::kOs, cost, [this, n] {
         flushPending_ = false;
         doFlush(n);

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <deque>
 
-#include "core/cost_model.hh"
 #include "nic/intel_nic.hh"
 #include "os/net_device.hh"
 #include "vmm/hypervisor.hh"
@@ -33,8 +32,7 @@ class NativeDriver : public sim::SimObject, public NetDevice
     };
 
     NativeDriver(sim::SimContext &ctx, std::string name, vmm::Domain &dom,
-                 nic::IntelNic &nic, const core::CostModel &costs,
-                 IrqRoute route, net::MacAddr mac);
+                 nic::IntelNic &nic, IrqRoute route, net::MacAddr mac);
 
     /** Allocate rings/buffers and bring the device up. */
     void attach();
@@ -62,7 +60,6 @@ class NativeDriver : public sim::SimObject, public NetDevice
 
     vmm::Domain &dom_;
     nic::IntelNic &nic_;
-    const core::CostModel &costs_;
     IrqRoute route_;
     net::MacAddr mac_;
     vmm::EventChannel *irqChannel_ = nullptr;

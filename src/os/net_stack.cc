@@ -4,9 +4,12 @@
 #include <memory>
 #include <utility>
 
+#include "core/cost_model.hh"
 #include "sim/assert.hh"
 
 namespace cdna::os {
+
+using core::CostModel;
 
 namespace {
 
@@ -36,11 +39,10 @@ bufferSg(const std::vector<mem::PageNum> &pages, std::uint64_t off,
 } // namespace
 
 NetStack::NetStack(sim::SimContext &ctx, std::string name, vmm::Domain &dom,
-                   NetDevice &dev, const core::CostModel &costs)
+                   NetDevice &dev)
     : sim::SimObject(ctx, std::move(name)),
       dom_(dom),
       dev_(dev),
-      costs_(costs),
       frames_(dev.mac())
 {
     dev_.setRxHandler([this](net::Packet pkt) { onRxPacket(std::move(pkt)); });
@@ -106,8 +108,8 @@ NetStack::buildPackets(std::uint64_t bytes, std::uint64_t flow_id,
 sim::Time
 NetStack::txCost(std::uint64_t frames, std::uint64_t bytes) const
 {
-    return static_cast<sim::Time>(frames) * costs_.stackTxPerPacket +
-           static_cast<sim::Time>(costs_.stackTxPerByteNs *
+    return static_cast<sim::Time>(frames) * CostModel::stackTxPerPacket +
+           static_cast<sim::Time>(CostModel::stackTxPerByteNs *
                                   static_cast<double>(bytes) *
                                   sim::kNanosecond);
 }
@@ -253,7 +255,7 @@ NetStack::enableTcp(const net::transport::TcpParams &params)
             if (so.rtx)
                 // The original transmission was charged at offer time;
                 // a retransmission costs another pass down the stack.
-                dom_.vcpu().post(cpu::Bucket::kOs, costs_.stackTxPerPacket,
+                dom_.vcpu().post(cpu::Bucket::kOs, CostModel::stackTxPerPacket,
                                  [] {});
             return true;
         });
@@ -263,7 +265,7 @@ NetStack::enableTcp(const net::transport::TcpParams &params)
             return false;
         dev_.transmit(frames_.tcpAck(ao, now()));
         dev_.flush();
-        dom_.vcpu().post(cpu::Bucket::kOs, costs_.stackAckTxCost, [] {});
+        dom_.vcpu().post(cpu::Bucket::kOs, CostModel::stackAckTxCost, [] {});
         return true;
     });
 
@@ -333,25 +335,20 @@ NetStack::collectRxBatch()
         return;
 
     // Outgoing ACKs owed for this batch (delayed-ACK style).
-    std::uint32_t acks_out = 0;
-    if (costs_.ackPerFrames != 0) {
-        acks_out = static_cast<std::uint32_t>(ackDebt_ /
-                                              costs_.ackPerFrames);
-        ackDebt_ %= costs_.ackPerFrames;
-    } else {
-        ackDebt_ = 0;
-    }
+    auto acks_out =
+        static_cast<std::uint32_t>(ackDebt_ / CostModel::ackPerFrames);
+    ackDebt_ %= CostModel::ackPerFrames;
 
     sim::Time os_cost =
-        static_cast<sim::Time>(pkts) * costs_.stackRxPerPacket +
-        static_cast<sim::Time>(acks) * costs_.stackAckRxCost +
-        static_cast<sim::Time>(acks_out) * costs_.stackAckTxCost +
-        static_cast<sim::Time>(costs_.stackRxPerByteNs *
+        static_cast<sim::Time>(pkts) * CostModel::stackRxPerPacket +
+        static_cast<sim::Time>(acks) * CostModel::stackAckRxCost +
+        static_cast<sim::Time>(acks_out) * CostModel::stackAckTxCost +
+        static_cast<sim::Time>(CostModel::stackRxPerByteNs *
                                static_cast<double>(bytes) * sim::kNanosecond);
     sim::Time user_cost =
-        static_cast<sim::Time>(costs_.appPerByteNs *
+        static_cast<sim::Time>(CostModel::appPerByteNs *
                                static_cast<double>(bytes) * sim::kNanosecond) +
-        static_cast<sim::Time>(static_cast<double>(costs_.appPerRead) *
+        static_cast<sim::Time>(static_cast<double>(CostModel::appPerRead) *
                                static_cast<double>(bytes) / 65536.0);
 
     dom_.vcpu().post(cpu::Bucket::kOs, os_cost,

@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/cost_model.hh"
 #include "net/frame_builder.hh"
 #include "net/transport/tcp.hh"
 #include "os/net_device.hh"
@@ -31,7 +30,7 @@ class NetStack : public sim::SimObject
 {
   public:
     NetStack(sim::SimContext &ctx, std::string name, vmm::Domain &dom,
-             NetDevice &dev, const core::CostModel &costs);
+             NetDevice &dev);
 
     /** Destination MAC for transmitted packets (the remote peer). */
     void setDefaultDst(net::MacAddr dst) { dst_ = dst; }
@@ -143,7 +142,6 @@ class NetStack : public sim::SimObject
 
     vmm::Domain &dom_;
     NetDevice &dev_;
-    const core::CostModel &costs_;
     net::MacAddr dst_;
     net::FrameBuilder frames_;
 

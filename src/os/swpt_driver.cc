@@ -4,17 +4,19 @@
 #include <utility>
 #include <vector>
 
+#include "core/cost_model.hh"
 #include "sim/assert.hh"
 
 namespace cdna::os {
 
+using core::CostModel;
+
 SwptDriver::SwptDriver(sim::SimContext &ctx, std::string name,
                        vmm::Domain &dom, vmm::SwptValidator &validator,
-                       const core::CostModel &costs, net::MacAddr mac)
+                       net::MacAddr mac)
     : sim::SimObject(ctx, std::move(name)),
       dom_(dom),
       validator_(validator),
-      costs_(costs),
       mac_(mac)
 {
 }
@@ -67,7 +69,7 @@ SwptDriver::flush()
         return; // retried when completions drain
     flushPending_ = true;
     // Write n descriptors into the guest ring, one doorbell PIO.
-    sim::Time cost = n * costs_.drvTxPerPacket + costs_.drvPioWrite;
+    sim::Time cost = n * CostModel::drvTxPerPacket + CostModel::drvPioWrite;
     dom_.vcpu().post(cpu::Bucket::kOs, cost, [this, n] {
         flushPending_ = false;
         doFlush(n);
@@ -106,11 +108,11 @@ SwptDriver::handleIrq()
     auto comp = validator_.takeCompletions(gid_);
     auto pkts = validator_.takeRx(gid_);
 
-    sim::Time cost = costs_.drvIrqHandler +
-        comp.count * costs_.drvTxCompletion +
-        static_cast<sim::Time>(pkts.size()) * costs_.drvRxPerPacket;
+    sim::Time cost = CostModel::drvIrqHandler +
+        comp.count * CostModel::drvTxCompletion +
+        static_cast<sim::Time>(pkts.size()) * CostModel::drvRxPerPacket;
     if (!pkts.empty())
-        cost += costs_.drvPioWrite; // RX buffer re-post doorbell
+        cost += CostModel::drvPioWrite; // RX buffer re-post doorbell
 
     dom_.vcpu().post(cpu::Bucket::kOs, cost,
                      [this, comp = std::move(comp),

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 
-#include "core/cost_model.hh"
 #include "os/net_device.hh"
 #include "vmm/swpt_validator.hh"
 
@@ -27,8 +26,7 @@ class SwptDriver : public sim::SimObject, public NetDevice
 {
   public:
     SwptDriver(sim::SimContext &ctx, std::string name, vmm::Domain &dom,
-               vmm::SwptValidator &validator, const core::CostModel &costs,
-               net::MacAddr mac);
+               vmm::SwptValidator &validator, net::MacAddr mac);
 
     /** Register with the validator, allocate rings and RX buffers. */
     void attach();
@@ -57,7 +55,6 @@ class SwptDriver : public sim::SimObject, public NetDevice
 
     vmm::Domain &dom_;
     vmm::SwptValidator &validator_;
-    const core::CostModel &costs_;
     net::MacAddr mac_;
     vmm::SwptValidator::GuestId gid_ = 0;
     bool detached_ = false;

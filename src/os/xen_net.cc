@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/cost_model.hh"
 #include "sim/assert.hh"
 #include "sim/fault_injector.hh"
 
 namespace cdna::os {
+
+using core::CostModel;
 
 // ===================== XenVif =============================================
 
@@ -18,10 +21,10 @@ XenVif::XenVif(sim::SimContext &ctx, std::string name, DriverDomainNet &ddn,
       mac_(mac)
 {
     auto &hv = ddn_.hv();
-    feChannel_ = &hv.createChannel(guest_, ddn_.costs().irqEntry,
+    feChannel_ = &hv.createChannel(guest_, CostModel::irqEntry,
                                    [this] { frontendIrq(); });
     beChannel_ = &hv.createChannel(ddn_.driverDomain(),
-                                   ddn_.costs().irqEntry,
+                                   CostModel::irqEntry,
                                    [this] { backendIrq(); });
 
     // Seed the guest's RX page pool and post buffers for reception.
@@ -53,9 +56,8 @@ XenVif::flush()
     std::uint64_t bytes = 0;
     for (const auto &p : staged())
         bytes += p.payloadBytes;
-    const auto &c = ddn_.costs();
-    sim::Time cost = n * c.feTxPerPacket +
-        static_cast<sim::Time>(c.feTxPerByteNs *
+    sim::Time cost = n * CostModel::feTxPerPacket +
+        static_cast<sim::Time>(CostModel::feTxPerByteNs *
                                static_cast<double>(bytes) *
                                sim::kNanosecond);
     guest_.vcpu().post(cpu::Bucket::kOs, cost, [this] {
@@ -92,7 +94,7 @@ XenVif::armFeWatchdog()
     if (feWatchdogArmed_)
         return;
     feWatchdogArmed_ = true;
-    events().schedule(ddn_.costs().feWatchdogPeriod,
+    events().schedule(CostModel::feWatchdogPeriod,
                       [this] { feWatchdogFire(); });
 }
 
@@ -105,7 +107,7 @@ XenVif::feWatchdogFire()
         // reconnect protocol.  The watchdog keeps running so a later
         // crash is detected too.
         feState_ = FeState::kWaitingReconnect;
-        reconnectBackoff_ = ddn_.costs().feReconnectBackoffBase;
+        reconnectBackoff_ = CostModel::feReconnectBackoffBase;
         CDNA_TRACE_INSTANT(ctx().tracer(), traceLane(), "backend_dead",
                            now());
         scheduleReconnectAttempt();
@@ -124,12 +126,12 @@ XenVif::attemptReconnect()
 {
     if (!ddn_.backendUp()) {
         reconnectBackoff_ = std::min(reconnectBackoff_ * 2,
-                                     ddn_.costs().feReconnectBackoffMax);
+                                     CostModel::feReconnectBackoffMax);
         scheduleReconnectAttempt();
         return;
     }
     // Backend answered: renegotiate rings/grants on the guest's vCPU.
-    guest_.vcpu().post(cpu::Bucket::kOs, ddn_.costs().feReconnectCost,
+    guest_.vcpu().post(cpu::Bucket::kOs, CostModel::feReconnectCost,
                        [this] { completeReconnect(); });
 }
 
@@ -191,10 +193,9 @@ XenVif::backendIrq()
     std::uint64_t bytes = 0;
     for (const auto &r : txReq_)
         bytes += r.pkt.payloadBytes;
-    const auto &c = ddn_.costs();
-    sim::Time cost = c.backendPerWake +
-        n * (c.beTxPerPacket + c.bridgePerPacket) +
-        static_cast<sim::Time>(c.beTxPerByteNs *
+    sim::Time cost = CostModel::backendPerWake +
+        n * (CostModel::beTxPerPacket + CostModel::bridgePerPacket) +
+        static_cast<sim::Time>(CostModel::beTxPerByteNs *
                                static_cast<double>(bytes) *
                                sim::kNanosecond);
 
@@ -264,8 +265,8 @@ XenVif::frontendIrq()
     auto rx = static_cast<std::uint32_t>(rxResp_.size());
     if (tx == 0 && rx == 0)
         return;
-    const auto &c = ddn_.costs();
-    sim::Time cost = tx * c.feTxCompletion + rx * c.feRxPerPacket;
+    sim::Time cost =
+        tx * CostModel::feTxCompletion + rx * CostModel::feRxPerPacket;
 
     guest_.vcpu().post(cpu::Bucket::kOs, cost, [this] {
         auto &grants = ddn_.hv().grants();
@@ -293,12 +294,10 @@ XenVif::frontendIrq()
 // ===================== DriverDomainNet ====================================
 
 DriverDomainNet::DriverDomainNet(sim::SimContext &ctx, std::string name,
-                                 vmm::Domain &driver_dom, NetDevice &phys,
-                                 const core::CostModel &costs)
+                                 vmm::Domain &driver_dom, NetDevice &phys)
     : sim::SimObject(ctx, std::move(name)),
       drvDom_(driver_dom),
-      phys_(phys),
-      costs_(costs)
+      phys_(phys)
 {
     phys_.setAutoRefill(false);
     phys_.setRxHandler([this](net::Packet pkt) { onPhysRx(std::move(pkt)); });
@@ -401,7 +400,7 @@ DriverDomainNet::collectTxComplete()
 
     // A crash between stage and service orphans the batch exactly as
     // if it were still staged (the lambdas own it by then).
-    drvDom_.vcpu().post(cpu::Bucket::kOs, n * costs_.beTxCompletion,
+    drvDom_.vcpu().post(cpu::Bucket::kOs, n * CostModel::beTxCompletion,
                         [this, batch = std::move(batch)]() mutable {
         if (!backendUp_) {
             for (const auto &[vif, meta] : batch)
@@ -509,14 +508,14 @@ DriverDomainNet::collectRx()
             bytes += p.payloadBytes;
     }
 
-    sim::Time cost = costs_.backendPerWake +
-        n * (costs_.bridgePerPacket + costs_.beRxPerPacket) +
-        static_cast<sim::Time>(costs_.beRxPerByteNs *
+    sim::Time cost = CostModel::backendPerWake +
+        n * (CostModel::bridgePerPacket + CostModel::beRxPerPacket) +
+        static_cast<sim::Time>(CostModel::beRxPerByteNs *
                                static_cast<double>(bytes) *
                                sim::kNanosecond);
     if (rxCopyMode_) {
         // Copy mode: the memcpy runs in the driver domain.
-        cost += static_cast<sim::Time>(costs_.beRxCopyPerByteNs *
+        cost += static_cast<sim::Time>(CostModel::beRxCopyPerByteNs *
                                        static_cast<double>(bytes) *
                                        sim::kNanosecond);
     }

@@ -31,7 +31,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/cost_model.hh"
 #include "os/net_device.hh"
 #include "vmm/hypervisor.hh"
 
@@ -176,15 +175,13 @@ class DriverDomainNet : public sim::SimObject
      *             the driver domain -- the paper's Xen/RiceNIC rows)
      */
     DriverDomainNet(sim::SimContext &ctx, std::string name,
-                    vmm::Domain &driver_dom, NetDevice &phys,
-                    const core::CostModel &costs);
+                    vmm::Domain &driver_dom, NetDevice &phys);
 
     /** Create the vif for @p guest with MAC @p mac on this bridge. */
     XenVif &createVif(vmm::Domain &guest, net::MacAddr mac);
 
     vmm::Domain &driverDomain() { return drvDom_; }
     NetDevice &phys() { return phys_; }
-    const core::CostModel &costs() const { return costs_; }
     vmm::Hypervisor &hv() { return drvDom_.hypervisor(); }
 
     /**
@@ -248,7 +245,6 @@ class DriverDomainNet : public sim::SimObject
 
     vmm::Domain &drvDom_;
     NetDevice &phys_;
-    const core::CostModel &costs_;
 
     std::vector<std::unique_ptr<XenVif>> vifs_;
     net::MacTable<XenVif *> macTable_;

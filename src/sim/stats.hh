@@ -45,15 +45,6 @@ class Counter
 
     void inc(std::uint64_t n = 1) { value_ += n; }
     std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-    /** Events per simulated second over @p elapsed. */
-    double
-    rate(Time elapsed) const
-    {
-        return elapsed > 0 ? static_cast<double>(value_) / toSeconds(elapsed)
-                           : 0.0;
-    }
 
   private:
     std::uint64_t value_ = 0;

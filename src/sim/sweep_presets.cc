@@ -488,8 +488,8 @@ incast()
             sw_params.bufBytesPerPort = static_cast<std::uint64_t>(
                 cfg.scenarioOr("switch_buf_bytes",
                                static_cast<double>(
-                                   cfg.costs.switchBufBytesPerPort)));
-            sw_params.forwardLatency = cfg.costs.switchForwardLatency;
+                                   core::CostModel::switchBufBytesPerPort)));
+            sw_params.forwardLatency = core::CostModel::switchForwardLatency;
 
             Topology topo(cfg.seed, point.observe);
             auto &sw = topo.addSwitch("sw", fanout + 1, sw_params);
@@ -563,8 +563,8 @@ noisyNeighbor()
             const Cfg &cfg = point.config;
             bool noisy = cfg.scenarioOr("noisy", 0.0) != 0.0;
             net::EthSwitchParams sw_params;
-            sw_params.bufBytesPerPort = cfg.costs.switchBufBytesPerPort;
-            sw_params.forwardLatency = cfg.costs.switchForwardLatency;
+            sw_params.bufBytesPerPort = core::CostModel::switchBufBytesPerPort;
+            sw_params.forwardLatency = core::CostModel::switchForwardLatency;
 
             Topology topo(cfg.seed, point.observe);
             auto &core_sw = topo.addSwitch("core", 4, sw_params);

@@ -28,22 +28,26 @@
 
 namespace cdna::vmm {
 
-/** Hypervisor CPU-cost parameters (calibrated; see core/cost_model). */
+/**
+ * Hypervisor CPU-cost parameters (calibrated; see core/cost_model).
+ * Only the hypercall overhead is settable (the protection preset
+ * zeroes it); the rest are constants.
+ */
 struct HvParams
 {
     /** Entry/exit overhead of any hypercall. */
     sim::Time hypercallOverhead = sim::nanoseconds(600);
     /** Hypervisor ISR cost of fielding one physical interrupt. */
-    sim::Time physIrqDispatch = sim::nanoseconds(1100);
+    static constexpr sim::Time physIrqDispatch = sim::nanoseconds(1100);
     /** Cost of scheduling one virtual interrupt to a domain. */
-    sim::Time virtIrqDeliver = sim::nanoseconds(400);
+    static constexpr sim::Time virtIrqDeliver = sim::nanoseconds(400);
     /** Grant-table costs, charged per page. */
-    sim::Time grantMapPerPage = sim::nanoseconds(300);
-    sim::Time grantUnmapPerPage = sim::nanoseconds(250);
+    static constexpr sim::Time grantMapPerPage = sim::nanoseconds(300);
+    static constexpr sim::Time grantUnmapPerPage = sim::nanoseconds(250);
     /** One RX page-flip exchange (transfer in + balance page out). */
-    sim::Time pageFlipPerPage = sim::nanoseconds(2200);
+    static constexpr sim::Time pageFlipPerPage = sim::nanoseconds(2200);
     /** Event-channel send hypercall body. */
-    sim::Time evtchnSend = sim::nanoseconds(300);
+    static constexpr sim::Time evtchnSend = sim::nanoseconds(300);
 };
 
 /** Protection fault kinds the CDNA architecture can report. */

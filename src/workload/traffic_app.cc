@@ -2,16 +2,17 @@
 
 #include <utility>
 
+#include "core/cost_model.hh"
 #include "sim/assert.hh"
 
 namespace cdna::workload {
 
+using core::CostModel;
+
 TrafficApp::TrafficApp(sim::SimContext &ctx, std::string name,
-                       os::NetStack &stack, const core::CostModel &costs,
-                       Params params)
+                       os::NetStack &stack, Params params)
     : sim::SimObject(ctx, std::move(name)),
       stack_(stack),
-      costs_(costs),
       params_(params)
 {
     stack_.setRxDeliverHandler([this](std::uint64_t bytes,
@@ -36,8 +37,8 @@ TrafficApp::onRpc(const net::Packet &req)
         return;
     // The server's work per request: one application write of the
     // response, paid in user time before the stack transmits it.
-    sim::Time user_cost = costs_.appPerWrite +
-        static_cast<sim::Time>(costs_.appPerByteNs *
+    sim::Time user_cost = CostModel::appPerWrite +
+        static_cast<sim::Time>(CostModel::appPerByteNs *
                                static_cast<double>(req.rpcRespBytes) *
                                sim::kNanosecond);
     stack_.domain().vcpu().post(cpu::Bucket::kUser, user_cost,
@@ -61,8 +62,8 @@ TrafficApp::start()
     // One reused buffer per connection, sized for a chunk.
     auto &memory = stack_.domain().hypervisor().mem();
     std::uint64_t pages_per_buf =
-        (params_.chunkBytes + mem::kPageSize - 1) / mem::kPageSize;
-    for (std::uint32_t i = 0; i < params_.connections; ++i) {
+        (kChunkBytes + mem::kPageSize - 1) / mem::kPageSize;
+    for (std::uint32_t i = 0; i < kConnections; ++i) {
         Conn c;
         c.id = i + 1;
         c.buffer = memory.allocOrThrow(stack_.domain().id(), pages_per_buf);
@@ -76,7 +77,7 @@ TrafficApp::pump()
 {
     if (!started_ || stopped_ || !params_.transmit || pumpActive_)
         return;
-    if (inFlight_ + params_.chunkBytes > params_.windowBytes)
+    if (inFlight_ + kChunkBytes > kWindowBytes)
         return;
     if (!stack_.device().canTransmit())
         return; // the stack's tx-space callback will re-pump via sendBurst
@@ -84,17 +85,17 @@ TrafficApp::pump()
 
     Conn &c = conns_[rr_];
     rr_ = (rr_ + 1) % conns_.size();
-    inFlight_ += params_.chunkBytes;
+    inFlight_ += kChunkBytes;
 
-    sim::Time user_cost = costs_.appPerWrite +
-        static_cast<sim::Time>(costs_.appPerByteNs *
-                               static_cast<double>(params_.chunkBytes) *
+    sim::Time user_cost = CostModel::appPerWrite +
+        static_cast<sim::Time>(CostModel::appPerByteNs *
+                               static_cast<double>(kChunkBytes) *
                                sim::kNanosecond);
 
     stack_.domain().vcpu().post(cpu::Bucket::kUser, user_cost,
                                 [this, &c] {
-        nSent_.inc(params_.chunkBytes);
-        stack_.sendBurst(params_.chunkBytes, c.id, c.buffer);
+        nSent_.inc(kChunkBytes);
+        stack_.sendBurst(kChunkBytes, c.id, c.buffer);
         pumpActive_ = false;
         pump();
     });

@@ -3,15 +3,14 @@
  * The benchmark application (paper section 5.1).
  *
  * Models the paper's "multithreaded, event-driven, lightweight network
- * benchmark program": a configurable number of connections per
- * interface, bandwidth balanced across them round-robin, and a single
- * reused buffer per connection to minimize memory footprint (which is
- * why user-mode CPU cost is tiny in the paper's profiles).
+ * benchmark program": two connections per interface, bandwidth
+ * balanced across them round-robin, and a single reused buffer per
+ * connection to minimize memory footprint (which is why user-mode CPU
+ * cost is tiny in the paper's profiles).
  *
- * Transmit mode: keeps up to window bytes in flight per interface,
- * writing 64 KB chunks; completions (the guest-visible TX done signal)
- * open the window again.  Receive mode: sinks whatever the stack
- * delivers.
+ * Transmit mode: keeps up to 512 KB in flight per interface, writing
+ * 64 KB chunks; completions (the guest-visible TX done signal) open the
+ * window again.  Receive mode: sinks whatever the stack delivers.
  */
 
 #ifndef CDNA_WORKLOAD_TRAFFIC_APP_HH
@@ -27,13 +26,15 @@ namespace cdna::workload {
 class TrafficApp : public sim::SimObject
 {
   public:
+    /** Connections per interface, written round-robin. */
+    static constexpr std::uint32_t kConnections = 2;
+    /** Aggregate in-flight limit across the connections. */
+    static constexpr std::uint64_t kWindowBytes = 512 * 1024;
+    /** Bytes per socket write. */
+    static constexpr std::uint32_t kChunkBytes = 65536;
+
     struct Params
     {
-        std::uint32_t connections = 2;
-        /** Aggregate in-flight limit across the connections. */
-        std::uint64_t windowBytes = 512 * 1024;
-        /** Bytes per socket write. */
-        std::uint32_t chunkBytes = 65536;
         /** Generate traffic (transmit test) or only sink (receive). */
         bool transmit = true;
         /** Answer RPC request frames (net/workload/) with responses of
@@ -42,7 +43,7 @@ class TrafficApp : public sim::SimObject
     };
 
     TrafficApp(sim::SimContext &ctx, std::string name, os::NetStack &stack,
-               const core::CostModel &costs, Params params);
+               Params params);
 
     /** Begin generating (transmit mode) -- receive mode needs no start. */
     void start();
@@ -59,7 +60,6 @@ class TrafficApp : public sim::SimObject
     void onRpc(const net::Packet &req);
 
     os::NetStack &stack_;
-    const core::CostModel &costs_;
     Params params_;
 
     struct Conn

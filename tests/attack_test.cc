@@ -44,11 +44,10 @@ TEST_F(AttackFixture, ForeignPageEnqueueRejectedWhenProtected)
     // descriptor naming the victim's memory through the only interface
     // it has: the protected hypercall.
     auto cxt = nic.allocContext(attacker->id(), net::MacAddr::fromId(777));
-    ASSERT_TRUE(cxt.has_value());
     nic.configureContextRings(
-        *cxt, 8, mem::addrOf(sys.mem().allocOne(attacker->id())), 8,
+        cxt, 8, mem::addrOf(sys.mem().allocOne(attacker->id())), 8,
         mem::addrOf(sys.mem().allocOne(attacker->id())));
-    auto handle = sys.protection()->registerRing(nic, *cxt,
+    auto handle = sys.protection()->registerRing(nic, cxt,
                                                  attacker->id(), true);
 
     mem::PageNum victim_page = sys.mem().allocOne(victim->id());
@@ -113,9 +112,8 @@ TEST_F(AttackFixture, ProducerOverrunDisclosesMemoryWhenUnprotected)
 
     // A context with a few consumed descriptors...
     auto cxt = nic.allocContext(attacker->id(), net::MacAddr::fromId(778));
-    ASSERT_TRUE(cxt.has_value());
     nic.configureContextRings(
-        *cxt, 8, mem::addrOf(sys.mem().allocOne(attacker->id())), 8,
+        cxt, 8, mem::addrOf(sys.mem().allocOne(attacker->id())), 8,
         mem::addrOf(sys.mem().allocOne(attacker->id())));
     for (std::uint32_t i = 0; i < 4; ++i) {
         mem::PageNum page = sys.mem().allocOne(attacker->id());
@@ -126,21 +124,21 @@ TEST_F(AttackFixture, ProducerOverrunDisclosesMemoryWhenUnprotected)
         p.dst = sys.peer(0).mac();
         p.payloadBytes = 800;
         p.hostSg = d.sg;
-        nic.txRing(*cxt).write(i, d);
-        nic.txRing(*cxt).attachPacket(i, std::move(p));
+        nic.txRing(cxt).write(i, d);
+        nic.txRing(cxt).attachPacket(i, std::move(p));
     }
-    nic.pioWriteMailbox(*cxt, nic::kMboxTxProducer, 4);
+    nic.pioWriteMailbox(cxt, nic::kMboxTxProducer, 4);
     sys.ctx().events().runUntil(sys.ctx().now() + sim::milliseconds(15));
-    EXPECT_EQ(nic.txConsumer(*cxt), 4u);
+    EXPECT_EQ(nic.txConsumer(cxt), 4u);
 
     // ...then the driver bumps the producer past the last valid entry.
     std::uint64_t ghosts_before = nic.ghostTxCount();
-    nic.pioWriteMailbox(*cxt, nic::kMboxTxProducer, 6);
+    nic.pioWriteMailbox(cxt, nic::kMboxTxProducer, 6);
     sys.ctx().events().runUntil(sys.ctx().now() + sim::milliseconds(15));
 
     // With no sequence check, the NIC happily walks the never-written
     // slots and transmits from memory the attacker never provided.
-    EXPECT_FALSE(nic.contextFaulted(*cxt));
+    EXPECT_FALSE(nic.contextFaulted(cxt));
     EXPECT_EQ(nic.ghostTxCount(), ghosts_before + 2);
 }
 
@@ -154,19 +152,18 @@ craftDirectAttack(System &sys, mem::PageNum victim_page)
     auto *attacker = sys.guestDomain(0);
     CdnaNic &nic = *sys.cdnaNic(0);
     auto cxt = nic.allocContext(attacker->id(), net::MacAddr::fromId(777));
-    EXPECT_TRUE(cxt.has_value());
     nic.configureContextRings(
-        *cxt, 8, mem::addrOf(sys.mem().allocOne(attacker->id())), 8,
+        cxt, 8, mem::addrOf(sys.mem().allocOne(attacker->id())), 8,
         mem::addrOf(sys.mem().allocOne(attacker->id())));
 
     nic::DmaDescriptor d;
     d.sg = {{mem::addrOf(victim_page), 1460}};
     d.flags = nic::kDescValid | nic::kDescEop;
-    nic.txRing(*cxt).write(0, d);
+    nic.txRing(cxt).write(0, d);
     // No packet attached: the NIC will transmit whatever the victim's
     // memory holds (a ghost frame) if the DMA is allowed through.
-    nic.pioWriteMailbox(*cxt, nic::kMboxTxProducer, 1);
-    return *cxt;
+    nic.pioWriteMailbox(cxt, nic::kMboxTxProducer, 1);
+    return cxt;
 }
 
 } // namespace
@@ -260,15 +257,14 @@ TEST_F(AttackFixture, DoorbellFloodIsThrottledAndContained)
         CdnaNic &nic = *sys.cdnaNic(0);
         auto cxt = nic.allocContext(sys.guestDomain(0)->id(),
                                     net::MacAddr::fromId(779));
-        ASSERT_TRUE(cxt.has_value());
         nic.configureContextRings(
-            *cxt, 8,
+            cxt, 8,
             mem::addrOf(sys.mem().allocOne(sys.guestDomain(0)->id())), 8,
             mem::addrOf(sys.mem().allocOne(sys.guestDomain(0)->id())));
         // Producer stays at 0: each write is a no-op doorbell whose
         // only effect is the firmware decode cost the guard bounds.
         for (int i = 0; i < 2000; ++i)
-            nic.pioWriteMailbox(*cxt, nic::kMboxTxProducer, 0);
+            nic.pioWriteMailbox(cxt, nic::kMboxTxProducer, 0);
     });
     Report rk = sys.run(sim::milliseconds(50), sim::milliseconds(100));
 

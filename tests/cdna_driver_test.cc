@@ -47,16 +47,15 @@ struct DriverFixture : ::testing::TestWithParam<bool>
         guest = &hv.createDomain(vmm::Domain::Kind::kGuest, "g");
         prot = std::make_unique<DmaProtection>(ctx, "dma-protection", hv, costs, protection);
         auto cxt = nic.allocContext(guest->id(), net::MacAddr::fromId(5));
-        ASSERT_TRUE(cxt.has_value());
         nic.configureContextRings(
-            *cxt, 32, mem::addrOf(mem.allocOne(guest->id())), 32,
+            cxt, 32, mem::addrOf(mem.allocOne(guest->id())), 32,
             mem::addrOf(mem.allocOne(guest->id())));
-        nic.setStatusPage(*cxt, mem::addrOf(mem.allocOne(guest->id())));
+        nic.setStatusPage(cxt, mem::addrOf(mem.allocOne(guest->id())));
         mem::PageNum intr = mem.allocOne(mem::kDomHypervisor);
         nic.setInterruptRing(mem::addrOf(intr));
 
         drv = std::make_unique<CdnaGuestDriver>(ctx, "drv", *guest, nic,
-                                                *cxt, *prot, costs,
+                                                cxt, *prot, costs,
                                                 net::MacAddr::fromId(5));
         channel = &hv.createChannel(*guest, costs.irqEntry,
                                     [this] { drv->handleIrq(); });

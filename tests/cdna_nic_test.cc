@@ -44,18 +44,17 @@ struct CdnaHarness
                 std::uint32_t entries = 16)
     {
         auto cxt = nic.allocContext(dom, net::MacAddr::fromId(mac_id));
-        EXPECT_TRUE(cxt.has_value());
         mem::PageNum txp = mem.allocOne(dom);
         mem::PageNum rxp = mem.allocOne(dom);
-        nic.configureContextRings(*cxt, entries, mem::addrOf(txp),
+        nic.configureContextRings(cxt, entries, mem::addrOf(txp),
                                   entries, mem::addrOf(rxp));
-        if (producers.size() <= *cxt) {
-            producers.resize(*cxt + 1, 0);
-            seqnos.resize(*cxt + 1, 1);
-            rxProducers.resize(*cxt + 1, 0);
-            rxSeqnos.resize(*cxt + 1, 1);
+        if (producers.size() <= cxt) {
+            producers.resize(cxt + 1, 0);
+            seqnos.resize(cxt + 1, 1);
+            rxProducers.resize(cxt + 1, 0);
+            rxSeqnos.resize(cxt + 1, 1);
         }
-        return *cxt;
+        return cxt;
     }
 
     /** Enqueue one TX descriptor the way the hypervisor would. */
@@ -115,10 +114,33 @@ TEST(CdnaNic, ContextAllocationAndLimits)
     auto b = h.nic.allocContext(2, net::MacAddr::fromId(2));
     auto c = h.nic.allocContext(3, net::MacAddr::fromId(3));
     auto d = h.nic.allocContext(4, net::MacAddr::fromId(4));
-    EXPECT_TRUE(a && b && c);
-    EXPECT_FALSE(d.has_value());
-    EXPECT_EQ(h.nic.allocatedContexts(), 3u);
-    EXPECT_EQ(h.nic.contextDomain(*b), 2u);
+    EXPECT_EQ(a, 0u);
+    EXPECT_EQ(b, 1u);
+    EXPECT_EQ(c, 2u);
+    EXPECT_EQ(d, 3u);
+    EXPECT_EQ(h.nic.allocatedContexts(), 4u);
+    EXPECT_EQ(h.nic.contextDomain(b), 2u);
+    // Three slots hold the first three; the fourth starts paged out.
+    EXPECT_TRUE(h.nic.contextResident(c));
+    EXPECT_FALSE(h.nic.contextResident(d));
+    EXPECT_EQ(h.nic.freeSlots(), 0u);
+}
+
+TEST(CdnaNic, DefaultNicPagesOutContextsPastItsSlots)
+{
+    // The paper's NIC has 32 context slots; a 33rd context still gets
+    // an id, and waits paged out for the hypervisor's pager.
+    CdnaHarness h;
+    ASSERT_EQ(h.nic.params().numContexts, 32u);
+    for (std::uint32_t i = 0; i < 32; ++i)
+        EXPECT_TRUE(h.nic.contextResident(
+            h.nic.allocContext(i + 1, net::MacAddr::fromId(i + 1))));
+    auto extra = h.nic.allocContext(33, net::MacAddr::fromId(33));
+    EXPECT_EQ(extra, 32u);
+    EXPECT_TRUE(h.nic.contextAllocated(extra));
+    EXPECT_FALSE(h.nic.contextResident(extra));
+    EXPECT_EQ(h.nic.allocatedContexts(), 33u);
+    EXPECT_EQ(h.nic.contextTableSize(), 33u);
 }
 
 TEST(CdnaNic, RevocationFreesContextForReuse)
@@ -128,8 +150,7 @@ TEST(CdnaNic, RevocationFreesContextForReuse)
     h.nic.revokeContext(cxt);
     EXPECT_FALSE(h.nic.contextAllocated(cxt));
     auto again = h.nic.allocContext(9, net::MacAddr::fromId(11));
-    ASSERT_TRUE(again.has_value());
-    EXPECT_EQ(*again, cxt); // lowest free slot reused
+    EXPECT_EQ(again, cxt); // lowest free entry reused
 }
 
 // ---------------------------------------------------------- transmit ----

@@ -281,19 +281,19 @@ TEST_F(MemFixture, TransferPageRequiresUnpinned)
 TEST(PciBus, TransferTiming)
 {
     sim::SimContext ctx;
-    // 100 MB/s, 100 ns setup => 1 KB takes 100ns + 10us.
-    PciBus bus(ctx, "pci", 100.0e6, sim::nanoseconds(100));
+    // 528 MB/s, 120 ns setup => 1000 bytes take 120 ns + 1893.939 ns.
+    PciBus bus(ctx, "pci");
     sim::Time done_at = 0;
     bus.transfer(1000, [&] { done_at = ctx.now(); });
     ctx.events().run();
-    EXPECT_EQ(done_at, sim::nanoseconds(100) + sim::microseconds(10));
+    EXPECT_EQ(done_at, sim::nanoseconds(120) + 1893939);
     EXPECT_EQ(bus.bytesCarried(), 1000u);
 }
 
 TEST(PciBus, SerializesBackToBack)
 {
     sim::SimContext ctx;
-    PciBus bus(ctx, "pci", 100.0e6, 0);
+    PciBus bus(ctx, "pci");
     sim::Time first = 0, second = 0;
     bus.transfer(1000, [&] { first = ctx.now(); });
     bus.transfer(1000, [&] { second = ctx.now(); });

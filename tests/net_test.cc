@@ -164,7 +164,7 @@ struct Sink : LinkEndpoint
 TEST(EthLink, SerializationAndPropagationTiming)
 {
     sim::SimContext ctx;
-    EthLink link(ctx, "eth", 1.0e9, sim::nanoseconds(500));
+    EthLink link(ctx, "eth");
     Sink sink;
     sink.eq = &ctx.events();
     link.bind(sink);
@@ -174,16 +174,18 @@ TEST(EthLink, SerializationAndPropagationTiming)
     sim::Time serialized = 0;
     link.port(1).send(p, 0, [&] { serialized = ctx.now(); });
     ctx.events().run();
-    // 1538 bytes at 8 ns/byte = 12.304 us.
+    // 1538 bytes at 8 ns/byte = 12.304 us, then 500 ns of cable.
     EXPECT_EQ(serialized, sim::nanoseconds(1538 * 8));
+    EXPECT_EQ(wireTime(1538), serialized);
     ASSERT_EQ(sink.got.size(), 1u);
-    EXPECT_EQ(sink.last_at, serialized + sim::nanoseconds(500));
+    EXPECT_EQ(sink.last_at, serialized + kWirePropagation);
+    EXPECT_EQ(kWirePropagation, sim::nanoseconds(500));
 }
 
 TEST(EthLink, BackToBackFramesQueue)
 {
     sim::SimContext ctx;
-    EthLink link(ctx, "eth", 1.0e9, 0);
+    EthLink link(ctx, "eth");
     Sink sink;
     sink.eq = &ctx.events();
     link.bind(sink);
@@ -193,7 +195,8 @@ TEST(EthLink, BackToBackFramesQueue)
     link.port(1).send(p);
     ctx.events().run();
     ASSERT_EQ(sink.got.size(), 2u);
-    EXPECT_EQ(sink.last_at, 2 * sim::nanoseconds(1538 * 8));
+    EXPECT_EQ(sink.last_at,
+              2 * sim::nanoseconds(1538 * 8) + kWirePropagation);
     EXPECT_EQ(link.port(1).payloadCarried(), 2ull * kMss);
     EXPECT_EQ(link.port(0).payloadDelivered(), 2ull * kMss);
 }
@@ -201,7 +204,7 @@ TEST(EthLink, BackToBackFramesQueue)
 TEST(EthLink, ExtraGapDelaysNextFrame)
 {
     sim::SimContext ctx;
-    EthLink link(ctx, "eth", 1.0e9, 0);
+    EthLink link(ctx, "eth");
     Sink sink;
     sink.eq = &ctx.events();
     link.bind(sink);
@@ -210,14 +213,14 @@ TEST(EthLink, ExtraGapDelaysNextFrame)
     link.port(1).send(p, sim::microseconds(5));
     link.port(1).send(p);
     ctx.events().run();
-    EXPECT_EQ(sink.last_at,
-              2 * sim::nanoseconds(1538 * 8) + sim::microseconds(5));
+    EXPECT_EQ(sink.last_at, 2 * sim::nanoseconds(1538 * 8) +
+                                sim::microseconds(5) + kWirePropagation);
 }
 
 TEST(EthLink, DirectionsIndependent)
 {
     sim::SimContext ctx;
-    EthLink link(ctx, "eth", 1.0e9, 0);
+    EthLink link(ctx, "eth");
     Sink a, b;
     Port &pa = link.bind(a);
     Port &pb = link.bind(b);
@@ -263,7 +266,7 @@ sendBacklog(double duplicate_rate, std::size_t &pending)
     rates.frameDuplicate = duplicate_rate;
     sim::FaultInjector fi(ctx, "faults", 1, rates);
     ctx.setFaultInjector(&fi);
-    EthLink link(ctx, "eth", 1.0e9, sim::nanoseconds(500));
+    EthLink link(ctx, "eth");
     std::vector<WireStep> log;
     struct LogSink : LinkEndpoint
     {

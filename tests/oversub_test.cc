@@ -60,18 +60,17 @@ struct OversubHarness
                 std::uint32_t entries = 16)
     {
         auto cxt = nic.allocContext(dom, net::MacAddr::fromId(mac_id));
-        EXPECT_TRUE(cxt.has_value());
         mem::PageNum txp = mem.allocOne(dom);
         mem::PageNum rxp = mem.allocOne(dom);
-        nic.configureContextRings(*cxt, entries, mem::addrOf(txp),
+        nic.configureContextRings(cxt, entries, mem::addrOf(txp),
                                   entries, mem::addrOf(rxp));
-        if (producers.size() <= *cxt) {
-            producers.resize(*cxt + 1, 0);
-            seqnos.resize(*cxt + 1, 1);
-            rxProducers.resize(*cxt + 1, 0);
-            rxSeqnos.resize(*cxt + 1, 1);
+        if (producers.size() <= cxt) {
+            producers.resize(cxt + 1, 0);
+            seqnos.resize(cxt + 1, 1);
+            rxProducers.resize(cxt + 1, 0);
+            rxSeqnos.resize(cxt + 1, 1);
         }
-        return *cxt;
+        return cxt;
     }
 
     void
@@ -221,7 +220,6 @@ TEST(ContextPage, AllocBeyondPhysicalSlotsStartsPagedOut)
 {
     CdnaNicParams params;
     params.numContexts = 2;
-    params.virtualContexts = 4;
     OversubHarness h(params);
     auto a = h.makeContext(1, 1);
     auto b = h.makeContext(2, 2);
@@ -238,7 +236,6 @@ TEST(ContextPage, DoorbellToPagedOutTrapsAndReplays)
 {
     CdnaNicParams params;
     params.numContexts = 1;
-    params.virtualContexts = 2;
     OversubHarness h(params);
     auto a = h.makeContext(1, 1);
     auto b = h.makeContext(2, 2);
@@ -286,11 +283,10 @@ struct PagerHarness : OversubHarness
 {
     cpu::SimCpu cpu{ctx, "cpu"};
     vmm::Hypervisor hv{ctx, cpu, mem};
-    CostModel costs{};
     ContextPager pager;
 
     explicit PagerHarness(CdnaNicParams params)
-        : OversubHarness(params), pager(ctx, "pager", hv, nic, costs)
+        : OversubHarness(params), pager(ctx, "pager", hv, nic)
     {
         nic.setPageFaultHandler(
             [this](CdnaNic::ContextId id) { pager.onTrap(id); });
@@ -303,7 +299,6 @@ TEST(ContextPage, PagerRestoresFaultingContextEndToEnd)
 {
     CdnaNicParams params;
     params.numContexts = 2;
-    params.virtualContexts = 3;
     PagerHarness h(params);
     auto a = h.makeContext(1, 1);
     auto b = h.makeContext(2, 2);
@@ -337,12 +332,10 @@ TEST(ContextPage, PagerEvictsLeastRecentlyActive)
 {
     CdnaNicParams params;
     params.numContexts = 2;
-    params.virtualContexts = 3;
     OversubHarness h(params);
     cpu::SimCpu cpu{h.ctx, "cpu"};
     vmm::Hypervisor hv{h.ctx, cpu, h.mem};
-    CostModel costs{};
-    ContextPager pager(h.ctx, "pager", hv, h.nic, costs);
+    ContextPager pager(h.ctx, "pager", hv, h.nic);
 
     auto a = h.makeContext(1, 1);
     auto b = h.makeContext(2, 2);

@@ -38,9 +38,7 @@ struct ProtFixture : ::testing::Test
     SetUp() override
     {
         guest = &hv.createDomain(vmm::Domain::Kind::kGuest, "g");
-        auto c = nic.allocContext(guest->id(), net::MacAddr::fromId(1));
-        ASSERT_TRUE(c.has_value());
-        cxt = *c;
+        cxt = nic.allocContext(guest->id(), net::MacAddr::fromId(1));
         nic.configureContextRings(cxt, 8, mem::addrOf(mem.allocOne(guest->id())),
                                   8, mem::addrOf(mem.allocOne(guest->id())));
         nic.setFaultHandler([this](CdnaNic::ContextId, mem::DomainId dom,

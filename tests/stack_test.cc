@@ -43,7 +43,6 @@ struct StackFixture : ::testing::Test
     mem::PhysMemory mem{ctx, "phys-mem", 4096};
     cpu::SimCpu cpu{ctx, "cpu"};
     vmm::Hypervisor hv{ctx, cpu, mem};
-    core::CostModel costs;
     FakeDevice dev;
     vmm::Domain *dom = nullptr;
     std::unique_ptr<NetStack> stack;
@@ -52,7 +51,7 @@ struct StackFixture : ::testing::Test
     SetUp() override
     {
         dom = &hv.createDomain(vmm::Domain::Kind::kGuest, "g");
-        stack = std::make_unique<NetStack>(ctx, "stack", *dom, dev, costs);
+        stack = std::make_unique<NetStack>(ctx, "stack", *dom, dev);
         stack->setDefaultDst(net::MacAddr::fromId(99));
     }
 
@@ -343,6 +342,59 @@ INSTANTIATE_TEST_SUITE_P(Sizes, StackSegmentation,
 
 // ---------------------------------------------------------- xen bridge ----
 
+// A TX request whose grants no longer all map when netback services it
+// (the guest gave a page up after granting it) has no legal window into
+// the frame: netback unmaps what it did map, answers with an error
+// response and keeps the frame off the wire, and the guest still gets
+// its completion.
+TEST(XenNetback, RefusesTxWhoseGrantNoLongerMaps)
+{
+    sim::SimContext ctx;
+    mem::PhysMemory mem{ctx, "phys-mem", 4096};
+    cpu::SimCpu cpu{ctx, "cpu"};
+    vmm::Hypervisor hv{ctx, cpu, mem};
+    FakeDevice phys;
+    vmm::Domain &dom0 = hv.createDomain(vmm::Domain::Kind::kDriver, "dom0");
+    DriverDomainNet ddn(ctx, "ddn", dom0, phys);
+    vmm::Domain &guest = hv.createDomain(vmm::Domain::Kind::kGuest, "g");
+    XenVif &vif = ddn.createVif(guest, net::MacAddr::fromId(7));
+    std::uint64_t completed = 0;
+    vif.setTxCompleteHandler([&](std::uint64_t bytes) { completed += bytes; });
+
+    // One frame split over two guest pages.
+    mem::PageNum kept = mem.allocOne(guest.id());
+    mem::PageNum freed = mem.allocOne(guest.id());
+    net::Packet pkt;
+    pkt.dst = net::MacAddr::fromId(99);
+    pkt.payloadBytes = 1000;
+    pkt.hostSg = {{mem::addrOf(kept), 500 + net::kTcpIpHeader},
+                  {mem::addrOf(freed), 500}};
+    ASSERT_TRUE(vif.canTransmit());
+    vif.transmit(std::move(pkt));
+    vif.flush();
+    // The frontend grants both pages to dom0 and rings netback...
+    mem::GrantTable &grants = hv.grants();
+    while (grants.activeGrants() == 0 && ctx.events().runOne()) {
+    }
+    ASSERT_EQ(grants.activeGrants(), 2u);
+    // ...and the second page leaves the guest before netback maps it.
+    ASSERT_TRUE(mem.release(freed));
+    ctx.events().run();
+
+    auto count = [&grants](const char *name) {
+        return grants.stats().findCounter(name)->value();
+    };
+    EXPECT_EQ(count("maps"), 1u);   // the first page, unmapped again
+    EXPECT_EQ(count("denied"), 1u); // the second
+    EXPECT_TRUE(phys.sent.empty()); // never reached the wire
+    EXPECT_EQ(mem.refCount(kept), 0u);
+    EXPECT_EQ(mem.refCount(freed), 0u);
+    EXPECT_TRUE(mem.ownedBy(kept, guest.id()));
+    EXPECT_EQ(completed, 1000u); // the error response completes it
+    EXPECT_EQ(grants.activeGrants(), 0u); // and the frontend ended both
+    EXPECT_EQ(mem.violationCount(), 0u);
+}
+
 // fromId(131) and fromId(256) hash alike (MacAddr::hash()); the bridge
 // must still hand each vif its own frames.
 TEST(XenBridge, DemuxSeparatesMacsThatHashAlike)
@@ -351,10 +403,9 @@ TEST(XenBridge, DemuxSeparatesMacsThatHashAlike)
     mem::PhysMemory mem{ctx, "phys-mem", 4096};
     cpu::SimCpu cpu{ctx, "cpu"};
     vmm::Hypervisor hv{ctx, cpu, mem};
-    core::CostModel costs;
     FakeDevice phys;
     vmm::Domain &dom0 = hv.createDomain(vmm::Domain::Kind::kDriver, "dom0");
-    DriverDomainNet ddn(ctx, "ddn", dom0, phys, costs);
+    DriverDomainNet ddn(ctx, "ddn", dom0, phys);
     const net::MacAddr macs[] = {net::MacAddr::fromId(131),
                                  net::MacAddr::fromId(256)};
     std::vector<net::MacAddr> got[2];

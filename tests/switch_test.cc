@@ -104,7 +104,6 @@ TEST(Switch, StoreAndForwardLatency)
 {
     sim::SimContext ctx;
     EthSwitchParams params;
-    params.propagation = sim::nanoseconds(500);
     params.forwardLatency = sim::microseconds(4);
     EthSwitch sw(ctx, "sw", 2, params);
     Sink a, b;
@@ -120,8 +119,8 @@ TEST(Switch, StoreAndForwardLatency)
     // Ingress serialization (1538 B at 8 ns/B) + cable propagation +
     // forwarding latency + egress serialization + cable propagation.
     sim::Time wire = sim::nanoseconds(1538 * 8);
-    EXPECT_EQ(b.last_at, 2 * wire + 2 * sim::nanoseconds(500) +
-                             sim::microseconds(4));
+    EXPECT_EQ(b.last_at,
+              2 * wire + 2 * kWirePropagation + sim::microseconds(4));
 }
 
 TEST(Switch, TailDropIncrementsRightCounter)

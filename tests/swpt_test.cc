@@ -292,6 +292,46 @@ TEST(SwptProtection, RevokedQuarantinedPageRejected)
     EXPECT_EQ(rig.sys.mem().violationCount(), 0u);
 }
 
+TEST(SwptProtection, ForeignRxBufferRejected)
+{
+    // The attacker posts the victim's page as its own RX buffer.  The
+    // validator refuses it, so a frame for the attacker's MAC finds no
+    // buffer: nothing is copied into the victim's page.
+    SwptAttackRig rig;
+    auto *attacker = rig.sys.guestDomain(0);
+    auto *victim = rig.sys.guestDomain(1);
+    auto no_buf = [&rig] {
+        return rig.v->stats().findCounter("rx_no_guest_buf")->value();
+    };
+    const auto not_owner = vmm::Fault::kNotOwner;
+
+    mem::PageNum victim_page = rig.sys.mem().allocOne(victim->id());
+    std::uint64_t rejected_before = rig.v->descRejected();
+    std::uint64_t faults_before =
+        rig.sys.hv().faultCount(attacker->id(), not_owner);
+    rig.v->rxDoorbell(rig.port, {victim_page});
+    sim::SimContext &ctx = rig.sys.ctx();
+    ctx.events().runUntil(ctx.now() + sim::milliseconds(5));
+    EXPECT_EQ(rig.v->descRejected(), rejected_before + 1);
+    EXPECT_EQ(rig.sys.hv().faultCount(attacker->id(), not_owner),
+              faults_before + 1);
+    EXPECT_EQ(rig.sys.hv().faultCount(victim->id(), not_owner), 0u);
+    EXPECT_EQ(rig.sys.mem().refCount(victim_page), 0u);
+
+    std::uint64_t no_buf_before = no_buf();
+    net::Packet pkt;
+    pkt.src = rig.sys.peer(0).mac();
+    pkt.dst = net::MacAddr::fromId(777);
+    pkt.payloadBytes = 1000;
+    rig.v->nic().receiveFrame(std::move(pkt));
+    ctx.events().runUntil(ctx.now() + sim::milliseconds(5));
+    EXPECT_EQ(no_buf(), no_buf_before + 1);
+    EXPECT_TRUE(rig.v->takeRx(rig.port).empty());
+    EXPECT_TRUE(rig.sys.mem().ownedBy(victim_page, victim->id()));
+    EXPECT_EQ(rig.sys.mem().refCount(victim_page), 0u);
+    EXPECT_EQ(rig.sys.mem().violationCount(), 0u);
+}
+
 TEST(SwptProtection, RejectionsCountedAndVictimUnaffected)
 {
     // The attack above, repeated under live traffic and measured

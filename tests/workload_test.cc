@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "net/eth_link.hh"
@@ -51,7 +50,6 @@ struct AppFixture : ::testing::Test
     mem::PhysMemory mem{ctx, "phys-mem", 4096};
     cpu::SimCpu cpu{ctx, "cpu"};
     vmm::Hypervisor hv{ctx, cpu, mem};
-    core::CostModel costs;
     EchoDevice dev;
     vmm::Domain *dom = nullptr;
     std::unique_ptr<os::NetStack> stack;
@@ -60,57 +58,56 @@ struct AppFixture : ::testing::Test
     SetUp() override
     {
         dom = &hv.createDomain(vmm::Domain::Kind::kGuest, "g");
-        stack = std::make_unique<os::NetStack>(ctx, "stack", *dom, dev,
-                                               costs);
+        stack = std::make_unique<os::NetStack>(ctx, "stack", *dom, dev);
         stack->setDefaultDst(net::MacAddr::fromId(2));
     }
 };
 
 } // namespace
 
+using App = workload::TrafficApp;
+
+/** Chunks the window holds: 512 KB of 64 KB writes. */
+constexpr std::uint64_t kWindowChunks = App::kWindowBytes / App::kChunkBytes;
+
 TEST_F(AppFixture, TransmitFillsWindowThenWaits)
 {
-    workload::TrafficApp::Params params;
-    params.connections = 2;
-    params.windowBytes = 4 * 65536;
-    params.chunkBytes = 65536;
+    ASSERT_EQ(kWindowChunks, 8u);
+    App::Params params;
     params.transmit = true;
-    workload::TrafficApp app(ctx, "app", *stack, costs, params);
+    App app(ctx, "app", *stack, params);
     app.start();
     ctx.events().run();
 
     // Exactly window/chunk chunks in flight; generation paused.
-    EXPECT_EQ(app.bytesSent(), 4u * 65536);
-    EXPECT_EQ(dev.sent.size(), 4u); // one TSO segment per chunk
+    EXPECT_EQ(app.bytesSent(), kWindowChunks * App::kChunkBytes);
+    EXPECT_EQ(dev.sent.size(), kWindowChunks); // one TSO segment per chunk
 
     // Completions reopen the window.
     dev.completeAll();
     ctx.events().run();
-    EXPECT_EQ(app.bytesSent(), 8u * 65536);
+    EXPECT_EQ(app.bytesSent(), 2 * kWindowChunks * App::kChunkBytes);
 }
 
 TEST_F(AppFixture, RoundRobinAcrossConnections)
 {
-    workload::TrafficApp::Params params;
-    params.connections = 4;
-    params.windowBytes = 4 * 65536;
+    App::Params params;
     params.transmit = true;
-    workload::TrafficApp app(ctx, "app", *stack, costs, params);
+    App app(ctx, "app", *stack, params);
     app.start();
     ctx.events().run();
-    ASSERT_EQ(dev.sent.size(), 4u);
-    // Each chunk came from a different connection (flow ids 1..4).
-    std::set<std::uint64_t> flows;
-    for (const auto &p : dev.sent)
-        flows.insert(p.flowId);
-    EXPECT_EQ(flows.size(), 4u);
+    ASSERT_EQ(dev.sent.size(), kWindowChunks);
+    // The chunks alternate between the two connections (flow ids 1, 2).
+    ASSERT_EQ(App::kConnections, 2u);
+    for (std::size_t i = 0; i < dev.sent.size(); ++i)
+        EXPECT_EQ(dev.sent[i].flowId, i % 2 + 1) << "chunk " << i;
 }
 
 TEST_F(AppFixture, ReceiveModeOnlySinks)
 {
-    workload::TrafficApp::Params params;
+    App::Params params;
     params.transmit = false;
-    workload::TrafficApp app(ctx, "app", *stack, costs, params);
+    App app(ctx, "app", *stack, params);
     app.start();
     ctx.events().run();
     EXPECT_EQ(app.bytesSent(), 0u);
@@ -127,22 +124,24 @@ TEST_F(AppFixture, ReceiveModeOnlySinks)
 
 TEST_F(AppFixture, StartIsIdempotent)
 {
-    workload::TrafficApp::Params params;
-    params.windowBytes = 65536;
+    App::Params params;
     params.transmit = true;
-    workload::TrafficApp app(ctx, "app", *stack, costs, params);
+    App app(ctx, "app", *stack, params);
+    std::uint64_t free_before = mem.freePages();
     app.start();
     app.start();
     ctx.events().run();
-    EXPECT_EQ(app.bytesSent(), 65536u);
+    // One window's worth, from one buffer per connection.
+    EXPECT_EQ(app.bytesSent(), App::kWindowBytes);
+    EXPECT_EQ(free_before - mem.freePages(),
+              App::kConnections * App::kChunkBytes / mem::kPageSize);
 }
 
 TEST_F(AppFixture, UserTimeChargedForWrites)
 {
-    workload::TrafficApp::Params params;
-    params.windowBytes = 2 * 65536;
+    App::Params params;
     params.transmit = true;
-    workload::TrafficApp app(ctx, "app", *stack, costs, params);
+    App app(ctx, "app", *stack, params);
     app.start();
     ctx.events().run();
     EXPECT_GT(cpu.profile().domainTime(dom->id(), cpu::Bucket::kUser), 0);
