@@ -32,6 +32,7 @@
 #define CDNA_CORE_COST_MODEL_HH
 
 #include "cpu/sim_cpu.hh"
+#include "net/eth_switch.hh"
 #include "nic/nic_base.hh"
 #include "sim/time.hh"
 #include "vmm/hypervisor.hh"
@@ -205,17 +206,10 @@ struct CostModel
     Time cdnaCoalesce = sim::microseconds(145);
     static constexpr Time cdnaCoalesceRx = sim::microseconds(268);
 
-    // ---- switch fabric (multi-host topologies) --------------------------
-    /**
-     * Store-and-forward lookup/enqueue latency per frame between full
-     * ingress reception and egress eligibility; a cut-through-era GigE
-     * top-of-rack switch forwards a learned unicast in a few
-     * microseconds.
-     */
-    static constexpr Time switchForwardLatency = sim::microseconds(4.0);
-    /** Per-egress-port packet buffer (wire bytes); ~85 full frames,
-     *  modeled after the shallow shared-memory switches of the era. */
-    static constexpr std::uint64_t switchBufBytesPerPort = 128 * 1024;
+    // ---- switch fabric (multi-host topologies; net/eth_switch.hh) -------
+    static constexpr Time switchForwardLatency = net::kSwitchForwardLatency;
+    static constexpr std::uint64_t switchBufBytesPerPort =
+        net::kSwitchBufBytesPerPort;
 };
 
 } // namespace cdna::core

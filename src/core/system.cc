@@ -169,7 +169,7 @@ System::buildCommon()
             net::workload::WorkloadSpec knobs;
             knobs.ackingEvery(CostModel::ackPerFrames);
             if (cfg_.transportKind == TransportKind::kTcp)
-                knobs.overTcp(cfg_.tcpParams);
+                knobs.overTcp();
             peers_.back()->applyWorkload(knobs);
             fab = links_.back().get();
         }
@@ -386,7 +386,7 @@ System::addGuestPort(vmm::Domain &guest, os::NetDevice &dev,
     if (peers_[nic])
         stacks_.back()->setDefaultDst(peers_[nic]->mac());
     if (cfg_.transportKind == TransportKind::kTcp)
-        stacks_.back()->enableTcp(cfg_.tcpParams);
+        stacks_.back()->enableTcp();
     workload::TrafficApp::Params ap;
     ap.transmit = cfg_.transmitDir;
     ap.rpcServer = cfg_.workload.hasRpc();

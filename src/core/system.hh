@@ -123,7 +123,7 @@ struct SystemConfig
      * net/transport/tcp.hh).
      */
     TransportKind transportKind = TransportKind::kOpenLoop;
-    /** TCP tunables (used only when transportKind == kTcp). */
+    /** The TCP stack's constants (used only when transportKind == kTcp). */
     net::transport::TcpParams tcpParams{};
     /**
      * Declarative peer workload (see net/workload/workload_spec.hh).

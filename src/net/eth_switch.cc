@@ -73,7 +73,7 @@ void
 EthSwitch::enqueue(SwitchPort &out, Packet pkt)
 {
     std::uint64_t wb = pkt.wireBytes();
-    if (params_.bufBytesPerPort && out.qBytes + wb > params_.bufBytesPerPort) {
+    if (out.qBytes + wb > params_.bufBytesPerPort) {
         out.drops.inc();
         out.dropBytes.inc(wb);
         return;

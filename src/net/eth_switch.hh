@@ -29,13 +29,23 @@
 
 namespace cdna::net {
 
+/**
+ * Store-and-forward lookup/enqueue latency per frame between full
+ * ingress reception and egress eligibility; a cut-through-era GigE
+ * top-of-rack switch forwards a learned unicast in a few microseconds.
+ */
+inline constexpr sim::Time kSwitchForwardLatency = sim::microseconds(4);
+/** Per-egress-port packet buffer (wire bytes); ~85 full frames,
+ *  modeled after the shallow shared-memory switches of the era. */
+inline constexpr std::uint64_t kSwitchBufBytesPerPort = 128 * 1024;
+
 /** Every port runs at the cables' line rate and propagation (eth_link.hh). */
 struct EthSwitchParams
 {
     /** Lookup/enqueue latency before a frame may begin egress. */
-    sim::Time forwardLatency = sim::microseconds(4);
-    /** Per-port egress buffer in wire bytes (0 = unlimited). */
-    std::uint64_t bufBytesPerPort = 128 * 1024;
+    sim::Time forwardLatency = kSwitchForwardLatency;
+    /** Per-port egress buffer in wire bytes. */
+    std::uint64_t bufBytesPerPort = kSwitchBufBytesPerPort;
 };
 
 class EthSwitch : public sim::SimObject, public Fabric

@@ -193,11 +193,9 @@ struct Packet
     bool tcpData = false;    //!< seq is valid (data segment)
     bool tcpAck = false;     //!< ackNo is valid (pure ACK)
 
-    // --- request/response RPC (net/workload/); all-zero otherwise ---
-    std::uint64_t rpcId = 0;        //!< request id (valid when rpcReq/rpcResp)
-    std::uint32_t rpcRespBytes = 0; //!< response size the request asks for
-    bool rpcReq = false;            //!< request frame, answered by the stack
-    bool rpcResp = false;           //!< response frame, routed to the engine
+    // --- request/response RPC (net/workload/); flowId is the request id ---
+    bool rpcReq = false;  //!< request frame, answered by the stack
+    bool rpcResp = false; //!< response frame, routed to the engine
 
     /** Number of wire frames this packet occupies. */
     std::uint32_t

@@ -34,7 +34,7 @@ TrafficPeer::applyWorkload(const workload::WorkloadSpec &spec)
     if (spec.sourceWindow)
         windowFrames_ = *spec.sourceWindow;
     if (spec.tcp)
-        enableTcpImpl(*spec.tcp);
+        enableTcpImpl();
 
     // A saturating class is the line-rate source and runs on the peer's
     // own machinery; RPC classes run on the engine.
@@ -55,11 +55,10 @@ TrafficPeer::applyWorkload(const workload::WorkloadSpec &spec)
 }
 
 void
-TrafficPeer::enableTcpImpl(const transport::TcpParams &params)
+TrafficPeer::enableTcpImpl()
 {
     SIM_ASSERT(!tcp_, "enableTcp called twice");
-    tcp_ = std::make_unique<transport::TcpEndpoint>(
-        ctx(), name() + ".tcp", params);
+    tcp_ = std::make_unique<transport::TcpEndpoint>(ctx(), name() + ".tcp");
 
     // Data segments self-clock off the wire: refuse while the link is
     // busy, and the wire-end serialized callback pumps the next one.

@@ -118,7 +118,7 @@ class TrafficPeer : public sim::SimObject, public LinkEndpoint
     };
 
     void sendNext();
-    void enableTcpImpl(const transport::TcpParams &params);
+    void enableTcpImpl();
     void startSourceImpl(std::vector<MacAddr> dsts);
     /** Index of @p mac's record, made on first sight. */
     std::uint32_t remoteIndex(MacAddr mac);

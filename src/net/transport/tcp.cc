@@ -10,18 +10,15 @@ namespace cdna::net::transport {
 // TcpSenderFlow
 // ---------------------------------------------------------------------------
 
-TcpSenderFlow::TcpSenderFlow(sim::SimContext &ctx, const TcpParams &params,
+TcpSenderFlow::TcpSenderFlow(sim::SimContext &ctx,
                              std::function<void()> on_ready, Totals &totals)
     : ctx_(ctx),
-      p_(params),
       onReady_(std::move(on_ready)),
       totals_(totals),
-      cwnd_(static_cast<std::uint64_t>(p_.initialCwndSegs) *
-            p_.segmentBytes),
+      cwnd_(TcpParams::initialCwndSegs * TcpParams::segmentBytes),
       ssthresh_(UINT64_C(1) << 62),
-      rto_(p_.minRto)
+      rto_(TcpParams::minRto)
 {
-    SIM_ASSERT(p_.segmentBytes > 0, "zero segment size");
 }
 
 TcpSenderFlow::~TcpSenderFlow()
@@ -35,7 +32,8 @@ TcpSenderFlow::offer(std::uint64_t bytes)
     if (unlimited_)
         return bytes;
     std::uint64_t used = availEnd_ - sndUna_;
-    std::uint64_t room = p_.windowBytes > used ? p_.windowBytes - used : 0;
+    std::uint64_t room =
+        TcpParams::windowBytes > used ? TcpParams::windowBytes - used : 0;
     std::uint64_t accepted = std::min(bytes, room);
     availEnd_ += accepted;
     return accepted;
@@ -52,18 +50,18 @@ std::optional<TcpSenderFlow::Segment>
 TcpSenderFlow::peekSegment() const
 {
     if (fastRtxPending_ && sndNxt_ > sndUna_) {
-        auto len = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-            p_.segmentBytes, sndNxt_ - sndUna_));
+        auto len = static_cast<std::uint32_t>(
+            std::min(TcpParams::segmentBytes, sndNxt_ - sndUna_));
         return Segment{sndUna_, len, true};
     }
     // The receive window is fixed at windowBytes (the peer's buffer);
     // the effective window is its minimum with cwnd.
-    std::uint64_t wnd = std::min(cwnd_, p_.windowBytes);
+    std::uint64_t wnd = std::min(cwnd_, TcpParams::windowBytes);
     std::uint64_t limit = std::min(sndUna_ + wnd, availEnd_);
     if (sndNxt_ >= limit)
         return std::nullopt;
     auto len = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(p_.segmentBytes, limit - sndNxt_));
+        std::min(TcpParams::segmentBytes, limit - sndNxt_));
     return Segment{sndNxt_, len, sndNxt_ < sndMax_};
 }
 
@@ -117,29 +115,29 @@ TcpSenderFlow::onAck(std::uint64_t ack_no)
             } else {
                 // NewReno partial ACK: the next hole is lost too --
                 // retransmit it and deflate by the data acknowledged.
-                cwnd_ = (cwnd_ > newly ? cwnd_ - newly : p_.segmentBytes) +
-                        p_.segmentBytes;
+                cwnd_ = (cwnd_ > newly ? cwnd_ - newly
+                                       : TcpParams::segmentBytes) +
+                        TcpParams::segmentBytes;
                 fastRtxPending_ = true;
             }
         } else {
             dupAcks_ = 0;
             if (cwnd_ < ssthresh_)
-                cwnd_ += std::min<std::uint64_t>(newly, p_.segmentBytes);
+                cwnd_ += std::min(newly, TcpParams::segmentBytes);
             else
                 cwnd_ += std::max<std::uint64_t>(
-                    1, static_cast<std::uint64_t>(p_.segmentBytes) *
-                           p_.segmentBytes / cwnd_);
+                    1, TcpParams::segmentBytes * TcpParams::segmentBytes /
+                           cwnd_);
         }
     } else if (sndNxt_ > sndUna_) {
         totals_.dupAcksRx.inc();
         if (inRecovery_) {
-            cwnd_ += p_.segmentBytes; // window inflation
-        } else if (++dupAcks_ == p_.dupAckThreshold) {
+            cwnd_ += TcpParams::segmentBytes; // window inflation
+        } else if (++dupAcks_ == TcpParams::dupAckThreshold) {
             inRecovery_ = true;
             recover_ = sndMax_;
-            ssthresh_ = std::max<std::uint64_t>(
-                inFlight() / 2, 2 * std::uint64_t{p_.segmentBytes});
-            cwnd_ = ssthresh_ + 3 * std::uint64_t{p_.segmentBytes};
+            ssthresh_ = std::max(inFlight() / 2, 2 * TcpParams::segmentBytes);
+            cwnd_ = ssthresh_ + 3 * TcpParams::segmentBytes;
             fastRtxPending_ = true;
             totals_.fastRetransmits.inc();
             timingActive_ = false;
@@ -168,7 +166,8 @@ TcpSenderFlow::sampleRtt(sim::Time r)
         rttvar_ = (3 * rttvar_ + diff) / 4;
         srtt_ = (7 * srtt_ + r) / 8;
     }
-    rto_ = std::clamp(srtt_ + 4 * rttvar_, p_.minRto, p_.maxRto);
+    rto_ = std::clamp(srtt_ + 4 * rttvar_, TcpParams::minRto,
+                      TcpParams::maxRto);
 }
 
 void
@@ -202,16 +201,15 @@ TcpSenderFlow::onRtoFire()
     if (inFlight() == 0)
         return;
     totals_.rtoEvents.inc();
-    ssthresh_ = std::max<std::uint64_t>(
-        inFlight() / 2, 2 * std::uint64_t{p_.segmentBytes});
-    cwnd_ = p_.segmentBytes;
+    ssthresh_ = std::max(inFlight() / 2, 2 * TcpParams::segmentBytes);
+    cwnd_ = TcpParams::segmentBytes;
     sndNxt_ = sndUna_; // go-back-N
     inRecovery_ = false;
     dupAcks_ = 0;
     fastRtxPending_ = false;
     timingActive_ = false;
     // Exponential backoff, held until the next valid RTT sample.
-    rto_ = std::min(rto_ * 2, p_.maxRto);
+    rto_ = std::min(rto_ * 2, TcpParams::maxRto);
     armRto();
     if (onEvent_)
         onEvent_("rto");
@@ -223,10 +221,9 @@ TcpSenderFlow::onRtoFire()
 // TcpReceiverFlow
 // ---------------------------------------------------------------------------
 
-TcpReceiverFlow::TcpReceiverFlow(
-    sim::SimContext &ctx, const TcpParams &params,
-    std::function<void(std::uint64_t)> send_ack)
-    : ctx_(ctx), p_(params), sendAck_(std::move(send_ack))
+TcpReceiverFlow::TcpReceiverFlow(sim::SimContext &ctx,
+                                 std::function<void(std::uint64_t)> send_ack)
+    : ctx_(ctx), sendAck_(std::move(send_ack))
 {
 }
 
@@ -242,13 +239,11 @@ TcpReceiverFlow::onSegment(std::uint64_t seq, std::uint32_t len)
     if (seq + len <= rcvNxt_) {
         // Entirely old data (network duplicate or spurious retransmit):
         // re-ACK immediately so the sender sees progress.
-        ++oldSegs;
         ackNow();
         return 0;
     }
     if (seq > rcvNxt_) {
         // Hole: buffer the segment and send an immediate duplicate ACK.
-        ++oooSegs;
         auto it = ooo_.emplace(seq, seq + len).first;
         if (it->second < seq + len)
             it->second = seq + len;
@@ -283,7 +278,7 @@ TcpReceiverFlow::onSegment(std::uint64_t seq, std::uint32_t len)
     }
     std::uint64_t delivered = rcvNxt_ - before;
 
-    if (++pendingSegs_ >= p_.ackEverySegs)
+    if (++pendingSegs_ >= TcpParams::ackEverySegs)
         ackNow();
     else
         scheduleDelayedAck();
@@ -306,7 +301,7 @@ TcpReceiverFlow::scheduleDelayedAck()
 {
     if (delAckTimer_ != sim::kInvalidEvent)
         return;
-    delAckTimer_ = ctx_.events().schedule(p_.delayedAckTimeout, [this] {
+    delAckTimer_ = ctx_.events().schedule(TcpParams::delayedAckTimeout, [this] {
         delAckTimer_ = sim::kInvalidEvent;
         if (pendingSegs_ > 0) {
             pendingSegs_ = 0;
@@ -329,10 +324,8 @@ TcpReceiverFlow::cancelTimers()
 // TcpEndpoint
 // ---------------------------------------------------------------------------
 
-TcpEndpoint::TcpEndpoint(sim::SimContext &ctx, std::string name,
-                         TcpParams params)
-    : sim::SimObject(ctx, std::move(name)),
-      p_(params)
+TcpEndpoint::TcpEndpoint(sim::SimContext &ctx, std::string name)
+    : sim::SimObject(ctx, std::move(name))
 {
 }
 
@@ -344,7 +337,7 @@ TcpEndpoint::openSender(std::uint64_t flow_id, MacAddr dst, bool unlimited)
         return;
     it->second.dst = dst;
     it->second.flow = std::make_unique<TcpSenderFlow>(
-        ctx(), p_, [this] { pump(); }, totals_);
+        ctx(), [this] { pump(); }, totals_);
     if (unlimited)
         it->second.flow->setUnlimited();
     it->second.flow->setEventHook([this, flow_id](const char *what) {
@@ -414,12 +407,9 @@ TcpEndpoint::onPacket(const Packet &pkt)
     auto &rf = receivers_[key];
     if (!rf) {
         rf = std::make_unique<TcpReceiverFlow>(
-            ctx(), p_,
+            ctx(),
             [this, src = pkt.src, fid = pkt.flowId](std::uint64_t ack_no) {
-                nAcksTx_.inc();
-                AckOut ao{src, fid, ack_no};
-                if (!ackTx_ || !ackTx_(ao))
-                    pendingAcks_.push_back(ao);
+                sendAck({src, fid, ack_no});
             });
     }
     std::uint64_t delivered = rf->onSegment(pkt.seq, pkt.payloadBytes);
@@ -433,13 +423,26 @@ TcpEndpoint::onPacket(const Packet &pkt)
 }
 
 void
+TcpEndpoint::sendAck(const AckOut &ao)
+{
+    // An ACK never overtakes a refused one: the sender would read the
+    // older cumulative ACK, arriving later, as a duplicate.
+    if (pendingAcks_.empty() && ackTx_ && ackTx_(ao))
+        nAcksTx_.inc();
+    else
+        pendingAcks_.push_back(ao);
+}
+
+void
 TcpEndpoint::pump()
 {
     if (pumping_ || shutdown_)
         return;
     pumping_ = true;
-    while (!pendingAcks_.empty() && ackTx_ && ackTx_(pendingAcks_.front()))
+    while (!pendingAcks_.empty() && ackTx_ && ackTx_(pendingAcks_.front())) {
         pendingAcks_.pop_front();
+        nAcksTx_.inc();
+    }
     bool progress = segmentTx_ != nullptr;
     bool blocked = false;
     while (progress && !blocked) {

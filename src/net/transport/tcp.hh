@@ -44,28 +44,31 @@ enum class TransportKind
     kTcp,      //!< closed-loop Reno endpoints on both sides
 };
 
-/** Tunables shared by every flow of an endpoint. */
+/**
+ * The one TCP stack every flow runs: the paper measures one (section
+ * 5.1) and no experiment varies it, so the struct holds only constants.
+ */
 struct TcpParams
 {
     /** Data bytes per segment (one net::Packet per segment). */
-    std::uint32_t segmentBytes = kMss;
+    static constexpr std::uint64_t segmentBytes = kMss;
     /** Per-flow send buffer; doubles as the advertised receive window. */
-    std::uint64_t windowBytes = 256 * 1024;
+    static constexpr std::uint64_t windowBytes = 256 * 1024;
     /** Initial congestion window, in segments (RFC 6928 IW10). */
-    std::uint32_t initialCwndSegs = 10;
+    static constexpr std::uint32_t initialCwndSegs = 10;
     /** Duplicate ACKs that trigger fast retransmit. */
-    std::uint32_t dupAckThreshold = 3;
+    static constexpr std::uint32_t dupAckThreshold = 3;
     /** Delayed-ACK frequency: one ACK per this many segments. */
-    std::uint32_t ackEverySegs = 2;
+    static constexpr std::uint32_t ackEverySegs = 2;
     /** Delayed-ACK flush timeout. */
-    sim::Time delayedAckTimeout = sim::microseconds(500);
+    static constexpr sim::Time delayedAckTimeout = sim::microseconds(500);
     /**
      * RTO clamp.  Simulated LAN RTTs are ~100 us, so the floor is a few
      * milliseconds instead of the host-stack 200 ms; the ceiling keeps a
      * dead receiver probed a few times per measurement window.
      */
-    sim::Time minRto = sim::milliseconds(3);
-    sim::Time maxRto = sim::milliseconds(64);
+    static constexpr sim::Time minRto = sim::milliseconds(3);
+    static constexpr sim::Time maxRto = sim::milliseconds(64);
 };
 
 /**
@@ -101,8 +104,8 @@ class TcpSenderFlow
     };
 
     /** @param totals  the counters this flow's events are counted in */
-    TcpSenderFlow(sim::SimContext &ctx, const TcpParams &params,
-                  std::function<void()> on_ready, Totals &totals);
+    TcpSenderFlow(sim::SimContext &ctx, std::function<void()> on_ready,
+                  Totals &totals);
     ~TcpSenderFlow();
 
     TcpSenderFlow(const TcpSenderFlow &) = delete;
@@ -157,7 +160,6 @@ class TcpSenderFlow
     void sampleRtt(sim::Time r);
 
     sim::SimContext &ctx_;
-    TcpParams p_;
     std::function<void()> onReady_;
     std::function<void(const char *)> onEvent_;
     Totals &totals_;
@@ -194,7 +196,7 @@ class TcpSenderFlow
 class TcpReceiverFlow
 {
   public:
-    TcpReceiverFlow(sim::SimContext &ctx, const TcpParams &params,
+    TcpReceiverFlow(sim::SimContext &ctx,
                     std::function<void(std::uint64_t ack_no)> send_ack);
     ~TcpReceiverFlow();
 
@@ -209,9 +211,6 @@ class TcpReceiverFlow
 
     std::uint64_t rcvNxt() const { return rcvNxt_; }
 
-    std::uint64_t oooSegs = 0; //!< segments buffered past a hole
-    std::uint64_t oldSegs = 0; //!< fully duplicate segments discarded
-
     /** Domain teardown: cancel the pending delayed-ACK timer, if any. */
     void cancelTimers();
     bool delAckArmed() const { return delAckTimer_ != sim::kInvalidEvent; }
@@ -221,7 +220,6 @@ class TcpReceiverFlow
     void scheduleDelayedAck();
 
     sim::SimContext &ctx_;
-    TcpParams p_;
     std::function<void(std::uint64_t)> sendAck_;
 
     std::uint64_t rcvNxt_ = 0;
@@ -238,7 +236,8 @@ class TcpReceiverFlow
  * The owner supplies the packet I/O:
  *  - SegmentTx builds and transmits a data segment (returns false on
  *    backpressure; the owner must call pump() when it clears);
- *  - AckTx transmits a pure ACK (false re-queues it for the next pump);
+ *  - AckTx transmits a pure ACK (false queues it, and every later ACK
+ *    behind it, for the next pump);
  *  - Deliver receives in-order payload (goodput);
  *  - BufFreed reports send-buffer space opened by ACKs.
  */
@@ -267,7 +266,7 @@ class TcpEndpoint : public sim::SimObject
     using BufFreed =
         std::function<void(std::uint64_t flow_id, std::uint64_t bytes)>;
 
-    TcpEndpoint(sim::SimContext &ctx, std::string name, TcpParams params);
+    TcpEndpoint(sim::SimContext &ctx, std::string name);
 
     void setSegmentTx(SegmentTx fn) { segmentTx_ = std::move(fn); }
     void setAckTx(AckTx fn) { ackTx_ = std::move(fn); }
@@ -298,8 +297,6 @@ class TcpEndpoint : public sim::SimObject
     /** Pending per-flow timers (RTO + delayed ACK); 0 after shutdown. */
     std::uint64_t armedTimers() const;
 
-    const TcpParams &params() const { return p_; }
-
     // --- aggregates (totals over flows; monotonic) ------------------------
     std::uint64_t segsSent() const { return totals_.segsSent.value(); }
     std::uint64_t retransSegs() const { return totals_.retransSegs.value(); }
@@ -329,7 +326,9 @@ class TcpEndpoint : public sim::SimObject
         std::unique_ptr<TcpSenderFlow> flow;
     };
 
-    TcpParams p_;
+    /** Hand @p ao to the owner, or queue it behind any refused ACK. */
+    void sendAck(const AckOut &ao);
+
     SegmentTx segmentTx_;
     AckTx ackTx_;
     Deliver deliver_;
@@ -339,7 +338,7 @@ class TcpEndpoint : public sim::SimObject
     std::map<std::pair<MacAddr, std::uint64_t>,
              std::unique_ptr<TcpReceiverFlow>>
         receivers_;
-    std::deque<AckOut> pendingAcks_;
+    std::deque<AckOut> pendingAcks_; //!< refused by the owner, in order
     bool pumping_ = false;
     bool notifying_ = false;
     bool shutdown_ = false;

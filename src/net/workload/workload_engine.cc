@@ -47,27 +47,18 @@ WorkloadEngine::nextTarget(std::size_t c)
 void
 WorkloadEngine::onArrival(std::size_t c)
 {
-    const FlowClass &fc = spec_.classes[c];
     // Requests ride in one wire frame; the response does the heavy
     // lifting (and is TSO-chunked by the guest's normal TX path).
-    std::uint64_t req_bytes = std::clamp<std::uint64_t>(fc.sizeBytes, 1, kMss);
     std::uint64_t id = nextRpcId_++;
 
     Outstanding o;
     o.sentAt = now();
-    o.expectedBytes =
-        std::max<std::uint64_t>(1, std::min<std::uint64_t>(fc.rpcRespBytes,
-                                                           kMaxTsoBytes));
     o.timeout =
-        events().schedule(fc.rpcTimeout, [this, id] { onRpcTimeout(id); });
+        events().schedule(kRpcTimeout, [this, id] { onRpcTimeout(id); });
     outstanding_.emplace(id, o);
 
-    Packet pkt = frames_.data(nextTarget(c),
-                              static_cast<std::uint32_t>(req_bytes), id,
-                              now());
+    Packet pkt = frames_.data(nextTarget(c), kRpcRequestBytes, id, now());
     pkt.rpcReq = true;
-    pkt.rpcId = id;
-    pkt.rpcRespBytes = fc.rpcRespBytes;
     nFlowsStarted_.inc();
     nRpcRequests_.inc();
     port_.send(std::move(pkt));
@@ -78,12 +69,12 @@ WorkloadEngine::onArrival(std::size_t c)
 void
 WorkloadEngine::onRpcResponse(const Packet &pkt)
 {
-    auto it = outstanding_.find(pkt.rpcId);
+    auto it = outstanding_.find(pkt.flowId);
     if (it == outstanding_.end())
         return; // already timed out (late response) or not ours
     Outstanding &o = it->second;
     o.gotBytes += pkt.payloadBytes;
-    if (o.gotBytes < o.expectedBytes)
+    if (o.gotBytes < kRpcResponseBytes)
         return;
     rpcLatency_.record(now() - o.sentAt);
     events().cancel(o.timeout);

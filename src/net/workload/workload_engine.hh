@@ -13,8 +13,9 @@
  * RPC datapath: the engine emits a request frame (Packet::rpcReq) to a
  * guest MAC; the guest's os::NetStack batches it through the normal
  * RX-cost path and hands it to the rpc-serving TrafficApp, which pays
- * user-time and transmits Packet::rpcResp frames of the requested size
- * back through the guest TX path; TrafficPeer routes responses here.
+ * user-time and transmits Packet::rpcResp frames of kRpcResponseBytes
+ * back through the guest TX path, under the request's flowId;
+ * TrafficPeer routes responses here.
  * Timeouts are armed per request on the event queue and cancelled on
  * completion.
  */
@@ -65,11 +66,10 @@ class WorkloadEngine : public sim::SimObject
     const sim::LatencyRecorder &rpcLatency() const { return rpcLatency_; }
 
   private:
-    /** One request in flight, keyed by rpcId. */
+    /** One request in flight, keyed by its frames' flowId. */
     struct Outstanding
     {
         sim::Time sentAt = 0;
-        std::uint64_t expectedBytes = 0;
         std::uint64_t gotBytes = 0;
         sim::EventId timeout = sim::kInvalidEvent;
     };

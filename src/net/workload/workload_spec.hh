@@ -53,6 +53,16 @@ workloadStreamSeed(std::uint64_t system_seed)
 constexpr int kRpcHistBuckets = 160;
 constexpr int kRpcHistSubBits = 3;
 
+/**
+ * The one RPC shape the experiments run: a request in one wire frame,
+ * answered by a response of one TSO segment; a request unanswered for
+ * kRpcTimeout counts as timed out.
+ */
+constexpr std::uint32_t kRpcRequestBytes = 512;
+constexpr std::uint32_t kRpcResponseBytes = 8 * 1024;
+constexpr sim::Time kRpcTimeout = sim::milliseconds(50);
+static_assert(kRpcRequestBytes <= kMss && kRpcResponseBytes <= kMaxTsoBytes);
+
 /** What a flow class does; the kind implies its arrivals. */
 enum class FlowKind : std::uint8_t {
     kSaturating, ///< back-to-back at line rate on the peer's own source
@@ -69,12 +79,6 @@ struct FlowClass
     FlowKind kind = FlowKind::kSaturating;
     /** kRpc: mean Poisson request rate per second; <= 0 never fires. */
     double ratePerSec = 0.0;
-    /** kRpc: request size, sent as one frame of [1, kMss] bytes. */
-    std::uint64_t sizeBytes = kMss;
-    /** kRpc: response payload the server returns per request. */
-    std::uint32_t rpcRespBytes = 8192;
-    /** kRpc: a request unanswered for this long counts as timed out. */
-    sim::Time rpcTimeout = sim::milliseconds(20);
 
     // ------------------------------------------------- fluent setters ----
     FlowClass &poissonAt(double rate)
@@ -82,25 +86,13 @@ struct FlowClass
         ratePerSec = rate;
         return *this;
     }
-    FlowClass &timingOutAfter(sim::Time t)
-    {
-        rpcTimeout = t;
-        return *this;
-    }
 
     // ----------------------------------------------- named factories ----
     /** The line-rate source of the receive experiments: MSS frames. */
     static FlowClass saturating() { return FlowClass{}; }
-    /** Request/response RPC; inert until poissonAt() sets a rate. */
-    static FlowClass
-    rpc(std::uint64_t req_bytes, std::uint32_t resp_bytes)
-    {
-        FlowClass fc;
-        fc.kind = FlowKind::kRpc;
-        fc.sizeBytes = req_bytes;
-        fc.rpcRespBytes = resp_bytes;
-        return fc;
-    }
+    /** Request/response RPC of the one shape above; inert until
+     *  poissonAt() sets a rate. */
+    static FlowClass rpc() { return FlowClass{FlowKind::kRpc}; }
 };
 
 /**
@@ -116,7 +108,8 @@ struct WorkloadSpec
 
     std::optional<std::uint32_t> ackEvery;
     std::optional<std::uint32_t> sourceWindow;
-    std::optional<transport::TcpParams> tcp;
+    /** Switch the endpoint to TCP (once; false leaves it as it is). */
+    bool tcp = false;
 
     /** Destinations, cycled round-robin per class.  When the spec is
      *  attached to a SystemConfig and left empty, System fills in the
@@ -145,22 +138,17 @@ struct WorkloadSpec
         sourceWindow = frames;
         return *this;
     }
+    /** TcpParams holds only constants, so the argument is ignored. */
     WorkloadSpec &
-    overTcp(const transport::TcpParams &params)
+    overTcp(const transport::TcpParams & = {})
     {
-        tcp = params;
+        tcp = true;
         return *this;
     }
     WorkloadSpec &
     toward(std::vector<MacAddr> dsts)
     {
         targets = std::move(dsts);
-        return *this;
-    }
-    WorkloadSpec &
-    seeded(std::uint64_t s)
-    {
-        seed = s;
         return *this;
     }
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/cost_model.hh"
+#include "net/workload/workload_spec.hh"
 #include "sim/assert.hh"
 
 namespace cdna::os {
@@ -236,11 +237,11 @@ NetStack::scheduleRxCollect()
 }
 
 void
-NetStack::enableTcp(const net::transport::TcpParams &params)
+NetStack::enableTcp()
 {
     SIM_ASSERT(!tcp_, "enableTcp called twice");
-    tcp_ = std::make_unique<net::transport::TcpEndpoint>(
-        ctx(), name() + ".tcp", params);
+    tcp_ = std::make_unique<net::transport::TcpEndpoint>(ctx(),
+                                                         name() + ".tcp");
 
     tcp_->setSegmentTx(
         [this](const net::transport::TcpEndpoint::SegmentOut &so) {
@@ -305,7 +306,7 @@ NetStack::sendBurstTcp(std::uint64_t bytes, std::uint64_t flow_id,
 
     // Segmentation cost up front for the whole burst (TSO is bypassed
     // under TCP: every segment is an MSS so loss granularity is real).
-    std::uint32_t seg = tcp_->params().segmentBytes;
+    constexpr std::uint64_t seg = net::transport::TcpParams::segmentBytes;
     std::uint64_t nsegs = (bytes + seg - 1) / seg;
     CDNA_TRACE_INSTANT_ARG(ctx().tracer(), traceLane(), "tx_burst", now(),
                            "bytes", bytes);
@@ -391,19 +392,15 @@ NetStack::sendRpcResponse(const net::Packet &req)
 {
     if (dead_)
         return;
-    std::uint64_t bytes = std::max<std::uint32_t>(
-        1, std::min<std::uint32_t>(req.rpcRespBytes, net::kMaxTsoBytes));
+    const std::uint64_t bytes = net::workload::kRpcResponseBytes;
     if (rpcBuf_.empty()) {
         std::size_t pages =
             (net::kMaxTsoBytes + mem::kPageSize - 1) / mem::kPageSize;
         rpcBuf_ = dom_.hypervisor().mem().allocOrThrow(dom_.id(), pages);
     }
-    auto pkts = buildPackets(bytes, req.rpcId, req.src, rpcBuf_);
-    for (auto &p : *pkts) {
+    auto pkts = buildPackets(bytes, req.flowId, req.src, rpcBuf_);
+    for (auto &p : *pkts)
         p.rpcResp = true;
-        p.rpcId = req.rpcId;
-        p.rpcRespBytes = req.rpcRespBytes;
-    }
     CDNA_TRACE_INSTANT_ARG(ctx().tracer(), traceLane(), "rpc_response",
                            now(), "bytes", bytes);
     dom_.vcpu().post(cpu::Bucket::kOs, txCost(pkts->size(), bytes),

@@ -42,7 +42,7 @@ class NetStack : public sim::SimObject
      * sequenced, duplicate-ACKed, and delivered in order.  Must be
      * called before any traffic flows.
      */
-    void enableTcp(const net::transport::TcpParams &params);
+    void enableTcp();
 
     /** The transport endpoint, or null in open-loop mode. */
     net::transport::TcpEndpoint *tcp() { return tcp_.get(); }
@@ -93,8 +93,8 @@ class NetStack : public sim::SimObject
     }
 
     /**
-     * Transmit the response @p req asked for (req.rpcRespBytes, capped
-     * at one TSO segment) back to req.src.  Responses are datagrams:
+     * Transmit the response to @p req (net::workload::kRpcResponseBytes,
+     * under req.flowId) back to req.src.  Responses are datagrams:
      * they take the open-loop packet path even in TCP transport mode,
      * paying the usual OS segmentation/copy costs.
      */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <mutex>
 #include <set>
 
@@ -11,6 +12,23 @@
 #include "sim/topology.hh"
 
 namespace cdna::sim {
+
+namespace {
+
+/** Student's t(0.975, df): the 95% interval of a mean over df + 1
+ *  samples.  Past df = 30 the normal quantile is close enough. */
+double
+tQuantile975(std::size_t df)
+{
+    static constexpr double kT[] = {
+        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306,
+        2.262,  2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120,
+        2.110,  2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064,
+        2.060,  2.056, 2.052, 2.048, 2.045, 2.042};
+    return df <= std::size(kT) ? kT[df - 1] : 1.960;
+}
+
+} // namespace
 
 MetricStats
 MetricStats::of(const std::vector<double> &xs)
@@ -27,7 +45,7 @@ MetricStats::of(const std::vector<double> &xs)
         for (double x : xs)
             sq += (x - s.mean) * (x - s.mean);
         s.stddev = std::sqrt(sq / static_cast<double>(xs.size() - 1));
-        s.ci95 = 1.96 * s.stddev /
+        s.ci95 = tQuantile975(xs.size() - 1) * s.stddev /
                  std::sqrt(static_cast<double>(xs.size()));
     }
     return s;

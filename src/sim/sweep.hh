@@ -68,7 +68,8 @@ struct RunResult
     std::map<std::string, double> extra;
 };
 
-/** mean / sample stddev / 95% CI half-width of one metric in a cell. */
+/** mean / sample stddev / 95% CI half-width (Student's t) of one metric
+ *  in a cell. */
 struct MetricStats
 {
     double mean = 0.0;

@@ -200,17 +200,16 @@ latency()
     using Cfg = core::SystemConfig;
     namespace wl = net::workload;
     // Tail latency of a Poisson request/response RPC workload: peers
-    // fire 512 B requests at the guests, which answer with 8 KB
-    // responses; the engines histogram request-to-last-response-byte
-    // and the report carries p50/p99/p999.  The xen column rides the
-    // RiceNIC so the fwreboot fault has firmware to reboot (and dom0
-    // funnels every guest, so both outage classes stall all four).
+    // fire 512 B requests at the guests, which answer with 8 KiB
+    // responses (net/workload/workload_spec.hh); the engines histogram
+    // request-to-last-response-byte and the report carries p50/p99/p999.
+    // The xen column rides the RiceNIC so the fwreboot fault has
+    // firmware to reboot (and dom0 funnels every guest, so both outage
+    // classes stall all four).
     auto rpcLoad = [](double rate) {
         return [rate](Cfg &c) {
             c.withWorkload(wl::WorkloadSpec{}.withClass(
-                wl::FlowClass::rpc(512, 8192)
-                    .poissonAt(rate)
-                    .timingOutAfter(sim::milliseconds(50))));
+                wl::FlowClass::rpc().poissonAt(rate)));
         };
     };
     auto oversub = core::SystemConfig::cdna(4).withNics(1).receive();
@@ -485,11 +484,10 @@ incast()
             auto fanout =
                 static_cast<std::uint32_t>(cfg.scenarioOr("fanout", 4.0));
             net::EthSwitchParams sw_params;
-            sw_params.bufBytesPerPort = static_cast<std::uint64_t>(
-                cfg.scenarioOr("switch_buf_bytes",
-                               static_cast<double>(
-                                   core::CostModel::switchBufBytesPerPort)));
-            sw_params.forwardLatency = core::CostModel::switchForwardLatency;
+            sw_params.bufBytesPerPort =
+                static_cast<std::uint64_t>(cfg.scenarioOr(
+                    "switch_buf_bytes",
+                    static_cast<double>(net::kSwitchBufBytesPerPort)));
 
             Topology topo(cfg.seed, point.observe);
             auto &sw = topo.addSwitch("sw", fanout + 1, sw_params);
@@ -500,11 +498,11 @@ incast()
                 senders.push_back(&p);
             }
             topo.ctx().events().schedule(
-                sim::milliseconds(1), [&host, &senders, &cfg] {
+                sim::milliseconds(1), [&host, &senders] {
                     for (auto *p : senders)
                         p->applyWorkload(
                             net::workload::WorkloadSpec{}
-                                .overTcp(cfg.tcpParams)
+                                .overTcp()
                                 .toward({host.guestMac(0, 0)})
                                 .withClass(
                                     net::workload::FlowClass::saturating()));
@@ -562,13 +560,10 @@ noisyNeighbor()
                    std::map<std::string, double> &extra) {
             const Cfg &cfg = point.config;
             bool noisy = cfg.scenarioOr("noisy", 0.0) != 0.0;
-            net::EthSwitchParams sw_params;
-            sw_params.bufBytesPerPort = core::CostModel::switchBufBytesPerPort;
-            sw_params.forwardLatency = core::CostModel::switchForwardLatency;
 
             Topology topo(cfg.seed, point.observe);
-            auto &core_sw = topo.addSwitch("core", 4, sw_params);
-            auto &access = topo.addSwitch("access", 4, sw_params);
+            auto &core_sw = topo.addSwitch("core", 4);
+            auto &access = topo.addSwitch("access", 4);
             auto &trunk = topo.link(core_sw, access);
             auto &victim = topo.addHost(cfg, {&access});
             auto &other = topo.addHost(
@@ -583,10 +578,10 @@ noisyNeighbor()
 
             topo.ctx().events().schedule(
                 sim::milliseconds(1),
-                [&victim, &other, &vsrc, &nsrc, &cfg, noisy] {
+                [&victim, &other, &vsrc, &nsrc, noisy] {
                     vsrc.applyWorkload(
                         net::workload::WorkloadSpec{}
-                            .overTcp(cfg.tcpParams)
+                            .overTcp()
                             .toward({victim.guestMac(0, 0)})
                             .withClass(
                                 net::workload::FlowClass::saturating()));

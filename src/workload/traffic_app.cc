@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "core/cost_model.hh"
+#include "net/workload/workload_spec.hh"
 #include "sim/assert.hh"
 
 namespace cdna::workload {
@@ -38,9 +39,10 @@ TrafficApp::onRpc(const net::Packet &req)
     // The server's work per request: one application write of the
     // response, paid in user time before the stack transmits it.
     sim::Time user_cost = CostModel::appPerWrite +
-        static_cast<sim::Time>(CostModel::appPerByteNs *
-                               static_cast<double>(req.rpcRespBytes) *
-                               sim::kNanosecond);
+        static_cast<sim::Time>(
+            CostModel::appPerByteNs *
+            static_cast<double>(net::workload::kRpcResponseBytes) *
+            sim::kNanosecond);
     stack_.domain().vcpu().post(cpu::Bucket::kUser, user_cost,
                                 [this, req] {
         if (stopped_)

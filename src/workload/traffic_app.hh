@@ -38,7 +38,7 @@ class TrafficApp : public sim::SimObject
         /** Generate traffic (transmit test) or only sink (receive). */
         bool transmit = true;
         /** Answer RPC request frames (net/workload/) with responses of
-         *  the requested size, paying user time per request. */
+         *  kRpcResponseBytes, paying user time per request. */
         bool rpcServer = false;
     };
 

@@ -95,6 +95,19 @@ TEST(Cli, TopologyAndWorkload)
     EXPECT_EQ(opt->config.seed, 9u);
 }
 
+TEST(Cli, TransportSelection)
+{
+    EXPECT_EQ(parse({})->config.transportKind,
+              net::transport::TransportKind::kOpenLoop);
+    auto opt = parse({"--transport", "tcp"});
+    ASSERT_TRUE(opt.has_value());
+    EXPECT_EQ(opt->config.transportKind, kTcp);
+    EXPECT_EQ(opt->config.effectiveLabel(), "cdna/tx/tcp");
+    std::string err;
+    EXPECT_FALSE(parse({"--transport", "udp"}, &err).has_value());
+    EXPECT_NE(err.find("--transport must be open or tcp"), std::string::npos);
+}
+
 TEST(Cli, ProtectionAndIommu)
 {
     auto opt = parse({"--no-protection", "--iommu", "context"});
@@ -391,10 +404,10 @@ TEST(Cli, SampledStatsHaveABacklogSeriesPerStackAndNoSamples)
          at = json.find(series, at + 1))
         ++n;
     EXPECT_EQ(n, 4u);
-    for (const char *stack : {"stack0.0", "stack1.0", "stack0.1", "stack1.1"})
-        EXPECT_NE(json.find("\"" + std::string(stack) + series),
-                  std::string::npos)
-            << stack;
+    for (const char *stack : {"stack0.0", "stack1.0", "stack0.1", "stack1.1"}) {
+        std::string key = std::string("\"").append(stack).append(series);
+        EXPECT_NE(json.find(key), std::string::npos) << stack;
+    }
 }
 
 TEST(Cli, ObservabilitySessionReportsWriteErrors)

@@ -34,13 +34,11 @@ readFile(const std::string &path)
     return ss.str();
 }
 
-/** 512 B requests, 8 KB responses, Poisson arrivals at @p rate. */
+/** 512 B requests, 8 KiB responses, Poisson arrivals at @p rate. */
 wl::WorkloadSpec
 rpcSpec(double rate)
 {
-    return wl::WorkloadSpec{}.withClass(
-        wl::FlowClass::rpc(512, 8192).poissonAt(rate).timingOutAfter(
-            sim::milliseconds(50)));
+    return wl::WorkloadSpec{}.withClass(wl::FlowClass::rpc().poissonAt(rate));
 }
 
 } // namespace
@@ -113,6 +111,29 @@ TEST(Rpc, DriverDomainKillTimesOutXenButNotCdna)
               0u);
 }
 
+TEST(Rpc, DuplicatedFramesAreAnsweredAndCompletedOnce)
+{
+    // Every wire delivers a fifth of its frames twice.  The guest stacks
+    // drop duplicated requests, so no request is served twice, and the
+    // peer drops duplicated responses, so none completes twice.
+    System sys(SystemConfig::cdna(2)
+                   .withNics(1)
+                   .receive()
+                   .withWorkload(rpcSpec(4000.0))
+                   .withFaults(FaultPlan{}.duplicating(0.2)));
+    sys.run(sim::milliseconds(20), sim::milliseconds(100));
+    auto dups = [](const sim::SimObject &c) {
+        return c.stats().findCounter("rx_duplicates")->value();
+    };
+    EXPECT_GT(dups(sys.stack(0, 0)) + dups(sys.stack(1, 0)), 0u);
+    EXPECT_GT(dups(sys.peer(0)), 0u);
+    const wl::WorkloadEngine *engine = sys.peer(0).engine();
+    ASSERT_NE(engine, nullptr);
+    EXPECT_GT(engine->rpcResponses(), 300u);
+    EXPECT_LE(engine->rpcResponses(), engine->rpcRequests());
+    EXPECT_EQ(engine->rpcLatency().count(), engine->rpcResponses());
+}
+
 TEST(Rpc, ReportIsDeterministicAcrossRebuilds)
 {
     auto run = [] {
@@ -156,7 +177,7 @@ TEST(Rpc, ZeroRateSpecKeepsHeadlineGoldensBitIdentical)
 {
     // Poisson at rate 0 never fires; the class exists only to force the
     // engine (and the guests' rpc-server handler) to be built.
-    auto idle_rpc = wl::FlowClass::rpc(512, 8192).poissonAt(0.0);
+    auto idle_rpc = wl::FlowClass::rpc().poissonAt(0.0);
     wl::WorkloadSpec tx_spec = wl::WorkloadSpec{}.withClass(idle_rpc);
     wl::WorkloadSpec rx_spec =
         wl::WorkloadSpec{}

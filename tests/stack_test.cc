@@ -205,7 +205,7 @@ TEST_F(StackFixture, BadChecksumFramesDroppedBeforeDelivery)
 TEST_F(StackFixture, TcpModeSegmentsRespectInitialWindow)
 {
     dev.tso = false;
-    stack->enableTcp(net::transport::TcpParams{});
+    stack->enableTcp();
     stack->sendBurst(30 * 1460, 1, buffer(11));
     // Run to just before the first RTO (3 ms): with no ACKs, only the
     // initial congestion window (IW10) leaves.

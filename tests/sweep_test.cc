@@ -420,7 +420,17 @@ TEST(MetricStats, KnownEnsemble)
     auto s = sim::MetricStats::of({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0});
     EXPECT_DOUBLE_EQ(s.mean, 5.0);
     EXPECT_NEAR(s.stddev, 2.13809, 1e-4); // sample stddev, n-1
-    EXPECT_NEAR(s.ci95, 1.96 * 2.13809 / std::sqrt(8.0), 1e-4);
+    // Student's t(0.975, 7), not the normal 1.96.
+    EXPECT_NEAR(s.ci95, 2.365 * 2.13809 / std::sqrt(8.0), 1e-4);
+}
+
+TEST(MetricStats, TwoSamplesUseStudentT)
+{
+    // One degree of freedom: t(0.975, 1) = 12.706, 6.5 times 1.96.
+    auto s = sim::MetricStats::of({1.0, 3.0});
+    EXPECT_DOUBLE_EQ(s.mean, 2.0);
+    EXPECT_DOUBLE_EQ(s.stddev, std::sqrt(2.0));
+    EXPECT_NEAR(s.ci95, 12.706, 1e-9);
 }
 
 // --- ExperimentSpec expansion -------------------------------------------

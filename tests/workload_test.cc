@@ -169,18 +169,16 @@ TEST(Workload, SpecFluencyAndPredicates)
     wl::WorkloadSpec spec;
     EXPECT_TRUE(spec.empty());
     EXPECT_FALSE(spec.hasRpc());
-    spec.withClass(wl::FlowClass::rpc(512, 8192).poissonAt(5000.0))
+    spec.withClass(wl::FlowClass::rpc().poissonAt(5000.0))
         .ackingEvery(2)
-        .seeded(7);
+        .overTcp();
     EXPECT_FALSE(spec.empty());
     EXPECT_TRUE(spec.hasRpc());
     ASSERT_EQ(spec.classes.size(), 1u);
     const wl::FlowClass &fc = spec.classes[0];
     EXPECT_EQ(fc.kind, wl::FlowKind::kRpc);
     EXPECT_EQ(fc.ratePerSec, 5000.0);
-    EXPECT_EQ(fc.sizeBytes, 512u);
-    EXPECT_EQ(fc.rpcRespBytes, 8192u);
-    EXPECT_EQ(spec.seed, 7u);
+    EXPECT_TRUE(spec.tcp);
     ASSERT_TRUE(spec.ackEvery.has_value());
     EXPECT_EQ(*spec.ackEvery, 2u);
 
@@ -201,11 +199,12 @@ TEST(Workload, PoissonArrivalsAreSeededDeterministically)
         net::TrafficPeer peer(ctx, "peer", link);
         FrameSink sink;
         link.bind(sink);
-        peer.applyWorkload(
-            wl::WorkloadSpec{}
-                .seeded(seed)
-                .toward({net::MacAddr::fromId(1)})
-                .withClass(wl::FlowClass::rpc(1000, 8192).poissonAt(20000.0)));
+        wl::WorkloadSpec spec = wl::WorkloadSpec{}
+                                    .toward({net::MacAddr::fromId(1)})
+                                    .withClass(wl::FlowClass::rpc().poissonAt(
+                                        20000.0));
+        spec.seed = seed;
+        peer.applyWorkload(spec);
         ctx.events().runUntil(sim::milliseconds(20));
         std::vector<sim::Time> stamps;
         for (const auto &p : sink.got)
