@@ -889,8 +889,9 @@ TEST(ReportGolden, AvailabilityCellsMatchFullDocuments)
 /**
  * Device and wire branches no other golden reaches: IOMMU-refused RX
  * completions, a firmware watchdog reset with mailbox timeouts and ring
- * resyncs, and the duplicate and corrupt branches of a link and of a
- * switch ingress port.
+ * resyncs, a firmware reboot and delayed DMA completions on the CDNA
+ * and Intel receive paths, and the duplicate and corrupt branches of a
+ * link and of a switch ingress port.
  */
 TEST(ReportGolden, DeviceAndWireFaultPathsMatchFullDocuments)
 {
@@ -914,6 +915,17 @@ TEST(ReportGolden, DeviceAndWireFaultPathsMatchFullDocuments)
         {"tcp-dupcorrupt-cdna.json",
          core::SystemConfig::cdna(1).transport(core::kTcp).withFaults(
              dup_corrupt),
+         sim::milliseconds(300)},
+        // Frames held by the NIC between its firmware job and the DMA
+        // completion die at the reboot, and delayed completions land in
+        // issue order.
+        {"fwreboot-dmadelay-cdna-rx.json",
+         core::SystemConfig::cdna(2).receive().withFaults(
+             core::FaultPlan{}.rebootingFirmware(0, 150).delayingDma(0.1, 25)),
+         sim::milliseconds(300)},
+        {"dmadelay-xen-intel-rx.json",
+         core::SystemConfig::xenIntel(2).receive().withFaults(
+             core::FaultPlan{}.delayingDma(0.1, 25)),
          sim::milliseconds(300)},
     };
     for (const Case &c : cases) {
