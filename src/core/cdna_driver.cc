@@ -184,19 +184,19 @@ CdnaGuestDriver::handleIrq()
     if (detached_)
         return;
     std::uint32_t completed = nic_.txConsumer(cxt_) - txDrained_;
-    // Claim the completions now so an overlapping IRQ cannot
-    // double-count them; the task below surfaces them in order.
+    // Claim the completions and frames now so an overlapping IRQ cannot
+    // double-count them; the task below surfaces them in order (the
+    // vCPU runs this handler's tasks in posting order).
     txDrained_ += completed;
-    auto frames = nic_.drainRx(cxt_);
-    if (completed == 0 && frames.empty())
+    std::uint32_t n = nic_.drainRx(cxt_, rxTaken_);
+    if (completed == 0 && n == 0)
         return;
 
     sim::Time cost = costs_.drvIrqHandler +
         completed * costs_.cdnaDrvCompletion +
-        static_cast<sim::Time>(frames.size()) * costs_.cdnaDrvRxPerPacket;
+        static_cast<sim::Time>(n) * costs_.cdnaDrvRxPerPacket;
 
-    dom_.vcpu().post(cpu::Bucket::kOs, cost,
-                     [this, completed, frames = std::move(frames)]() mutable {
+    dom_.vcpu().post(cpu::Bucket::kOs, cost, [this, completed, n] {
         for (std::uint32_t i = 0; i < completed; ++i) {
             SIM_ASSERT(!txInflightBytes_.empty(), "completion underflow");
             std::uint64_t bytes = txInflightBytes_.front();
@@ -207,10 +207,12 @@ CdnaGuestDriver::handleIrq()
         // Backend mode: delivered pages are about to be page-flipped to
         // guests, which requires their DMA pins dropped now rather than
         // at the next enqueue.
-        if (!autoRefill_ && !frames.empty())
+        if (!autoRefill_ && n != 0)
             prot_.syncUnpin(rxHandle_);
 
-        for (auto &pkt : frames) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+            net::Packet pkt = std::move(rxTaken_.front());
+            rxTaken_.pop_front();
             nRxPkts_.inc();
             if (autoRefill_)
                 rxRefillStage_.push_back(mem::pageOf(pkt.hostSg[0].addr));

@@ -19,12 +19,13 @@
 #define CDNA_CORE_CDNA_DRIVER_HH
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "core/cdna_nic.hh"
 #include "core/cost_model.hh"
 #include "core/dma_protection.hh"
 #include "os/net_device.hh"
+#include "sim/fifo.hh"
 #include "vmm/hypervisor.hh"
 
 namespace cdna::core {
@@ -100,13 +101,15 @@ class CdnaGuestDriver : public sim::SimObject, public os::NetDevice
     DmaProtection::Handle rxHandle_ = 0;
 
     // TX
-    std::deque<std::uint64_t> txInflightBytes_;
+    sim::Fifo<std::uint64_t> txInflightBytes_;
     std::uint32_t txEnqueued_ = 0;
     std::uint32_t txDrained_ = 0;
     bool txFlushPending_ = false;
 
     // RX
-    std::deque<mem::PageNum> rxRefillStage_;
+    /** Frames drained by IRQ handlers whose tasks have not run yet. */
+    sim::Fifo<net::Packet> rxTaken_;
+    std::vector<mem::PageNum> rxRefillStage_;
     std::uint32_t rxEnqueued_ = 0;
     bool rxFlushPending_ = false;
     bool autoRefill_ = true;

@@ -182,6 +182,9 @@ CdnaNic::rebootFirmware(sim::Time down_time, sim::Time reconcile_per_cxt)
     hier_.clearAll();
     txArb_.clear();
     txDataBusy_ = false;
+    txFrame_.pkt = {};
+    rxInFlight_.clear();
+    rxIssued_ = 0;
     txWaitingBuffer_ = false;
     txBuf_.reset();
     rxBuf_.reset();
@@ -670,14 +673,16 @@ CdnaNic::pumpTx()
     if (c.tx.fetched - c.tx.consumer < nic::kFetchBatch)
         startFetch(id, /*is_tx=*/true);
 
-    net::Packet pkt;
+    txFrame_.id = id;
+    txFrame_.bytes = bytes;
     if (pkt_opt) {
-        pkt = std::move(*pkt_opt);
+        txFrame_.pkt = std::move(*pkt_opt);
         nTxPackets_.inc();
     } else {
         // Stale/forged descriptor with protection off: the hardware
         // happily transmits whatever the (possibly reallocated) buffer
         // holds.
+        net::Packet &pkt = txFrame_.pkt = net::Packet{};
         pkt.src = c.mac;
         pkt.dst = net::MacAddr::fromId(0xFFFFFFu);
         pkt.payloadBytes = static_cast<std::uint32_t>(
@@ -686,17 +691,17 @@ CdnaNic::pumpTx()
     }
 
     std::uint64_t ep = fw_.epoch();
-    dma_.read(desc.sg, c.dom, id,
-              [this, id, bytes, ep,
-               pkt = std::move(pkt)](mem::DmaResult dr) mutable {
+    dma_.read(desc.sg, c.dom, id, [this, ep](mem::DmaResult dr) {
         if (ep != fw_.epoch())
             return; // firmware rebooted: the staged frame died with it
-        fw_.exec(kFwPerPacket,
-                 [this, id, bytes, ep, dr, pkt = std::move(pkt)]() mutable {
+        txFrame_.dma = dr;
+        fw_.exec(kFwPerPacket, [this, ep] {
             if (ep != fw_.epoch())
                 return;
             txDataBusy_ = false;
-            if (dr.blockedPages > 0) {
+            ContextId id = txFrame_.id;
+            std::uint64_t bytes = txFrame_.bytes;
+            if (txFrame_.dma.blockedPages > 0) {
                 // The IOMMU refused the payload fetch: nothing valid to
                 // transmit.  Complete the descriptor without a frame.
                 nIommuDrops_.inc();
@@ -708,8 +713,8 @@ CdnaNic::pumpTx()
                 return;
             }
             sim::Time gap = kTxInterFrameGap *
-                            static_cast<sim::Time>(pkt.wireFrames());
-            port_.send(std::move(pkt), gap, [this, id, bytes, ep] {
+                            static_cast<sim::Time>(txFrame_.pkt.wireFrames());
+            port_.send(std::move(txFrame_.pkt), gap, [this, id, bytes, ep] {
                 if (ep != fw_.epoch())
                     return; // completion record reconciled at reboot
                 txBuf_.release(bytes);
@@ -763,31 +768,34 @@ CdnaNic::receiveFrame(net::Packet pkt)
     // The frame names the prefix of its buffer that the DMA writes.
     pkt.hostSg = mem::sgPrefix(c.rx.ring->at(pos).sg,
                                bytes + net::kTcpIpHeader);
+    rxInFlight_.push_back({id, bytes, std::move(pkt)});
 
+    // Firmware jobs run in the order they were queued and the engine
+    // completes DMAs in issue order, so each job takes the first frame
+    // it has not issued and each completion the oldest issued frame.
     std::uint64_t ep = fw_.epoch();
-    fw_.exec(kFwPerPacket,
-             [this, id, bytes, ep, pkt = std::move(pkt)]() mutable {
+    fw_.exec(kFwPerPacket, [this, ep] {
         if (ep != fw_.epoch())
             return; // firmware rebooted: frame lost with the old image
-        // sg views the list the frame carries into the callback; the
-        // DMA reads it only during the call.
-        std::span<const mem::SgEntry> sg = pkt.hostSg;
-        dma_.write(sg, cxt(id).dom, id,
-                   [this, id, bytes, ep,
-                    pkt = std::move(pkt)](mem::DmaResult dr) mutable {
+        const RxFrame &f = rxInFlight_[rxIssued_++];
+        dma_.write(f.pkt.hostSg, cxt(f.id).dom, f.id,
+                   [this, ep](mem::DmaResult dr) {
             if (ep != fw_.epoch())
                 return;
-            rxBuf_.release(bytes);
-            Context &ccc = cxt(id);
+            RxFrame f = std::move(rxInFlight_.front());
+            rxInFlight_.pop_front();
+            --rxIssued_;
+            rxBuf_.release(f.bytes);
+            Context &ccc = cxt(f.id);
             if (ccc.allocated && dr.blockedPages > 0) {
                 // IOMMU refused the buffer write: the frame is lost,
                 // but the descriptor is consumed.
                 nIommuDrops_.inc();
             } else if (ccc.allocated) {
                 nRxPackets_.inc();
-                ccc.rxDeliveries.push_back(std::move(pkt));
+                ccc.rxDeliveries.push_back(std::move(f.pkt));
             }
-            completeDescriptor(id, /*is_tx=*/false);
+            completeDescriptor(f.id, /*is_tx=*/false);
         });
     });
 }
@@ -816,10 +824,10 @@ CdnaNic::consumer(ContextId id, bool is_tx) const
     return (is_tx ? c.tx : c.rx).consumerHost;
 }
 
-std::vector<net::Packet>
-CdnaNic::drainRx(ContextId id)
+std::uint32_t
+CdnaNic::drainRx(ContextId id, sim::Fifo<net::Packet> &out)
 {
-    return std::exchange(cxt(id).rxDeliveries, {});
+    return sim::moveAllInto(cxt(id).rxDeliveries, out);
 }
 
 nic::DescRing &

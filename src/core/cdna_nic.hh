@@ -40,6 +40,7 @@
 #include "nic/mailbox.hh"
 #include "nic/nic_base.hh"
 #include "nic/packet_buffer.hh"
+#include "sim/fifo.hh"
 #include "vmm/hypervisor.hh"
 
 namespace cdna::core {
@@ -241,11 +242,12 @@ class CdnaNic : public nic::NicBase
     }
 
     /**
-     * Guest driver pulls delivered frames for @p cxt.  Each frame's
-     * hostSg is the prefix of the posted RX buffer the NIC wrote it
-     * into.
+     * Guest driver pulls delivered frames for @p cxt, appending them to
+     * @p out.  Each frame's hostSg is the prefix of the posted RX
+     * buffer the NIC wrote it into.
+     * @return the number of frames
      */
-    std::vector<net::Packet> drainRx(ContextId cxt);
+    std::uint32_t drainRx(ContextId cxt, sim::Fifo<net::Packet> &out);
 
     /** @p cxt's TX (@p is_tx) or RX descriptor ring. */
     nic::DescRing &ring(ContextId cxt, bool is_tx);
@@ -379,6 +381,28 @@ class CdnaNic : public nic::NicBase
     std::deque<ContextId> txArb_;
     bool txDataBusy_ = false;
     bool txWaitingBuffer_ = false;
+
+    /** The frame of the one TX data DMA in flight (txDataBusy_). */
+    struct TxFrame
+    {
+        ContextId id = 0;
+        std::uint64_t bytes = 0;
+        mem::DmaResult dma;
+        net::Packet pkt;
+    };
+    TxFrame txFrame_;
+
+    /** A received frame between its firmware job and its DMA write. */
+    struct RxFrame
+    {
+        ContextId id;
+        std::uint64_t bytes;
+        net::Packet pkt;
+    };
+    /** Received frames in arrival order; the first rxIssued_ have
+     *  their DMA write issued. */
+    sim::Fifo<RxFrame> rxInFlight_;
+    std::size_t rxIssued_ = 0;
 
     std::optional<InterruptRing> intrRing_;
     std::uint32_t pendingVector_ = 0;

@@ -215,17 +215,15 @@ SimCpu::dispatch()
 
     // 1. Hypervisor work preempts all domains.
     if (!hvQ_.empty()) {
-        HvItem item = std::move(hvQ_.front());
+        sim::Time cost = hvQ_.front().cost;
+        running_ = std::move(hvQ_.front().done);
         hvQ_.pop_front();
         beginBusy();
         nHvItems_.inc();
-        CDNA_TRACE_SPAN(ctx().tracer(), hvLane_, "hv", now(), item.cost);
-        events().schedule(item.cost, [this, item = std::move(item)] {
-            profile_.chargeHypervisor(item.cost);
-            busy_ = false;
-            if (item.done)
-                item.done();
-            kick();
+        CDNA_TRACE_SPAN(ctx().tracer(), hvLane_, "hv", now(), cost);
+        events().schedule(cost, [this, cost] {
+            profile_.chargeHypervisor(cost);
+            finishRunning();
         });
         return;
     }
@@ -264,13 +262,15 @@ SimCpu::dispatch()
     current_ = v;
     SIM_ASSERT(!v->idle(), "picked vcpu with no tasks");
     auto &q = v->irqQ_.empty() ? v->normalQ_ : v->irqQ_;
-    Vcpu::Task task = std::move(q.front());
+    Bucket bucket = q.front().bucket;
+    sim::Time task_cost = q.front().cost;
+    running_ = std::move(q.front().done);
     q.pop_front();
 
     v->lastRan_ = now();
     v->ranSinceSched_ = true;
     sim::Time cost = static_cast<sim::Time>(
-        static_cast<double>(task.cost) * contentionMultiplier());
+        static_cast<double>(task_cost) * contentionMultiplier());
     if (surchargePending_) {
         cost += params_.cacheColdSurcharge;
         surchargePending_ = false;
@@ -279,16 +279,21 @@ SimCpu::dispatch()
     beginBusy();
     nTasks_.inc();
     CDNA_TRACE_SPAN(ctx().tracer(), v->traceLane_,
-                    task.bucket == Bucket::kOs ? "os" : "user", now(),
-                    cost);
-    events().schedule(cost, [this, v, cost,
-                             task = std::move(task)]() mutable {
-        profile_.chargeDomain(v->dom_, task.bucket, cost);
-        busy_ = false;
-        if (task.done)
-            task.done();
-        kick();
+                    bucket == Bucket::kOs ? "os" : "user", now(), cost);
+    events().schedule(cost, [this, v, cost, bucket] {
+        profile_.chargeDomain(v->dom_, bucket, cost);
+        finishRunning();
     });
+}
+
+void
+SimCpu::finishRunning()
+{
+    busy_ = false;
+    std::function<void()> done = std::move(running_);
+    if (done)
+        done();
+    kick();
 }
 
 } // namespace cdna::cpu

@@ -28,6 +28,7 @@
 
 #include "cpu/exec_profile.hh"
 #include "mem/phys_memory.hh"
+#include "sim/fifo.hh"
 #include "sim/sim_object.hh"
 
 namespace cdna::cpu {
@@ -120,8 +121,8 @@ class Vcpu
     bool boosted_ = false;
     bool ranSinceSched_ = false;
     sim::Time sliceUsed_ = 0;
-    std::deque<Task> irqQ_;
-    std::deque<Task> normalQ_;
+    sim::Fifo<Task> irqQ_;
+    sim::Fifo<Task> normalQ_;
 };
 
 /** The single physical CPU of the simulated host. */
@@ -176,6 +177,8 @@ class SimCpu : public sim::SimObject
 
     void kick();
     void dispatch();
+    /** The occupant's cost has elapsed: free the CPU and run it. */
+    void finishRunning();
     void beginBusy();
     Vcpu *pickNext();
     void makeRunnable(Vcpu *v, bool boost);
@@ -185,8 +188,13 @@ class SimCpu : public sim::SimObject
     ExecProfile profile_;
     std::vector<std::unique_ptr<Vcpu>> vcpus_;
 
-    std::deque<HvItem> hvQ_;
+    sim::Fifo<HvItem> hvQ_;
     std::deque<Vcpu *> runnable_; //!< boosted at front, normal at back
+    /**
+     * The callback of the task or hypervisor item occupying the CPU.
+     * It moves out before it runs, since it may post the next one.
+     */
+    std::function<void()> running_;
     Vcpu *current_ = nullptr;
     Vcpu *lastRan_ = nullptr; //!< last domain to occupy the CPU
     bool busy_ = false;

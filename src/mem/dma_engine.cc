@@ -17,7 +17,7 @@ sgBytes(std::span<const SgEntry> sg)
 }
 
 SgList
-sgPrefix(const SgList &sg, std::uint64_t bytes)
+sgPrefix(std::span<const SgEntry> sg, std::uint64_t bytes)
 {
     SgList out;
     for (const auto &e : sg) {
@@ -32,7 +32,7 @@ sgPrefix(const SgList &sg, std::uint64_t bytes)
 }
 
 std::uint64_t
-sgPages(const SgList &sg)
+sgPages(std::span<const SgEntry> sg)
 {
     std::uint64_t n = 0;
     forEachSgPage(sg, [&n](PageNum) {

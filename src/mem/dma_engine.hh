@@ -15,30 +15,20 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "mem/iommu.hh"
 #include "mem/pci_bus.hh"
 #include "mem/phys_memory.hh"
+#include "mem/sg_list.hh"
 #include "sim/sim_object.hh"
 
 namespace cdna::mem {
-
-/** One contiguous piece of a scatter/gather transfer. */
-struct SgEntry
-{
-    PhysAddr addr = 0;
-    std::uint32_t len = 0;
-};
-
-/** Scatter/gather list. */
-using SgList = std::vector<SgEntry>;
 
 /** Total byte count of a scatter/gather list. */
 std::uint64_t sgBytes(std::span<const SgEntry> sg);
 
 /** Prefix of @p sg covering its first @p bytes. */
-SgList sgPrefix(const SgList &sg, std::uint64_t bytes);
+SgList sgPrefix(std::span<const SgEntry> sg, std::uint64_t bytes);
 
 /**
  * Call @p fn(page) for every page the entries of @p sg span, in order,
@@ -61,7 +51,7 @@ forEachSgPage(std::span<const SgEntry> sg, Fn &&fn)
 }
 
 /** Number of pages the entries of @p sg span. */
-std::uint64_t sgPages(const SgList &sg);
+std::uint64_t sgPages(std::span<const SgEntry> sg);
 
 /** Outcome of a DMA operation. */
 struct DmaResult

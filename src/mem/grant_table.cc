@@ -12,6 +12,59 @@ GrantTable::GrantTable(sim::SimContext &ctx, std::string name,
 {
 }
 
+GrantTable::Entry *
+GrantTable::find(GrantRef ref)
+{
+    if (slots_.empty() || ref == kInvalidGrant)
+        return nullptr;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = ref & mask;; i = (i + 1) & mask) {
+        if (slots_[i].ref == ref)
+            return &slots_[i];
+        if (slots_[i].ref == kInvalidGrant)
+            return nullptr;
+    }
+}
+
+void
+GrantTable::insert(const Entry &e)
+{
+    if (2 * (live_ + 1) > slots_.size()) {
+        std::vector<Entry> old = std::exchange(
+            slots_, std::vector<Entry>(std::max<std::size_t>(
+                        kInitialSlots, 2 * slots_.size())));
+        live_ = 0;
+        for (const Entry &o : old)
+            if (o.ref != kInvalidGrant)
+                insert(o);
+    }
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = e.ref & mask;
+    while (slots_[i].ref != kInvalidGrant)
+        i = (i + 1) & mask;
+    slots_[i] = e;
+    ++live_;
+}
+
+void
+GrantTable::erase(Entry &e)
+{
+    // Backward-shift deletion: pull later entries of the probe run
+    // into the hole unless that would move one before its home slot.
+    const std::size_t mask = slots_.size() - 1;
+    auto hole = static_cast<std::size_t>(&e - slots_.data());
+    for (std::size_t i = (hole + 1) & mask; slots_[i].ref != kInvalidGrant;
+         i = (i + 1) & mask) {
+        std::size_t home = slots_[i].ref & mask;
+        if (((i - home) & mask) >= ((i - hole) & mask)) {
+            slots_[hole] = slots_[i];
+            hole = i;
+        }
+    }
+    slots_[hole] = Entry{};
+    --live_;
+}
+
 GrantRef
 GrantTable::grantAccess(DomainId from, DomainId to, PageNum page)
 {
@@ -20,7 +73,7 @@ GrantTable::grantAccess(DomainId from, DomainId to, PageNum page)
         return kInvalidGrant;
     }
     GrantRef ref = nextRef_++;
-    entries_.emplace(ref, Entry{from, to, page, false});
+    insert(Entry{ref, from, to, page});
     nGrants_.inc();
     return ref;
 }
@@ -28,13 +81,12 @@ GrantTable::grantAccess(DomainId from, DomainId to, PageNum page)
 bool
 GrantTable::mapGrant(GrantRef ref, DomainId mapper, PageNum *page_out)
 {
-    auto it = entries_.find(ref);
-    if (it == entries_.end() || it->second.to != mapper ||
-        it->second.mapped) {
+    Entry *e = find(ref);
+    if (!e || e->to != mapper || e->mapped) {
         nDenied_.inc();
         return false;
     }
-    if (it->second.revoked) {
+    if (e->revoked) {
         // A reference the hypervisor force-revoked (backend crash)
         // must never become mappable again, even by the same domain
         // after it restarts.
@@ -43,44 +95,42 @@ GrantTable::mapGrant(GrantRef ref, DomainId mapper, PageNum *page_out)
         return false;
     }
     // Ownership may have changed since the grant was issued.
-    if (!mem_.ownedBy(it->second.page, it->second.from)) {
+    if (!mem_.ownedBy(e->page, e->from)) {
         nDenied_.inc();
         return false;
     }
-    it->second.mapped = true;
-    mem_.getRef(it->second.page);
-    mem_.noteGrantMapped(it->second.page, mapper);
+    e->mapped = true;
+    mem_.getRef(e->page);
+    mem_.noteGrantMapped(e->page, mapper);
     nMaps_.inc();
     if (page_out)
-        *page_out = it->second.page;
+        *page_out = e->page;
     return true;
 }
 
 bool
 GrantTable::unmapGrant(GrantRef ref, DomainId mapper)
 {
-    auto it = entries_.find(ref);
-    if (it == entries_.end() || it->second.to != mapper ||
-        !it->second.mapped) {
+    Entry *e = find(ref);
+    if (!e || e->to != mapper || !e->mapped) {
         nDenied_.inc();
         return false;
     }
-    it->second.mapped = false;
-    mem_.clearGrantMapped(it->second.page);
-    mem_.putRef(it->second.page);
+    e->mapped = false;
+    mem_.clearGrantMapped(e->page);
+    mem_.putRef(e->page);
     return true;
 }
 
 bool
 GrantTable::endGrant(GrantRef ref, DomainId from)
 {
-    auto it = entries_.find(ref);
-    if (it == entries_.end() || it->second.from != from ||
-        it->second.mapped) {
+    Entry *e = find(ref);
+    if (!e || e->from != from || e->mapped) {
         nDenied_.inc();
         return false;
     }
-    entries_.erase(it);
+    erase(*e);
     return true;
 }
 
@@ -104,16 +154,17 @@ GrantTable::revokeMappingsOf(DomainId mapper)
     // it to the restarted backend (the request survives in the shared
     // ring).  Process references in sorted order: quarantine insertion
     // order feeds the free list at drain time, and allocation order
-    // must not depend on unordered_map iteration.
+    // must not depend on the table's slot order.
     std::vector<GrantRef> refs;
-    for (const auto &[ref, e] : entries_)
-        if (e.to == mapper && e.mapped && !e.revoked)
-            refs.push_back(ref);
+    for (const Entry &e : slots_)
+        if (e.ref != kInvalidGrant && e.to == mapper && e.mapped &&
+            !e.revoked)
+            refs.push_back(e.ref);
     std::sort(refs.begin(), refs.end());
 
     RevokeStats rs;
     for (GrantRef ref : refs) {
-        Entry &e = entries_[ref];
+        Entry &e = *find(ref);
         e.revoked = true;
         ++rs.revoked;
         nRevoked_.inc();

@@ -13,9 +13,9 @@
 #ifndef CDNA_MEM_GRANT_TABLE_HH
 #define CDNA_MEM_GRANT_TABLE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/phys_memory.hh"
@@ -82,7 +82,7 @@ class GrantTable : public sim::SimObject
     /** Release quarantined pages (the DMA engine has drained). */
     std::uint64_t drainQuarantine();
 
-    std::uint64_t activeGrants() const { return entries_.size(); }
+    std::uint64_t activeGrants() const { return live_; }
     std::uint64_t flipCount() const { return nFlips_.value(); }
     std::uint64_t quarantinedPages() const { return quarantine_.size(); }
     std::uint64_t revokedGrants() const { return nRevoked_.value(); }
@@ -101,16 +101,31 @@ class GrantTable : public sim::SimObject
   private:
     struct Entry
     {
-        DomainId from;
-        DomainId to;
-        PageNum page;
+        GrantRef ref = kInvalidGrant; //!< kInvalidGrant: a free slot
+        DomainId from = 0;
+        DomainId to = 0;
+        PageNum page = 0;
         bool mapped = false;
         bool revoked = false;
     };
 
+    /** The live entry for @p ref, or null. */
+    Entry *find(GrantRef ref);
+    void insert(const Entry &e);
+    void erase(Entry &e);
+
     PhysMemory &mem_;
     GrantRef nextRef_ = 1;
-    std::unordered_map<GrantRef, Entry> entries_;
+    /**
+     * Live entries, open addressing with linear probing from slot
+     * ref & (size - 1), at most half full.  A grant lives for one
+     * frame's transfer, so a node per grant would cost an allocation
+     * per frame; references are issued in increasing order, so the
+     * window of live ones rarely collides.
+     */
+    std::vector<Entry> slots_;
+    std::size_t live_ = 0;
+    static constexpr std::size_t kInitialSlots = 64;
     /** Pages still pinned on behalf of a crashed mapper's DMA. */
     std::vector<PageNum> quarantine_;
 

@@ -27,10 +27,10 @@
 #define CDNA_NET_ETH_LINK_HH
 
 #include <cstdint>
-#include <deque>
 
 #include "net/fabric.hh"
 #include "net/packet.hh"
+#include "sim/fifo.hh"
 #include "sim/sim_object.hh"
 
 namespace cdna::net {
@@ -123,8 +123,8 @@ class WirePort : public Port
     sim::Counter txFrames_;
     sim::Counter txPayload_;
     sim::Counter rxPayload_;
-    std::deque<PendingDone> done_;
-    std::deque<InFlight> inFlight_;
+    sim::Fifo<PendingDone> done_;
+    sim::Fifo<InFlight> inFlight_;
 };
 
 class EthLink : public sim::SimObject, public Fabric

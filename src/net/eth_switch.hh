@@ -19,12 +19,12 @@
 #define CDNA_NET_ETH_SWITCH_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "net/eth_link.hh"
 #include "net/fabric.hh"
 #include "net/packet.hh"
+#include "sim/fifo.hh"
 #include "sim/sim_object.hh"
 
 namespace cdna::net {
@@ -84,9 +84,9 @@ class EthSwitch : public sim::SimObject, public Fabric
         EthSwitch *sw = nullptr;
 
         /** Egress queue; while egressBusy its head is serializing. */
-        std::deque<QEntry> q;
+        sim::Fifo<QEntry> q;
         /** Frames past egress serialization, propagating to the endpoint. */
-        std::deque<Packet> onWire;
+        sim::Fifo<Packet> onWire;
         std::uint64_t qBytes = 0;
         std::uint64_t qPeakBytes = 0;
         bool egressBusy = false;

@@ -171,6 +171,12 @@ struct Packet
     mem::SgList hostSg;               //!< host buffer(s), empty once on wire
     std::uint64_t flowId = 0;         //!< connection the packet belongs to
     sim::Time created = 0;            //!< creation time (latency stats)
+
+    // --- transport (net/transport/tcp.hh); untouched in open-loop mode ---
+    std::uint64_t seq = 0;   //!< first payload byte's stream offset
+    std::uint64_t ackNo = 0; //!< cumulative ACK (valid when tcpAck)
+
+    // --- flags, kept together so they share one word ---
     /**
      * Injected duplicate of an already-delivered frame (fault
      * injection).  Duplicates consume wire, NIC, and stack resources
@@ -186,14 +192,9 @@ struct Packet
      * the TCP transport forces a retransmission.
      */
     bool intact = true;
-
-    // --- transport (net/transport/tcp.hh); untouched in open-loop mode ---
-    std::uint64_t seq = 0;   //!< first payload byte's stream offset
-    std::uint64_t ackNo = 0; //!< cumulative ACK (valid when tcpAck)
-    bool tcpData = false;    //!< seq is valid (data segment)
-    bool tcpAck = false;     //!< ackNo is valid (pure ACK)
-
-    // --- request/response RPC (net/workload/); flowId is the request id ---
+    bool tcpData = false; //!< seq is valid (data segment)
+    bool tcpAck = false;  //!< ackNo is valid (pure ACK)
+    // Request/response RPC (net/workload/); flowId is the request id.
     bool rpcReq = false;  //!< request frame, answered by the stack
     bool rpcResp = false; //!< response frame, routed to the engine
 
@@ -212,6 +213,11 @@ struct Packet
                static_cast<std::uint64_t>(wireFrames()) * kWireOverhead;
     }
 };
+
+// Frames move by value through every queue of the datapath; the flags
+// sharing one word keep the inline SG list from growing a Packet past
+// 96 bytes.
+static_assert(sizeof(Packet) <= 96, "Packet grew past 96 bytes");
 
 } // namespace cdna::net
 

@@ -8,7 +8,7 @@
 namespace cdna::nic {
 
 DescRing::DescRing(std::uint32_t entries, mem::PhysAddr base)
-    : base_(base), slots_(entries), packets_(entries)
+    : base_(base), slots_(entries)
 {
     SIM_ASSERT(entries > 0, "empty descriptor ring");
     // Indices are free-running uint32 counters that eventually wrap.
@@ -48,12 +48,17 @@ DescRing::at(std::uint32_t pos) const
 void
 DescRing::attachPacket(std::uint32_t pos, net::Packet pkt)
 {
+    // Only TX rings carry payloads: build their slots on first use.
+    if (packets_.empty())
+        packets_.resize(size());
     packets_[slotOf(pos)] = std::move(pkt);
 }
 
 std::optional<net::Packet>
 DescRing::detachPacket(std::uint32_t pos)
 {
+    if (packets_.empty())
+        return std::nullopt;
     auto &slot = packets_[slotOf(pos)];
     std::optional<net::Packet> out = std::move(slot);
     slot.reset();
@@ -63,7 +68,7 @@ DescRing::detachPacket(std::uint32_t pos)
 bool
 DescRing::hasPacket(std::uint32_t pos) const
 {
-    return packets_[pos % size()].has_value();
+    return !packets_.empty() && packets_[pos % size()].has_value();
 }
 
 std::optional<DescFetch>

@@ -75,6 +75,7 @@ class DescRing
   private:
     mem::PhysAddr base_;
     std::vector<DmaDescriptor> slots_;
+    /** Payload per slot; empty until the first attachPacket(). */
     std::vector<std::optional<net::Packet>> packets_;
 };
 

@@ -1,6 +1,5 @@
 #include "nic/intel_nic.hh"
 
-#include <span>
 #include <utility>
 
 #include "sim/assert.hh"
@@ -103,18 +102,19 @@ IntelNic::pumpTx()
     }
     txDataBusy_ = true;
     ++tx_.used;
+    txFrame_ = std::move(pkt);
 
     dma_.read(desc.sg, dmaDomain_, mem::kWholeDevice,
-              [this, pkt = std::move(pkt), bytes,
-               ep = txEpoch_](mem::DmaResult) mutable {
+              [this, ep = txEpoch_](mem::DmaResult) {
         if (ep != txEpoch_)
             return; // quiesced mid-read: the frame never reaches the wire
         txDataBusy_ = false;
+        std::uint64_t bytes = txFrame_.payloadBytes;
         nTxPackets_.inc();
-        nTxPayload_.inc(pkt.payloadBytes);
+        nTxPayload_.inc(bytes);
         sim::Time gap = kTxInterFrameGap *
-                        static_cast<sim::Time>(pkt.wireFrames());
-        port_.send(std::move(pkt), gap, [this, bytes, ep] {
+                        static_cast<sim::Time>(txFrame_.wireFrames());
+        port_.send(std::move(txFrame_), gap, [this, bytes, ep] {
             if (ep != txEpoch_)
                 return; // quiesced while on the wire; state already reset
             txBuf_.release(bytes);
@@ -164,15 +164,17 @@ IntelNic::receiveFrame(net::Packet pkt)
         startRxFetch();
 
     // Only the frame's bytes cross the bus, not the whole buffer; the
-    // frame names that prefix of its buffer to the driver.  wsg views
-    // the prefix's storage, which moves with the frame into the
-    // callback, and the DMA reads it only during the call.
+    // frame names that prefix of its buffer to the driver.  The engine
+    // completes DMAs in issue order, so each completion takes the
+    // oldest frame in flight.
     pkt.hostSg = mem::sgPrefix(rx_.ring->at(pos).sg,
                                pkt.payloadBytes + net::kTcpIpHeader);
-    std::span<const mem::SgEntry> wsg = pkt.hostSg;
-    dma_.write(wsg, dmaDomain_, mem::kWholeDevice,
-               [this, bytes, pkt = std::move(pkt)](mem::DmaResult) mutable {
-        rxBuf_.release(bytes);
+    rxInFlight_.push_back(std::move(pkt));
+    dma_.write(rxInFlight_.back().hostSg, dmaDomain_, mem::kWholeDevice,
+               [this](mem::DmaResult) {
+        net::Packet pkt = std::move(rxInFlight_.front());
+        rxInFlight_.pop_front();
+        rxBuf_.release(pkt.payloadBytes);
         nRxPackets_.inc();
         nRxPayload_.inc(pkt.payloadBytes);
         rxReady_.push_back(std::move(pkt));
@@ -182,10 +184,10 @@ IntelNic::receiveFrame(net::Packet pkt)
     });
 }
 
-std::vector<net::Packet>
-IntelNic::drainRx()
+std::uint32_t
+IntelNic::drainRx(sim::Fifo<net::Packet> &out)
 {
-    return std::exchange(rxReady_, {});
+    return sim::moveAllInto(rxReady_, out);
 }
 
 std::uint64_t
@@ -203,6 +205,7 @@ IntelNic::quiesceTx()
     txBuf_.reset();
     tx_.fetchBusy = false;
     txDataBusy_ = false;
+    txFrame_ = {};
     tx_.fetched = tx_.used = tx_.producer;
     if (tx_.consumer != tx_.producer) {
         // Publish the skip so the driver's completion accounting

@@ -20,6 +20,7 @@
 #include "nic/desc_ring.hh"
 #include "nic/nic_base.hh"
 #include "nic/packet_buffer.hh"
+#include "sim/fifo.hh"
 
 namespace cdna::nic {
 
@@ -69,10 +70,11 @@ class IntelNic : public NicBase
 
     /**
      * Driver pulls delivered frames (called from its IRQ handler), in
-     * ring order.  Each frame's hostSg is the prefix of the posted RX
-     * buffer the NIC wrote it into.
+     * ring order, appending them to @p out.  Each frame's hostSg is the
+     * prefix of the posted RX buffer the NIC wrote it into.
+     * @return the number of frames
      */
-    std::vector<net::Packet> drainRx();
+    std::uint32_t drainRx(sim::Fifo<net::Packet> &out);
 
     /**
      * Quiesce the TX DMA engine (hypervisor killing the owning
@@ -114,12 +116,16 @@ class IntelNic : public NicBase
     // transmitted descriptors.
     DescQueue tx_;
     bool txDataBusy_ = false;
+    /** The frame of the one TX data DMA in flight (txDataBusy_). */
+    net::Packet txFrame_;
     /** Bumped by quiesceTx(); stale TX continuations early-return. */
     std::uint64_t txEpoch_ = 0;
 
     // RX: used counts descriptors taken by arriving frames, consumer
     // the deliveries completed to host memory.
     DescQueue rx_;
+    /** Frames whose DMA write is in flight, in issue order. */
+    sim::Fifo<net::Packet> rxInFlight_;
     std::vector<net::Packet> rxReady_;
 
     bool writebackBusy_ = false;

@@ -78,14 +78,15 @@ NativeDriver::handleIrq()
     // claim it immediately so an overlapping IRQ cannot double-count.
     std::uint32_t completed = nic_.txConsumer() - txDrained_;
     txDrained_ += completed;
-    auto frames = nic_.drainRx();
+    std::uint32_t n = nic_.drainRx(rxTaken_);
 
     sim::Time cost = CostModel::drvIrqHandler +
         completed * CostModel::drvTxCompletion +
-        static_cast<sim::Time>(frames.size()) * CostModel::drvRxPerPacket;
+        static_cast<sim::Time>(n) * CostModel::drvRxPerPacket;
 
-    dom_.vcpu().post(cpu::Bucket::kOs, cost,
-                     [this, completed, frames = std::move(frames)]() mutable {
+    // The vCPU runs this handler's tasks in posting order, so each
+    // takes the frames its own handler drained.
+    dom_.vcpu().post(cpu::Bucket::kOs, cost, [this, completed, n] {
         for (std::uint32_t i = 0; i < completed; ++i) {
             SIM_ASSERT(!txInflightBytes_.empty(), "completion underflow");
             std::uint64_t bytes = txInflightBytes_.front();
@@ -93,7 +94,9 @@ NativeDriver::handleIrq()
             deliverTxComplete(bytes);
         }
 
-        for (auto &pkt : frames) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+            net::Packet pkt = std::move(rxTaken_.front());
+            rxTaken_.pop_front();
             nRxPkts_.inc();
             // Recycle the buffer once the stack copies out; a backend
             // owner flips it away instead and must refill.

@@ -13,10 +13,10 @@
 #define CDNA_OS_NATIVE_DRIVER_HH
 
 #include <cstdint>
-#include <deque>
 
 #include "nic/intel_nic.hh"
 #include "os/net_device.hh"
+#include "sim/fifo.hh"
 #include "vmm/hypervisor.hh"
 
 namespace cdna::os {
@@ -69,9 +69,11 @@ class NativeDriver : public sim::SimObject, public NetDevice
     bool flushPending_ = false;
     std::uint32_t txProducer_ = 0;
     std::uint32_t txDrained_ = 0; //!< completions already surfaced
-    std::deque<std::uint64_t> txInflightBytes_;
+    sim::Fifo<std::uint64_t> txInflightBytes_;
 
     // RX
+    /** Frames drained by IRQ handlers whose tasks have not run yet. */
+    sim::Fifo<net::Packet> rxTaken_;
     std::uint32_t rxProducer_ = 0;
     bool autoRefill_ = true;
     bool rxPioPending_ = false;

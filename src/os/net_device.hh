@@ -19,12 +19,12 @@
 #ifndef CDNA_OS_NET_DEVICE_HH
 #define CDNA_OS_NET_DEVICE_HH
 
-#include <deque>
 #include <functional>
 
 #include "mem/phys_memory.hh"
 #include "net/packet.hh"
 #include "sim/assert.hh"
+#include "sim/fifo.hh"
 
 namespace cdna::os {
 
@@ -101,7 +101,7 @@ class NetDevice
 
   protected:
     /** Packets staged by transmit() and not yet posted, oldest first. */
-    const std::deque<net::Packet> &staged() const { return staged_; }
+    const sim::Fifo<net::Packet> &staged() const { return staged_; }
 
     /** Take the oldest staged packet to post it to the hardware. */
     net::Packet
@@ -150,7 +150,7 @@ class NetDevice
     }
 
   private:
-    std::deque<net::Packet> staged_;
+    sim::Fifo<net::Packet> staged_;
     bool txFull_ = false; //!< transmit() took the last room
     std::function<void(net::Packet)> rxHandler_;
     std::function<void(std::uint64_t)> txCompleteHandler_;

@@ -24,6 +24,9 @@ bufferSg(const std::vector<mem::PageNum> &pages, std::uint64_t off,
 {
     const std::uint64_t buf_bytes = pages.size() * mem::kPageSize;
     mem::SgList sg;
+    // At most one entry per page the bytes touch.
+    sg.reserve(static_cast<std::uint32_t>(
+        (len + mem::kPageSize - 1) / mem::kPageSize + 1));
     off %= buf_bytes;
     while (len > 0) {
         std::uint64_t in_page = off % mem::kPageSize;
@@ -80,10 +83,10 @@ NetStack::shutdown()
     ackDebt_ = 0;
 }
 
-std::shared_ptr<std::vector<net::Packet>>
-NetStack::buildPackets(std::uint64_t bytes, std::uint64_t flow_id,
-                       net::MacAddr dst,
-                       const std::vector<mem::PageNum> &pages)
+std::uint32_t
+NetStack::formBurst(std::uint64_t bytes, std::uint64_t flow_id,
+                    net::MacAddr dst, const std::vector<mem::PageNum> &pages,
+                    bool rpc_response)
 {
     SIM_ASSERT(!pages.empty(), "no buffer pages");
     const std::uint64_t buf_bytes = pages.size() * mem::kPageSize;
@@ -93,17 +96,40 @@ NetStack::buildPackets(std::uint64_t bytes, std::uint64_t flow_id,
         ? std::min<std::uint32_t>(net::kMaxTsoBytes, static_cast<std::uint32_t>(buf_bytes))
         : net::kMss;
 
-    auto out = std::make_shared<std::vector<net::Packet>>();
+    std::uint32_t frames = 0;
     std::uint64_t off = 0;
     while (off < bytes) {
         auto len = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(unit, bytes - off));
-        net::Packet pkt = frames_.data(dst, len, flow_id, now());
+        net::Packet &pkt =
+            formed_.emplace_back(frames_.data(dst, len, flow_id, now()));
         pkt.hostSg = bufferSg(pages, off, len);
-        out->push_back(std::move(pkt));
+        pkt.rpcResp = rpc_response;
+        ++frames;
         off += len;
     }
-    return out;
+    formedBursts_.push_back({bytes, frames, rpc_response});
+    return frames;
+}
+
+void
+NetStack::releaseBurst()
+{
+    FormedBurst b = formedBursts_.front();
+    formedBursts_.pop_front();
+    if (b.rpcResponse && dead_) {
+        for (std::uint32_t i = 0; i < b.frames; ++i)
+            formed_.pop_front();
+        return;
+    }
+    nTxBytes_.inc(b.bytes);
+    if (b.rpcResponse)
+        rpcTxPending_ += b.bytes;
+    for (std::uint32_t i = 0; i < b.frames; ++i) {
+        txBacklog_.push_back(std::move(formed_.front()));
+        formed_.pop_front();
+    }
+    pushToDevice();
 }
 
 sim::Time
@@ -125,16 +151,11 @@ NetStack::sendBurst(std::uint64_t bytes, std::uint64_t flow_id,
         sendBurstTcp(bytes, flow_id, pages);
         return;
     }
-    auto pkts = buildPackets(bytes, flow_id, dst_, pages);
+    std::uint32_t frames = formBurst(bytes, flow_id, dst_, pages, false);
     CDNA_TRACE_INSTANT_ARG(ctx().tracer(), traceLane(), "tx_burst", now(),
                            "bytes", bytes);
-    dom_.vcpu().post(cpu::Bucket::kOs, txCost(pkts->size(), bytes),
-                     [this, pkts, bytes] {
-        nTxBytes_.inc(bytes);
-        for (auto &p : *pkts)
-            txBacklog_.push_back(std::move(p));
-        pushToDevice();
-    });
+    dom_.vcpu().post(cpu::Bucket::kOs, txCost(frames, bytes),
+                     [this] { releaseBurst(); });
 }
 
 void
@@ -330,10 +351,11 @@ NetStack::collectRxBatch()
     std::uint64_t bytes = std::exchange(rxBatchBytes_, 0);
     std::uint32_t pkts = std::exchange(rxBatchPkts_, 0);
     std::uint32_t acks = std::exchange(rxBatchAcks_, 0);
-    auto stamps = std::exchange(rxBatchCreated_, {});
-    auto rpcs = std::exchange(rpcBatch_, {});
-    if (pkts == 0 && acks == 0)
+    if (pkts == 0 && acks == 0) {
+        rxBatchCreated_.clear();
+        rpcBatch_.clear();
         return;
+    }
 
     // Outgoing ACKs owed for this batch (delayed-ACK style).
     auto acks_out =
@@ -352,37 +374,51 @@ NetStack::collectRxBatch()
         static_cast<sim::Time>(static_cast<double>(CostModel::appPerRead) *
                                static_cast<double>(bytes) / 65536.0);
 
-    dom_.vcpu().post(cpu::Bucket::kOs, os_cost,
-                     [this, bytes, pkts, acks_out, user_cost,
-                      stamps = std::move(stamps),
-                      rpcs = std::move(rpcs)]() mutable {
+    std::uint32_t stamps = sim::moveAllInto(rxBatchCreated_, rxStamps_);
+    std::uint32_t rpcs = sim::moveAllInto(rpcBatch_, rxRpcs_);
+    rxOsQ_.push_back({bytes, pkts, acks_out, user_cost, stamps, rpcs});
+
+    dom_.vcpu().post(cpu::Bucket::kOs, os_cost, [this] {
+        RxDelivery d = rxOsQ_.front();
+        rxOsQ_.pop_front();
         // Emit the owed ACKs toward the data source.
         bool sent = false;
-        for (std::uint32_t i = 0; i < acks_out && dev_.canTransmit(); ++i) {
+        for (std::uint32_t i = 0; i < d.acksOut && dev_.canTransmit(); ++i) {
             dev_.transmit(frames_.ack(ackDst_, now()));
             sent = true;
         }
         if (sent)
             dev_.flush();
-        if (pkts == 0 && bytes == 0)
+        if (d.pkts == 0 && d.bytes == 0) {
+            for (std::uint32_t i = 0; i < d.stamps; ++i)
+                rxStamps_.pop_front();
+            for (std::uint32_t i = 0; i < d.rpcs; ++i)
+                rxRpcs_.pop_front();
             return;
-        dom_.vcpu().post(cpu::Bucket::kUser, user_cost,
-                         [this, bytes, pkts, stamps = std::move(stamps),
-                          rpcs = std::move(rpcs)] {
-            nRxBytes_.inc(bytes);
-            nRxPkts_.inc(pkts);
+        }
+        rxUserQ_.push_back(d);
+        dom_.vcpu().post(cpu::Bucket::kUser, d.userCost, [this] {
+            RxDelivery u = rxUserQ_.front();
+            rxUserQ_.pop_front();
+            nRxBytes_.inc(u.bytes);
+            nRxPkts_.inc(u.pkts);
             CDNA_TRACE_INSTANT_ARG(ctx().tracer(), traceLane(),
-                                   "rx_deliver", now(), "bytes", bytes);
+                                   "rx_deliver", now(), "bytes", u.bytes);
             // Data reaches user space now: record wire-to-app latency.
-            for (sim::Time created : stamps)
-                rxLatency_.record(now() - created);
+            for (std::uint32_t i = 0; i < u.stamps; ++i) {
+                rxLatency_.record(now() - rxStamps_.front());
+                rxStamps_.pop_front();
+            }
             if (progress_)
                 progress_();
             if (rxDeliver_)
-                rxDeliver_(bytes, pkts);
-            if (rpcHandler_)
-                for (const auto &req : rpcs)
+                rxDeliver_(u.bytes, u.pkts);
+            for (std::uint32_t i = 0; i < u.rpcs; ++i) {
+                net::Packet req = std::move(rxRpcs_.front());
+                rxRpcs_.pop_front();
+                if (rpcHandler_)
                     rpcHandler_(req);
+            }
         });
     });
 }
@@ -398,21 +434,11 @@ NetStack::sendRpcResponse(const net::Packet &req)
             (net::kMaxTsoBytes + mem::kPageSize - 1) / mem::kPageSize;
         rpcBuf_ = dom_.hypervisor().mem().allocOrThrow(dom_.id(), pages);
     }
-    auto pkts = buildPackets(bytes, req.flowId, req.src, rpcBuf_);
-    for (auto &p : *pkts)
-        p.rpcResp = true;
+    std::uint32_t frames = formBurst(bytes, req.flowId, req.src, rpcBuf_, true);
     CDNA_TRACE_INSTANT_ARG(ctx().tracer(), traceLane(), "rpc_response",
                            now(), "bytes", bytes);
-    dom_.vcpu().post(cpu::Bucket::kOs, txCost(pkts->size(), bytes),
-                     [this, pkts, bytes] {
-        if (dead_)
-            return;
-        nTxBytes_.inc(bytes);
-        rpcTxPending_ += bytes;
-        for (auto &p : *pkts)
-            txBacklog_.push_back(std::move(p));
-        pushToDevice();
-    });
+    dom_.vcpu().post(cpu::Bucket::kOs, txCost(frames, bytes),
+                     [this] { releaseBurst(); });
 }
 
 } // namespace cdna::os

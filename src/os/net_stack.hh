@@ -13,7 +13,6 @@
 #define CDNA_OS_NET_STACK_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -22,6 +21,7 @@
 #include "net/frame_builder.hh"
 #include "net/transport/tcp.hh"
 #include "os/net_device.hh"
+#include "sim/fifo.hh"
 #include "vmm/domain.hh"
 
 namespace cdna::os {
@@ -126,10 +126,25 @@ class NetStack : public sim::SimObject
     vmm::Domain &domain() { return dom_; }
 
   private:
-    /** Frames toward @p dst carrying bytes [0, @p bytes) of @p pages. */
-    std::shared_ptr<std::vector<net::Packet>>
-    buildPackets(std::uint64_t bytes, std::uint64_t flow_id, net::MacAddr dst,
-                 const std::vector<mem::PageNum> &pages);
+    /** A burst formed at send time whose OS cost is being charged. */
+    struct FormedBurst
+    {
+        std::uint64_t bytes;
+        std::uint32_t frames;
+        bool rpcResponse;
+    };
+
+    /**
+     * Form the frames toward @p dst carrying bytes [0, @p bytes) of
+     * @p pages at the back of formed_, and queue their burst.
+     * @return the number of frames
+     */
+    std::uint32_t formBurst(std::uint64_t bytes, std::uint64_t flow_id,
+                            net::MacAddr dst,
+                            const std::vector<mem::PageNum> &pages,
+                            bool rpc_response);
+    /** The oldest formed burst's cost is charged: hand it to the device. */
+    void releaseBurst();
     /** OS time to form @p frames frames carrying @p bytes. */
     sim::Time txCost(std::uint64_t frames, std::uint64_t bytes) const;
     void pushToDevice();
@@ -145,13 +160,39 @@ class NetStack : public sim::SimObject
     net::MacAddr dst_;
     net::FrameBuilder frames_;
 
-    std::deque<net::Packet> txBacklog_;
+    /**
+     * Frames of formed bursts, oldest first.  Each burst's vCPU task
+     * takes its own frames: a domain's tasks run in posting order.
+     */
+    sim::Fifo<net::Packet> formed_;
+    sim::Fifo<FormedBurst> formedBursts_;
+    sim::Fifo<net::Packet> txBacklog_;
 
     std::uint64_t rxBatchBytes_ = 0;
     std::uint32_t rxBatchPkts_ = 0;  //!< data frames in the batch
     std::uint32_t rxBatchAcks_ = 0;  //!< pure ACKs in the batch
     std::vector<sim::Time> rxBatchCreated_; //!< origin stamps for latency
     std::vector<net::Packet> rpcBatch_;     //!< RPC requests in the batch
+
+    /** A collected RX batch whose OS, then user, cost is being charged. */
+    struct RxDelivery
+    {
+        std::uint64_t bytes;
+        std::uint32_t pkts;
+        std::uint32_t acksOut;
+        sim::Time userCost;
+        std::uint32_t stamps; //!< its origin stamps, oldest in rxStamps_
+        std::uint32_t rpcs;   //!< its RPC requests, oldest in rxRpcs_
+    };
+    /**
+     * Collected batches waiting for their OS task, then for their user
+     * task.  A domain's tasks run in posting order, so each task takes
+     * the oldest batch of its queue, and its stamps and requests.
+     */
+    sim::Fifo<RxDelivery> rxOsQ_;
+    sim::Fifo<RxDelivery> rxUserQ_;
+    sim::Fifo<sim::Time> rxStamps_;
+    sim::Fifo<net::Packet> rxRpcs_;
     sim::LatencyRecorder rxLatency_;
     bool rxCollectorPending_ = false;
     std::uint64_t ackDebt_ = 0;

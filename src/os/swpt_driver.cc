@@ -37,7 +37,7 @@ SwptDriver::attach()
     bufs.reserve(kRxBufs);
     for (std::uint32_t i = 0; i < kRxBufs; ++i)
         bufs.push_back(mem.allocOne(dom_.id()));
-    validator_.rxDoorbell(gid_, std::move(bufs));
+    validator_.rxDoorbell(gid_, bufs);
 }
 
 void
@@ -105,32 +105,34 @@ void
 SwptDriver::handleIrq()
 {
     nIrqsHandled_.inc();
-    auto comp = validator_.takeCompletions(gid_);
-    auto pkts = validator_.takeRx(gid_);
+    std::uint32_t ncomp = validator_.takeCompletions(gid_, compTaken_);
+    std::uint32_t n = validator_.takeRx(gid_, rxTaken_);
 
     sim::Time cost = CostModel::drvIrqHandler +
-        comp.count * CostModel::drvTxCompletion +
-        static_cast<sim::Time>(pkts.size()) * CostModel::drvRxPerPacket;
-    if (!pkts.empty())
+        ncomp * CostModel::drvTxCompletion +
+        static_cast<sim::Time>(n) * CostModel::drvRxPerPacket;
+    if (n != 0)
         cost += CostModel::drvPioWrite; // RX buffer re-post doorbell
 
-    dom_.vcpu().post(cpu::Bucket::kOs, cost,
-                     [this, comp = std::move(comp),
-                      pkts = std::move(pkts)]() mutable {
-        txCompleted_ += comp.count;
-        for (std::uint64_t bytes : comp.bytes)
+    dom_.vcpu().post(cpu::Bucket::kOs, cost, [this, ncomp, n] {
+        txCompleted_ += ncomp;
+        for (std::uint32_t i = 0; i < ncomp; ++i) {
+            std::uint64_t bytes = compTaken_.front();
+            compTaken_.pop_front();
             if (bytes > 0)
                 deliverTxComplete(bytes);
-
-        std::vector<mem::PageNum> recycle;
-        recycle.reserve(pkts.size());
-        for (auto &p : pkts) {
-            nRxPkts_.inc();
-            recycle.push_back(mem::pageOf(p.hostSg[0].addr));
-            deliverRx(std::move(p));
         }
-        if (!recycle.empty() && !detached_)
-            validator_.rxDoorbell(gid_, std::move(recycle));
+
+        for (std::uint32_t i = 0; i < n; ++i) {
+            net::Packet pkt = std::move(rxTaken_.front());
+            rxTaken_.pop_front();
+            nRxPkts_.inc();
+            recycle_.push_back(mem::pageOf(pkt.hostSg[0].addr));
+            deliverRx(std::move(pkt));
+        }
+        if (!recycle_.empty() && !detached_)
+            validator_.rxDoorbell(gid_, recycle_);
+        recycle_.clear();
 
         if (!staged().empty())
             flush();

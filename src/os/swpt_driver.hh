@@ -16,8 +16,10 @@
 #define CDNA_OS_SWPT_DRIVER_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "os/net_device.hh"
+#include "sim/fifo.hh"
 #include "vmm/swpt_validator.hh"
 
 namespace cdna::os {
@@ -64,6 +66,12 @@ class SwptDriver : public sim::SimObject, public NetDevice
     bool flushPending_ = false;
     std::uint32_t txPosted_ = 0;
     std::uint32_t txCompleted_ = 0;
+
+    // Taken by IRQ handlers whose tasks have not run yet; the vCPU runs
+    // those tasks in posting order, so each takes its own handler's.
+    sim::Fifo<std::uint64_t> compTaken_; //!< completion bytes (0: error)
+    sim::Fifo<net::Packet> rxTaken_;
+    std::vector<mem::PageNum> recycle_; //!< RX pages to re-post
 
     sim::Counter nTxPkts_{stats(), "tx_packets"};
     sim::Counter nRxPkts_{stats(), "rx_packets"};

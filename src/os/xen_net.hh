@@ -26,12 +26,13 @@
 #define CDNA_OS_XEN_NET_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "os/net_device.hh"
+#include "sim/fifo.hh"
 #include "vmm/hypervisor.hh"
 
 namespace cdna::os {
@@ -126,15 +127,15 @@ class XenVif : public sim::SimObject, public NetDevice
     net::MacAddr mac_;
 
     // Shared rings (request/response queues between the domains).
-    std::deque<TxRequest> txReq_;
-    std::deque<TxResponse> txResp_;
-    std::deque<mem::PageNum> rxReq_; //!< guest pages posted for RX
-    std::deque<net::Packet> rxResp_; //!< flipped-in packets
+    sim::Fifo<TxRequest> txReq_;
+    sim::Fifo<TxResponse> txResp_;
+    sim::Fifo<mem::PageNum> rxReq_; //!< guest pages posted for RX
+    sim::Fifo<net::Packet> rxResp_; //!< flipped-in packets
 
     std::uint32_t txOutstanding_ = 0; //!< requests not yet responded
     bool feFlushPending_ = false;
 
-    std::deque<mem::PageNum> guestFreePages_;
+    sim::Fifo<mem::PageNum> guestFreePages_;
 
     // Per-vif staging of bridge-demuxed packets (driver-domain side).
     std::vector<net::Packet> rxStage_;
@@ -250,7 +251,7 @@ class DriverDomainNet : public sim::SimObject
     net::MacTable<XenVif *> macTable_;
 
     /** FIFO metadata matching the physical driver's TX completions. */
-    std::deque<std::pair<XenVif *, XenVif::TxMeta>> txMeta_;
+    sim::Fifo<std::pair<XenVif *, XenVif::TxMeta>> txMeta_;
 
     std::vector<XenVif *> rxTouched_;
     bool rxCollectPending_ = false;

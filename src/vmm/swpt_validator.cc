@@ -111,7 +111,7 @@ SwptValidator::txDoorbell(GuestId g, std::vector<TxReq> batch)
 }
 
 void
-SwptValidator::rxDoorbell(GuestId g, std::vector<mem::PageNum> pages)
+SwptValidator::rxDoorbell(GuestId g, std::span<const mem::PageNum> pages)
 {
     GuestState &gs = state(g);
     if (!gs.active || pages.empty())
@@ -132,15 +132,16 @@ SwptValidator::processTxPending(GuestId g)
     GuestState &gs = state(g);
     if (gs.pendingTx.empty())
         return;
-    std::deque<TxReq> batch = std::move(gs.pendingTx);
-    gs.pendingTx.clear();
-    sim::Time cost = static_cast<sim::Time>(batch.size()) *
+    std::size_t n = gs.pendingTx.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        gs.validatingTx.push_back(std::move(gs.pendingTx.front()));
+        gs.pendingTx.pop_front();
+    }
+    sim::Time cost = static_cast<sim::Time>(n) *
         (costs_.swptValidatePerDesc + costs_.swptShadowCopyPerDesc);
     validationTime_ += cost;
     hv_.cpu().runHypervisor(cost,
-                            [this, g, batch = std::move(batch)]() mutable {
-        validateTxBatch(g, std::move(batch));
-    });
+                            [this, g, n] { validateTxBatch(g, n); });
 }
 
 void
@@ -149,26 +150,28 @@ SwptValidator::processRxPending(GuestId g)
     GuestState &gs = state(g);
     if (gs.pendingRxPost.empty())
         return;
-    std::deque<mem::PageNum> pages = std::move(gs.pendingRxPost);
-    gs.pendingRxPost.clear();
-    sim::Time cost = static_cast<sim::Time>(pages.size()) *
-        costs_.swptValidatePerDesc;
+    std::size_t n = gs.pendingRxPost.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        gs.validatingRx.push_back(gs.pendingRxPost.front());
+        gs.pendingRxPost.pop_front();
+    }
+    sim::Time cost = static_cast<sim::Time>(n) * costs_.swptValidatePerDesc;
     validationTime_ += cost;
     hv_.cpu().runHypervisor(cost,
-                            [this, g, pages = std::move(pages)]() mutable {
-        validateRxBatch(g, std::move(pages));
-    });
+                            [this, g, n] { validateRxBatch(g, n); });
 }
 
 void
-SwptValidator::validateTxBatch(GuestId g, std::deque<TxReq> batch)
+SwptValidator::validateTxBatch(GuestId g, std::size_t n)
 {
     GuestState &gs = state(g);
     auto &mem = hv_.mem();
     bool notify = false;
-    for (auto &req : batch) {
+    for (std::size_t i = 0; i < n; ++i) {
+        TxReq req = std::move(gs.validatingTx.front());
+        gs.validatingTx.pop_front();
         if (!gs.active)
-            break;
+            continue; // detached while queued: the batch dies here
         // An empty sg list is a header-only frame (e.g. a bare ACK): it
         // references no payload memory, so there is nothing to audit.
         bool ok = mem::forEachSgPage(req.sg, [&](mem::PageNum p) {
@@ -179,15 +182,14 @@ SwptValidator::validateTxBatch(GuestId g, std::deque<TxReq> batch)
             // to the device, so no DMA with a bad address ever starts.
             nRejected_.inc();
             hv_.recordFault(gs.dom->id(), Fault::kNotOwner);
-            gs.comp.count++;
-            gs.comp.bytes.push_back(0); // error completion
+            gs.compBytes.push_back(0); // error completion
             notify = true;
             continue;
         }
         nValidated_.inc();
         pinForDma(req.sg);
 
-        ShadowTx s;
+        ShadowTx &s = shadowQueue_.emplace_back();
         s.g = g;
         s.bytes = req.pkt.payloadBytes;
         s.desc.sg = std::move(req.sg);
@@ -195,7 +197,6 @@ SwptValidator::validateTxBatch(GuestId g, std::deque<TxReq> batch)
         if (req.pkt.payloadBytes > net::kMss)
             s.desc.flags |= nic::kDescTso;
         s.pkt = std::move(req.pkt);
-        shadowQueue_.push_back(std::move(s));
     }
     if (notify && gs.active)
         hv_.deliverVirtIrq(*gs.channel);
@@ -203,13 +204,15 @@ SwptValidator::validateTxBatch(GuestId g, std::deque<TxReq> batch)
 }
 
 void
-SwptValidator::validateRxBatch(GuestId g, std::deque<mem::PageNum> pages)
+SwptValidator::validateRxBatch(GuestId g, std::size_t n)
 {
     GuestState &gs = state(g);
     auto &mem = hv_.mem();
-    for (auto p : pages) {
+    for (std::size_t i = 0; i < n; ++i) {
+        mem::PageNum p = gs.validatingRx.front();
+        gs.validatingRx.pop_front();
         if (!gs.active)
-            break;
+            continue;
         if (!mem.dmaAccessibleBy(p, gs.dom->id())) {
             nRejected_.inc();
             hv_.recordFault(gs.dom->id(), Fault::kNotOwner);
@@ -259,7 +262,8 @@ SwptValidator::handleIrq()
         return; // validator software is down; state drains at restart
     std::uint32_t completed = nic_.txConsumer() - txDrained_;
     txDrained_ += completed;
-    auto frames = nic_.drainRx();
+    std::size_t first = rxTaken_.size();
+    std::uint32_t n = nic_.drainRx(rxTaken_);
 
     // Cost of the hypervisor-side bottom half: lazy unpin of completed
     // descriptors, demux decision + copy for each received frame.
@@ -268,16 +272,15 @@ SwptValidator::handleIrq()
         unpin_pages += mem::sgPages(inflight_[i].sg);
     sim::Time cost =
         static_cast<sim::Time>(unpin_pages) * costs_.protUnpinPerPage;
-    for (const auto &pkt : frames)
+    for (std::size_t i = first; i < rxTaken_.size(); ++i)
         cost += costs_.bridgePerPacket +
             static_cast<sim::Time>(costs_.swptRxCopyPerByteNs *
-                                   static_cast<double>(pkt.payloadBytes) *
+                                   static_cast<double>(
+                                       rxTaken_[i].payloadBytes) *
                                    sim::kNanosecond);
 
-    hv_.cpu().runHypervisor(cost,
-                            [this, completed,
-                             frames = std::move(frames)]() mutable {
-        std::vector<char> notify(guests_.size(), 0);
+    hv_.cpu().runHypervisor(cost, [this, completed, n] {
+        notify_.assign(guests_.size(), 0);
 
         for (std::uint32_t i = 0; i < completed; ++i) {
             SIM_ASSERT(!inflight_.empty(), "swpt completion underflow");
@@ -286,13 +289,14 @@ SwptValidator::handleIrq()
             unpinAfterDma(f.sg);
             GuestState &gs = state(f.g);
             if (gs.active) {
-                gs.comp.count++;
-                gs.comp.bytes.push_back(f.bytes);
-                notify[f.g] = true;
+                gs.compBytes.push_back(f.bytes);
+                notify_[f.g] = true;
             }
         }
 
-        for (auto &pkt : frames) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+            net::Packet pkt = std::move(rxTaken_.front());
+            rxTaken_.pop_front();
             // Recycle the hypervisor-owned buffer this frame landed in.
             postOwnRxBuffer(mem::pageOf(pkt.hostSg[0].addr));
 
@@ -313,12 +317,12 @@ SwptValidator::handleIrq()
             std::uint32_t len = pkt.hostSg[0].len;
             pkt.hostSg = {{mem::addrOf(page), len}};
             dst->rxMail.push_back(std::move(pkt));
-            notify[*dst_id] = true;
+            notify_[*dst_id] = true;
         }
         nic_.pioWriteRxProducer(rxProducer_);
 
         for (GuestId g = 0; g < guests_.size(); ++g)
-            if (notify[g] && guests_[g]->active)
+            if (notify_[g] && guests_[g]->active)
                 hv_.deliverVirtIrq(*guests_[g]->channel);
 
         pumpShadow();
@@ -337,16 +341,16 @@ SwptValidator::postOwnRxBuffer(mem::PageNum page)
 
 // --------------------------------------------------------------- mailboxes
 
-SwptValidator::Completions
-SwptValidator::takeCompletions(GuestId g)
+std::uint32_t
+SwptValidator::takeCompletions(GuestId g, sim::Fifo<std::uint64_t> &out)
 {
-    return std::exchange(state(g).comp, {});
+    return sim::moveAllInto(state(g).compBytes, out);
 }
 
-std::vector<net::Packet>
-SwptValidator::takeRx(GuestId g)
+std::uint32_t
+SwptValidator::takeRx(GuestId g, sim::Fifo<net::Packet> &out)
 {
-    return std::exchange(state(g).rxMail, {});
+    return sim::moveAllInto(state(g).rxMail, out);
 }
 
 // --------------------------------------------------------------- faults
@@ -386,19 +390,20 @@ SwptValidator::detachGuest(GuestId g)
         mem.putRef(p);
     gs.rxBufs.clear();
     gs.rxMail.clear();
-    gs.comp = {};
+    gs.compBytes.clear();
     // Flush its accepted-but-unposted descriptors; in-flight ones stay
-    // pinned until the NIC consumes them.
-    std::deque<ShadowTx> keep;
-    for (auto &s : shadowQueue_) {
+    // pinned until the NIC consumes them.  One pass around the queue
+    // keeps the others' descriptors in order.
+    for (std::size_t i = 0, n = shadowQueue_.size(); i < n; ++i) {
+        ShadowTx s = std::move(shadowQueue_.front());
+        shadowQueue_.pop_front();
         if (s.g == g) {
             unpinAfterDma(s.desc.sg);
             nDetachDrops_.inc();
         } else {
-            keep.push_back(std::move(s));
+            shadowQueue_.push_back(std::move(s));
         }
     }
-    shadowQueue_ = std::move(keep);
 }
 
 std::uint64_t

@@ -22,9 +22,9 @@
 #define CDNA_VMM_SWPT_VALIDATOR_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +32,7 @@
 #include "mem/dma_engine.hh"
 #include "net/packet.hh"
 #include "nic/intel_nic.hh"
+#include "sim/fifo.hh"
 #include "sim/sim_object.hh"
 #include "vmm/hypervisor.hh"
 
@@ -51,14 +52,6 @@ class SwptValidator : public sim::SimObject
         net::Packet pkt;
     };
 
-    /** TX completions surfaced to one guest since it last drained.
-     *  A zero-byte entry is an error completion (rejected descriptor). */
-    struct Completions
-    {
-        std::uint32_t count = 0;
-        std::vector<std::uint64_t> bytes;
-    };
-
     SwptValidator(sim::SimContext &ctx, std::string name, Hypervisor &hv,
                   nic::IntelNic &nic, const core::CostModel &costs);
 
@@ -75,11 +68,17 @@ class SwptValidator : public sim::SimObject
     /** Guest advertises freshly written TX descriptors. */
     void txDoorbell(GuestId g, std::vector<TxReq> batch);
     /** Guest posts RX buffer pages (each validated + pinned). */
-    void rxDoorbell(GuestId g, std::vector<mem::PageNum> pages);
+    void rxDoorbell(GuestId g, std::span<const mem::PageNum> pages);
 
     // --- mailboxes (drained by the guest driver's virtual IRQ) -----------
-    Completions takeCompletions(GuestId g);
-    std::vector<net::Packet> takeRx(GuestId g);
+    /**
+     * Append the bytes of each TX completion surfaced to @p g since it
+     * last drained to @p out; a zero is an error completion (rejected
+     * descriptor).  @return how many
+     */
+    std::uint32_t takeCompletions(GuestId g, sim::Fifo<std::uint64_t> &out);
+    /** Append the frames delivered to @p g to @p out; @return how many. */
+    std::uint32_t takeRx(GuestId g, sim::Fifo<net::Packet> &out);
 
     // --- fault-plan composition ------------------------------------------
     /** Validator software stalls (dom0-equivalent kill): doorbells
@@ -120,10 +119,14 @@ class SwptValidator : public sim::SimObject
         net::MacAddr mac;
         EventChannel *channel = nullptr;
         bool active = true;
-        std::deque<TxReq> pendingTx;             //!< latched doorbells
-        std::deque<mem::PageNum> pendingRxPost;  //!< latched RX posts
-        std::deque<mem::PageNum> rxBufs;         //!< validated + pinned
-        Completions comp;                        //!< completion mailbox
+        sim::Fifo<TxReq> pendingTx;              //!< latched doorbells
+        sim::Fifo<mem::PageNum> pendingRxPost;   //!< latched RX posts
+        /** Taken from the latches by validation passes still queued on
+         *  the CPU, oldest first; each pass takes its own count. */
+        sim::Fifo<TxReq> validatingTx;
+        sim::Fifo<mem::PageNum> validatingRx;
+        sim::Fifo<mem::PageNum> rxBufs;          //!< validated + pinned
+        std::vector<std::uint64_t> compBytes;    //!< completion mailbox
         std::vector<net::Packet> rxMail;         //!< delivery mailbox
     };
 
@@ -151,8 +154,10 @@ class SwptValidator : public sim::SimObject
     void handleIrq();
     void processTxPending(GuestId g);
     void processRxPending(GuestId g);
-    void validateTxBatch(GuestId g, std::deque<TxReq> batch);
-    void validateRxBatch(GuestId g, std::deque<mem::PageNum> pages);
+    /** Validate the oldest @p n of @p g's validatingTx. */
+    void validateTxBatch(GuestId g, std::size_t n);
+    /** Validate the oldest @p n of @p g's validatingRx. */
+    void validateRxBatch(GuestId g, std::size_t n);
     void pumpShadow();
     void postOwnRxBuffer(mem::PageNum page);
     void pinForDma(const mem::SgList &sg);
@@ -165,8 +170,13 @@ class SwptValidator : public sim::SimObject
     std::vector<std::unique_ptr<GuestState>> guests_;
     /** Each active guest's id by its MAC (the RX demux). */
     net::MacTable<GuestId> byMac_;
-    std::deque<ShadowTx> shadowQueue_;
-    std::deque<Inflight> inflight_;
+    sim::Fifo<ShadowTx> shadowQueue_;
+    sim::Fifo<Inflight> inflight_;
+    /** Frames drained by IRQ handlers whose bottom halves have not run
+     *  yet; the hypervisor runs them in posting order. */
+    sim::Fifo<net::Packet> rxTaken_;
+    /** Which guests a bottom half owes a virtual IRQ, by id. */
+    std::vector<char> notify_;
 
     bool stalled_ = false;
     bool resetting_ = false;

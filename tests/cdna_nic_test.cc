@@ -339,7 +339,8 @@ TEST(CdnaNic, DemuxByMacToContexts)
     // for payload plus headers.
     auto expect_frames = [&h](CdnaNic::ContextId cxt, std::size_t n,
                               std::uint32_t payload) {
-        auto got = h.nic.drainRx(cxt);
+        sim::Fifo<net::Packet> got;
+        h.nic.drainRx(cxt, got);
         ASSERT_EQ(got.size(), n);
         for (std::uint32_t i = 0; i < n; ++i) {
             ASSERT_EQ(got[i].hostSg.size(), 1u) << i;
@@ -390,8 +391,9 @@ TEST(CdnaNic, DemuxSeparatesMacsThatHashAlike)
     h.link.port(0).send(p);
     h.link.port(0).send(p);
     h.ctx.events().run();
-    EXPECT_EQ(h.nic.drainRx(a).size(), 1u);
-    EXPECT_EQ(h.nic.drainRx(b).size(), 2u);
+    sim::Fifo<net::Packet> got;
+    EXPECT_EQ(h.nic.drainRx(a, got), 1u);
+    EXPECT_EQ(h.nic.drainRx(b, got), 2u);
     EXPECT_EQ(h.nic.rxDropFilter(), 0u);
 }
 
@@ -414,7 +416,8 @@ TEST(CdnaNic, RevokingOneContextKeepsTheOthersFrames)
         p.dst = net::MacAddr::fromId(revoke_first ? 131 : 256);
         h.link.port(0).send(p);
         h.ctx.events().run();
-        EXPECT_EQ(h.nic.drainRx(keep).size(), 2u);
+        sim::Fifo<net::Packet> got;
+        EXPECT_EQ(h.nic.drainRx(keep, got), 2u);
         EXPECT_EQ(h.nic.rxDropFilter(), 1u); // the revoked MAC's frame
     }
 }
@@ -431,7 +434,8 @@ TEST(CdnaNic, PromiscuousContextCatchesUnknownMacs)
     p.payloadBytes = 100;
     h.link.port(0).send(p);
     h.ctx.events().run();
-    EXPECT_EQ(h.nic.drainRx(a).size(), 1u);
+    sim::Fifo<net::Packet> got;
+    EXPECT_EQ(h.nic.drainRx(a, got), 1u);
 }
 
 TEST(CdnaNic, RxDropWithoutDescriptors)

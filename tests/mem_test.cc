@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "mem/dma_engine.hh"
@@ -15,6 +20,8 @@
 #include "mem/iommu.hh"
 #include "mem/pci_bus.hh"
 #include "mem/phys_memory.hh"
+#include "mem/sg_list.hh"
+#include "sim/rng.hh"
 #include "sim/sim_object.hh"
 
 using namespace cdna;
@@ -418,4 +425,173 @@ TEST_F(DmaFixture, IommuPerContextWholeDeviceFallsBack)
     PageNum hv = mem.allocOne(kDomHypervisor);
     iommu.bindDevice(0, kDomHypervisor);
     EXPECT_EQ(iommu.check(0, kWholeDevice, hv), IommuVerdict::kAllowed);
+}
+
+// ------------------------------------------------------------- SG list ----
+
+namespace {
+
+/** A 64 KiB TSO segment starting mid-page: one entry per page, 17. */
+SgList
+tsoSegment()
+{
+    SgList sg;
+    std::uint64_t left = 64 * 1024;
+    PhysAddr at = addrOf(100) + 512;
+    while (left > 0) {
+        auto len = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(left, kPageSize - at % kPageSize));
+        sg.push_back({at, len});
+        at += len;
+        left -= len;
+    }
+    return sg;
+}
+
+std::vector<std::pair<PhysAddr, std::uint32_t>>
+entries(const SgList &sg)
+{
+    std::vector<std::pair<PhysAddr, std::uint32_t>> out;
+    for (const SgEntry &e : sg)
+        out.emplace_back(e.addr, e.len);
+    return out;
+}
+
+} // namespace
+
+TEST(SgList, TwoEntriesInlineThenSpills)
+{
+    SgList sg;
+    EXPECT_TRUE(sg.empty());
+    sg.push_back({addrOf(1) + 100, 3996});
+    sg.push_back({addrOf(2), 1000});
+    // Both live inside the object.
+    const auto *obj = reinterpret_cast<const char *>(&sg);
+    const auto *first = reinterpret_cast<const char *>(sg.data());
+    EXPECT_TRUE(first >= obj && first < obj + sizeof(SgList));
+    sg.push_back({addrOf(3), 10}); // the third entry goes to the heap
+    first = reinterpret_cast<const char *>(sg.data());
+    EXPECT_FALSE(first >= obj && first < obj + sizeof(SgList));
+    EXPECT_EQ(entries(sg), (std::vector<std::pair<PhysAddr, std::uint32_t>>{
+                               {addrOf(1) + 100, 3996},
+                               {addrOf(2), 1000},
+                               {addrOf(3), 10}}));
+
+    SgList tso = tsoSegment();
+    EXPECT_EQ(tso.size(), 17u);
+    EXPECT_EQ(sgBytes(tso), 64u * 1024);
+    EXPECT_EQ(sgPages(tso), 17u);
+}
+
+TEST(SgList, CopiesAndMovesInlineAndSpilledLists)
+{
+    SgList small{{addrOf(4), 1500}, {addrOf(5), 10}};
+    SgList tso = tsoSegment();
+    const auto small_e = entries(small);
+    const auto tso_e = entries(tso);
+
+    SgList small_copy = small;
+    SgList tso_copy = tso;
+    EXPECT_EQ(entries(small_copy), small_e);
+    EXPECT_EQ(entries(tso_copy), tso_e);
+    EXPECT_NE(tso_copy.data(), tso.data()); // a deep copy
+    tso_copy[0].len = 1;
+    EXPECT_EQ(entries(tso), tso_e);
+
+    // Assignment across the two representations, both ways.
+    SgList a = small;
+    a = tso;
+    EXPECT_EQ(entries(a), tso_e);
+    a = small;
+    EXPECT_EQ(entries(a), small_e);
+
+    const SgEntry *heap = tso.data();
+    SgList tso_moved = std::move(tso);
+    EXPECT_EQ(tso_moved.data(), heap); // the heap block changes hands
+    EXPECT_EQ(entries(tso_moved), tso_e);
+    SgList small_moved = std::move(small);
+    EXPECT_EQ(entries(small_moved), small_e);
+
+    SgList b;
+    b = std::move(tso_moved);
+    EXPECT_EQ(entries(b), tso_e);
+    b = std::move(small_moved);
+    EXPECT_EQ(entries(b), small_e);
+
+    static_assert(std::is_nothrow_move_constructible_v<SgList>);
+    static_assert(std::is_nothrow_move_assignable_v<SgList>);
+}
+
+TEST(SgList, MovedFromListIsEmptyAndReusable)
+{
+    for (SgList src : {SgList{{addrOf(6), 64}}, tsoSegment()}) {
+        SgList dst = std::move(src);
+        EXPECT_FALSE(dst.empty());
+        EXPECT_TRUE(src.empty()); // NOLINT: the moved-from state is defined
+        EXPECT_EQ(src.size(), 0u);
+        src.push_back({addrOf(7), 8});
+        src.push_back({addrOf(8), 8});
+        src.push_back({addrOf(9), 8});
+        EXPECT_EQ(entries(src),
+                  (std::vector<std::pair<PhysAddr, std::uint32_t>>{
+                      {addrOf(7), 8}, {addrOf(8), 8}, {addrOf(9), 8}}));
+    }
+    SgList l = tsoSegment();
+    l.clear();
+    EXPECT_TRUE(l.empty());
+    l.push_back({addrOf(10), 4});
+    EXPECT_EQ(l.front().addr, addrOf(10));
+}
+
+TEST(SgList, SpanViewsTheEntries)
+{
+    SgList small{{addrOf(11), 100}, {addrOf(12), 200}};
+    std::span<const SgEntry> v = small;
+    ASSERT_EQ(v.size(), 2u);
+    EXPECT_EQ(v.data(), small.data());
+    EXPECT_EQ(v[1].len, 200u);
+    EXPECT_EQ(sgBytes(small), 300u);
+
+    SgList tso = tsoSegment();
+    std::span<const SgEntry> tv = tso;
+    EXPECT_EQ(tv.size(), 17u);
+    EXPECT_EQ(tv.data(), tso.data());
+    SgList prefix = sgPrefix(tso, 5000);
+    EXPECT_EQ(sgBytes(prefix), 5000u);
+    EXPECT_EQ(prefix.size(), 2u);
+    EXPECT_EQ(prefix[0].addr, tso[0].addr);
+}
+
+TEST_F(MemFixture, GrantTableKeepsManyLiveGrantsAcrossGrowth)
+{
+    // Grants ended out of issue order while the table grows and
+    // shrinks its probe runs: every live ref still maps, every ended
+    // one is gone.
+    GrantTable gt(ctx, "grant-table", mem);
+    sim::Rng rng(5);
+    std::map<GrantRef, PageNum> live;
+    std::vector<PageNum> pages;
+    for (int i = 0; i < 40; ++i)
+        pages.push_back(mem.allocOne(2));
+    for (int round = 0; round < 3000; ++round) {
+        if (live.size() < 300 && rng.chance(0.6)) {
+            PageNum p = pages[rng.below(pages.size())];
+            GrantRef ref = gt.grantAccess(2, 1, p);
+            ASSERT_NE(ref, kInvalidGrant);
+            live.emplace(ref, p);
+        } else if (!live.empty()) {
+            auto it = std::next(live.begin(),
+                                static_cast<long>(rng.below(live.size())));
+            ASSERT_TRUE(gt.endGrant(it->first, 2));
+            EXPECT_FALSE(gt.endGrant(it->first, 2));
+            live.erase(it);
+        }
+        ASSERT_EQ(gt.activeGrants(), live.size());
+    }
+    for (const auto &[ref, page] : live) {
+        PageNum got = 0;
+        ASSERT_TRUE(gt.mapGrant(ref, 1, &got)) << ref;
+        EXPECT_EQ(got, page);
+        EXPECT_TRUE(gt.unmapGrant(ref, 1));
+    }
 }

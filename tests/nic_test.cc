@@ -297,7 +297,8 @@ TEST(IntelNic, ReceiveIntoPostedBuffers)
     h.ctx.events().run();
 
     EXPECT_EQ(h.nic.rxPackets(), 2u);
-    auto got = h.nic.drainRx();
+    sim::Fifo<net::Packet> got;
+    EXPECT_EQ(h.nic.drainRx(got), 2u);
     ASSERT_EQ(got.size(), 2u);
     // Each frame names the prefix of the posted buffer it landed in.
     for (std::size_t i = 0; i < got.size(); ++i) {

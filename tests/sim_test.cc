@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/fifo.hh"
 #include "sim/metrics_registry.hh"
 #include "sim/rng.hh"
 #include "sim/sim_object.hh"
@@ -655,4 +658,135 @@ TEST(MetricsRegistry, UnknownSeriesIsEmpty)
     SimContext ctx;
     MetricsRegistry m(ctx);
     EXPECT_TRUE(m.series("nope").empty());
+}
+
+// ---------------------------------------------------------------- fifo ----
+
+namespace {
+
+/** The elements of @p q, front to back, through its iterators. */
+template <typename T>
+std::vector<T>
+contents(const Fifo<T> &q)
+{
+    return std::vector<T>(q.begin(), q.end());
+}
+
+} // namespace
+
+TEST(Fifo, WrapsAroundWithoutGrowing)
+{
+    Fifo<int> q;
+    for (int i = 0; i < 8; ++i)
+        q.push_back(i);
+    const int *first = &q.front();
+    // Pop and push past the end of the storage many times over.
+    for (int i = 8; i < 100; ++i) {
+        EXPECT_EQ(q.front(), i - 8);
+        q.pop_front();
+        q.push_back(i);
+        EXPECT_EQ(q.back(), i);
+        EXPECT_EQ(q.size(), 8u);
+    }
+    EXPECT_EQ(contents(q), (std::vector<int>{92, 93, 94, 95, 96, 97, 98, 99}));
+    // Eight elements fit the first storage: it never moved.
+    std::vector<const int *> slots;
+    for (const int &v : q)
+        slots.push_back(&v);
+    EXPECT_TRUE(std::find(slots.begin(), slots.end(), first) != slots.end());
+}
+
+TEST(Fifo, GrowsWhileHeadIsMidRing)
+{
+    Fifo<std::string> q;
+    for (int i = 0; i < 8; ++i)
+        q.push_back(std::to_string(i));
+    for (int i = 0; i < 5; ++i)
+        q.pop_front(); // head at slot 5 of 8
+    for (int i = 8; i < 13; ++i)
+        q.push_back(std::to_string(i)); // wraps, full at 8
+    ASSERT_EQ(q.size(), 8u);
+    q.push_back("13"); // grows with the front in the middle
+    q.push_back("14");
+    std::vector<std::string> want;
+    for (int i = 5; i < 15; ++i)
+        want.push_back(std::to_string(i));
+    EXPECT_EQ(contents(q), want);
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(q[i], want[i]);
+    EXPECT_EQ(q.front(), "5");
+    EXPECT_EQ(q.back(), "14");
+}
+
+TEST(Fifo, EmplaceFromOwnElementWhileGrowing)
+{
+    Fifo<std::string> q;
+    for (int i = 0; i < 8; ++i)
+        q.push_back(std::string(40, static_cast<char>('a' + i)));
+    q.push_back(q.front()); // full: the copy is made before storage moves
+    EXPECT_EQ(q.size(), 9u);
+    EXPECT_EQ(q.back(), std::string(40, 'a'));
+}
+
+TEST(Fifo, HoldsMoveOnlyCallbacks)
+{
+    Fifo<InplaceCallback> q;
+    std::vector<int> ran;
+    auto owned = std::make_unique<int>(7);
+    for (int i = 0; i < 20; ++i)
+        q.push_back([&ran, i] { ran.push_back(i); });
+    q.push_back([&ran, p = std::move(owned)] { ran.push_back(*p); });
+    Fifo<InplaceCallback> moved = std::move(q);
+    EXPECT_TRUE(q.empty());
+    while (!moved.empty()) {
+        InplaceCallback cb = std::move(moved.front());
+        moved.pop_front();
+        cb();
+    }
+    std::vector<int> want;
+    for (int i = 0; i < 20; ++i)
+        want.push_back(i);
+    want.push_back(7);
+    EXPECT_EQ(ran, want);
+}
+
+TEST(Fifo, ClearDestroysAndKeepsStorageForReuse)
+{
+    auto token = std::make_shared<int>(0);
+    Fifo<std::shared_ptr<int>> q;
+    for (int i = 0; i < 6; ++i)
+        q.push_back(token);
+    q.pop_front();
+    EXPECT_EQ(token.use_count(), 6);
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(token.use_count(), 1); // every element destroyed
+    for (int i = 0; i < 8; ++i)
+        q.push_back(std::make_shared<int>(i));
+    std::vector<int> got;
+    for (const auto &p : q)
+        got.push_back(*p);
+    EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+    q.pop_back();
+    EXPECT_EQ(*q.back(), 6);
+}
+
+TEST(Fifo, IteratesFrontToBack)
+{
+    Fifo<int> q;
+    EXPECT_TRUE(q.begin() == q.end());
+    for (int i = 0; i < 30; ++i) {
+        q.push_back(i);
+        if (i % 3 == 0)
+            q.pop_front();
+    }
+    std::vector<int> want;
+    for (int i = 10; i < 30; ++i)
+        want.push_back(i);
+    EXPECT_EQ(contents(q), want);
+    int sum = 0;
+    for (int &v : q)
+        sum += v++;
+    EXPECT_EQ(sum, (10 + 29) * 20 / 2);
+    EXPECT_EQ(q.front(), 11); // iterators give mutable access
 }

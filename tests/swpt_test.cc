@@ -239,9 +239,9 @@ TEST(SwptProtection, ForgedForeignFrameRejected)
               1u);
     // The rejection surfaced as an error completion, so a real driver's
     // TX window would not leak.
-    auto comp = rig.v->takeCompletions(rig.port);
-    ASSERT_EQ(comp.count, 1u);
-    EXPECT_EQ(comp.bytes.at(0), 0u);
+    sim::Fifo<std::uint64_t> comp;
+    ASSERT_EQ(rig.v->takeCompletions(rig.port, comp), 1u);
+    EXPECT_EQ(comp.front(), 0u);
     // The victim's page was never pinned, shadowed, or DMA-touched.
     EXPECT_EQ(rig.sys.mem().refCount(victim_page), 0u);
     EXPECT_EQ(rig.sys.mem().violationCount(), 0u);
@@ -309,7 +309,7 @@ TEST(SwptProtection, ForeignRxBufferRejected)
     std::uint64_t rejected_before = rig.v->descRejected();
     std::uint64_t faults_before =
         rig.sys.hv().faultCount(attacker->id(), not_owner);
-    rig.v->rxDoorbell(rig.port, {victim_page});
+    rig.v->rxDoorbell(rig.port, std::vector<mem::PageNum>{victim_page});
     sim::SimContext &ctx = rig.sys.ctx();
     ctx.events().runUntil(ctx.now() + sim::milliseconds(5));
     EXPECT_EQ(rig.v->descRejected(), rejected_before + 1);
@@ -326,7 +326,8 @@ TEST(SwptProtection, ForeignRxBufferRejected)
     rig.v->nic().receiveFrame(std::move(pkt));
     ctx.events().runUntil(ctx.now() + sim::milliseconds(5));
     EXPECT_EQ(no_buf(), no_buf_before + 1);
-    EXPECT_TRUE(rig.v->takeRx(rig.port).empty());
+    sim::Fifo<net::Packet> rx;
+    EXPECT_EQ(rig.v->takeRx(rig.port, rx), 0u);
     EXPECT_TRUE(rig.sys.mem().ownedBy(victim_page, victim->id()));
     EXPECT_EQ(rig.sys.mem().refCount(victim_page), 0u);
     EXPECT_EQ(rig.sys.mem().violationCount(), 0u);
