@@ -132,8 +132,8 @@ SwptValidator::processTxPending(GuestId g)
     GuestState &gs = state(g);
     if (gs.pendingTx.empty())
         return;
-    std::size_t n = gs.pendingTx.size();
-    for (std::size_t i = 0; i < n; ++i) {
+    auto n = static_cast<std::uint32_t>(gs.pendingTx.size());
+    for (std::uint32_t i = 0; i < n; ++i) {
         gs.validatingTx.push_back(std::move(gs.pendingTx.front()));
         gs.pendingTx.pop_front();
     }
@@ -150,8 +150,8 @@ SwptValidator::processRxPending(GuestId g)
     GuestState &gs = state(g);
     if (gs.pendingRxPost.empty())
         return;
-    std::size_t n = gs.pendingRxPost.size();
-    for (std::size_t i = 0; i < n; ++i) {
+    auto n = static_cast<std::uint32_t>(gs.pendingRxPost.size());
+    for (std::uint32_t i = 0; i < n; ++i) {
         gs.validatingRx.push_back(gs.pendingRxPost.front());
         gs.pendingRxPost.pop_front();
     }
@@ -162,12 +162,12 @@ SwptValidator::processRxPending(GuestId g)
 }
 
 void
-SwptValidator::validateTxBatch(GuestId g, std::size_t n)
+SwptValidator::validateTxBatch(GuestId g, std::uint32_t n)
 {
     GuestState &gs = state(g);
     auto &mem = hv_.mem();
     bool notify = false;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::uint32_t i = 0; i < n; ++i) {
         TxReq req = std::move(gs.validatingTx.front());
         gs.validatingTx.pop_front();
         if (!gs.active)
@@ -204,11 +204,11 @@ SwptValidator::validateTxBatch(GuestId g, std::size_t n)
 }
 
 void
-SwptValidator::validateRxBatch(GuestId g, std::size_t n)
+SwptValidator::validateRxBatch(GuestId g, std::uint32_t n)
 {
     GuestState &gs = state(g);
     auto &mem = hv_.mem();
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::uint32_t i = 0; i < n; ++i) {
         mem::PageNum p = gs.validatingRx.front();
         gs.validatingRx.pop_front();
         if (!gs.active)

@@ -155,9 +155,9 @@ class SwptValidator : public sim::SimObject
     void processTxPending(GuestId g);
     void processRxPending(GuestId g);
     /** Validate the oldest @p n of @p g's validatingTx. */
-    void validateTxBatch(GuestId g, std::size_t n);
+    void validateTxBatch(GuestId g, std::uint32_t n);
     /** Validate the oldest @p n of @p g's validatingRx. */
-    void validateRxBatch(GuestId g, std::size_t n);
+    void validateRxBatch(GuestId g, std::uint32_t n);
     void pumpShadow();
     void postOwnRxBuffer(mem::PageNum page);
     void pinForDma(const mem::SgList &sg);

@@ -142,9 +142,9 @@ TEST(AllocGate, XenIntelReceive)
 
 TEST(AllocGate, SwptReceive)
 {
-    // 6.64 -> 0.27 allocations per frame.
+    // 6.64 -> 0.13 allocations per frame.
     EXPECT_LT(allocsPerFrame(SystemConfig::swPassthrough(1).receive()),
-              3.46);
+              3.39);
 }
 
 TEST(AllocGate, SystemSetupBytes)
